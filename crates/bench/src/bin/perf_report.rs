@@ -1,7 +1,8 @@
 //! `perf-report` — regenerates `BENCH_kernels.json` at the repository root.
 //!
 //! Times the numeric hot-path kernels (dense LU factorization blocked vs the
-//! retained pre-optimization reference, band triangular solve, CSR SpMV, and
+//! retained pre-optimization reference, sparse LU factorization pruned vs the
+//! retained unpruned reference, band triangular solve, CSR SpMV, and
 //! cold-vs-warm `PreparedSystem::solve_many` serving) plus the **transport**
 //! layer (in-process vs TCP-loopback message round-trip latency, and the
 //! bytes each synchronous outer iteration puts on the links, from
@@ -31,7 +32,7 @@ use msplit_core::runtime::{IterationWorkspace, NeighborData, RankEngine};
 use msplit_core::solver::{ExecutionMode, MultisplittingConfig};
 use msplit_core::{Decomposition, MultisplittingSolver, PreparedSystem, WeightingScheme};
 use msplit_dense::{BandLu, DenseLu};
-use msplit_direct::{SolveScratch, SolverKind, SparseLu, SparseRhs};
+use msplit_direct::{SolveScratch, SolverKind, SparseLu, SparseLuConfig, SparseRhs};
 use msplit_engine::EngineConfig;
 use msplit_serve::{ClientOptions, ServeClient, ServeConfig, SolveServer};
 use msplit_sparse::{generators, CsrMatrix, TripletBuilder};
@@ -56,6 +57,11 @@ const MIN_COALESCED_OVER_COLD: f64 = 3.0;
 /// `solve_sparse_into` must beat the dense `solve_into` by at least this
 /// factor at n >= 20 000.
 const MIN_SPARSE_TRSV_SPEEDUP: f64 = 3.0;
+
+/// Sparse-factorization acceptance gate: on `cage_like(3000, 1)` (the shape
+/// of one `grid_factor` band) the pruned, allocation-free Gilbert–Peierls
+/// kernel must beat the retained unpruned reference by at least this factor.
+const MIN_SPARSE_LU_SPEEDUP: f64 = 2.0;
 
 /// Convergence-protocol acceptance gate: at P = 1024 simulated ranks the
 /// tree-aggregated lockstep coordinator must handle at least this many times
@@ -763,6 +769,31 @@ fn main() {
         });
     }
 
+    // --- Sparse LU factorization: pruned production kernel vs the retained
+    // unpruned reference.  n = 3000 in --check too: the gate is about the
+    // symbolic reach, whose share of the work grows with the fill. ---
+    let sparse_lu_n = 3_000;
+    let a = generators::cage_like(sparse_lu_n, 1);
+    let lu_config = SparseLuConfig::default();
+    let mut sparse_lu_edges = (0u64, 0u64);
+    let after_ms = time_ms(3, || {
+        let lu = SparseLu::factorize_with(&a, &lu_config).expect("factorize");
+        sparse_lu_edges.1 = lu.stats().symbolic_edges;
+        lu
+    });
+    let before_ms = time_ms(3, || {
+        let lu = SparseLu::factorize_reference(&a, &lu_config).expect("factorize");
+        sparse_lu_edges.0 = lu.stats().symbolic_edges;
+        lu
+    });
+    let sparse_lu_speedup = before_ms / after_ms;
+    records.push(KernelRecord {
+        name: "sparse_lu_factorize",
+        n: sparse_lu_n,
+        before_ms: Some(before_ms),
+        after_ms,
+    });
+
     // --- Band triangular solve (in place). ---
     let band_n = if check_mode { 2_000 } else { 20_000 };
     let band = penta_band(band_n);
@@ -945,7 +976,7 @@ fn main() {
     json.push_str("{\n  \"suite\": \"kernel_suite\",\n  \"unit\": \"ms (best of reps)\",\n");
     let _ = writeln!(
         json,
-        "  \"note\": \"before = retained pre-optimization kernel where one exists (dense reference LU; cold prepare for warm serving)\",",
+        "  \"note\": \"before = retained pre-optimization kernel where one exists (dense reference LU; unpruned reference sparse LU; cold prepare for warm serving)\",",
     );
     json.push_str("  \"kernels\": [\n");
     for (i, r) in records.iter().enumerate() {
@@ -1126,6 +1157,23 @@ fn main() {
          ({:.1}x); queue p50/p99 in the serving table",
         coalesced_rps / cold_rps
     );
+    // The sparse-factorization acceptance gate, with the exact symbolic work
+    // counts behind it (entries of L the reach examined).
+    println!(
+        "# sparse_lu_factorize n={sparse_lu_n}: symbolic_edges {} (unpruned reference) -> {} (pruned)",
+        sparse_lu_edges.0, sparse_lu_edges.1
+    );
+    if sparse_lu_speedup < MIN_SPARSE_LU_SPEEDUP {
+        gate_failures.push(format!(
+            "sparse_lu_factorize: measured {sparse_lu_speedup:.2}x speedup over the unpruned \
+             reference, below the {MIN_SPARSE_LU_SPEEDUP}x acceptance gate"
+        ));
+    } else {
+        println!(
+            "# sparse_lu_factorize within budget: {sparse_lu_speedup:.2}x >= {MIN_SPARSE_LU_SPEEDUP}x"
+        );
+    }
+
     // The serving acceptance gate: a multi-tenant fleet only earns its keep
     // if coalesced warm traffic beats factorize-per-request cold traffic by
     // a wide margin.

@@ -266,6 +266,7 @@ mod tests {
                 nnz_l: 700,
                 nnz_u: 700,
                 flops: factor_flops,
+                symbolic_edges: 0,
                 factor_seconds: 0.0,
             },
             iterations: 20,

@@ -2896,9 +2896,12 @@ struct BatchWorkerOutput {
     report: PartReport,
 }
 
-/// Factorizes every diagonal block of `blocks` in parallel (shared by the
-/// adapters and by [`crate::prepared::PreparedSystem`]).  Failures surface
-/// before any worker thread starts exchanging messages.
+/// Factorizes every diagonal block of `blocks`, one after the other (shared
+/// by the adapters and by [`crate::prepared::PreparedSystem`]): the
+/// `par_iter` below is the vendored rayon stand-in, which runs serially, so
+/// an in-process `prepare` costs the *sum* of the block factorizations.
+/// (Distributed workers factorize one block each, in their own processes.)
+/// Failures surface before any worker thread starts exchanging messages.
 pub(crate) fn factorize_blocks(
     blocks: &[LocalBlocks],
     config: &MultisplittingConfig,

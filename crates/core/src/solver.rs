@@ -473,6 +473,7 @@ mod tests {
                 nnz_l: 40,
                 nnz_u: 40,
                 flops: 500,
+                symbolic_edges: 0,
                 factor_seconds: 0.1,
             },
             iterations: 7,

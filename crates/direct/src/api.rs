@@ -245,6 +245,7 @@ impl DirectSolver for DenseLuSolver {
             nnz_l: n * (n + 1) / 2,
             nnz_u: n * (n + 1) / 2,
             flops: lu.flops(),
+            symbolic_edges: 0,
             factor_seconds: start.elapsed().as_secs_f64(),
         };
         Ok(Box::new(DenseLuFactorization { lu, stats }))
@@ -340,6 +341,7 @@ impl DirectSolver for BandLuSolver {
             nnz_l: stored / 2 + n / 2,
             nnz_u: stored - stored / 2,
             flops: lu.flops(),
+            symbolic_edges: 0,
             factor_seconds: start.elapsed().as_secs_f64(),
         };
         Ok(Box::new(BandLuFactorization { lu, stats }))

@@ -4,22 +4,57 @@
 //! This is the numerical core of the SuperLU stand-in.  For each column `j`
 //! of the (column-permuted) matrix the algorithm:
 //!
-//! 1. computes the nonzero pattern of `L⁻¹ A(:, j)` by a depth-first reach in
-//!    the graph of the already-computed columns of `L`
-//!    ([`crate::symbolic::reach`]),
-//! 2. performs the numeric sparse triangular solve along that pattern,
-//! 3. selects the largest remaining entry as the pivot (partial pivoting with
-//!    an optional diagonal-preference threshold),
-//! 4. stores the resulting column of `L` (scaled by the pivot) and of `U`.
+//! 1. finds the nonzero pattern of `L⁻¹ A(:, j)` — the rows reachable from
+//!    the pattern of `A(:, j)` in the graph of the finished columns of `L` —
+//!    with a search over the *symmetrically pruned* graph
+//!    ([`crate::symbolic::PrunedReach`]), split into rows already pivoted
+//!    and rows not yet pivoted,
+//! 2. performs the numeric sparse triangular solve along the pivoted half,
+//! 3. selects the largest entry of the unpivoted half as the pivot (partial
+//!    pivoting with an optional diagonal-preference threshold),
+//! 4. stores the pivoted half as the column of `U` and the unpivoted half,
+//!    scaled by the pivot, as the column of `L`,
+//! 5. prunes the columns of `L` that step `j` made prunable.
 //!
 //! The total cost is proportional to the number of floating-point operations
 //! actually performed — the property that makes Gilbert–Peierls the standard
 //! kernel for unsymmetric sparse LU (it is the algorithm SuperLU's
-//! supernodal code generalizes).
+//! supernodal code generalizes).  Pruning is what keeps step 1 inside that
+//! bound in practice: unpruned, the search re-reads every entry of every
+//! reached column and costs three times the arithmetic.
+//!
+//! # The numeric order is canonical
+//!
+//! Step 2 applies the updates in ascending **pivot step**, not in the order
+//! the search found the rows.  That is a topological order of `L`'s graph —
+//! column `k` only holds rows that were unpivoted when it was stored, so
+//! every edge runs from a lower step to a higher one — and it makes the
+//! column of `U` come out sorted.  Pivot-magnitude ties go to the lowest
+//! original row index.  Each `x[r]` therefore receives its updates in an
+//! order fixed by the matrix and the pivots alone, and the computed factors
+//! do not depend on how the pattern was traversed: a pruned search, an
+//! unpruned one, and a column of `L` whose entries pruning has reordered all
+//! give the same bits.  [`SparseLu::factorize_reference`] keeps the unpruned,
+//! allocating search as the oracle; `tests/kernel_equivalence.rs` holds the
+//! production kernel bitwise equal to it.
+//!
+//! # Pruning and its guard
+//!
+//! The invariant and the proof are in [`crate::symbolic`].  The numeric side
+//! of the contract is here: the update of step 2 still walks the **whole**
+//! column of `L`, so every row it writes must be in the pattern, or the
+//! scatter vector `x` is left dirty for the next column.  Pruning preserves
+//! that only while `struct L(:, j)` contains the unpivoted rows of the
+//! columns pruned at step `j`; a step that discards a candidate of `L(:, j)`
+//! (exact cancellation, or the drop tolerance) prunes nothing.
+//!
+//! The column loop allocates nothing per column: the pattern, marks and
+//! search stack persist, entries are pushed straight into the factors, and
+//! `L` is renumbered into pivot order once, by a counting pass.
 
 use crate::reach::{SolveReach, SparseRhs, SparseSolveReport};
 use crate::stats::FactorStats;
-use crate::symbolic::{reach, FactorColumns, ReachWorkspace};
+use crate::symbolic::{reach, FactorColumns, PrunedReach, ReachWorkspace};
 use crate::DirectError;
 use msplit_sparse::ordering;
 use msplit_sparse::{CscMatrix, CsrMatrix, Permutation};
@@ -178,7 +213,41 @@ impl SparseLu {
     }
 
     /// Factorizes a square CSR matrix with an explicit configuration.
+    ///
+    /// Fails with [`DirectError::NonFinite`] on a NaN or infinite entry and
+    /// with [`DirectError::Singular`] when a column has no nonzero pivot
+    /// candidate.
     pub fn factorize_with(a: &CsrMatrix, config: &SparseLuConfig) -> Result<Self, DirectError> {
+        Self::assemble(a, config, |acsc, col_perm| {
+            let mut x = vec![0.0f64; acsc.rows()];
+            factor_columns(acsc, col_perm, config, &mut x)
+        })
+    }
+
+    /// The retained reference kernel: the same canonical numeric order as
+    /// [`SparseLu::factorize_with`], but an unpruned, allocating
+    /// [`crate::symbolic::reach`] per column and a sort per column of `L`.
+    /// The production kernel must equal it **bitwise** — factors,
+    /// permutations, `nnz_l`/`nnz_u`/`flops` and solutions; only
+    /// `symbolic_edges` (the unpruned count here) and the timing differ.
+    /// For tests and `perf-report` only.
+    #[doc(hidden)]
+    pub fn factorize_reference(
+        a: &CsrMatrix,
+        config: &SparseLuConfig,
+    ) -> Result<Self, DirectError> {
+        Self::assemble(a, config, |acsc, col_perm| {
+            factor_columns_reference(acsc, col_perm, config)
+        })
+    }
+
+    /// Everything around the column loop: ordering, column access to `A`,
+    /// the signed-zero solution and the statistics.
+    fn assemble(
+        a: &CsrMatrix,
+        config: &SparseLuConfig,
+        column_loop: impl FnOnce(&CscMatrix, &Permutation) -> Result<RawFactors, DirectError>,
+    ) -> Result<Self, DirectError> {
         if !a.is_square() {
             return Err(DirectError::NotSquare {
                 rows: a.rows(),
@@ -199,121 +268,14 @@ impl SparseLu {
         // which columns are eliminated changes, plus the matching row
         // relabeling is captured by partial pivoting).
         let acsc: CscMatrix = a.to_csc();
-
-        let mut l = FactorColumns::with_capacity(n, a.nnz() * 4);
-        let mut u = FactorColumns::with_capacity(n, a.nnz() * 4);
-        let mut pinv = vec![usize::MAX; n]; // original row -> pivot step
-        let mut row_perm = vec![usize::MAX; n];
-        let mut ws = ReachWorkspace::new(n);
-        let mut x = vec![0.0f64; n];
-        let mut flops: u64 = 0;
-
-        // `j` is the elimination step, indexing several parallel structures
-        // (`row_perm`, `pinv`, the factor columns) — an iterator over any one
-        // of them would misrepresent the algorithm.
-        #[allow(clippy::needless_range_loop)]
-        for j in 0..n {
-            let aj = col_perm.old_of(j);
-
-            // Scatter A(:, aj) into the dense work vector.
-            let seed_rows: Vec<usize> = acsc.col(aj).map(|(r, _)| r).collect();
-            for (r, v) in acsc.col(aj) {
-                x[r] = v;
-            }
-
-            // Symbolic + numeric sparse triangular solve along the reach.
-            let pattern = reach(&l, &pinv, &seed_rows, &mut ws);
-            for &row in &pattern {
-                let k = pinv[row];
-                if k == usize::MAX {
-                    continue;
-                }
-                let xi = x[row];
-                if xi == 0.0 {
-                    continue;
-                }
-                for (r, lv) in l.col(k) {
-                    x[r] -= lv * xi;
-                    flops += 2;
-                }
-            }
-
-            // Pivot selection among not-yet-pivoted rows of the pattern.
-            let mut pivot_row = usize::MAX;
-            let mut pivot_mag = 0.0f64;
-            let mut diag_row = usize::MAX;
-            for &row in &pattern {
-                if pinv[row] != usize::MAX {
-                    continue;
-                }
-                let mag = x[row].abs();
-                if mag > pivot_mag {
-                    pivot_mag = mag;
-                    pivot_row = row;
-                }
-                if row == aj {
-                    diag_row = row;
-                }
-            }
-            if pivot_row == usize::MAX || pivot_mag == 0.0 {
-                // Clean the work vector before reporting failure.
-                for &row in &pattern {
-                    x[row] = 0.0;
-                }
-                return Err(DirectError::Singular { column: j });
-            }
-            // Diagonal preference (threshold pivoting).
-            if diag_row != usize::MAX
-                && x[diag_row].abs() >= config.pivot_threshold * pivot_mag
-                && x[diag_row] != 0.0
-            {
-                pivot_row = diag_row;
-            }
-            let pivot = x[pivot_row];
-
-            pinv[pivot_row] = j;
-            row_perm[j] = pivot_row;
-
-            // Split the pattern into the U part (already pivoted rows) and the
-            // L part (remaining rows, scaled by the pivot).
-            let drop_tol = config.drop_tolerance * pivot_mag;
-            let mut u_entries: Vec<(usize, f64)> = Vec::new();
-            let mut l_entries: Vec<(usize, f64)> = Vec::new();
-            for &row in &pattern {
-                let v = x[row];
-                x[row] = 0.0;
-                let k = pinv[row];
-                if row == pivot_row {
-                    continue;
-                }
-                if k != usize::MAX && k < j {
-                    if v != 0.0 && v.abs() > drop_tol {
-                        u_entries.push((k, v));
-                    }
-                } else if v != 0.0 {
-                    let scaled = v / pivot;
-                    flops += 1;
-                    if scaled.abs() > drop_tol {
-                        l_entries.push((row, scaled));
-                    }
-                }
-            }
-            // U's diagonal entry goes last so the backward solve can read it
-            // directly.
-            u_entries.sort_unstable_by_key(|&(k, _)| k);
-            u_entries.push((j, pivot));
-            u.push_column(u_entries);
-            l.push_column(l_entries);
-        }
-
-        // Renumber L's rows into pivot order so the triangular solves can use
-        // the factor directly.
-        let mut l_final = FactorColumns::with_capacity(n, l.nnz());
-        for j in 0..n {
-            let mut col: Vec<(usize, f64)> = l.col(j).map(|(r, v)| (pinv[r], v)).collect();
-            col.sort_unstable_by_key(|&(r, _)| r);
-            l_final.push_column(col);
-        }
+        let RawFactors {
+            l,
+            u,
+            pinv,
+            row_perm,
+            flops,
+            symbolic_edges,
+        } = column_loop(&acsc, &col_perm)?;
 
         // The dense backward solve computes `z[j] = y[j] / U[j,j]` for every
         // column, so a zero right-hand side yields `0.0 / diag` — a signed
@@ -325,14 +287,14 @@ impl SparseLu {
             zero_x[col_perm.old_of(j)] = 0.0 / diag;
         }
 
-        let elapsed = start.elapsed();
         let stats = FactorStats {
             n,
             nnz_a: a.nnz(),
-            nnz_l: l_final.nnz() + n, // account for the implicit unit diagonal
+            nnz_l: l.nnz() + n, // account for the implicit unit diagonal
             nnz_u: u.nnz(),
             flops,
-            factor_seconds: elapsed.as_secs_f64(),
+            symbolic_edges,
+            factor_seconds: start.elapsed().as_secs_f64(),
         };
 
         Ok(SparseLu {
@@ -340,7 +302,7 @@ impl SparseLu {
             col_perm,
             row_perm,
             row_perm_inv: pinv,
-            l: l_final,
+            l,
             u,
             zero_x,
             reach_threshold: config.reach_threshold,
@@ -368,6 +330,13 @@ impl SparseLu {
     /// Fill-reducing column permutation (new-to-old).
     pub fn column_permutation(&self) -> &Permutation {
         &self.col_perm
+    }
+
+    /// The stored factors `(L, U)` in pivot-order numbering, for the bitwise
+    /// equivalence tests.
+    #[doc(hidden)]
+    pub fn factors(&self) -> (&FactorColumns, &FactorColumns) {
+        (&self.l, &self.u)
     }
 
     /// Solves `A x = b` using the stored factors.
@@ -738,6 +707,287 @@ impl SparseLu {
     }
 }
 
+/// What a column loop hands to [`SparseLu::assemble`]: both factors in
+/// pivot-order numbering (every column of `L` ascending by row, every column
+/// of `U` ascending with the diagonal last), the pivot maps and the counters.
+struct RawFactors {
+    l: FactorColumns,
+    u: FactorColumns,
+    /// Original row → pivot step.
+    pinv: Vec<usize>,
+    /// Pivot step → original row.
+    row_perm: Vec<usize>,
+    flops: u64,
+    symbolic_edges: u64,
+}
+
+/// Rejects a NaN or infinite entry of `A` (checked while it is scattered).
+#[inline]
+fn check_finite(v: f64, row: usize, col: usize) -> Result<(), DirectError> {
+    if v.is_finite() {
+        Ok(())
+    } else {
+        Err(DirectError::NonFinite { row, col })
+    }
+}
+
+/// Partial pivoting over the not-yet-pivoted rows of a column's pattern:
+/// the largest magnitude wins and ties go to the **lowest original row
+/// index**, so the choice does not depend on the order of `candidates`.
+/// `diag_row`, when it is a candidate, is preferred if its magnitude reaches
+/// `threshold` times the largest.  Returns `(pivot_row, largest_magnitude)`,
+/// or `None` when every candidate is zero (or there is none).
+fn select_pivot(
+    x: &[f64],
+    candidates: &[usize],
+    diag_row: Option<usize>,
+    threshold: f64,
+) -> Option<(usize, f64)> {
+    let mut pivot_row = usize::MAX;
+    let mut pivot_mag = 0.0f64;
+    for &row in candidates {
+        let mag = x[row].abs();
+        if mag > pivot_mag || (mag == pivot_mag && row < pivot_row) {
+            pivot_mag = mag;
+            pivot_row = row;
+        }
+    }
+    if pivot_mag == 0.0 {
+        return None;
+    }
+    if let Some(d) = diag_row {
+        if x[d] != 0.0 && x[d].abs() >= threshold * pivot_mag {
+            pivot_row = d;
+        }
+    }
+    Some((pivot_row, pivot_mag))
+}
+
+/// The numeric sparse triangular solve of one column, in the canonical
+/// order: for every pivot step of `pivoted` (ascending), subtracts `x` at
+/// that step's pivot row times the whole column of `l` from `x`.  Returns
+/// the flops performed.
+#[inline]
+fn apply_updates(l: &FactorColumns, pivoted: &[usize], row_perm: &[usize], x: &mut [f64]) -> u64 {
+    let mut flops = 0;
+    for &k in pivoted {
+        let xi = x[row_perm[k]];
+        if xi == 0.0 {
+            continue;
+        }
+        let range = l.col_range(k);
+        flops += 2 * range.len() as u64;
+        for (&r, &lv) in l.rows[range.clone()].iter().zip(&l.values[range]) {
+            x[r] -= lv * xi;
+        }
+    }
+    flops
+}
+
+/// The production column loop: pruned reach, canonical numeric order, no
+/// allocation per column (see the module docs).
+///
+/// `x` is the scatter vector: all-zero and of order `n` on entry, all-zero
+/// again on `Ok` — the invariant the pruning guard protects.
+fn factor_columns(
+    acsc: &CscMatrix,
+    col_perm: &Permutation,
+    config: &SparseLuConfig,
+    x: &mut [f64],
+) -> Result<RawFactors, DirectError> {
+    let n = acsc.rows();
+    let (a_ptr, a_rows, a_vals) = (acsc.col_ptr(), acsc.row_indices(), acsc.values());
+    let mut l = FactorColumns::with_capacity(n, acsc.nnz() * 4);
+    let mut u = FactorColumns::with_capacity(n, acsc.nnz() * 4);
+    let mut pinv = vec![usize::MAX; n];
+    let mut row_perm = vec![usize::MAX; n];
+    let mut sym = PrunedReach::new(n);
+    let mut flops: u64 = 0;
+
+    for j in 0..n {
+        let aj = col_perm.old_of(j);
+
+        // Scatter A(:, aj) and seed the pattern with its rows.
+        sym.begin_column();
+        for idx in a_ptr[aj]..a_ptr[aj + 1] {
+            let (r, v) = (a_rows[idx], a_vals[idx]);
+            check_finite(v, r, aj)?;
+            x[r] = v;
+            sym.visit(r, &pinv);
+        }
+        sym.search(&l, &pinv);
+
+        flops += apply_updates(&l, &sym.pivoted, &row_perm, x);
+
+        let diag_row = (sym.contains(aj) && pinv[aj] == usize::MAX).then_some(aj);
+        let Some((pivot_row, pivot_mag)) =
+            select_pivot(x, &sym.unpivoted, diag_row, config.pivot_threshold)
+        else {
+            return Err(DirectError::Singular { column: j });
+        };
+        let pivot = x[pivot_row];
+        pinv[pivot_row] = j;
+        row_perm[j] = pivot_row;
+        let drop_tol = config.drop_tolerance * pivot_mag;
+
+        // U column: the pivoted half, already ascending, diagonal last.
+        for &k in &sym.pivoted {
+            let v = std::mem::take(&mut x[row_perm[k]]);
+            if v != 0.0 && v.abs() > drop_tol {
+                u.push_entry(k, v);
+            }
+        }
+        u.push_entry(j, pivot);
+        u.finish_column();
+
+        // L column: the unpivoted half, scaled by the pivot.
+        let mut discarded = false;
+        for &row in &sym.unpivoted {
+            let v = std::mem::take(&mut x[row]);
+            if row == pivot_row {
+                continue;
+            }
+            if v == 0.0 {
+                discarded = true;
+                continue;
+            }
+            let scaled = v / pivot;
+            flops += 1;
+            if scaled.abs() > drop_tol {
+                l.push_entry(row, scaled);
+            } else {
+                discarded = true;
+            }
+        }
+        l.finish_column();
+        sym.column_finished(&l);
+
+        if !discarded {
+            let u_col = u.col_range(j);
+            let u_steps = &u.rows[u_col.start..u_col.end - 1];
+            sym.prune(&mut l, &pinv, u_steps, pivot_row);
+        }
+    }
+
+    renumber_rows(&mut l, &pinv);
+    Ok(RawFactors {
+        l,
+        u,
+        pinv,
+        row_perm,
+        flops,
+        symbolic_edges: sym.edges,
+    })
+}
+
+/// Renumbers the rows of `l` from original to pivot-order numbering and
+/// leaves every column ascending, with one counting pass: bucket the entries
+/// by new row, then deal them back to their columns row by row.
+fn renumber_rows(l: &mut FactorColumns, pinv: &[usize]) {
+    for r in &mut l.rows {
+        *r = pinv[*r];
+    }
+    let by_row = FactorRows::build(l, pinv.len(), false);
+    let mut next = l.col_ptr.clone();
+    for i in 0..pinv.len() {
+        let (cols, vals) = by_row.row(i);
+        for (&j, &v) in cols.iter().zip(vals) {
+            l.rows[next[j]] = i;
+            l.values[next[j]] = v;
+            next[j] += 1;
+        }
+    }
+}
+
+/// The reference column loop behind [`SparseLu::factorize_reference`]: the
+/// pre-pruning kernel (an allocating, unpruned [`reach`] and fresh `Vec`s per
+/// column, a sort per column of `L`) with the canonical numeric order.
+fn factor_columns_reference(
+    acsc: &CscMatrix,
+    col_perm: &Permutation,
+    config: &SparseLuConfig,
+) -> Result<RawFactors, DirectError> {
+    let n = acsc.rows();
+    let mut l = FactorColumns::with_capacity(n, acsc.nnz() * 4);
+    let mut u = FactorColumns::with_capacity(n, acsc.nnz() * 4);
+    let mut pinv = vec![usize::MAX; n];
+    let mut row_perm = vec![usize::MAX; n];
+    let mut ws = ReachWorkspace::new(n);
+    let mut x = vec![0.0f64; n];
+    let mut flops: u64 = 0;
+    let mut symbolic_edges: u64 = 0;
+
+    for j in 0..n {
+        let aj = col_perm.old_of(j);
+
+        let seed_rows: Vec<usize> = acsc.col(aj).map(|(r, _)| r).collect();
+        for (r, v) in acsc.col(aj) {
+            check_finite(v, r, aj)?;
+            x[r] = v;
+        }
+        let pattern = reach(&l, &pinv, &seed_rows, &mut ws);
+        let (mut pivoted, unpivoted): (Vec<usize>, Vec<usize>) = pattern
+            .into_iter()
+            .partition(|&row| pinv[row] != usize::MAX);
+        for step in &mut pivoted {
+            *step = pinv[*step];
+            symbolic_edges += l.col_rows(*step).len() as u64;
+        }
+        pivoted.sort_unstable();
+
+        flops += apply_updates(&l, &pivoted, &row_perm, &mut x);
+
+        let diag_row = unpivoted.contains(&aj).then_some(aj);
+        let Some((pivot_row, pivot_mag)) =
+            select_pivot(&x, &unpivoted, diag_row, config.pivot_threshold)
+        else {
+            return Err(DirectError::Singular { column: j });
+        };
+        let pivot = x[pivot_row];
+        pinv[pivot_row] = j;
+        row_perm[j] = pivot_row;
+        let drop_tol = config.drop_tolerance * pivot_mag;
+
+        let mut u_entries: Vec<(usize, f64)> = Vec::new();
+        for &k in &pivoted {
+            let v = std::mem::take(&mut x[row_perm[k]]);
+            if v != 0.0 && v.abs() > drop_tol {
+                u_entries.push((k, v));
+            }
+        }
+        u_entries.push((j, pivot));
+        u.push_column(u_entries);
+
+        let mut l_entries: Vec<(usize, f64)> = Vec::new();
+        for &row in &unpivoted {
+            let v = std::mem::take(&mut x[row]);
+            if row != pivot_row && v != 0.0 {
+                let scaled = v / pivot;
+                flops += 1;
+                if scaled.abs() > drop_tol {
+                    l_entries.push((row, scaled));
+                }
+            }
+        }
+        l.push_column(l_entries);
+    }
+
+    let mut l_final = FactorColumns::with_capacity(n, l.nnz());
+    for j in 0..n {
+        let mut col: Vec<(usize, f64)> = l.col(j).map(|(r, v)| (pinv[r], v)).collect();
+        col.sort_unstable_by_key(|&(r, _)| r);
+        l_final.push_column(col);
+    }
+    Ok(RawFactors {
+        l: l_final,
+        u,
+        pinv,
+        row_perm,
+        flops,
+        symbolic_edges,
+    })
+}
+
 /// Cached triangular intermediates of a [`SparseLu::solve_into_cached`] run:
 /// the post-forward vector `y` (before the backward sweep mutates it) and the
 /// pivot-space solution `z`, both length `n`.  [`SparseLu::solve_delta_into`]
@@ -1072,6 +1322,98 @@ mod tests {
         )
         .unwrap();
         assert!(dropped.factor_nnz() <= exact.factor_nnz());
+    }
+
+    fn natural() -> SparseLuConfig {
+        SparseLuConfig {
+            ordering: ColumnOrdering::Natural,
+            ..Default::default()
+        }
+    }
+
+    fn assert_solves_like_dense(a: &CsrMatrix, lu: &SparseLu) {
+        let b: Vec<f64> = (0..a.rows()).map(|i| ((i * 3) % 7) as f64 - 2.0).collect();
+        let x = lu.solve(&b).unwrap();
+        let x_dense = DenseLu::factorize(&a.to_dense())
+            .unwrap()
+            .solve(&b)
+            .unwrap();
+        for (s, d) in x.iter().zip(&x_dense) {
+            assert!((s - d).abs() < 1e-12, "sparse {s} vs dense {d}");
+        }
+    }
+
+    /// Column 1 cancels `L[4,1]` to exactly `0.0` (`1 - 0.5 * 2`), so step 1
+    /// discards a candidate while `U[0,1]` and `L[1,0]` are both stored.
+    /// Pruning column 0 there would cut row 4 out of the reach of column 2,
+    /// whose update still writes `x[4]`.
+    fn cancelling_matrix() -> CsrMatrix {
+        CsrMatrix::from_dense(&msplit_dense::DenseMatrix::from_rows(&[
+            &[2.0, 2.0, 1.0, 0.0, 0.0],
+            &[1.0, 3.0, 0.0, 0.0, 0.0],
+            &[0.0, 0.0, 4.0, 1.0, 0.0],
+            &[0.0, 0.0, 0.0, 5.0, 1.0],
+            &[1.0, 1.0, 0.0, 0.0, 6.0],
+        ]))
+    }
+
+    #[test]
+    fn exact_cancellation_skips_pruning_and_keeps_scatter_vector_clean() {
+        let a = cancelling_matrix();
+        let mut x = vec![0.0f64; 5];
+        let raw =
+            factor_columns(&a.to_csc(), &Permutation::identity(5), &natural(), &mut x).unwrap();
+        assert!(raw.l.col_rows(1).is_empty(), "L[4,1] must have cancelled");
+        assert_eq!(
+            raw.l.col_rows(2),
+            &[4],
+            "row 4 must stay reachable from column 0"
+        );
+        assert!(
+            x.iter().all(|v| v.to_bits() == 0),
+            "scatter vector left dirty: {x:?}"
+        );
+
+        let lu = SparseLu::factorize_with(&a, &natural()).unwrap();
+        assert_solves_like_dense(&a, &lu);
+    }
+
+    #[test]
+    fn dropped_candidates_skip_pruning_too() {
+        // Same structure, but the candidate is discarded by the drop
+        // tolerance instead of an exact zero.
+        let mut dense = cancelling_matrix().to_dense();
+        dense.set(4, 1, 1.0 + 1e-6);
+        let a = CsrMatrix::from_dense(&dense);
+        let config = SparseLuConfig {
+            drop_tolerance: 1e-3,
+            ..natural()
+        };
+        let mut x = vec![0.0f64; 5];
+        let raw = factor_columns(&a.to_csc(), &Permutation::identity(5), &config, &mut x).unwrap();
+        assert!(
+            raw.l.col_rows(1).is_empty(),
+            "L[4,1] must have been dropped"
+        );
+        assert!(
+            x.iter().all(|v| v.to_bits() == 0),
+            "scatter vector left dirty: {x:?}"
+        );
+    }
+
+    #[test]
+    fn non_finite_entries_are_rejected_with_their_position() {
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let mut dense = cancelling_matrix().to_dense();
+            dense.set(3, 4, bad);
+            let a = CsrMatrix::from_dense(&dense);
+            for factorize in [SparseLu::factorize_with, SparseLu::factorize_reference] {
+                assert_eq!(
+                    factorize(&a, &natural()).err(),
+                    Some(DirectError::NonFinite { row: 3, col: 4 })
+                );
+            }
+        }
     }
 
     #[test]

@@ -7,7 +7,8 @@
 //! scratch:
 //!
 //! * [`gplu::SparseLu`] — left-looking Gilbert–Peierls LU with partial
-//!   pivoting and an optional fill-reducing column ordering,
+//!   pivoting and an optional fill-reducing column ordering; its symbolic
+//!   reach is symmetrically pruned ([`symbolic`]),
 //! * [`api::DirectSolver`] / [`api::Factorization`] — the abstract interface
 //!   the multisplitting drivers use, with sparse, dense and banded
 //!   implementations (the paper: "any sequential direct solver whether it is
@@ -48,6 +49,8 @@ pub enum DirectError {
     Singular { column: usize },
     /// The matrix must be square.
     NotSquare { rows: usize, cols: usize },
+    /// The matrix holds a NaN or an infinite entry at `(row, col)`.
+    NonFinite { row: usize, col: usize },
     /// Right-hand side or matrix dimension mismatch.
     DimensionMismatch { expected: usize, found: usize },
     /// The requested solver cannot handle the matrix (e.g. band solver on a
@@ -63,6 +66,9 @@ impl std::fmt::Display for DirectError {
             }
             DirectError::NotSquare { rows, cols } => {
                 write!(f, "matrix is not square: {rows}x{cols}")
+            }
+            DirectError::NonFinite { row, col } => {
+                write!(f, "matrix entry ({row}, {col}) is not finite")
             }
             DirectError::DimensionMismatch { expected, found } => {
                 write!(f, "dimension mismatch: expected {expected}, found {found}")

@@ -20,6 +20,10 @@ pub struct FactorStats {
     pub nnz_u: usize,
     /// Floating point operations performed by the factorization.
     pub flops: u64,
+    /// Entries of `L` examined by the symbolic reach of a sparse
+    /// factorization — an exact, repeatable count of its symbolic work
+    /// (`0` for the dense and band kinds, which have no symbolic phase).
+    pub symbolic_edges: u64,
     /// Wall-clock seconds spent in the factorization (on the host running the
     /// test/benchmark, not on the modelled grid machine).
     pub factor_seconds: f64,
@@ -35,6 +39,7 @@ impl FactorStats {
             nnz_l: 0,
             nnz_u: 0,
             flops: 0,
+            symbolic_edges: 0,
             factor_seconds: 0.0,
         }
     }
@@ -106,6 +111,7 @@ mod tests {
             nnz_l: 40,
             nnz_u: 50,
             flops: 1000,
+            symbolic_edges: 0,
             factor_seconds: 0.5,
         };
         assert_eq!(s.factor_nnz(), 90);
@@ -129,6 +135,7 @@ mod tests {
             nnz_l: 0,
             nnz_u: 0,
             flops: 0,
+            symbolic_edges: 0,
             factor_seconds: 0.0,
         };
         assert_eq!(s.fill_ratio(), 1.0);

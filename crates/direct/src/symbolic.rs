@@ -1,12 +1,47 @@
 //! Symbolic analysis: reachability in the column graph of a partially built
-//! lower-triangular factor.
+//! lower-triangular factor, with Eisenstat–Liu symmetric pruning.
 //!
 //! The Gilbert–Peierls factorization computes one column of `L`/`U` per step
 //! by solving a sparse triangular system `L x = A(:, j)` whose nonzero
-//! pattern is the set of nodes *reachable* from the pattern of `A(:, j)` in
+//! pattern is the set of rows *reachable* from the pattern of `A(:, j)` in
 //! the directed graph of `L` (an edge `i → r` for every stored entry
-//! `L[r, i]`).  [`reach`] computes that pattern in topological order so the
-//! numeric phase can process it in a single pass.
+//! `L[r, i]`).  Two implementations of that reach live here:
+//!
+//! * [`PrunedReach`] — the production one.  It owns every buffer the search
+//!   needs (marks, stack, the two halves of the pattern), so a column costs no
+//!   allocation, and it walks a **pruned** graph.
+//! * [`reach`] — the retained reference: an allocating depth-first search
+//!   over the full graph, used only by `SparseLu::factorize_reference`.
+//!
+//! # The pruning invariant
+//!
+//! Every finished column `k` of `L` carries a `prune_end[k]`; the search
+//! follows only the entries `col_ptr[k]..prune_end[k]`.  A column starts
+//! unpruned (`prune_end[k]` is its end).  After step `j` chose pivot row `p`,
+//! every unpruned column `k` with a stored `U[k, j]` whose rows include `p` —
+//! a symmetric pair `U[k, j]`, `L[j, k]` — is partitioned so its already
+//! pivoted rows (now including `p`) come first, and `prune_end[k]` is set
+//! behind them.  The entries cut off are rows `r` still unpivoted after step
+//! `j`.  They stay reachable: column `j` was updated by column `k` (that is
+//! what a stored `U[k, j]` means), so every row of `L(:, k)` is in column
+//! `j`'s pattern, and the unpivoted ones became rows of `L(:, j)`; the path
+//! `k → p → r` replaces the edge `k → r`.  The reach **set** is therefore
+//! exactly the unpruned one, found by reading a fraction of the entries.
+//!
+//! # When pruning is skipped
+//!
+//! The argument needs `struct L(:, j) ⊇ unpivoted struct L(:, k)`.  The
+//! numeric phase breaks it whenever it discards a candidate of `L(:, j)` —
+//! an exact cancellation to `0.0`, or a value under the drop tolerance.  The
+//! caller reports that, and no column is pruned at that step (they can still
+//! be pruned at a later one).  Without this guard a later numeric update
+//! would write to a row the search never reached, and the scatter vector
+//! would no longer be all-zero between columns.
+//!
+//! The numeric phase sorts the pivoted half of the pattern by pivot step,
+//! which is a topological order of the graph (see `gplu.rs`), so the
+//! production search only has to find the set and is a plain stack traversal;
+//! the topological order [`reach`] still returns is not relied upon.
 
 /// Growing compressed-column storage of a triangular factor while it is being
 /// built.  Row indices are kept in the *original* row numbering during
@@ -47,10 +82,28 @@ impl FactorColumns {
     /// Appends a column given as `(row, value)` pairs.
     pub fn push_column(&mut self, entries: impl IntoIterator<Item = (usize, f64)>) {
         for (r, v) in entries {
-            self.rows.push(r);
-            self.values.push(v);
+            self.push_entry(r, v);
         }
+        self.finish_column();
+    }
+
+    /// Appends one entry to the column under construction.
+    #[inline]
+    pub fn push_entry(&mut self, row: usize, value: f64) {
+        self.rows.push(row);
+        self.values.push(value);
+    }
+
+    /// Closes the column under construction.
+    #[inline]
+    pub fn finish_column(&mut self) {
         self.col_ptr.push(self.rows.len());
+    }
+
+    /// Index range of column `j` in `rows`/`values`.
+    #[inline]
+    pub fn col_range(&self, j: usize) -> std::ops::Range<usize> {
+        self.col_ptr[j]..self.col_ptr[j + 1]
     }
 
     /// Iterates over the `(row, value)` entries of column `j`.
@@ -66,6 +119,133 @@ impl FactorColumns {
     /// Row indices of column `j`.
     pub fn col_rows(&self, j: usize) -> &[usize] {
         &self.rows[self.col_ptr[j]..self.col_ptr[j + 1]]
+    }
+}
+
+/// Symbolic state of the production column loop: the pattern of the column
+/// being computed, split by whether a row has been pivoted, and the pruning
+/// state of every finished column of `L` (see the module docs).
+///
+/// All buffers are allocated once, at order `n`.
+#[derive(Debug)]
+pub struct PrunedReach {
+    /// Visit marks, one per row; a row is in the pattern when
+    /// `mark[row] == stamp`.
+    mark: Vec<usize>,
+    /// Current stamp (incremented per column).
+    stamp: usize,
+    /// Pivot steps whose `L` column the search still has to walk.
+    stack: Vec<usize>,
+    /// The search walks `l.rows[l.col_ptr[k]..prune_end[k]]` of column `k`.
+    prune_end: Vec<usize>,
+    /// Whether column `k` has been pruned (it is pruned at most once).
+    pruned: Vec<bool>,
+    /// Pattern rows already pivoted, as **pivot steps**; ascending once
+    /// [`PrunedReach::search`] returns.
+    pub(crate) pivoted: Vec<usize>,
+    /// Pattern rows not yet pivoted (original numbering), in discovery order.
+    pub(crate) unpivoted: Vec<usize>,
+    /// Entries of `L` examined by every search so far.
+    pub(crate) edges: u64,
+}
+
+impl PrunedReach {
+    /// Creates the state for a factorization of order `n`.
+    pub fn new(n: usize) -> Self {
+        PrunedReach {
+            mark: vec![0; n],
+            stamp: 0,
+            stack: Vec::with_capacity(n),
+            prune_end: Vec::with_capacity(n),
+            pruned: Vec::with_capacity(n),
+            pivoted: Vec::with_capacity(n),
+            unpivoted: Vec::with_capacity(n),
+            edges: 0,
+        }
+    }
+
+    /// Starts the pattern of a new column.
+    pub fn begin_column(&mut self) {
+        self.stamp += 1;
+        self.stack.clear();
+        self.pivoted.clear();
+        self.unpivoted.clear();
+    }
+
+    /// Adds `row` to the pattern unless it is already in it.
+    #[inline]
+    pub fn visit(&mut self, row: usize, pinv: &[usize]) {
+        if self.mark[row] == self.stamp {
+            return;
+        }
+        self.mark[row] = self.stamp;
+        match pinv[row] {
+            usize::MAX => self.unpivoted.push(row),
+            step => {
+                self.pivoted.push(step);
+                self.stack.push(step);
+            }
+        }
+    }
+
+    /// Whether `row` is in the current pattern.
+    #[inline]
+    pub fn contains(&self, row: usize) -> bool {
+        self.mark[row] == self.stamp
+    }
+
+    /// Closes the pattern over the pruned graph of `l` from the rows visited
+    /// so far and sorts `pivoted` ascending.
+    pub fn search(&mut self, l: &FactorColumns, pinv: &[usize]) {
+        while let Some(step) = self.stack.pop() {
+            let lo = l.col_ptr[step];
+            let hi = self.prune_end[step];
+            self.edges += (hi - lo) as u64;
+            for &row in &l.rows[lo..hi] {
+                self.visit(row, pinv);
+            }
+        }
+        self.pivoted.sort_unstable();
+    }
+
+    /// Registers the column of `l` just finished (unpruned).
+    pub fn column_finished(&mut self, l: &FactorColumns) {
+        self.prune_end.push(l.nnz());
+        self.pruned.push(false);
+    }
+
+    /// Symmetric pruning after a step whose pivot is `pivot_row`: every
+    /// unpruned column of `l` listed in `u_steps` (the stored off-diagonal
+    /// rows of the `U` column just finished) that contains `pivot_row` is
+    /// partitioned, pivoted rows first, and pruned behind them.  `pinv` must
+    /// already record the pivot.  The caller must not call this when the
+    /// step discarded a candidate of its `L` column.
+    pub fn prune(
+        &mut self,
+        l: &mut FactorColumns,
+        pinv: &[usize],
+        u_steps: &[usize],
+        pivot_row: usize,
+    ) {
+        for &k in u_steps {
+            if self.pruned[k] {
+                continue;
+            }
+            let range = l.col_range(k);
+            if !l.rows[range.clone()].contains(&pivot_row) {
+                continue;
+            }
+            let mut end = range.start;
+            for idx in range {
+                if pinv[l.rows[idx]] != usize::MAX {
+                    l.rows.swap(idx, end);
+                    l.values.swap(idx, end);
+                    end += 1;
+                }
+            }
+            self.prune_end[k] = end;
+            self.pruned[k] = true;
+        }
     }
 }
 
@@ -212,6 +392,73 @@ mod tests {
         assert_eq!(r.len(), 2);
         // topological: 0 before 2
         assert_eq!(r, vec![0, 2]);
+    }
+
+    #[test]
+    fn pruned_search_splits_the_reach_by_pivot_state() {
+        // Column 0 updates rows 1 and 3; column 1 (pivot row 1) updates row 2.
+        let mut l = FactorColumns::with_capacity(2, 3);
+        let mut sym = PrunedReach::new(4);
+        l.push_column([(1, 0.5), (3, 0.25)]);
+        sym.column_finished(&l);
+        l.push_column([(2, 0.5)]);
+        sym.column_finished(&l);
+        let mut pinv = vec![usize::MAX; 4];
+        pinv[0] = 0;
+        pinv[1] = 1;
+
+        sym.begin_column();
+        sym.visit(0, &pinv);
+        sym.search(&l, &pinv);
+        assert_eq!(sym.pivoted, vec![0, 1]);
+        let mut unpivoted = sym.unpivoted.clone();
+        unpivoted.sort_unstable();
+        assert_eq!(unpivoted, vec![2, 3]);
+        assert!(sym.contains(3));
+        assert_eq!(sym.edges, 3);
+
+        // The same set, in some order, as the unpruned reference.
+        let mut reference = reach(&l, &pinv, &[0], &mut ReachWorkspace::new(4));
+        reference.sort_unstable();
+        assert_eq!(reference, vec![0, 1, 2, 3]);
+    }
+
+    #[test]
+    fn prune_moves_pivoted_rows_first_and_shortens_the_walk() {
+        // L(:,0) = rows {3, 1, 2}; step 1 pivots row 1 and stores U[0,1], so
+        // column 0 is pruned behind row 1.  Rows 2 and 3 stay reachable
+        // through L(:,1), which the caller guarantees contains them.
+        let mut l = FactorColumns::with_capacity(2, 5);
+        let mut sym = PrunedReach::new(4);
+        l.push_column([(3, 0.3), (1, 0.1), (2, 0.2)]);
+        sym.column_finished(&l);
+        l.push_column([(2, 0.5), (3, 0.5)]);
+        sym.column_finished(&l);
+        let mut pinv = vec![usize::MAX; 4];
+        pinv[0] = 0;
+        pinv[1] = 1;
+        sym.prune(&mut l, &pinv, &[0], 1);
+        assert_eq!(l.col_rows(0)[0], 1, "the pivoted row leads the column");
+        assert_eq!(
+            l.col(0).find(|&(r, _)| r == 3),
+            Some((3, 0.3)),
+            "values move with rows"
+        );
+
+        sym.begin_column();
+        sym.visit(0, &pinv);
+        sym.search(&l, &pinv);
+        assert_eq!(sym.pivoted, vec![0, 1]);
+        assert_eq!(sym.unpivoted.len(), 2);
+        assert_eq!(sym.edges, 1 + 2, "one entry of column 0, two of column 1");
+
+        // A pruned column is never pruned again (row 2 of column 0 is pivoted
+        // now and would otherwise move into the walked prefix).
+        pinv[2] = 2;
+        sym.prune(&mut l, &pinv, &[0, 1], 2);
+        assert_eq!(sym.prune_end[0], 1, "column 0 was pruned once, at step 1");
+        assert_eq!(l.col_rows(1)[0], 2);
+        assert_eq!(sym.prune_end[1], l.col_ptr[1] + 1);
     }
 
     #[test]

@@ -203,6 +203,11 @@ fn performance_docs_cover_the_sparse_solve_surface() {
         "mean_reach_ppm",
         "sparse_trsv",
         "incremental_halo_delta_step",
+        "PrunedReach",
+        "factorize_reference",
+        "symbolic_edges",
+        "sparse_lu_factorize",
+        "NonFinite",
         "bitwise",
     ] {
         assert!(

@@ -265,6 +265,57 @@ fn unknown_fingerprint_without_matrix_blob_is_a_non_retryable_reject() {
     drop(servers);
 }
 
+/// Hostile input: a matrix with a NaN (or an infinite) entry in a diagonal
+/// block fails `PreparedSystem::prepare` with the typed, positioned
+/// `DirectError::NonFinite` instead of producing a factor full of NaNs, and
+/// the serve path turns that into a non-retryable `Invalid` reject; the
+/// shard keeps serving afterwards.
+#[test]
+fn non_finite_matrix_entry_is_a_typed_prepare_error_and_a_reject() {
+    use multisplitting::comm::RejectCode;
+    use multisplitting::core::CoreError;
+    use multisplitting::direct::DirectError;
+    use multisplitting::sparse::CooMatrix;
+
+    let clean = generators::diag_dominant(&DiagDominantConfig {
+        n: 60,
+        seed: 5,
+        ..Default::default()
+    });
+    let (servers, addrs) = start_fleet(1);
+    let client = ServeClient::new(&addrs, ClientOptions::default()).expect("client");
+    let config = solver_config(2);
+    let b = vec![1.0; 60];
+
+    for bad in [f64::NAN, f64::INFINITY] {
+        let mut coo = CooMatrix::new(60, 60);
+        for (i, j, v) in clean.iter() {
+            coo.push(i, j, if (i, j) == (7, 7) { bad } else { v })
+                .unwrap();
+        }
+        let poisoned = coo.to_csr();
+
+        match PreparedSystem::prepare(config.clone(), &poisoned) {
+            Err(CoreError::Direct(DirectError::NonFinite { row: 7, col: 7 })) => {}
+            Err(other) => panic!("expected NonFinite at (7, 7), got {other:?}"),
+            Ok(_) => panic!("prepare accepted a matrix holding {bad}"),
+        }
+        match client.solve(&poisoned, &config, &b) {
+            Err(ServeError::Rejected { code, .. }) => {
+                assert_eq!(code, RejectCode::Invalid);
+                assert!(!code.is_retryable());
+            }
+            other => panic!("expected an Invalid reject, got {other:?}"),
+        }
+    }
+
+    let healthy = client
+        .solve(&clean, &config, &b)
+        .expect("shard still serves");
+    assert!(healthy.x.iter().all(|v| v.is_finite()));
+    drop(servers);
+}
+
 proptest! {
     // Each case runs several full multisplitting solves; a handful of cases
     // keeps the test inside tier-1 budget while still varying system size,
