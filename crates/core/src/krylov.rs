@@ -36,6 +36,7 @@ use crate::CoreError;
 use msplit_direct::api::Factorization;
 use msplit_direct::SolveScratch;
 use msplit_sparse::{BandPartition, CsrMatrix, LocalBlocks};
+use rayon::prelude::*;
 use std::sync::Arc;
 
 /// An approximate inverse `M⁻¹ ≈ A⁻¹` applied per outer Krylov step.
@@ -59,13 +60,50 @@ pub trait Preconditioner {
     fn apply_warm(&mut self, r: &[f64], z: &mut [f64]) -> Result<(), CoreError>;
 }
 
-/// Retained buffers of a [`SweepPreconditioner`]: one local solution vector
-/// per part plus the shared triangular-solve scratch.  After
-/// [`SweepBuffers::prepare`] every sweep reuses them without allocating.
+/// One band's share of a sweep: its local solution vector, its own
+/// triangular-solve scratch, and the error of its last solve, if any.  A
+/// band touches nothing outside its lane, which is what lets the bands of
+/// one sweep run at the same time.
+#[derive(Debug, Default)]
+struct Lane {
+    local: Vec<f64>,
+    scratch: SolveScratch,
+    error: Option<CoreError>,
+}
+
+impl Lane {
+    /// This lane's part of a sweep: `BLoc` against the previous global `z`,
+    /// then the triangular solve in place.
+    fn solve(
+        &mut self,
+        partition: &BandPartition,
+        blk: &LocalBlocks,
+        factor: &dyn Factorization,
+        r: &[f64],
+        z: &[f64],
+    ) {
+        let mut run = || -> Result<(), CoreError> {
+            blk.local_rhs_into(&r[partition.extended_range(blk.part)], z, &mut self.local)?;
+            factor.solve_into(&mut self.local, &mut self.scratch)?;
+            Ok(())
+        };
+        self.error = run().err();
+    }
+}
+
+impl AsRef<[f64]> for Lane {
+    fn as_ref(&self) -> &[f64] {
+        &self.local
+    }
+}
+
+/// Retained buffers of a [`SweepPreconditioner`]: one lane per part (local
+/// solution vector plus triangular-solve scratch).  After
+/// [`SweepBuffers::prepare`] and one sweep every later sweep reuses them
+/// without allocating.
 #[derive(Debug, Default)]
 pub struct SweepBuffers {
-    locals: Vec<Vec<f64>>,
-    scratch: SolveScratch,
+    lanes: Vec<Lane>,
 }
 
 impl SweepBuffers {
@@ -77,9 +115,10 @@ impl SweepBuffers {
     /// Grows the per-part buffers to match `blocks` (idempotent; only the
     /// first call on a given shape allocates).
     pub fn prepare(&mut self, blocks: &[LocalBlocks]) {
-        self.locals.resize_with(blocks.len(), Vec::new);
-        for (local, blk) in self.locals.iter_mut().zip(blocks) {
-            local.reserve(blk.size.saturating_sub(local.capacity()));
+        self.lanes.resize_with(blocks.len(), Lane::default);
+        for (lane, blk) in self.lanes.iter_mut().zip(blocks) {
+            lane.local
+                .reserve(blk.size.saturating_sub(lane.local.capacity()));
         }
     }
 }
@@ -92,8 +131,12 @@ impl SweepBuffers {
 /// `BLoc = r_ext − Dep·z`, triangular solve in place, then the weighted
 /// assembly in [`WeightingScheme::weights_for`] order — so a Richardson
 /// outer loop over this preconditioner with `inner_sweeps = 1` is bitwise
-/// the stationary driver.  The weight table is precomputed by the caller
-/// (one per prepared system) to keep the apply allocation-free.
+/// the stationary driver.  The parts of one sweep are independent (each
+/// reads the previous `z` and writes its own lane) and run as one parallel
+/// loop on the `rayon` pool, on up to as many threads as the machine has
+/// cores; which thread solves a part does not change a bit of its result.
+/// The weight table is precomputed by the caller (one per prepared system)
+/// to keep the apply allocation-free.
 pub struct SweepPreconditioner<'a> {
     partition: &'a BandPartition,
     blocks: &'a [LocalBlocks],
@@ -131,14 +174,35 @@ impl<'a> SweepPreconditioner<'a> {
     }
 
     /// One Jacobi-style multisplitting sweep: every part solves against the
-    /// previous global `z`, then the weighted assembly overwrites `z`.
+    /// previous global `z`, all parts at the same time, then the weighted
+    /// assembly overwrites `z`.
     fn sweep(&mut self, r: &[f64], z: &mut [f64]) -> Result<(), CoreError> {
-        for (l, blk) in self.blocks.iter().enumerate() {
-            let ext = self.partition.extended_range(blk.part);
-            blk.local_rhs_into(&r[ext], z, &mut self.bufs.locals[l])?;
-            self.factors[l].solve_into(&mut self.bufs.locals[l], &mut self.bufs.scratch)?;
+        let (partition, blocks, factors, old_z) = (self.partition, self.blocks, self.factors, &*z);
+        self.bufs
+            .lanes
+            .par_iter_mut()
+            .enumerate()
+            .for_each(|(l, lane)| lane.solve(partition, &blocks[l], &*factors[l], r, old_z));
+        self.assemble(z)
+    }
+
+    /// [`SweepPreconditioner::sweep`] with the parts one after the other in
+    /// the calling thread: the oracle of the bitwise tests.
+    fn sweep_serial(&mut self, r: &[f64], z: &mut [f64]) -> Result<(), CoreError> {
+        for (l, lane) in self.bufs.lanes.iter_mut().enumerate() {
+            lane.solve(self.partition, &self.blocks[l], &*self.factors[l], r, z);
         }
-        WeightingScheme::assemble_into(self.partition, self.weight_table, &self.bufs.locals, z);
+        self.assemble(z)
+    }
+
+    /// The weighted assembly that ends a sweep, or the error of the lowest
+    /// failing part.
+    fn assemble(&mut self, z: &mut [f64]) -> Result<(), CoreError> {
+        let lanes = &mut self.bufs.lanes;
+        if let Some(error) = lanes.iter_mut().find_map(|lane| lane.error.take()) {
+            return Err(error);
+        }
+        WeightingScheme::assemble_into(self.partition, self.weight_table, lanes, z);
         Ok(())
     }
 }
@@ -151,6 +215,25 @@ impl Preconditioner for SweepPreconditioner<'_> {
     fn apply_warm(&mut self, r: &[f64], z: &mut [f64]) -> Result<(), CoreError> {
         for _ in 0..self.inner_sweeps {
             self.sweep(r, z)?;
+        }
+        Ok(())
+    }
+}
+
+/// A [`SweepPreconditioner`] whose sweeps run serially in the calling thread.
+/// Kept only as the reference the pooled sweep is compared against, bit for
+/// bit, by `tests/krylov.rs` and the `sweep_apply` row of `perf-report`.
+#[doc(hidden)]
+pub struct SerialSweepOracle<'a>(pub SweepPreconditioner<'a>);
+
+impl Preconditioner for SerialSweepOracle<'_> {
+    fn order(&self) -> usize {
+        self.0.order()
+    }
+
+    fn apply_warm(&mut self, r: &[f64], z: &mut [f64]) -> Result<(), CoreError> {
+        for _ in 0..self.0.inner_sweeps {
+            self.0.sweep_serial(r, z)?;
         }
         Ok(())
     }

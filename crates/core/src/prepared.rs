@@ -4,9 +4,11 @@
 //! of every diagonal block is paid **once**, while each outer iteration only
 //! performs cheap triangular solves.  [`PreparedSystem`] turns that
 //! observation into an API boundary: [`PreparedSystem::prepare`] performs the
-//! decomposition (Figure 1), factorizes every `ASub` in parallel and
-//! pre-computes the send-target maps of Algorithm 1; the resulting value can
-//! then serve any number of right-hand sides — one at a time with
+//! decomposition (Figure 1), factorizes every `ASub` — as one parallel loop
+//! over the blocks on the `rayon` pool, unless the calling thread is itself
+//! one of several parallel workers (see [`crate::runtime::factorize_blocks`])
+//! — and pre-computes the send-target maps of Algorithm 1; the resulting value
+//! can then serve any number of right-hand sides — one at a time with
 //! [`PreparedSystem::solve`], or as a batch marching in lockstep with
 //! [`PreparedSystem::solve_many`] — without ever touching the factorizations
 //! again.  This is the unit cached by the `msplit-engine` service crate: for

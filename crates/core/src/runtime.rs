@@ -2896,13 +2896,17 @@ struct BatchWorkerOutput {
     report: PartReport,
 }
 
-/// Factorizes every diagonal block of `blocks`, one after the other (shared
-/// by the adapters and by [`crate::prepared::PreparedSystem`]): the
-/// `par_iter` below is the vendored rayon stand-in, which runs serially, so
-/// an in-process `prepare` costs the *sum* of the block factorizations.
+/// Factorizes every diagonal block of `blocks` (shared by the adapters and
+/// by [`crate::prepared::PreparedSystem`]).  The blocks are independent, so
+/// they are factorized as one parallel loop on the `rayon` pool: from an
+/// ordinary thread an in-process `prepare` costs about the sum of the block
+/// factorizations divided by the cores; from a thread that is itself one of
+/// several parallel workers (an `msplit-engine` worker) the loop runs inline
+/// and costs the sum.  Each factor is bitwise what a serial loop produces,
+/// and of several failing blocks the lowest index is reported.
 /// (Distributed workers factorize one block each, in their own processes.)
 /// Failures surface before any worker thread starts exchanging messages.
-pub(crate) fn factorize_blocks(
+pub fn factorize_blocks(
     blocks: &[LocalBlocks],
     config: &MultisplittingConfig,
 ) -> Result<Vec<Arc<dyn Factorization>>, CoreError> {

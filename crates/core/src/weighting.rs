@@ -99,10 +99,12 @@ impl WeightingScheme {
     /// `weights_for` returns them, so the floating-point result is bitwise
     /// identical to `assemble` — the Krylov drivers rely on this to stay on
     /// the proven stationary arithmetic while allocating nothing per sweep.
-    pub fn assemble_into(
+    /// `local[l]` is part `l`'s solution over its extended range, as a
+    /// `Vec<f64>` or anything else that lends one out.
+    pub fn assemble_into<V: AsRef<[f64]>>(
         partition: &BandPartition,
         table: &[Vec<(usize, f64)>],
-        local: &[Vec<f64>],
+        local: &[V],
         out: &mut [f64],
     ) {
         debug_assert_eq!(local.len(), partition.num_parts());
@@ -113,7 +115,7 @@ impl WeightingScheme {
             for &(part, w) in weights {
                 let range = partition.extended_range(part);
                 debug_assert!(range.contains(&i));
-                acc += w * local[part][i - range.start];
+                acc += w * local[part].as_ref()[i - range.start];
             }
             *xi = acc;
         }

@@ -18,8 +18,8 @@
 //! * [`norms`] — vector and matrix norms plus residual helpers.
 //!
 //! All kernels operate on `f64`.  They are written for clarity first, with
-//! cache-friendly loop orders and optional [`rayon`]-based parallelism for the
-//! larger kernels (`gemm`, blocked LU updates).
+//! cache-friendly loop orders, and run in the calling thread: the parallelism
+//! of the stack is one level up, over the bands (`msplit-core`).
 //!
 //! # Place in the runtime architecture
 //!

@@ -13,10 +13,7 @@
 //! column tiles of [`LU_COL_TILE`] entries so the active row and the panel
 //! rows stay cache-resident.  Everything operates on raw row slices obtained
 //! with `split_at_mut` — the hot loops perform **no heap allocation** and no
-//! per-element bounds arithmetic beyond slice indexing.  Above
-//! [`LU_PAR_TRAILING_WORK`] scalar operations, the trailing update distributes
-//! row chunks with rayon's `par_chunks_mut` (each row carries its own
-//! multipliers, so rows are embarrassingly parallel).
+//! per-element bounds arithmetic beyond slice indexing.
 //!
 //! The pre-optimization kernel is retained verbatim as
 //! [`DenseLu::factorize_reference`]: it performs the *same* floating-point
@@ -39,14 +36,6 @@ pub const LU_PANEL: usize = 64;
 /// Column tile of the trailing-submatrix update, sized so one tile of the
 /// active row plus the matching panel-row tiles fit comfortably in L1/L2.
 pub const LU_COL_TILE: usize = 256;
-
-/// Scalar-operation threshold above which the trailing update is distributed
-/// across rayon worker threads.  Below it the scheduling overhead outweighs
-/// the win (and the workspace's vendored rayon is sequential anyway).
-pub const LU_PAR_TRAILING_WORK: usize = 1 << 18;
-
-/// Rows per parallel chunk of the trailing update.
-const LU_ROW_CHUNK: usize = 32;
 
 /// LU factorization with partial (row) pivoting of a square dense matrix.
 ///
@@ -274,19 +263,8 @@ impl DenseLu {
                     // --- Trailing submatrix update: A22 -= L21 * U12. ---
                     let (upper, trailing) = data.split_at_mut(k1 * n);
                     let panel = &upper[k0 * n..k1 * n];
-                    let rows_below = n - k1;
-                    let work = rows_below * (n - k1) * (k1 - k0);
-                    if work >= LU_PAR_TRAILING_WORK {
-                        use rayon::prelude::*;
-                        trailing.par_chunks_mut(LU_ROW_CHUNK * n).for_each(|chunk| {
-                            for row in chunk.chunks_exact_mut(n) {
-                                update_trailing_row(row, panel, k0, k1, n);
-                            }
-                        });
-                    } else {
-                        for row in trailing.chunks_exact_mut(n) {
-                            update_trailing_row(row, panel, k0, k1, n);
-                        }
+                    for row in trailing.chunks_exact_mut(n) {
+                        update_trailing_row(row, panel, k0, k1, n);
                     }
                 }
                 k0 = k1;

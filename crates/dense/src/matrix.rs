@@ -239,8 +239,7 @@ impl DenseMatrix {
     }
 
     /// Matrix-matrix product `C = A * B` using a cache-friendly i-k-j loop
-    /// order.  Rows of the result are computed in parallel with rayon when the
-    /// problem is large enough to amortize the scheduling overhead.
+    /// order.
     pub fn gemm(&self, other: &DenseMatrix) -> Result<DenseMatrix, DenseError> {
         if self.cols != other.rows {
             return Err(DenseError::DimensionMismatch {
@@ -249,37 +248,16 @@ impl DenseMatrix {
             });
         }
         let mut out = DenseMatrix::zeros(self.rows, other.cols);
-        let n = other.cols;
-        let work = self.rows * self.cols * n;
-        if work >= 1 << 18 {
-            use rayon::prelude::*;
-            out.data
-                .par_chunks_mut(n)
-                .enumerate()
-                .for_each(|(i, crow)| {
-                    let arow = self.row(i);
-                    for (k, &aik) in arow.iter().enumerate() {
-                        if aik == 0.0 {
-                            continue;
-                        }
-                        let brow = other.row(k);
-                        for (c, &bkj) in crow.iter_mut().zip(brow.iter()) {
-                            *c += aik * bkj;
-                        }
-                    }
-                });
-        } else {
-            for i in 0..self.rows {
-                for k in 0..self.cols {
-                    let aik = self.get(i, k);
-                    if aik == 0.0 {
-                        continue;
-                    }
-                    let brow = other.row(k);
-                    let crow = out.row_mut(i);
-                    for (c, &bkj) in crow.iter_mut().zip(brow.iter()) {
-                        *c += aik * bkj;
-                    }
+        for i in 0..self.rows {
+            for k in 0..self.cols {
+                let aik = self.get(i, k);
+                if aik == 0.0 {
+                    continue;
+                }
+                let brow = other.row(k);
+                let crow = out.row_mut(i);
+                for (c, &bkj) in crow.iter_mut().zip(brow.iter()) {
+                    *c += aik * bkj;
                 }
             }
         }

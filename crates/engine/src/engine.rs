@@ -240,6 +240,11 @@ impl std::fmt::Debug for Engine {
 }
 
 fn worker_loop(queue: &JobQueue, cache: &FactorizationCache, metrics: &Metrics) {
+    // The workers already run side by side, one job each: a job that forked
+    // its factorization or its sweeps onto the rayon pool would take cores
+    // from the jobs beside it (measured on `serve_mixed`: the warm tenant
+    // lost 16 % to a cold neighbour's parallel factorization).
+    rayon::pool::mark_worker_thread();
     while let Some(job) = queue.pop() {
         run_job(job, cache, metrics);
     }

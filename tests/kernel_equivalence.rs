@@ -554,3 +554,102 @@ fn pruning_cuts_symbolic_work_without_changing_the_factor() {
         reference.stats().symbolic_edges
     );
 }
+
+/// `factorize_blocks` on the pool against one `factorize` per block in the
+/// calling thread: the sparse factors and permutations bit for bit, every
+/// kind's counts, and every kind's solutions.
+#[test]
+fn pooled_factorize_blocks_is_bitwise_the_serial_loop() {
+    use multisplitting::core::runtime::factorize_blocks;
+    use multisplitting::core::{Decomposition, MultisplittingConfig};
+    use multisplitting::direct::{FactorStats, SolverKind};
+
+    // `factor_seconds` is a wall-clock reading; everything else must repeat.
+    let counts = |stats: &FactorStats| FactorStats {
+        factor_seconds: 0.0,
+        ..stats.clone()
+    };
+    // Narrow half-bandwidth so the band solver accepts every sub-block.
+    let a = generators::diag_dominant(&DiagDominantConfig {
+        n: 240,
+        half_bandwidth: 4,
+        seed: 3,
+        ..Default::default()
+    });
+    let (_, b) = generators::rhs_for_solution(&a, |i| ((i % 7) as f64) - 3.0);
+    for kind in SolverKind::all() {
+        for parts in [1, 2, 3, 8] {
+            let (_, blocks) = Decomposition::uniform(&a, &b, parts, 2)
+                .unwrap()
+                .into_blocks();
+            let config = MultisplittingConfig {
+                parts,
+                solver_kind: kind,
+                ..Default::default()
+            };
+            let pooled = factorize_blocks(&blocks, &config).unwrap();
+            assert_eq!(pooled.len(), parts);
+            let solver = kind.build();
+            for (blk, pooled) in blocks.iter().zip(&pooled) {
+                let serial = solver.factorize(&blk.a_sub).unwrap();
+                assert_eq!(counts(pooled.stats()), counts(serial.stats()), "{kind:?}");
+                if let (Some(lu), Some(reference)) = (pooled.as_sparse_lu(), serial.as_sparse_lu())
+                {
+                    let ((l, u), (rl, ru)) = (lu.factors(), reference.factors());
+                    for (got, want) in [(l, rl), (u, ru)] {
+                        assert_eq!(got.col_ptr, want.col_ptr);
+                        assert_eq!(got.rows, want.rows);
+                        assert_eq!(bits(&got.values), bits(&want.values));
+                    }
+                    assert_eq!(lu.row_permutation(), reference.row_permutation());
+                }
+                assert_eq!(
+                    bits(&pooled.solve(&blk.b_sub).unwrap()),
+                    bits(&serial.solve(&blk.b_sub).unwrap()),
+                    "{kind:?} P={parts} part {}",
+                    blk.part
+                );
+            }
+        }
+    }
+}
+
+/// Of several singular blocks, `factorize_blocks` reports the one a serial
+/// loop would have stopped at.
+#[test]
+fn factorize_blocks_reports_the_lowest_singular_block() {
+    use multisplitting::core::runtime::factorize_blocks;
+    use multisplitting::core::{CoreError, Decomposition, MultisplittingConfig};
+
+    // Eight decoupled 6x6 diagonal blocks; blocks 2 and 5 each lose a row,
+    // at different local positions, so their errors differ.
+    let n = 48;
+    let mut coo = CooMatrix::new(n, n);
+    for i in 0..n {
+        if i == 2 * 6 + 1 || i == 5 * 6 + 4 {
+            continue;
+        }
+        coo.push(i, i, 4.0).unwrap();
+        if i % 6 != 0 {
+            coo.push(i, i - 1, -1.0).unwrap();
+        }
+    }
+    let a = coo.to_csr();
+    let (_, blocks) = Decomposition::uniform(&a, &vec![1.0; n], 8, 0)
+        .unwrap()
+        .into_blocks();
+    let config = MultisplittingConfig {
+        parts: 8,
+        ..Default::default()
+    };
+    let solver = config.solver_kind.build();
+    let error_of = |l: usize| solver.factorize(&blocks[l].a_sub).err().unwrap();
+    assert_ne!(error_of(2), error_of(5));
+    match factorize_blocks(&blocks, &config) {
+        Err(CoreError::Direct(e)) => assert_eq!(e, error_of(2)),
+        other => panic!(
+            "expected the error of block 2, got {:?}",
+            other.map(|f| f.len())
+        ),
+    }
+}

@@ -336,3 +336,195 @@ fn batch_solves_stay_on_the_stationary_lockstep_path() {
     assert!(max_err(&batch.columns[0], &x1) < 1e-7);
     assert!(max_err(&batch.columns[1], &x2) < 1e-7);
 }
+
+// --- The pooled sweep against its serial oracle, bit for bit. ---
+
+mod pooled_sweep {
+    use multisplitting::core::krylov::{
+        fgmres, richardson, FgmresWorkspace, KrylovStats, Preconditioner, SerialSweepOracle,
+        SweepBuffers, SweepPreconditioner,
+    };
+    use multisplitting::core::runtime::factorize_blocks;
+    use multisplitting::core::{CoreError, Decomposition};
+    use multisplitting::direct::api::Factorization;
+    use multisplitting::direct::{DirectError, FactorStats, SolveScratch};
+    use multisplitting::prelude::*;
+    use multisplitting::sparse::generators::{self, DiagDominantConfig};
+    use multisplitting::sparse::{BandPartition, CsrMatrix, LocalBlocks};
+    use std::sync::Arc;
+
+    /// What a `SweepPreconditioner` is built from.
+    struct Prepared {
+        a: CsrMatrix,
+        b: Vec<f64>,
+        partition: BandPartition,
+        blocks: Vec<LocalBlocks>,
+        factors: Vec<Arc<dyn Factorization>>,
+        table: Vec<Vec<(usize, f64)>>,
+    }
+
+    fn prepared(
+        parts: usize,
+        overlap: usize,
+        scheme: WeightingScheme,
+        kind: SolverKind,
+    ) -> Prepared {
+        // Narrow half-bandwidth so the band solver accepts every sub-block.
+        let a = generators::diag_dominant(&DiagDominantConfig {
+            n: 168,
+            half_bandwidth: 4,
+            seed: 11 + parts as u64,
+            ..Default::default()
+        });
+        let (_, b) = generators::rhs_for_solution(&a, |i| ((i % 9) as f64) - 4.0);
+        let (partition, blocks) = Decomposition::uniform(&a, &b, parts, overlap)
+            .unwrap()
+            .into_blocks();
+        let config = MultisplittingConfig {
+            parts,
+            overlap,
+            weighting: scheme,
+            solver_kind: kind,
+            ..Default::default()
+        };
+        let factors = factorize_blocks(&blocks, &config).unwrap();
+        let table = scheme.weight_table(&partition);
+        Prepared {
+            a,
+            b,
+            partition,
+            blocks,
+            factors,
+            table,
+        }
+    }
+
+    /// Runs `solve` over the pooled sweep and over the serial oracle.
+    fn pooled_and_serial(
+        p: &Prepared,
+        sweeps: u64,
+        mut solve: impl FnMut(&mut dyn Preconditioner, &mut [f64]) -> Result<KrylovStats, CoreError>,
+    ) -> [(Vec<f64>, Result<KrylovStats, CoreError>); 2] {
+        let n = p.partition.order();
+        let (mut pooled_bufs, mut serial_bufs) = (SweepBuffers::new(), SweepBuffers::new());
+        let bind = |bufs| {
+            SweepPreconditioner::new(&p.partition, &p.blocks, &p.factors, &p.table, sweeps, bufs)
+        };
+        let (mut x_pooled, mut x_serial) = (vec![0.0; n], vec![0.0; n]);
+        let pooled = solve(&mut bind(&mut pooled_bufs), &mut x_pooled);
+        let serial = solve(
+            &mut SerialSweepOracle(bind(&mut serial_bufs)),
+            &mut x_serial,
+        );
+        [(x_pooled, pooled), (x_serial, serial)]
+    }
+
+    fn assert_same(what: &str, [pooled, serial]: [(Vec<f64>, Result<KrylovStats, CoreError>); 2]) {
+        let (pooled_stats, serial_stats) = (pooled.1.unwrap(), serial.1.unwrap());
+        assert_eq!(
+            pooled_stats.outer_iterations, serial_stats.outer_iterations,
+            "{what}"
+        );
+        assert_eq!(pooled_stats.converged, serial_stats.converged, "{what}");
+        assert_eq!(
+            pooled_stats.last_norm.to_bits(),
+            serial_stats.last_norm.to_bits(),
+            "{what}"
+        );
+        for (i, (ours, theirs)) in pooled.0.iter().zip(&serial.0).enumerate() {
+            assert_eq!(ours.to_bits(), theirs.to_bits(), "{what} index {i}");
+        }
+    }
+
+    #[test]
+    fn pooled_sweep_is_bitwise_the_serial_sweep() {
+        for parts in [1, 2, 3, 8] {
+            for overlap in [0, 2] {
+                for scheme in WeightingScheme::all() {
+                    for kind in [SolverKind::SparseLu, SolverKind::BandLu] {
+                        let what = format!("P={parts} overlap={overlap} {scheme:?} {kind:?}");
+                        let p = prepared(parts, overlap, scheme, kind);
+                        let n = p.partition.order();
+                        for sweeps in [1, 2] {
+                            let mut x_prev = vec![0.0; n];
+                            assert_same(
+                                &format!("richardson {what} sweeps={sweeps}"),
+                                pooled_and_serial(&p, sweeps, |pc, x| {
+                                    richardson(pc, 1e-10, 40, &p.b, x, &mut x_prev)
+                                }),
+                            );
+                            let mut ws = FgmresWorkspace::new();
+                            assert_same(
+                                &format!("fgmres {what} sweeps={sweeps}"),
+                                pooled_and_serial(&p, sweeps, |pc, x| {
+                                    fgmres(&p.a, pc, 7, 1e-10, 40, &p.b, x, &mut ws)
+                                }),
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// A factorization whose every solve fails with its own tag.
+    struct Failing(usize, FactorStats);
+
+    impl Factorization for Failing {
+        fn order(&self) -> usize {
+            self.1.n
+        }
+
+        fn solve(&self, _b: &[f64]) -> Result<Vec<f64>, DirectError> {
+            Err(DirectError::Singular { column: self.0 })
+        }
+
+        fn solve_into(
+            &self,
+            _b: &mut [f64],
+            _scratch: &mut SolveScratch,
+        ) -> Result<(), DirectError> {
+            Err(DirectError::Singular { column: self.0 })
+        }
+
+        fn stats(&self) -> &FactorStats {
+            &self.1
+        }
+    }
+
+    #[test]
+    fn of_two_failing_bands_the_lower_one_is_reported() {
+        let mut p = prepared(8, 2, WeightingScheme::OwnerTakes, SolverKind::SparseLu);
+        for l in [2, 5] {
+            let stats = p.factors[l].stats().clone();
+            p.factors[l] = Arc::new(Failing(l, stats));
+        }
+        let mut x_prev = vec![0.0; p.partition.order()];
+        for (_, outcome) in pooled_and_serial(&p, 1, |pc, x| {
+            richardson(pc, 1e-10, 40, &p.b, x, &mut x_prev)
+        }) {
+            match outcome {
+                Err(CoreError::Direct(DirectError::Singular { column: 2 })) => {}
+                other => panic!("expected the error of band 2, got {other:?}"),
+            }
+        }
+        // A failed sweep leaves nothing behind: the same buffers serve a
+        // healthy system afterwards (the error slot was taken, not kept).
+        let healthy = prepared(8, 2, WeightingScheme::OwnerTakes, SolverKind::SparseLu);
+        let mut bufs = SweepBuffers::new();
+        let mut z = vec![0.0; p.partition.order()];
+        SweepPreconditioner::new(&p.partition, &p.blocks, &p.factors, &p.table, 1, &mut bufs)
+            .apply(&p.b, &mut z)
+            .unwrap_err();
+        SweepPreconditioner::new(
+            &healthy.partition,
+            &healthy.blocks,
+            &healthy.factors,
+            &healthy.table,
+            1,
+            &mut bufs,
+        )
+        .apply(&healthy.b, &mut z)
+        .unwrap();
+    }
+}
