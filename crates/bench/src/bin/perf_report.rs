@@ -151,39 +151,35 @@ struct ConvergenceRecord {
     messages_per_iteration: f64,
 }
 
-/// Runs the in-process scale simulator over P ∈ {64, 256, 1024} × the four
-/// convergence protocols and returns the rows plus the tree-vs-flat
-/// coordinator-load reduction at P = 1024 (the gated claim).
+/// Runs the in-process scale simulator over P ∈ {64, 256, 1024} × three
+/// rows — lockstep votes at the flat fan-in (`P − 1`) and at the production
+/// fan-in (`VOTE_TREE_ARITY`), and the confirmation waves — and returns the
+/// rows plus the tree-vs-flat coordinator-load reduction at P = 1024 (the
+/// gated claim).
 fn convergence_table() -> (Vec<ConvergenceRecord>, f64) {
+    use msplit_core::runtime::VOTE_TREE_ARITY;
     use msplit_core::scale::{simulate_ranks, Protocol, ScaleConfig};
-    let protocols: [Protocol; 4] = [
-        Protocol::Lockstep,
-        Protocol::Tree { arity: 4 },
-        Protocol::Waves { confirmations: 3 },
-        Protocol::Decentralized {
-            stability_period: 3,
-        },
-    ];
-    let mut rows = Vec::new();
-    let mut flat_1024 = f64::NAN;
-    let mut tree_1024 = f64::NAN;
+    let mut rows: Vec<ConvergenceRecord> = Vec::new();
     for world in [64usize, 256, 1024] {
-        for protocol in protocols {
+        let protocols = [
+            ("flat", Protocol::flat(world)),
+            (
+                "tree",
+                Protocol::Tree {
+                    arity: VOTE_TREE_ARITY,
+                },
+            ),
+            ("waves", Protocol::Waves { confirmations: 3 }),
+        ];
+        for (label, protocol) in protocols {
             let report = simulate_ranks(&ScaleConfig {
                 ranks: world,
                 protocol,
                 ..Default::default()
             })
             .expect("scale simulation");
-            if world == 1024 {
-                match protocol {
-                    Protocol::Lockstep => flat_1024 = report.coordinator_msgs_per_decision(),
-                    Protocol::Tree { .. } => tree_1024 = report.coordinator_msgs_per_decision(),
-                    _ => {}
-                }
-            }
             rows.push(ConvergenceRecord {
-                protocol: protocol.label(),
+                protocol: label,
                 world,
                 converged: report.converged,
                 iterations: report.iterations,
@@ -193,7 +189,14 @@ fn convergence_table() -> (Vec<ConvergenceRecord>, f64) {
             });
         }
     }
-    (rows, flat_1024 / tree_1024)
+    let load_at_1024 = |label: &str| {
+        rows.iter()
+            .find(|r| r.world == 1024 && r.protocol == label)
+            .expect("the table has a P = 1024 row per protocol")
+            .coordinator_msgs_per_decision
+    };
+    let reduction = load_at_1024("flat") / load_at_1024("tree");
+    (rows, reduction)
 }
 
 /// Measures the per-iteration cost of one rank's Algorithm 1 loop body two

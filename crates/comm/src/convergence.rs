@@ -1,26 +1,10 @@
-//! Local and global convergence detection.
+//! Local convergence detection.
 //!
-//! Algorithm 1 stops "until global convergence is achieved".  The paper
-//! points to two detection schemes: a centralized algorithm \[2\] where a
-//! coordinator collects local states, and a decentralized algorithm \[4\]
-//! suited to asynchronous iterations where no processor may ever observe a
-//! globally consistent snapshot.
-//!
-//! * In the **synchronous** driver the decision is trivial: an
-//!   `allreduce_and` of the local convergence flags at the end of every
-//!   iteration (this *is* the centralized scheme collapsed onto a reduction
-//!   tree).
-//! * In the **asynchronous** driver each processor publishes its local state
-//!   to a [`ConvergenceBoard`].  Global convergence is declared only after
-//!   every processor has reported "locally converged" and has *kept*
-//!   reporting it for a confirmation window, which mirrors the
-//!   pseudo-periodic verification phase of the decentralized algorithm
-//!   (a processor that receives fresh data and diverges again resets the
-//!   window).
-
-use parking_lot::Mutex;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+//! Algorithm 1 stops "until global convergence is achieved".  The *global*
+//! decision is a message protocol and lives with the drivers (the
+//! convergence policies of `msplit_core::runtime`); this module keeps the
+//! per-processor half: the increment window behind each rank's local vote,
+//! which is also the vote state a checkpoint persists.
 
 /// Tracks *local* convergence of one processor from the per-iteration
 /// increment `||x_new − x_old||_inf`.
@@ -105,121 +89,9 @@ pub enum LocalConvergence {
     NotConverged,
 }
 
-impl LocalConvergence {
-    /// `true` when converged.
-    pub fn as_bool(self) -> bool {
-        matches!(self, LocalConvergence::Converged)
-    }
-}
-
-/// Shared global-convergence board for the asynchronous driver
-/// (decentralized-detection approximation: every processor can read and
-/// write it without a coordinator, and the final decision requires a
-/// confirmation pass).
-#[derive(Debug)]
-pub struct ConvergenceBoard {
-    /// Protected detection state.
-    state: Mutex<BoardState>,
-    /// Confirmation waves required before declaring global convergence.
-    confirmations_required: u64,
-    /// Latched global decision (never un-set once true).
-    global: AtomicBool,
-}
-
-#[derive(Debug)]
-struct BoardState {
-    /// Per-processor local convergence flags.
-    flags: Vec<bool>,
-    /// Current verification wave; bumped whenever a processor reports
-    /// non-convergence (invalidating pending confirmations) or when a wave
-    /// completes.
-    wave: u64,
-    /// The wave in which each processor last re-confirmed while every flag
-    /// was set.
-    confirmed_wave: Vec<u64>,
-    /// Number of completed confirmation waves since the last invalidation.
-    waves_done: u64,
-    /// Iteration counts per processor, for reporting.
-    iterations: Vec<u64>,
-}
-
-impl ConvergenceBoard {
-    /// Creates a board for `num_ranks` processors requiring
-    /// `confirmations_required` complete confirmation waves (a wave completes
-    /// once *every* processor has reported "converged" while all flags were
-    /// set — this is what prevents a single fast processor from terminating
-    /// the run on a stale snapshot).
-    pub fn new(num_ranks: usize, confirmations_required: u64) -> Arc<Self> {
-        Arc::new(ConvergenceBoard {
-            state: Mutex::new(BoardState {
-                flags: vec![false; num_ranks],
-                wave: 1,
-                confirmed_wave: vec![0; num_ranks],
-                waves_done: 0,
-                iterations: vec![0; num_ranks],
-            }),
-            confirmations_required: confirmations_required.max(1),
-            global: AtomicBool::new(false),
-        })
-    }
-
-    /// Number of processors tracked.
-    pub fn num_ranks(&self) -> usize {
-        self.state.lock().flags.len()
-    }
-
-    /// Publishes processor `rank`'s local state for iteration `iteration`.
-    ///
-    /// Returns `true` when global convergence has been reached (either just
-    /// now or earlier).
-    pub fn report(&self, rank: usize, iteration: u64, converged: LocalConvergence) -> bool {
-        let mut state = self.state.lock();
-        state.iterations[rank] = state.iterations[rank].max(iteration);
-        if !converged.as_bool() {
-            // A diverging processor invalidates every pending confirmation.
-            state.flags[rank] = false;
-            state.wave += 1;
-            state.waves_done = 0;
-            return self.global.load(Ordering::SeqCst);
-        }
-        state.flags[rank] = true;
-        if state.flags.iter().all(|&f| f) {
-            let wave = state.wave;
-            state.confirmed_wave[rank] = wave;
-            if state.confirmed_wave.iter().all(|&w| w == wave) {
-                state.waves_done += 1;
-                if state.waves_done >= self.confirmations_required {
-                    self.global.store(true, Ordering::SeqCst);
-                } else {
-                    // Start the next confirmation wave.
-                    state.wave += 1;
-                }
-            }
-        }
-        self.global.load(Ordering::SeqCst)
-    }
-
-    /// Whether global convergence has been declared.
-    pub fn is_globally_converged(&self) -> bool {
-        self.global.load(Ordering::SeqCst)
-    }
-
-    /// Forces global termination (used to abort a run or to propagate an
-    /// error from one processor to the others).
-    pub fn force_terminate(&self) {
-        self.global.store(true, Ordering::SeqCst);
-    }
-
-    /// Per-processor iteration counts reported so far.
-    pub fn iteration_counts(&self) -> Vec<u64> {
-        self.state.lock().iterations.clone()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::thread;
 
     #[test]
     fn residual_tracker_requires_consecutive_small_increments() {
@@ -241,94 +113,5 @@ mod tests {
     fn single_iteration_window_converges_immediately() {
         let mut t = ResidualTracker::new(1e-6, 1);
         assert_eq!(t.record(1e-7), LocalConvergence::Converged);
-    }
-
-    #[test]
-    fn board_requires_every_rank_to_reconfirm_each_wave() {
-        let board = ConvergenceBoard::new(2, 2);
-        assert!(!board.report(0, 1, LocalConvergence::Converged));
-        assert!(!board.is_globally_converged());
-        // Rank 1's report makes every flag true and confirms rank 1 for wave 1;
-        // rank 0 still has to re-confirm before the wave completes.
-        assert!(!board.report(1, 1, LocalConvergence::Converged));
-        assert!(!board.report(0, 2, LocalConvergence::Converged));
-        // Wave 1 complete; a second full wave is required.
-        assert!(!board.report(1, 2, LocalConvergence::Converged));
-        assert!(board.report(0, 3, LocalConvergence::Converged));
-        assert!(board.is_globally_converged());
-        assert_eq!(board.iteration_counts(), vec![3, 2]);
-    }
-
-    #[test]
-    fn single_fast_rank_cannot_latch_alone() {
-        let board = ConvergenceBoard::new(2, 1);
-        board.report(1, 1, LocalConvergence::Converged);
-        // Rank 0 re-reports many times; without a fresh confirmation from
-        // rank 1 after the all-true transition the board must not latch.
-        for iter in 1..50 {
-            assert!(!board.report(0, iter, LocalConvergence::Converged) || iter > 1);
-        }
-        // The wave completes only once rank 1 confirms while all flags are set.
-        assert!(board.report(1, 2, LocalConvergence::Converged) || board.is_globally_converged());
-    }
-
-    #[test]
-    fn divergence_resets_confirmations() {
-        let board = ConvergenceBoard::new(2, 1);
-        board.report(0, 1, LocalConvergence::Converged);
-        board.report(1, 1, LocalConvergence::Converged);
-        // Rank 1 receives fresh data and diverges again before rank 0
-        // re-confirms: the pending wave is invalidated.
-        board.report(1, 2, LocalConvergence::NotConverged);
-        assert!(!board.is_globally_converged());
-        board.report(1, 3, LocalConvergence::Converged);
-        assert!(!board.is_globally_converged());
-        // A full fresh wave (both ranks confirming) is required again; once
-        // rank 0 also re-confirms, the single required wave completes.
-        assert!(board.report(0, 2, LocalConvergence::Converged));
-        assert!(board.is_globally_converged());
-    }
-
-    #[test]
-    fn force_terminate_latches() {
-        let board = ConvergenceBoard::new(3, 1);
-        board.force_terminate();
-        assert!(board.is_globally_converged());
-        assert!(board.report(0, 1, LocalConvergence::NotConverged));
-    }
-
-    #[test]
-    fn board_is_thread_safe() {
-        let board = ConvergenceBoard::new(4, 3);
-        let handles: Vec<_> = (0..4)
-            .map(|rank| {
-                let b = Arc::clone(&board);
-                thread::spawn(move || {
-                    let mut iter = 0u64;
-                    loop {
-                        iter += 1;
-                        let verdict = if iter > 5 {
-                            LocalConvergence::Converged
-                        } else {
-                            LocalConvergence::NotConverged
-                        };
-                        if b.report(rank, iter, verdict) {
-                            return iter;
-                        }
-                        // Give the other reporter threads a chance to run so
-                        // the all-converged state can actually be observed.
-                        thread::yield_now();
-                        if iter > 5_000_000 {
-                            panic!("board never converged");
-                        }
-                    }
-                })
-            })
-            .collect();
-        for h in handles {
-            let iters = h.join().unwrap();
-            assert!(iters >= 6);
-        }
-        assert!(board.is_globally_converged());
     }
 }

@@ -16,12 +16,9 @@
 //! * [`tcp`] — the [`tcp::TcpTransport`] per-rank socket endpoint, and the
 //!   [`tcp::LoopbackMesh`] that runs the unchanged threaded drivers over
 //!   real sockets,
-//! * [`communicator::Communicator`] — the MPI-like per-rank handle (send,
-//!   receive, barrier, allreduce),
-//! * [`convergence`] — local and global convergence detection for both the
-//!   synchronous (allreduce-based) and asynchronous (shared-board,
-//!   confirmation-window) modes, following the centralized \[2\] and
-//!   decentralized \[4\] schemes referenced by the paper.
+//! * [`convergence`] — *local* convergence detection: the per-rank increment
+//!   window behind each local vote (the global decision is a message
+//!   protocol and lives in `msplit_core::runtime`).
 //!
 //! # Place in the runtime architecture
 //!
@@ -35,15 +32,13 @@
 //! vote-window bookkeeping the convergence policies persist across
 //! checkpoints.
 
-pub mod communicator;
 pub mod convergence;
 pub mod message;
 pub mod tcp;
 pub mod transport;
 pub mod wire;
 
-pub use communicator::{CommGroup, Communicator};
-pub use convergence::{ConvergenceBoard, LocalConvergence, ResidualTracker};
+pub use convergence::{LocalConvergence, ResidualTracker};
 pub use message::{Message, RejectCode};
 pub use tcp::{BoundTcpTransport, LinkDelay, LoopbackMesh, TcpOptions, TcpTransport};
 pub use transport::{DelayedTransport, InProcTransport, LinkStats, Transport};

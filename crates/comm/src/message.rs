@@ -70,20 +70,6 @@ pub enum Message {
         /// cross-check that no subtree was silently dropped.
         count: u64,
     },
-    /// A rank's local-stability summary, exchanged pseudo-periodically by the
-    /// decentralized (coordinator-free) detection scheme: `stable` counts the
-    /// consecutive iterations the sender has been locally converged, and each
-    /// rank declares global convergence only once every peer's last summary
-    /// reports a full stability window.
-    StabilitySummary {
-        /// Sender rank.
-        from: usize,
-        /// Sender's outer-iteration counter at summary time.
-        iteration: u64,
-        /// Consecutive locally-converged iterations at the sender (0 resets
-        /// on any dissent).
-        stable: u64,
-    },
     /// Ask the receiver to stop (used to shut down asynchronous receivers).
     Halt,
     /// Liveness probe sent by a rank blocked in a lockstep wait.  Carries no
@@ -262,7 +248,8 @@ const TAG_REJECT: u8 = 11;
 const TAG_STATS_QUERY: u8 = 12;
 const TAG_SERVER_STATS: u8 = 13;
 const TAG_VOTE_AGGREGATE: u8 = 14;
-const TAG_STABILITY: u8 = 15;
+// Tag 15 is reserved: it carried the stability summary of a removed
+// detection protocol and must not be reused for a different frame.
 
 /// `dead_rank` sentinel for a speed-drift reshape (no dead rank).
 const NO_DEAD_RANK: u64 = u64::MAX;
@@ -313,8 +300,7 @@ impl Message {
             | Message::Heartbeat { from }
             | Message::Reshape { from, .. }
             | Message::SpeedReport { from, .. }
-            | Message::VoteAggregate { from, .. }
-            | Message::StabilitySummary { from, .. } => Some(*from),
+            | Message::VoteAggregate { from, .. } => Some(*from),
             _ => None,
         }
     }
@@ -330,7 +316,6 @@ impl Message {
             }
             Message::ConvergenceVote { .. } => 1 + 8 + 8 + 1,
             Message::VoteAggregate { .. } => 1 + 8 + 8 + 1 + 8,
-            Message::StabilitySummary { .. } => 1 + 8 + 8 + 8,
             Message::GlobalConverged { .. } => 1 + 8,
             Message::Halt => 1,
             Message::Heartbeat { .. } => 1 + 8,
@@ -407,16 +392,6 @@ impl Message {
                 buf.put_u64_le(*iteration);
                 buf.put_u8(u8::from(*converged));
                 buf.put_u64_le(*count);
-            }
-            Message::StabilitySummary {
-                from,
-                iteration,
-                stable,
-            } => {
-                buf.put_u8(TAG_STABILITY);
-                buf.put_u64_le(*from as u64);
-                buf.put_u64_le(*iteration);
-                buf.put_u64_le(*stable);
             }
             Message::GlobalConverged { iteration } => {
                 buf.put_u8(TAG_GLOBAL);
@@ -627,16 +602,6 @@ impl Message {
                     count,
                 })
             }
-            TAG_STABILITY => {
-                if data.remaining() < 24 {
-                    return Err(CommError::Codec("truncated stability summary".to_string()));
-                }
-                Ok(Message::StabilitySummary {
-                    from: data.get_u64_le() as usize,
-                    iteration: data.get_u64_le(),
-                    stable: data.get_u64_le(),
-                })
-            }
             TAG_GLOBAL => {
                 if data.remaining() < 8 {
                     return Err(CommError::Codec("truncated global notice".to_string()));
@@ -839,11 +804,6 @@ mod tests {
                 converged: false,
                 count: 1,
             },
-            Message::StabilitySummary {
-                from: 9,
-                iteration: 77,
-                stable: 4,
-            },
         ] {
             let decoded = Message::decode(msg.encode()).unwrap();
             assert_eq!(decoded, msg);
@@ -860,42 +820,25 @@ mod tests {
             .sender(),
             Some(6)
         );
-        assert_eq!(
-            Message::StabilitySummary {
-                from: 9,
-                iteration: 1,
-                stable: 0,
-            }
-            .sender(),
-            Some(9)
-        );
     }
 
     #[test]
     fn truncated_convergence_frames_are_rejected() {
-        for msg in [
-            Message::VoteAggregate {
-                from: 3,
-                iteration: 12,
-                converged: true,
-                count: 64,
-            },
-            Message::StabilitySummary {
-                from: 5,
-                iteration: 40,
-                stable: 7,
-            },
-        ] {
-            let encoded = msg.encode();
-            for cut in 1..encoded.len() {
-                assert!(
-                    matches!(
-                        Message::decode(encoded.slice(0..cut)),
-                        Err(CommError::Codec(_))
-                    ),
-                    "{msg:?} cut at {cut} should fail"
-                );
-            }
+        let msg = Message::VoteAggregate {
+            from: 3,
+            iteration: 12,
+            converged: true,
+            count: 64,
+        };
+        let encoded = msg.encode();
+        for cut in 1..encoded.len() {
+            assert!(
+                matches!(
+                    Message::decode(encoded.slice(0..cut)),
+                    Err(CommError::Codec(_))
+                ),
+                "cut at {cut} should fail"
+            );
         }
     }
 

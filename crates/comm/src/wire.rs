@@ -61,8 +61,7 @@ fn message_iteration(msg: &Message) -> u64 {
         | Message::ConvergenceVote { iteration, .. }
         | Message::GlobalConverged { iteration }
         | Message::SpeedReport { iteration, .. }
-        | Message::VoteAggregate { iteration, .. }
-        | Message::StabilitySummary { iteration, .. } => *iteration,
+        | Message::VoteAggregate { iteration, .. } => *iteration,
         // Serve-protocol frames have no iteration; the envelope slot carries
         // the request id instead so a packet trace can pair a response with
         // its request without decoding bodies.

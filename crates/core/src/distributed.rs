@@ -5,20 +5,25 @@
 //! adapters use, over any [`Transport`] (the multi-process runtime passes a
 //! [`msplit_comm::TcpTransport`] endpoint):
 //!
-//! * **synchronous** — [`crate::runtime::LockstepVotes`] +
-//!   [`crate::runtime::Lockstep`]: each iteration every rank sends its
-//!   [`Message::ConvergenceVote`] to rank 0 and then blocks until it has
-//!   both rank 0's decision for that iteration and the solution slices of
-//!   every peer it depends on; the vote wait *is* the barrier and the
-//!   decision broadcast *is* the allreduce, so the iterates are
-//!   bitwise-identical to the threaded driver's (which runs the very same
-//!   code over an in-process transport),
+//! * **synchronous** — [`crate::runtime::TreeVotes`] +
+//!   [`crate::runtime::Lockstep`]: each iteration every rank's vote
+//!   aggregates up the vote tree to rank 0 ([`Message::VoteAggregate`]) and
+//!   the rank then blocks until it has both the decision for that iteration
+//!   ([`Message::ConvergenceVote`], forwarded down the same tree) and the
+//!   solution slices of every peer it depends on; the vote wait *is* the
+//!   barrier and the decision broadcast *is* the allreduce, so the iterates
+//!   are bitwise-identical to the threaded adapter's (which runs the very
+//!   same code over an in-process transport),
 //! * **asynchronous** — [`crate::runtime::ConfirmationWaves`] +
 //!   [`crate::runtime::FreeRunning`]: ranks free-run and send votes to
 //!   rank 0 on verdict changes; rank 0 runs a confirmation-wave
 //!   [`crate::runtime::VoteBoard`] and broadcasts
 //!   [`Message::GlobalConverged`] once every rank has re-confirmed its
 //!   converged vote for the configured number of waves.
+//!
+//! There is one detection protocol per mode and no knob to pick another;
+//! [`crate::runtime::mode_policies`] is the single place that maps the mode
+//! to its policy stack.
 //!
 //! A rank that exhausts its iteration budget (or hits a transport error)
 //! broadcasts [`Message::Halt`] so no peer spins forever; a rank observed
@@ -29,11 +34,10 @@
 
 use crate::checkpoint::{self, Checkpointer};
 use crate::runtime::{
-    decentralized_policies, drive_with_hooks, free_running_policies, lockstep_policies,
-    tree_policies, ConvergencePolicy, DriveHooks, EventLog, FailurePolicy, IterationWorkspace,
+    drive_with_hooks, mode_policies, DriveHooks, EventLog, FailurePolicy, IterationWorkspace,
     RankEngine, RankLink, ReshapeReason, SpeedHook,
 };
-use crate::solver::{ExecutionMode, MultisplittingConfig};
+use crate::solver::MultisplittingConfig;
 use crate::CoreError;
 #[allow(unused_imports)] // doc links
 use msplit_comm::message::Message;
@@ -91,30 +95,6 @@ pub struct RebalanceConfig {
     pub drift_threshold: f64,
 }
 
-/// Which convergence-detection protocol a rank runs, within its execution
-/// mode's family (see `docs/scaling.md`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum DetectionProtocol {
-    /// The mode's default: flat centralized votes
-    /// ([`crate::runtime::LockstepVotes`] in synchronous mode,
-    /// [`crate::runtime::ConfirmationWaves`] in asynchronous mode).
-    #[default]
-    Default,
-    /// Synchronous mode only: votes aggregate up an `arity`-ary reduction
-    /// tree ([`crate::runtime::TreeVotes`]) — bitwise identical iterates,
-    /// O(arity · log P) coordinator load.
-    Tree {
-        /// Reduction-tree arity (clamped to at least 2).
-        arity: usize,
-    },
-    /// Asynchronous mode only: coordinator-free decentralized stability
-    /// windows ([`crate::runtime::DecentralizedWaves`]).
-    Decentralized {
-        /// Consecutive locally-converged iterations per rank's window.
-        stability_period: u64,
-    },
-}
-
 /// Options of a distributed rank run that are not part of the numerical
 /// configuration.
 #[derive(Debug, Clone)]
@@ -124,9 +104,6 @@ pub struct RankOptions {
     pub peer_timeout: Duration,
     /// How a rank death observed mid-solve is handled.
     pub failure: FailurePolicy,
-    /// The convergence-detection protocol (must match the execution mode's
-    /// family; every rank of a run must use the same value).
-    pub detection: DetectionProtocol,
     /// Record every engine transition for deterministic offline replay.
     pub record_events: bool,
     /// Write periodic snapshots for checkpoint/restart.
@@ -147,7 +124,6 @@ impl Default for RankOptions {
         RankOptions {
             peer_timeout: Duration::from_secs(60),
             failure: FailurePolicy::default(),
-            detection: DetectionProtocol::Default,
             record_events: false,
             checkpoint: None,
             resume_at: None,
@@ -240,95 +216,26 @@ pub fn run_rank(
         columns: None,
     };
     let mut link = RankLink::new(transport.as_ref(), rank, send_targets, senders_to_me);
-    let run = match config.mode {
-        ExecutionMode::Synchronous => {
-            let (mut vote, mut conv, mut progress): (_, Box<dyn ConvergencePolicy>, _) =
-                match options.detection {
-                    DetectionProtocol::Default => {
-                        let (v, c, p) = lockstep_policies(
-                            rank,
-                            world,
-                            config.tolerance,
-                            options.peer_timeout,
-                            options.failure,
-                        );
-                        (v, Box::new(c), p)
-                    }
-                    DetectionProtocol::Tree { arity } => {
-                        let (v, c, p) = tree_policies(
-                            rank,
-                            world,
-                            arity,
-                            config.tolerance,
-                            options.peer_timeout,
-                            options.failure,
-                        );
-                        (v, Box::new(c), p)
-                    }
-                    DetectionProtocol::Decentralized { .. } => {
-                        return Err(CoreError::Distributed(format!(
-                            "rank {rank}: decentralized detection requires asynchronous mode"
-                        )));
-                    }
-                };
-            if let Some(state) = restored_vote {
-                use crate::runtime::LocalVote;
-                vote.restore_state(state);
-            }
-            drive_with_hooks(
-                &mut engine,
-                &mut link,
-                &mut vote,
-                conv.as_mut(),
-                &mut progress,
-                config.max_iterations,
-                &mut hooks,
-            )?
-        }
-        ExecutionMode::Asynchronous => {
-            let (mut vote, mut conv, mut progress): (_, Box<dyn ConvergencePolicy>, _) =
-                match options.detection {
-                    DetectionProtocol::Default => {
-                        let (v, c, p) = free_running_policies(
-                            rank,
-                            world,
-                            config.tolerance,
-                            config.async_confirmations,
-                            options.failure,
-                        );
-                        (v, Box::new(c), p)
-                    }
-                    DetectionProtocol::Decentralized { stability_period } => {
-                        let (v, c, p) = decentralized_policies(
-                            rank,
-                            world,
-                            config.tolerance,
-                            stability_period,
-                            options.failure,
-                        );
-                        (v, Box::new(c), p)
-                    }
-                    DetectionProtocol::Tree { .. } => {
-                        return Err(CoreError::Distributed(format!(
-                            "rank {rank}: tree vote aggregation requires synchronous mode"
-                        )));
-                    }
-                };
-            if let Some(state) = restored_vote {
-                use crate::runtime::LocalVote;
-                vote.restore_state(state);
-            }
-            drive_with_hooks(
-                &mut engine,
-                &mut link,
-                &mut vote,
-                conv.as_mut(),
-                &mut progress,
-                config.max_iterations,
-                &mut hooks,
-            )?
-        }
-    };
+    let (mut vote, mut conv, mut progress) = mode_policies(
+        config.mode,
+        config,
+        rank,
+        world,
+        options.peer_timeout,
+        options.failure,
+    );
+    if let Some(state) = restored_vote {
+        vote.restore_state(state);
+    }
+    let run = drive_with_hooks(
+        &mut engine,
+        &mut link,
+        vote.as_mut(),
+        conv.as_mut(),
+        progress.as_mut(),
+        config.max_iterations,
+        &mut hooks,
+    )?;
     Ok(RankOutcome {
         rank,
         x_local: engine.x_local().to_vec(),
@@ -345,7 +252,7 @@ pub fn run_rank(
 mod tests {
     use super::*;
     use crate::decomposition::Decomposition;
-    use crate::solver::MultisplittingConfig;
+    use crate::solver::{ExecutionMode, MultisplittingConfig};
     use crate::weighting::WeightingScheme;
     use msplit_comm::InProcTransport;
     use msplit_direct::SolverKind;
@@ -372,29 +279,32 @@ mod tests {
             .fold(0.0f64, |m, (x, y)| m.max((x - y).abs()))
     }
 
-    /// Runs every rank of `run_rank` in its own thread over one in-process
-    /// transport and assembles the global solution — the multi-process
-    /// topology without the processes.
-    fn run_all_ranks(
+    /// Runs `run_rank` for every rank but `dead` in its own thread over one
+    /// in-process transport — the multi-process topology without the
+    /// processes.  `dead`, if any, is closed on the transport up front, like
+    /// a worker process that is already gone.
+    fn run_ranks_except(
+        dead: Option<usize>,
         a: &msplit_sparse::CsrMatrix,
         b: &[f64],
         cfg: &MultisplittingConfig,
         options: &RankOptions,
-    ) -> (Vec<f64>, Vec<RankOutcome>) {
+    ) -> (BandPartition, Vec<Result<RankOutcome, CoreError>>) {
         let d = Decomposition::uniform(a, b, cfg.parts, cfg.overlap).unwrap();
         let targets = d.send_targets();
         let sources = receive_sources(&targets);
-        let partition = d.partition().clone();
-        let (_, blocks) = d.into_blocks();
+        let (partition, blocks) = d.into_blocks();
         let transport = InProcTransport::new(cfg.parts);
-        let outcomes: Vec<RankOutcome> = std::thread::scope(|scope| {
+        if let Some(dead) = dead {
+            transport.close_rank(dead).unwrap();
+        }
+        let results = std::thread::scope(|scope| {
             let handles: Vec<_> = blocks
                 .iter()
+                .filter(|blk| Some(blk.part) != dead)
                 .map(|blk| {
                     let transport: Arc<dyn Transport> = transport.clone();
-                    let partition = &partition;
-                    let targets = &targets;
-                    let sources = &sources;
+                    let (partition, targets, sources) = (&partition, &targets, &sources);
                     scope.spawn(move || {
                         run_rank(
                             partition,
@@ -405,15 +315,44 @@ mod tests {
                             transport,
                             options,
                         )
-                        .unwrap()
                     })
                 })
                 .collect();
             handles.into_iter().map(|h| h.join().unwrap()).collect()
         });
+        (partition, results)
+    }
+
+    /// Runs every rank to completion and assembles the global solution.
+    fn run_all_ranks(
+        a: &msplit_sparse::CsrMatrix,
+        b: &[f64],
+        cfg: &MultisplittingConfig,
+        options: &RankOptions,
+    ) -> (Vec<f64>, Vec<RankOutcome>) {
+        let (partition, results) = run_ranks_except(None, a, b, cfg, options);
+        let outcomes: Vec<RankOutcome> = results.into_iter().map(Result::unwrap).collect();
         let locals: Vec<Vec<f64>> = outcomes.iter().map(|o| o.x_local.clone()).collect();
         let x = cfg.weighting.assemble(&partition, &locals);
         (x, outcomes)
+    }
+
+    /// What the survivors of rank 1's death must report: at least one typed
+    /// error naming it; everyone else stopped cleanly, unconverged, by a
+    /// survivor's Halt broadcast.
+    fn assert_halted_by_death_of_rank_1(results: Vec<Result<RankOutcome, CoreError>>) {
+        let mut death_errors = 0;
+        for result in results {
+            match result {
+                Err(CoreError::Distributed(msg)) => {
+                    assert!(msg.contains("rank 1 "), "unexpected message: {msg}");
+                    death_errors += 1;
+                }
+                Ok(outcome) => assert!(!outcome.converged),
+                Err(other) => panic!("unexpected error kind: {other:?}"),
+            }
+        }
+        assert!(death_errors >= 1, "no rank reported the death");
     }
 
     #[test]
@@ -432,8 +371,9 @@ mod tests {
         assert!(iters.iter().all(|&i| i == iters[0]), "iters {iters:?}");
         assert!(max_err(&x, &x_true) < 1e-7);
 
-        let d = Decomposition::uniform(&a, &b, 3, 0).unwrap();
-        let threaded = crate::runtime::solve_threaded_inproc(d, &cfg).unwrap();
+        let threaded = crate::solver::MultisplittingSolver::new(cfg)
+            .solve(&a, &b)
+            .unwrap();
         assert!(threaded.converged);
         // Same engine, same policies: identical iterates and counts.
         assert_eq!(threaded.iterations, iters[0]);
@@ -456,85 +396,31 @@ mod tests {
 
     #[test]
     fn tree_detection_matches_flat_lockstep_bitwise() {
-        let a = generators::diag_dominant(&DiagDominantConfig {
-            n: 240,
-            seed: 15,
-            ..Default::default()
-        });
-        let (_, b) = generators::rhs_for_solution(&a, |i| ((i % 9) as f64) - 4.0);
-        let cfg = config(5, ExecutionMode::Synchronous);
-        let (x_flat, flat) = run_all_ranks(&a, &b, &cfg, &RankOptions::default());
-        let tree_options = RankOptions {
-            detection: DetectionProtocol::Tree { arity: 2 },
-            ..Default::default()
-        };
-        let (x_tree, tree) = run_all_ranks(&a, &b, &cfg, &tree_options);
+        // One rank more than the root can parent makes the production vote
+        // tree two levels deep.  Run it through `run_rank` under real thread
+        // scheduling and compare with the simulator's flat vote (fan-in
+        // P − 1) on the same system: the fan-in must not perturb a bit.
+        use crate::runtime::VOTE_TREE_ARITY;
+        use crate::scale::{simulate_ranks, Protocol, ScaleConfig};
+        let world = VOTE_TREE_ARITY + 2;
+        let rows_per_rank = 4;
+        let a = generators::tridiagonal(world * rows_per_rank, 4.0, -1.0);
+        let (_, b) = generators::rhs_for_solution(&a, |i| (i % 7) as f64);
+        let cfg = config(world, ExecutionMode::Synchronous);
+        let (x_tree, tree) = run_all_ranks(&a, &b, &cfg, &RankOptions::default());
         assert!(tree.iter().all(|o| o.converged));
-        assert_eq!(
-            flat.iter().map(|o| o.iterations).collect::<Vec<_>>(),
-            tree.iter().map(|o| o.iterations).collect::<Vec<_>>()
-        );
-        assert_eq!(x_flat, x_tree, "tree votes must not perturb the iterates");
-    }
-
-    #[test]
-    fn decentralized_detection_converges_to_the_solution() {
-        let a = generators::diag_dominant(&DiagDominantConfig {
-            n: 300,
-            seed: 8,
+        let flat = simulate_ranks(&ScaleConfig {
+            ranks: world,
+            rows_per_rank,
+            tolerance: cfg.tolerance,
+            max_iterations: cfg.max_iterations,
+            protocol: Protocol::flat(world),
             ..Default::default()
-        });
-        let (x_true, b) = generators::rhs_for_solution(&a, |i| (i % 7) as f64);
-        let cfg = config(4, ExecutionMode::Asynchronous);
-        let options = RankOptions {
-            detection: DetectionProtocol::Decentralized {
-                stability_period: 3,
-            },
-            ..Default::default()
-        };
-        let (x, outcomes) = run_all_ranks(&a, &b, &cfg, &options);
-        assert!(outcomes.iter().all(|o| o.converged));
-        assert!(max_err(&x, &x_true) < 1e-6);
-    }
-
-    #[test]
-    fn detection_protocol_must_match_the_mode_family() {
-        let a = generators::tridiagonal(30, 4.0, -1.0);
-        let b = vec![1.0; 30];
-        let d = Decomposition::uniform(&a, &b, 3, 0).unwrap();
-        let partition = d.partition().clone();
-        let blk = d.blocks(0).clone();
-        let transport: Arc<dyn Transport> = InProcTransport::new(3);
-        for (mode, detection) in [
-            (
-                ExecutionMode::Synchronous,
-                DetectionProtocol::Decentralized {
-                    stability_period: 3,
-                },
-            ),
-            (
-                ExecutionMode::Asynchronous,
-                DetectionProtocol::Tree { arity: 4 },
-            ),
-        ] {
-            let cfg = config(3, mode);
-            let options = RankOptions {
-                detection,
-                ..Default::default()
-            };
-            assert!(matches!(
-                run_rank(
-                    &partition,
-                    &blk,
-                    &[1],
-                    &[1],
-                    &cfg,
-                    transport.clone(),
-                    &options,
-                ),
-                Err(CoreError::Distributed(_))
-            ));
-        }
+        })
+        .unwrap();
+        assert!(flat.converged);
+        assert!(tree.iter().all(|o| o.iterations == flat.iterations));
+        assert_eq!(x_tree, flat.x, "tree votes must not perturb the iterates");
     }
 
     #[test]
@@ -665,18 +551,34 @@ mod tests {
         // that observes the disconnect and errors; the other is stopped by
         // the resulting Halt broadcast (cleanly, without error).
         assert!(started.elapsed() < Duration::from_secs(10), "hung too long");
-        let mut death_errors = 0;
-        for result in [r0, r2] {
-            match result {
-                Err(CoreError::Distributed(msg)) => {
-                    assert!(msg.contains("rank 1"), "unexpected message: {msg}");
-                    death_errors += 1;
-                }
-                Ok(outcome) => assert!(!outcome.converged),
-                Err(other) => panic!("unexpected error kind: {other:?}"),
-            }
-        }
-        assert!(death_errors >= 1, "no rank reported the death");
+        assert_halted_by_death_of_rank_1(vec![r0, r2]);
+    }
+
+    #[test]
+    fn interior_tree_rank_death_halts_the_run_promptly() {
+        // The two-level world of `tree_detection_matches_flat_lockstep_bitwise`
+        // with rank 1 — the interior node that aggregates rank 17's vote —
+        // dead from the start.  Its parent waits on its aggregate, its
+        // child's vote and its neighbours' slices go nowhere: every survivor
+        // must come back well inside heartbeat + grace with a typed result,
+        // nobody hangs until the 30 s peer timeout.
+        let world = crate::runtime::VOTE_TREE_ARITY + 2;
+        let a = generators::tridiagonal(world * 4, 4.0, -1.0);
+        let b = vec![1.0; world * 4];
+        let mut cfg = config(world, ExecutionMode::Synchronous);
+        cfg.max_iterations = 100_000;
+        let options = RankOptions {
+            peer_timeout: Duration::from_secs(30),
+            failure: FailurePolicy::HaltOnDeath {
+                heartbeat: Duration::from_millis(150),
+            },
+            ..Default::default()
+        };
+        let started = Instant::now();
+        let (_, results) = run_ranks_except(Some(1), &a, &b, &cfg, &options);
+        assert!(started.elapsed() < Duration::from_secs(10), "hung too long");
+        assert_eq!(results.len(), world - 1);
+        assert_halted_by_death_of_rank_1(results);
     }
 
     #[test]

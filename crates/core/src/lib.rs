@@ -50,20 +50,21 @@
 //!              ┌──────────▼───┐  ┌──────▼───────┐  ┌───▼──────────┐
 //!              │  RankEngine  │  │ Convergence/ │  │ FailurePolicy│
 //!              │ (pure state  │  │ Progress     │  │ FailFast /   │
-//!              │  machine,    │  │ policies:    │  │ HaltOnDeath /│
-//!              │  replayable, │  │ Lockstep or  │  │ Redistribute │
-//!              │  snapshot-   │  │ FreeRunning  │  │ (heartbeats) │
-//!              │  able)       │  │              │  │              │
+//!              │  machine,    │  │ policies, one│  │ HaltOnDeath /│
+//!              │  replayable, │  │ stack a mode:│  │ Redistribute │
+//!              │  snapshot-   │  │ lockstep or  │  │ (heartbeats) │
+//!              │  able)       │  │ free-running │  │              │
 //!              └──────┬───────┘  └──────┬───────┘  └───┬──────────┘
 //!                     │                 │              │
 //!              ┌──────▼─────────────────▼──────────────▼───────────┐
 //!              │ RankLink over a Transport (in-process or TCP)     │
 //!              └───────────────────────────────────────────────────┘
 //!
-//!   adapters: threaded sync / threaded batch / threaded async
-//!             (runtime::solve_threaded) and the multi-process
-//!             distributed runtime (distributed::run_rank, spawned
-//!             by launcher::Launcher + the msplit-worker binary)
+//!   adapters: the threaded adapter behind PreparedSystem (one
+//!             right-hand side in either mode, or a lockstep batch)
+//!             and the multi-process distributed runtime
+//!             (distributed::run_rank, spawned by launcher::Launcher
+//!             + the msplit-worker binary)
 //! ```
 //!
 //! Because the engine is pure (its only transitions are `ingest` and
@@ -81,10 +82,11 @@
 //! * [`sequential`] — single-threaded reference iterations (practical form
 //!   and the extended fixed-point mapping of Section 3),
 //! * [`runtime`] — the unified per-rank runtime: the [`runtime::RankEngine`]
-//!   state machine of Algorithm 1 plus pluggable convergence
+//!   state machine of Algorithm 1 plus convergence
 //!   ([`runtime::ConvergencePolicy`]), progress
 //!   ([`runtime::ProgressPolicy`]) and failure ([`runtime::FailurePolicy`])
-//!   policies; every driver below is an adapter over it,
+//!   policies — one detection protocol per execution mode
+//!   ([`runtime::mode_policies`]); every driver below is an adapter over it,
 //! * [`scale`] — the in-process scale simulator ([`scale::simulate_ranks`]):
 //!   hundreds of production rank runtimes driven cooperatively in one
 //!   process, with message-load accounting, for protocol tests at
@@ -127,9 +129,7 @@ pub mod weighting;
 
 pub use checkpoint::{CheckpointError, Checkpointer, RankCheckpoint};
 pub use decomposition::Decomposition;
-pub use distributed::{
-    run_rank, CheckpointConfig, DetectionProtocol, RankOptions, RankOutcome, RebalanceConfig,
-};
+pub use distributed::{run_rank, CheckpointConfig, RankOptions, RankOutcome, RebalanceConfig};
 pub use krylov::{
     FgmresWorkspace, KrylovStats, KrylovWorkspace, Preconditioner, SweepBuffers,
     SweepPreconditioner,

@@ -15,12 +15,9 @@
 //! families of systems sharing one operator, every solve after the first is
 //! pure iteration.
 
-use crate::decomposition::Decomposition;
 use crate::driver_common::{compute_send_targets, IterationWorkspace};
 use crate::krylov::{self, KrylovWorkspace, SweepPreconditioner};
-use crate::solver::{
-    BatchSolveOutcome, ExecutionMode, Method, MultisplittingConfig, PartReport, SolveOutcome,
-};
+use crate::solver::{BatchSolveOutcome, Method, MultisplittingConfig, PartReport, SolveOutcome};
 use crate::{runtime, CoreError};
 use msplit_comm::transport::Transport;
 use msplit_direct::api::Factorization;
@@ -40,11 +37,11 @@ const MAX_POOLED_WORKSPACE_SETS: usize = 8;
 /// immutable shared state: all solve methods take `&self`, so one prepared
 /// system can serve concurrent requests (it is `Send + Sync`).
 pub struct PreparedSystem {
-    config: MultisplittingConfig,
-    partition: BandPartition,
-    blocks: Vec<LocalBlocks>,
-    factors: Vec<Arc<dyn Factorization>>,
-    send_targets: Vec<Vec<usize>>,
+    pub(crate) config: MultisplittingConfig,
+    pub(crate) partition: BandPartition,
+    pub(crate) blocks: Vec<LocalBlocks>,
+    pub(crate) factors: Vec<Arc<dyn Factorization>>,
+    pub(crate) send_targets: Vec<Vec<usize>>,
     fingerprint: u64,
     factor_seconds: f64,
     /// Pool of per-worker workspace sets (one [`IterationWorkspace`] per
@@ -72,21 +69,9 @@ impl PreparedSystem {
     pub fn prepare(config: MultisplittingConfig, a: &CsrMatrix) -> Result<Self, CoreError> {
         let start = Instant::now();
         let fingerprint = a.fingerprint();
-        // The blocks capture a zero RHS; per-solve right-hand sides override
-        // it through the drivers' `rhs` parameter.
-        let zero_b = vec![0.0f64; a.rows()];
-        let decomposition = if config.relative_speeds.is_empty() {
-            Decomposition::uniform(a, &zero_b, config.parts, config.overlap)?
-        } else {
-            if config.relative_speeds.len() != config.parts {
-                return Err(CoreError::Decomposition(format!(
-                    "{} relative speeds given for {} parts",
-                    config.relative_speeds.len(),
-                    config.parts
-                )));
-            }
-            Decomposition::balanced_for_speeds(a, &zero_b, &config.relative_speeds, config.overlap)?
-        };
+        // The blocks capture a zero RHS; every solve passes its own
+        // right-hand side to the drivers.
+        let decomposition = config.decompose(a, &vec![0.0f64; a.rows()])?;
         match config.method {
             Method::Stationary => {}
             Method::Richardson { inner_sweeps } => {
@@ -236,30 +221,7 @@ impl PreparedSystem {
             } => return self.solve_krylov(b, Some(restart), inner_sweeps, start),
         }
         let mut workspaces = self.acquire_workspaces();
-        let result = match self.config.mode {
-            ExecutionMode::Synchronous => runtime::run_sync(
-                &self.partition,
-                &self.blocks,
-                &self.factors,
-                &self.send_targets,
-                Some(b),
-                &self.config,
-                transport,
-                &mut workspaces,
-                start,
-            ),
-            ExecutionMode::Asynchronous => runtime::run_async(
-                &self.partition,
-                &self.blocks,
-                &self.factors,
-                &self.send_targets,
-                Some(b),
-                &self.config,
-                transport,
-                &mut workspaces,
-                start,
-            ),
-        };
+        let result = runtime::run_single(self, b, transport, &mut workspaces, start);
         self.release_workspaces(workspaces);
         result
     }
@@ -409,17 +371,7 @@ impl PreparedSystem {
             self.check_rhs(b)?;
         }
         let mut workspaces = self.acquire_workspaces();
-        let result = runtime::run_sync_batch(
-            &self.partition,
-            &self.blocks,
-            &self.factors,
-            &self.send_targets,
-            rhs,
-            &self.config,
-            transport,
-            &mut workspaces,
-            Instant::now(),
-        );
+        let result = runtime::run_batch(self, rhs, transport, &mut workspaces, Instant::now());
         self.release_workspaces(workspaces);
         result
     }
@@ -439,7 +391,7 @@ impl std::fmt::Debug for PreparedSystem {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::solver::MultisplittingSolver;
+    use crate::solver::{ExecutionMode, MultisplittingSolver};
     use crate::weighting::WeightingScheme;
     use msplit_direct::SolverKind;
     use msplit_sparse::generators::{self, DiagDominantConfig};

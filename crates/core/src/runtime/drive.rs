@@ -1,0 +1,512 @@
+//! The unified drive loop — the single Algorithm 1 outer loop behind every
+//! driver — with the policy stacks it runs and its optional hooks
+//! (checkpoints, speed reports, per-column batch tracking).
+
+use super::convergence::{ConfirmationWaves, ConvergencePolicy, TreeVotes};
+use super::engine::{RankEngine, StepObservation};
+use super::failure::{DeathRule, FailurePolicy, Flow, RankLink, ReshapeReason};
+use super::progress::{FreeRunning, Lockstep, ProgressPolicy};
+use super::vote::{IncrementVote, LocalVote, StaleSweepGuard};
+use crate::solver::{ExecutionMode, MultisplittingConfig};
+use crate::CoreError;
+use msplit_comm::message::Message;
+use std::sync::Arc;
+use std::time::{Duration, Instant};
+
+/// One rank's policy stack behind trait objects: local vote, convergence
+/// protocol, progress rule.
+pub type PolicyStack = (
+    Box<dyn LocalVote>,
+    Box<dyn ConvergencePolicy>,
+    Box<dyn ProgressPolicy>,
+);
+
+/// The policy stack of an execution mode — there is exactly one per mode,
+/// and this is the one place that builds it, so the threaded, batched and
+/// distributed paths cannot drift apart (their bitwise
+/// transport-independence depends on running the exact same policies):
+///
+/// * synchronous — guarded increment vote + per-iteration votes up the tree
+///   ([`TreeVotes`] at the production fan-in) + barrier-equivalent wait
+///   bounded by `peer_timeout`,
+/// * asynchronous — windowed increment vote + [`ConfirmationWaves`] (with
+///   `config.async_confirmations` waves) + free-running drains.
+///
+/// `failure` decides what a heartbeat-detected peer death does: halt the
+/// run, request a reshape, or (historically) tolerate it.
+pub fn mode_policies(
+    mode: ExecutionMode,
+    config: &MultisplittingConfig,
+    rank: usize,
+    world: usize,
+    peer_timeout: Duration,
+    failure: FailurePolicy,
+) -> PolicyStack {
+    let tolerance = config.tolerance;
+    match mode {
+        ExecutionMode::Synchronous => (
+            Box::new(StaleSweepGuard::new(
+                IncrementVote::lockstep(tolerance),
+                tolerance,
+            )),
+            Box::new(TreeVotes::new(rank, world, failure)),
+            Box::new(Lockstep::new(peer_timeout, failure)),
+        ),
+        ExecutionMode::Asynchronous => (
+            Box::new(IncrementVote::free_running(tolerance)),
+            Box::new(ConfirmationWaves::new(
+                rank,
+                world,
+                config.async_confirmations,
+            )),
+            Box::new(FreeRunning::new(failure)),
+        ),
+    }
+}
+
+/// Result of driving one rank to completion.
+#[derive(Debug, Clone, Copy)]
+pub struct RankRun {
+    /// Outer iterations performed.
+    pub iterations: u64,
+    /// Last observed increment norm.
+    pub last_increment: f64,
+    /// Whether global convergence was reached.
+    pub converged: bool,
+    /// Set when the run stopped to let the launcher re-partition the bands
+    /// (rank death under [`FailurePolicy::Redistribute`] or speed drift).
+    pub reshape: Option<ReshapeReason>,
+}
+
+/// Per-rank step-speed observer: keeps an exponential moving average of the
+/// outer-iteration wall time, periodically reports it to rank 0
+/// ([`Message::SpeedReport`]), and — on rank 0 — requests a reshape when the
+/// slowest rank's step time exceeds the fastest's by more than
+/// `drift_threshold` (the online-rebalancing hook; the check runs at
+/// checkpoint boundaries so the repartitioned job resumes from fresh
+/// snapshots).
+pub struct SpeedHook {
+    /// Reporting period in outer iterations.
+    pub report_every: u64,
+    /// Max/min step-time ratio above which rank 0 requests a reshape
+    /// (values ≤ 1 disable the drift check; reporting still happens).
+    pub drift_threshold: f64,
+    ema_micros: f64,
+}
+
+impl SpeedHook {
+    /// Builds the hook with the given reporting period and drift threshold.
+    pub fn new(report_every: u64, drift_threshold: f64) -> Self {
+        SpeedHook {
+            report_every: report_every.max(1),
+            drift_threshold,
+            ema_micros: 0.0,
+        }
+    }
+
+    /// Folds one observed step time into the moving average.
+    fn observe(&mut self, micros: f64) {
+        self.ema_micros = if self.ema_micros == 0.0 {
+            micros
+        } else {
+            0.8 * self.ema_micros + 0.2 * micros
+        };
+    }
+
+    /// The smoothed step time in whole microseconds (at least 1).
+    fn smoothed_micros(&self) -> u64 {
+        self.ema_micros.max(1.0) as u64
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Per-column convergence tracking (batch shape)
+// ---------------------------------------------------------------------------
+
+/// Shared per-column convergence board of one batched lockstep solve.
+///
+/// A batch runs every column to *global* convergence of the whole batch,
+/// which over-iterates the columns that stabilized first — their final
+/// iterates are "more converged" than a solo run of the same right-hand side
+/// and therefore not bitwise-identical to it.  The board fixes that: every
+/// rank posts, per iteration, one bit per column saying whether that column
+/// alone would have voted "converged" under the exact lockstep voting rule
+/// ([`StaleSweepGuard`] over [`IncrementVote::lockstep`]), and each rank
+/// freezes its local slice of a column at the first iteration whose AND over
+/// all ranks' bits is true — the precise iteration a solo lockstep run of
+/// that column would have stopped at.  Because the columns of a lockstep
+/// batch iterate independently (the batched triangular solve is per-column
+/// arithmetic-identical to the single solve), the frozen slices assemble to
+/// a solution **bitwise equal** to the solo solve of that right-hand side.
+///
+/// Completeness of a row at sweep time comes from the vote protocol itself:
+/// a rank posts its bits for iteration `k` *before* its vote for `k` is
+/// submitted ([`TreeVotes`]' `submit`), and a rank only sweeps row `k` after
+/// the lockstep decision for `k` resolved — the root decides only once every
+/// subtree aggregate arrived, and an aggregate goes up only after it folded
+/// in every rank below it, so the decision required every rank's vote, hence
+/// every rank's post.
+pub struct ColumnBoard {
+    state: std::sync::Mutex<ColumnBoardState>,
+}
+
+struct ColumnBoardState {
+    world: usize,
+    ncols: usize,
+    /// Per-iteration AND-aggregated bits plus bookkeeping, pruned once every
+    /// rank has swept the row (at most two rows are ever live in lockstep).
+    rows: std::collections::HashMap<u64, ColumnRow>,
+}
+
+struct ColumnRow {
+    /// AND over the posted ranks' per-column bits.
+    all_converged: Vec<bool>,
+    posted: usize,
+    swept: usize,
+}
+
+impl ColumnBoard {
+    /// Creates a board for `world` ranks and `ncols` batch columns.
+    pub fn new(world: usize, ncols: usize) -> Arc<Self> {
+        Arc::new(ColumnBoard {
+            state: std::sync::Mutex::new(ColumnBoardState {
+                world,
+                ncols,
+                rows: std::collections::HashMap::new(),
+            }),
+        })
+    }
+
+    /// Posts one rank's per-column convergence bits for `iteration`.
+    fn post(&self, iteration: u64, bits: &[bool]) {
+        let mut state = self.state.lock().expect("column board poisoned");
+        let ncols = state.ncols;
+        debug_assert_eq!(bits.len(), ncols);
+        let row = state.rows.entry(iteration).or_insert_with(|| ColumnRow {
+            all_converged: vec![true; ncols],
+            posted: 0,
+            swept: 0,
+        });
+        for (agg, &bit) in row.all_converged.iter_mut().zip(bits) {
+            *agg &= bit;
+        }
+        row.posted += 1;
+    }
+
+    /// Reads the AND row for `iteration` if every rank has posted it, and
+    /// counts the caller as having swept it (rows are pruned once swept by
+    /// all ranks).  Returns `None` for an incomplete row — only possible
+    /// when the run is aborting mid-iteration.
+    fn sweep(&self, iteration: u64) -> Option<Vec<bool>> {
+        let mut state = self.state.lock().expect("column board poisoned");
+        let world = state.world;
+        let row = state.rows.get_mut(&iteration)?;
+        if row.posted < world {
+            return None;
+        }
+        debug_assert_eq!(row.posted, world);
+        let bits = row.all_converged.clone();
+        row.swept += 1;
+        if row.swept == world {
+            state.rows.remove(&iteration);
+        }
+        Some(bits)
+    }
+}
+
+/// Per-rank side of the [`ColumnBoard`] protocol, installed through
+/// [`DriveHooks::columns`] by the batched lockstep worker.
+///
+/// After each step it derives one solo-equivalent convergence bit per column
+/// — the [`StaleSweepGuard`] predicate evaluated on that column's own
+/// increment and dependency movement ([`RankEngine::column_increments`] /
+/// [`RankEngine::column_dep_changes`]) — and posts them; after each lockstep
+/// decision it sweeps the completed row and freezes newly all-converged
+/// columns at the current local iterate.
+pub struct ColumnTracker {
+    board: Arc<ColumnBoard>,
+    tolerance: f64,
+    /// Scratch bits, one per column.
+    bits: Vec<bool>,
+    /// Per column: the iteration a solo run would have stopped at, and this
+    /// rank's local iterate at that iteration.  `None` until the column's
+    /// AND row first comes up all-true.
+    frozen: Vec<Option<(u64, Vec<f64>)>>,
+}
+
+impl ColumnTracker {
+    /// Builds the tracker for one rank of a `ncols`-column batch.
+    pub fn new(board: Arc<ColumnBoard>, tolerance: f64, ncols: usize) -> Self {
+        ColumnTracker {
+            board,
+            tolerance,
+            bits: vec![false; ncols],
+            frozen: vec![None; ncols],
+        }
+    }
+
+    /// Posts this rank's per-column convergence bits for the step just
+    /// observed.  Must run before the rank's lockstep vote is submitted.
+    fn post(&mut self, engine: &RankEngine, obs: &StepObservation) {
+        let incs = engine.column_increments();
+        let deps = engine.column_dep_changes();
+        let fresh_ok = obs.fresh_data || !obs.needs_fresh_data;
+        for (bit, (&inc, &dep)) in self.bits.iter_mut().zip(incs.iter().zip(deps)) {
+            // Exactly StaleSweepGuard<IncrementVote::lockstep>: a window-1
+            // ResidualTracker verdict on the increment, vetoed unless the
+            // column's dependencies held still and the sweep saw fresh data.
+            *bit = inc <= self.tolerance && dep <= self.tolerance && fresh_ok;
+        }
+        self.board.post(obs.iteration, &self.bits);
+    }
+
+    /// Sweeps the completed row for `iteration`: any column whose AND bit is
+    /// true for the first time freezes at this rank's current local iterate.
+    fn sweep(&mut self, engine: &RankEngine, iteration: u64) {
+        let Some(all) = self.board.sweep(iteration) else {
+            return;
+        };
+        for (c, slot) in self.frozen.iter_mut().enumerate() {
+            if all[c] && slot.is_none() {
+                *slot = Some((iteration, engine.x_columns()[c].clone()));
+            }
+        }
+    }
+
+    /// Consumes the tracker into per-column results: the frozen local
+    /// iterate (or `live` for a column that never converged solo) and the
+    /// solo stopping iteration per column.
+    pub fn into_columns(self, live: &[Vec<f64>]) -> (Vec<Vec<f64>>, Vec<Option<u64>>) {
+        let mut columns = Vec::with_capacity(live.len());
+        let mut converged_at = Vec::with_capacity(live.len());
+        for (c, slot) in self.frozen.into_iter().enumerate() {
+            match slot {
+                Some((iteration, x)) => {
+                    columns.push(x);
+                    converged_at.push(Some(iteration));
+                }
+                None => {
+                    columns.push(live[c].clone());
+                    converged_at.push(None);
+                }
+            }
+        }
+        (columns, converged_at)
+    }
+}
+
+/// Optional instrumentation of the drive loop: periodic snapshots and
+/// speed-drift rebalancing.  [`DriveHooks::default`] is a no-op.
+#[derive(Default)]
+pub struct DriveHooks {
+    /// Periodic snapshot writer (see [`crate::checkpoint`]).
+    pub checkpoint: Option<crate::checkpoint::Checkpointer>,
+    /// Step-speed reporting and drift-triggered rebalancing.
+    pub speed: Option<SpeedHook>,
+    /// Per-column convergence tracking of a batched lockstep solve (see
+    /// [`ColumnTracker`]); `None` everywhere else.
+    pub columns: Option<ColumnTracker>,
+}
+
+/// Pumps messages between the transport and the engine until convergence,
+/// halt, budget exhaustion or error — the **single** Algorithm 1 outer loop
+/// behind every driver.  On error, [`Message::Halt`] is broadcast so no peer
+/// spins forever on a rank that will never answer.  `hooks` carries the
+/// optional instrumentation ([`DriveHooks::default`] is none).
+pub fn drive_with_hooks(
+    engine: &mut RankEngine,
+    link: &mut RankLink,
+    vote: &mut dyn LocalVote,
+    conv: &mut dyn ConvergencePolicy,
+    progress: &mut dyn ProgressPolicy,
+    max_iterations: u64,
+    hooks: &mut DriveHooks,
+) -> Result<RankRun, CoreError> {
+    let result = drive_inner(engine, link, vote, conv, progress, max_iterations, hooks);
+    if result.is_err() {
+        link.broadcast_halt();
+    }
+    result
+}
+
+/// Runs the post-exchange hook block of one iteration: speed bookkeeping,
+/// the periodic checkpoint, and rank 0's drift check.  Returns a reshape
+/// reason when the drift check fires.
+fn run_iteration_hooks(
+    engine: &RankEngine,
+    link: &mut RankLink,
+    vote: &dyn LocalVote,
+    hooks: &mut DriveHooks,
+    iteration: u64,
+    step_micros: f64,
+) -> Result<Option<ReshapeReason>, CoreError> {
+    let mut at_boundary = hooks.checkpoint.is_none();
+    if let Some(ck) = &hooks.checkpoint {
+        at_boundary = ck.maybe_save(engine, vote.checkpoint_state(), iteration)?;
+    }
+    let Some(speed) = hooks.speed.as_mut() else {
+        return Ok(None);
+    };
+    speed.observe(step_micros);
+    if iteration.is_multiple_of(speed.report_every) {
+        let micros = speed.smoothed_micros();
+        link.note_speed(link.rank(), micros);
+        if link.rank() != 0 {
+            link.send_ruled(
+                0,
+                Message::SpeedReport {
+                    from: link.rank(),
+                    iteration,
+                    step_micros: micros,
+                },
+                DeathRule::Tolerate,
+            )?;
+        }
+    }
+    // Drift check: rank 0 only, at a checkpoint boundary (or any reporting
+    // boundary when checkpointing is off), once every rank has reported.
+    if link.rank() == 0
+        && at_boundary
+        && iteration.is_multiple_of(speed.report_every)
+        && speed.drift_threshold > 1.0
+    {
+        let speeds = link.observed_speeds();
+        if speeds.iter().all(|&s| s > 0) {
+            let max = speeds.iter().copied().max().unwrap_or(1) as f64;
+            let min = speeds.iter().copied().min().unwrap_or(1).max(1) as f64;
+            if max / min > speed.drift_threshold {
+                link.raise_reshape(ReshapeReason::SpeedDrift);
+            }
+        }
+    }
+    Ok(link.take_reshape())
+}
+
+#[allow(clippy::too_many_arguments)]
+fn drive_inner(
+    engine: &mut RankEngine,
+    link: &mut RankLink,
+    vote: &mut dyn LocalVote,
+    conv: &mut dyn ConvergencePolicy,
+    progress: &mut dyn ProgressPolicy,
+    max_iterations: u64,
+    hooks: &mut DriveHooks,
+) -> Result<RankRun, CoreError> {
+    let mut converged = false;
+    let mut reshape = None;
+    let mut last_increment = f64::INFINITY;
+    'outer: while engine.iterations() < max_iterations {
+        // (0) intake (free-running drains here; lockstep ingested everything
+        // during the previous iteration's wait)
+        match progress.collect(engine, link, conv)? {
+            Flow::Continue => {}
+            Flow::Converged => {
+                converged = true;
+                break 'outer;
+            }
+            Flow::Halted => break 'outer,
+            Flow::Reshape(reason) => {
+                reshape = Some(reason);
+                break 'outer;
+            }
+        }
+        // (1)+(2) dependency fill and local solve
+        let t_step = Instant::now();
+        let obs = engine.step()?;
+        let step_micros = t_step.elapsed().as_secs_f64() * 1e6;
+        last_increment = vote.effective_increment(&obs);
+        // Per-column bits must be on the board before this rank's vote for
+        // the iteration can reach the coordinator (see [`ColumnBoard`]).
+        if let Some(tracker) = hooks.columns.as_mut() {
+            tracker.post(engine, &obs);
+        }
+        // (3) send the slice to every dependent processor
+        link.fan_out(engine.outgoing(), conv.death_rule())?;
+        // (4) vote and agree on global convergence
+        let local = vote.vote(&obs);
+        match conv.submit(obs.iteration, local, link)? {
+            Flow::Continue => {}
+            Flow::Converged => {
+                converged = true;
+                break 'outer;
+            }
+            Flow::Halted => break 'outer,
+            Flow::Reshape(reason) => {
+                reshape = Some(reason);
+                break 'outer;
+            }
+        }
+        let exchange_flow = progress.exchange(engine, link, conv, &obs, local)?;
+        // The lockstep decision for this iteration is resolved: the row of
+        // per-column bits is complete on every rank, so newly all-converged
+        // columns freeze at the iterate a solo run would have returned.
+        // (Halted/Reshape abort mid-wait with a possibly incomplete row.)
+        if matches!(exchange_flow, Flow::Continue | Flow::Converged) {
+            if let Some(tracker) = hooks.columns.as_mut() {
+                tracker.sweep(engine, obs.iteration);
+            }
+        }
+        match exchange_flow {
+            Flow::Continue => {}
+            Flow::Converged => {
+                converged = true;
+                break 'outer;
+            }
+            Flow::Halted => break 'outer,
+            Flow::Reshape(reason) => {
+                reshape = Some(reason);
+                break 'outer;
+            }
+        }
+        // (5) instrumentation: checkpoint at the boundary (the halo now
+        // holds every slice of this iteration), report speeds, check drift,
+        // and honor any reshape raised by a tolerated send failure.
+        if let Some(reason) =
+            run_iteration_hooks(engine, link, vote, hooks, obs.iteration, step_micros)?
+        {
+            reshape = Some(reason);
+            break 'outer;
+        }
+    }
+    if !converged && reshape.is_none() && engine.iterations() >= max_iterations {
+        // A convergence notice may already be queued: the coordinator can
+        // declare global convergence while this rank finishes its last
+        // budgeted iteration.  Drain once more before telling everyone to
+        // halt, so a converged run is never reported as failed.
+        match progress.collect(engine, link, conv)? {
+            Flow::Converged => converged = true,
+            Flow::Halted => {}
+            Flow::Reshape(reason) => reshape = Some(reason),
+            Flow::Continue => conv.abandon(link),
+        }
+    }
+    if reshape.is_some() && !converged {
+        // Persist the freshest possible state for the post-reshape warm
+        // start (best effort — the periodic snapshot remains the fallback).
+        if let Some(ck) = &hooks.checkpoint {
+            let _ = ck.save_now(engine, vote.checkpoint_state());
+        }
+    }
+    Ok(RankRun {
+        iterations: engine.iterations(),
+        last_increment,
+        converged,
+        reshape,
+    })
+}
+
+/// For every rank, the peers whose slices it receives each iteration — the
+/// transpose of the send-target map.
+pub fn receive_sources(send_targets: &[Vec<usize>]) -> Vec<Vec<usize>> {
+    let mut sources = vec![Vec::new(); send_targets.len()];
+    for (sender, targets) in send_targets.iter().enumerate() {
+        for &t in targets {
+            sources[t].push(sender);
+        }
+    }
+    for s in &mut sources {
+        s.sort_unstable();
+        s.dedup();
+    }
+    sources
+}

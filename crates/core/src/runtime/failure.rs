@@ -1,0 +1,294 @@
+//! Failure handling and the per-rank link: what a peer death means
+//! ([`FailurePolicy`], [`DeathRule`]), how a run asks for a new band layout
+//! ([`Flow::Reshape`]), and the [`RankLink`] every policy sends through.
+
+use crate::CoreError;
+use msplit_comm::message::Message;
+use msplit_comm::transport::Transport;
+use msplit_comm::CommError;
+use std::time::Duration;
+
+/// Why a run is asking the launcher for a new band layout.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ReshapeReason {
+    /// The given rank died permanently; survivors need its rows.
+    RankDeath(usize),
+    /// Observed per-rank iteration speeds drifted beyond the configured
+    /// threshold; the same rows deserve new splitting weights.
+    SpeedDrift,
+}
+
+/// Control-flow outcome of a policy interaction.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Flow {
+    /// Keep iterating.
+    Continue,
+    /// Global convergence was decided.
+    Converged,
+    /// A peer halted the run (budget exhaustion or failure elsewhere).
+    Halted,
+    /// The run must stop so the launcher can re-partition the bands
+    /// ([`FailurePolicy::Redistribute`] / speed-drift rebalancing).
+    Reshape(ReshapeReason),
+}
+
+/// What a send to a disconnected peer means.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum DeathRule {
+    /// Propagate the transport error (strict).
+    Fatal,
+    /// Broadcast [`Message::Halt`] to the surviving peers and abort the run
+    /// with a descriptive error — the lockstep failure response.
+    Halt,
+    /// Mark the peer dead and skip it — the free-running rule: a peer that
+    /// reached global convergence exits while slower ranks still send to it,
+    /// and the `GlobalConverged` it flushed on the way out is already queued
+    /// or in flight (see [`super::ConfirmationWaves`]).
+    Tolerate,
+    /// Mark the peer dead, broadcast [`Message::Reshape`] to the survivors
+    /// and surface [`Flow::Reshape`] from the drive loop — the elastic
+    /// failure response of [`FailurePolicy::Redistribute`].
+    Reshape,
+}
+
+/// How the runtime reacts to a rank death observed mid-solve.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum FailurePolicy {
+    /// Surface the raw transport error to the caller.
+    FailFast,
+    /// Probe silent peers with [`Message::Heartbeat`] every `heartbeat`
+    /// during blocking waits; on [`CommError::Disconnected`] broadcast
+    /// [`Message::Halt`] and fail fast instead of hanging until the peer
+    /// timeout.
+    HaltOnDeath {
+        /// Probe interval.
+        heartbeat: Duration,
+    },
+    /// Probe like [`FailurePolicy::HaltOnDeath`], but treat a detected death
+    /// as a request to reshape: the drive loop returns
+    /// [`Flow::Reshape`]`(`[`ReshapeReason::RankDeath`]`)` so the launcher
+    /// can re-derive band ownership over the survivors and resume from the
+    /// latest checkpoints instead of failing the job.
+    Redistribute {
+        /// Probe interval.
+        heartbeat: Duration,
+    },
+}
+
+impl Default for FailurePolicy {
+    fn default() -> Self {
+        FailurePolicy::HaltOnDeath {
+            heartbeat: Duration::from_secs(1),
+        }
+    }
+}
+
+impl FailurePolicy {
+    pub(super) fn death_rule(self) -> DeathRule {
+        match self {
+            FailurePolicy::FailFast => DeathRule::Fatal,
+            FailurePolicy::HaltOnDeath { .. } => DeathRule::Halt,
+            FailurePolicy::Redistribute { .. } => DeathRule::Reshape,
+        }
+    }
+
+    /// The heartbeat probe interval, when this policy probes at all.
+    pub(super) fn heartbeat(self) -> Option<Duration> {
+        match self {
+            FailurePolicy::FailFast => None,
+            FailurePolicy::HaltOnDeath { heartbeat }
+            | FailurePolicy::Redistribute { heartbeat } => Some(heartbeat),
+        }
+    }
+}
+
+/// The per-rank communication surface the policies act through: transport
+/// endpoint, fan-out targets, expected senders and the dead-peer set.
+pub struct RankLink<'a> {
+    transport: &'a dyn Transport,
+    rank: usize,
+    world: usize,
+    send_targets: &'a [usize],
+    senders_to_me: &'a [usize],
+    dead: Vec<bool>,
+    /// A reshape request raised by a [`DeathRule::Reshape`] send failure,
+    /// consumed by the drive loop via [`RankLink::take_reshape`].
+    pending_reshape: Option<ReshapeReason>,
+    /// Latest observed per-rank step times in microseconds (0 = unknown),
+    /// fed by [`Message::SpeedReport`] on rank 0.
+    speeds: Vec<u64>,
+}
+
+impl<'a> RankLink<'a> {
+    /// Builds the link for `rank` over `transport`.
+    pub fn new(
+        transport: &'a dyn Transport,
+        rank: usize,
+        send_targets: &'a [usize],
+        senders_to_me: &'a [usize],
+    ) -> Self {
+        let world = transport.num_ranks();
+        RankLink {
+            transport,
+            rank,
+            world,
+            send_targets,
+            senders_to_me,
+            dead: vec![false; world],
+            pending_reshape: None,
+            speeds: vec![0; world],
+        }
+    }
+
+    /// This rank.
+    pub fn rank(&self) -> usize {
+        self.rank
+    }
+
+    /// World size.
+    pub fn world(&self) -> usize {
+        self.world
+    }
+
+    /// The peers whose slices this rank waits for in lockstep mode.
+    pub fn senders_to_me(&self) -> &[usize] {
+        self.senders_to_me
+    }
+
+    /// Sends `msg` to `to` under the given death rule.
+    pub fn send_ruled(
+        &mut self,
+        to: usize,
+        msg: Message,
+        rule: DeathRule,
+    ) -> Result<(), CoreError> {
+        if self.dead[to] {
+            return Ok(());
+        }
+        match self.transport.send(self.rank, to, msg) {
+            Ok(()) => Ok(()),
+            Err(CommError::Disconnected { .. }) => {
+                self.dead[to] = true;
+                match rule {
+                    DeathRule::Fatal => Err(CoreError::Comm(CommError::Disconnected { rank: to })),
+                    DeathRule::Tolerate => Ok(()),
+                    DeathRule::Halt => {
+                        self.broadcast_halt();
+                        Err(CoreError::Distributed(format!(
+                            "rank {}: peer rank {to} disconnected mid-solve; halted the run",
+                            self.rank
+                        )))
+                    }
+                    DeathRule::Reshape => {
+                        self.raise_reshape(ReshapeReason::RankDeath(to));
+                        Ok(())
+                    }
+                }
+            }
+            Err(e) => Err(CoreError::Comm(e)),
+        }
+    }
+
+    /// Records a reshape request and announces it to the surviving peers
+    /// (best effort, first request wins).
+    pub(super) fn raise_reshape(&mut self, reason: ReshapeReason) {
+        if self.pending_reshape.is_some() {
+            return;
+        }
+        self.pending_reshape = Some(reason);
+        let note = Message::Reshape {
+            from: self.rank,
+            dead_rank: match reason {
+                ReshapeReason::RankDeath(r) => Some(r),
+                ReshapeReason::SpeedDrift => None,
+            },
+        };
+        for to in 0..self.world {
+            if to != self.rank && !self.dead[to] {
+                if let Err(CommError::Disconnected { .. }) =
+                    self.transport.send(self.rank, to, note.clone())
+                {
+                    self.dead[to] = true;
+                }
+            }
+        }
+    }
+
+    /// Consumes a pending reshape request raised by a failed send or a
+    /// liveness probe under [`DeathRule::Reshape`].
+    pub fn take_reshape(&mut self) -> Option<ReshapeReason> {
+        self.pending_reshape.take()
+    }
+
+    /// Records an observed step time for `rank` (rank 0's rebalancing input).
+    pub fn note_speed(&mut self, rank: usize, step_micros: u64) {
+        if rank < self.speeds.len() {
+            self.speeds[rank] = step_micros;
+        }
+    }
+
+    /// Latest observed per-rank step times in microseconds (0 = unknown).
+    pub fn observed_speeds(&self) -> &[u64] {
+        &self.speeds
+    }
+
+    /// Number of peers observed dead so far.
+    pub fn dead_count(&self) -> usize {
+        self.dead.iter().filter(|&&d| d).count()
+    }
+
+    /// The ranks observed dead so far.
+    pub fn dead_ranks(&self) -> Vec<usize> {
+        (0..self.world).filter(|&r| self.dead[r]).collect()
+    }
+
+    /// Fans `msg` out to every send target.
+    pub fn fan_out(&mut self, msg: Message, rule: DeathRule) -> Result<(), CoreError> {
+        // Iterate over a copied target list so `send_ruled` can borrow self.
+        for i in 0..self.send_targets.len() {
+            let to = self.send_targets[i];
+            self.send_ruled(to, msg.clone(), rule)?;
+        }
+        Ok(())
+    }
+
+    /// Best-effort [`Message::Halt`] to every live peer.  Idempotent and
+    /// death-tolerant by construction: errors are swallowed and disconnected
+    /// peers (e.g. a converged rank that already exited) are skipped.
+    pub fn broadcast_halt(&mut self) {
+        for to in 0..self.world {
+            if to != self.rank && !self.dead[to] {
+                if let Err(CommError::Disconnected { .. }) =
+                    self.transport.send(self.rank, to, Message::Halt)
+                {
+                    self.dead[to] = true;
+                }
+            }
+        }
+    }
+
+    /// Probes every live peer with a heartbeat; a disconnected peer triggers
+    /// the failure response of `rule` (halt-and-abort for lockstep
+    /// [`FailurePolicy::HaltOnDeath`], a pending reshape for
+    /// [`FailurePolicy::Redistribute`], silent marking for the free-running
+    /// tolerate-then-verify path).
+    pub(super) fn probe_liveness(&mut self, rule: DeathRule) -> Result<(), CoreError> {
+        for to in 0..self.world {
+            if to != self.rank && !self.dead[to] {
+                let probe = Message::Heartbeat { from: self.rank };
+                self.send_ruled(to, probe, rule)?;
+            }
+        }
+        Ok(())
+    }
+
+    /// Non-blocking receive on this rank's inbox.
+    pub fn try_recv(&self) -> Result<Option<Message>, CommError> {
+        self.transport.try_recv(self.rank)
+    }
+
+    /// Blocking receive with a timeout on this rank's inbox.
+    pub fn recv_timeout(&self, timeout: Duration) -> Result<Message, CommError> {
+        self.transport.recv_timeout(self.rank, timeout)
+    }
+}

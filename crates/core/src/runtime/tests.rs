@@ -1,0 +1,475 @@
+use super::*;
+use crate::decomposition::Decomposition;
+use crate::solver::{ExecutionMode, MultisplittingConfig, MultisplittingSolver, SolveOutcome};
+use crate::weighting::WeightingScheme;
+use crate::CoreError;
+use msplit_comm::message::Message;
+use msplit_comm::transport::Transport;
+use msplit_comm::CommError;
+use msplit_comm::InProcTransport;
+use msplit_direct::SolverKind;
+use msplit_sparse::generators;
+
+#[test]
+fn vote_board_requires_full_confirmation_waves() {
+    let mut b = VoteBoard::new(2, 2);
+    assert!(!b.record(0, true));
+    assert!(!b.record(1, true)); // all true -> wave 1 starts, rank1 confirmed
+    assert!(!b.record(0, true)); // wave 1 complete
+    assert!(!b.record(1, true));
+    assert!(b.record(0, true)); // wave 2 complete -> global
+    assert!(b.is_global());
+    // Latched: later dissent is ignored.
+    assert!(b.record(1, false));
+}
+
+#[test]
+fn vote_board_resets_on_dissent() {
+    let mut b = VoteBoard::new(2, 1);
+    b.record(0, true);
+    b.record(1, true); // wave started, rank1 confirmed
+    b.record(1, false); // dissent resets everything
+    assert!(!b.is_global());
+    b.record(1, true);
+    assert!(!b.is_global()); // fresh wave: rank1 confirmed, rank0 pending
+    assert!(b.record(0, true));
+}
+
+#[test]
+fn increment_vote_windows() {
+    let obs = |increment: f64, dep_change: f64| StepObservation {
+        iteration: 1,
+        increment,
+        dep_change,
+        fresh_data: true,
+        needs_fresh_data: true,
+    };
+    // Lockstep: one below-tolerance increment suffices; dep_change is
+    // not folded in.
+    let mut lock = IncrementVote::lockstep(1e-8);
+    assert!(!lock.vote(&obs(1.0, 0.0)));
+    assert!(lock.vote(&obs(1e-9, 5.0)));
+    // Free-running: 2-iteration window over max(increment, dep_change).
+    let mut free = IncrementVote::free_running(1e-8);
+    assert!(!free.vote(&obs(1e-9, 0.0)));
+    assert!(free.vote(&obs(1e-9, 0.0)));
+    assert!(!free.vote(&obs(1e-9, 1.0))); // moving inputs reset the window
+    assert!(!free.vote(&obs(1e-9, 0.0)));
+    assert!(free.vote(&obs(1e-9, 0.0)));
+}
+
+#[test]
+fn stale_sweep_guard_vetoes_without_fresh_data() {
+    let mut guarded = StaleSweepGuard::new(IncrementVote::lockstep(1e-8), 1e-8);
+    let mut obs = StepObservation {
+        iteration: 1,
+        increment: 1e-9,
+        dep_change: 0.0,
+        fresh_data: false,
+        needs_fresh_data: true,
+    };
+    // Tiny increment but no fresh data: a sweep over in-flight slices.
+    assert!(!guarded.vote(&obs));
+    obs.fresh_data = true;
+    assert!(guarded.vote(&obs));
+    // Moving dependency values veto too.
+    obs.dep_change = 1.0;
+    assert!(!guarded.vote(&obs));
+    // A rank without dependencies converges without ever receiving data.
+    obs.dep_change = 0.0;
+    obs.fresh_data = false;
+    obs.needs_fresh_data = false;
+    assert!(guarded.vote(&obs));
+}
+
+#[test]
+fn broadcast_halt_is_idempotent_and_death_tolerant() {
+    let transport = InProcTransport::new(3);
+    transport.close_rank(1).unwrap();
+    let targets = [1usize, 2usize];
+    let mut link = RankLink::new(transport.as_ref(), 0, &targets, &[]);
+    // Two broadcasts with one peer dead: no error, no panic, and the
+    // live peer sees at most the two halts.
+    link.broadcast_halt();
+    link.broadcast_halt();
+    assert_eq!(transport.try_recv(2).unwrap(), Some(Message::Halt));
+    assert_eq!(transport.try_recv(2).unwrap(), Some(Message::Halt));
+    assert_eq!(transport.try_recv(2).unwrap(), None);
+    // Tolerate: a data send to the dead rank is skipped silently.
+    link.send_ruled(1, Message::Halt, DeathRule::Tolerate)
+        .unwrap();
+    // Fatal: surfaced as a comm error (dead set short-circuits to Ok, so
+    // use a fresh link).
+    let mut fresh = RankLink::new(transport.as_ref(), 0, &targets, &[]);
+    assert!(matches!(
+        fresh.send_ruled(1, Message::Halt, DeathRule::Fatal),
+        Err(CoreError::Comm(CommError::Disconnected { rank: 1 }))
+    ));
+}
+
+#[test]
+fn single_part_engine_matches_direct_solve() {
+    // One band, no dependencies: the engine's first step is the direct
+    // solve, bitwise.
+    let a = generators::tridiagonal(40, 4.0, -1.0);
+    let (_, b) = generators::rhs_for_solution(&a, |i| (i % 5) as f64);
+    let d = Decomposition::uniform(&a, &b, 1, 0).unwrap();
+    let partition = d.partition().clone();
+    let (_, blocks) = d.into_blocks();
+    let solver = SolverKind::SparseLu.build();
+    let factor = solver.factorize(&blocks[0].a_sub).unwrap();
+    let mut ws = IterationWorkspace::new();
+    let mut engine = RankEngine::single(
+        &partition,
+        &blocks[0],
+        &blocks[0].b_sub,
+        factor.as_ref(),
+        WeightingScheme::OwnerTakes,
+        &mut ws,
+    );
+    let obs = engine.step().unwrap();
+    assert_eq!(obs.iteration, 1);
+    assert!(!obs.needs_fresh_data);
+    let direct = factor.solve(&blocks[0].b_sub).unwrap();
+    assert_eq!(engine.x_local(), direct.as_slice());
+}
+
+#[test]
+fn engine_replay_reproduces_ingest_and_steps() {
+    let a = generators::tridiagonal(30, 4.0, -1.0);
+    let (_, b) = generators::rhs_for_solution(&a, |i| i as f64);
+    let d = Decomposition::uniform(&a, &b, 3, 0).unwrap();
+    let partition = d.partition().clone();
+    let (_, blocks) = d.into_blocks();
+    let solver = SolverKind::SparseLu.build();
+    let blk = &blocks[1];
+    let factor = solver.factorize(&blk.a_sub).unwrap();
+    let slice = Message::Solution {
+        from: 0,
+        iteration: 1,
+        offset: 0,
+        values: vec![0.25; blocks[0].size],
+    };
+
+    let mut ws = IterationWorkspace::new();
+    let mut live = RankEngine::single(
+        &partition,
+        blk,
+        &blk.b_sub,
+        factor.as_ref(),
+        WeightingScheme::OwnerTakes,
+        &mut ws,
+    );
+    live.record_events();
+    live.step().unwrap();
+    assert!(live.ingest(slice.clone()));
+    live.step().unwrap();
+    let log = live.take_event_log().unwrap();
+    assert_eq!(log.events.len(), 3);
+    let live_x = live.x_local().to_vec();
+
+    let mut ws2 = IterationWorkspace::new();
+    let mut twin = RankEngine::single(
+        &partition,
+        blk,
+        &blk.b_sub,
+        factor.as_ref(),
+        WeightingScheme::OwnerTakes,
+        &mut ws2,
+    );
+    twin.replay(&log).unwrap();
+    assert_eq!(twin.iterations(), 2);
+    assert_eq!(twin.x_local(), live_x.as_slice());
+}
+
+#[test]
+fn outgoing_encoded_len_matches_the_codec() {
+    let a = generators::tridiagonal(30, 4.0, -1.0);
+    let b = vec![1.0; 30];
+    let d = Decomposition::uniform(&a, &b, 3, 0).unwrap();
+    let partition = d.partition().clone();
+    let (_, blocks) = d.into_blocks();
+    let solver = SolverKind::SparseLu.build();
+    let blk = &blocks[1];
+    let factor = solver.factorize(&blk.a_sub).unwrap();
+    let mut ws = IterationWorkspace::new();
+    let engine = RankEngine::single(
+        &partition,
+        blk,
+        &blk.b_sub,
+        factor.as_ref(),
+        WeightingScheme::OwnerTakes,
+        &mut ws,
+    );
+    assert_eq!(
+        engine.outgoing_encoded_len(),
+        engine.outgoing().encoded_len()
+    );
+    let mut ws2 = IterationWorkspace::new();
+    let cols: Vec<&[f64]> = vec![&blk.b_sub, &blk.b_sub];
+    let batch = RankEngine::batch(
+        &partition,
+        blk,
+        cols,
+        factor.as_ref(),
+        WeightingScheme::OwnerTakes,
+        &mut ws2,
+    );
+    assert_eq!(batch.outgoing_encoded_len(), batch.outgoing().encoded_len());
+}
+
+#[test]
+fn stale_slices_are_not_fresh_data() {
+    let a = generators::tridiagonal(30, 4.0, -1.0);
+    let b = vec![1.0; 30];
+    let d = Decomposition::uniform(&a, &b, 3, 0).unwrap();
+    let partition = d.partition().clone();
+    let (_, blocks) = d.into_blocks();
+    let solver = SolverKind::SparseLu.build();
+    let blk = &blocks[1];
+    let factor = solver.factorize(&blk.a_sub).unwrap();
+    let mut ws = IterationWorkspace::new();
+    let mut engine = RankEngine::single(
+        &partition,
+        blk,
+        &blk.b_sub,
+        factor.as_ref(),
+        WeightingScheme::OwnerTakes,
+        &mut ws,
+    );
+    let slice = |iter: u64| Message::Solution {
+        from: 0,
+        iteration: iter,
+        offset: 0,
+        values: vec![1.0; blocks[0].size],
+    };
+    assert!(engine.ingest(slice(5)));
+    // Older than what is already stored: discarded, not fresh.
+    assert!(!engine.ingest(slice(3)));
+    // Control messages are never fresh data.
+    assert!(!engine.ingest(Message::Halt));
+}
+
+// ----- threaded-adapter behavior (moved here from the deprecated
+// ----- sync_driver / async_driver shim modules when they were removed)
+
+fn adapter_config(parts: usize, overlap: usize, mode: ExecutionMode) -> MultisplittingConfig {
+    MultisplittingConfig {
+        parts,
+        overlap,
+        tolerance: 1e-10,
+        max_iterations: if mode == ExecutionMode::Asynchronous {
+            50_000
+        } else {
+            2000
+        },
+        mode,
+        ..Default::default()
+    }
+}
+
+fn solve(
+    a: &msplit_sparse::CsrMatrix,
+    b: &[f64],
+    cfg: &MultisplittingConfig,
+) -> Result<SolveOutcome, CoreError> {
+    MultisplittingSolver::new(cfg.clone()).solve(a, b)
+}
+
+fn max_err(a: &[f64], b: &[f64]) -> f64 {
+    a.iter()
+        .zip(b.iter())
+        .fold(0.0f64, |m, (x, y)| m.max((x - y).abs()))
+}
+
+#[test]
+fn sync_solve_matches_true_solution() {
+    let a = generators::diag_dominant(&generators::DiagDominantConfig {
+        n: 300,
+        seed: 12,
+        ..Default::default()
+    });
+    let (x_true, b) = generators::rhs_for_solution(&a, |i| ((i % 13) as f64) - 6.0);
+    let cfg = adapter_config(4, 0, ExecutionMode::Synchronous);
+    let out = solve(&a, &b, &cfg).unwrap();
+    assert!(out.converged);
+    assert!(max_err(&out.x, &x_true) < 1e-7, "error too large");
+    assert!(out.residual(&a, &b) < 1e-6);
+    assert_eq!(out.part_reports.len(), 4);
+    assert!(out.iterations >= 2);
+    // every part ran the same number of iterations in synchronous mode
+    assert!(out.iterations_per_part.iter().all(|&i| i == out.iterations));
+}
+
+#[test]
+fn sync_solve_agrees_with_sequential_reference() {
+    let a = generators::cage_like(200, 31);
+    let (_, b) = generators::rhs_for_solution(&a, |i| (i as f64 * 0.3).sin());
+    let cfg = adapter_config(3, 0, ExecutionMode::Synchronous);
+    let threaded = solve(&a, &b, &cfg).unwrap();
+    let sequential = crate::sequential::solve_sequential(
+        &a,
+        &b,
+        3,
+        0,
+        WeightingScheme::OwnerTakes,
+        SolverKind::SparseLu,
+        1e-10,
+        2000,
+    )
+    .unwrap();
+    assert!(threaded.converged && sequential.converged);
+    assert!(max_err(&threaded.x, &sequential.x) < 1e-8);
+    // The threaded Jacobi sweep and the sequential Jacobi sweep perform
+    // the same iteration, so the counts should be very close.
+    assert!(
+        (threaded.iterations as i64 - sequential.iterations as i64).abs() <= 2,
+        "threaded {} vs sequential {}",
+        threaded.iterations,
+        sequential.iterations
+    );
+}
+
+#[test]
+fn sync_solve_with_overlap_and_every_scheme() {
+    let a = generators::spectral_radius_targeted(240, 0.9);
+    let (x_true, b) = generators::rhs_for_solution(&a, |i| 1.0 + (i % 4) as f64);
+    for scheme in WeightingScheme::all() {
+        let mut cfg = adapter_config(3, 8, ExecutionMode::Synchronous);
+        cfg.weighting = scheme;
+        let out = solve(&a, &b, &cfg).unwrap();
+        assert!(out.converged, "{scheme:?}");
+        assert!(max_err(&out.x, &x_true) < 1e-6, "{scheme:?}");
+    }
+}
+
+#[test]
+fn sync_reports_non_convergence_within_budget() {
+    let a = generators::spectral_radius_targeted(100, 0.99);
+    let (_, b) = generators::rhs_for_solution(&a, |i| i as f64);
+    let mut cfg = adapter_config(4, 0, ExecutionMode::Synchronous);
+    cfg.max_iterations = 3;
+    let out = solve(&a, &b, &cfg).unwrap();
+    assert!(!out.converged);
+    assert_eq!(out.iterations, 3);
+}
+
+/// A 12×12 system whose row 5 is empty, so the middle of three diagonal
+/// blocks is singular.
+fn singular_system() -> (msplit_sparse::CsrMatrix, Vec<f64>) {
+    let mut builder = msplit_sparse::TripletBuilder::square(12);
+    for i in 0..12usize {
+        if i != 5 {
+            builder.push(i, i, 4.0).unwrap();
+            if i > 0 {
+                builder.push(i, i - 1, -1.0).unwrap();
+            }
+        }
+    }
+    (builder.build_csr(), vec![1.0; 12])
+}
+
+#[test]
+fn transport_rank_mismatch_is_rejected() {
+    // The mismatch is reported before any factorization: on a system whose
+    // factorization fails, the error is still the mismatch.
+    let (a, b) = singular_system();
+    let cfg = adapter_config(3, 0, ExecutionMode::Synchronous);
+    let transport = InProcTransport::new(2);
+    assert!(matches!(
+        MultisplittingSolver::new(cfg).solve_with_transport(&a, &b, transport),
+        Err(CoreError::Decomposition(_))
+    ));
+}
+
+#[test]
+fn singular_block_fails_before_any_communication() {
+    let (a, b) = singular_system();
+    let cfg = adapter_config(3, 0, ExecutionMode::Synchronous);
+    assert!(matches!(solve(&a, &b, &cfg), Err(CoreError::Direct(_))));
+}
+
+#[test]
+fn heterogeneous_band_sizes_still_converge() {
+    let a = generators::diag_dominant(&generators::DiagDominantConfig {
+        n: 250,
+        seed: 77,
+        ..Default::default()
+    });
+    let (x_true, b) = generators::rhs_for_solution(&a, |i| (i % 6) as f64);
+    let mut cfg = adapter_config(4, 0, ExecutionMode::Synchronous);
+    cfg.relative_speeds = vec![1.0, 1.5, 1.2, 1.0];
+    let out = solve(&a, &b, &cfg).unwrap();
+    assert!(out.converged);
+    assert!(max_err(&out.x, &x_true) < 1e-7);
+}
+
+#[test]
+fn async_solve_matches_true_solution() {
+    let a = generators::diag_dominant(&generators::DiagDominantConfig {
+        n: 300,
+        seed: 21,
+        ..Default::default()
+    });
+    let (x_true, b) = generators::rhs_for_solution(&a, |i| ((i % 10) as f64) - 5.0);
+    let cfg = adapter_config(4, 0, ExecutionMode::Asynchronous);
+    let out = solve(&a, &b, &cfg).unwrap();
+    assert!(out.converged, "async run did not converge");
+    assert!(max_err(&out.x, &x_true) < 1e-6);
+    assert!(out.residual(&a, &b) < 1e-5);
+    assert_eq!(out.mode, ExecutionMode::Asynchronous);
+}
+
+#[test]
+fn async_agrees_with_sync_result() {
+    let a = generators::cage_like(250, 41);
+    let (_, b) = generators::rhs_for_solution(&a, |i| (i as f64 * 0.2).cos());
+    let async_cfg = adapter_config(3, 0, ExecutionMode::Asynchronous);
+    let async_out = solve(&a, &b, &async_cfg).unwrap();
+    let sync_cfg = adapter_config(3, 0, ExecutionMode::Synchronous);
+    let sync_out = solve(&a, &b, &sync_cfg).unwrap();
+    assert!(async_out.converged && sync_out.converged);
+    assert!(max_err(&async_out.x, &sync_out.x) < 1e-6);
+}
+
+#[test]
+fn async_tolerates_modelled_wan_delays() {
+    // Run the asynchronous solver over a transport that injects (scaled)
+    // cluster3 WAN delays; it must still converge to the right answer.
+    let a = generators::diag_dominant(&generators::DiagDominantConfig {
+        n: 200,
+        seed: 5,
+        ..Default::default()
+    });
+    let (x_true, b) = generators::rhs_for_solution(&a, |i| (i % 5) as f64);
+    let cfg = adapter_config(10, 0, ExecutionMode::Asynchronous);
+    let inner = InProcTransport::new(10);
+    let delayed = msplit_comm::DelayedTransport::new(inner, msplit_grid::cluster::cluster3(), 1e-3);
+    let out = MultisplittingSolver::new(cfg)
+        .solve_with_transport(&a, &b, delayed)
+        .unwrap();
+    assert!(out.converged);
+    assert!(max_err(&out.x, &x_true) < 1e-6);
+}
+
+#[test]
+fn async_respects_iteration_budget() {
+    let a = generators::spectral_radius_targeted(150, 0.995);
+    let (_, b) = generators::rhs_for_solution(&a, |i| i as f64);
+    let mut cfg = adapter_config(3, 0, ExecutionMode::Asynchronous);
+    cfg.max_iterations = 5;
+    let out = solve(&a, &b, &cfg).unwrap();
+    assert!(!out.converged);
+    assert!(out.iterations <= 5);
+}
+
+#[test]
+fn async_with_overlap_and_averaging_converges() {
+    let a = generators::spectral_radius_targeted(300, 0.9);
+    let (x_true, b) = generators::rhs_for_solution(&a, |i| (i % 7) as f64);
+    let mut cfg = adapter_config(3, 10, ExecutionMode::Asynchronous);
+    cfg.weighting = WeightingScheme::Average;
+    let out = solve(&a, &b, &cfg).unwrap();
+    assert!(out.converged);
+    assert!(max_err(&out.x, &x_true) < 1e-6);
+}

@@ -12,24 +12,25 @@
 //! [`SimTransport`] with per-rank in-memory inboxes that additionally counts
 //! control/data traffic and records the coordinator's peak inbox depth — the
 //! quantities the perf-report `convergence` table gates on.  Everything a
-//! protocol does (who votes to whom, when aggregates go up the tree, when a
-//! decentralized rank declares) is the production policy code, driven through
-//! the same `submit`/`observe`/`waiting`/`resolve` sequence as the blocking
-//! drive loop, just non-blockingly:
+//! protocol does (who votes to whom, when aggregates go up the tree, when
+//! the coordinator latches a wave) is the production policy code, driven
+//! through the same `submit`/`observe`/`waiting`/`resolve` sequence as the
+//! blocking drive loop, just non-blockingly:
 //!
-//! * **Lockstep family** ([`Protocol::Lockstep`], [`Protocol::Tree`]): each
-//!   visit performs at most one engine step and then replays the
-//!   barrier-equivalent wait of [`Lockstep`](crate::runtime::Lockstep) as a
-//!   resumable state machine (pending dependency slices, deferred
-//!   future-iteration frames, policy wait + resolve).  Because the barrier
-//!   makes lockstep iterates schedule-independent, every seed produces the
-//!   same bitwise solution — which is exactly what lets tests pin
-//!   [`TreeVotes`] against [`LockstepVotes`] bitwise at scale.
-//! * **Free-running family** ([`Protocol::Waves`],
-//!   [`Protocol::Decentralized`]): each visit drains the inbox (data to the
-//!   engine, control to the policy) and performs one step, mirroring
-//!   [`FreeRunning`](crate::runtime::FreeRunning) without the idle backoff
-//!   and heartbeat machinery (no clock, no thread can die).
+//! * **Lockstep** ([`Protocol::Tree`]): each visit performs at most one
+//!   engine step and then replays the barrier-equivalent wait of
+//!   [`Lockstep`](crate::runtime::Lockstep) as a resumable state machine
+//!   (pending dependency slices, deferred future-iteration frames, policy
+//!   wait + resolve).  Because the barrier makes lockstep iterates
+//!   schedule-independent, every seed produces the same bitwise solution —
+//!   which is exactly what lets tests pin [`TreeVotes`] bitwise across
+//!   fan-ins at scale.  The fan-in is explicit *here only* (the drivers
+//!   always run [`VOTE_TREE_ARITY`]), so flat voting — fan-in `ranks − 1`,
+//!   the root collects every vote — can be compared against the tree.
+//! * **Free-running** ([`Protocol::Waves`]): each visit drains the inbox
+//!   (data to the engine, control to the policy) and performs one step,
+//!   mirroring [`FreeRunning`](crate::runtime::FreeRunning) without the idle
+//!   backoff and heartbeat machinery (no clock, no thread can die).
 //!
 //! Entry point: [`simulate_ranks`] (also re-exported as
 //! `runtime::simulate_ranks`), returning a [`ScaleReport`] with the solution,
@@ -38,8 +39,8 @@
 use crate::decomposition::Decomposition;
 use crate::runtime::{
     data_meta, factorize_blocks, fresh_workspaces, mark_slice, receive_sources, ConfirmationWaves,
-    ConvergencePolicy, DecentralizedWaves, EventLog, FailurePolicy, Flow, IncrementVote, LocalVote,
-    LockstepVotes, RankEngine, RankLink, StaleSweepGuard, TreeVotes,
+    ConvergencePolicy, EventLog, FailurePolicy, Flow, IncrementVote, LocalVote, RankEngine,
+    RankLink, StaleSweepGuard, TreeVotes, VOTE_TREE_ARITY,
 };
 use crate::solver::MultisplittingConfig;
 use crate::CoreError;
@@ -55,11 +56,10 @@ use std::time::Duration;
 /// Which convergence-detection protocol the simulated ranks run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Protocol {
-    /// Flat centralized lockstep votes ([`LockstepVotes`]).
-    Lockstep,
-    /// Tree-aggregated lockstep votes ([`TreeVotes`]).
+    /// Lockstep votes aggregated up a reduction tree ([`TreeVotes`]).
     Tree {
-        /// Reduction-tree arity (clamped to at least 2).
+        /// Fan-in of the tree (clamped to at least 2): [`VOTE_TREE_ARITY`]
+        /// is what every driver runs, `ranks − 1` is [`Protocol::flat`].
         arity: usize,
     },
     /// Free-running confirmation waves through rank 0 ([`ConfirmationWaves`]).
@@ -67,27 +67,18 @@ pub enum Protocol {
         /// Complete confirmation waves required to latch global convergence.
         confirmations: u64,
     },
-    /// Coordinator-free decentralized detection ([`DecentralizedWaves`]).
-    Decentralized {
-        /// Consecutive locally-converged iterations per rank's window.
-        stability_period: u64,
-    },
 }
 
 impl Protocol {
-    /// Whether this protocol runs under the barrier-equivalent lockstep wait.
-    pub fn is_lockstep(self) -> bool {
-        matches!(self, Protocol::Lockstep | Protocol::Tree { .. })
+    /// Flat lockstep voting among `ranks` ranks: the tree whose root has
+    /// every other rank as a child, i.e. collects every vote itself.
+    pub fn flat(ranks: usize) -> Self {
+        Protocol::Tree { arity: ranks - 1 }
     }
 
-    /// Short stable label for reports and artifacts.
-    pub fn label(self) -> &'static str {
-        match self {
-            Protocol::Lockstep => "lockstep",
-            Protocol::Tree { .. } => "tree",
-            Protocol::Waves { .. } => "waves",
-            Protocol::Decentralized { .. } => "decentralized",
-        }
+    /// Whether this protocol runs under the barrier-equivalent lockstep wait.
+    pub fn is_lockstep(self) -> bool {
+        matches!(self, Protocol::Tree { .. })
     }
 }
 
@@ -118,7 +109,9 @@ impl Default for ScaleConfig {
             rows_per_rank: 4,
             tolerance: 1e-8,
             max_iterations: 10_000,
-            protocol: Protocol::Lockstep,
+            protocol: Protocol::Tree {
+                arity: VOTE_TREE_ARITY,
+            },
             seed: 1,
             record_events: false,
         }
@@ -179,12 +172,8 @@ impl ScaleReport {
     pub fn event_summary(&self) -> String {
         let mut out = String::new();
         out.push_str(&format!(
-            "protocol={} world={} converged={} iterations={} sweeps={}\n",
-            self.protocol.label(),
-            self.world,
-            self.converged,
-            self.iterations,
-            self.sweeps
+            "protocol={:?} world={} converged={} iterations={} sweeps={}\n",
+            self.protocol, self.world, self.converged, self.iterations, self.sweeps
         ));
         out.push_str(&format!(
             "coordinator: inbox_peak={} control_in={} control_out={} msgs_per_decision={:.2}\n",
@@ -656,13 +645,11 @@ pub fn simulate_ranks(config: &ScaleConfig) -> Result<ScaleReport, CoreError> {
     let mut convs: Vec<Box<dyn ConvergencePolicy>> = (0..world)
         .map(|r| -> Box<dyn ConvergencePolicy> {
             match config.protocol {
-                Protocol::Lockstep => Box::new(LockstepVotes::new(r, world, failure)),
-                Protocol::Tree { arity } => Box::new(TreeVotes::new(r, world, arity, failure)),
+                Protocol::Tree { arity } => {
+                    Box::new(TreeVotes::with_arity(r, world, arity, failure))
+                }
                 Protocol::Waves { confirmations } => {
                     Box::new(ConfirmationWaves::new(r, world, confirmations))
-                }
-                Protocol::Decentralized { stability_period } => {
-                    Box::new(DecentralizedWaves::new(r, world, stability_period))
                 }
             }
         })
@@ -746,14 +733,18 @@ mod tests {
 
     #[test]
     fn lockstep_converges_at_64_ranks() {
-        let report = simulate_ranks(&config(64, Protocol::Lockstep)).unwrap();
+        let report = simulate_ranks(&ScaleConfig {
+            ranks: 64,
+            ..Default::default()
+        })
+        .unwrap();
         assert!(report.converged);
         assert!(max_err(&report.x) < 1e-6, "err {}", max_err(&report.x));
     }
 
     #[test]
     fn tree_matches_lockstep_bitwise_at_64_ranks() {
-        let flat = simulate_ranks(&config(64, Protocol::Lockstep)).unwrap();
+        let flat = simulate_ranks(&config(64, Protocol::flat(64))).unwrap();
         let tree = simulate_ranks(&config(64, Protocol::Tree { arity: 4 })).unwrap();
         assert!(tree.converged);
         assert_eq!(flat.iterations, tree.iterations);
@@ -762,7 +753,7 @@ mod tests {
 
     #[test]
     fn tree_cuts_coordinator_load() {
-        let flat = simulate_ranks(&config(64, Protocol::Lockstep)).unwrap();
+        let flat = simulate_ranks(&config(64, Protocol::flat(64))).unwrap();
         let tree = simulate_ranks(&config(64, Protocol::Tree { arity: 4 })).unwrap();
         // Flat: 2·(P−1) coordinator messages per decision; arity-4 tree: 8.
         assert!(
@@ -772,22 +763,23 @@ mod tests {
             tree.coordinator_msgs_per_decision()
         );
         assert!(tree.coordinator_inbox_peak <= flat.coordinator_inbox_peak);
+        // The production fan-in bounds the root's load by 2·VOTE_TREE_ARITY.
+        let production = simulate_ranks(&ScaleConfig {
+            ranks: 64,
+            ..Default::default()
+        })
+        .unwrap();
+        assert_eq!(
+            production.coordinator_msgs_per_decision(),
+            2.0 * VOTE_TREE_ARITY as f64
+        );
     }
 
     #[test]
-    fn waves_and_decentralized_converge_at_64_ranks() {
+    fn waves_converge_at_64_ranks() {
         let waves = simulate_ranks(&config(64, Protocol::Waves { confirmations: 3 })).unwrap();
         assert!(waves.converged);
         assert!(max_err(&waves.x) < 1e-6);
-        let decen = simulate_ranks(&config(
-            64,
-            Protocol::Decentralized {
-                stability_period: 3,
-            },
-        ))
-        .unwrap();
-        assert!(decen.converged);
-        assert!(max_err(&decen.x) < 1e-6);
     }
 
     #[test]

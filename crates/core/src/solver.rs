@@ -7,6 +7,7 @@
 //! work profiles consumed by the grid performance model.
 
 use crate::decomposition::Decomposition;
+use crate::prepared::PreparedSystem;
 use crate::runtime;
 use crate::runtime::SolvePathStats;
 use crate::weighting::WeightingScheme;
@@ -16,6 +17,7 @@ use msplit_direct::{FactorStats, SolverKind};
 use msplit_grid::perf::WorkProfile;
 use msplit_sparse::CsrMatrix;
 use std::sync::Arc;
+use std::time::Instant;
 
 /// Synchronous (iteration-lockstep, MPI-like) or asynchronous (free-running,
 /// AIAC / Corba-like) execution.
@@ -92,6 +94,24 @@ pub struct MultisplittingConfig {
     /// Outer iteration method (stationary sweep, preconditioned Richardson,
     /// or FGMRES with the sweep as a flexible preconditioner).
     pub method: Method,
+}
+
+impl MultisplittingConfig {
+    /// Builds the band decomposition this configuration asks for: uniform
+    /// bands, or bands sized by `relative_speeds` (one speed per part).
+    pub(crate) fn decompose(&self, a: &CsrMatrix, b: &[f64]) -> Result<Decomposition, CoreError> {
+        if self.relative_speeds.is_empty() {
+            return Decomposition::uniform(a, b, self.parts, self.overlap);
+        }
+        if self.relative_speeds.len() != self.parts {
+            return Err(CoreError::Decomposition(format!(
+                "{} relative speeds given for {} parts",
+                self.relative_speeds.len(),
+                self.parts
+            )));
+        }
+        Decomposition::balanced_for_speeds(a, b, &self.relative_speeds, self.overlap)
+    }
 }
 
 impl Default for MultisplittingConfig {
@@ -348,31 +368,15 @@ impl MultisplittingSolver {
 
     /// Builds the decomposition for a given system.
     pub fn decompose(&self, a: &CsrMatrix, b: &[f64]) -> Result<Decomposition, CoreError> {
-        if self.config.relative_speeds.is_empty() {
-            Decomposition::uniform(a, b, self.config.parts, self.config.overlap)
-        } else {
-            if self.config.relative_speeds.len() != self.config.parts {
-                return Err(CoreError::Decomposition(format!(
-                    "{} relative speeds given for {} parts",
-                    self.config.relative_speeds.len(),
-                    self.config.parts
-                )));
-            }
-            Decomposition::balanced_for_speeds(
-                a,
-                b,
-                &self.config.relative_speeds,
-                self.config.overlap,
-            )
-        }
+        self.config.decompose(a, b)
     }
 
     /// Prepares the system once — decomposition, per-block factorizations and
     /// send-target maps — so that any number of right-hand sides can be
     /// served afterwards without refactorizing (the paper's factorize-once
     /// observation, lifted to an API boundary).
-    pub fn prepare(&self, a: &CsrMatrix) -> Result<crate::prepared::PreparedSystem, CoreError> {
-        crate::prepared::PreparedSystem::prepare(self.config.clone(), a)
+    pub fn prepare(&self, a: &CsrMatrix) -> Result<PreparedSystem, CoreError> {
+        PreparedSystem::prepare(self.config.clone(), a)
     }
 
     /// Solves `A x = b` using the in-process transport.
@@ -382,26 +386,28 @@ impl MultisplittingSolver {
     }
 
     /// Solves `A x = b` over an explicit transport (e.g. a
-    /// [`msplit_comm::DelayedTransport`] modelling a distant cluster).
+    /// [`msplit_comm::DelayedTransport`] modelling a distant cluster): one
+    /// [`PreparedSystem::prepare`] followed by one
+    /// [`PreparedSystem::solve_with_transport`], so a cold solve is bitwise
+    /// the warm one.  The reported `wall_seconds` includes the factorization.
+    ///
+    /// The Krylov methods run their outer loop in the calling thread and
+    /// ignore `transport` (see [`PreparedSystem::solve_with_transport`]).
     pub fn solve_with_transport(
         &self,
         a: &CsrMatrix,
         b: &[f64],
         transport: Arc<dyn Transport>,
     ) -> Result<SolveOutcome, CoreError> {
-        match self.config.method {
-            Method::Stationary => {
-                let decomposition = self.decompose(a, b)?;
-                runtime::solve_threaded(decomposition, &self.config, transport)
-            }
-            // The Krylov outer loops are sequential over the assembled sweep
-            // (the parallelism lives inside the preconditioner apply), so
-            // they route through the prepared path and ignore the transport.
-            Method::Richardson { .. } | Method::Fgmres { .. } => {
-                let prepared = crate::prepared::PreparedSystem::prepare(self.config.clone(), a)?;
-                prepared.solve(b)
-            }
+        let start = Instant::now();
+        if self.config.method == Method::Stationary {
+            // A mis-sized transport fails before the expensive factorizations.
+            runtime::check_transport_ranks(self.config.parts, &transport)?;
         }
+        let prepared = PreparedSystem::prepare(self.config.clone(), a)?;
+        let mut outcome = prepared.solve_with_transport(b, transport)?;
+        outcome.wall_seconds = start.elapsed().as_secs_f64();
+        Ok(outcome)
     }
 }
 

@@ -14,7 +14,6 @@
 //!   (`gemv`, `gemm`, transpose, slicing),
 //! * [`lu::DenseLu`] — LU factorization with partial pivoting,
 //! * [`band::BandMatrix`] / [`band::BandLu`] — banded storage and band LU,
-//! * [`triangular`] — forward and backward substitution helpers,
 //! * [`norms`] — vector and matrix norms plus residual helpers.
 //!
 //! All kernels operate on `f64`.  They are written for clarity first, with
@@ -26,15 +25,14 @@
 //! In the engine/policy/adapter architecture documented at the top of
 //! `msplit-core` (`crates/core/src/lib.rs`), these kernels sit inside the
 //! per-rank step: the `RankEngine` pays one [`lu::DenseLu`] or
-//! [`band::BandLu`] factorization per band at preparation time, then two
-//! [`triangular`] sweeps per outer iteration — the factorize-once economics
-//! the paper is built on.
+//! [`band::BandLu`] factorization per band at preparation time, then the two
+//! triangular sweeps of its `solve_into` per outer iteration — the
+//! factorize-once economics the paper is built on.
 
 pub mod band;
 pub mod lu;
 pub mod matrix;
 pub mod norms;
-pub mod triangular;
 
 pub use band::{BandLu, BandMatrix};
 pub use lu::{DenseLu, LuError};

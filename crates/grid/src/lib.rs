@@ -1,6 +1,6 @@
-//! Grid environment model: machines, clusters, networks, a discrete-event
-//! engine and the cost model used to replay solver executions on the paper's
-//! three cluster configurations.
+//! Grid environment model: machines, clusters, networks and the cost model
+//! used to replay solver executions on the paper's three cluster
+//! configurations.
 //!
 //! The paper evaluates its algorithms on physical testbeds that we cannot
 //! reproduce here:
@@ -14,9 +14,8 @@
 //!   with "perturbing communications" (Table 4).
 //!
 //! This crate describes those environments as data ([`cluster`]), models link
-//! and CPU costs ([`network`], [`perf`]), provides a discrete-event scheduler
-//! ([`event`]) used by the performance replay in `msplit-core`, and records
-//! per-processor timelines ([`trace`]).
+//! and CPU costs ([`network`], [`perf`]) for the performance replay in
+//! `msplit-core`, and records per-processor timelines ([`trace`]).
 //!
 //! # Place in the runtime architecture
 //!
@@ -29,7 +28,6 @@
 //! rebalancing hook of `docs/fault-tolerance.md` triggers a reshape.
 
 pub mod cluster;
-pub mod event;
 pub mod machine;
 pub mod network;
 pub mod perf;

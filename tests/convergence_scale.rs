@@ -1,17 +1,19 @@
-//! Scale-protocol properties: tree vote aggregation is bitwise invisible to
-//! the lockstep iteration at every arity, and the decentralized detection
-//! never declares convergence before every rank's stability window is
-//! satisfied — even when summaries are partially delivered.
+//! Scale-protocol properties: the fan-in of the lockstep vote tree is bitwise
+//! invisible to the iteration — flat voting (fan-in `P − 1`, the root
+//! collects every vote), the production fan-in and every arity in between
+//! compute the same bits, and those bits are the retained sequential
+//! reference's.
 //!
-//! The bitwise tests drive the in-process scale simulator
+//! The tests drive the in-process scale simulator
 //! (`msplit_core::scale::simulate_ranks`), which runs the production
 //! `RankEngine` + policy objects cooperatively under a seeded random sweep
-//! schedule; the no-false-positive tests drive the `DecentralizedWaves`
-//! policy object directly, playing the role of a lossy network.
+//! schedule.
 
-use multisplitting::comm::{InProcTransport, Message, Transport};
-use multisplitting::core::runtime::{ConvergencePolicy, DecentralizedWaves, Flow, RankLink};
+use multisplitting::core::runtime::VOTE_TREE_ARITY;
 use multisplitting::core::scale::{simulate_ranks, Protocol, ScaleConfig};
+use multisplitting::core::sequential::solve_sequential_decomposed;
+use multisplitting::prelude::*;
+use multisplitting::sparse::generators;
 use proptest::prelude::*;
 
 /// Runs one simulated solve and returns (x, iterations, converged).
@@ -32,9 +34,9 @@ proptest! {
     // the suite stays in CI budget while still sweeping schedules.
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    // The tentpole invariant: at arities 2, 4 and 8, under random rank
-    // counts, band widths and delivery schedules, the tree-aggregated
-    // lockstep produces **bitwise** the iterates of the flat lockstep.
+    // At arities 2, 4 and 8, under random rank counts, band widths and
+    // delivery schedules, the tree-aggregated lockstep produces **bitwise**
+    // the iterates of the flat lockstep.
     #[test]
     fn tree_votes_are_bitwise_identical_to_flat_lockstep(
         ranks in 8usize..40,
@@ -42,7 +44,7 @@ proptest! {
         seed in 1u64..u64::MAX,
     ) {
         let (x_flat, it_flat, ok_flat) =
-            run(ranks, rows_per_rank, Protocol::Lockstep, seed);
+            run(ranks, rows_per_rank, Protocol::flat(ranks), seed);
         prop_assert!(ok_flat, "flat lockstep failed to converge");
         for arity in [2usize, 4, 8] {
             // A different schedule seed for the tree run makes the claim
@@ -63,12 +65,13 @@ proptest! {
 }
 
 /// The same bitwise claim at a fixed larger world, where the arity-k tree is
-/// several levels deep (128 ranks: 7 levels at arity 2).
+/// several levels deep (128 ranks: 7 levels at arity 2, 2 at the production
+/// fan-in).
 #[test]
 fn deep_trees_stay_bitwise_identical_at_128_ranks() {
-    let (x_flat, it_flat, ok_flat) = run(128, 3, Protocol::Lockstep, 11);
+    let (x_flat, it_flat, ok_flat) = run(128, 3, Protocol::flat(128), 11);
     assert!(ok_flat);
-    for arity in [2usize, 4, 8] {
+    for arity in [2usize, 4, 8, VOTE_TREE_ARITY] {
         let (x_tree, it_tree, ok_tree) = run(128, 3, Protocol::Tree { arity }, 97);
         assert!(ok_tree, "arity {arity} failed to converge");
         assert_eq!(
@@ -79,167 +82,40 @@ fn deep_trees_stay_bitwise_identical_at_128_ranks() {
     }
 }
 
-/// The decentralized detection converges to the same solution as the
-/// coordinator-based confirmation waves, within tolerance.
+/// The reference is the retained oracle, not a sibling protocol: on the
+/// simulator's own tridiagonal system the two-level production tree stops
+/// after `k` iterations on exactly the bits `k` sweeps of
+/// `solve_sequential_decomposed` produce.
 #[test]
-fn decentralized_detection_matches_confirmation_waves_within_tolerance() {
-    let (x_waves, _, ok_waves) = run(64, 3, Protocol::Waves { confirmations: 3 }, 5);
-    let (x_decen, _, ok_decen) = run(
-        64,
-        3,
-        Protocol::Decentralized {
-            stability_period: 3,
+fn production_tree_is_bitwise_the_sequential_reference() {
+    let (ranks, rows_per_rank) = (VOTE_TREE_ARITY + 2, 3);
+    let report = simulate_ranks(&ScaleConfig {
+        ranks,
+        rows_per_rank,
+        seed: 23,
+        ..Default::default()
+    })
+    .expect("simulation must not error");
+    assert!(report.converged);
+    assert_eq!(
+        report.protocol,
+        Protocol::Tree {
+            arity: VOTE_TREE_ARITY
         },
-        5,
+        "the simulator's default is the production fan-in"
     );
-    assert!(ok_waves && ok_decen);
-    let disagreement = x_waves
-        .iter()
-        .zip(&x_decen)
-        .fold(0.0f64, |m, (a, b)| m.max((a - b).abs()));
-    assert!(
-        disagreement < 2e-6,
-        "waves and decentralized disagree by {disagreement:e}"
-    );
-}
 
-/// Harness for driving a `DecentralizedWaves` policy directly as rank 0 of a
-/// 4-rank world, simulating a lossy network by choosing which peer summaries
-/// to deliver.
-struct PolicyRig {
-    transport: std::sync::Arc<InProcTransport>,
-    policy: DecentralizedWaves,
-    targets: Vec<usize>,
-    iteration: u64,
-}
-
-const WORLD: usize = 4;
-const STABILITY_PERIOD: u64 = 3;
-
-impl PolicyRig {
-    fn new() -> Self {
-        PolicyRig {
-            transport: InProcTransport::new(WORLD),
-            policy: DecentralizedWaves::new(0, WORLD, STABILITY_PERIOD),
-            targets: (1..WORLD).collect(),
-            iteration: 0,
-        }
-    }
-
-    /// One locally-converged (or dissenting) iteration at rank 0.
-    fn submit(&mut self, vote: bool) -> Flow {
-        let mut link = RankLink::new(self.transport.as_ref(), 0, &self.targets, &self.targets);
-        self.iteration += 1;
-        self.policy
-            .submit(self.iteration, vote, &mut link)
-            .expect("submit must not error")
-    }
-
-    /// Delivers one peer summary claiming `stable` consecutive iterations.
-    fn observe_summary(&mut self, from: usize, stable: u64) -> Flow {
-        let mut link = RankLink::new(self.transport.as_ref(), 0, &self.targets, &self.targets);
-        let msg = Message::StabilitySummary {
-            from,
-            iteration: self.iteration,
-            stable,
-        };
-        self.policy
-            .observe(&msg, &mut link)
-            .expect("observe must not error")
-    }
-}
-
-/// No false positives under partial delivery: as long as any rank's window
-/// is unreported (or reported unsatisfied), the policy must keep iterating,
-/// no matter how long the other windows have been satisfied.
-#[test]
-fn decentralized_never_declares_while_a_window_is_unreported() {
-    let mut rig = PolicyRig::new();
-    // Ranks 1 and 2 report satisfied windows; rank 3's summaries are lost.
-    assert_eq!(rig.observe_summary(1, STABILITY_PERIOD), Flow::Continue);
-    assert_eq!(rig.observe_summary(2, STABILITY_PERIOD + 5), Flow::Continue);
-    for _ in 0..100 {
-        // Rank 0 is locally converged far beyond its own window…
-        assert_eq!(rig.submit(true), Flow::Continue);
-    }
-    // …and a *partial* report from rank 3 (window not yet full) still must
-    // not trigger a declaration.
-    assert_eq!(rig.observe_summary(3, STABILITY_PERIOD - 1), Flow::Continue);
-    assert_eq!(rig.submit(true), Flow::Continue);
-    // Only the missing rank's full window closes the protocol.
-    assert_eq!(rig.observe_summary(3, STABILITY_PERIOD), Flow::Converged);
-    // The declaration is broadcast so every peer stops too: drain each
-    // peer's inbox past the interleaved stability summaries and find it.
-    for peer in 1..WORLD {
-        let mut declared = false;
-        while let Some(msg) = rig.transport.try_recv(peer).expect("inbox intact") {
-            if matches!(msg, Message::GlobalConverged { .. }) {
-                declared = true;
-                break;
-            }
-        }
-        assert!(declared, "peer {peer} never saw the declaration");
-    }
-}
-
-/// A local dissent resets rank 0's own window: even with every peer
-/// satisfied, the policy must rebuild the full local window before
-/// declaring.
-#[test]
-fn decentralized_local_reset_tears_down_the_window() {
-    let mut rig = PolicyRig::new();
-    for peer in 1..WORLD {
-        assert_eq!(rig.observe_summary(peer, STABILITY_PERIOD), Flow::Continue);
-    }
-    for _ in 0..STABILITY_PERIOD - 1 {
-        assert_eq!(rig.submit(true), Flow::Continue);
-    }
-    // One dissenting iteration right before the window would have closed.
-    assert_eq!(rig.submit(false), Flow::Continue);
-    // The window restarts from zero: period - 1 votes are not enough…
-    for _ in 0..STABILITY_PERIOD - 1 {
-        assert_eq!(rig.submit(true), Flow::Continue);
-    }
-    // …and the period-th consecutive vote finally declares.
-    assert_eq!(rig.submit(true), Flow::Converged);
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
-
-    // Fuzzed partial delivery: random interleavings of local votes and peer
-    // summaries must never declare convergence while the withheld rank has
-    // not reported a full window.
-    #[test]
-    fn decentralized_is_false_positive_free_under_partial_delivery(
-        events_seed in 0u64..u64::MAX,
-        n_events in 1usize..120,
-        withheld in 1usize..WORLD,
-    ) {
-        let mut rig = PolicyRig::new();
-        let mut state = events_seed | 1;
-        for _ in 0..n_events {
-            // xorshift64 event stream: which rank acts, and its claim.
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            let who = (state >> 8) as usize % WORLD;
-            let claim = (state >> 32) % 8;
-            let flow = if who == 0 {
-                // claim parity doubles as the local vote.
-                rig.submit(claim.is_multiple_of(2))
-            } else if who == withheld {
-                // The withheld rank's summaries are dropped by the network;
-                // at most a sub-window claim ever leaks through.
-                rig.observe_summary(who, claim.min(STABILITY_PERIOD - 1))
-            } else {
-                rig.observe_summary(who, claim)
-            };
-            prop_assert!(
-                flow == Flow::Continue,
-                "declared while rank {} never reported a full window",
-                withheld
-            );
-        }
-    }
+    let a = generators::tridiagonal(ranks * rows_per_rank, 4.0, -1.0);
+    let (_, b) = generators::rhs_for_solution(&a, |i| (i % 7) as f64);
+    let d = Decomposition::uniform(&a, &b, ranks, 0).unwrap();
+    // tolerance < 0 forces the reference to run exactly `iterations` sweeps.
+    let seq = solve_sequential_decomposed(
+        &d,
+        WeightingScheme::OwnerTakes,
+        SolverKind::SparseLu,
+        -1.0,
+        report.iterations,
+    )
+    .unwrap();
+    assert_eq!(report.x, seq.x);
 }

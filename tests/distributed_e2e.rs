@@ -2,12 +2,8 @@
 //! processes that solve over TCP on 127.0.0.1, and the gathered solution is
 //! compared against the in-process drivers on the identical system.
 
-use multisplitting::comm::tcp::{LoopbackMesh, TcpOptions};
-use multisplitting::comm::Transport;
 use multisplitting::core::launcher::{GridSpec, Launcher, LauncherConfig, LinkDelaySpec};
-use multisplitting::core::{
-    run_rank, DetectionProtocol, FailurePolicy, RankOptions, RankOutcome, ReshapeReason,
-};
+use multisplitting::core::{FailurePolicy, ReshapeReason};
 use multisplitting::prelude::*;
 use multisplitting::sparse::generators::{self, DiagDominantConfig};
 use std::path::PathBuf;
@@ -386,124 +382,4 @@ fn launcher_rejects_an_empty_world() {
     let mut cfg = config(2, ExecutionMode::Synchronous);
     cfg.parts = 0;
     assert!(launcher(None).solve(&a, &b, &cfg).is_err());
-}
-
-// ---------------------------------------------------------------------------
-// Detection protocols over real TCP sockets
-// ---------------------------------------------------------------------------
-
-/// Runs every rank of one distributed solve in its own thread, all joined
-/// over a [`LoopbackMesh`] — every vote, aggregate, stability summary and
-/// dependency slice crosses a real 127.0.0.1 socket.
-fn run_ranks_over_tcp(
-    a: &multisplitting::sparse::CsrMatrix,
-    b: &[f64],
-    cfg: &MultisplittingConfig,
-    options: &RankOptions,
-) -> (Vec<f64>, Vec<RankOutcome>) {
-    let d = Decomposition::uniform(a, b, cfg.parts, cfg.overlap).unwrap();
-    let targets = d.send_targets();
-    // Transpose the fan-out: rank r waits on every t with r ∈ targets[t].
-    let sources: Vec<Vec<usize>> = (0..cfg.parts)
-        .map(|r| {
-            (0..cfg.parts)
-                .filter(|&t| targets[t].contains(&r))
-                .collect()
-        })
-        .collect();
-    let (partition, blocks) = d.into_blocks();
-    let mesh = LoopbackMesh::new(cfg.parts, TcpOptions::default()).unwrap();
-    let outcomes: Vec<RankOutcome> = std::thread::scope(|scope| {
-        let handles: Vec<_> = blocks
-            .iter()
-            .map(|blk| {
-                let transport: std::sync::Arc<dyn Transport> = mesh.clone();
-                let partition = &partition;
-                let targets = &targets;
-                let sources = &sources;
-                scope.spawn(move || {
-                    run_rank(
-                        partition,
-                        blk,
-                        &targets[blk.part],
-                        &sources[blk.part],
-                        cfg,
-                        transport,
-                        options,
-                    )
-                    .unwrap()
-                })
-            })
-            .collect();
-        handles.into_iter().map(|h| h.join().unwrap()).collect()
-    });
-    assert!(mesh.stats().total_bytes() > 0, "no byte crossed a socket");
-    let locals: Vec<Vec<f64>> = outcomes.iter().map(|o| o.x_local.clone()).collect();
-    let x = cfg.weighting.assemble(&partition, &locals);
-    (x, outcomes)
-}
-
-#[test]
-fn tree_detection_runs_unchanged_over_tcp_sockets() {
-    let _quiet = quiet_host();
-    let a = generators::diag_dominant(&DiagDominantConfig {
-        n: 200,
-        seed: 21,
-        ..Default::default()
-    });
-    let (x_true, b) = generators::rhs_for_solution(&a, |i| ((i % 6) as f64) - 2.0);
-    let cfg = config(5, ExecutionMode::Synchronous);
-
-    let (x_flat, flat) = run_ranks_over_tcp(&a, &b, &cfg, &RankOptions::default());
-    let tree_options = RankOptions {
-        detection: DetectionProtocol::Tree { arity: 2 },
-        ..Default::default()
-    };
-    let (x_tree, tree) = run_ranks_over_tcp(&a, &b, &cfg, &tree_options);
-
-    assert!(flat.iter().all(|o| o.converged), "flat votes over TCP");
-    assert!(tree.iter().all(|o| o.converged), "tree votes over TCP");
-    assert!(max_err(&x_tree, &x_true) < 1e-7);
-    // The message-based lockstep protocol is transport-independent, so the
-    // tentpole's bitwise claim holds across real sockets too: aggregating
-    // votes up an arity-2 tree leaves iterates and counts untouched.
-    assert_eq!(
-        flat.iter().map(|o| o.iterations).collect::<Vec<_>>(),
-        tree.iter().map(|o| o.iterations).collect::<Vec<_>>()
-    );
-    assert_eq!(x_flat, x_tree, "tree votes perturbed the TCP iterates");
-}
-
-#[test]
-fn decentralized_detection_converges_over_tcp_sockets() {
-    let _quiet = quiet_host();
-    let a = generators::diag_dominant(&DiagDominantConfig {
-        n: 200,
-        seed: 9,
-        ..Default::default()
-    });
-    let (x_true, b) = generators::rhs_for_solution(&a, |i| (i % 5) as f64);
-    let cfg = config(4, ExecutionMode::Asynchronous);
-    let options = RankOptions {
-        detection: DetectionProtocol::Decentralized {
-            stability_period: 3,
-        },
-        ..Default::default()
-    };
-    // Same de-flaking as the async tests above: the free-running stopping
-    // rule is timing-dependent, so one retry absorbs pathological host
-    // scheduling and the bound carries stale-band slack.
-    let mut failures = Vec::new();
-    for attempt in 0..2 {
-        let (x, outcomes) = run_ranks_over_tcp(&a, &b, &cfg, &options);
-        let err = max_err(&x, &x_true);
-        if outcomes.iter().all(|o| o.converged) && err < 5e-6 {
-            return;
-        }
-        failures.push(format!(
-            "attempt {attempt}: converged={:?} max_err={err:.3e}",
-            outcomes.iter().map(|o| o.converged).collect::<Vec<_>>()
-        ));
-    }
-    panic!("decentralized detection over TCP failed twice in a row: {failures:?}");
 }

@@ -492,3 +492,54 @@ fn unified_runtime_smoke_fixed_system() {
     let engine_x = simulate_engines(&a, &b, 3, threaded.iterations);
     assert_eq!(engine_x, threaded.x);
 }
+
+/// The automatic fan-in under real thread scheduling: one rank more than the
+/// root can parent makes the vote tree two levels deep (rank 1 aggregates
+/// rank 17), which no solve at the paper's world sizes exercises.  The
+/// threaded adapter must still stop on exactly the bits of the sequential
+/// sweep, for one right-hand side and — column by column, each at its own
+/// solo stopping iteration — for a batch.
+#[test]
+fn two_level_vote_tree_is_bitwise_the_sequential_sweep() {
+    use multisplitting::core::runtime::VOTE_TREE_ARITY;
+    let parts = VOTE_TREE_ARITY + 2;
+    let a = generators::diag_dominant(&DiagDominantConfig {
+        n: 8 * parts,
+        seed: 5,
+        ..Default::default()
+    });
+    let rhs: Vec<Vec<f64>> = (0..3usize)
+        .map(|c| generators::rhs_for_solution(&a, |i| ((i + c) % 7) as f64 - 3.0).1)
+        .collect();
+    // tolerance < 0 forces the reference to run exactly k sweeps.
+    let sequential = |b: &[f64], k: u64| {
+        let d = Decomposition::uniform(&a, b, parts, 0).unwrap();
+        solve_sequential_decomposed(
+            &d,
+            WeightingScheme::OwnerTakes,
+            SolverKind::SparseLu,
+            -1.0,
+            k,
+        )
+        .unwrap()
+        .x
+    };
+
+    let prepared = PreparedSystem::prepare(config(parts, ExecutionMode::Synchronous), &a).unwrap();
+    let single = prepared.solve(&rhs[0]).unwrap();
+    assert!(single.converged);
+    assert!(
+        single.iterations > 2,
+        "trivial solve: {}",
+        single.iterations
+    );
+    assert_eq!(single.x, sequential(&rhs[0], single.iterations));
+
+    let batch = prepared.solve_many(&rhs).unwrap();
+    assert!(batch.converged);
+    for (c, b) in rhs.iter().enumerate() {
+        let k = batch.column_converged_at[c].expect("every column converges");
+        assert_eq!(batch.columns[c], sequential(b, k), "column {c}");
+    }
+    assert_eq!(batch.column_converged_at[0], Some(single.iterations));
+}

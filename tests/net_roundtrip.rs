@@ -43,7 +43,7 @@ fn bytes_from_seed(seed: u64, len: usize) -> Vec<u8> {
         .collect()
 }
 
-/// Builds one of the fifteen message variants from proptest-drawn integers.
+/// Builds one of the fourteen message variants from proptest-drawn integers.
 fn build_message(variant: usize, from: usize, len: usize, seed: u64) -> Message {
     match variant {
         0 => Message::Solution {
@@ -128,16 +128,11 @@ fn build_message(variant: usize, from: usize, len: usize, seed: u64) -> Message 
             mean_reach_ppm: seed % 1_000_000,
             queue_depths: [seed % 9, seed % 7, seed % 5],
         },
-        13 => Message::VoteAggregate {
+        _ => Message::VoteAggregate {
             from,
             iteration: seed % 100_000,
             converged: seed.is_multiple_of(2),
             count: seed % 2048 + 1,
-        },
-        _ => Message::StabilitySummary {
-            from,
-            iteration: seed % 100_000,
-            stable: seed % 1024,
         },
     }
 }
@@ -147,7 +142,7 @@ proptest! {
 
     #[test]
     fn message_codec_round_trips_every_variant(
-        variant in 0usize..15,
+        variant in 0usize..14,
         from in 0usize..64,
         len in 0usize..48,
         seed in 0u64..u64::MAX,
@@ -161,7 +156,7 @@ proptest! {
 
     #[test]
     fn frame_codec_round_trips_every_variant(
-        variant in 0usize..15,
+        variant in 0usize..14,
         from in 0usize..64,
         len in 0usize..48,
         seed in 0u64..u64::MAX,
@@ -177,7 +172,7 @@ proptest! {
 
     #[test]
     fn torn_frames_error_instead_of_panicking(
-        variant in 0usize..15,
+        variant in 0usize..14,
         len in 0usize..32,
         seed in 0u64..u64::MAX,
         cut_permille in 0usize..1000,
@@ -196,7 +191,7 @@ proptest! {
 
     #[test]
     fn corrupted_payload_bytes_never_panic_the_decoder(
-        variant in 0usize..15,
+        variant in 0usize..14,
         len in 1usize..24,
         seed in 0u64..u64::MAX,
         flip in 0usize..10_000,
@@ -210,6 +205,161 @@ proptest! {
         let pos = flip % frame.len();
         frame[pos] ^= 0x5A;
         let _ = decode_frame(&frame);
+    }
+}
+
+/// The wire-tag edge table, spelled out because the proptest stand-in has no
+/// shrinking: one fixed message per tag 1–14 with the exact bytes the codec
+/// has always produced for it, and the two tags that must never decode —
+/// 0 (never assigned) and 15 (reserved: it carried the stability summary of a
+/// removed detection protocol, and an old peer may still send one).
+#[test]
+fn wire_tags_are_byte_stable_and_tag_15_stays_reserved() {
+    fn hex(bytes: &[u8]) -> String {
+        bytes.iter().map(|b| format!("{b:02x}")).collect()
+    }
+    let table: [(Message, &str); 14] = [
+        (
+            Message::Solution {
+                from: 3,
+                iteration: 7,
+                offset: 16,
+                values: vec![1.0, -2.5],
+            },
+            "010300000000000000070000000000000010000000000000000200000000000000\
+             000000000000f03f00000000000004c0",
+        ),
+        (
+            Message::ConvergenceVote {
+                from: 2,
+                iteration: 9,
+                converged: true,
+            },
+            "020200000000000000090000000000000001",
+        ),
+        (
+            Message::GlobalConverged { iteration: 11 },
+            "030b00000000000000",
+        ),
+        (Message::Halt, "04"),
+        (
+            Message::SolutionBatch {
+                from: 1,
+                iteration: 4,
+                offset: 8,
+                columns: vec![vec![0.5], vec![-0.25]],
+            },
+            "050100000000000000040000000000000008000000000000000200000000000000\
+             0100000000000000000000000000e03f0100000000000000000000000000d0bf",
+        ),
+        (Message::Heartbeat { from: 5 }, "060500000000000000"),
+        (
+            Message::Reshape {
+                from: 1,
+                dead_rank: Some(2),
+            },
+            "0701000000000000000200000000000000",
+        ),
+        (
+            Message::SpeedReport {
+                from: 4,
+                iteration: 120,
+                step_micros: 1500,
+            },
+            "0804000000000000007800000000000000dc05000000000000",
+        ),
+        (
+            Message::SubmitSolve {
+                request_id: 21,
+                fingerprint: 0xABCD,
+                priority: 2,
+                queue_deadline_micros: 300,
+                config: vec![1, 2],
+                matrix: vec![3],
+                rhs: vec![2.0],
+            },
+            "091500000000000000cdab000000000000022c0100000000000002000000000000\
+             00010201000000000000000301000000000000000000000000000040",
+        ),
+        (
+            Message::SolveResult {
+                request_id: 21,
+                iterations: 13,
+                coalesced: 2,
+                queue_micros: 40,
+                x: vec![4.0],
+            },
+            "0a15000000000000000d0000000000000002000000000000002800000000000000\
+             01000000000000000000000000001040",
+        ),
+        (
+            Message::Reject {
+                request_id: 22,
+                code: RejectCode::QueueFull,
+                retry_after_micros: 250,
+                detail: "full".to_string(),
+            },
+            "0b160000000000000000fa00000000000000040000000000000066756c6c",
+        ),
+        (Message::StatsQuery, "0c"),
+        (
+            Message::ServerStats {
+                shard: 1,
+                completed: 2,
+                rejected: 3,
+                coalesced: 4,
+                batches: 5,
+                cache_evictions: 6,
+                single_flight_waits: 7,
+                single_flight_wait_micros: 8,
+                sparse_fastpath_hits: 9,
+                dense_fallbacks: 10,
+                mean_reach_ppm: 11,
+                queue_depths: [12, 13, 14],
+            },
+            "0d0100000000000000020000000000000003000000000000000400000000000000\
+             050000000000000006000000000000000700000000000000080000000000000009\
+             000000000000000a000000000000000b000000000000000c000000000000000d00\
+             0000000000000e00000000000000",
+        ),
+        (
+            Message::VoteAggregate {
+                from: 6,
+                iteration: 33,
+                converged: true,
+                count: 128,
+            },
+            "0e06000000000000002100000000000000018000000000000000",
+        ),
+    ];
+    for (tag, (msg, golden)) in (1u8..).zip(table) {
+        let encoded = msg.encode();
+        assert_eq!(encoded.as_ref()[0], tag, "{msg:?}");
+        assert_eq!(hex(encoded.as_ref()), golden, "tag {tag} changed its bytes");
+        assert_eq!(Message::decode(encoded).unwrap(), msg);
+    }
+
+    // The old tag-15 body (from, iteration, stable) has the shape of a speed
+    // report; only the tag differs.  It is a codec error bare and framed.
+    let mut frame = encode_frame(
+        9,
+        &Message::SpeedReport {
+            from: 9,
+            iteration: 77,
+            step_micros: 4,
+        },
+    );
+    for dead_tag in [0u8, 15] {
+        frame[FRAME_HEADER_LEN] = dead_tag;
+        assert!(
+            matches!(decode_frame(&frame), Err(CommError::Codec(_))),
+            "a tag-{dead_tag} frame decoded"
+        );
+        let body = frame[FRAME_HEADER_LEN..].to_vec();
+        assert!(matches!(
+            Message::decode(body.into()),
+            Err(CommError::Codec(_))
+        ));
     }
 }
 
