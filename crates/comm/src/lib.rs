@@ -27,8 +27,8 @@
 //! every driver funnels its traffic through a `RankLink` over a
 //! [`transport::Transport`] from here, the [`message::Message`] enum is the
 //! complete protocol vocabulary (data slices, convergence votes, halts,
-//! heartbeats, reshape notices and speed reports for the fault-tolerance
-//! layer of `docs/fault-tolerance.md`), and [`convergence`] supplies the
+//! heartbeats and reshape notices for the fault-tolerance layer of
+//! `docs/fault-tolerance.md`), and [`convergence`] supplies the
 //! vote-window bookkeeping the convergence policies persist across
 //! checkpoints.
 

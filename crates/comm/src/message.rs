@@ -81,29 +81,16 @@ pub enum Message {
         /// Sender rank.
         from: usize,
     },
-    /// Announcement that the job must be re-partitioned.  Broadcast by the
-    /// rank that detected a peer death (under `FailurePolicy::Redistribute`)
-    /// or by the coordinator when observed iteration speeds have drifted past
-    /// the rebalance threshold.  Every receiver abandons the current
+    /// Announcement that the job must be re-partitioned because a rank died.
+    /// Broadcast by the rank that detected the death (under
+    /// `FailurePolicy::Redistribute`).  Every receiver abandons the current
     /// iteration loop and reports a reshape outcome so the launcher can
     /// re-derive band ownership and relaunch from the latest checkpoints.
     Reshape {
-        /// Sender rank (the detector / coordinator).
+        /// Sender rank (the detector).
         from: usize,
-        /// The dead rank that triggered the reshape, or `u64::MAX` encoded
-        /// as `None` when the reshape is a speed-drift rebalance.
-        dead_rank: Option<usize>,
-    },
-    /// Periodic per-rank speed report sent to the coordinator (rank 0) so it
-    /// can detect when the relative iteration speeds have drifted from the
-    /// splitting the job was partitioned with (online rebalancing hook).
-    SpeedReport {
-        /// Sender rank.
-        from: usize,
-        /// Sender's outer-iteration counter at report time.
-        iteration: u64,
-        /// Smoothed wall time of one outer iteration, in microseconds.
-        step_micros: u64,
+        /// The dead rank that triggered the reshape.
+        dead_rank: usize,
     },
     /// A client's solve request to a serve node (the serve-protocol frames
     /// reuse this codec and framing; a serve connection is distinguished by a
@@ -241,17 +228,18 @@ const TAG_HALT: u8 = 4;
 const TAG_SOLUTION_BATCH: u8 = 5;
 const TAG_HEARTBEAT: u8 = 6;
 const TAG_RESHAPE: u8 = 7;
-const TAG_SPEED_REPORT: u8 = 8;
 const TAG_SUBMIT_SOLVE: u8 = 9;
 const TAG_SOLVE_RESULT: u8 = 10;
 const TAG_REJECT: u8 = 11;
 const TAG_STATS_QUERY: u8 = 12;
 const TAG_SERVER_STATS: u8 = 13;
 const TAG_VOTE_AGGREGATE: u8 = 14;
-// Tag 15 is reserved: it carried the stability summary of a removed
-// detection protocol and must not be reused for a different frame.
+// Tags 8 and 15 are reserved: they carried the speed report of the removed
+// online rebalancer and the stability summary of a removed detection
+// protocol, and must not be reused for a different frame.
 
-/// `dead_rank` sentinel for a speed-drift reshape (no dead rank).
+/// The `dead_rank` value the removed speed-drift reshape sent in place of a
+/// rank; a reshape always names its dead rank now, so this is rejected.
 const NO_DEAD_RANK: u64 = u64::MAX;
 
 /// Reads a `u64`-length-prefixed byte blob, rejecting lengths beyond the
@@ -299,7 +287,6 @@ impl Message {
             | Message::ConvergenceVote { from, .. }
             | Message::Heartbeat { from }
             | Message::Reshape { from, .. }
-            | Message::SpeedReport { from, .. }
             | Message::VoteAggregate { from, .. } => Some(*from),
             _ => None,
         }
@@ -320,7 +307,6 @@ impl Message {
             Message::Halt => 1,
             Message::Heartbeat { .. } => 1 + 8,
             Message::Reshape { .. } => 1 + 8 + 8,
-            Message::SpeedReport { .. } => 1 + 8 + 8 + 8,
             Message::SubmitSolve {
                 config,
                 matrix,
@@ -407,17 +393,7 @@ impl Message {
             Message::Reshape { from, dead_rank } => {
                 buf.put_u8(TAG_RESHAPE);
                 buf.put_u64_le(*from as u64);
-                buf.put_u64_le(dead_rank.map_or(NO_DEAD_RANK, |r| r as u64));
-            }
-            Message::SpeedReport {
-                from,
-                iteration,
-                step_micros,
-            } => {
-                buf.put_u8(TAG_SPEED_REPORT);
-                buf.put_u64_le(*from as u64);
-                buf.put_u64_le(*iteration);
-                buf.put_u64_le(*step_micros);
+                buf.put_u64_le(*dead_rank as u64);
             }
             Message::SubmitSolve {
                 request_id,
@@ -625,19 +601,14 @@ impl Message {
                 }
                 let from = data.get_u64_le() as usize;
                 let dead = data.get_u64_le();
+                if dead == NO_DEAD_RANK {
+                    return Err(CommError::Codec(
+                        "reshape notice names no dead rank".to_string(),
+                    ));
+                }
                 Ok(Message::Reshape {
                     from,
-                    dead_rank: (dead != NO_DEAD_RANK).then_some(dead as usize),
-                })
-            }
-            TAG_SPEED_REPORT => {
-                if data.remaining() < 24 {
-                    return Err(CommError::Codec("truncated speed report".to_string()));
-                }
-                Ok(Message::SpeedReport {
-                    from: data.get_u64_le() as usize,
-                    iteration: data.get_u64_le(),
-                    step_micros: data.get_u64_le(),
+                    dead_rank: dead as usize,
                 })
             }
             TAG_SUBMIT_SOLVE => {
@@ -781,16 +752,7 @@ mod tests {
             Message::Heartbeat { from: 5 },
             Message::Reshape {
                 from: 2,
-                dead_rank: Some(3),
-            },
-            Message::Reshape {
-                from: 0,
-                dead_rank: None,
-            },
-            Message::SpeedReport {
-                from: 4,
-                iteration: 120,
-                step_micros: 1_500,
+                dead_rank: 3,
             },
             Message::VoteAggregate {
                 from: 6,
@@ -1042,24 +1004,23 @@ mod tests {
 
     #[test]
     fn truncated_reshape_and_speed_report_are_rejected() {
-        for msg in [
-            Message::Reshape {
-                from: 1,
-                dead_rank: Some(2),
-            },
-            Message::SpeedReport {
-                from: 1,
-                iteration: 9,
-                step_micros: 77,
-            },
-        ] {
-            let encoded = msg.encode();
-            for cut in 1..encoded.len() {
-                assert!(matches!(
-                    Message::decode(encoded.slice(0..cut)),
-                    Err(CommError::Codec(_))
-                ));
-            }
+        let encoded = Message::Reshape {
+            from: 1,
+            dead_rank: 2,
         }
+        .encode();
+        for cut in 1..encoded.len() {
+            assert!(matches!(
+                Message::decode(encoded.slice(0..cut)),
+                Err(CommError::Codec(_))
+            ));
+        }
+        // The removed speed report (tag 8 + three u64 words) no longer decodes.
+        let mut report = vec![8u8];
+        report.extend([0u8; 24]);
+        assert!(matches!(
+            Message::decode(Bytes::from(report)),
+            Err(CommError::Codec(_))
+        ));
     }
 }

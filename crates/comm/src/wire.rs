@@ -60,7 +60,6 @@ fn message_iteration(msg: &Message) -> u64 {
         | Message::SolutionBatch { iteration, .. }
         | Message::ConvergenceVote { iteration, .. }
         | Message::GlobalConverged { iteration }
-        | Message::SpeedReport { iteration, .. }
         | Message::VoteAggregate { iteration, .. } => *iteration,
         // Serve-protocol frames have no iteration; the envelope slot carries
         // the request id instead so a packet trace can pair a response with

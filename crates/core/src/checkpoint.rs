@@ -472,20 +472,17 @@ pub struct Checkpointer {
 }
 
 impl Checkpointer {
-    /// Saves a snapshot when `iteration` is a period boundary.  Returns
-    /// whether one was written.
+    /// Saves a snapshot when `iteration` is a period boundary.
     pub fn maybe_save(
         &self,
         engine: &RankEngine,
         vote: VoteState,
         iteration: u64,
-    ) -> Result<bool, CoreError> {
+    ) -> Result<(), CoreError> {
         if self.every == 0 || iteration == 0 || !iteration.is_multiple_of(self.every) {
-            return Ok(false);
+            return Ok(());
         }
-        let ckpt = RankCheckpoint::capture(engine, vote, self.fingerprint, self.world)?;
-        save(&self.dir, &ckpt)?;
-        Ok(true)
+        self.save_now(engine, vote).map(drop)
     }
 
     /// Saves a snapshot immediately, regardless of the period boundary —

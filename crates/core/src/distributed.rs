@@ -35,7 +35,7 @@
 use crate::checkpoint::{self, Checkpointer};
 use crate::runtime::{
     drive_with_hooks, mode_policies, DriveHooks, EventLog, FailurePolicy, IterationWorkspace,
-    RankEngine, RankLink, ReshapeReason, SpeedHook,
+    RankEngine, RankLink,
 };
 use crate::solver::MultisplittingConfig;
 use crate::CoreError;
@@ -65,9 +65,9 @@ pub struct RankOutcome {
     /// Wall-clock seconds spent in the iteration loop (factorization
     /// included).
     pub wall_seconds: f64,
-    /// Set when the run stopped so the launcher can re-partition the bands
-    /// (rank death under [`FailurePolicy::Redistribute`] or speed drift).
-    pub reshape: Option<ReshapeReason>,
+    /// The dead rank, when the run stopped so the launcher can re-partition
+    /// the bands over the survivors ([`FailurePolicy::Redistribute`]).
+    pub reshape: Option<usize>,
     /// Recorded engine transitions, when [`RankOptions::record_events`] was
     /// set — replayable with [`crate::runtime::RankEngine::replay`].
     pub event_log: Option<EventLog>,
@@ -83,16 +83,6 @@ pub struct CheckpointConfig {
     /// Fingerprint of the system matrix — pins every snapshot so a resumed
     /// run cannot mix state from a different system.
     pub fingerprint: u64,
-}
-
-/// Online-rebalancing hook of a distributed rank: report step speeds to
-/// rank 0, which requests a reshape when the spread exceeds the threshold.
-#[derive(Debug, Clone, Copy)]
-pub struct RebalanceConfig {
-    /// Speed reporting period in outer iterations.
-    pub report_every: u64,
-    /// Max/min step-time ratio above which rank 0 requests a reshape.
-    pub drift_threshold: f64,
 }
 
 /// Options of a distributed rank run that are not part of the numerical
@@ -115,8 +105,6 @@ pub struct RankOptions {
     /// system order) instead of zero — how a redistributed solve carries
     /// over pre-reshape progress.
     pub initial_guess: Option<Vec<f64>>,
-    /// Report step speeds and let rank 0 trigger drift rebalancing.
-    pub rebalance: Option<RebalanceConfig>,
 }
 
 impl Default for RankOptions {
@@ -128,7 +116,6 @@ impl Default for RankOptions {
             checkpoint: None,
             resume_at: None,
             initial_guess: None,
-            rebalance: None,
         }
     }
 }
@@ -210,9 +197,6 @@ pub fn run_rank(
             fingerprint: ck.fingerprint,
             world,
         }),
-        speed: options
-            .rebalance
-            .map(|r| SpeedHook::new(r.report_every, r.drift_threshold)),
         columns: None,
     };
     let mut link = RankLink::new(transport.as_ref(), rank, send_targets, senders_to_me);
@@ -687,38 +671,6 @@ mod tests {
     }
 
     #[test]
-    fn free_running_fail_fast_keeps_tolerating_dead_peers() {
-        // FailFast preserves the historical semantics: a dead peer is
-        // skipped silently and the rank runs its budget out.
-        let a = generators::tridiagonal(20, 4.0, -1.0);
-        let b = vec![1.0; 20];
-        let mut cfg = config(2, ExecutionMode::Asynchronous);
-        cfg.max_iterations = 25;
-        let d = Decomposition::uniform(&a, &b, 2, 0).unwrap();
-        let partition = d.partition().clone();
-        let (_, blocks) = d.into_blocks();
-        let transport = InProcTransport::new(2);
-        transport.close_rank(0).unwrap();
-        let options = RankOptions {
-            failure: FailurePolicy::FailFast,
-            ..Default::default()
-        };
-        let outcome = run_rank(
-            &partition,
-            &blocks[1],
-            &[0],
-            &[0],
-            &cfg,
-            transport,
-            &options,
-        )
-        .unwrap();
-        assert!(!outcome.converged);
-        assert_eq!(outcome.iterations, 25);
-        assert!(outcome.reshape.is_none());
-    }
-
-    #[test]
     fn free_running_redistribute_surfaces_a_reshape_request() {
         // Under Redistribute a dead peer is not fatal: the rank returns
         // cleanly with a reshape request naming the dead rank, so the
@@ -751,7 +703,7 @@ mod tests {
         .unwrap();
         assert!(started.elapsed() < Duration::from_secs(10), "hung too long");
         assert!(!outcome.converged);
-        assert_eq!(outcome.reshape, Some(ReshapeReason::RankDeath(0)));
+        assert_eq!(outcome.reshape, Some(0));
     }
 
     #[test]

@@ -44,16 +44,16 @@
 //!                  ┌────────────────────────────────────────────────┐
 //!                  │                 drive loop                     │
 //!                  │  collect → step → fan_out → vote → exchange    │
-//!                  │            (+ checkpoint / speed hooks)        │
+//!                  │        (+ checkpoint / column-batch hooks)     │
 //!                  └──────┬─────────────┬──────────────┬────────────┘
 //!                         │             │              │
 //!              ┌──────────▼───┐  ┌──────▼───────┐  ┌───▼──────────┐
 //!              │  RankEngine  │  │ Convergence/ │  │ FailurePolicy│
-//!              │ (pure state  │  │ Progress     │  │ FailFast /   │
-//!              │  machine,    │  │ policies, one│  │ HaltOnDeath /│
-//!              │  replayable, │  │ stack a mode:│  │ Redistribute │
-//!              │  snapshot-   │  │ lockstep or  │  │ (heartbeats) │
-//!              │  able)       │  │ free-running │  │              │
+//!              │ (pure state  │  │ Progress     │  │ HaltOnDeath /│
+//!              │  machine,    │  │ policies, one│  │ Redistribute │
+//!              │  replayable, │  │ stack a mode:│  │ (heartbeats; │
+//!              │  snapshot-   │  │ lockstep or  │  │ reshape on a │
+//!              │  able)       │  │ free-running │  │ dead rank)   │
 //!              └──────┬───────┘  └──────┬───────┘  └───┬──────────┘
 //!                     │                 │              │
 //!              ┌──────▼─────────────────▼──────────────▼───────────┐
@@ -129,7 +129,7 @@ pub mod weighting;
 
 pub use checkpoint::{CheckpointError, Checkpointer, RankCheckpoint};
 pub use decomposition::Decomposition;
-pub use distributed::{run_rank, CheckpointConfig, RankOptions, RankOutcome, RebalanceConfig};
+pub use distributed::{run_rank, CheckpointConfig, RankOptions, RankOutcome};
 pub use krylov::{
     FgmresWorkspace, KrylovStats, KrylovWorkspace, Preconditioner, SweepBuffers,
     SweepPreconditioner,
@@ -137,8 +137,7 @@ pub use krylov::{
 pub use launcher::{DistributedOutcome, ElasticOutcome, Launcher, LauncherConfig};
 pub use prepared::PreparedSystem;
 pub use runtime::{
-    EngineEvent, EventLog, FailurePolicy, IterationWorkspace, RankEngine, ReshapeReason,
-    SolvePathStats,
+    EngineEvent, EventLog, FailurePolicy, IterationWorkspace, RankEngine, SolvePathStats,
 };
 pub use solver::{
     BatchSolveOutcome, ExecutionMode, Method, MultisplittingConfig, MultisplittingSolver,

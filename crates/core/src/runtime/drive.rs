@@ -1,17 +1,18 @@
 //! The unified drive loop — the single Algorithm 1 outer loop behind every
 //! driver — with the policy stacks it runs and its optional hooks
-//! (checkpoints, speed reports, per-column batch tracking).
+//! (checkpoints, per-column batch tracking).
 
 use super::convergence::{ConfirmationWaves, ConvergencePolicy, TreeVotes};
 use super::engine::{RankEngine, StepObservation};
-use super::failure::{DeathRule, FailurePolicy, Flow, RankLink, ReshapeReason};
+use super::failure::{FailurePolicy, Flow, RankLink};
 use super::progress::{FreeRunning, Lockstep, ProgressPolicy};
 use super::vote::{IncrementVote, LocalVote, StaleSweepGuard};
 use crate::solver::{ExecutionMode, MultisplittingConfig};
 use crate::CoreError;
+#[allow(unused_imports)] // doc links
 use msplit_comm::message::Message;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// One rank's policy stack behind trait objects: local vote, convergence
 /// protocol, progress rule.
@@ -33,7 +34,7 @@ pub type PolicyStack = (
 ///   `config.async_confirmations` waves) + free-running drains.
 ///
 /// `failure` decides what a heartbeat-detected peer death does: halt the
-/// run, request a reshape, or (historically) tolerate it.
+/// run or request a reshape.
 pub fn mode_policies(
     mode: ExecutionMode,
     config: &MultisplittingConfig,
@@ -73,50 +74,9 @@ pub struct RankRun {
     pub last_increment: f64,
     /// Whether global convergence was reached.
     pub converged: bool,
-    /// Set when the run stopped to let the launcher re-partition the bands
-    /// (rank death under [`FailurePolicy::Redistribute`] or speed drift).
-    pub reshape: Option<ReshapeReason>,
-}
-
-/// Per-rank step-speed observer: keeps an exponential moving average of the
-/// outer-iteration wall time, periodically reports it to rank 0
-/// ([`Message::SpeedReport`]), and — on rank 0 — requests a reshape when the
-/// slowest rank's step time exceeds the fastest's by more than
-/// `drift_threshold` (the online-rebalancing hook; the check runs at
-/// checkpoint boundaries so the repartitioned job resumes from fresh
-/// snapshots).
-pub struct SpeedHook {
-    /// Reporting period in outer iterations.
-    pub report_every: u64,
-    /// Max/min step-time ratio above which rank 0 requests a reshape
-    /// (values ≤ 1 disable the drift check; reporting still happens).
-    pub drift_threshold: f64,
-    ema_micros: f64,
-}
-
-impl SpeedHook {
-    /// Builds the hook with the given reporting period and drift threshold.
-    pub fn new(report_every: u64, drift_threshold: f64) -> Self {
-        SpeedHook {
-            report_every: report_every.max(1),
-            drift_threshold,
-            ema_micros: 0.0,
-        }
-    }
-
-    /// Folds one observed step time into the moving average.
-    fn observe(&mut self, micros: f64) {
-        self.ema_micros = if self.ema_micros == 0.0 {
-            micros
-        } else {
-            0.8 * self.ema_micros + 0.2 * micros
-        };
-    }
-
-    /// The smoothed step time in whole microseconds (at least 1).
-    fn smoothed_micros(&self) -> u64 {
-        self.ema_micros.max(1.0) as u64
-    }
+    /// The dead rank, when the run stopped to let the launcher re-partition
+    /// the bands over the survivors ([`FailurePolicy::Redistribute`]).
+    pub reshape: Option<usize>,
 }
 
 // ---------------------------------------------------------------------------
@@ -296,13 +256,11 @@ impl ColumnTracker {
 }
 
 /// Optional instrumentation of the drive loop: periodic snapshots and
-/// speed-drift rebalancing.  [`DriveHooks::default`] is a no-op.
+/// per-column batch tracking.  [`DriveHooks::default`] is a no-op.
 #[derive(Default)]
 pub struct DriveHooks {
     /// Periodic snapshot writer (see [`crate::checkpoint`]).
     pub checkpoint: Option<crate::checkpoint::Checkpointer>,
-    /// Step-speed reporting and drift-triggered rebalancing.
-    pub speed: Option<SpeedHook>,
     /// Per-column convergence tracking of a batched lockstep solve (see
     /// [`ColumnTracker`]); `None` everywhere else.
     pub columns: Option<ColumnTracker>,
@@ -329,60 +287,6 @@ pub fn drive_with_hooks(
     result
 }
 
-/// Runs the post-exchange hook block of one iteration: speed bookkeeping,
-/// the periodic checkpoint, and rank 0's drift check.  Returns a reshape
-/// reason when the drift check fires.
-fn run_iteration_hooks(
-    engine: &RankEngine,
-    link: &mut RankLink,
-    vote: &dyn LocalVote,
-    hooks: &mut DriveHooks,
-    iteration: u64,
-    step_micros: f64,
-) -> Result<Option<ReshapeReason>, CoreError> {
-    let mut at_boundary = hooks.checkpoint.is_none();
-    if let Some(ck) = &hooks.checkpoint {
-        at_boundary = ck.maybe_save(engine, vote.checkpoint_state(), iteration)?;
-    }
-    let Some(speed) = hooks.speed.as_mut() else {
-        return Ok(None);
-    };
-    speed.observe(step_micros);
-    if iteration.is_multiple_of(speed.report_every) {
-        let micros = speed.smoothed_micros();
-        link.note_speed(link.rank(), micros);
-        if link.rank() != 0 {
-            link.send_ruled(
-                0,
-                Message::SpeedReport {
-                    from: link.rank(),
-                    iteration,
-                    step_micros: micros,
-                },
-                DeathRule::Tolerate,
-            )?;
-        }
-    }
-    // Drift check: rank 0 only, at a checkpoint boundary (or any reporting
-    // boundary when checkpointing is off), once every rank has reported.
-    if link.rank() == 0
-        && at_boundary
-        && iteration.is_multiple_of(speed.report_every)
-        && speed.drift_threshold > 1.0
-    {
-        let speeds = link.observed_speeds();
-        if speeds.iter().all(|&s| s > 0) {
-            let max = speeds.iter().copied().max().unwrap_or(1) as f64;
-            let min = speeds.iter().copied().min().unwrap_or(1).max(1) as f64;
-            if max / min > speed.drift_threshold {
-                link.raise_reshape(ReshapeReason::SpeedDrift);
-            }
-        }
-    }
-    Ok(link.take_reshape())
-}
-
-#[allow(clippy::too_many_arguments)]
 fn drive_inner(
     engine: &mut RankEngine,
     link: &mut RankLink,
@@ -405,15 +309,13 @@ fn drive_inner(
                 break 'outer;
             }
             Flow::Halted => break 'outer,
-            Flow::Reshape(reason) => {
-                reshape = Some(reason);
+            Flow::Reshape(dead) => {
+                reshape = Some(dead);
                 break 'outer;
             }
         }
         // (1)+(2) dependency fill and local solve
-        let t_step = Instant::now();
         let obs = engine.step()?;
-        let step_micros = t_step.elapsed().as_secs_f64() * 1e6;
         last_increment = vote.effective_increment(&obs);
         // Per-column bits must be on the board before this rank's vote for
         // the iteration can reach the coordinator (see [`ColumnBoard`]).
@@ -431,8 +333,8 @@ fn drive_inner(
                 break 'outer;
             }
             Flow::Halted => break 'outer,
-            Flow::Reshape(reason) => {
-                reshape = Some(reason);
+            Flow::Reshape(dead) => {
+                reshape = Some(dead);
                 break 'outer;
             }
         }
@@ -453,18 +355,19 @@ fn drive_inner(
                 break 'outer;
             }
             Flow::Halted => break 'outer,
-            Flow::Reshape(reason) => {
-                reshape = Some(reason);
+            Flow::Reshape(dead) => {
+                reshape = Some(dead);
                 break 'outer;
             }
         }
-        // (5) instrumentation: checkpoint at the boundary (the halo now
-        // holds every slice of this iteration), report speeds, check drift,
-        // and honor any reshape raised by a tolerated send failure.
-        if let Some(reason) =
-            run_iteration_hooks(engine, link, vote, hooks, obs.iteration, step_micros)?
-        {
-            reshape = Some(reason);
+        // (5) checkpoint at the boundary (the halo now holds every slice of
+        // this iteration), then honor any reshape raised by a tolerated send
+        // failure.
+        if let Some(ck) = &hooks.checkpoint {
+            ck.maybe_save(engine, vote.checkpoint_state(), obs.iteration)?;
+        }
+        if let Some(dead) = link.take_reshape() {
+            reshape = Some(dead);
             break 'outer;
         }
     }
@@ -476,7 +379,7 @@ fn drive_inner(
         match progress.collect(engine, link, conv)? {
             Flow::Converged => converged = true,
             Flow::Halted => {}
-            Flow::Reshape(reason) => reshape = Some(reason),
+            Flow::Reshape(dead) => reshape = Some(dead),
             Flow::Continue => conv.abandon(link),
         }
     }

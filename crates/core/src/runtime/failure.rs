@@ -8,16 +8,6 @@ use msplit_comm::transport::Transport;
 use msplit_comm::CommError;
 use std::time::Duration;
 
-/// Why a run is asking the launcher for a new band layout.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ReshapeReason {
-    /// The given rank died permanently; survivors need its rows.
-    RankDeath(usize),
-    /// Observed per-rank iteration speeds drifted beyond the configured
-    /// threshold; the same rows deserve new splitting weights.
-    SpeedDrift,
-}
-
 /// Control-flow outcome of a policy interaction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Flow {
@@ -27,16 +17,15 @@ pub enum Flow {
     Converged,
     /// A peer halted the run (budget exhaustion or failure elsewhere).
     Halted,
-    /// The run must stop so the launcher can re-partition the bands
-    /// ([`FailurePolicy::Redistribute`] / speed-drift rebalancing).
-    Reshape(ReshapeReason),
+    /// The given rank died and the run must stop so the launcher can
+    /// re-partition the bands over the survivors
+    /// ([`FailurePolicy::Redistribute`]).
+    Reshape(usize),
 }
 
 /// What a send to a disconnected peer means.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DeathRule {
-    /// Propagate the transport error (strict).
-    Fatal,
     /// Broadcast [`Message::Halt`] to the surviving peers and abort the run
     /// with a descriptive error — the lockstep failure response.
     Halt,
@@ -54,8 +43,6 @@ pub enum DeathRule {
 /// How the runtime reacts to a rank death observed mid-solve.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FailurePolicy {
-    /// Surface the raw transport error to the caller.
-    FailFast,
     /// Probe silent peers with [`Message::Heartbeat`] every `heartbeat`
     /// during blocking waits; on [`CommError::Disconnected`] broadcast
     /// [`Message::Halt`] and fail fast instead of hanging until the peer
@@ -66,9 +53,9 @@ pub enum FailurePolicy {
     },
     /// Probe like [`FailurePolicy::HaltOnDeath`], but treat a detected death
     /// as a request to reshape: the drive loop returns
-    /// [`Flow::Reshape`]`(`[`ReshapeReason::RankDeath`]`)` so the launcher
-    /// can re-derive band ownership over the survivors and resume from the
-    /// latest checkpoints instead of failing the job.
+    /// [`Flow::Reshape`] naming the dead rank so the launcher can re-derive
+    /// band ownership over the survivors and resume from the latest
+    /// checkpoints instead of failing the job.
     Redistribute {
         /// Probe interval.
         heartbeat: Duration,
@@ -86,18 +73,16 @@ impl Default for FailurePolicy {
 impl FailurePolicy {
     pub(super) fn death_rule(self) -> DeathRule {
         match self {
-            FailurePolicy::FailFast => DeathRule::Fatal,
             FailurePolicy::HaltOnDeath { .. } => DeathRule::Halt,
             FailurePolicy::Redistribute { .. } => DeathRule::Reshape,
         }
     }
 
-    /// The heartbeat probe interval, when this policy probes at all.
-    pub(super) fn heartbeat(self) -> Option<Duration> {
+    /// The heartbeat probe interval.
+    pub(super) fn heartbeat(self) -> Duration {
         match self {
-            FailurePolicy::FailFast => None,
             FailurePolicy::HaltOnDeath { heartbeat }
-            | FailurePolicy::Redistribute { heartbeat } => Some(heartbeat),
+            | FailurePolicy::Redistribute { heartbeat } => heartbeat,
         }
     }
 }
@@ -111,12 +96,10 @@ pub struct RankLink<'a> {
     send_targets: &'a [usize],
     senders_to_me: &'a [usize],
     dead: Vec<bool>,
-    /// A reshape request raised by a [`DeathRule::Reshape`] send failure,
-    /// consumed by the drive loop via [`RankLink::take_reshape`].
-    pending_reshape: Option<ReshapeReason>,
-    /// Latest observed per-rank step times in microseconds (0 = unknown),
-    /// fed by [`Message::SpeedReport`] on rank 0.
-    speeds: Vec<u64>,
+    /// The dead rank of a reshape request raised by a [`DeathRule::Reshape`]
+    /// send failure, consumed by the drive loop via
+    /// [`RankLink::take_reshape`].
+    pending_reshape: Option<usize>,
 }
 
 impl<'a> RankLink<'a> {
@@ -136,7 +119,6 @@ impl<'a> RankLink<'a> {
             senders_to_me,
             dead: vec![false; world],
             pending_reshape: None,
-            speeds: vec![0; world],
         }
     }
 
@@ -170,7 +152,6 @@ impl<'a> RankLink<'a> {
             Err(CommError::Disconnected { .. }) => {
                 self.dead[to] = true;
                 match rule {
-                    DeathRule::Fatal => Err(CoreError::Comm(CommError::Disconnected { rank: to })),
                     DeathRule::Tolerate => Ok(()),
                     DeathRule::Halt => {
                         self.broadcast_halt();
@@ -180,7 +161,7 @@ impl<'a> RankLink<'a> {
                         )))
                     }
                     DeathRule::Reshape => {
-                        self.raise_reshape(ReshapeReason::RankDeath(to));
+                        self.raise_reshape(to);
                         Ok(())
                     }
                 }
@@ -189,19 +170,16 @@ impl<'a> RankLink<'a> {
         }
     }
 
-    /// Records a reshape request and announces it to the surviving peers
-    /// (best effort, first request wins).
-    pub(super) fn raise_reshape(&mut self, reason: ReshapeReason) {
+    /// Records a reshape request for the death of `dead_rank` and announces
+    /// it to the surviving peers (best effort, first request wins).
+    pub(super) fn raise_reshape(&mut self, dead_rank: usize) {
         if self.pending_reshape.is_some() {
             return;
         }
-        self.pending_reshape = Some(reason);
+        self.pending_reshape = Some(dead_rank);
         let note = Message::Reshape {
             from: self.rank,
-            dead_rank: match reason {
-                ReshapeReason::RankDeath(r) => Some(r),
-                ReshapeReason::SpeedDrift => None,
-            },
+            dead_rank,
         };
         for to in 0..self.world {
             if to != self.rank && !self.dead[to] {
@@ -215,21 +193,9 @@ impl<'a> RankLink<'a> {
     }
 
     /// Consumes a pending reshape request raised by a failed send or a
-    /// liveness probe under [`DeathRule::Reshape`].
-    pub fn take_reshape(&mut self) -> Option<ReshapeReason> {
+    /// liveness probe under [`DeathRule::Reshape`], returning the dead rank.
+    pub fn take_reshape(&mut self) -> Option<usize> {
         self.pending_reshape.take()
-    }
-
-    /// Records an observed step time for `rank` (rank 0's rebalancing input).
-    pub fn note_speed(&mut self, rank: usize, step_micros: u64) {
-        if rank < self.speeds.len() {
-            self.speeds[rank] = step_micros;
-        }
-    }
-
-    /// Latest observed per-rank step times in microseconds (0 = unknown).
-    pub fn observed_speeds(&self) -> &[u64] {
-        &self.speeds
     }
 
     /// Number of peers observed dead so far.

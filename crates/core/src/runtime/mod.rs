@@ -31,14 +31,14 @@
 //! `tests/driver_equivalence.rs` asserts against the retained sequential
 //! reference.
 //!
-//! Failure handling is a policy too: [`FailurePolicy::HaltOnDeath`] probes
-//! silent peers with [`Message::Heartbeat`] during lockstep waits (and, since
-//! the elastic-grid work, between free-running sweeps), so a dead rank
+//! Failure handling is a policy too, with exactly two choices; both probe
+//! silent peers with [`Message::Heartbeat`] during lockstep waits and between
+//! free-running sweeps.  Under [`FailurePolicy::HaltOnDeath`] a dead rank
 //! (surfaced as [`msplit_comm::CommError::Disconnected`]) downgrades to a
-//! [`Message::Halt`] broadcast and a prompt error instead of a hang.
-//! [`FailurePolicy::Redistribute`] goes one step further: a detected death
-//! surfaces as [`Flow::Reshape`] so the launcher can re-partition the bands
-//! over the survivors and resume from the latest checkpoint
+//! [`Message::Halt`] broadcast and a prompt error instead of a hang.  Under
+//! [`FailurePolicy::Redistribute`] it surfaces as [`Flow::Reshape`] naming the
+//! dead rank — the only cause of a reshape — so the launcher can re-partition
+//! the bands over the survivors and resume from the latest checkpoint
 //! ([`crate::checkpoint`]) instead of failing the job.
 //!
 //! Layout: `engine` (state machine), `vote` (local votes), `failure` (death
@@ -66,12 +66,12 @@ pub use convergence::{
 };
 pub use drive::{
     drive_with_hooks, mode_policies, receive_sources, ColumnBoard, ColumnTracker, DriveHooks,
-    PolicyStack, RankRun, SpeedHook,
+    PolicyStack, RankRun,
 };
 pub use engine::{
     EngineEvent, EngineSnapshot, EventLog, HaloEntry, RankEngine, SolvePathStats, StepObservation,
 };
-pub use failure::{DeathRule, FailurePolicy, Flow, RankLink, ReshapeReason};
+pub use failure::{DeathRule, FailurePolicy, Flow, RankLink};
 pub(crate) use progress::{data_meta, mark_slice};
 pub use progress::{FreeRunning, Lockstep, ProgressPolicy};
 pub use threaded::factorize_blocks;

@@ -3,7 +3,7 @@
 
 use super::convergence::ConvergencePolicy;
 use super::engine::{RankEngine, StepObservation};
-use super::failure::{DeathRule, FailurePolicy, Flow, RankLink, ReshapeReason};
+use super::failure::{DeathRule, FailurePolicy, Flow, RankLink};
 use crate::CoreError;
 use msplit_comm::message::Message;
 use msplit_comm::CommError;
@@ -164,14 +164,8 @@ impl ProgressPolicy for Lockstep {
                     None => match msg {
                         Message::Heartbeat { .. } => continue,
                         Message::Reshape { dead_rank, .. } => {
-                            return Ok(Flow::Reshape(match dead_rank {
-                                Some(r) => ReshapeReason::RankDeath(r),
-                                None => ReshapeReason::SpeedDrift,
-                            }));
+                            return Ok(Flow::Reshape(dead_rank));
                         }
-                        Message::SpeedReport {
-                            from, step_micros, ..
-                        } => link.note_speed(from, step_micros),
                         msg => match conv.observe(&msg, link)? {
                             Flow::Continue => {}
                             flow => return Ok(flow),
@@ -179,13 +173,11 @@ impl ProgressPolicy for Lockstep {
                     },
                 },
                 Err(CommError::Timeout { .. }) => {
-                    if let Some(heartbeat) = self.failure.heartbeat() {
-                        if last_probe.elapsed() >= heartbeat {
-                            last_probe = Instant::now();
-                            link.probe_liveness(self.failure.death_rule())?;
-                            if let Some(reason) = link.take_reshape() {
-                                return Ok(Flow::Reshape(reason));
-                            }
+                    if last_probe.elapsed() >= self.failure.heartbeat() {
+                        last_probe = Instant::now();
+                        link.probe_liveness(self.failure.death_rule())?;
+                        if let Some(dead) = link.take_reshape() {
+                            return Ok(Flow::Reshape(dead));
                         }
                     }
                 }
@@ -252,12 +244,7 @@ impl FreeRunning {
             }
             match link.recv_timeout(deadline - now) {
                 Ok(Message::GlobalConverged { .. }) => return Flow::Converged,
-                Ok(Message::Reshape { dead_rank, .. }) => {
-                    return Flow::Reshape(match dead_rank {
-                        Some(r) => ReshapeReason::RankDeath(r),
-                        None => ReshapeReason::SpeedDrift,
-                    })
-                }
+                Ok(Message::Reshape { dead_rank, .. }) => return Flow::Reshape(dead_rank),
                 Ok(_) => continue,
                 Err(_) => return Flow::Halted,
             }
@@ -267,8 +254,6 @@ impl FreeRunning {
     /// Adjudicates peers newly observed dead (by a probe or a tolerated
     /// send): a racing convergence notice wins, otherwise the failure policy
     /// decides between halting the run and requesting a reshape.
-    /// [`FailurePolicy::FailFast`] keeps the historical free-running
-    /// behavior of tolerating exits silently.
     fn handle_new_deaths(&mut self, link: &mut RankLink) -> Result<Flow, CoreError> {
         if link.dead_count() == self.reported_count {
             return Ok(Flow::Continue);
@@ -293,11 +278,10 @@ impl FreeRunning {
             // A peer already adjudicated this death and told us who it was —
             // its notice beats our own guess, which may name a survivor that
             // merely exited first while reshaping.
-            Flow::Reshape(reason) => return Ok(Flow::Reshape(reason)),
+            Flow::Reshape(dead) => return Ok(Flow::Reshape(dead)),
             _ => {}
         }
         match self.failure {
-            FailurePolicy::FailFast => Ok(Flow::Continue),
             FailurePolicy::HaltOnDeath { .. } => {
                 link.broadcast_halt();
                 Err(CoreError::Distributed(format!(
@@ -307,11 +291,10 @@ impl FreeRunning {
                 )))
             }
             FailurePolicy::Redistribute { .. } => {
-                let reason = ReshapeReason::RankDeath(first);
                 // Tell the survivors who died before exiting, so they report
-                // the same reason instead of blaming this rank's own exit.
-                link.raise_reshape(reason);
-                Ok(Flow::Reshape(reason))
+                // the same rank instead of blaming this rank's own exit.
+                link.raise_reshape(first);
+                Ok(Flow::Reshape(first))
             }
         }
     }
@@ -333,14 +316,8 @@ impl ProgressPolicy for FreeRunning {
                         match msg {
                             Message::Heartbeat { .. } => {}
                             Message::Reshape { dead_rank, .. } => {
-                                return Ok(Flow::Reshape(match dead_rank {
-                                    Some(r) => ReshapeReason::RankDeath(r),
-                                    None => ReshapeReason::SpeedDrift,
-                                }));
+                                return Ok(Flow::Reshape(dead_rank));
                             }
-                            Message::SpeedReport {
-                                from, step_micros, ..
-                            } => link.note_speed(from, step_micros),
                             msg => match conv.observe(&msg, link)? {
                                 Flow::Continue => {}
                                 Flow::Halted => {
@@ -375,10 +352,7 @@ impl ProgressPolicy for FreeRunning {
             // briefly instead of flooding the mesh.
             std::thread::sleep(self.idle_backoff);
         }
-        let Some(heartbeat) = self.failure.heartbeat() else {
-            return Ok(Flow::Continue);
-        };
-        if self.last_probe.elapsed() >= heartbeat {
+        if self.last_probe.elapsed() >= self.failure.heartbeat() {
             self.last_probe = Instant::now();
             // Probe under Tolerate: a closed peer is only *marked* here; the
             // adjudication below decides whether the death is benign.

@@ -1,14 +1,15 @@
 use super::*;
 use crate::decomposition::Decomposition;
+use crate::distributed::{run_rank, RankOptions};
 use crate::solver::{ExecutionMode, MultisplittingConfig, MultisplittingSolver, SolveOutcome};
 use crate::weighting::WeightingScheme;
 use crate::CoreError;
 use msplit_comm::message::Message;
 use msplit_comm::transport::Transport;
-use msplit_comm::CommError;
 use msplit_comm::InProcTransport;
 use msplit_direct::SolverKind;
 use msplit_sparse::generators;
+use std::time::Duration;
 
 #[test]
 fn vote_board_requires_full_confirmation_waves() {
@@ -98,13 +99,63 @@ fn broadcast_halt_is_idempotent_and_death_tolerant() {
     // Tolerate: a data send to the dead rank is skipped silently.
     link.send_ruled(1, Message::Halt, DeathRule::Tolerate)
         .unwrap();
-    // Fatal: surfaced as a comm error (dead set short-circuits to Ok, so
-    // use a fresh link).
-    let mut fresh = RankLink::new(transport.as_ref(), 0, &targets, &[]);
-    assert!(matches!(
-        fresh.send_ruled(1, Message::Halt, DeathRule::Fatal),
-        Err(CoreError::Comm(CommError::Disconnected { rank: 1 }))
-    ));
+}
+
+#[test]
+fn reshape_raised_by_a_fan_out_failure_ends_the_iteration_that_raised_it() {
+    // Two lockstep ranks under Redistribute.  Rank 0 already queued its
+    // iteration-1 slice and decision for rank 1, then died.  Rank 1's
+    // iteration-1 fan-out to rank 0 fails and raises the reshape; the
+    // iteration-1 wait still completes from the queued traffic, so the drive
+    // loop must honor the reshape right there.  Waiting for the next probe
+    // instead would time out on iteration 2, because the heartbeat is far
+    // above the peer timeout.
+    let a = generators::tridiagonal(20, 4.0, -1.0);
+    let b = vec![1.0; 20];
+    let cfg = adapter_config(2, 0, ExecutionMode::Synchronous);
+    let d = Decomposition::uniform(&a, &b, 2, 0).unwrap();
+    let partition = d.partition().clone();
+    let (_, blocks) = d.into_blocks();
+    let solver = SolverKind::SparseLu.build();
+    let factor = solver.factorize(&blocks[0].a_sub).unwrap();
+    let mut ws = IterationWorkspace::new();
+    let mut rank0 = RankEngine::single(
+        &partition,
+        &blocks[0],
+        &blocks[0].b_sub,
+        factor.as_ref(),
+        cfg.weighting,
+        &mut ws,
+    );
+    rank0.step().unwrap();
+    let transport = InProcTransport::new(2);
+    transport.send(0, 1, rank0.outgoing()).unwrap();
+    let decision = Message::ConvergenceVote {
+        from: 0,
+        iteration: 1,
+        converged: false,
+    };
+    transport.send(0, 1, decision).unwrap();
+    transport.close_rank(0).unwrap();
+    let options = RankOptions {
+        peer_timeout: Duration::from_millis(500),
+        failure: FailurePolicy::Redistribute {
+            heartbeat: Duration::from_secs(600),
+        },
+        ..Default::default()
+    };
+    let outcome = run_rank(
+        &partition,
+        &blocks[1],
+        &[0],
+        &[0],
+        &cfg,
+        transport,
+        &options,
+    )
+    .unwrap();
+    assert_eq!(outcome.reshape, Some(0));
+    assert_eq!(outcome.iterations, 1);
 }
 
 #[test]

@@ -471,9 +471,6 @@ fn visit_lockstep(
             }
             None => match msg {
                 Message::Heartbeat { .. } => {}
-                Message::SpeedReport {
-                    from, step_micros, ..
-                } => link.note_speed(from, step_micros),
                 Message::Reshape { .. } => {
                     st.done = Some(false);
                     return Ok(());
@@ -515,9 +512,6 @@ fn visit_free_running(
         }
         match msg {
             Message::Heartbeat { .. } => {}
-            Message::SpeedReport {
-                from, step_micros, ..
-            } => link.note_speed(from, step_micros),
             Message::Reshape { .. } => {
                 st.done = Some(false);
                 return Ok(());
@@ -627,9 +621,10 @@ pub fn simulate_ranks(config: &ScaleConfig) -> Result<ScaleReport, CoreError> {
     let mut links: Vec<RankLink> = (0..world)
         .map(|r| RankLink::new(&transport, r, &send_targets[r], &senders[r]))
         .collect();
-    // No clocks tick in the simulator, so the failure policy must not rely
-    // on heartbeat probing; sends never fail over `SimTransport` anyway.
-    let failure = FailurePolicy::FailFast;
+    // `TreeVotes` reads only the policy's death rule, and sends never fail
+    // over `SimTransport`, so the policy has no observable effect here; the
+    // cooperative visits never run a heartbeat probe.
+    let failure = FailurePolicy::default();
     let mut votes: Vec<Box<dyn LocalVote>> = (0..world)
         .map(|_| -> Box<dyn LocalVote> {
             if config.protocol.is_lockstep() {

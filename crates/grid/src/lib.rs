@@ -22,10 +22,9 @@
 //! In the engine/policy/adapter architecture documented at the top of
 //! `msplit-core` (`crates/core/src/lib.rs`), this crate is the environment
 //! model around the runtime: link delays from [`network`] are replayed onto
-//! live transports, [`cluster`] speed profiles size the bands
-//! heterogeneously, and [`perf::speeds_from_step_times`] converts observed
-//! per-rank step times back into splitting weights when the online
-//! rebalancing hook of `docs/fault-tolerance.md` triggers a reshape.
+//! live transports, and [`cluster`] speed profiles size the bands
+//! heterogeneously: [`Grid::relative_speeds`] feeds the solver's static
+//! `relative_speeds` splitting weights.
 
 pub mod cluster;
 pub mod machine;

@@ -116,34 +116,6 @@ impl WorkProfile {
     }
 }
 
-/// Relative speeds inferred from *observed* per-iteration step times — the
-/// online analogue of [`Grid::relative_speeds`], which prices machines from
-/// the static cluster model.
-///
-/// A machine's speed is proportional to the reciprocal of its step time;
-/// the result is normalized so the slowest machine is `1.0`, matching the
-/// convention heterogeneity-aware band sizing expects.  Non-positive or
-/// non-finite step times (a rank that never completed an iteration) are
-/// treated as the slowest observed time, so they receive the smallest band
-/// rather than poisoning the apportionment.
-pub fn speeds_from_step_times(step_seconds: &[f64]) -> Vec<f64> {
-    let worst = step_seconds
-        .iter()
-        .copied()
-        .filter(|t| t.is_finite() && *t > 0.0)
-        .fold(0.0f64, f64::max);
-    if worst == 0.0 {
-        return vec![1.0; step_seconds.len()];
-    }
-    step_seconds
-        .iter()
-        .map(|&t| {
-            let t = if t.is_finite() && t > 0.0 { t } else { worst };
-            worst / t
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -181,18 +153,6 @@ mod tests {
         let model = CostModel::new(cluster1());
         assert!(model.compute_seconds(99, 1).is_err());
         assert!(model.message_seconds(0, 99, 1).is_err());
-    }
-
-    #[test]
-    fn observed_speeds_invert_step_times() {
-        // 1 s, 0.5 s and 0.25 s steps → speeds 1 : 2 : 4.
-        let speeds = speeds_from_step_times(&[1.0, 0.5, 0.25]);
-        assert_eq!(speeds, vec![1.0, 2.0, 4.0]);
-        // Degenerate observations fall back to the slowest machine.
-        let speeds = speeds_from_step_times(&[2.0, 0.0, f64::NAN, 1.0]);
-        assert_eq!(speeds, vec![1.0, 1.0, 1.0, 2.0]);
-        // No usable observation at all → uniform.
-        assert_eq!(speeds_from_step_times(&[0.0, 0.0]), vec![1.0, 1.0]);
     }
 
     #[test]

@@ -138,7 +138,7 @@ fn run(job_dir: &Path, rank: usize, resume_at: Option<u64>) -> Result<(), CoreEr
 
     // Fault-tolerance wiring from the job spec: periodic snapshots (also
     // needed to resume), an optional global warm start shipped as x0.vec,
-    // and the configured failure/rebalance policies.
+    // and the configured failure policy.
     let checkpoint = (spec.checkpoint_every > 0 || resume_at.is_some()).then(|| CheckpointConfig {
         dir: job_dir.to_path_buf(),
         every: spec.checkpoint_every,
@@ -167,7 +167,6 @@ fn run(job_dir: &Path, rank: usize, resume_at: Option<u64>) -> Result<(), CoreEr
             checkpoint,
             resume_at,
             initial_guess,
-            rebalance: spec.rebalance,
             ..Default::default()
         },
     )?;
@@ -188,15 +187,8 @@ fn run(job_dir: &Path, rank: usize, resume_at: Option<u64>) -> Result<(), CoreEr
         "worker rank {rank}/{world}: {} after {} iterations (last increment {:.3e}, {:.3}s)",
         if outcome.converged {
             "converged"
-        } else if let Some(reason) = outcome.reshape {
-            match reason {
-                multisplitting::core::ReshapeReason::RankDeath(dead) => {
-                    println!("worker rank {rank}/{world}: requesting reshape, rank {dead} died");
-                }
-                multisplitting::core::ReshapeReason::SpeedDrift => {
-                    println!("worker rank {rank}/{world}: requesting reshape, speeds drifted");
-                }
-            }
+        } else if let Some(dead) = outcome.reshape {
+            println!("worker rank {rank}/{world}: requesting reshape, rank {dead} died");
             "stopped for reshape"
         } else {
             "did NOT converge"

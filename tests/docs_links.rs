@@ -160,19 +160,41 @@ fn ops_docs_cover_the_fault_tolerance_surface() {
     let docs = repo_root().join("docs");
     let ft = std::fs::read_to_string(docs.join("fault-tolerance.md")).unwrap();
     for required in [
-        "FailFast",
         "HaltOnDeath",
         "Redistribute",
         "checkpoint_every",
         "--resume-at",
         "MSPLIT_DIE_AT",
         "max_common_iteration",
-        "RebalanceConfig",
+        "relative_speeds",
     ] {
         assert!(
             ft.contains(required),
             "docs/fault-tolerance.md no longer mentions {required}"
         );
+    }
+    // Removed features stay out of the docs, except in the README's
+    // migration notes, which name what went away.
+    for page in doc_pages() {
+        let text = std::fs::read_to_string(&page).unwrap();
+        let described = text
+            .split("\n\n")
+            .filter(|para| !para.starts_with("**Migration note.**"))
+            .collect::<Vec<_>>()
+            .join("\n\n");
+        for removed in [
+            "FailFast",
+            "RebalanceConfig",
+            "SpeedReport",
+            "SpeedDrift",
+            "speeds_from_step_times",
+        ] {
+            assert!(
+                !contains_ident(&described, removed),
+                "{} still describes the removed {removed}",
+                page.display()
+            );
+        }
     }
     let fmt = std::fs::read_to_string(docs.join("checkpoint-format.md")).unwrap();
     for required in ["MSPLTCKP", "FNV-1a", "little-endian", "KEEP_CHECKPOINTS"] {

@@ -43,7 +43,7 @@ fn bytes_from_seed(seed: u64, len: usize) -> Vec<u8> {
         .collect()
 }
 
-/// Builds one of the fourteen message variants from proptest-drawn integers.
+/// Builds one of the thirteen message variants from proptest-drawn integers.
 fn build_message(variant: usize, from: usize, len: usize, seed: u64) -> Message {
     match variant {
         0 => Message::Solution {
@@ -103,18 +103,9 @@ fn build_message(variant: usize, from: usize, len: usize, seed: u64) -> Message 
         9 => Message::Heartbeat { from },
         10 => Message::Reshape {
             from,
-            dead_rank: if seed.is_multiple_of(3) {
-                None
-            } else {
-                Some((seed % 1024) as usize)
-            },
+            dead_rank: (seed % 1024) as usize,
         },
-        11 => Message::SpeedReport {
-            from,
-            iteration: seed % 100_000,
-            step_micros: seed % 10_000_000,
-        },
-        12 => Message::ServerStats {
+        11 => Message::ServerStats {
             shard: seed % 64,
             completed: seed,
             rejected: seed % 1000,
@@ -142,7 +133,7 @@ proptest! {
 
     #[test]
     fn message_codec_round_trips_every_variant(
-        variant in 0usize..14,
+        variant in 0usize..13,
         from in 0usize..64,
         len in 0usize..48,
         seed in 0u64..u64::MAX,
@@ -156,7 +147,7 @@ proptest! {
 
     #[test]
     fn frame_codec_round_trips_every_variant(
-        variant in 0usize..14,
+        variant in 0usize..13,
         from in 0usize..64,
         len in 0usize..48,
         seed in 0u64..u64::MAX,
@@ -172,7 +163,7 @@ proptest! {
 
     #[test]
     fn torn_frames_error_instead_of_panicking(
-        variant in 0usize..14,
+        variant in 0usize..13,
         len in 0usize..32,
         seed in 0u64..u64::MAX,
         cut_permille in 0usize..1000,
@@ -191,7 +182,7 @@ proptest! {
 
     #[test]
     fn corrupted_payload_bytes_never_panic_the_decoder(
-        variant in 0usize..14,
+        variant in 0usize..13,
         len in 1usize..24,
         seed in 0u64..u64::MAX,
         flip in 0usize..10_000,
@@ -209,17 +200,19 @@ proptest! {
 }
 
 /// The wire-tag edge table, spelled out because the proptest stand-in has no
-/// shrinking: one fixed message per tag 1–14 with the exact bytes the codec
-/// has always produced for it, and the two tags that must never decode —
-/// 0 (never assigned) and 15 (reserved: it carried the stability summary of a
-/// removed detection protocol, and an old peer may still send one).
+/// shrinking: one fixed message per live tag (1–7, 9–14) with the exact bytes
+/// the codec has always produced for it, and the tags that must never decode —
+/// 0 (never assigned), 8 and 15 (reserved: they carried the speed report of
+/// the removed online rebalancer and the stability summary of a removed
+/// detection protocol, and an old peer may still send either).
 #[test]
 fn wire_tags_are_byte_stable_and_tag_15_stays_reserved() {
     fn hex(bytes: &[u8]) -> String {
         bytes.iter().map(|b| format!("{b:02x}")).collect()
     }
-    let table: [(Message, &str); 14] = [
+    let table: [(u8, Message, &str); 13] = [
         (
+            1,
             Message::Solution {
                 from: 3,
                 iteration: 7,
@@ -230,6 +223,7 @@ fn wire_tags_are_byte_stable_and_tag_15_stays_reserved() {
              000000000000f03f00000000000004c0",
         ),
         (
+            2,
             Message::ConvergenceVote {
                 from: 2,
                 iteration: 9,
@@ -238,11 +232,13 @@ fn wire_tags_are_byte_stable_and_tag_15_stays_reserved() {
             "020200000000000000090000000000000001",
         ),
         (
+            3,
             Message::GlobalConverged { iteration: 11 },
             "030b00000000000000",
         ),
-        (Message::Halt, "04"),
+        (4, Message::Halt, "04"),
         (
+            5,
             Message::SolutionBatch {
                 from: 1,
                 iteration: 4,
@@ -252,23 +248,17 @@ fn wire_tags_are_byte_stable_and_tag_15_stays_reserved() {
             "050100000000000000040000000000000008000000000000000200000000000000\
              0100000000000000000000000000e03f0100000000000000000000000000d0bf",
         ),
-        (Message::Heartbeat { from: 5 }, "060500000000000000"),
+        (6, Message::Heartbeat { from: 5 }, "060500000000000000"),
         (
+            7,
             Message::Reshape {
                 from: 1,
-                dead_rank: Some(2),
+                dead_rank: 2,
             },
             "0701000000000000000200000000000000",
         ),
         (
-            Message::SpeedReport {
-                from: 4,
-                iteration: 120,
-                step_micros: 1500,
-            },
-            "0804000000000000007800000000000000dc05000000000000",
-        ),
-        (
+            9,
             Message::SubmitSolve {
                 request_id: 21,
                 fingerprint: 0xABCD,
@@ -282,6 +272,7 @@ fn wire_tags_are_byte_stable_and_tag_15_stays_reserved() {
              00010201000000000000000301000000000000000000000000000040",
         ),
         (
+            10,
             Message::SolveResult {
                 request_id: 21,
                 iterations: 13,
@@ -293,6 +284,7 @@ fn wire_tags_are_byte_stable_and_tag_15_stays_reserved() {
              01000000000000000000000000001040",
         ),
         (
+            11,
             Message::Reject {
                 request_id: 22,
                 code: RejectCode::QueueFull,
@@ -301,8 +293,9 @@ fn wire_tags_are_byte_stable_and_tag_15_stays_reserved() {
             },
             "0b160000000000000000fa00000000000000040000000000000066756c6c",
         ),
-        (Message::StatsQuery, "0c"),
+        (12, Message::StatsQuery, "0c"),
         (
+            13,
             Message::ServerStats {
                 shard: 1,
                 completed: 2,
@@ -323,6 +316,7 @@ fn wire_tags_are_byte_stable_and_tag_15_stays_reserved() {
              0000000000000e00000000000000",
         ),
         (
+            14,
             Message::VoteAggregate {
                 from: 6,
                 iteration: 33,
@@ -332,35 +326,48 @@ fn wire_tags_are_byte_stable_and_tag_15_stays_reserved() {
             "0e06000000000000002100000000000000018000000000000000",
         ),
     ];
-    for (tag, (msg, golden)) in (1u8..).zip(table) {
+    for (tag, msg, golden) in table {
         let encoded = msg.encode();
         assert_eq!(encoded.as_ref()[0], tag, "{msg:?}");
         assert_eq!(hex(encoded.as_ref()), golden, "tag {tag} changed its bytes");
         assert_eq!(Message::decode(encoded).unwrap(), msg);
     }
 
-    // The old tag-15 body (from, iteration, stable) has the shape of a speed
-    // report; only the tag differs.  It is a codec error bare and framed.
-    let mut frame = encode_frame(
-        9,
-        &Message::SpeedReport {
-            from: 9,
-            iteration: 77,
-            step_micros: 4,
-        },
-    );
-    for dead_tag in [0u8, 15] {
-        frame[FRAME_HEADER_LEN] = dead_tag;
+    // The old tag-8 body (from, iteration, step time) and the old tag-15 body
+    // (from, iteration, stable) are both three u64 words; only the tag
+    // differs.  Each is a codec error bare and framed.
+    let frame_of = |body: &[u8]| {
+        let mut frame = vec![WIRE_VERSION];
+        frame.extend_from_slice(&9u32.to_le_bytes());
+        frame.extend_from_slice(&77u64.to_le_bytes());
+        frame.extend_from_slice(&(body.len() as u32).to_le_bytes());
+        frame.extend_from_slice(body);
+        frame
+    };
+    for dead_tag in [0u8, 8, 15] {
+        let mut body = vec![dead_tag];
+        for word in [9u64, 77, 4] {
+            body.extend_from_slice(&word.to_le_bytes());
+        }
         assert!(
-            matches!(decode_frame(&frame), Err(CommError::Codec(_))),
+            matches!(decode_frame(&frame_of(&body)), Err(CommError::Codec(_))),
             "a tag-{dead_tag} frame decoded"
         );
-        let body = frame[FRAME_HEADER_LEN..].to_vec();
         assert!(matches!(
             Message::decode(body.into()),
             Err(CommError::Codec(_))
         ));
     }
+
+    // A reshape always names its dead rank: the `u64::MAX` sentinel the
+    // removed speed-drift reshape sent is a codec error.
+    let mut reshape = vec![7u8];
+    reshape.extend_from_slice(&1u64.to_le_bytes());
+    reshape.extend_from_slice(&u64::MAX.to_le_bytes());
+    assert!(matches!(
+        decode_frame(&frame_of(&reshape)),
+        Err(CommError::Codec(_))
+    ));
 }
 
 #[test]
