@@ -1101,7 +1101,7 @@ fn main() {
 
     // --- Driver dispatch: old inlined loop body vs the RankEngine adapter
     // path, plus the end-to-end per-iteration cost of the threaded sync
-    // adapter (informational). ---
+    // adapter and of the pooled loop (informational). ---
     let (disp_n, disp_steps, disp_reps) = if check_mode {
         (256, 200, 5)
     } else {
@@ -1123,18 +1123,31 @@ fn main() {
         mode: ExecutionMode::Synchronous,
         ..Default::default()
     });
+    // The same cold solve through the threaded adapter over an explicit
+    // in-process transport, and through the pooled loop `solve` takes.
     let mut e2e_iters = 1u64;
-    let e2e_ms = time_ms(3, || {
-        let out = sync_solver.solve(&a, &b).expect("sync solve");
-        e2e_iters = out.iterations.max(1);
-        out
-    });
-    let e2e_record = DriverRecord {
-        name: "threaded_sync_adapter_end_to_end",
-        n: e2e_n,
-        inlined_us: f64::NAN,
-        engine_us: e2e_ms * 1e3 / e2e_iters as f64,
+    let mut e2e_record = |name, pooled: bool| {
+        let ms = time_ms(3, || {
+            let out = if pooled {
+                sync_solver.solve(&a, &b)
+            } else {
+                sync_solver.solve_with_transport(&a, &b, InProcTransport::new(4))
+            };
+            let out = out.expect("sync solve");
+            e2e_iters = out.iterations.max(1);
+            out
+        });
+        DriverRecord {
+            name,
+            n: e2e_n,
+            inlined_us: f64::NAN,
+            engine_us: ms * 1e3 / e2e_iters as f64,
+        }
     };
+    let e2e_records = [
+        e2e_record("threaded_sync_adapter_end_to_end", false),
+        e2e_record("pooled_sync_end_to_end", true),
+    ];
 
     // --- Serving: the networked fleet, cold vs warm vs coalesced. ---
     let (serving_records, cold_rps, coalesced_rps) = serving_table(check_mode);
@@ -1193,11 +1206,13 @@ fn main() {
         dispatch.engine_us,
         dispatch.overhead_pct()
     );
-    let _ = writeln!(
-        json,
-        "    {{\"name\": \"{}\", \"n\": {}, \"inlined_us_per_iteration\": null, \"engine_us_per_iteration\": {:.3}, \"overhead_pct\": null}},",
-        e2e_record.name, e2e_record.n, e2e_record.engine_us
-    );
+    for e2e in &e2e_records {
+        let _ = writeln!(
+            json,
+            "    {{\"name\": \"{}\", \"n\": {}, \"inlined_us_per_iteration\": null, \"engine_us_per_iteration\": {:.3}, \"overhead_pct\": null}},",
+            e2e.name, e2e.n, e2e.engine_us
+        );
+    }
     // For the incremental row, "inlined" is the always-dense engine and
     // "engine" the incremental one, so a negative overhead is the win.
     let _ = writeln!(
@@ -1278,11 +1293,12 @@ fn main() {
     );
     println!(
         "# driver dispatch: inlined {:.3} us/iter vs RankEngine {:.3} us/iter ({:+.2}%); \
-         threaded sync adapter end-to-end {:.1} us/iter over {} iterations",
+         sync end-to-end {:.1} us/iter threaded vs {:.1} us/iter pooled over {} iterations",
         dispatch.inlined_us,
         dispatch.engine_us,
         dispatch.overhead_pct(),
-        e2e_record.engine_us,
+        e2e_records[0].engine_us,
+        e2e_records[1].engine_us,
         e2e_iters
     );
     // Acceptance gates.  Every gate is evaluated; failures are collected and

@@ -62,14 +62,45 @@ impl NeighborData {
     /// duplicate must not count as "fresh data" in the drivers' convergence
     /// guards.
     pub fn update(&mut self, from: usize, iteration: u64, offset: usize, values: Vec<f64>) -> bool {
-        if from >= self.latest.len() {
+        if !self.stamp(from, iteration) {
             return false;
         }
-        if iteration < self.stamps[from] {
+        self.latest[from] = Some((offset, values));
+        true
+    }
+
+    /// [`NeighborData::update`] from a borrowed slice: the stored slice of
+    /// `from` is overwritten in place, so once every peer has spoken a
+    /// repeated update allocates nothing.
+    pub(crate) fn update_from_slice(
+        &mut self,
+        from: usize,
+        iteration: u64,
+        offset: usize,
+        values: &[f64],
+    ) -> bool {
+        if !self.stamp(from, iteration) {
+            return false;
+        }
+        match &mut self.latest[from] {
+            Some((stored_offset, stored)) => {
+                *stored_offset = offset;
+                stored.clear();
+                stored.extend_from_slice(values);
+            }
+            slot => *slot = Some((offset, values.to_vec())),
+        }
+        true
+    }
+
+    /// Records `iteration` as the stamp of `from` unless the slice is stale
+    /// (older than the stored one) or the sender is out of range; returns
+    /// whether the slice is to be stored.
+    fn stamp(&mut self, from: usize, iteration: u64) -> bool {
+        if from >= self.latest.len() || iteration < self.stamps[from] {
             return false;
         }
         self.stamps[from] = iteration;
-        self.latest[from] = Some((offset, values));
         true
     }
 

@@ -17,7 +17,9 @@
 
 use crate::driver_common::{compute_send_targets, IterationWorkspace};
 use crate::krylov::{self, KrylovWorkspace, SweepPreconditioner};
-use crate::solver::{BatchSolveOutcome, Method, MultisplittingConfig, PartReport, SolveOutcome};
+use crate::solver::{
+    BatchSolveOutcome, ExecutionMode, Method, MultisplittingConfig, PartReport, SolveOutcome,
+};
 use crate::{runtime, CoreError};
 use msplit_comm::transport::Transport;
 use msplit_direct::api::Factorization;
@@ -52,9 +54,9 @@ pub struct PreparedSystem {
     /// Retained copy of the operator, kept only when the prepared method
     /// needs matvecs (FGMRES); `None` for the stationary/Richardson paths.
     matrix: Option<CsrMatrix>,
-    /// Precomputed `E_lk` weight table for the Krylov sweeps (`None` for the
-    /// stationary method, whose drivers blend incrementally instead).
-    weight_table: Option<Vec<Vec<(usize, f64)>>>,
+    /// Precomputed `E_lk` weight table: the Krylov sweeps blend with it and
+    /// the pooled lockstep loop assembles its solution with it.
+    pub(crate) weight_table: Vec<Vec<(usize, f64)>>,
     /// Pool of Krylov workspaces, mirroring `workspace_pool`: warm
     /// Richardson/FGMRES solves allocate nothing on the outer path.
     krylov_pool: Mutex<Vec<KrylovWorkspace>>,
@@ -97,8 +99,7 @@ impl PreparedSystem {
         let factors = runtime::factorize_blocks(&blocks, &config)?;
         let send_targets = compute_send_targets(&partition, &blocks);
         let matrix = matches!(config.method, Method::Fgmres { .. }).then(|| a.clone());
-        let weight_table = (config.method != Method::Stationary)
-            .then(|| config.weighting.weight_table(&partition));
+        let weight_table = config.weighting.weight_table(&partition);
         Ok(PreparedSystem {
             config,
             partition,
@@ -190,15 +191,22 @@ impl PreparedSystem {
         Ok(())
     }
 
-    /// Solves `A x = b` with the prepared factorizations over a fresh
-    /// in-process transport, honouring the prepared configuration's execution
-    /// mode.
+    /// Solves `A x = b` with the prepared factorizations in this process,
+    /// honouring the prepared configuration's execution mode and method.
+    ///
+    /// A synchronous stationary solve runs in the calling thread: every
+    /// outer iteration steps all bands as one parallel loop on the `rayon`
+    /// pool and copies the halos in memory, with no thread spawned and no
+    /// message built.  It stops on the same iteration with the same bits as
+    /// [`PreparedSystem::solve_with_transport`] over an
+    /// [`msplit_comm::InProcTransport`].  An asynchronous solve runs one
+    /// thread per band over a fresh in-process transport.
     pub fn solve(&self, b: &[f64]) -> Result<SolveOutcome, CoreError> {
-        let transport = msplit_comm::InProcTransport::new(self.num_parts());
-        self.solve_with_transport(b, transport)
+        self.solve_on(b, None)
     }
 
-    /// Solves `A x = b` over an explicit transport.
+    /// Solves `A x = b` over an explicit transport: one thread per band,
+    /// every halo and vote a message through `transport`.
     ///
     /// The Krylov methods ([`Method::Richardson`], [`Method::Fgmres`]) run
     /// the outer loop in the calling thread — their parallelism lives inside
@@ -207,6 +215,16 @@ impl PreparedSystem {
         &self,
         b: &[f64],
         transport: Arc<dyn Transport>,
+    ) -> Result<SolveOutcome, CoreError> {
+        self.solve_on(b, Some(transport))
+    }
+
+    /// The one solve route: the method, the execution mode and whether the
+    /// caller passed a transport pick the driver.
+    pub(crate) fn solve_on(
+        &self,
+        b: &[f64],
+        transport: Option<Arc<dyn Transport>>,
     ) -> Result<SolveOutcome, CoreError> {
         self.check_rhs(b)?;
         let start = Instant::now();
@@ -221,7 +239,16 @@ impl PreparedSystem {
             } => return self.solve_krylov(b, Some(restart), inner_sweeps, start),
         }
         let mut workspaces = self.acquire_workspaces();
-        let result = runtime::run_single(self, b, transport, &mut workspaces, start);
+        let result = match (transport, self.config.mode) {
+            (None, ExecutionMode::Synchronous) => {
+                runtime::run_single_pooled(self, b, &mut workspaces, start)
+            }
+            (transport, _) => {
+                let transport = transport
+                    .unwrap_or_else(|| msplit_comm::InProcTransport::new(self.num_parts()));
+                runtime::run_single(self, b, transport, &mut workspaces, start)
+            }
+        };
         self.release_workspaces(workspaces);
         result
     }
@@ -257,10 +284,7 @@ impl PreparedSystem {
         start: Instant,
     ) -> Result<SolveOutcome, CoreError> {
         let n = self.order();
-        let table = self
-            .weight_table
-            .as_deref()
-            .expect("prepare() builds the weight table for every Krylov method");
+        let table = &self.weight_table;
         let mut ws = self.acquire_krylov();
         ws.prepare(n);
         // Block-scoped so the preconditioner's borrow of `ws.sweep` ends

@@ -46,10 +46,7 @@ pub fn mode_policies(
     let tolerance = config.tolerance;
     match mode {
         ExecutionMode::Synchronous => (
-            Box::new(StaleSweepGuard::new(
-                IncrementVote::lockstep(tolerance),
-                tolerance,
-            )),
+            Box::new(lockstep_vote(tolerance)),
             Box::new(TreeVotes::new(rank, world, failure)),
             Box::new(Lockstep::new(peer_timeout, failure)),
         ),
@@ -63,6 +60,13 @@ pub fn mode_policies(
             Box::new(FreeRunning::new(failure)),
         ),
     }
+}
+
+/// The local vote of a synchronous rank: the guarded window-1 increment
+/// vote.  [`mode_policies`] and the pooled lockstep loop both build it here,
+/// so the two synchronous drivers cannot vote differently.
+pub(crate) fn lockstep_vote(tolerance: f64) -> StaleSweepGuard<IncrementVote> {
+    StaleSweepGuard::new(IncrementVote::lockstep(tolerance), tolerance)
 }
 
 /// Result of driving one rank to completion.

@@ -284,6 +284,25 @@ impl<'a> RankEngine<'a> {
         fresh
     }
 
+    /// Ingests `peer`'s current slice straight from its iterate: the same
+    /// halo update as [`RankEngine::ingest`] of `peer.outgoing()`, stamped
+    /// with the same iteration, without building the message (single-RHS
+    /// shape only).  Allocation-free once `peer` has been ingested before.
+    pub(crate) fn ingest_peer(&mut self, peer: &RankEngine) -> bool {
+        debug_assert!(matches!(self.shape, EngineShape::Single));
+        if let Some(log) = &mut self.recorder {
+            log.events.push(EngineEvent::Ingest(peer.outgoing()));
+        }
+        let fresh = self.neighbors[0].update_from_slice(
+            peer.rank,
+            peer.iterations,
+            peer.blk.offset,
+            &peer.ws.x_sub,
+        );
+        self.fresh_since_step |= fresh;
+        fresh
+    }
+
     /// Performs one Algorithm 1 sweep: refresh the dependency values from the
     /// halo state, assemble `BLoc` into the retained buffer, solve it in
     /// place, and observe the increment.  Allocation-free once the workspace

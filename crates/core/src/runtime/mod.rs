@@ -24,12 +24,19 @@
 //!   iteration plus the convergence decision) or [`FreeRunning`]
 //!   (drain-what-arrived, AIAC style).
 //!
-//! [`drive_with_hooks`] is the single outer loop that pumps them.  The
-//! threaded adapter runs it over an in-process transport (one thread per
-//! rank), the distributed runtime runs the *same* loop over TCP; both
-//! therefore compute bitwise-identical lockstep iterates, which
-//! `tests/driver_equivalence.rs` asserts against the retained sequential
-//! reference.
+//! [`drive_with_hooks`] is the single outer loop that pumps them wherever
+//! there is a transport.  The threaded adapter runs it over the caller's
+//! transport (one thread per rank), the distributed runtime runs the *same*
+//! loop over TCP; both therefore compute bitwise-identical lockstep iterates,
+//! which `tests/driver_equivalence.rs` asserts against the retained
+//! sequential reference.
+//!
+//! A synchronous in-process solve with no caller transport needs no
+//! messages: the pooled loop steps the same engines with the same local vote
+//! as one fork-join per iteration on the `rayon` pool, copying halos in
+//! memory, and stops on the threaded adapter's iteration with its bits.
+//! Asynchronous solves and batches still run the threaded adapter over an
+//! in-process transport.
 //!
 //! Failure handling is a policy too, with exactly two choices; both probe
 //! silent peers with [`Message::Heartbeat`] during lockstep waits and between
@@ -43,7 +50,8 @@
 //!
 //! Layout: `engine` (state machine), `vote` (local votes), `failure` (death
 //! rules and the [`RankLink`]), `convergence`, `progress`, `drive` (the loop,
-//! its policy stacks and hooks), `threaded` (the thread-per-rank adapter).
+//! its policy stacks and hooks), `threaded` (the thread-per-rank adapter),
+//! `pooled` (the in-process lockstep loop on the pool).
 
 #[allow(unused_imports)] // doc links
 use msplit_comm::message::Message;
@@ -52,6 +60,7 @@ mod convergence;
 mod drive;
 mod engine;
 mod failure;
+mod pooled;
 mod progress;
 mod threaded;
 mod vote;
@@ -72,6 +81,7 @@ pub use engine::{
     EngineEvent, EngineSnapshot, EventLog, HaloEntry, RankEngine, SolvePathStats, StepObservation,
 };
 pub use failure::{DeathRule, FailurePolicy, Flow, RankLink};
+pub(crate) use pooled::run_single_pooled;
 pub(crate) use progress::{data_meta, mark_slice};
 pub use progress::{FreeRunning, Lockstep, ProgressPolicy};
 pub use threaded::factorize_blocks;

@@ -114,7 +114,7 @@ fn panic_message(payload: &Box<dyn std::any::Any + Send>) -> String {
 }
 
 /// Per-part static work profile of one rank (flops, memory, message sizes).
-fn part_report(
+pub(super) fn part_report(
     blk: &LocalBlocks,
     factor: &dyn Factorization,
     engine: &RankEngine,

@@ -379,10 +379,12 @@ impl MultisplittingSolver {
         PreparedSystem::prepare(self.config.clone(), a)
     }
 
-    /// Solves `A x = b` using the in-process transport.
+    /// Solves `A x = b` in this process: one [`PreparedSystem::prepare`]
+    /// followed by one [`PreparedSystem::solve`] (a synchronous stationary
+    /// solve runs on the `rayon` pool, with no thread spawned and no
+    /// message).  The reported `wall_seconds` includes the factorization.
     pub fn solve(&self, a: &CsrMatrix, b: &[f64]) -> Result<SolveOutcome, CoreError> {
-        let transport = msplit_comm::InProcTransport::new(self.config.parts);
-        self.solve_with_transport(a, b, transport)
+        self.solve_on(a, b, None)
     }
 
     /// Solves `A x = b` over an explicit transport (e.g. a
@@ -399,13 +401,22 @@ impl MultisplittingSolver {
         b: &[f64],
         transport: Arc<dyn Transport>,
     ) -> Result<SolveOutcome, CoreError> {
+        self.solve_on(a, b, Some(transport))
+    }
+
+    fn solve_on(
+        &self,
+        a: &CsrMatrix,
+        b: &[f64],
+        transport: Option<Arc<dyn Transport>>,
+    ) -> Result<SolveOutcome, CoreError> {
         let start = Instant::now();
-        if self.config.method == Method::Stationary {
+        if let (Some(transport), Method::Stationary) = (&transport, self.config.method) {
             // A mis-sized transport fails before the expensive factorizations.
-            runtime::check_transport_ranks(self.config.parts, &transport)?;
+            runtime::check_transport_ranks(self.config.parts, transport)?;
         }
         let prepared = PreparedSystem::prepare(self.config.clone(), a)?;
-        let mut outcome = prepared.solve_with_transport(b, transport)?;
+        let mut outcome = prepared.solve_on(b, transport)?;
         outcome.wall_seconds = start.elapsed().as_secs_f64();
         Ok(outcome)
     }

@@ -14,9 +14,10 @@ use std::time::Instant;
 /// Sizing of an [`Engine`].
 #[derive(Debug, Clone)]
 pub struct EngineConfig {
-    /// Worker threads executing jobs.  Each worker runs one job at a time;
-    /// the multisplitting drivers themselves spawn one thread per band, so a
-    /// few workers saturate a host.
+    /// Worker threads executing jobs.  Each worker runs one job at a time.
+    /// A synchronous single-RHS solve runs inline on its worker; batches and
+    /// asynchronous solves spawn one thread per band, so a few workers
+    /// saturate a host.
     pub workers: usize,
     /// Bound of the job queue; submissions beyond it block
     /// ([`Engine::submit`]) or fail fast ([`Engine::try_submit`]).

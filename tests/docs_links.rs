@@ -231,6 +231,9 @@ fn performance_docs_cover_the_sparse_solve_surface() {
         "sparse_lu_factorize",
         "NonFinite",
         "bitwise",
+        "## In-process lockstep on the pool",
+        "pooled_sync_end_to_end",
+        "threaded_sync_adapter_end_to_end",
     ] {
         assert!(
             doc.contains(required),

@@ -1,7 +1,7 @@
 //! Driver-equivalence matrix: the unified `RankEngine` behind every adapter
 //! is the retained sequential reference, bitwise.
 //!
-//! Two layers of evidence:
+//! Four layers of evidence:
 //!
 //! 1. **Engine-level** — stepping the per-rank engines by hand in a lockstep
 //!    schedule (step all, exchange all slices, repeat) reproduces the
@@ -14,8 +14,16 @@
 //!    transport-independent), agree with the sequential reference to solver
 //!    tolerance, and the free-running async adapter lands on the same
 //!    solution over both transports.
+//! 3. **Krylov** — Richardson with one inner sweep is the stationary
+//!    iteration, bitwise, against the reference and the threaded driver.
+//! 4. **Pooled lockstep** — `PreparedSystem::solve`'s in-process loop, which
+//!    steps the same engines on the `rayon` pool and copies halos in memory,
+//!    is the threaded adapter over an explicit `InProcTransport`: same bits,
+//!    same stopping iteration, same per-part reports.  The tests that reach
+//!    the threaded adapter pass that transport explicitly.
 
 use multisplitting::comm::tcp::{LoopbackMesh, TcpOptions};
+use multisplitting::comm::InProcTransport;
 use multisplitting::core::runtime::{IterationWorkspace, RankEngine};
 use multisplitting::core::sequential::solve_sequential_decomposed;
 use multisplitting::prelude::*;
@@ -350,7 +358,9 @@ proptest! {
         // within tolerance of the sequential reference.
         let sync_cfg = config(parts, ExecutionMode::Synchronous);
         let solver = MultisplittingSolver::new(sync_cfg.clone());
-        let sync_inproc = solver.solve(&a, &b).unwrap();
+        let sync_inproc = solver
+            .solve_with_transport(&a, &b, InProcTransport::new(parts))
+            .unwrap();
         let mesh = LoopbackMesh::new(parts, TcpOptions::default()).unwrap();
         let sync_tcp = solver.solve_with_transport(&a, &b, mesh).unwrap();
         prop_assert!(sync_inproc.converged && sync_tcp.converged);
@@ -452,7 +462,7 @@ proptest! {
         });
         let (_, b) = generators::rhs_for_solution(&a, |i| ((i % 9) as f64) - 4.0);
         let threaded = MultisplittingSolver::new(config(parts, ExecutionMode::Synchronous))
-            .solve(&a, &b)
+            .solve_with_transport(&a, &b, InProcTransport::new(parts))
             .unwrap();
         prop_assert!(threaded.converged);
         let cfg = MultisplittingConfig {
@@ -483,7 +493,7 @@ fn unified_runtime_smoke_fixed_system() {
     let (x_true, b) = generators::rhs_for_solution(&a, |i| ((i % 11) as f64) - 5.0);
     let cfg = config(3, ExecutionMode::Synchronous);
     let threaded = MultisplittingSolver::new(cfg.clone())
-        .solve(&a, &b)
+        .solve_with_transport(&a, &b, InProcTransport::new(3))
         .unwrap();
     assert!(threaded.converged);
     assert!(max_err(&threaded.x, &x_true) < 1e-7);
@@ -526,7 +536,9 @@ fn two_level_vote_tree_is_bitwise_the_sequential_sweep() {
     };
 
     let prepared = PreparedSystem::prepare(config(parts, ExecutionMode::Synchronous), &a).unwrap();
-    let single = prepared.solve(&rhs[0]).unwrap();
+    let single = prepared
+        .solve_with_transport(&rhs[0], InProcTransport::new(parts))
+        .unwrap();
     assert!(single.converged);
     assert!(
         single.iterations > 2,
@@ -542,4 +554,115 @@ fn two_level_vote_tree_is_bitwise_the_sequential_sweep() {
         assert_eq!(batch.columns[c], sequential(b, k), "column {c}");
     }
     assert_eq!(batch.column_converged_at[0], Some(single.iterations));
+}
+
+/// Asserts that a pooled and a threaded solve of one system agree: every bit
+/// of `x`, the stopping iteration, the convergence verdict and every per-part
+/// report field except the host wall clock.
+fn assert_pooled_is_threaded(pooled: &SolveOutcome, threaded: &SolveOutcome, case: &str) {
+    let bits = |x: &[f64]| x.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+    assert_eq!(bits(&pooled.x), bits(&threaded.x), "{case}: x");
+    assert_eq!(pooled.iterations, threaded.iterations, "{case}: iterations");
+    assert_eq!(
+        pooled.iterations_per_part, threaded.iterations_per_part,
+        "{case}: iterations per part"
+    );
+    assert_eq!(
+        pooled.last_increment.to_bits(),
+        threaded.last_increment.to_bits(),
+        "{case}: last increment"
+    );
+    assert_eq!(pooled.converged, threaded.converged, "{case}: converged");
+    assert_eq!(pooled.part_reports.len(), threaded.part_reports.len());
+    for (p, t) in pooled.part_reports.iter().zip(&threaded.part_reports) {
+        let part = p.part;
+        assert_eq!(p.part, t.part, "{case}: part order");
+        assert_eq!(p.factor_stats, t.factor_stats, "{case}: part {part} factor");
+        assert_eq!(p.iterations, t.iterations, "{case}: part {part} iterations");
+        assert_eq!(
+            p.bytes_sent_per_iteration, t.bytes_sent_per_iteration,
+            "{case}: part {part} bytes"
+        );
+        assert_eq!(
+            p.messages_per_iteration, t.messages_per_iteration,
+            "{case}: part {part} messages"
+        );
+        assert_eq!(
+            p.flops_per_iteration, t.flops_per_iteration,
+            "{case}: part {part} flops"
+        );
+        assert_eq!(p.memory_bytes, t.memory_bytes, "{case}: part {part} memory");
+        assert_eq!(p.solve_path, t.solve_path, "{case}: part {part} solve path");
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    // Layer 4: the in-process lockstep loop on the pool (`solve`) is the
+    // threaded adapter over an in-process transport, bit for bit and report
+    // for report: at the natural tolerance, forced to a fixed depth
+    // (tolerance < 0 exhausts the budget with `converged == false`), and
+    // with no budget at all.  P = VOTE_TREE_ARITY + 2 gives the threaded
+    // side a two-level vote tree.
+    #[test]
+    fn pooled_lockstep_is_bitwise_the_threaded_adapter(
+        parts_idx in 0usize..5,
+        overlap_idx in 0usize..2,
+        scheme_idx in 0usize..3,
+        kind_idx in 0usize..3,
+        seed in 0u64..1000,
+        depth in 1u64..6,
+    ) {
+        use multisplitting::core::runtime::VOTE_TREE_ARITY;
+        let parts = [1, 2, 3, 8, VOTE_TREE_ARITY + 2][parts_idx];
+        let overlap = [0, 2][overlap_idx];
+        let weighting = [
+            WeightingScheme::OwnerTakes,
+            WeightingScheme::Average,
+            WeightingScheme::FirstCovering,
+        ][scheme_idx];
+        let solver_kind = [SolverKind::SparseLu, SolverKind::DenseLu, SolverKind::BandLu][kind_idx];
+        // A narrow band keeps every block inside BandLu's bandwidth limit.
+        let a = generators::diag_dominant(&DiagDominantConfig {
+            n: (12 * parts).max(48),
+            seed,
+            half_bandwidth: 2,
+            ..Default::default()
+        });
+        let (_, b) = generators::rhs_for_solution(&a, |i| ((i % 9) as f64) - 4.0);
+        let base = MultisplittingConfig {
+            overlap,
+            weighting,
+            solver_kind,
+            ..config(parts, ExecutionMode::Synchronous)
+        };
+        let budgets = [
+            ("natural", base.tolerance, base.max_iterations),
+            ("forced", -1.0, depth),
+            ("no budget", base.tolerance, 0),
+        ];
+        for (label, tolerance, max_iterations) in budgets {
+            let cfg = MultisplittingConfig {
+                tolerance,
+                max_iterations,
+                ..base.clone()
+            };
+            let prepared = PreparedSystem::prepare(cfg, &a).unwrap();
+            let pooled = prepared.solve(&b).unwrap();
+            let threaded = prepared
+                .solve_with_transport(&b, InProcTransport::new(parts))
+                .unwrap();
+            let case = format!("{label}: P={parts} overlap={overlap} {weighting:?} {solver_kind:?}");
+            assert_pooled_is_threaded(&pooled, &threaded, &case);
+            match label {
+                "natural" => prop_assert!(pooled.converged, "{}", case),
+                "forced" => {
+                    prop_assert_eq!(pooled.iterations, depth);
+                    prop_assert!(!pooled.converged);
+                }
+                _ => prop_assert_eq!(pooled.iterations, 0),
+            }
+        }
+    }
 }

@@ -312,6 +312,44 @@ fn main() {
         });
     }
 
+    // --- Warm pooled lockstep solve (`PreparedSystem::solve`, synchronous). ---
+    // A whole solve allocates its outputs (solution, reports) and each
+    // engine's per-solve halo tracker; the outer iterations — the fork-join
+    // step of every band on the pool, the in-memory halo copies, the vote —
+    // allocate nothing.  So once the pool and the pooled workspace sets are
+    // warm, a solve forced to 20 iterations allocates exactly as often as
+    // the same solve forced to 2.
+    {
+        use multisplitting::core::{MultisplittingConfig, PreparedSystem};
+        let forced = |max_iterations| {
+            let config = MultisplittingConfig {
+                parts: 3,
+                overlap: 1,
+                tolerance: -1.0,
+                max_iterations,
+                ..Default::default()
+            };
+            PreparedSystem::prepare(config, &a).expect("prepare")
+        };
+        let (short, long) = (forced(2), forced(20));
+        let allocations = |system: &PreparedSystem, iterations: u64| {
+            let before = ALLOCATIONS.load(Relaxed);
+            let out = system.solve(&b).expect("pooled solve");
+            let allocated = ALLOCATIONS.load(Relaxed) - before;
+            assert_eq!(out.iterations, iterations);
+            allocated
+        };
+        for _ in 0..2 {
+            allocations(&short, 2);
+            allocations(&long, 20);
+        }
+        let (at_2, at_20) = (allocations(&short, 2), allocations(&long, 20));
+        assert_eq!(
+            at_20, at_2,
+            "warm pooled lockstep solve: {at_20} allocations at 20 iterations, {at_2} at 2"
+        );
+    }
+
     // Sanity: the counter itself works (an obvious allocation is seen).
     let before = ALLOCATIONS.load(Relaxed);
     let v: Vec<u8> = Vec::with_capacity(1024);
