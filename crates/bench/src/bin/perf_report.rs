@@ -138,6 +138,26 @@ impl DriverRecord {
     fn overhead_pct(&self) -> f64 {
         (self.engine_us - self.inlined_us) / self.inlined_us * 100.0
     }
+
+    /// The row's JSON object; an unmeasured (NaN) inlined side prints as
+    /// `null`, and so does its overhead.
+    fn json(&self) -> String {
+        let num = |v: f64, digits: usize| {
+            if v.is_nan() {
+                "null".to_string()
+            } else {
+                format!("{v:.digits$}")
+            }
+        };
+        format!(
+            "    {{\"name\": \"{}\", \"n\": {}, \"inlined_us_per_iteration\": {}, \"engine_us_per_iteration\": {:.3}, \"overhead_pct\": {}}}",
+            self.name,
+            self.n,
+            num(self.inlined_us, 3),
+            self.engine_us,
+            num(self.overhead_pct(), 2)
+        )
+    }
 }
 
 /// One row of the convergence table: a scale-simulated protocol run.
@@ -388,19 +408,25 @@ fn sparse_trsv_record(n: usize) -> KernelRecord {
     }
 }
 
-/// Measures the steady-state per-iteration cost of a rank whose halo delta
-/// stays sparse, with the incremental path on vs off.  The decoupled-block
-/// system keeps the delta reach to a handful of unknowns, so the incremental
+/// Measures the steady-state per-iteration cost of band 0 of a two-band
+/// split of `a`, with the incremental path on vs off.  On a decoupled-block
+/// system the delta reach stays at a handful of unknowns, so the incremental
 /// engine pays a few reached columns per step where the dense engine pays a
-/// full assembly + triangular sweep.
-fn incremental_step_record(n: usize, steps: usize, reps: usize) -> DriverRecord {
-    let a = block_diag(n, 4);
+/// full assembly + triangular sweep; on a coupled band every delta trips the
+/// reach threshold and both sides run the dense solve.
+fn incremental_step_record(
+    name: &'static str,
+    a: &CsrMatrix,
+    steps: usize,
+    reps: usize,
+) -> DriverRecord {
+    let n = a.rows();
     let (_, b) = {
         let ones = vec![1.0; n];
         let ax = a.spmv(&ones).expect("spmv");
         (ones, ax)
     };
-    let d = Decomposition::uniform(&a, &b, 2, 0).expect("decomposition");
+    let d = Decomposition::uniform(a, &b, 2, 0).expect("decomposition");
     let partition = d.partition().clone();
     let (_, blocks) = d.into_blocks();
     let solver = SolverKind::SparseLu.build();
@@ -448,7 +474,7 @@ fn incremental_step_record(n: usize, steps: usize, reps: usize) -> DriverRecord 
     };
 
     DriverRecord {
-        name: "incremental_halo_delta_step",
+        name,
         n,
         inlined_us: measure(false),
         engine_us: measure(true),
@@ -1113,7 +1139,19 @@ fn main() {
     } else {
         (10_000, 400, 5)
     };
-    let incr_record = incremental_step_record(incr_n, incr_steps, incr_reps);
+    let coupled = generators::convection_diffusion(&generators::ConvectionDiffusionConfig {
+        k: 32,
+        ..Default::default()
+    });
+    let incr_records = [
+        incremental_step_record(
+            "incremental_halo_delta_step",
+            &block_diag(incr_n, 4),
+            incr_steps,
+            incr_reps,
+        ),
+        incremental_step_record("incremental_step_coupled", &coupled, incr_steps, incr_reps),
+    ];
     let e2e_n = if check_mode { 240 } else { 960 };
     let a = generators::cage_like(e2e_n, 9);
     let (_, b) = generators::rhs_for_solution(&a, |i| ((i % 6) as f64) - 2.0);
@@ -1197,33 +1235,15 @@ fn main() {
         );
     }
     json.push_str("  ],\n  \"driver\": [\n");
-    let _ = writeln!(
-        json,
-        "    {{\"name\": \"{}\", \"n\": {}, \"inlined_us_per_iteration\": {:.3}, \"engine_us_per_iteration\": {:.3}, \"overhead_pct\": {:.2}}},",
-        dispatch.name,
-        dispatch.n,
-        dispatch.inlined_us,
-        dispatch.engine_us,
-        dispatch.overhead_pct()
-    );
-    for e2e in &e2e_records {
-        let _ = writeln!(
-            json,
-            "    {{\"name\": \"{}\", \"n\": {}, \"inlined_us_per_iteration\": null, \"engine_us_per_iteration\": {:.3}, \"overhead_pct\": null}},",
-            e2e.name, e2e.n, e2e.engine_us
-        );
-    }
-    // For the incremental row, "inlined" is the always-dense engine and
+    // For the incremental rows, "inlined" is the always-dense engine and
     // "engine" the incremental one, so a negative overhead is the win.
-    let _ = writeln!(
-        json,
-        "    {{\"name\": \"{}\", \"n\": {}, \"inlined_us_per_iteration\": {:.3}, \"engine_us_per_iteration\": {:.3}, \"overhead_pct\": {:.2}}}",
-        incr_record.name,
-        incr_record.n,
-        incr_record.inlined_us,
-        incr_record.engine_us,
-        incr_record.overhead_pct()
-    );
+    let driver_rows: Vec<String> = std::iter::once(&dispatch)
+        .chain(&e2e_records)
+        .chain(&incr_records)
+        .map(DriverRecord::json)
+        .collect();
+    json.push_str(&driver_rows.join(",\n"));
+    json.push('\n');
     json.push_str("  ],\n  \"serving\": [\n");
     for (i, s) in serving_records.iter().enumerate() {
         let comma = if i + 1 == serving_records.len() {
@@ -1325,13 +1345,16 @@ fn main() {
             dispatch.engine_us, budget_us
         );
     }
-    println!(
-        "# incremental halo-delta step n={}: dense {:.3} us/iter vs incremental {:.3} us/iter ({:.2}x)",
-        incr_record.n,
-        incr_record.inlined_us,
-        incr_record.engine_us,
-        incr_record.inlined_us / incr_record.engine_us
-    );
+    for r in &incr_records {
+        println!(
+            "# {} n={}: dense {:.3} us/iter vs incremental {:.3} us/iter ({:.2}x)",
+            r.name,
+            r.n,
+            r.inlined_us,
+            r.engine_us,
+            r.inlined_us / r.engine_us
+        );
+    }
     // The sparse-solve acceptance gate: a clustered 2% right-hand side on a
     // locally-reachable factor must make the reach-based solve pay off.
     println!(

@@ -229,12 +229,21 @@ pub(crate) struct IncrementalState {
     pub(crate) right_cols: ColumnCache,
     /// Triangular intermediates of the previous sparse-LU solve.
     pub(crate) cache: DeltaCache,
+    /// Seed rows of the last delta attempt whose reach tripped the
+    /// threshold, and the reach fraction it reported.  The reach is a
+    /// function of the factor graphs, the threshold and the seeds alone, so
+    /// while the same engine sees the same seeds again the search is skipped
+    /// and the step goes straight to the dense solve.
+    pub(crate) tripped: Vec<usize>,
+    pub(crate) tripped_reach: f64,
 }
 
 impl IncrementalState {
-    /// Invalidates the retained state (the next step runs the dense path).
+    /// Invalidates the retained state (the next step runs the dense path)
+    /// and forgets the tripped seed set, which belongs to one factor.
     pub(crate) fn invalidate(&mut self) {
         self.valid = false;
+        self.tripped.clear();
         self.cache.invalidate();
     }
 }

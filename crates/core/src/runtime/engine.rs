@@ -69,6 +69,9 @@ pub struct SolvePathStats {
     pub dense_fallbacks: u64,
     /// Sum of the reach fractions of all delta-solve attempts (applied or
     /// fallen back), for the mean; skips compute no reach and are excluded.
+    /// An attempt whose seed rows already tripped the reach threshold skips
+    /// the search and counts with the fraction remembered from that trip —
+    /// the fraction the search would report again.
     pub reach_fraction_sum: f64,
     /// Number of delta-solve attempts behind `reach_fraction_sum`.
     pub reach_samples: u64,
@@ -232,6 +235,13 @@ impl<'a> RankEngine<'a> {
         if !on {
             self.ws.incr.invalidate();
         }
+    }
+
+    /// Forgets the tripped seed set, so the next delta step searches its
+    /// reach again (the reference side of the memo's exactness tests).
+    #[cfg(test)]
+    pub(crate) fn forget_tripped(&mut self) {
+        self.ws.incr.tripped.clear();
     }
 
     /// Counters describing which solve path each [`RankEngine::step`] took.
@@ -405,17 +415,31 @@ impl<'a> RankEngine<'a> {
                             incr.valid = true;
                             handled = true;
                         } else {
+                            // `valid` implies a completed sparse-LU solve
+                            // filled the cache, so every `Fallback` below is
+                            // a reach trip, never a cold cache.
+                            debug_assert!(incr.cache.is_ready());
                             let mut inc = 0.0f64;
-                            let outcome = lu.solve_delta_into(
-                                &incr.seeds,
-                                &incr.b_loc,
-                                &mut incr.cache,
-                                scratch,
-                                |idx, val| {
-                                    inc = inc.max((val - x_sub[idx]).abs());
-                                    x_sub[idx] = val;
-                                },
-                            )?;
+                            // Seeds that tripped the threshold before trip
+                            // it again with the same fraction (see
+                            // `IncrementalState::tripped`): skip the search.
+                            let memo_hit = incr.seeds == incr.tripped;
+                            let outcome = if memo_hit {
+                                DeltaOutcome::Fallback {
+                                    reach_fraction: incr.tripped_reach,
+                                }
+                            } else {
+                                lu.solve_delta_into(
+                                    &incr.seeds,
+                                    &incr.b_loc,
+                                    &mut incr.cache,
+                                    scratch,
+                                    |idx, val| {
+                                        inc = inc.max((val - x_sub[idx]).abs());
+                                        x_sub[idx] = val;
+                                    },
+                                )?
+                            };
                             match outcome {
                                 DeltaOutcome::Applied { reach_fraction } => {
                                     self.last_increment = inc;
@@ -430,6 +454,11 @@ impl<'a> RankEngine<'a> {
                                     // bitwise, so reuse it as the dense RHS
                                     // and refresh the delta cache for the
                                     // next step.
+                                    if !memo_hit {
+                                        incr.tripped.clear();
+                                        incr.tripped.extend_from_slice(&incr.seeds);
+                                        incr.tripped_reach = reach_fraction;
+                                    }
                                     self.path_stats.reach_fraction_sum += reach_fraction;
                                     self.path_stats.reach_samples += 1;
                                     rhs.clear();

@@ -234,12 +234,21 @@ fn performance_docs_cover_the_sparse_solve_surface() {
         "## In-process lockstep on the pool",
         "pooled_sync_end_to_end",
         "threaded_sync_adapter_end_to_end",
+        "### When the fast path engages",
+        "tripped_reach_memo",
+        "incremental_step_coupled",
     ] {
         assert!(
             doc.contains(required),
             "docs/performance.md no longer mentions {required}"
         );
     }
+    // A futile reach search costs a search; the page must not call the
+    // fallback free.
+    assert!(
+        !doc.contains("free when it cannot help"),
+        "docs/performance.md calls the reach-tripped fallback free again"
+    );
     // The README's Performance section must keep pointing at the page.
     let readme = std::fs::read_to_string(repo_root().join("README.md")).unwrap();
     assert!(

@@ -270,6 +270,71 @@ fn main() {
         );
     }
 
+    // --- Incremental step on a coupled band. ---
+    // On a banded convection–diffusion band the boundary rows reach most of
+    // the block, so every halo delta trips the reach threshold.  Once a trip
+    // is remembered, a step with the same seed rows skips the reach search
+    // and runs the dense solve on the retained `BLoc`: zero allocations,
+    // every step dense, every delta attempt counted with its reach.
+    {
+        use multisplitting::comm::Message;
+        let a = generators::convection_diffusion(&generators::ConvectionDiffusionConfig {
+            k: 16,
+            ..Default::default()
+        });
+        let (_, b) = generators::rhs_for_solution(&a, |i| ((i % 7) as f64) - 3.0);
+        let d = Decomposition::uniform(&a, &b, 2, 0).expect("decomposition");
+        let partition = d.partition().clone();
+        let (_, blocks) = d.into_blocks();
+        let solver = SolverKind::SparseLu.build();
+        let factor = solver.factorize(&blocks[0].a_sub).expect("factorize");
+        let mut ws = IterationWorkspace::new();
+        let mut engine = RankEngine::single(
+            &partition,
+            &blocks[0],
+            &blocks[0].b_sub,
+            factor.as_ref(),
+            WeightingScheme::OwnerTakes,
+            &mut ws,
+        );
+        let offset = blocks[1].offset;
+        let peer_size = blocks[1].size;
+        let reps = 50;
+        let mut msgs: Vec<Message> = (0..(reps as u64 + 2))
+            .map(|t| Message::Solution {
+                from: 1,
+                iteration: t + 1,
+                offset,
+                values: (0..peer_size)
+                    .map(|j| 0.25 + j as f64 * 0.01 + t as f64 * 1e-3)
+                    .collect(),
+            })
+            .rev()
+            .collect();
+        let delta_step = |engine: &mut RankEngine, msgs: &mut Vec<Message>| {
+            engine.ingest(msgs.pop().expect("pre-generated message"));
+            engine.step().expect("delta step");
+        };
+        // The cold first step is dense; the first delta step searches the
+        // reach (building the sparse scratch) and remembers the trip.
+        engine.step().expect("cold step");
+        delta_step(&mut engine, &mut msgs);
+        assert_zero_alloc("RankEngine::step (remembered reach trip)", reps, || {
+            delta_step(&mut engine, &mut msgs);
+        });
+        let stats = engine.path_stats();
+        let delta_steps = reps as u64 + 2;
+        assert_eq!(
+            (stats.sparse_fastpath_hits, stats.dense_fallbacks),
+            (0, delta_steps + 1),
+            "every step on a coupled band must be dense: {stats:?}"
+        );
+        assert_eq!(
+            stats.reach_samples, delta_steps,
+            "every delta attempt must count its reach: {stats:?}"
+        );
+    }
+
     // --- Warm Krylov outer iterations (Richardson and FGMRES). ---
     // The acceptance bar of the Krylov layer: once the pooled
     // KrylovWorkspace-style buffers are warm, a complete outer solve — sweep
