@@ -34,10 +34,10 @@ use msplit_core::runtime::{factorize_blocks, IterationWorkspace, NeighborData, R
 use msplit_core::solver::{ExecutionMode, MultisplittingConfig};
 use msplit_core::{Decomposition, MultisplittingSolver, PreparedSystem, WeightingScheme};
 use msplit_dense::{BandLu, DenseLu};
-use msplit_direct::{SolveScratch, SolverKind, SparseLu, SparseLuConfig, SparseRhs};
+use msplit_direct::{SolveScratch, SolverKind, SparseLu, SparseLuConfig};
 use msplit_engine::EngineConfig;
 use msplit_serve::{ClientOptions, ServeClient, ServeConfig, SolveServer};
-use msplit_sparse::{generators, CsrMatrix, TripletBuilder};
+use msplit_sparse::{generators, CsrMatrix};
 use std::fmt::Write as _;
 use std::sync::Arc;
 use std::time::Instant;
@@ -53,12 +53,6 @@ const DISPATCH_SLACK_US: f64 = 0.5;
 /// factorization per request; warm coalesced pays one cached triangular
 /// sweep per *batch*, so well below 3x means coalescing or the cache broke.
 const MIN_COALESCED_OVER_COLD: f64 = 3.0;
-
-/// Sparse-solve acceptance gate: with a right-hand side of at most 2 % of n
-/// nonzeros on a factor whose reach stays local, the reachability-based
-/// `solve_sparse_into` must beat the dense `solve_into` by at least this
-/// factor at n >= 20 000.
-const MIN_SPARSE_TRSV_SPEEDUP: f64 = 3.0;
 
 /// Sparse-factorization acceptance gate: on `cage_like(3000, 1)` (the shape
 /// of one `grid_factor` band) the pruned, allocation-free Gilbert–Peierls
@@ -293,9 +287,9 @@ fn driver_dispatch_overhead(n: usize, steps_per_rep: usize, reps: usize) -> Driv
         &mut ws,
     );
     // This row isolates *dispatch* overhead: the engine must run the same
-    // dense assembly + solve as the inlined body, so the incremental
-    // fast path (which would skip the unchanged-dependency steps entirely)
-    // is disabled here and measured in its own row instead.
+    // assembly + solve as the inlined body, so the unchanged-halo skip
+    // (which would skip every step after the first here, the dependency
+    // values never move) is disabled.
     engine.set_incremental(false);
     for part in [0usize, 2usize] {
         let range = partition.extended_range(part);
@@ -334,150 +328,6 @@ fn driver_dispatch_overhead(n: usize, steps_per_rep: usize, reps: usize) -> Driv
         n,
         inlined_us: inlined_ms * 1e3 / steps_per_rep as f64,
         engine_us: engine_ms * 1e3 / steps_per_rep as f64,
-    }
-}
-
-/// A matrix of decoupled diag-dominant `width`-wide diagonal blocks: the
-/// factor graph splits into per-block components, so the reach of a sparse
-/// right-hand side stays confined to the blocks it touches.
-fn block_diag(n: usize, width: usize) -> CsrMatrix {
-    let mut builder = TripletBuilder::square(n);
-    for i in 0..n {
-        let blk = i / width;
-        for j in (blk * width)..((blk * width + width).min(n)) {
-            let v = if i == j {
-                2.0 * width as f64
-            } else {
-                -1.0 - ((i + j) % 3) as f64 * 0.25
-            };
-            builder.push(i, j, v).expect("push");
-        }
-    }
-    builder.build_csr()
-}
-
-/// Times the reachability-based sparse triangular solve against the dense
-/// kernel on the same `SparseLu` factor, with a right-hand side of 2 % of n
-/// nonzeros clustered in two bands.  Both paths produce bitwise-identical
-/// solutions; the sparse one only walks the reached columns.
-fn sparse_trsv_record(n: usize) -> KernelRecord {
-    let a = block_diag(n, 32);
-    let lu = SparseLu::factorize(&a).expect("sparse factorize");
-    let nnz_b = n / 50; // 2 % of n
-    let mut rhs = SparseRhs::new(n);
-    for k in 0..nnz_b {
-        // Two clusters, one in each half of the system.
-        let i = if k < nnz_b / 2 {
-            n / 10 + k
-        } else {
-            6 * n / 10 + (k - nnz_b / 2)
-        };
-        rhs.push(i, ((k % 9) as f64) - 4.0).expect("rhs push");
-    }
-    let mut scratch = SolveScratch::new();
-    let mut x_dense = vec![0.0; n];
-    let before_ms = time_ms(10, || {
-        rhs.scatter_into(&mut x_dense).expect("scatter");
-        lu.solve_into(&mut x_dense, &mut scratch)
-            .expect("solve_into");
-    });
-    let mut x_sparse = vec![0.0; n];
-    let mut report = None;
-    let after_ms = time_ms(10, || {
-        report = Some(
-            lu.solve_sparse_into(&rhs, &mut x_sparse, &mut scratch)
-                .expect("solve_sparse_into"),
-        );
-    });
-    let report = report.expect("at least one rep ran");
-    assert!(
-        report.fast_path,
-        "clustered 2% RHS must stay under the reach threshold (reach {:.3})",
-        report.reach_fraction
-    );
-    let same = x_dense
-        .iter()
-        .zip(x_sparse.iter())
-        .all(|(d, s)| d.to_bits() == s.to_bits());
-    assert!(same, "sparse and dense solves disagree bitwise");
-    KernelRecord {
-        name: "sparse_trsv",
-        n,
-        before_ms: Some(before_ms),
-        after_ms,
-    }
-}
-
-/// Measures the steady-state per-iteration cost of band 0 of a two-band
-/// split of `a`, with the incremental path on vs off.  On a decoupled-block
-/// system the delta reach stays at a handful of unknowns, so the incremental
-/// engine pays a few reached columns per step where the dense engine pays a
-/// full assembly + triangular sweep; on a coupled band every delta trips the
-/// reach threshold and both sides run the dense solve.
-fn incremental_step_record(
-    name: &'static str,
-    a: &CsrMatrix,
-    steps: usize,
-    reps: usize,
-) -> DriverRecord {
-    let n = a.rows();
-    let (_, b) = {
-        let ones = vec![1.0; n];
-        let ax = a.spmv(&ones).expect("spmv");
-        (ones, ax)
-    };
-    let d = Decomposition::uniform(a, &b, 2, 0).expect("decomposition");
-    let partition = d.partition().clone();
-    let (_, blocks) = d.into_blocks();
-    let solver = SolverKind::SparseLu.build();
-    let factor = solver.factorize(&blocks[0].a_sub).expect("factorize");
-    let offset = blocks[1].offset;
-    let peer_size = blocks[1].size;
-    let peer_values: Vec<Vec<f64>> = (0..2)
-        .map(|v| {
-            (0..peer_size)
-                .map(|j| 0.5 + j as f64 * 1e-4 + v as f64 * 1e-3)
-                .collect()
-        })
-        .collect();
-
-    let measure = |incremental: bool| -> f64 {
-        let mut ws = IterationWorkspace::new();
-        let mut engine = RankEngine::single(
-            &partition,
-            &blocks[0],
-            &blocks[0].b_sub,
-            factor.as_ref(),
-            WeightingScheme::OwnerTakes,
-            &mut ws,
-        );
-        engine.set_incremental(incremental);
-        let mut run = |iteration_base: u64| {
-            for t in 0..steps {
-                engine.ingest(Message::Solution {
-                    from: 1,
-                    iteration: iteration_base + t as u64 + 1,
-                    offset,
-                    values: peer_values[t % 2].clone(),
-                });
-                engine.step().expect("engine step");
-            }
-        };
-        run(0);
-        let mut best = f64::INFINITY;
-        for r in 0..reps {
-            let t0 = Instant::now();
-            run((r as u64 + 1) * steps as u64);
-            best = best.min(t0.elapsed().as_secs_f64() * 1e3);
-        }
-        best * 1e3 / steps as f64
-    };
-
-    DriverRecord {
-        name,
-        n,
-        inlined_us: measure(false),
-        engine_us: measure(true),
     }
 }
 
@@ -1015,15 +865,6 @@ fn main() {
         after_ms,
     });
 
-    // --- Reachability-based sparse triangular solve vs the dense kernel.
-    // The acceptance size stays at n = 20_000 even in --check: the gate is
-    // an asymptotic claim and small sizes would let the O(n) zero-template
-    // copy mask the win.  Factorization of the decoupled blocks is cheap.
-    let trsv = sparse_trsv_record(20_000);
-    let trsv_speedup = trsv.speedup().expect("sparse_trsv has a dense baseline");
-    let (trsv_before, trsv_after) = (trsv.before_ms.unwrap(), trsv.after_ms);
-    records.push(trsv);
-
     // --- CSR SpMV (the row-parallel kernel is a pool row, below). ---
     let grid = if check_mode { 40 } else { 200 };
     let a = generators::poisson_2d(grid);
@@ -1134,24 +975,6 @@ fn main() {
         (1024, 400, 7)
     };
     let dispatch = driver_dispatch_overhead(disp_n, disp_steps, disp_reps);
-    let (incr_n, incr_steps, incr_reps) = if check_mode {
-        (2_000, 200, 3)
-    } else {
-        (10_000, 400, 5)
-    };
-    let coupled = generators::convection_diffusion(&generators::ConvectionDiffusionConfig {
-        k: 32,
-        ..Default::default()
-    });
-    let incr_records = [
-        incremental_step_record(
-            "incremental_halo_delta_step",
-            &block_diag(incr_n, 4),
-            incr_steps,
-            incr_reps,
-        ),
-        incremental_step_record("incremental_step_coupled", &coupled, incr_steps, incr_reps),
-    ];
     let e2e_n = if check_mode { 240 } else { 960 };
     let a = generators::cage_like(e2e_n, 9);
     let (_, b) = generators::rhs_for_solution(&a, |i| ((i % 6) as f64) - 2.0);
@@ -1235,11 +1058,8 @@ fn main() {
         );
     }
     json.push_str("  ],\n  \"driver\": [\n");
-    // For the incremental rows, "inlined" is the always-dense engine and
-    // "engine" the incremental one, so a negative overhead is the win.
     let driver_rows: Vec<String> = std::iter::once(&dispatch)
         .chain(&e2e_records)
-        .chain(&incr_records)
         .map(DriverRecord::json)
         .collect();
     json.push_str(&driver_rows.join(",\n"));
@@ -1344,29 +1164,6 @@ fn main() {
             "# driver dispatch within budget: {:.3} <= {:.3} us/iter",
             dispatch.engine_us, budget_us
         );
-    }
-    for r in &incr_records {
-        println!(
-            "# {} n={}: dense {:.3} us/iter vs incremental {:.3} us/iter ({:.2}x)",
-            r.name,
-            r.n,
-            r.inlined_us,
-            r.engine_us,
-            r.inlined_us / r.engine_us
-        );
-    }
-    // The sparse-solve acceptance gate: a clustered 2% right-hand side on a
-    // locally-reachable factor must make the reach-based solve pay off.
-    println!(
-        "# sparse_trsv n=20000: dense {trsv_before:.3} ms vs sparse {trsv_after:.3} ms ({trsv_speedup:.2}x)"
-    );
-    if trsv_speedup < MIN_SPARSE_TRSV_SPEEDUP {
-        gate_failures.push(format!(
-            "sparse_trsv: measured {trsv_speedup:.2}x speedup, \
-             required {MIN_SPARSE_TRSV_SPEEDUP}x"
-        ));
-    } else {
-        println!("# sparse_trsv within budget: {trsv_speedup:.2}x >= {MIN_SPARSE_TRSV_SPEEDUP}x");
     }
     println!(
         "# serving: cold {cold_rps:.1} req/s, coalesced {coalesced_rps:.1} req/s \

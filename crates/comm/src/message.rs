@@ -168,12 +168,14 @@ pub enum Message {
         single_flight_waits: u64,
         /// Total microseconds parked behind in-flight preparations.
         single_flight_wait_micros: u64,
-        /// Outer iterations served by the sparse/incremental fast path.
+        /// Outer iterations skipped because their dependency values were
+        /// bitwise unchanged.
         sparse_fastpath_hits: u64,
-        /// Outer iterations that fell back to a full dense assembly + solve.
+        /// Outer iterations that ran the full assembly + solve.
         dense_fallbacks: u64,
-        /// Mean reach fraction of sparse-path solves, in parts per million
-        /// (fixed-point so the frame stays all-integer).
+        /// Reserved: once the mean reach fraction of reach-limited solves in
+        /// parts per million; no solve path measures a reach, so servers
+        /// write `0`.  Kept so the frame layout does not change.
         mean_reach_ppm: u64,
         /// Current queue depth per priority lane, highest priority first.
         queue_depths: [u64; 3],

@@ -1,8 +1,8 @@
 //! Shared plumbing of the synchronous and asynchronous drivers.
 
 use crate::weighting::WeightingScheme;
-use msplit_direct::{DeltaCache, SolveScratch};
-use msplit_sparse::{BandPartition, ColumnCache, LocalBlocks};
+use msplit_direct::SolveScratch;
+use msplit_sparse::{BandPartition, LocalBlocks};
 
 /// Latest dependency data received from the other processors, and the logic
 /// to turn it into the `XLeft` / `XRight` values a band needs.
@@ -198,54 +198,6 @@ pub struct IterationWorkspace {
     pub(crate) x_globals: Vec<Vec<f64>>,
     pub(crate) rhs_cols: Vec<Vec<f64>>,
     pub(crate) x_cols: Vec<Vec<f64>>,
-    /// State of the incremental (halo-delta) solve path.
-    pub(crate) incr: IncrementalState,
-}
-
-/// Retained state of the incremental single-RHS path: which dependency slots
-/// changed bitwise since the last step, the assembled `BLoc` of the previous
-/// solve, the triangular intermediates ([`DeltaCache`]), and the column-major
-/// views of the dependency blocks that turn a changed column into affected
-/// rows.  All buffers are reused; warm incremental steps allocate nothing
-/// (asserted by `tests/zero_alloc.rs`).
-#[derive(Debug, Default)]
-pub(crate) struct IncrementalState {
-    /// Whether `b_loc`/`cache`/`x_sub` describe a completed previous step of
-    /// the *same* solve (false after prepare/restore/warm-start and after
-    /// any failed solve).
-    pub(crate) valid: bool,
-    /// Dependency slots whose value changed bitwise in the current step.
-    pub(crate) changed_slots: Vec<usize>,
-    /// Block-local rows whose assembled `BLoc` value changed bitwise.
-    pub(crate) seeds: Vec<usize>,
-    /// The assembled `BLoc` of the previous step, maintained row-wise.
-    pub(crate) b_loc: Vec<f64>,
-    /// Stamped marker array deduplicating affected rows across changed
-    /// columns.
-    pub(crate) row_mark: Vec<u32>,
-    pub(crate) row_stamp: u32,
-    /// Column-major views of `blk.dep_left` / `blk.dep_right`.
-    pub(crate) left_cols: ColumnCache,
-    pub(crate) right_cols: ColumnCache,
-    /// Triangular intermediates of the previous sparse-LU solve.
-    pub(crate) cache: DeltaCache,
-    /// Seed rows of the last delta attempt whose reach tripped the
-    /// threshold, and the reach fraction it reported.  The reach is a
-    /// function of the factor graphs, the threshold and the seeds alone, so
-    /// while the same engine sees the same seeds again the search is skipped
-    /// and the step goes straight to the dense solve.
-    pub(crate) tripped: Vec<usize>,
-    pub(crate) tripped_reach: f64,
-}
-
-impl IncrementalState {
-    /// Invalidates the retained state (the next step runs the dense path)
-    /// and forgets the tripped seed set, which belongs to one factor.
-    pub(crate) fn invalidate(&mut self) {
-        self.valid = false;
-        self.tripped.clear();
-        self.cache.invalidate();
-    }
 }
 
 impl IterationWorkspace {
@@ -263,14 +215,6 @@ impl IterationWorkspace {
         self.x_sub.fill(0.0);
         // `rhs` is overwritten by `local_rhs_into` each iteration; only its
         // capacity matters.
-        self.incr.invalidate();
-        self.incr.row_mark.clear();
-        self.incr.row_mark.resize(blk.size, 0);
-        self.incr.row_stamp = 0;
-        self.incr.b_loc.clear();
-        self.incr.b_loc.resize(blk.size, 0.0);
-        self.incr.left_cols = blk.dep_left.column_cache();
-        self.incr.right_cols = blk.dep_right.column_cache();
     }
 
     /// Sizes and zeroes the batched buffers for an `ncols`-wide solve.

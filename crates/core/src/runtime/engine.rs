@@ -6,7 +6,6 @@ use crate::weighting::WeightingScheme;
 use crate::CoreError;
 use msplit_comm::message::Message;
 use msplit_direct::api::Factorization;
-use msplit_direct::DeltaOutcome;
 use msplit_sparse::{BandPartition, LocalBlocks};
 
 /// What one [`RankEngine::step`] observed — the inputs of the local vote.
@@ -52,48 +51,35 @@ enum EngineShape {
     Batch(usize),
 }
 
-/// Which solve paths a [`RankEngine`]'s steps took — the fast-path/fallback
-/// counters surfaced through [`crate::solver::PartReport`], the engine
-/// metrics and the serve `ServerStats` frame.
+/// Which solve paths a [`RankEngine`]'s steps took — the skip/dense counters
+/// surfaced through [`crate::solver::PartReport`], the engine metrics and the
+/// serve `ServerStats` frame.
 ///
-/// Every step ends in exactly one bucket: `sparse_fastpath_hits` (the
-/// incremental path skipped or delta-solved the step) or `dense_fallbacks`
-/// (a full dense assembly + solve ran — including the always-dense first
-/// iteration, batch steps, and reach-threshold fallbacks).
+/// Every step ends in exactly one bucket: `sparse_fastpath_hits` (no
+/// dependency value changed bitwise since the last completed step, so the
+/// step was skipped with an increment of exactly `0.0`) or `dense_fallbacks`
+/// (`BLoc` assembly + triangular solve ran — including the first iteration
+/// and every batch step).
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct SolvePathStats {
-    /// Steps served by the incremental path (bitwise-identical skip or
-    /// reach-limited delta solve).
+    /// Steps skipped because their dependency values were bitwise unchanged.
     pub sparse_fastpath_hits: u64,
-    /// Steps that ran the full dense assembly + solve.
+    /// Steps that ran the `BLoc` assembly and the triangular solve.
     pub dense_fallbacks: u64,
-    /// Sum of the reach fractions of all delta-solve attempts (applied or
-    /// fallen back), for the mean; skips compute no reach and are excluded.
-    /// An attempt whose seed rows already tripped the reach threshold skips
-    /// the search and counts with the fraction remembered from that trip —
-    /// the fraction the search would report again.
-    pub reach_fraction_sum: f64,
-    /// Number of delta-solve attempts behind `reach_fraction_sum`.
-    pub reach_samples: u64,
 }
 
 impl SolvePathStats {
-    /// Mean reach fraction over all delta-solve attempts (`0.0` when none
-    /// ran).
+    /// Mean reach fraction of the reach-limited solves — always `0.0`, the
+    /// "no attempt ran" value, because no step runs one.  Kept because the
+    /// benchmark's `core.reach_share` reads it.
     pub fn mean_reach_fraction(&self) -> f64 {
-        if self.reach_samples == 0 {
-            0.0
-        } else {
-            self.reach_fraction_sum / self.reach_samples as f64
-        }
+        0.0
     }
 
     /// Folds another engine's counters into this one (driver aggregation).
     pub fn merge(&mut self, other: &SolvePathStats) {
         self.sparse_fastpath_hits += other.sparse_fastpath_hits;
         self.dense_fallbacks += other.dense_fallbacks;
-        self.reach_fraction_sum += other.reach_fraction_sum;
-        self.reach_samples += other.reach_samples;
     }
 }
 
@@ -115,6 +101,10 @@ pub struct RankEngine<'a> {
     neighbors: Vec<NeighborData>,
     /// Previous dependency values, `ncols × dep_cols` in column-major blocks.
     prev_deps: Vec<f64>,
+    /// Whether the local iterate is the completed solve of `prev_deps` —
+    /// the precondition of the unchanged-halo skip.  False until the first
+    /// step, after `restore` and `warm_start`, and after a failed step.
+    skip_ready: bool,
     dep_cols_per_neighbor: usize,
     needs_fresh_data: bool,
     fresh_since_step: bool,
@@ -126,9 +116,9 @@ pub struct RankEngine<'a> {
     /// Per-column dependency movement of the most recent batch step (empty
     /// in single shape).
     col_dep_changes: Vec<f64>,
-    /// Whether the incremental (halo-delta) solve path may run.  Results are
-    /// bitwise identical either way; disabling forces every step dense
-    /// (benchmarks, equivalence tests).
+    /// Whether a step with bitwise-unchanged dependency values may be skipped.
+    /// Results are bitwise identical either way; disabling forces every step
+    /// dense (benchmarks, equivalence tests).
     incremental: bool,
     path_stats: SolvePathStats,
     recorder: Option<EventLog>,
@@ -157,6 +147,7 @@ impl<'a> RankEngine<'a> {
             b_cols: Vec::new(),
             needs_fresh_data: dep_cols > 0,
             prev_deps: vec![0.0; dep_cols],
+            skip_ready: false,
             dep_cols_per_neighbor: dep_cols,
             neighbors: vec![neighbor],
             fresh_since_step: false,
@@ -198,6 +189,7 @@ impl<'a> RankEngine<'a> {
             b_cols,
             needs_fresh_data: dep_cols > 0,
             prev_deps: vec![0.0; ncols * dep_cols],
+            skip_ready: false,
             dep_cols_per_neighbor: dep_cols,
             neighbors,
             fresh_since_step: false,
@@ -205,7 +197,7 @@ impl<'a> RankEngine<'a> {
             last_increment: f64::INFINITY,
             col_increments: vec![f64::INFINITY; ncols],
             col_dep_changes: vec![0.0; ncols],
-            // The batch driver always assembles and solves densely.
+            // The batch driver always assembles and solves.
             incremental: false,
             path_stats: SolvePathStats::default(),
             recorder: None,
@@ -227,21 +219,13 @@ impl<'a> RankEngine<'a> {
         self.last_increment
     }
 
-    /// Enables or disables the incremental halo-delta solve path.  Both
-    /// settings produce bitwise-identical iterates; this is purely a
-    /// performance knob (and a test hook for pinning that equivalence).
+    /// Enables or disables the unchanged-halo skip: a step whose dependency
+    /// values are bitwise those of the last completed step costs no
+    /// assembly and no solve.  Both settings produce bitwise-identical
+    /// iterates; this gates the skip only (and is the test hook that pins
+    /// that equivalence).
     pub fn set_incremental(&mut self, on: bool) {
         self.incremental = on;
-        if !on {
-            self.ws.incr.invalidate();
-        }
-    }
-
-    /// Forgets the tripped seed set, so the next delta step searches its
-    /// reach again (the reference side of the memo's exactness tests).
-    #[cfg(test)]
-    pub(crate) fn forget_tripped(&mut self) {
-        self.ws.incr.tripped.clear();
     }
 
     /// Counters describing which solve path each [`RankEngine::step`] took.
@@ -331,170 +315,35 @@ impl<'a> RankEngine<'a> {
                     rhs,
                     x_sub,
                     scratch,
-                    incr,
                     ..
                 } = &mut *self.ws;
                 let neighbor = &self.neighbors[0];
                 neighbor.fill_dependencies(x_global);
-                incr.changed_slots.clear();
+                let mut moved = false;
                 for (slot, &g) in neighbor.dependency_columns().iter().enumerate() {
                     let v = x_global[g];
                     dep_change = dep_change.max((v - self.prev_deps[slot]).abs());
-                    if v.to_bits() != self.prev_deps[slot].to_bits() {
-                        incr.changed_slots.push(slot);
-                    }
+                    moved |= v.to_bits() != self.prev_deps[slot].to_bits();
                     self.prev_deps[slot] = v;
                 }
-                // The incremental fast path replays exactly the dense
-                // assemble-and-solve arithmetic on the subset of rows and
-                // unknowns that can differ, so every branch below is bitwise
-                // identical to the `local_rhs_into` + `solve_into` fallback.
-                // `valid` is cleared up front and only re-set on a fully
-                // completed update, so an `?`-error leaves the state
-                // self-invalidating.
-                let was_valid = incr.valid;
-                incr.valid = false;
-                let mut handled = false;
-                if self.incremental && was_valid {
-                    if incr.changed_slots.is_empty() {
-                        // No dependency bit moved: b_loc and therefore the
-                        // solve output are unchanged, so the increment is
-                        // exactly zero for any deterministic kernel.
-                        self.last_increment = 0.0;
-                        self.path_stats.sparse_fastpath_hits += 1;
-                        incr.valid = true;
-                        handled = true;
-                    } else if let Some(lu) = self.factor.as_sparse_lu() {
-                        // Collect the BLoc rows touched by the changed halo
-                        // columns and recompute them with the same
-                        // subtract-a-dot-product arithmetic as
-                        // `local_rhs_into`.
-                        if incr.row_stamp == u32::MAX {
-                            incr.row_mark.fill(0);
-                            incr.row_stamp = 0;
-                        }
-                        incr.row_stamp += 1;
-                        let stamp = incr.row_stamp;
-                        incr.seeds.clear();
-                        let dep_cols = neighbor.dependency_columns();
-                        let offset = self.blk.offset;
-                        let size = self.blk.size;
-                        let x_left = &x_global[..offset];
-                        let x_right = &x_global[offset + size..];
-                        for &slot in &incr.changed_slots {
-                            let g = dep_cols[slot];
-                            let rows = if g < offset {
-                                incr.left_cols.rows_in(g)
-                            } else {
-                                incr.right_cols.rows_in(g - offset - size)
-                            };
-                            for &i in rows {
-                                if incr.row_mark[i] == stamp {
-                                    continue;
-                                }
-                                incr.row_mark[i] = stamp;
-                                let mut v = self.b_single[i];
-                                if offset > 0 {
-                                    v -= self.blk.dep_left.row_dot(i, x_left);
-                                }
-                                if !x_right.is_empty() {
-                                    v -= self.blk.dep_right.row_dot(i, x_right);
-                                }
-                                if v.to_bits() != incr.b_loc[i].to_bits() {
-                                    incr.b_loc[i] = v;
-                                    incr.seeds.push(i);
-                                }
-                            }
-                        }
-                        if incr.seeds.is_empty() {
-                            // Dependency values moved but every recomputed
-                            // BLoc row landed on the same bits: same RHS,
-                            // same solution, zero increment.
-                            self.last_increment = 0.0;
-                            self.path_stats.sparse_fastpath_hits += 1;
-                            incr.valid = true;
-                            handled = true;
-                        } else {
-                            // `valid` implies a completed sparse-LU solve
-                            // filled the cache, so every `Fallback` below is
-                            // a reach trip, never a cold cache.
-                            debug_assert!(incr.cache.is_ready());
-                            let mut inc = 0.0f64;
-                            // Seeds that tripped the threshold before trip
-                            // it again with the same fraction (see
-                            // `IncrementalState::tripped`): skip the search.
-                            let memo_hit = incr.seeds == incr.tripped;
-                            let outcome = if memo_hit {
-                                DeltaOutcome::Fallback {
-                                    reach_fraction: incr.tripped_reach,
-                                }
-                            } else {
-                                lu.solve_delta_into(
-                                    &incr.seeds,
-                                    &incr.b_loc,
-                                    &mut incr.cache,
-                                    scratch,
-                                    |idx, val| {
-                                        inc = inc.max((val - x_sub[idx]).abs());
-                                        x_sub[idx] = val;
-                                    },
-                                )?
-                            };
-                            match outcome {
-                                DeltaOutcome::Applied { reach_fraction } => {
-                                    self.last_increment = inc;
-                                    self.path_stats.sparse_fastpath_hits += 1;
-                                    self.path_stats.reach_fraction_sum += reach_fraction;
-                                    self.path_stats.reach_samples += 1;
-                                    incr.valid = true;
-                                    handled = true;
-                                }
-                                DeltaOutcome::Fallback { reach_fraction } => {
-                                    // b_loc is already fully up to date
-                                    // bitwise, so reuse it as the dense RHS
-                                    // and refresh the delta cache for the
-                                    // next step.
-                                    if !memo_hit {
-                                        incr.tripped.clear();
-                                        incr.tripped.extend_from_slice(&incr.seeds);
-                                        incr.tripped_reach = reach_fraction;
-                                    }
-                                    self.path_stats.reach_fraction_sum += reach_fraction;
-                                    self.path_stats.reach_samples += 1;
-                                    rhs.clear();
-                                    rhs.extend_from_slice(&incr.b_loc);
-                                    lu.solve_into_cached(rhs, scratch, &mut incr.cache)?;
-                                    self.last_increment = increment_norm(rhs, x_sub);
-                                    x_sub.copy_from_slice(rhs);
-                                    self.path_stats.dense_fallbacks += 1;
-                                    incr.valid = true;
-                                    handled = true;
-                                }
-                            }
-                        }
-                    }
-                }
-                if !handled {
+                // No dependency bit moved since a completed step: `BLoc` and
+                // therefore the solve output are unchanged, so the increment
+                // is exactly zero for any deterministic kernel.  The flag is
+                // cleared up front and re-set only by a completed step, so an
+                // `?`-error leaves the next step dense.
+                let skip = self.incremental && self.skip_ready && !moved;
+                self.skip_ready = false;
+                if skip {
+                    self.last_increment = 0.0;
+                    self.path_stats.sparse_fastpath_hits += 1;
+                } else {
                     self.blk.local_rhs_into(self.b_single, x_global, rhs)?;
-                    if self.incremental {
-                        if let Some(lu) = self.factor.as_sparse_lu() {
-                            incr.b_loc.clear();
-                            incr.b_loc.extend_from_slice(rhs);
-                            lu.solve_into_cached(rhs, scratch, &mut incr.cache)?;
-                        } else {
-                            // Non-sparse factors still benefit from the
-                            // unchanged-dependency skip; b_loc stays stale
-                            // but is never read on that path.
-                            self.factor.solve_into(rhs, scratch)?;
-                        }
-                        incr.valid = true;
-                    } else {
-                        self.factor.solve_into(rhs, scratch)?;
-                    }
+                    self.factor.solve_into(rhs, scratch)?;
                     self.last_increment = increment_norm(rhs, x_sub);
                     x_sub.copy_from_slice(rhs);
                     self.path_stats.dense_fallbacks += 1;
                 }
+                self.skip_ready = true;
             }
             EngineShape::Batch(ncols) => {
                 let IterationWorkspace {
@@ -687,9 +536,9 @@ impl<'a> RankEngine<'a> {
         self.iterations = snap.iterations;
         self.last_increment = snap.last_increment;
         self.fresh_since_step = snap.fresh_since_step;
-        // The restored iterate invalidates every cached solve intermediate;
-        // the next step re-assembles and solves densely.
-        self.ws.incr.invalidate();
+        // This engine did not compute the restored iterate; the next step
+        // assembles and solves.
+        self.skip_ready = false;
         Ok(())
     }
 
@@ -712,7 +561,7 @@ impl<'a> RankEngine<'a> {
         let offset = self.blk.offset;
         let size = self.ws.x_sub.len();
         self.ws.x_sub.copy_from_slice(&x0[offset..offset + size]);
-        self.ws.incr.invalidate();
+        self.skip_ready = false;
         Ok(())
     }
 }

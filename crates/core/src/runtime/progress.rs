@@ -344,12 +344,14 @@ impl ProgressPolicy for FreeRunning {
     ) -> Result<Flow, CoreError> {
         if vote && (!obs.fresh_data || obs.increment == 0.0) && !self.idle_backoff.is_zero() {
             // Locally stable and this step produced nothing new for the
-            // peers — either nothing arrived, or what arrived left the
-            // iterate bitwise unchanged (the incremental engine's SKIP path
-            // makes such steps near-free, so without this pacing a stable
-            // rank would re-send identical slices at network rate and its
-            // vote cadence would outrun the data still in flight).  Yield
-            // briefly instead of flooding the mesh.
+            // peers — either nothing arrived, or the step left the iterate
+            // unchanged (an increment of exactly `0.0`: the engine skipped a
+            // step whose dependency values were bitwise unchanged, or a
+            // solve landed on the same values).  A skipped step costs no
+            // assembly and no solve, so without this pacing a stable rank
+            // would re-send identical slices at network rate and its vote
+            // cadence would outrun the data still in flight.  Yield briefly
+            // instead of flooding the mesh.
             std::thread::sleep(self.idle_backoff);
         }
         if self.last_probe.elapsed() >= self.failure.heartbeat() {

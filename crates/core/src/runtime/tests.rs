@@ -301,225 +301,6 @@ fn stale_slices_are_not_fresh_data() {
     assert!(!engine.ingest(Message::Halt));
 }
 
-// ----- the tripped-reach memo of the halo-delta step: a memoised engine is
-// ----- bitwise the same engine searching every reach again
-
-/// Bits of an engine's iterate and last increment after one step.
-type StepBits = (Vec<u64>, u64);
-
-/// Every `SolvePathStats` field as bits, so the reach sum compares exactly.
-fn stats_bits(s: &SolvePathStats) -> [u64; 4] {
-    [
-        s.sparse_fastpath_hits,
-        s.dense_fallbacks,
-        s.reach_fraction_sum.to_bits(),
-        s.reach_samples,
-    ]
-}
-
-fn step_bits(engine: &mut RankEngine, memo: bool) -> StepBits {
-    if !memo {
-        engine.forget_tripped();
-    }
-    engine.step().unwrap();
-    let x = engine.x_local().iter().map(|v| v.to_bits()).collect();
-    (x, engine.last_increment().to_bits())
-}
-
-/// Small coupled banded system: each band's boundary grid row reaches most
-/// of its block, so the halo-delta step trips the reach threshold.
-fn coupled_band_system() -> msplit_sparse::CsrMatrix {
-    generators::convection_diffusion(&generators::ConvectionDiffusionConfig {
-        k: 12,
-        ..Default::default()
-    })
-}
-
-/// Decoupled 4-wide diagonal blocks: a halo delta reaches three rows, so
-/// the delta applies.
-fn block_diagonal_system() -> msplit_sparse::CsrMatrix {
-    let n = 126;
-    let mut builder = msplit_sparse::TripletBuilder::square(n);
-    for i in 0..n {
-        let blk = i / 4;
-        for j in (blk * 4)..((blk * 4 + 4).min(n)) {
-            builder
-                .push(i, j, if i == j { 10.0 } else { -1.0 })
-                .unwrap();
-        }
-    }
-    builder.build_csr()
-}
-
-/// Both bands of a two-band split of `a` stepped in lockstep, exchanging
-/// their `outgoing` slices; per band the step trace and the path stats.
-fn lockstep_pair(
-    a: &msplit_sparse::CsrMatrix,
-    steps: usize,
-    memo: bool,
-) -> Vec<(Vec<StepBits>, SolvePathStats)> {
-    let (_, b) = generators::rhs_for_solution(a, |i| ((i % 7) as f64) - 3.0);
-    let d = Decomposition::uniform(a, &b, 2, 0).unwrap();
-    let partition = d.partition().clone();
-    let (_, blocks) = d.into_blocks();
-    let solver = SolverKind::SparseLu.build();
-    let factors: Vec<_> = blocks
-        .iter()
-        .map(|blk| solver.factorize(&blk.a_sub).unwrap())
-        .collect();
-    let mut workspaces = [IterationWorkspace::new(), IterationWorkspace::new()];
-    let mut engines: Vec<RankEngine> = blocks
-        .iter()
-        .zip(&factors)
-        .zip(workspaces.iter_mut())
-        .map(|((blk, factor), ws)| {
-            RankEngine::single(
-                &partition,
-                blk,
-                &blk.b_sub,
-                factor.as_ref(),
-                WeightingScheme::OwnerTakes,
-                ws,
-            )
-        })
-        .collect();
-    let mut traces = vec![Vec::new(), Vec::new()];
-    for _ in 0..steps {
-        for (engine, trace) in engines.iter_mut().zip(traces.iter_mut()) {
-            trace.push(step_bits(engine, memo));
-        }
-        let slices: Vec<Message> = engines.iter().map(RankEngine::outgoing).collect();
-        engines[0].ingest(slices[1].clone());
-        engines[1].ingest(slices[0].clone());
-    }
-    traces
-        .into_iter()
-        .zip(engines.iter().map(RankEngine::path_stats))
-        .collect()
-}
-
-/// Band 0 of a two-band split of `a` on the caller's workspace: one cold
-/// step, then one step after each crafted slice from band 1, whose entry
-/// `j` at step `t` is `halo(t, j)`.
-fn crafted_band0(
-    a: &msplit_sparse::CsrMatrix,
-    ws: &mut IterationWorkspace,
-    steps: usize,
-    memo: bool,
-    halo: impl Fn(usize, usize) -> f64,
-) -> (Vec<StepBits>, SolvePathStats) {
-    let (_, b) = generators::rhs_for_solution(a, |i| ((i % 5) as f64) - 2.0);
-    let d = Decomposition::uniform(a, &b, 2, 0).unwrap();
-    let partition = d.partition().clone();
-    let (_, blocks) = d.into_blocks();
-    let factor = SolverKind::SparseLu
-        .build()
-        .factorize(&blocks[0].a_sub)
-        .unwrap();
-    let mut engine = RankEngine::single(
-        &partition,
-        &blocks[0],
-        &blocks[0].b_sub,
-        factor.as_ref(),
-        WeightingScheme::OwnerTakes,
-        ws,
-    );
-    let mut trace = vec![step_bits(&mut engine, memo)];
-    for t in 1..=steps {
-        engine.ingest(Message::Solution {
-            from: 1,
-            iteration: t as u64,
-            offset: blocks[1].offset,
-            values: (0..blocks[1].size).map(|j| halo(t, j)).collect(),
-        });
-        trace.push(step_bits(&mut engine, memo));
-    }
-    let stats = engine.path_stats();
-    (trace, stats)
-}
-
-fn assert_same_run(
-    label: &str,
-    memo: &(Vec<StepBits>, SolvePathStats),
-    searched: &(Vec<StepBits>, SolvePathStats),
-) {
-    assert_eq!(memo.0, searched.0, "{label}: iterates or increments differ");
-    assert_eq!(
-        stats_bits(&memo.1),
-        stats_bits(&searched.1),
-        "{label}: path stats differ: {:?} vs {:?}",
-        memo.1,
-        searched.1
-    );
-}
-
-#[test]
-fn tripped_reach_memo_is_bitwise_the_searching_engine_on_a_coupled_band() {
-    let a = coupled_band_system();
-    let memo = lockstep_pair(&a, 40, true);
-    let searched = lockstep_pair(&a, 40, false);
-    for (band, (m, s)) in memo.iter().zip(&searched).enumerate() {
-        assert_same_run(&format!("band {band}"), m, s);
-        // Every delta attempt trips the threshold, so the memo is hit.
-        assert!(m.1.reach_samples > 10, "band {band}: {:?}", m.1);
-        assert_eq!(m.1.sparse_fastpath_hits, 0, "band {band}: {:?}", m.1);
-    }
-}
-
-#[test]
-fn tripped_reach_memo_misses_on_alternating_seed_sets() {
-    // Even halo slots change every step, odd ones every other step, so the
-    // set of changed slots alternates and no step repeats the last trip.
-    let a = coupled_band_system();
-    let halo = |t: usize, j: usize| {
-        let clock = if j.is_multiple_of(2) {
-            t
-        } else {
-            t.div_ceil(2)
-        };
-        0.5 + j as f64 * 0.01 + clock as f64 * 1e-3
-    };
-    let memo = crafted_band0(&a, &mut IterationWorkspace::new(), 24, true, halo);
-    let searched = crafted_band0(&a, &mut IterationWorkspace::new(), 24, false, halo);
-    assert_same_run("alternating seed sets", &memo, &searched);
-    assert_eq!(memo.1.reach_samples, 24, "{:?}", memo.1);
-}
-
-#[test]
-fn tripped_reach_memo_leaves_an_applied_delta_alone() {
-    let a = block_diagonal_system();
-    let memo = lockstep_pair(&a, 30, true);
-    let searched = lockstep_pair(&a, 30, false);
-    for (band, (m, s)) in memo.iter().zip(&searched).enumerate() {
-        assert_same_run(&format!("band {band}"), m, s);
-        assert!(m.1.sparse_fastpath_hits > 0, "band {band}: {:?}", m.1);
-        assert_eq!(m.1.dense_fallbacks, 1, "band {band}: {:?}", m.1);
-    }
-}
-
-#[test]
-fn tripped_reach_memo_does_not_follow_a_workspace_to_another_band() {
-    // Only halo slots 0..3 move after the first slice: on the coupled band
-    // they feed block rows 60, 61 and 62 — exactly the seed rows the
-    // block-diagonal band's one halo column feeds.  A memo that survived
-    // the hand-over would send that band's first delta to the dense solve.
-    let a = coupled_band_system();
-    let mut ws = IterationWorkspace::new();
-    let moving = |t: usize, j: usize| {
-        let clock = if j < 3 { t } else { 0 };
-        0.5 + j as f64 * 0.01 + clock as f64 * 1e-3
-    };
-    let (_, stats) = crafted_band0(&a, &mut ws, 6, true, moving);
-    assert_eq!(ws.incr.tripped, [60, 61, 62], "{stats:?}");
-
-    let block_diag = block_diagonal_system();
-    let slice = |t: usize, j: usize| 0.25 + j as f64 * 0.01 + t as f64 * 1e-3;
-    let reused = crafted_band0(&block_diag, &mut ws, 12, true, slice);
-    let fresh = crafted_band0(&block_diag, &mut IterationWorkspace::new(), 12, true, slice);
-    assert_same_run("reused workspace", &reused, &fresh);
-    assert_eq!(fresh.1.dense_fallbacks, 1, "{:?}", fresh.1);
-}
-
 // ----- threaded-adapter behavior (moved here from the deprecated
 // ----- sync_driver / async_driver shim modules when they were removed)
 

@@ -150,8 +150,8 @@ pub struct PartReport {
     pub memory_bytes: usize,
     /// Host wall-clock seconds spent by this processor thread.
     pub wall_seconds: f64,
-    /// Which solve path (sparse fast path vs. dense assembly) each outer
-    /// iteration of this processor took.
+    /// Which solve path (unchanged-halo skip vs. assembly + solve) each
+    /// outer iteration of this processor took.
     pub solve_path: SolvePathStats,
 }
 

@@ -257,18 +257,6 @@ impl BandLu {
     /// solution.  The band factorization has no pivot permutation, so the
     /// substitution needs no scratch at all — zero heap allocations.
     pub fn solve_into(&self, x: &mut [f64]) -> Result<(), DenseError> {
-        self.solve_into_from(x, 0)
-    }
-
-    /// [`BandLu::solve_into`] with the forward substitution started at row
-    /// `start`, for right-hand sides whose entries `x[..start]` are all
-    /// exactly `+0.0`.  Without pivoting, forward substitution over such a
-    /// prefix only ever computes `0.0 - c * 0.0 = +0.0` (for the finite
-    /// factor entries a finite factorization produces), so skipping those
-    /// rows leaves every `x[i]` **bitwise identical** to the full sweep —
-    /// this is the band factor's sparse-RHS fast path.  `start = 0` is
-    /// exactly [`BandLu::solve_into`].
-    pub fn solve_into_from(&self, x: &mut [f64], start: usize) -> Result<(), DenseError> {
         let n = self.order();
         if x.len() != n {
             return Err(DenseError::DimensionMismatch {
@@ -280,7 +268,7 @@ impl BandLu {
         let ku = self.factors.ku;
         let data = &self.factors.data[..];
         // Forward substitution with the unit lower factor.
-        for i in start..n {
+        for i in 0..n {
             let lo = i.saturating_sub(kl);
             let mut acc = x[i];
             for j in lo..i {

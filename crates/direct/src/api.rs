@@ -14,7 +14,6 @@
 //! for every outer iteration's triangular solves.
 
 use crate::gplu::{SolveScratch, SparseLu, SparseLuConfig};
-use crate::reach::{SparseRhs, SparseSolveReport};
 use crate::stats::FactorStats;
 use crate::DirectError;
 use msplit_dense::{BandLu, BandMatrix, DenseLu};
@@ -73,32 +72,10 @@ pub trait Factorization: Send + Sync {
         Ok(())
     }
 
-    /// Solves `A x = b` for a **sparse** right-hand side, writing the full
-    /// dense solution into `x`.  Bitwise identical to scattering `rhs`
-    /// densely and calling [`Factorization::solve_into`]; the report says
-    /// whether a reach-limited fast path actually ran.
-    ///
-    /// The default implementation is exactly that dense scatter-and-solve
-    /// (`fast_path: false`).  The sparse factorization overrides it with the
-    /// reachability kernel ([`SparseLu::solve_sparse_into`]); the band
-    /// factorization skips the forward sweep's leading all-zero rows.
-    fn solve_sparse_into(
-        &self,
-        rhs: &SparseRhs,
-        x: &mut [f64],
-        scratch: &mut SolveScratch,
-    ) -> Result<SparseSolveReport, DirectError> {
-        rhs.scatter_into(x)?;
-        self.solve_into(x, scratch)?;
-        Ok(SparseSolveReport {
-            fast_path: false,
-            reach_fraction: 1.0,
-        })
-    }
-
     /// The underlying [`SparseLu`], when this factorization is the sparse
-    /// kind — the hook the incremental driver path uses to reach the
-    /// delta-solve kernels.  `None` for dense and band factorizations.
+    /// kind — the test hook `tests/kernel_equivalence.rs` uses to compare
+    /// pooled and serial factors entry by entry.  `None` for dense and band
+    /// factorizations.
     fn as_sparse_lu(&self) -> Option<&SparseLu> {
         None
     }
@@ -193,15 +170,6 @@ impl Factorization for SparseLuFactorization {
 
     fn solve_into(&self, b: &mut [f64], scratch: &mut SolveScratch) -> Result<(), DirectError> {
         self.lu.solve_into(b, scratch)
-    }
-
-    fn solve_sparse_into(
-        &self,
-        rhs: &SparseRhs,
-        x: &mut [f64],
-        scratch: &mut SolveScratch,
-    ) -> Result<SparseSolveReport, DirectError> {
-        self.lu.solve_sparse_into(rhs, x, scratch)
     }
 
     fn as_sparse_lu(&self) -> Option<&SparseLu> {
@@ -365,25 +333,6 @@ impl Factorization for BandLuFactorization {
     fn solve_into(&self, b: &mut [f64], _scratch: &mut SolveScratch) -> Result<(), DirectError> {
         // The band factorization has no pivot permutation: fully in place.
         Ok(self.lu.solve_into(b)?)
-    }
-
-    fn solve_sparse_into(
-        &self,
-        rhs: &SparseRhs,
-        x: &mut [f64],
-        _scratch: &mut SolveScratch,
-    ) -> Result<SparseSolveReport, DirectError> {
-        // Without pivoting the forward sweep's accumulators stay exactly
-        // +0.0 until the first stored entry, so those rows can be skipped
-        // bitwise-identically ([`msplit_dense::BandLu::solve_into_from`]).
-        rhs.scatter_into(x)?;
-        let first = rhs.indices().iter().copied().min().unwrap_or(x.len());
-        self.lu.solve_into_from(x, first)?;
-        let n = x.len().max(1);
-        Ok(SparseSolveReport {
-            fast_path: first > 0,
-            reach_fraction: (x.len() - first.min(x.len())) as f64 / n as f64,
-        })
     }
 
     fn solve_many(&self, rhs: &[Vec<f64>]) -> Result<Vec<Vec<f64>>, DirectError> {

@@ -52,7 +52,6 @@
 //! search stack persist, entries are pushed straight into the factors, and
 //! `L` is renumbered into pivot order once, by a counting pass.
 
-use crate::reach::{SolveReach, SparseRhs, SparseSolveReport};
 use crate::stats::FactorStats;
 use crate::symbolic::{reach, FactorColumns, PrunedReach, ReachWorkspace};
 use crate::DirectError;
@@ -86,14 +85,6 @@ pub struct SparseLuConfig {
     /// Entries with magnitude below `drop_tolerance * column_max` are not
     /// stored in `L`/`U`.  `0.0` disables dropping (exact factorization).
     pub drop_tolerance: f64,
-    /// Reach-fraction ceiling of the sparse-RHS solve path (the CSparse
-    /// heuristic): [`SparseLu::solve_sparse_into`] falls back to the dense
-    /// kernel when the right-hand side reaches more than
-    /// `reach_threshold * n` rows of a factor graph, where the per-row
-    /// bookkeeping of the sparse path stops paying for itself.  `0.0` forces
-    /// the dense kernel, `1.0` never falls back.  Either way the result is
-    /// bitwise identical — this knob trades constant factors only.
-    pub reach_threshold: f64,
 }
 
 impl Default for SparseLuConfig {
@@ -102,7 +93,6 @@ impl Default for SparseLuConfig {
             ordering: ColumnOrdering::ReverseCuthillMcKee,
             pivot_threshold: 1.0,
             drop_tolerance: 0.0,
-            reach_threshold: 0.5,
         }
     }
 }
@@ -118,18 +108,6 @@ impl Default for SparseLuConfig {
 #[derive(Debug, Default, Clone)]
 pub struct SolveScratch {
     work: Vec<f64>,
-    /// Lazily allocated state of the sparse-RHS path; dense-only callers
-    /// never pay for it.
-    sparse: Option<Box<SparseScratch>>,
-}
-
-/// Per-solve state of the sparse-RHS path: the persistent scatter buffer
-/// (kept **all-zero between calls** so only the reached entries need
-/// re-zeroing) and the reach workspace.
-#[derive(Debug, Default, Clone)]
-struct SparseScratch {
-    y: Vec<f64>,
-    reach: SolveReach,
 }
 
 impl SolveScratch {
@@ -140,10 +118,7 @@ impl SolveScratch {
 
     /// Creates a scratch pre-sized for systems of order `n`.
     pub fn with_order(n: usize) -> Self {
-        SolveScratch {
-            work: vec![0.0; n],
-            sparse: None,
-        }
+        SolveScratch { work: vec![0.0; n] }
     }
 
     /// The reusable `f64` buffer, grown to at least `n` entries.
@@ -156,18 +131,6 @@ impl SolveScratch {
     /// (the dense LU gather workspace).
     pub fn raw(&mut self) -> &mut Vec<f64> {
         &mut self.work
-    }
-
-    /// The sparse-path state, allocated on first use and sized for order `n`.
-    /// Resizing keeps the all-zero invariant of `y` (growth zero-fills; a
-    /// shrink discards only zeros because the invariant held before).
-    fn sparse_mut(&mut self, n: usize) -> &mut SparseScratch {
-        let sp = self.sparse.get_or_insert_with(Default::default);
-        if sp.y.len() != n {
-            sp.y.clear();
-            sp.y.resize(n, 0.0);
-        }
-        sp
     }
 }
 
@@ -185,24 +148,10 @@ pub struct SparseLu {
     col_perm: Permutation,
     /// Row permutation: `row_perm[k]` is the original row pivoted at step `k`.
     row_perm: Vec<usize>,
-    /// Inverse row permutation: `row_perm_inv[r]` is the pivot step at which
-    /// original row `r` was eliminated (the scatter map of the sparse-RHS
-    /// path).
-    row_perm_inv: Vec<usize>,
     /// `L` (strictly lower part, unit diagonal implicit), pivot-order rows.
     l: FactorColumns,
     /// `U` (including diagonal as the last entry of each column), pivot-order rows.
     u: FactorColumns,
-    /// The dense solution of `A x = 0` — exactly `0.0 / U[j,j]` per entry, so
-    /// the sparse path can reproduce the dense kernel's signed zeros at
-    /// unreached positions with one `memcpy`.
-    zero_x: Vec<f64>,
-    /// Reach-fraction ceiling of the sparse-RHS path (see
-    /// [`SparseLuConfig::reach_threshold`]).
-    reach_threshold: f64,
-    /// Lazily built row-major factor views, used only by the incremental
-    /// delta solve ([`SparseLu::solve_delta_into`]).
-    delta: std::sync::OnceLock<DeltaViews>,
     stats: FactorStats,
 }
 
@@ -241,8 +190,8 @@ impl SparseLu {
         })
     }
 
-    /// Everything around the column loop: ordering, column access to `A`,
-    /// the signed-zero solution and the statistics.
+    /// Everything around the column loop: ordering, column access to `A`
+    /// and the statistics.
     fn assemble(
         a: &CsrMatrix,
         config: &SparseLuConfig,
@@ -271,21 +220,10 @@ impl SparseLu {
         let RawFactors {
             l,
             u,
-            pinv,
             row_perm,
             flops,
             symbolic_edges,
         } = column_loop(&acsc, &col_perm)?;
-
-        // The dense backward solve computes `z[j] = y[j] / U[j,j]` for every
-        // column, so a zero right-hand side yields `0.0 / diag` — a signed
-        // zero.  Precompute that vector once so the sparse path can start
-        // from it (factorization rejects zero pivots, the division is safe).
-        let mut zero_x = vec![0.0f64; n];
-        for j in 0..n {
-            let diag = u.values[u.col_ptr[j + 1] - 1];
-            zero_x[col_perm.old_of(j)] = 0.0 / diag;
-        }
 
         let stats = FactorStats {
             n,
@@ -301,12 +239,8 @@ impl SparseLu {
             n,
             col_perm,
             row_perm,
-            row_perm_inv: pinv,
             l,
             u,
-            zero_x,
-            reach_threshold: config.reach_threshold,
-            delta: std::sync::OnceLock::new(),
             stats,
         })
     }
@@ -353,31 +287,6 @@ impl SparseLu {
     /// allocation** — this is the kernel the multisplitting drivers run once
     /// per outer iteration.
     pub fn solve_into(&self, b: &mut [f64], scratch: &mut SolveScratch) -> Result<(), DirectError> {
-        self.dense_solve(b, scratch, None)
-    }
-
-    /// [`SparseLu::solve_into`], additionally snapshotting the triangular
-    /// intermediates into `cache` so a later [`SparseLu::solve_delta_into`]
-    /// can continue from them.  Numerically (bitwise) identical to the
-    /// uncached solve — the snapshots are plain copies.
-    pub fn solve_into_cached(
-        &self,
-        b: &mut [f64],
-        scratch: &mut SolveScratch,
-        cache: &mut DeltaCache,
-    ) -> Result<(), DirectError> {
-        self.dense_solve(b, scratch, Some(cache))
-    }
-
-    fn dense_solve(
-        &self,
-        b: &mut [f64],
-        scratch: &mut SolveScratch,
-        mut cache: Option<&mut DeltaCache>,
-    ) -> Result<(), DirectError> {
-        if let Some(cache) = cache.as_deref_mut() {
-            cache.ready = false;
-        }
         if b.len() != self.n {
             return Err(DirectError::DimensionMismatch {
                 expected: self.n,
@@ -401,11 +310,6 @@ impl SparseLu {
             }
         }
 
-        if let Some(cache) = cache.as_deref_mut() {
-            cache.y.clear();
-            cache.y.extend_from_slice(y);
-        }
-
         // Backward solve U z = y (U columns hold the diagonal as last entry).
         for j in (0..self.n).rev() {
             let rows = self.u.col_rows(j);
@@ -426,245 +330,11 @@ impl SparseLu {
             }
         }
 
-        if let Some(cache) = cache {
-            cache.z.clear();
-            cache.z.extend_from_slice(y);
-            cache.ready = true;
-        }
-
         // Undo the column permutation: x[col_perm[j]] = z[j].
         for j in 0..self.n {
             b[self.col_perm.old_of(j)] = y[j];
         }
         Ok(())
-    }
-
-    /// Solves `A x = b` for a **sparse** right-hand side, touching only the
-    /// rows of the factor graphs reachable from `nnz(b)` (Gilbert–Peierls
-    /// applied to the solve).  `x` receives the full dense solution.
-    ///
-    /// The result is **bitwise identical** to scattering `b` densely and
-    /// calling [`SparseLu::solve_into`]: the stored factors are numbered in
-    /// pivot order, so sweeping the sorted reach sets replays the dense
-    /// kernel's exact operation sequence, and the skipped rows are rows the
-    /// dense kernel only ever multiplies by exact zeros (unreached entries
-    /// are filled from the precomputed signed-zero solution of `A x = 0`).
-    ///
-    /// When a reach set exceeds `reach_threshold * n` (the CSparse
-    /// heuristic, see [`SparseLuConfig::reach_threshold`]), the dense kernel
-    /// runs instead; the returned [`SparseSolveReport`] says which path ran.
-    pub fn solve_sparse_into(
-        &self,
-        rhs: &SparseRhs,
-        x: &mut [f64],
-        scratch: &mut SolveScratch,
-    ) -> Result<SparseSolveReport, DirectError> {
-        let n = self.n;
-        if rhs.dim() != n || x.len() != n {
-            return Err(DirectError::DimensionMismatch {
-                expected: n,
-                found: if rhs.dim() != n { rhs.dim() } else { x.len() },
-            });
-        }
-        let limit = self.reach_threshold * n as f64;
-
-        // Symbolic phase: D1 = Reach_L(seeds), D2 = Reach_U(D1).  No
-        // numerics yet, so an oversized reach costs only the DFS.
-        let (d1_len, d2_len) = {
-            let sp = scratch.sparse_mut(n);
-            let seeds = rhs.indices().iter().map(|&i| self.row_perm_inv[i]);
-            let d1 = sp.reach.compute_lower(n, &self.l, seeds).len();
-            if d1 as f64 > limit {
-                (d1, usize::MAX)
-            } else {
-                (d1, sp.reach.compute_upper(&self.u).len())
-            }
-        };
-        if d1_len as f64 > limit || d2_len as f64 > limit {
-            rhs.scatter_into(x)?;
-            self.solve_into(x, scratch)?;
-            // Report the reach that tripped the heuristic (D2 when it was
-            // computed, D1 when the lower reach alone was already too big).
-            let measured = if d2_len == usize::MAX { d1_len } else { d2_len };
-            return Ok(SparseSolveReport {
-                fast_path: false,
-                reach_fraction: measured as f64 / n as f64,
-            });
-        }
-
-        // Numeric phase over the persistent all-zero buffer.
-        let sp = scratch
-            .sparse
-            .as_deref_mut()
-            .expect("sparse scratch initialized by the symbolic phase");
-        let SparseScratch { y, reach } = sp;
-
-        // Scatter P b onto y (only the seed positions become nonzero).
-        for (i, v) in rhs.iter() {
-            y[self.row_perm_inv[i]] = v;
-        }
-
-        // Forward solve along D1, ascending — the dense sweep restricted to
-        // the rows it would not have skipped.
-        for &j in reach.lower() {
-            let yj = y[j];
-            if yj == 0.0 {
-                continue;
-            }
-            for (r, v) in self.l.col(j) {
-                y[r] -= v * yj;
-            }
-        }
-
-        // Backward solve along D2, descending.
-        for &j in reach.upper().iter().rev() {
-            let hi = self.u.col_ptr[j + 1];
-            let diag = self.u.values[hi - 1];
-            debug_assert!(diag != 0.0, "factorization rejects zero pivots");
-            let zj = y[j] / diag;
-            y[j] = zj;
-            if zj != 0.0 {
-                let lo = self.u.col_ptr[j];
-                for idx in lo..hi - 1 {
-                    let r = self.u.rows[idx];
-                    y[r] -= self.u.values[idx] * zj;
-                }
-            }
-        }
-
-        // Gather: unreached entries take the signed zeros of the dense
-        // kernel's `0.0 / diag` divisions, reached entries their solves.
-        x.copy_from_slice(&self.zero_x);
-        for &j in reach.upper() {
-            x[self.col_perm.old_of(j)] = y[j];
-        }
-
-        // Restore the all-zero invariant of y.  D2 ⊇ D1 ⊇ seeds, so zeroing
-        // D2 suffices.
-        for &j in reach.upper() {
-            y[j] = 0.0;
-        }
-
-        Ok(SparseSolveReport {
-            fast_path: true,
-            reach_fraction: d2_len as f64 / n as f64,
-        })
-    }
-
-    /// The reach-fraction ceiling of the sparse-RHS path.
-    pub fn reach_threshold(&self) -> f64 {
-        self.reach_threshold
-    }
-
-    /// Overrides the reach-fraction ceiling (a perf knob only — results are
-    /// bitwise identical on every path).
-    pub fn set_reach_threshold(&mut self, threshold: f64) {
-        self.reach_threshold = threshold;
-    }
-
-    /// Row-major factor views of the delta path, built on first use.
-    fn delta_views(&self) -> &DeltaViews {
-        self.delta
-            .get_or_init(|| DeltaViews::build(&self.l, &self.u, self.n))
-    }
-
-    /// Incrementally re-solves `A x = b` after `b` changed **only** at
-    /// `changed_rows`, starting from the triangular intermediates a previous
-    /// [`SparseLu::solve_into_cached`] (or an earlier delta solve) left in
-    /// `cache`.
-    ///
-    /// Only the rows reachable from the changed positions are recomputed —
-    /// by *gathering* along the row-major factor views in the same
-    /// ascending-column (forward) and descending-column (backward) order the
-    /// dense kernel's column scatters would apply, so every recomputed value
-    /// is **bitwise** what a full dense re-solve would produce, and every
-    /// skipped value is bitwise unchanged.  `on_update(index, value)` is
-    /// invoked for each solution entry the backward sweep recomputed (indices
-    /// in original numbering; the value may equal the old one).
-    ///
-    /// Returns [`DeltaOutcome::Fallback`] without touching anything when the
-    /// cache is cold or a reach set exceeds `reach_threshold * n` — the
-    /// caller should then run [`SparseLu::solve_into_cached`] on the full
-    /// right-hand side.
-    pub fn solve_delta_into(
-        &self,
-        changed_rows: &[usize],
-        b: &[f64],
-        cache: &mut DeltaCache,
-        scratch: &mut SolveScratch,
-        mut on_update: impl FnMut(usize, f64),
-    ) -> Result<DeltaOutcome, DirectError> {
-        let n = self.n;
-        if b.len() != n {
-            return Err(DirectError::DimensionMismatch {
-                expected: n,
-                found: b.len(),
-            });
-        }
-        if !cache.ready || cache.y.len() != n || cache.z.len() != n {
-            return Ok(DeltaOutcome::Fallback {
-                reach_fraction: 1.0,
-            });
-        }
-        let limit = self.reach_threshold * n as f64;
-
-        let views = self.delta_views();
-        let sp = scratch.sparse_mut(n);
-        let SparseScratch { y: _, reach } = sp;
-        let seeds = changed_rows.iter().map(|&r| self.row_perm_inv[r]);
-        let d1_len = reach.compute_lower(n, &self.l, seeds).len();
-        if d1_len as f64 > limit {
-            return Ok(DeltaOutcome::Fallback {
-                reach_fraction: d1_len as f64 / n as f64,
-            });
-        }
-        let d2_len = reach.compute_upper(&self.u).len();
-        if d2_len as f64 > limit {
-            return Ok(DeltaOutcome::Fallback {
-                reach_fraction: d2_len as f64 / n as f64,
-            });
-        }
-
-        let y = &mut cache.y;
-        let z = &mut cache.z;
-
-        // Forward recompute along D1, ascending.  Gathering row i over its
-        // stored columns (ascending) replays exactly the subtraction sequence
-        // the dense kernel's column scatters apply to y[i], reading updated
-        // y[j] for j ∈ D1 (already recomputed — ascending order) and cached
-        // y[j] otherwise.
-        for &i in reach.lower() {
-            let mut acc = b[self.row_perm[i]];
-            let (cols, vals) = views.l_rows.row(i);
-            for (&j, &v) in cols.iter().zip(vals) {
-                let yj = y[j];
-                if yj != 0.0 {
-                    acc -= v * yj;
-                }
-            }
-            y[i] = acc;
-        }
-
-        // Backward recompute along D2, descending, gathering each row's
-        // stored columns in descending order (the dense backward sweep
-        // scatters columns n-1 .. 0).
-        for &r in reach.upper().iter().rev() {
-            let mut acc = y[r];
-            let (cols, vals) = views.u_rows.row(r);
-            for idx in (0..cols.len()).rev() {
-                let zk = z[cols[idx]];
-                if zk != 0.0 {
-                    acc -= vals[idx] * zk;
-                }
-            }
-            let zr = acc / views.diag[r];
-            z[r] = zr;
-            on_update(self.col_perm.old_of(r), zr);
-        }
-
-        Ok(DeltaOutcome::Applied {
-            reach_fraction: d2_len as f64 / n as f64,
-        })
     }
 
     /// Solves `A x = b` and applies `refine_steps` rounds of iterative
@@ -709,12 +379,11 @@ impl SparseLu {
 
 /// What a column loop hands to [`SparseLu::assemble`]: both factors in
 /// pivot-order numbering (every column of `L` ascending by row, every column
-/// of `U` ascending with the diagonal last), the pivot maps and the counters.
+/// of `U` ascending with the diagonal last), the row permutation and the
+/// counters.
 struct RawFactors {
     l: FactorColumns,
     u: FactorColumns,
-    /// Original row → pivot step.
-    pinv: Vec<usize>,
     /// Pivot step → original row.
     row_perm: Vec<usize>,
     flops: u64,
@@ -873,7 +542,6 @@ fn factor_columns(
     Ok(RawFactors {
         l,
         u,
-        pinv,
         row_perm,
         flops,
         symbolic_edges: sym.edges,
@@ -882,18 +550,35 @@ fn factor_columns(
 
 /// Renumbers the rows of `l` from original to pivot-order numbering and
 /// leaves every column ascending, with one counting pass: bucket the entries
-/// by new row, then deal them back to their columns row by row.
+/// by new row (columns ascending within a row), then deal them back to their
+/// columns row by row.
 fn renumber_rows(l: &mut FactorColumns, pinv: &[usize]) {
+    let n = pinv.len();
+    let mut row_ptr = vec![0usize; n + 1];
     for r in &mut l.rows {
         *r = pinv[*r];
+        row_ptr[*r + 1] += 1;
     }
-    let by_row = FactorRows::build(l, pinv.len(), false);
+    for i in 0..n {
+        row_ptr[i + 1] += row_ptr[i];
+    }
+    let mut fill = row_ptr.clone();
+    let mut cols = vec![0usize; l.nnz()];
+    let mut vals = vec![0.0f64; l.nnz()];
+    for j in 0..l.num_cols() {
+        for idx in l.col_range(j) {
+            let at = fill[l.rows[idx]];
+            cols[at] = j;
+            vals[at] = l.values[idx];
+            fill[l.rows[idx]] += 1;
+        }
+    }
     let mut next = l.col_ptr.clone();
-    for i in 0..pinv.len() {
-        let (cols, vals) = by_row.row(i);
-        for (&j, &v) in cols.iter().zip(vals) {
+    for i in 0..n {
+        for at in row_ptr[i]..row_ptr[i + 1] {
+            let j = cols[at];
             l.rows[next[j]] = i;
-            l.values[next[j]] = v;
+            l.values[next[j]] = vals[at];
             next[j] += 1;
         }
     }
@@ -981,132 +666,10 @@ fn factor_columns_reference(
     Ok(RawFactors {
         l: l_final,
         u,
-        pinv,
         row_perm,
         flops,
         symbolic_edges,
     })
-}
-
-/// Cached triangular intermediates of a [`SparseLu::solve_into_cached`] run:
-/// the post-forward vector `y` (before the backward sweep mutates it) and the
-/// pivot-space solution `z`, both length `n`.  [`SparseLu::solve_delta_into`]
-/// updates them in place along the reach of a right-hand-side delta.
-#[derive(Debug, Clone, Default)]
-pub struct DeltaCache {
-    ready: bool,
-    y: Vec<f64>,
-    z: Vec<f64>,
-}
-
-impl DeltaCache {
-    /// Creates an empty (cold) cache.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Whether the cache holds the intermediates of a completed solve.
-    pub fn is_ready(&self) -> bool {
-        self.ready
-    }
-
-    /// Drops the cached intermediates; the next delta solve reports
-    /// [`DeltaOutcome::Fallback`] until a [`SparseLu::solve_into_cached`]
-    /// refills them.
-    pub fn invalidate(&mut self) {
-        self.ready = false;
-    }
-}
-
-/// What [`SparseLu::solve_delta_into`] did.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum DeltaOutcome {
-    /// The delta was applied along the reach; the cache and the reported
-    /// solution entries are up to date.
-    Applied {
-        /// `|Reach_U| / n` of this delta.
-        reach_fraction: f64,
-    },
-    /// The cache was cold or the reach exceeded the threshold; nothing was
-    /// modified.  Run [`SparseLu::solve_into_cached`] on the full RHS.
-    Fallback {
-        /// The reach fraction that tripped the heuristic (`1.0` when no
-        /// reach was computed).
-        reach_fraction: f64,
-    },
-}
-
-/// Row-major view of one triangular factor: `row(i)` lists the stored
-/// columns of row `i` ascending.  Built once per factorization by a counting
-/// sort over the column-major storage.
-#[derive(Debug, Clone, Default)]
-struct FactorRows {
-    row_ptr: Vec<usize>,
-    cols: Vec<usize>,
-    vals: Vec<f64>,
-}
-
-impl FactorRows {
-    /// Transposes column-major storage, optionally dropping the trailing
-    /// (diagonal) entry of every column.  Scanning columns ascending keeps
-    /// each row's column list ascending.
-    fn build(cols: &FactorColumns, n: usize, skip_last: bool) -> FactorRows {
-        let mut counts = vec![0usize; n + 1];
-        let each = |f: &mut dyn FnMut(usize, usize, f64)| {
-            for j in 0..cols.num_cols() {
-                let lo = cols.col_ptr[j];
-                let hi = cols.col_ptr[j + 1] - usize::from(skip_last);
-                for idx in lo..hi {
-                    f(cols.rows[idx], j, cols.values[idx]);
-                }
-            }
-        };
-        each(&mut |r, _, _| counts[r + 1] += 1);
-        for i in 0..n {
-            counts[i + 1] += counts[i];
-        }
-        let nnz = counts[n];
-        let mut out = FactorRows {
-            row_ptr: counts.clone(),
-            cols: vec![0; nnz],
-            vals: vec![0.0; nnz],
-        };
-        let mut next = counts;
-        each(&mut |r, j, v| {
-            let at = next[r];
-            out.cols[at] = j;
-            out.vals[at] = v;
-            next[r] += 1;
-        });
-        out
-    }
-
-    /// The stored `(columns, values)` of row `i`, columns ascending.
-    fn row(&self, i: usize) -> (&[usize], &[f64]) {
-        let lo = self.row_ptr[i];
-        let hi = self.row_ptr[i + 1];
-        (&self.cols[lo..hi], &self.vals[lo..hi])
-    }
-}
-
-/// The row-major factor views of the delta path, plus the `U` diagonal
-/// pulled out for direct indexing.
-#[derive(Debug, Clone)]
-struct DeltaViews {
-    l_rows: FactorRows,
-    u_rows: FactorRows,
-    diag: Vec<f64>,
-}
-
-impl DeltaViews {
-    fn build(l: &FactorColumns, u: &FactorColumns, n: usize) -> DeltaViews {
-        let diag = (0..n).map(|j| u.values[u.col_ptr[j + 1] - 1]).collect();
-        DeltaViews {
-            l_rows: FactorRows::build(l, n, false),
-            u_rows: FactorRows::build(u, n, true),
-            diag,
-        }
-    }
 }
 
 #[cfg(test)]

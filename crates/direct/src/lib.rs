@@ -30,7 +30,6 @@
 
 pub mod api;
 pub mod gplu;
-pub mod reach;
 pub mod solve;
 pub mod stats;
 pub mod symbolic;
@@ -38,8 +37,7 @@ pub mod symbolic;
 pub use api::{
     BandLuSolver, DenseLuSolver, DirectSolver, Factorization, SolverKind, SparseLuSolver,
 };
-pub use gplu::{DeltaCache, DeltaOutcome, SolveScratch, SparseLu, SparseLuConfig};
-pub use reach::{SolveReach, SparseRhs, SparseSolveReport};
+pub use gplu::{SolveScratch, SparseLu, SparseLuConfig};
 pub use stats::FactorStats;
 
 /// Errors produced by the direct solvers.

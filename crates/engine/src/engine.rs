@@ -199,14 +199,6 @@ impl Engine {
             solve_seconds: self.metrics.solve_micros.load(Ordering::Relaxed) as f64 / 1e6,
             sparse_fastpath_hits: self.metrics.sparse_fastpath_hits.load(Ordering::Relaxed),
             dense_fallbacks: self.metrics.dense_fallbacks.load(Ordering::Relaxed),
-            mean_reach_fraction: {
-                let samples = self.metrics.reach_samples.load(Ordering::Relaxed);
-                if samples == 0 {
-                    0.0
-                } else {
-                    self.metrics.reach_ppm_sum.load(Ordering::Relaxed) as f64 / 1e6 / samples as f64
-                }
-            },
         }
     }
 
@@ -291,18 +283,12 @@ fn run_job(job: Job, cache: &FactorizationCache, metrics: &Metrics) {
 }
 
 /// Folds the per-rank solve-path counters of one completed job into the
-/// service metrics (reach fractions travel as parts per million to stay in
-/// the atomic-u64 scheme).
+/// service metrics.
 fn record_solve_paths(reports: &[msplit_core::solver::PartReport], metrics: &Metrics) {
     for report in reports {
         let sp = &report.solve_path;
         Metrics::add(&metrics.sparse_fastpath_hits, sp.sparse_fastpath_hits);
         Metrics::add(&metrics.dense_fallbacks, sp.dense_fallbacks);
-        Metrics::add(
-            &metrics.reach_ppm_sum,
-            (sp.reach_fraction_sum * 1e6).round() as u64,
-        );
-        Metrics::add(&metrics.reach_samples, sp.reach_samples);
     }
 }
 

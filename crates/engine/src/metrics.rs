@@ -14,10 +14,6 @@ pub(crate) struct Metrics {
     pub(crate) solve_micros: AtomicU64,
     pub(crate) sparse_fastpath_hits: AtomicU64,
     pub(crate) dense_fallbacks: AtomicU64,
-    // Reach fractions are accumulated in parts per million so they fit the
-    // same relaxed-atomic scheme as the other counters.
-    pub(crate) reach_ppm_sum: AtomicU64,
-    pub(crate) reach_samples: AtomicU64,
 }
 
 impl Metrics {
@@ -68,14 +64,11 @@ pub struct EngineReport {
     pub factorize_seconds: f64,
     /// Total seconds spent in outer iterations (triangular solves + exchange).
     pub solve_seconds: f64,
-    /// Outer iterations that took a sparse/incremental fast path (unchanged
-    /// dependencies skipped or halo-delta triangular solves).
+    /// Outer iterations skipped because their dependency values were
+    /// bitwise unchanged (no assembly, no solve, increment exactly `0.0`).
     pub sparse_fastpath_hits: u64,
     /// Outer iterations that assembled and solved the full local system.
     pub dense_fallbacks: u64,
-    /// Mean fraction of the factor reached by sparse-path solves, in
-    /// `[0, 1]` (zero when no sparse solve sampled a reach yet).
-    pub mean_reach_fraction: f64,
 }
 
 impl EngineReport {
@@ -134,10 +127,8 @@ impl std::fmt::Display for EngineReport {
         )?;
         write!(
             f,
-            "solve path: {} sparse fast-path, {} dense, mean reach {:.1}%",
-            self.sparse_fastpath_hits,
-            self.dense_fallbacks,
-            100.0 * self.mean_reach_fraction
+            "solve path: {} sparse fast-path, {} dense",
+            self.sparse_fastpath_hits, self.dense_fallbacks
         )
     }
 }
@@ -166,7 +157,6 @@ mod tests {
             solve_seconds: 0.5,
             sparse_fastpath_hits: 30,
             dense_fallbacks: 10,
-            mean_reach_fraction: 0.125,
         }
     }
 
@@ -193,6 +183,5 @@ mod tests {
         assert!(text.contains("40 rhs served"));
         assert!(text.contains("2 factorizations"));
         assert!(text.contains("30 sparse fast-path"));
-        assert!(text.contains("mean reach 12.5%"));
     }
 }

@@ -360,7 +360,7 @@ fn server_stats(inner: &Inner) -> Message {
         single_flight_wait_micros: (report.single_flight_wait_seconds * 1e6) as u64,
         sparse_fastpath_hits: report.sparse_fastpath_hits,
         dense_fallbacks: report.dense_fallbacks,
-        mean_reach_ppm: (report.mean_reach_fraction * 1e6).round() as u64,
+        mean_reach_ppm: 0,
         queue_depths: {
             let pending = inner.pending.lock();
             [

@@ -385,49 +385,6 @@ impl CsrMatrix {
         Ok(())
     }
 
-    /// Dot product of stored row `i` with a dense vector — exactly the
-    /// per-row accumulation of [`CsrMatrix::spmv_into`] /
-    /// [`CsrMatrix::spmv_sub_into`] (same inlined kernel, same stored order,
-    /// so recomputing a single row is **bitwise** what the full product
-    /// would have produced for it).
-    #[inline]
-    pub fn row_dot(&self, i: usize, x: &[f64]) -> f64 {
-        let lo = self.row_ptr[i];
-        let hi = self.row_ptr[i + 1];
-        sparse_dot(&self.col_indices[lo..hi], &self.values[lo..hi], x)
-    }
-
-    /// Builds a [`ColumnCache`] — the cheap column-major (transpose) view of
-    /// this matrix's stored entries, for callers that repeatedly need "which
-    /// rows does column `j` touch?" (the delta-RHS formation of the
-    /// incremental driver path) without re-walking every row or paying for a
-    /// full [`CsrMatrix::transpose`] each time.
-    pub fn column_cache(&self) -> ColumnCache {
-        let mut col_ptr = vec![0usize; self.cols + 1];
-        for &c in &self.col_indices {
-            col_ptr[c + 1] += 1;
-        }
-        for c in 0..self.cols {
-            col_ptr[c + 1] += col_ptr[c];
-        }
-        let mut rows = vec![0usize; self.nnz()];
-        let mut values = vec![0.0; self.nnz()];
-        let mut next = col_ptr.clone();
-        for r in 0..self.rows {
-            for (c, v) in self.row(r) {
-                let dst = next[c];
-                rows[dst] = r;
-                values[dst] = v;
-                next[c] += 1;
-            }
-        }
-        ColumnCache {
-            col_ptr,
-            rows,
-            values,
-        }
-    }
-
     /// Row-parallel sparse matrix-vector product into a caller-provided
     /// buffer.
     ///
@@ -653,41 +610,6 @@ impl CsrMatrix {
             hash.mix(v.to_bits());
         }
         hash.finish()
-    }
-}
-
-/// Column-major view of a [`CsrMatrix`]'s stored entries — a transpose
-/// cache built once by [`CsrMatrix::column_cache`] and then queried per
-/// column in O(1).
-///
-/// Within each column the rows appear ascending (the build scans rows in
-/// order), which is what the incremental driver relies on when turning
-/// changed dependency columns into affected right-hand-side rows.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct ColumnCache {
-    col_ptr: Vec<usize>,
-    rows: Vec<usize>,
-    values: Vec<f64>,
-}
-
-impl ColumnCache {
-    /// Number of columns covered.
-    pub fn num_cols(&self) -> usize {
-        self.col_ptr.len().saturating_sub(1)
-    }
-
-    /// The stored `(rows, values)` of column `j`, rows ascending.
-    pub fn col(&self, j: usize) -> (&[usize], &[f64]) {
-        let lo = self.col_ptr[j];
-        let hi = self.col_ptr[j + 1];
-        (&self.rows[lo..hi], &self.values[lo..hi])
-    }
-
-    /// The rows with a stored entry in column `j`, ascending.
-    pub fn rows_in(&self, j: usize) -> &[usize] {
-        let lo = self.col_ptr[j];
-        let hi = self.col_ptr[j + 1];
-        &self.rows[lo..hi]
     }
 }
 

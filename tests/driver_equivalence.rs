@@ -62,8 +62,8 @@ fn simulate_engines(
     simulate_engines_with_path(a, b, parts, k, true).0
 }
 
-/// Like [`simulate_engines`], but with the incremental halo-delta path
-/// toggled explicitly; also returns the per-rank solve-path counters.
+/// Like [`simulate_engines`], but with the unchanged-halo skip toggled
+/// explicitly; also returns the per-rank solve-path counters.
 fn simulate_engines_with_path(
     a: &multisplitting::sparse::CsrMatrix,
     b: &[f64],
@@ -152,9 +152,8 @@ proptest! {
         prop_assert_eq!(&engine_x, &seq.x);
     }
 
-    // The incremental halo-delta path and the always-dense path are the same
-    // state machine bit for bit: iterate by iterate, with the sparse fast
-    // path actually engaging (not silently falling back every step).
+    // The skipping engine and the always-dense engine are the same state
+    // machine bit for bit, iterate by iterate.
     #[test]
     fn incremental_engine_is_bitwise_the_dense_engine(
         n in 60usize..140,
@@ -174,11 +173,10 @@ proptest! {
         let dense_bits: Vec<u64> = dense_x.iter().map(|v| v.to_bits()).collect();
         prop_assert_eq!(inc_bits, dense_bits);
         // The dense engine solves densely every step; the incremental one
-        // accounts every step to exactly one of the two paths.  (On these
-        // banded blocks the boundary-row reach usually spans most of the
-        // factor, so the heuristic is free to fall back — engagement is
-        // pinned deterministically in
-        // `incremental_fast_path_engages_on_decoupled_blocks`.)
+        // accounts every step to exactly one of the two paths.  (In lockstep
+        // every halo moves each round, so the skip rarely fires here — it
+        // is pinned deterministically in
+        // `skip_engages_when_a_round_delivers_nothing`.)
         for stats in &dense_stats {
             prop_assert_eq!(stats.sparse_fastpath_hits, 0);
             prop_assert_eq!(stats.dense_fallbacks, k);
@@ -287,42 +285,100 @@ fn simulate_engines_partial(
     all
 }
 
-/// On a matrix of small decoupled diagonal blocks (coupled across bands only
-/// where a block straddles a partition boundary), the halo delta reaches a
-/// handful of unknowns, so the incremental path must actually engage — and
-/// still be bitwise identical to the dense engine.
-#[test]
-fn incremental_fast_path_engages_on_decoupled_blocks() {
-    use multisplitting::sparse::TripletBuilder;
-    let n = 128;
-    let parts = 4;
-    let mut builder = TripletBuilder::square(n);
-    for i in 0..n {
-        let blk = i / 4;
-        for j in (blk * 4)..((blk * 4 + 4).min(n)) {
-            let v = if i == j { 10.0 } else { -1.0 };
-            builder.push(i, j, v).unwrap();
+/// What one engine reported after one lockstep round: the increment and
+/// iterate bits, and the path counters so far.
+type RoundRecord = (u64, Vec<u64>, multisplitting::core::SolvePathStats);
+
+/// Two bands stepped in lockstep for `k` rounds, exchanging slices after
+/// every round except round `quiet`, which delivers nothing to rank 1.
+/// Returns one `[rank 0, rank 1]` record per round.
+fn two_bands_with_a_quiet_round(
+    a: &multisplitting::sparse::CsrMatrix,
+    b: &[f64],
+    k: usize,
+    quiet: usize,
+    incremental: bool,
+) -> Vec<[RoundRecord; 2]> {
+    let d = Decomposition::uniform(a, b, 2, 0).unwrap();
+    let partition = d.partition().clone();
+    let (_, blocks) = d.into_blocks();
+    let solver = SolverKind::SparseLu.build();
+    let factors: Vec<_> = blocks
+        .iter()
+        .map(|blk| solver.factorize(&blk.a_sub).unwrap())
+        .collect();
+    let mut workspaces = [IterationWorkspace::new(), IterationWorkspace::new()];
+    let mut engines: Vec<RankEngine> = blocks
+        .iter()
+        .zip(&factors)
+        .zip(workspaces.iter_mut())
+        .map(|((blk, factor), ws)| {
+            let mut engine = RankEngine::single(
+                &partition,
+                blk,
+                &blk.b_sub,
+                factor.as_ref(),
+                WeightingScheme::OwnerTakes,
+                ws,
+            );
+            engine.set_incremental(incremental);
+            engine
+        })
+        .collect();
+    let step = |engine: &mut RankEngine| -> RoundRecord {
+        let obs = engine.step().unwrap();
+        let x = engine.x_local().iter().map(|v| v.to_bits()).collect();
+        (obs.increment.to_bits(), x, engine.path_stats())
+    };
+    let mut rounds = Vec::new();
+    for round in 0..k {
+        rounds.push([step(&mut engines[0]), step(&mut engines[1])]);
+        let slices: Vec<_> = engines.iter().map(RankEngine::outgoing).collect();
+        engines[0].ingest(slices[1].clone());
+        if round != quiet {
+            engines[1].ingest(slices[0].clone());
         }
     }
-    let a = builder.build_csr();
-    let (_, b) = generators::rhs_for_solution(&a, |i| ((i % 5) as f64) - 2.0);
-    let k = 12;
-    let (inc_x, inc_stats) = simulate_engines_with_path(&a, &b, parts, k, true);
-    let (dense_x, _) = simulate_engines_with_path(&a, &b, parts, k, false);
+    rounds
+}
+
+/// A round that delivers nothing to rank 1 leaves its dependency values
+/// bitwise unchanged, so its next step must take the skip: counted as a
+/// fast-path hit, with an increment of exactly `0.0` — and the whole run
+/// must still be bitwise the always-dense engine's.
+#[test]
+fn skip_engages_when_a_round_delivers_nothing() {
+    let a = generators::diag_dominant(&DiagDominantConfig {
+        n: 80,
+        seed: 5,
+        ..Default::default()
+    });
+    let (_, b) = generators::rhs_for_solution(&a, |i| ((i % 7) as f64) - 3.0);
+    let (k, quiet) = (8, 3);
+    let skipping = two_bands_with_a_quiet_round(&a, &b, k, quiet, true);
+    let dense = two_bands_with_a_quiet_round(&a, &b, k, quiet, false);
+
+    let before = &skipping[quiet][1].2;
+    let (increment, _, after) = &skipping[quiet + 1][1];
     assert_eq!(
-        inc_x.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-        dense_x.iter().map(|v| v.to_bits()).collect::<Vec<_>>()
+        after.sparse_fastpath_hits,
+        before.sparse_fastpath_hits + 1,
+        "rank 1 did not skip after the quiet round: {before:?} -> {after:?}"
     );
-    let fast: u64 = inc_stats.iter().map(|s| s.sparse_fastpath_hits).sum();
-    assert!(
-        fast > 0,
-        "the sparse fast path never engaged: {inc_stats:?}"
-    );
-    for stats in &inc_stats {
-        assert!(
-            stats.mean_reach_fraction() < 0.5,
-            "decoupled blocks must yield a small reach: {stats:?}"
-        );
+    assert_eq!(after.dense_fallbacks, before.dense_fallbacks);
+    assert_eq!(*increment, 0.0f64.to_bits(), "a skip reports exactly +0.0");
+
+    for (round, (s, d)) in skipping.iter().zip(&dense).enumerate() {
+        for rank in 0..2 {
+            assert_eq!(s[rank].0, d[rank].0, "round {round} rank {rank}: increment");
+            assert_eq!(s[rank].1, d[rank].1, "round {round} rank {rank}: iterate");
+            assert_eq!(d[rank].2.sparse_fastpath_hits, 0);
+            let path = s[rank].2;
+            assert_eq!(
+                path.sparse_fastpath_hits + path.dense_fallbacks,
+                round as u64 + 1
+            );
+        }
     }
 }
 

@@ -69,7 +69,6 @@ fn sparse_lu_configs() -> Vec<SparseLuConfig> {
                     ordering,
                     pivot_threshold,
                     drop_tolerance,
-                    ..Default::default()
                 });
             }
         }
@@ -207,178 +206,6 @@ proptest! {
             let mut scratch = SolveScratch::new();
             factor.solve_into(&mut x, &mut scratch).unwrap();
             prop_assert_eq!(&x, &expected);
-        }
-    }
-
-    // The reachability-based sparse triangular solve must be bitwise
-    // identical to scattering the right-hand side densely and running
-    // `solve_into`, for every factorization kind, across empty, singleton,
-    // random and fully dense sparsity patterns.  Signed zeros count: the
-    // comparison is on bit patterns, not on `==`.
-    #[test]
-    fn solve_sparse_into_is_bitwise_identical_to_dense_solve(
-        n in 10usize..120,
-        seed in 0u64..200,
-        pattern in 0u32..4, // 0 = empty, 1 = singleton, 2 = random, 3 = full
-        rhs_seed in 0u64..50,
-    ) {
-        use multisplitting::direct::{SolveScratch, SolverKind, SparseRhs};
-        let a = generators::diag_dominant(&DiagDominantConfig {
-            n,
-            seed,
-            half_bandwidth: 4,
-            ..Default::default()
-        });
-        let mut rhs = SparseRhs::new(n);
-        let value = |i: usize| (((i as u64).wrapping_mul(37) + rhs_seed) % 15) as f64 - 7.0;
-        match pattern {
-            0 => {}
-            1 => rhs.push((rhs_seed as usize) % n, 3.5).unwrap(),
-            2 => {
-                for i in 0..n {
-                    if (i as u64).wrapping_mul(2654435761).wrapping_add(rhs_seed) % 5 == 0 {
-                        rhs.push(i, value(i)).unwrap();
-                    }
-                }
-            }
-            _ => {
-                for i in 0..n {
-                    rhs.push(i, value(i)).unwrap();
-                }
-            }
-        }
-        for kind in SolverKind::all() {
-            let factor = match kind.build().factorize(&a) {
-                Ok(f) => f,
-                Err(_) => continue,
-            };
-            let mut scratch = SolveScratch::new();
-            let mut x_dense = vec![f64::NAN; n];
-            rhs.scatter_into(&mut x_dense).unwrap();
-            factor.solve_into(&mut x_dense, &mut scratch).unwrap();
-            let mut x_sparse = vec![f64::NAN; n];
-            let report = factor
-                .solve_sparse_into(&rhs, &mut x_sparse, &mut scratch)
-                .unwrap();
-            prop_assert!((0.0..=1.0).contains(&report.reach_fraction));
-            let dense_bits: Vec<u64> = x_dense.iter().map(|v| v.to_bits()).collect();
-            let sparse_bits: Vec<u64> = x_sparse.iter().map(|v| v.to_bits()).collect();
-            prop_assert_eq!(sparse_bits, dense_bits);
-            // A second solve through the same scratch must not be polluted
-            // by leftover sparse-workspace state.
-            let mut x_again = vec![f64::NAN; n];
-            let _ = factor
-                .solve_sparse_into(&rhs, &mut x_again, &mut scratch)
-                .unwrap();
-            prop_assert_eq!(
-                x_again.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                x_dense.iter().map(|v| v.to_bits()).collect::<Vec<_>>()
-            );
-        }
-    }
-
-    // The reach-fraction heuristic is a pure performance knob: forcing the
-    // dense fallback (threshold 0), never falling back (threshold 1) and
-    // sitting exactly on the measured boundary must all produce the same
-    // bits, and the fast-path flag must flip exactly when the strict
-    // `reach > threshold * n` test says so.
-    #[test]
-    fn reach_threshold_is_bitwise_neutral_and_strict(
-        n in 10usize..120,
-        seed in 0u64..200,
-        rhs_seed in 0u64..50,
-    ) {
-        use multisplitting::direct::{SolveScratch, SparseLu, SparseRhs};
-        let a = generators::diag_dominant(&DiagDominantConfig {
-            n,
-            seed,
-            half_bandwidth: 4,
-            ..Default::default()
-        });
-        let mut rhs = SparseRhs::new(n);
-        rhs.push((rhs_seed as usize) % n, 1.25).unwrap();
-        rhs.push((rhs_seed as usize + n / 2) % n, -0.5).unwrap();
-
-        let mut lu = SparseLu::factorize(&a).unwrap();
-        let mut scratch = SolveScratch::new();
-        let mut reference = vec![0.0; n];
-        rhs.scatter_into(&mut reference).unwrap();
-        lu.solve_into(&mut reference, &mut scratch).unwrap();
-        let reference: Vec<u64> = reference.iter().map(|v| v.to_bits()).collect();
-
-        lu.set_reach_threshold(1.0);
-        let mut x = vec![f64::NAN; n];
-        let wide = lu.solve_sparse_into(&rhs, &mut x, &mut scratch).unwrap();
-        prop_assert!(wide.fast_path, "reach can never exceed the whole factor");
-        prop_assert_eq!(
-            x.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-            reference.clone()
-        );
-
-        lu.set_reach_threshold(0.0);
-        let mut x = vec![f64::NAN; n];
-        let narrow = lu.solve_sparse_into(&rhs, &mut x, &mut scratch).unwrap();
-        prop_assert!(!narrow.fast_path, "a non-empty reach must trip a zero threshold");
-        prop_assert_eq!(
-            x.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-            reference.clone()
-        );
-
-        // Exactly at the measured reach the strict `>` comparison keeps the
-        // fast path.
-        lu.set_reach_threshold(wide.reach_fraction);
-        let mut x = vec![f64::NAN; n];
-        let boundary = lu.solve_sparse_into(&rhs, &mut x, &mut scratch).unwrap();
-        prop_assert!(boundary.fast_path);
-        prop_assert_eq!(
-            x.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-            reference
-        );
-    }
-
-    // The cached column view is just a re-indexing of the CSR data: for
-    // every column it must report exactly the rows and values a naive scan
-    // of all rows gathers, in ascending row order.
-    #[test]
-    fn column_cache_matches_naive_gather(
-        rows in 1usize..40,
-        cols in 1usize..40,
-        seed in 0u64..500,
-    ) {
-        use multisplitting::sparse::CooMatrix;
-        let mut coo = CooMatrix::new(rows, cols);
-        for i in 0..rows {
-            for j in 0..cols {
-                let h = (i as u64)
-                    .wrapping_mul(6364136223846793005)
-                    .wrapping_add((j as u64).wrapping_mul(1442695040888963407))
-                    .wrapping_add(seed);
-                if h % 4 == 0 {
-                    coo.push(i, j, ((h % 19) as f64) - 9.0).unwrap();
-                }
-            }
-        }
-        let a = coo.to_csr();
-        let cache = a.column_cache();
-        prop_assert_eq!(cache.num_cols(), a.cols());
-        for j in 0..a.cols() {
-            let mut naive_rows = Vec::new();
-            let mut naive_vals = Vec::new();
-            for i in 0..a.rows() {
-                for (c, v) in a.row(i) {
-                    if c == j {
-                        naive_rows.push(i);
-                        naive_vals.push(v);
-                    }
-                }
-            }
-            let (cached_rows, cached_vals) = cache.col(j);
-            prop_assert_eq!(cached_rows, naive_rows.as_slice());
-            prop_assert_eq!(cache.rows_in(j), naive_rows.as_slice());
-            prop_assert_eq!(
-                cached_vals.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                naive_vals.iter().map(|v| v.to_bits()).collect::<Vec<_>>()
-            );
         }
     }
 }

@@ -199,6 +199,7 @@ fn server_stats_reflect_completed_and_coalesced_work() {
             batches,
             sparse_fastpath_hits,
             dense_fallbacks,
+            mean_reach_ppm,
             queue_depths,
             ..
         } => {
@@ -209,6 +210,7 @@ fn server_stats_reflect_completed_and_coalesced_work() {
                 *sparse_fastpath_hits + *dense_fallbacks > 0,
                 "completed solves must account for their solve paths"
             );
+            assert_eq!(*mean_reach_ppm, 0, "the reach field is reserved");
             assert_eq!(queue_depths.len(), 3);
         }
         other => panic!("expected ServerStats, got {other:?}"),

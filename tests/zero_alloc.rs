@@ -196,86 +196,11 @@ fn main() {
         });
     }
 
-    // --- The incremental halo-delta step. ---
-    // On a matrix of small decoupled diagonal blocks the halo delta reaches
-    // a handful of unknowns, so warm steps run the sparse fast path
-    // (changed-row recompute → reach → delta triangular solve).  All of it
-    // works on workspace-retained buffers: zero allocations.  Inbound
-    // messages are pre-generated so only ingest + step are measured.
-    {
-        use multisplitting::comm::Message;
-        use multisplitting::sparse::TripletBuilder;
-        let n = 126;
-        let mut builder = TripletBuilder::square(n);
-        for i in 0..n {
-            let blk = i / 4;
-            for j in (blk * 4)..((blk * 4 + 4).min(n)) {
-                builder
-                    .push(i, j, if i == j { 10.0 } else { -1.0 })
-                    .expect("push");
-            }
-        }
-        let a = builder.build_csr();
-        let (_, b) = generators::rhs_for_solution(&a, |i| ((i % 5) as f64) - 2.0);
-        let d = Decomposition::uniform(&a, &b, 2, 0).expect("decomposition");
-        let partition = d.partition().clone();
-        let (_, blocks) = d.into_blocks();
-        let solver = SolverKind::SparseLu.build();
-        let factor = solver.factorize(&blocks[0].a_sub).expect("factorize");
-        let mut ws = IterationWorkspace::new();
-        let mut engine = RankEngine::single(
-            &partition,
-            &blocks[0],
-            &blocks[0].b_sub,
-            factor.as_ref(),
-            WeightingScheme::OwnerTakes,
-            &mut ws,
-        );
-        let offset = blocks[1].offset;
-        let peer_size = blocks[1].size;
-        let reps = 50;
-        let mut msgs: Vec<Message> = (0..(reps as u64 + 2))
-            .map(|t| Message::Solution {
-                from: 1,
-                iteration: t + 1,
-                offset,
-                values: (0..peer_size)
-                    .map(|j| 0.25 + j as f64 * 0.01 + t as f64 * 1e-3)
-                    .collect(),
-            })
-            .rev()
-            .collect();
-        let exchange = |engine: &mut RankEngine, msgs: &mut Vec<Message>| {
-            let msg = msgs.pop().expect("pre-generated message");
-            engine.ingest(msg);
-            engine.step().expect("delta step");
-            engine.step().expect("skip step");
-        };
-        // The very first delta step lazily builds the sparse solve scratch
-        // and the row-major factor views; run one cold cycle (dense) and one
-        // delta cycle before measuring.
-        exchange(&mut engine, &mut msgs);
-        assert_zero_alloc("RankEngine::step (incremental delta + skip)", reps, || {
-            exchange(&mut engine, &mut msgs);
-        });
-        let stats = engine.path_stats();
-        assert_eq!(
-            stats.dense_fallbacks, 1,
-            "only the cold first step may solve densely: {stats:?}"
-        );
-        assert_eq!(
-            stats.sparse_fastpath_hits,
-            2 * (reps as u64 + 2) - 1,
-            "every warm step must take the fast path: {stats:?}"
-        );
-    }
-
-    // --- Incremental step on a coupled band. ---
-    // On a banded convection–diffusion band the boundary rows reach most of
-    // the block, so every halo delta trips the reach threshold.  Once a trip
-    // is remembered, a step with the same seed rows skips the reach search
-    // and runs the dense solve on the retained `BLoc`: zero allocations,
-    // every step dense, every delta attempt counted with its reach.
+    // --- The unchanged-halo skip on a coupled band. ---
+    // Each cycle ingests a fresh slice and steps (assembly + solve), then
+    // steps again on the same halo (the skip: no assembly, no solve).  Both
+    // run on workspace-retained buffers: zero allocations.  Inbound messages
+    // are pre-generated so only ingest + step are measured.
     {
         use multisplitting::comm::Message;
         let a = generators::convection_diffusion(&generators::ConvectionDiffusionConfig {
@@ -300,7 +225,7 @@ fn main() {
         let offset = blocks[1].offset;
         let peer_size = blocks[1].size;
         let reps = 50;
-        let mut msgs: Vec<Message> = (0..(reps as u64 + 2))
+        let mut msgs: Vec<Message> = (0..(reps as u64 + 1))
             .map(|t| Message::Solution {
                 from: 1,
                 iteration: t + 1,
@@ -311,27 +236,23 @@ fn main() {
             })
             .rev()
             .collect();
-        let delta_step = |engine: &mut RankEngine, msgs: &mut Vec<Message>| {
+        // Path counters after the warm-up cycle, so the measured cycles can
+        // be counted on their own.
+        let mut warm = None;
+        assert_zero_alloc("RankEngine::step (dense + skip)", reps, || {
             engine.ingest(msgs.pop().expect("pre-generated message"));
-            engine.step().expect("delta step");
-        };
-        // The cold first step is dense; the first delta step searches the
-        // reach (building the sparse scratch) and remembers the trip.
-        engine.step().expect("cold step");
-        delta_step(&mut engine, &mut msgs);
-        assert_zero_alloc("RankEngine::step (remembered reach trip)", reps, || {
-            delta_step(&mut engine, &mut msgs);
+            engine.step().expect("dense step");
+            engine.step().expect("skip step");
+            warm.get_or_insert(engine.path_stats());
         });
-        let stats = engine.path_stats();
-        let delta_steps = reps as u64 + 2;
+        let (warm, stats) = (warm.expect("warm-up cycle ran"), engine.path_stats());
         assert_eq!(
-            (stats.sparse_fastpath_hits, stats.dense_fallbacks),
-            (0, delta_steps + 1),
-            "every step on a coupled band must be dense: {stats:?}"
-        );
-        assert_eq!(
-            stats.reach_samples, delta_steps,
-            "every delta attempt must count its reach: {stats:?}"
+            (
+                stats.dense_fallbacks - warm.dense_fallbacks,
+                stats.sparse_fastpath_hits - warm.sparse_fastpath_hits
+            ),
+            (reps as u64, reps as u64),
+            "every measured cycle must be one dense step and one skip: {stats:?}"
         );
     }
 
