@@ -5,8 +5,8 @@
 //! adapters use, over any [`Transport`] (the multi-process runtime passes a
 //! [`msplit_comm::TcpTransport`] endpoint):
 //!
-//! * **synchronous** — [`crate::runtime::TreeVotes`] +
-//!   [`crate::runtime::Lockstep`]: each iteration every rank's vote
+//! * **synchronous** — [`crate::runtime::TreeVotes`] + the lockstep
+//!   progress policy: each iteration every rank's vote
 //!   aggregates up the vote tree to rank 0 ([`Message::VoteAggregate`]) and
 //!   the rank then blocks until it has both the decision for that iteration
 //!   ([`Message::ConvergenceVote`], forwarded down the same tree) and the
@@ -14,16 +14,18 @@
 //!   barrier and the decision broadcast *is* the allreduce, so the iterates
 //!   are bitwise-identical to the threaded adapter's (which runs the very
 //!   same code over an in-process transport),
-//! * **asynchronous** — [`crate::runtime::ConfirmationWaves`] +
-//!   [`crate::runtime::FreeRunning`]: ranks free-run and send votes to
+//! * **asynchronous** — [`crate::runtime::ConfirmationWaves`] + the
+//!   free-running progress policy: ranks free-run and send votes to
 //!   rank 0 on verdict changes; rank 0 runs a confirmation-wave
 //!   [`crate::runtime::VoteBoard`] and broadcasts
 //!   [`Message::GlobalConverged`] once every rank has re-confirmed its
 //!   converged vote for the configured number of waves.
 //!
 //! There is one detection protocol per mode and no knob to pick another;
-//! [`crate::runtime::mode_policies`] is the single place that maps the mode
-//! to its policy stack.
+//! `runtime::mode_policies` is the single place that maps the mode to its
+//! policy stack.  The rank loop over that stack runs on this thread under
+//! the runtime's blocking executor, the same one the threaded adapter
+//! uses.
 //!
 //! A rank that exhausts its iteration budget (or hits a transport error)
 //! broadcasts [`Message::Halt`] so no peer spins forever; a rank observed
@@ -34,8 +36,8 @@
 
 use crate::checkpoint::{self, Checkpointer};
 use crate::runtime::{
-    drive_with_hooks, mode_policies, DriveHooks, EventLog, FailurePolicy, IterationWorkspace,
-    RankEngine, RankLink,
+    drive, mode_policies, DriveHooks, EventLog, FailurePolicy, IterationWorkspace, RankEngine,
+    RankLink, RankLoop,
 };
 use crate::solver::MultisplittingConfig;
 use crate::CoreError;
@@ -190,7 +192,7 @@ pub fn run_rank(
     if options.record_events {
         engine.record_events();
     }
-    let mut hooks = DriveHooks {
+    let hooks = DriveHooks {
         checkpoint: options.checkpoint.as_ref().map(|ck| Checkpointer {
             dir: ck.dir.clone(),
             every: ck.every,
@@ -199,8 +201,8 @@ pub fn run_rank(
         }),
         columns: None,
     };
-    let mut link = RankLink::new(transport.as_ref(), rank, send_targets, senders_to_me);
-    let (mut vote, mut conv, mut progress) = mode_policies(
+    let link = RankLink::new(transport.as_ref(), rank, send_targets, senders_to_me);
+    let (mut vote, conv, progress) = mode_policies(
         config.mode,
         config,
         rank,
@@ -211,24 +213,23 @@ pub fn run_rank(
     if let Some(state) = restored_vote {
         vote.restore_state(state);
     }
-    let run = drive_with_hooks(
-        &mut engine,
-        &mut link,
-        vote.as_mut(),
-        conv.as_mut(),
-        progress.as_mut(),
+    let mut rank_loop = RankLoop::new(
+        engine,
+        link,
+        (vote, conv, progress),
         config.max_iterations,
-        &mut hooks,
-    )?;
+        hooks,
+    );
+    let run = drive(&mut rank_loop)?;
     Ok(RankOutcome {
         rank,
-        x_local: engine.x_local().to_vec(),
+        x_local: rank_loop.engine.x_local().to_vec(),
         iterations: run.iterations,
         last_increment: run.last_increment,
         converged: run.converged,
         wall_seconds: start.elapsed().as_secs_f64(),
         reshape: run.reshape,
-        event_log: engine.take_event_log(),
+        event_log: rank_loop.engine.take_event_log(),
     })
 }
 

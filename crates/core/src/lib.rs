@@ -42,7 +42,7 @@
 //!
 //! ```text
 //!                  ┌────────────────────────────────────────────────┐
-//!                  │                 drive loop                     │
+//!                  │      rank loop: poll(now), never blocks        │
 //!                  │  collect → step → fan_out → vote → exchange    │
 //!                  │        (+ checkpoint / column-batch hooks)     │
 //!                  └──────┬─────────────┬──────────────┬────────────┘
@@ -60,11 +60,12 @@
 //!              │ RankLink over a Transport (in-process or TCP)     │
 //!              └───────────────────────────────────────────────────┘
 //!
-//!   adapters: the threaded adapter behind PreparedSystem (one
-//!             right-hand side in either mode, or a lockstep batch)
-//!             and the multi-process distributed runtime
-//!             (distributed::run_rank, spawned by launcher::Launcher
-//!             + the msplit-worker binary)
+//!   executors of the rank loop: a blocking one — the threaded
+//!             adapter behind PreparedSystem (one right-hand side in
+//!             either mode, or a lockstep batch) and the multi-process
+//!             distributed runtime (distributed::run_rank, spawned by
+//!             launcher::Launcher + the msplit-worker binary) — and the
+//!             scale simulator's virtual clock
 //! ```
 //!
 //! Because the engine is pure (its only transitions are `ingest` and
@@ -83,14 +84,14 @@
 //!   and the extended fixed-point mapping of Section 3),
 //! * [`runtime`] — the unified per-rank runtime: the [`runtime::RankEngine`]
 //!   state machine of Algorithm 1 plus convergence
-//!   ([`runtime::ConvergencePolicy`]), progress
-//!   ([`runtime::ProgressPolicy`]) and failure ([`runtime::FailurePolicy`])
-//!   policies — one detection protocol per execution mode
-//!   ([`runtime::mode_policies`]); every driver below is an adapter over it,
+//!   ([`runtime::ConvergencePolicy`]), progress and failure
+//!   ([`runtime::FailurePolicy`]) policies — one detection protocol per
+//!   execution mode — and the one poll-driven rank loop around them;
+//!   every driver below is an adapter over it,
 //! * [`scale`] — the in-process scale simulator ([`scale::simulate_ranks`]):
-//!   hundreds of production rank runtimes driven cooperatively in one
-//!   process, with message-load accounting, for protocol tests at
-//!   256–1024 ranks (`docs/scaling.md`),
+//!   hundreds of production rank loops polled cooperatively in one process
+//!   under a virtual clock, with message-load accounting, for protocol
+//!   tests at 256–1024 ranks (`docs/scaling.md`),
 //! * [`checkpoint`] — versioned, fingerprint-pinned per-rank snapshots for
 //!   checkpoint/restart and elastic reshaping,
 //! * [`distributed`] / [`launcher`] — the multi-process runtime: one

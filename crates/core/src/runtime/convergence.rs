@@ -365,7 +365,7 @@ impl VoteBoard {
 /// the way out is already queued or in flight — so a disconnected peer is
 /// skipped rather than fatal, and [`Message::Halt`] handling is idempotent: a
 /// halt racing a convergence broadcast never turns a converged run into a
-/// failed one (see [`super::FreeRunning`]'s grace drain).
+/// failed one (see the free-running progress policy's grace drain).
 pub struct ConfirmationWaves {
     rank: usize,
     world: usize,

@@ -1,31 +1,33 @@
-//! The unified drive loop — the single Algorithm 1 outer loop behind every
-//! driver — with the policy stacks it runs and its optional hooks
-//! (checkpoints, per-column batch tracking).
+//! The unified rank loop — the single Algorithm 1 outer loop behind every
+//! driver, as a poll-driven state machine — with its blocking executor, the
+//! policy stacks it runs and its optional hooks (checkpoints, per-column
+//! batch tracking).
 
 use super::convergence::{ConfirmationWaves, ConvergencePolicy, TreeVotes};
 use super::engine::{RankEngine, StepObservation};
 use super::failure::{FailurePolicy, Flow, RankLink};
-use super::progress::{FreeRunning, Lockstep, ProgressPolicy};
+use super::progress::{FreeRunning, Lockstep, Poll, ProgressPolicy};
 use super::vote::{IncrementVote, LocalVote, StaleSweepGuard};
 use crate::solver::{ExecutionMode, MultisplittingConfig};
 use crate::CoreError;
 #[allow(unused_imports)] // doc links
 use msplit_comm::message::Message;
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// One rank's policy stack behind trait objects: local vote, convergence
 /// protocol, progress rule.
-pub type PolicyStack = (
+pub(crate) type PolicyStack = (
     Box<dyn LocalVote>,
     Box<dyn ConvergencePolicy>,
     Box<dyn ProgressPolicy>,
 );
 
 /// The policy stack of an execution mode — there is exactly one per mode,
-/// and this is the one place that builds it, so the threaded, batched and
-/// distributed paths cannot drift apart (their bitwise
-/// transport-independence depends on running the exact same policies):
+/// and this is the one place that builds it, so the threaded, batched,
+/// distributed and simulated paths cannot drift apart (their bitwise
+/// transport-independence depends on running the exact same policies; the
+/// scale simulator only swaps in an explicit vote-tree fan-in):
 ///
 /// * synchronous — guarded increment vote + per-iteration votes up the tree
 ///   ([`TreeVotes`] at the production fan-in) + barrier-equivalent wait
@@ -35,7 +37,7 @@ pub type PolicyStack = (
 ///
 /// `failure` decides what a heartbeat-detected peer death does: halt the
 /// run or request a reshape.
-pub fn mode_policies(
+pub(crate) fn mode_policies(
     mode: ExecutionMode,
     config: &MultisplittingConfig,
     rank: usize,
@@ -71,7 +73,7 @@ pub(crate) fn lockstep_vote(tolerance: f64) -> StaleSweepGuard<IncrementVote> {
 
 /// Result of driving one rank to completion.
 #[derive(Debug, Clone, Copy)]
-pub struct RankRun {
+pub(crate) struct RankRun {
     /// Outer iterations performed.
     pub iterations: u64,
     /// Last observed increment norm.
@@ -187,7 +189,7 @@ impl ColumnBoard {
 /// [`RankEngine::column_dep_changes`]) — and posts them; after each lockstep
 /// decision it sweeps the completed row and freezes newly all-converged
 /// columns at the current local iterate.
-pub struct ColumnTracker {
+pub(crate) struct ColumnTracker {
     board: Arc<ColumnBoard>,
     tolerance: f64,
     /// Scratch bits, one per column.
@@ -200,7 +202,7 @@ pub struct ColumnTracker {
 
 impl ColumnTracker {
     /// Builds the tracker for one rank of a `ncols`-column batch.
-    pub fn new(board: Arc<ColumnBoard>, tolerance: f64, ncols: usize) -> Self {
+    pub(crate) fn new(board: Arc<ColumnBoard>, tolerance: f64, ncols: usize) -> Self {
         ColumnTracker {
             board,
             tolerance,
@@ -240,7 +242,7 @@ impl ColumnTracker {
     /// Consumes the tracker into per-column results: the frozen local
     /// iterate (or `live` for a column that never converged solo) and the
     /// solo stopping iteration per column.
-    pub fn into_columns(self, live: &[Vec<f64>]) -> (Vec<Vec<f64>>, Vec<Option<u64>>) {
+    pub(crate) fn into_columns(self, live: &[Vec<f64>]) -> (Vec<Vec<f64>>, Vec<Option<u64>>) {
         let mut columns = Vec::with_capacity(live.len());
         let mut converged_at = Vec::with_capacity(live.len());
         for (c, slot) in self.frozen.into_iter().enumerate() {
@@ -262,144 +264,198 @@ impl ColumnTracker {
 /// Optional instrumentation of the drive loop: periodic snapshots and
 /// per-column batch tracking.  [`DriveHooks::default`] is a no-op.
 #[derive(Default)]
-pub struct DriveHooks {
+pub(crate) struct DriveHooks {
     /// Periodic snapshot writer (see [`crate::checkpoint`]).
-    pub checkpoint: Option<crate::checkpoint::Checkpointer>,
+    pub(crate) checkpoint: Option<crate::checkpoint::Checkpointer>,
     /// Per-column convergence tracking of a batched lockstep solve (see
     /// [`ColumnTracker`]); `None` everywhere else.
-    pub columns: Option<ColumnTracker>,
+    pub(crate) columns: Option<ColumnTracker>,
 }
 
-/// Pumps messages between the transport and the engine until convergence,
-/// halt, budget exhaustion or error — the **single** Algorithm 1 outer loop
-/// behind every driver.  On error, [`Message::Halt`] is broadcast so no peer
-/// spins forever on a rank that will never answer.  `hooks` carries the
-/// optional instrumentation ([`DriveHooks::default`] is none).
-pub fn drive_with_hooks(
-    engine: &mut RankEngine,
-    link: &mut RankLink,
-    vote: &mut dyn LocalVote,
-    conv: &mut dyn ConvergencePolicy,
-    progress: &mut dyn ProgressPolicy,
+/// One rank's outer loop as a resumable state machine — the **single**
+/// Algorithm 1 loop behind every driver.  [`RankLoop::poll`] never blocks,
+/// never sleeps and never reads a clock; [`drive`] runs it on a thread over
+/// any transport, the scale simulator runs it under a virtual clock.
+pub(crate) struct RankLoop<'a> {
+    pub(crate) engine: RankEngine<'a>,
+    pub(crate) link: RankLink<'a>,
+    vote: Box<dyn LocalVote>,
+    conv: Box<dyn ConvergencePolicy>,
+    progress: Box<dyn ProgressPolicy>,
+    pub(crate) hooks: DriveHooks,
     max_iterations: u64,
-    hooks: &mut DriveHooks,
-) -> Result<RankRun, CoreError> {
-    let result = drive_inner(engine, link, vote, conv, progress, max_iterations, hooks);
-    if result.is_err() {
-        link.broadcast_halt();
+    /// The step whose exchange is in progress (observation and local
+    /// vote); `None` at the top of an iteration.
+    exchanging: Option<(StepObservation, bool)>,
+    last_increment: f64,
+}
+
+impl<'a> RankLoop<'a> {
+    /// Assembles the loop of one rank; `hooks` carries the optional
+    /// instrumentation ([`DriveHooks::default`] is none).
+    pub(crate) fn new(
+        engine: RankEngine<'a>,
+        link: RankLink<'a>,
+        (vote, conv, progress): PolicyStack,
+        max_iterations: u64,
+        hooks: DriveHooks,
+    ) -> Self {
+        RankLoop {
+            engine,
+            link,
+            vote,
+            conv,
+            progress,
+            hooks,
+            max_iterations,
+            exchanging: None,
+            last_increment: f64::INFINITY,
+        }
     }
-    result
-}
 
-fn drive_inner(
-    engine: &mut RankEngine,
-    link: &mut RankLink,
-    vote: &mut dyn LocalVote,
-    conv: &mut dyn ConvergencePolicy,
-    progress: &mut dyn ProgressPolicy,
-    max_iterations: u64,
-    hooks: &mut DriveHooks,
-) -> Result<RankRun, CoreError> {
-    let mut converged = false;
-    let mut reshape = None;
-    let mut last_increment = f64::INFINITY;
-    'outer: while engine.iterations() < max_iterations {
-        // (0) intake (free-running drains here; lockstep ingested everything
-        // during the previous iteration's wait)
-        match progress.collect(engine, link, conv)? {
-            Flow::Continue => {}
-            Flow::Converged => {
-                converged = true;
-                break 'outer;
+    /// Advances the loop as far as it can go at `now` (time since the rank
+    /// started) without crossing an iteration boundary — so with at most one
+    /// engine step — until convergence, halt, budget exhaustion or error.
+    /// Not to be polled again once ready.
+    pub(crate) fn poll(&mut self, now: Duration) -> Poll<Result<RankRun, CoreError>> {
+        match self.advance(now) {
+            Ok(Poll::Ready(flow)) => Poll::Ready(Ok(self.finish(flow))),
+            Ok(Poll::Pending {
+                wake_at,
+                on_message,
+            }) => Poll::Pending {
+                wake_at,
+                on_message,
+            },
+            Err(e) => Poll::Ready(Err(e)),
+        }
+    }
+
+    fn advance(&mut self, now: Duration) -> Result<Poll<Flow>, CoreError> {
+        let (engine, link, conv) = (&mut self.engine, &mut self.link, self.conv.as_mut());
+        if self.exchanging.is_none() {
+            // (0) intake (free-running drains here; lockstep ingested
+            // everything during the previous wait).  With the budget spent
+            // it is the last one: the coordinator can declare global
+            // convergence while this rank finishes its last budgeted
+            // iteration, so drain once more before telling everyone to
+            // halt, and a converged run is never reported as failed.
+            match self.progress.collect(engine, link, conv, now)? {
+                Poll::Ready(Flow::Continue) if engine.iterations() >= self.max_iterations => {
+                    conv.abandon(link);
+                    return Ok(Poll::Ready(Flow::Halted));
+                }
+                Poll::Ready(Flow::Continue) => {}
+                ready_or_pending => return Ok(ready_or_pending),
             }
-            Flow::Halted => break 'outer,
-            Flow::Reshape(dead) => {
-                reshape = Some(dead);
-                break 'outer;
+            // (1)+(2) dependency fill and local solve
+            let obs = engine.step()?;
+            self.last_increment = self.vote.effective_increment(&obs);
+            // Per-column bits must be on the board before this rank's vote
+            // for the iteration can reach the coordinator (see
+            // [`ColumnBoard`]).
+            if let Some(tracker) = self.hooks.columns.as_mut() {
+                tracker.post(engine, &obs);
+            }
+            // (3) send the slice to every dependent processor
+            link.fan_out(engine.outgoing(), conv.death_rule())?;
+            // (4) vote and agree on global convergence
+            let local = self.vote.vote(&obs);
+            match conv.submit(obs.iteration, local, link)? {
+                Flow::Continue => self.exchanging = Some((obs, local)),
+                flow => return Ok(Poll::Ready(flow)),
             }
         }
-        // (1)+(2) dependency fill and local solve
-        let obs = engine.step()?;
-        last_increment = vote.effective_increment(&obs);
-        // Per-column bits must be on the board before this rank's vote for
-        // the iteration can reach the coordinator (see [`ColumnBoard`]).
-        if let Some(tracker) = hooks.columns.as_mut() {
-            tracker.post(engine, &obs);
-        }
-        // (3) send the slice to every dependent processor
-        link.fan_out(engine.outgoing(), conv.death_rule())?;
-        // (4) vote and agree on global convergence
-        let local = vote.vote(&obs);
-        match conv.submit(obs.iteration, local, link)? {
-            Flow::Continue => {}
-            Flow::Converged => {
-                converged = true;
-                break 'outer;
-            }
-            Flow::Halted => break 'outer,
-            Flow::Reshape(dead) => {
-                reshape = Some(dead);
-                break 'outer;
-            }
-        }
-        let exchange_flow = progress.exchange(engine, link, conv, &obs, local)?;
+        let (obs, local) = self.exchanging.expect("this iteration stepped");
+        let flow = match self
+            .progress
+            .exchange(engine, link, conv, &obs, local, now)?
+        {
+            Poll::Ready(flow) => flow,
+            pending => return Ok(pending),
+        };
         // The lockstep decision for this iteration is resolved: the row of
         // per-column bits is complete on every rank, so newly all-converged
         // columns freeze at the iterate a solo run would have returned.
         // (Halted/Reshape abort mid-wait with a possibly incomplete row.)
-        if matches!(exchange_flow, Flow::Continue | Flow::Converged) {
-            if let Some(tracker) = hooks.columns.as_mut() {
+        if matches!(flow, Flow::Continue | Flow::Converged) {
+            if let Some(tracker) = self.hooks.columns.as_mut() {
                 tracker.sweep(engine, obs.iteration);
             }
         }
-        match exchange_flow {
-            Flow::Continue => {}
-            Flow::Converged => {
-                converged = true;
-                break 'outer;
-            }
-            Flow::Halted => break 'outer,
-            Flow::Reshape(dead) => {
-                reshape = Some(dead);
-                break 'outer;
-            }
+        if flow != Flow::Continue {
+            return Ok(Poll::Ready(flow));
         }
         // (5) checkpoint at the boundary (the halo now holds every slice of
         // this iteration), then honor any reshape raised by a tolerated send
         // failure.
-        if let Some(ck) = &hooks.checkpoint {
-            ck.maybe_save(engine, vote.checkpoint_state(), obs.iteration)?;
+        if let Some(ck) = &self.hooks.checkpoint {
+            ck.maybe_save(engine, self.vote.checkpoint_state(), obs.iteration)?;
         }
         if let Some(dead) = link.take_reshape() {
-            reshape = Some(dead);
-            break 'outer;
+            return Ok(Poll::Ready(Flow::Reshape(dead)));
+        }
+        // The iteration is complete: yield, so a poll never runs past an
+        // iteration boundary.
+        self.exchanging = None;
+        Ok(Poll::Pending {
+            wake_at: now,
+            on_message: false,
+        })
+    }
+
+    /// The run's result once the loop stopped on `flow`.
+    fn finish(&self, flow: Flow) -> RankRun {
+        let reshape = match flow {
+            Flow::Reshape(dead) => Some(dead),
+            _ => None,
+        };
+        if let (Some(_), Some(ck)) = (reshape, &self.hooks.checkpoint) {
+            // Persist the freshest possible state for the post-reshape warm
+            // start (best effort — the periodic snapshot remains the
+            // fallback).
+            let _ = ck.save_now(&self.engine, self.vote.checkpoint_state());
+        }
+        RankRun {
+            iterations: self.engine.iterations(),
+            last_increment: self.last_increment,
+            converged: flow == Flow::Converged,
+            reshape,
         }
     }
-    if !converged && reshape.is_none() && engine.iterations() >= max_iterations {
-        // A convergence notice may already be queued: the coordinator can
-        // declare global convergence while this rank finishes its last
-        // budgeted iteration.  Drain once more before telling everyone to
-        // halt, so a converged run is never reported as failed.
-        match progress.collect(engine, link, conv)? {
-            Flow::Converged => converged = true,
-            Flow::Halted => {}
-            Flow::Reshape(dead) => reshape = Some(dead),
-            Flow::Continue => conv.abandon(link),
+}
+
+/// The blocking executor of a [`RankLoop`]: polls it at the time elapsed
+/// since the call, and between polls waits on the link for the next message
+/// (or sleeps, when only time can make progress) until the wake-up the poll
+/// asked for.  On error, [`Message::Halt`] is broadcast so no peer spins
+/// forever on a rank that will never answer.
+pub(crate) fn drive(rank: &mut RankLoop) -> Result<RankRun, CoreError> {
+    let started = Instant::now();
+    loop {
+        match rank.poll(started.elapsed()) {
+            Poll::Ready(result) => {
+                if result.is_err() {
+                    rank.link.broadcast_halt();
+                }
+                return result;
+            }
+            Poll::Pending {
+                wake_at,
+                on_message,
+            } => {
+                let now = started.elapsed();
+                if wake_at <= now {
+                    continue;
+                }
+                if on_message {
+                    rank.link.wait(wake_at - now);
+                } else {
+                    std::thread::sleep(wake_at - now);
+                }
+            }
         }
     }
-    if reshape.is_some() && !converged {
-        // Persist the freshest possible state for the post-reshape warm
-        // start (best effort — the periodic snapshot remains the fallback).
-        if let Some(ck) = &hooks.checkpoint {
-            let _ = ck.save_now(engine, vote.checkpoint_state());
-        }
-    }
-    Ok(RankRun {
-        iterations: engine.iterations(),
-        last_increment,
-        converged,
-        reshape,
-    })
 }
 
 /// For every rank, the peers whose slices it receives each iteration — the

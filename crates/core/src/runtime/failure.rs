@@ -100,6 +100,9 @@ pub struct RankLink<'a> {
     /// send failure, consumed by the drive loop via
     /// [`RankLink::take_reshape`].
     pending_reshape: Option<usize>,
+    /// What the blocking executor's last wait received, handed out by the
+    /// next [`RankLink::try_recv`] before the transport is asked again.
+    parked: Option<Result<Message, CommError>>,
 }
 
 impl<'a> RankLink<'a> {
@@ -119,6 +122,7 @@ impl<'a> RankLink<'a> {
             senders_to_me,
             dead: vec![false; world],
             pending_reshape: None,
+            parked: None,
         }
     }
 
@@ -133,7 +137,7 @@ impl<'a> RankLink<'a> {
     }
 
     /// The peers whose slices this rank waits for in lockstep mode.
-    pub fn senders_to_me(&self) -> &[usize] {
+    pub fn senders_to_me(&self) -> &'a [usize] {
         self.senders_to_me
     }
 
@@ -248,13 +252,22 @@ impl<'a> RankLink<'a> {
         Ok(())
     }
 
-    /// Non-blocking receive on this rank's inbox.
-    pub fn try_recv(&self) -> Result<Option<Message>, CommError> {
-        self.transport.try_recv(self.rank)
+    /// Non-blocking receive on this rank's inbox: a message (or error) the
+    /// blocking executor's last wait parked comes first.
+    pub fn try_recv(&mut self) -> Result<Option<Message>, CommError> {
+        match self.parked.take() {
+            Some(parked) => parked.map(Some),
+            None => self.transport.try_recv(self.rank),
+        }
     }
 
-    /// Blocking receive with a timeout on this rank's inbox.
-    pub fn recv_timeout(&self, timeout: Duration) -> Result<Message, CommError> {
-        self.transport.recv_timeout(self.rank, timeout)
+    /// Blocks until a message arrives or `timeout` passes, and parks what
+    /// arrived for the next [`RankLink::try_recv`].  A timeout parks nothing.
+    pub(super) fn wait(&mut self, timeout: Duration) {
+        debug_assert!(self.parked.is_none(), "one parked message at a time");
+        match self.transport.recv_timeout(self.rank, timeout) {
+            Err(CommError::Timeout { .. }) => {}
+            received => self.parked = Some(received),
+        }
     }
 }

@@ -16,20 +16,29 @@
 //!   collection up a reduction tree of fan-in [`VOTE_TREE_ARITY`] — the
 //!   message-based equivalent of barrier + allreduce) for synchronous runs,
 //!   [`ConfirmationWaves`] (free-running confirmation-wave protocol over a
-//!   [`VoteBoard`]) for asynchronous ones; [`mode_policies`] picks the stack.
+//!   [`VoteBoard`]) for asynchronous ones; `mode_policies` picks the stack.
 //!   The local voting rule itself is a composable [`LocalVote`] chain
 //!   ([`IncrementVote`], [`StaleSweepGuard`]).
-//! * [`ProgressPolicy`] — when messages move: [`Lockstep`] (the
+//! * the progress policy — when messages move: `Lockstep` (the
 //!   barrier-equivalent wait for every dependency slice of the current
-//!   iteration plus the convergence decision) or [`FreeRunning`]
-//!   (drain-what-arrived, AIAC style).
+//!   iteration plus the convergence decision) or `FreeRunning`
+//!   (drain-what-arrived, AIAC style).  Crate-internal, picked with the rest
+//!   of the stack by `mode_policies`.
 //!
-//! [`drive_with_hooks`] is the single outer loop that pumps them wherever
-//! there is a transport.  The threaded adapter runs it over the caller's
-//! transport (one thread per rank), the distributed runtime runs the *same*
-//! loop over TCP; both therefore compute bitwise-identical lockstep iterates,
-//! which `tests/driver_equivalence.rs` asserts against the retained
-//! sequential reference.
+//! One rank's outer loop over them is a resumable state machine,
+//! `RankLoop`: its `poll(now)` performs at most one engine step, receives
+//! only through [`RankLink::try_recv`], and never blocks, sleeps or reads a
+//! clock — the lockstep peer timeout, the heartbeat probes, the halt and
+//! death grace drains and the free-running idle backoff are deadlines
+//! compared against the `now` it is given.  Two executors run that one loop:
+//! a blocking one (`drive`: wait on the link or sleep until the wake-up the
+//! poll asked for), which the threaded adapter runs over the caller's
+//! transport (one thread per rank) and the distributed runtime over TCP, and
+//! the scale simulator ([`simulate_ranks`]), which polls hundreds of ranks
+//! under a virtual clock.  The threaded and distributed runs therefore
+//! compute bitwise-identical lockstep iterates, which
+//! `tests/driver_equivalence.rs` asserts against the retained sequential
+//! reference.
 //!
 //! A synchronous in-process solve with no caller transport needs no
 //! messages: the pooled loop steps the same engines with the same local vote
@@ -49,9 +58,10 @@
 //! ([`crate::checkpoint`]) instead of failing the job.
 //!
 //! Layout: `engine` (state machine), `vote` (local votes), `failure` (death
-//! rules and the [`RankLink`]), `convergence`, `progress`, `drive` (the loop,
-//! its policy stacks and hooks), `threaded` (the thread-per-rank adapter),
-//! `pooled` (the in-process lockstep loop on the pool).
+//! rules and the [`RankLink`]), `convergence`, `progress` (the two progress
+//! policies as resumable phases), `drive` (the rank loop, its blocking
+//! executor, policy stacks and hooks), `threaded` (the thread-per-rank
+//! adapter), `pooled` (the in-process lockstep loop on the pool).
 
 #[allow(unused_imports)] // doc links
 use msplit_comm::message::Message;
@@ -73,17 +83,14 @@ pub use crate::scale::{simulate_ranks, Protocol, ScaleConfig, ScaleReport};
 pub use convergence::{
     ConfirmationWaves, ConvergencePolicy, TreeVotes, VoteBoard, VOTE_TREE_ARITY,
 };
-pub use drive::{
-    drive_with_hooks, mode_policies, receive_sources, ColumnBoard, ColumnTracker, DriveHooks,
-    PolicyStack, RankRun,
-};
+pub(crate) use drive::{drive, mode_policies, DriveHooks, RankLoop};
+pub use drive::{receive_sources, ColumnBoard};
 pub use engine::{
     EngineEvent, EngineSnapshot, EventLog, HaloEntry, RankEngine, SolvePathStats, StepObservation,
 };
 pub use failure::{DeathRule, FailurePolicy, Flow, RankLink};
 pub(crate) use pooled::run_single_pooled;
-pub(crate) use progress::{data_meta, mark_slice};
-pub use progress::{FreeRunning, Lockstep, ProgressPolicy};
+pub(crate) use progress::Poll;
 pub use threaded::factorize_blocks;
 pub(crate) use threaded::{check_transport_ranks, fresh_workspaces, run_batch, run_single};
 pub use vote::{IncrementVote, LocalVote, StaleSweepGuard, VoteState};

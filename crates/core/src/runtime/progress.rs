@@ -1,16 +1,20 @@
 //! Progress policies: when messages move between the transport and the
 //! engine ([`Lockstep`] barrier-equivalent waits, [`FreeRunning`] drains).
+//!
+//! Both are resumable phases of the rank loop: nothing here blocks, sleeps
+//! or reads a clock.  Every deadline is a [`Duration`] since the rank
+//! started, compared against the `now` the caller passes in, and every
+//! receive is a non-blocking [`RankLink::try_recv`].  A phase that cannot
+//! finish yet returns [`Poll::Pending`] with the instant it next needs to
+//! run; the caller — a blocking executor or the scale simulator's virtual
+//! clock — decides how to wait for it.
 
 use super::convergence::ConvergencePolicy;
 use super::engine::{RankEngine, StepObservation};
 use super::failure::{DeathRule, FailurePolicy, Flow, RankLink};
 use crate::CoreError;
 use msplit_comm::message::Message;
-use msplit_comm::CommError;
-use std::time::{Duration, Instant};
-
-/// Poll granularity of blocking lockstep waits.
-const WAIT_SLICE: Duration = Duration::from_millis(100);
+use std::time::Duration;
 
 /// How long a rank that received [`Message::Halt`] keeps draining its inbox
 /// for a [`Message::GlobalConverged`] racing the halt (a budget-exhausted
@@ -29,19 +33,36 @@ const DEATH_GRACE: Duration = Duration::from_millis(250);
 /// no fresh data (avoids flooding the network with identical slices).
 const IDLE_BACKOFF: Duration = Duration::from_micros(100);
 
-/// When messages move between the transport and the engine.
-pub trait ProgressPolicy: Send {
+/// Outcome of one non-blocking poll.
+#[derive(Debug)]
+pub(crate) enum Poll<T> {
+    /// Finished.
+    Ready(T),
+    /// Not finished: poll again at `wake_at` (time since the rank started),
+    /// or as soon as a message arrives if `on_message`.  A `wake_at` that
+    /// is not in the future asks to be polled again at once.
+    Pending { wake_at: Duration, on_message: bool },
+}
+
+/// When messages move between the transport and the engine.  Both phases
+/// are resumable: a phase that returned [`Poll::Pending`] is called again
+/// with the same arguments and a later `now` until it is ready.
+pub(crate) trait ProgressPolicy: Send {
     /// Pre-step intake: deliver whatever inbound data the policy allows.
+    /// Nothing by default: lockstep takes everything in its post-step wait.
     fn collect(
         &mut self,
-        engine: &mut RankEngine,
-        link: &mut RankLink,
-        conv: &mut dyn ConvergencePolicy,
-    ) -> Result<Flow, CoreError>;
+        _engine: &mut RankEngine,
+        _link: &mut RankLink,
+        _conv: &mut dyn ConvergencePolicy,
+        _now: Duration,
+    ) -> Result<Poll<Flow>, CoreError> {
+        Ok(Poll::Ready(Flow::Continue))
+    }
 
     /// Post-step exchange: for lockstep, the barrier-equivalent wait for this
     /// iteration's dependency slices and the convergence decision; for
-    /// free-running, the idle backoff.
+    /// free-running, the idle backoff and the liveness checks.
     fn exchange(
         &mut self,
         engine: &mut RankEngine,
@@ -49,10 +70,31 @@ pub trait ProgressPolicy: Send {
         conv: &mut dyn ConvergencePolicy,
         obs: &StepObservation,
         vote: bool,
-    ) -> Result<Flow, CoreError>;
+        now: Duration,
+    ) -> Result<Poll<Flow>, CoreError>;
 }
 
-pub(crate) fn data_meta(msg: &Message) -> Option<(usize, u64)> {
+/// Ingests a data frame of `iteration` or earlier, marking its slice
+/// delivered (slot order = `senders`) when the stamp is the current
+/// iteration's.
+fn deliver(
+    pending: &mut [bool],
+    senders: &[usize],
+    engine: &mut RankEngine,
+    msg: Message,
+    iteration: u64,
+) {
+    if let Some((from, stamp)) = data_meta(&msg) {
+        if stamp == iteration {
+            if let Some(slot) = senders.iter().position(|&s| s == from) {
+                pending[slot] = false;
+            }
+        }
+    }
+    engine.ingest(msg);
+}
+
+fn data_meta(msg: &Message) -> Option<(usize, u64)> {
     match msg {
         Message::Solution {
             from, iteration, ..
@@ -64,22 +106,6 @@ pub(crate) fn data_meta(msg: &Message) -> Option<(usize, u64)> {
     }
 }
 
-/// Marks a pending dependency slice as delivered when its iteration stamp
-/// matches the current lockstep iteration.
-pub(crate) fn mark_slice(
-    senders: &[usize],
-    pending: &mut [bool],
-    from: usize,
-    iteration: u64,
-    current: u64,
-) {
-    if iteration == current {
-        if let Some(slot) = senders.iter().position(|&s| s == from) {
-            pending[slot] = false;
-        }
-    }
-}
-
 /// Barrier-equivalent progress: after each step, wait until every dependency
 /// slice stamped with the current iteration has arrived and the convergence
 /// decision is known.  Slices stamped with a *future* iteration — a fast peer
@@ -87,35 +113,34 @@ pub(crate) fn mark_slice(
 /// early — are parked until the wait of the iteration they belong to, which
 /// is what keeps the lockstep iterates identical over asynchronous-delivery
 /// transports (TCP).
-pub struct Lockstep {
+pub(crate) struct Lockstep {
     peer_timeout: Duration,
     failure: FailurePolicy,
+    /// Dependency slices still missing in the current wait (slot order =
+    /// `senders_to_me`), refilled at the start of every wait.
+    pending: Vec<bool>,
+    /// Data frames stamped with a future iteration.
     deferred: Vec<Message>,
+    /// The wait in progress: its peer deadline and its next heartbeat
+    /// probe (the probe clock restarts at every wait).
+    wait: Option<(Duration, Duration)>,
 }
 
 impl Lockstep {
     /// Builds the policy with the given overall wait deadline per iteration
     /// and failure response.
-    pub fn new(peer_timeout: Duration, failure: FailurePolicy) -> Self {
+    pub(crate) fn new(peer_timeout: Duration, failure: FailurePolicy) -> Self {
         Lockstep {
             peer_timeout,
             failure,
+            pending: Vec::new(),
             deferred: Vec::new(),
+            wait: None,
         }
     }
 }
 
 impl ProgressPolicy for Lockstep {
-    fn collect(
-        &mut self,
-        _engine: &mut RankEngine,
-        _link: &mut RankLink,
-        _conv: &mut dyn ConvergencePolicy,
-    ) -> Result<Flow, CoreError> {
-        // All intake happens in the post-step wait.
-        Ok(Flow::Continue)
-    }
-
     fn exchange(
         &mut self,
         engine: &mut RankEngine,
@@ -123,69 +148,84 @@ impl ProgressPolicy for Lockstep {
         conv: &mut dyn ConvergencePolicy,
         obs: &StepObservation,
         _vote: bool,
-    ) -> Result<Flow, CoreError> {
-        let iteration = obs.iteration;
-        let deadline = Instant::now() + self.peer_timeout;
-        let mut pending: Vec<bool> = vec![true; link.senders_to_me().len()];
-        for msg in std::mem::take(&mut self.deferred) {
-            if let Some((from, iter)) = data_meta(&msg) {
-                if iter > iteration {
-                    self.deferred.push(msg);
-                    continue;
-                }
-                mark_slice(link.senders_to_me(), &mut pending, from, iter, iteration);
-                engine.ingest(msg);
+        now: Duration,
+    ) -> Result<Poll<Flow>, CoreError> {
+        let (iteration, senders) = (obs.iteration, link.senders_to_me());
+        if self.wait.is_none() {
+            self.pending.clear();
+            self.pending.resize(senders.len(), true);
+            // Replay the slices a fast peer delivered early for this
+            // iteration; later ones stay parked.
+            let early = |msg: &mut Message| data_meta(msg).is_some_and(|(_, it)| it <= iteration);
+            for msg in self.deferred.extract_if(.., early) {
+                deliver(&mut self.pending, senders, engine, msg, iteration);
             }
+            self.wait = Some((now + self.peer_timeout, now + self.failure.heartbeat()));
         }
-        let mut last_probe = Instant::now();
         loop {
+            let (deadline, probe_at) = self.wait.expect("a wait is in progress");
             let waiting_conv = conv.waiting(iteration);
-            let waiting_slices = pending.iter().any(|&p| p) && !conv.skip_pending_data();
+            let waiting_slices = self.pending.iter().any(|&p| p) && !conv.skip_pending_data();
             if !waiting_conv && !waiting_slices {
-                break;
+                self.wait = None;
+                return conv.resolve(iteration, link).map(Poll::Ready);
             }
-            let now = Instant::now();
-            if now >= deadline {
-                return Err(CoreError::Distributed(format!(
-                    "rank {}: timed out waiting for lockstep traffic of iteration {iteration}",
-                    link.rank()
-                )));
+            if now >= probe_at {
+                self.wait = Some((deadline, now + self.failure.heartbeat()));
+                link.probe_liveness(self.failure.death_rule())?;
+                if let Some(dead) = link.take_reshape() {
+                    return Ok(Poll::Ready(Flow::Reshape(dead)));
+                }
             }
-            match link.recv_timeout(WAIT_SLICE.min(deadline - now)) {
-                Ok(msg) => match data_meta(&msg) {
-                    Some((from, iter)) => {
-                        if iter > iteration {
-                            self.deferred.push(msg);
-                        } else {
-                            mark_slice(link.senders_to_me(), &mut pending, from, iter, iteration);
-                            engine.ingest(msg);
-                        }
+            // Whatever is queued counts; the deadline only fails a wait
+            // that has nothing left to read.
+            let Some(msg) = link.try_recv().map_err(CoreError::Comm)? else {
+                if now >= deadline {
+                    return Err(CoreError::Distributed(format!(
+                        "rank {}: timed out waiting for lockstep traffic of iteration {iteration}",
+                        link.rank()
+                    )));
+                }
+                return Ok(Poll::Pending {
+                    wake_at: deadline.min(probe_at),
+                    on_message: true,
+                });
+            };
+            match data_meta(&msg) {
+                Some((_, stamp)) if stamp > iteration => self.deferred.push(msg),
+                Some(_) => deliver(&mut self.pending, senders, engine, msg, iteration),
+                None => match msg {
+                    Message::Heartbeat { .. } => {}
+                    Message::Reshape { dead_rank, .. } => {
+                        return Ok(Poll::Ready(Flow::Reshape(dead_rank)));
                     }
-                    None => match msg {
-                        Message::Heartbeat { .. } => continue,
-                        Message::Reshape { dead_rank, .. } => {
-                            return Ok(Flow::Reshape(dead_rank));
-                        }
-                        msg => match conv.observe(&msg, link)? {
-                            Flow::Continue => {}
-                            flow => return Ok(flow),
-                        },
+                    msg => match conv.observe(&msg, link)? {
+                        Flow::Continue => {}
+                        flow => return Ok(Poll::Ready(flow)),
                     },
                 },
-                Err(CommError::Timeout { .. }) => {
-                    if last_probe.elapsed() >= self.failure.heartbeat() {
-                        last_probe = Instant::now();
-                        link.probe_liveness(self.failure.death_rule())?;
-                        if let Some(dead) = link.take_reshape() {
-                            return Ok(Flow::Reshape(dead));
-                        }
-                    }
-                }
-                Err(e) => return Err(CoreError::Comm(e)),
             }
         }
-        conv.resolve(iteration, link)
     }
+}
+
+/// The idle backoff of a free-running rank.
+#[derive(Clone, Copy)]
+enum Backoff {
+    /// Decided after a step, in a poll whose `now` was read before that
+    /// step; it is timed from the next poll's reading.
+    Due,
+    /// Parked until this instant.
+    Until(Duration),
+}
+
+/// A grace drain in progress: until `deadline`, a queued or arriving
+/// [`Message::GlobalConverged`] (or a peer's [`Message::Reshape`]) wins.
+#[derive(Clone, Copy)]
+struct Drain {
+    deadline: Duration,
+    /// The peer death being adjudicated, or `None` for a received halt.
+    death: Option<usize>,
 }
 
 /// Free-running progress: drain whatever has arrived before each step, and
@@ -199,88 +239,76 @@ impl ProgressPolicy for Lockstep {
 /// [`Message::GlobalConverged`] queued or in flight, which wins.  Only a
 /// death with no convergence notice behind it triggers the failure response,
 /// so async-mode rank death no longer spins until budget exhaustion.
-pub struct FreeRunning {
-    idle_backoff: Duration,
+pub(crate) struct FreeRunning {
     failure: FailurePolicy,
-    last_probe: Instant,
-    /// Deaths already adjudicated (index = rank), plus a count for a cheap
-    /// nothing-new early-out in the per-iteration check.
-    reported_dead: Vec<bool>,
-    reported_count: usize,
+    /// Next heartbeat probe; the probe clock runs across sweeps.
+    probe_at: Duration,
+    /// The idle backoff in progress.
+    backoff: Option<Backoff>,
+    /// The grace drain in progress.
+    drain: Option<Drain>,
+    /// Deaths already adjudicated, in rank order.
+    reported_dead: Vec<usize>,
 }
 
 impl FreeRunning {
-    /// Builds the policy with the default idle backoff and the given failure
-    /// response for detected peer deaths.
-    pub fn new(failure: FailurePolicy) -> Self {
+    /// Builds the policy with the given failure response for detected peer
+    /// deaths.
+    pub(crate) fn new(failure: FailurePolicy) -> Self {
         FreeRunning {
-            idle_backoff: IDLE_BACKOFF,
             failure,
-            last_probe: Instant::now(),
+            probe_at: failure.heartbeat(),
+            backoff: None,
+            drain: None,
             reported_dead: Vec::new(),
-            reported_count: 0,
         }
     }
-}
 
-impl Default for FreeRunning {
-    fn default() -> Self {
-        Self::new(FailurePolicy::default())
+    /// Starts a grace drain at `now` and runs its first poll.
+    fn begin_drain(
+        &mut self,
+        link: &mut RankLink,
+        grace: Duration,
+        death: Option<usize>,
+        now: Duration,
+    ) -> Result<Poll<Flow>, CoreError> {
+        self.drain = Some(Drain {
+            deadline: now + grace,
+            death,
+        });
+        self.poll_drain(link, now)
     }
-}
 
-impl FreeRunning {
     /// A halt or death racing a convergence or reshape broadcast: keep
     /// draining briefly so a queued or in-flight [`Message::GlobalConverged`]
     /// (or a peer's [`Message::Reshape`], which names the rank that
     /// *actually* died) wins — this is what keeps halt handling race-free
-    /// when a converged or reshaping peer has already exited.
-    fn drain_for_converged(link: &mut RankLink, grace: Duration) -> Flow {
-        let deadline = Instant::now() + grace;
+    /// when a converged or reshaping peer has already exited.  When the
+    /// grace expires, a halt halts and a death gets the failure response.
+    fn poll_drain(&mut self, link: &mut RankLink, now: Duration) -> Result<Poll<Flow>, CoreError> {
+        let drain = self.drain.expect("a drain is in progress");
+        // Every outcome of a drain ends the run; whatever is queued counts,
+        // and the grace expires once nothing is left to read.
         loop {
-            let now = Instant::now();
-            if now >= deadline {
-                return Flow::Halted;
-            }
-            match link.recv_timeout(deadline - now) {
-                Ok(Message::GlobalConverged { .. }) => return Flow::Converged,
-                Ok(Message::Reshape { dead_rank, .. }) => return Flow::Reshape(dead_rank),
-                Ok(_) => continue,
-                Err(_) => return Flow::Halted,
-            }
+            return match link.try_recv() {
+                Ok(Some(Message::GlobalConverged { .. })) => Ok(Poll::Ready(Flow::Converged)),
+                // A peer already adjudicated this death and told us who it
+                // was — its notice beats our own guess, which may name a
+                // survivor that merely exited first while reshaping.
+                Ok(Some(Message::Reshape { dead_rank, .. })) => {
+                    Ok(Poll::Ready(Flow::Reshape(dead_rank)))
+                }
+                Ok(Some(_)) => continue,
+                Ok(None) if now < drain.deadline => Ok(Poll::Pending {
+                    wake_at: drain.deadline,
+                    on_message: true,
+                }),
+                Ok(None) | Err(_) => break,
+            };
         }
-    }
-
-    /// Adjudicates peers newly observed dead (by a probe or a tolerated
-    /// send): a racing convergence notice wins, otherwise the failure policy
-    /// decides between halting the run and requesting a reshape.
-    fn handle_new_deaths(&mut self, link: &mut RankLink) -> Result<Flow, CoreError> {
-        if link.dead_count() == self.reported_count {
-            return Ok(Flow::Continue);
-        }
-        if self.reported_dead.len() != link.world() {
-            self.reported_dead = vec![false; link.world()];
-        }
-        let newly: Vec<usize> = link
-            .dead_ranks()
-            .into_iter()
-            .filter(|&r| !self.reported_dead[r])
-            .collect();
-        for &r in &newly {
-            self.reported_dead[r] = true;
-            self.reported_count += 1;
-        }
-        let Some(&first) = newly.first() else {
-            return Ok(Flow::Continue);
+        let Some(first) = drain.death else {
+            return Ok(Poll::Ready(Flow::Halted));
         };
-        match Self::drain_for_converged(link, DEATH_GRACE) {
-            Flow::Converged => return Ok(Flow::Converged),
-            // A peer already adjudicated this death and told us who it was —
-            // its notice beats our own guess, which may name a survivor that
-            // merely exited first while reshaping.
-            Flow::Reshape(dead) => return Ok(Flow::Reshape(dead)),
-            _ => {}
-        }
         match self.failure {
             FailurePolicy::HaltOnDeath { .. } => {
                 link.broadcast_halt();
@@ -294,9 +322,30 @@ impl FreeRunning {
                 // Tell the survivors who died before exiting, so they report
                 // the same rank instead of blaming this rank's own exit.
                 link.raise_reshape(first);
-                Ok(Flow::Reshape(first))
+                Ok(Poll::Ready(Flow::Reshape(first)))
             }
         }
+    }
+
+    /// Adjudicates peers newly observed dead (by a probe or a tolerated
+    /// send): a racing convergence notice wins, otherwise the failure policy
+    /// decides between halting the run and requesting a reshape.
+    fn handle_new_deaths(
+        &mut self,
+        link: &mut RankLink,
+        now: Duration,
+    ) -> Result<Poll<Flow>, CoreError> {
+        // Deaths are never undone, so a longer dead set holds a new one.
+        if link.dead_count() == self.reported_dead.len() {
+            return Ok(Poll::Ready(Flow::Continue));
+        }
+        let dead = link.dead_ranks();
+        let first = *dead
+            .iter()
+            .find(|r| !self.reported_dead.contains(r))
+            .expect("a newly dead rank");
+        self.reported_dead = dead;
+        self.begin_drain(link, DEATH_GRACE, Some(first), now)
     }
 }
 
@@ -306,30 +355,29 @@ impl ProgressPolicy for FreeRunning {
         engine: &mut RankEngine,
         link: &mut RankLink,
         conv: &mut dyn ConvergencePolicy,
-    ) -> Result<Flow, CoreError> {
+        now: Duration,
+    ) -> Result<Poll<Flow>, CoreError> {
+        if self.drain.is_some() {
+            return self.poll_drain(link, now);
+        }
         loop {
-            match link.try_recv() {
-                Ok(Some(msg)) => {
-                    if data_meta(&msg).is_some() {
-                        engine.ingest(msg);
-                    } else {
-                        match msg {
-                            Message::Heartbeat { .. } => {}
-                            Message::Reshape { dead_rank, .. } => {
-                                return Ok(Flow::Reshape(dead_rank));
-                            }
-                            msg => match conv.observe(&msg, link)? {
-                                Flow::Continue => {}
-                                Flow::Halted => {
-                                    return Ok(Self::drain_for_converged(link, HALT_GRACE))
-                                }
-                                flow => return Ok(flow),
-                            },
-                        }
-                    }
+            let Some(msg) = link.try_recv().map_err(CoreError::Comm)? else {
+                return Ok(Poll::Ready(Flow::Continue));
+            };
+            if data_meta(&msg).is_some() {
+                engine.ingest(msg);
+                continue;
+            }
+            match msg {
+                Message::Heartbeat { .. } => {}
+                Message::Reshape { dead_rank, .. } => {
+                    return Ok(Poll::Ready(Flow::Reshape(dead_rank)));
                 }
-                Ok(None) => return Ok(Flow::Continue),
-                Err(e) => return Err(CoreError::Comm(e)),
+                msg => match conv.observe(&msg, link)? {
+                    Flow::Continue => {}
+                    Flow::Halted => return self.begin_drain(link, HALT_GRACE, None, now),
+                    flow => return Ok(Poll::Ready(flow)),
+                },
             }
         }
     }
@@ -341,25 +389,48 @@ impl ProgressPolicy for FreeRunning {
         _conv: &mut dyn ConvergencePolicy,
         obs: &StepObservation,
         vote: bool,
-    ) -> Result<Flow, CoreError> {
-        if vote && (!obs.fresh_data || obs.increment == 0.0) && !self.idle_backoff.is_zero() {
+        now: Duration,
+    ) -> Result<Poll<Flow>, CoreError> {
+        if self.drain.is_some() {
+            return self.poll_drain(link, now);
+        }
+        if self.backoff.is_none() && vote && (!obs.fresh_data || obs.increment == 0.0) {
             // Locally stable and this step produced nothing new for the
             // peers — either nothing arrived, or the step left the iterate
             // unchanged (an increment of exactly `0.0`: the engine skipped a
-            // step whose dependency values were bitwise unchanged, or a
-            // solve landed on the same values).  A skipped step costs no
-            // assembly and no solve, so without this pacing a stable rank
-            // would re-send identical slices at network rate and its vote
-            // cadence would outrun the data still in flight.  Yield briefly
-            // instead of flooding the mesh.
-            std::thread::sleep(self.idle_backoff);
+            // step whose dependency values were bitwise unchanged, or a solve
+            // landed on the same values).  A skipped step costs no assembly
+            // and no solve, so without this pacing a stable rank would
+            // re-send identical slices at network rate and its vote cadence
+            // would outrun the data still in flight.  Yield briefly instead
+            // of flooding the mesh — for the whole backoff after the step,
+            // which may itself take longer than the backoff.
+            self.backoff = Some(Backoff::Due);
+            return Ok(Poll::Pending {
+                wake_at: now,
+                on_message: false,
+            });
         }
-        if self.last_probe.elapsed() >= self.failure.heartbeat() {
-            self.last_probe = Instant::now();
+        if let Some(backoff) = self.backoff {
+            let until = match backoff {
+                Backoff::Due => now + IDLE_BACKOFF,
+                Backoff::Until(until) => until,
+            };
+            if now < until {
+                self.backoff = Some(Backoff::Until(until));
+                return Ok(Poll::Pending {
+                    wake_at: until,
+                    on_message: false,
+                });
+            }
+            self.backoff = None;
+        }
+        if now >= self.probe_at {
+            self.probe_at = now + self.failure.heartbeat();
             // Probe under Tolerate: a closed peer is only *marked* here; the
             // adjudication below decides whether the death is benign.
             link.probe_liveness(DeathRule::Tolerate)?;
         }
-        self.handle_new_deaths(link)
+        self.handle_new_deaths(link, now)
     }
 }

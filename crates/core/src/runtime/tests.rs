@@ -158,6 +158,218 @@ fn reshape_raised_by_a_fan_out_failure_ends_the_iteration_that_raised_it() {
     assert_eq!(outcome.iterations, 1);
 }
 
+// ----- deadlines of the rank loop, driven by hand-fed clock values: no
+// ----- sleeps, no threads; the test plays rank 0 through the transport.
+
+/// Rank 1 of a two-band system, built for hand-polling over a transport
+/// the test keeps.
+struct PollFixture {
+    partition: msplit_sparse::BandPartition,
+    blocks: Vec<msplit_sparse::LocalBlocks>,
+    factor: Box<dyn msplit_direct::api::Factorization>,
+    ws: IterationWorkspace,
+}
+
+impl PollFixture {
+    fn new() -> Self {
+        let a = generators::tridiagonal(20, 4.0, -1.0);
+        let b = vec![1.0; 20];
+        let d = Decomposition::uniform(&a, &b, 2, 0).unwrap();
+        let partition = d.partition().clone();
+        let (_, blocks) = d.into_blocks();
+        let factor = SolverKind::SparseLu
+            .build()
+            .factorize(&blocks[1].a_sub)
+            .unwrap();
+        PollFixture {
+            partition,
+            blocks,
+            factor,
+            ws: IterationWorkspace::new(),
+        }
+    }
+
+    /// Rank 1's loop in `mode`, exchanging with rank 0 only.
+    fn rank1<'a>(
+        &'a mut self,
+        transport: &'a InProcTransport,
+        mode: ExecutionMode,
+        peer_timeout: Duration,
+        failure: FailurePolicy,
+    ) -> RankLoop<'a> {
+        let cfg = adapter_config(2, 0, mode);
+        let engine = RankEngine::single(
+            &self.partition,
+            &self.blocks[1],
+            &self.blocks[1].b_sub,
+            self.factor.as_ref(),
+            cfg.weighting,
+            &mut self.ws,
+        );
+        let link = RankLink::new(transport, 1, &[0], &[0]);
+        let policies = mode_policies(mode, &cfg, 1, 2, peer_timeout, failure);
+        RankLoop::new(engine, link, policies, 1_000, DriveHooks::default())
+    }
+
+    /// Rank 0's slice for `iteration`, as rank 1 receives it.
+    fn slice(&self, iteration: u64) -> Message {
+        Message::Solution {
+            from: 0,
+            iteration,
+            offset: 0,
+            values: vec![0.0; self.blocks[0].size],
+        }
+    }
+}
+
+/// Heartbeats rank 1 has sent to rank 0 (rank 0's inbox is drained).
+fn heartbeats_at_rank0(transport: &InProcTransport) -> usize {
+    std::iter::from_fn(|| transport.try_recv(0).unwrap())
+        .filter(|m| matches!(m, Message::Heartbeat { from: 1 }))
+        .count()
+}
+
+fn ms(millis: f64) -> Duration {
+    Duration::from_secs_f64(millis / 1e3)
+}
+
+fn assert_pending(poll: Poll<Result<drive::RankRun, CoreError>>, wake_at: Duration) {
+    match poll {
+        Poll::Pending {
+            wake_at: at,
+            on_message: true,
+        } => assert_eq!(at, wake_at),
+        Poll::Pending { .. } => panic!("expected a wait on messages"),
+        Poll::Ready(run) => panic!("expected pending, got {run:?}"),
+    }
+}
+
+#[test]
+fn halt_grace_lets_global_converged_win_until_20ms() {
+    let mode = ExecutionMode::Asynchronous;
+    let (timeout, failure) = (Duration::from_secs(60), FailurePolicy::default());
+    // Halt first, convergence notice at 19 ms: convergence wins.
+    let mut fx = PollFixture::new();
+    let transport = InProcTransport::new(2);
+    transport.send(0, 1, Message::Halt).unwrap();
+    let mut rank = fx.rank1(&transport, mode, timeout, failure);
+    assert_pending(rank.poll(ms(0.0)), ms(20.0));
+    assert_pending(rank.poll(ms(10.0)), ms(20.0));
+    transport
+        .send(0, 1, Message::GlobalConverged { iteration: 3 })
+        .unwrap();
+    match rank.poll(ms(19.0)) {
+        Poll::Ready(Ok(run)) => assert!(run.converged && run.iterations == 0),
+        other => panic!("expected convergence, got {other:?}"),
+    }
+    // Nothing by 20 ms: halted exactly then, and not one poll earlier.
+    let mut fx = PollFixture::new();
+    let transport = InProcTransport::new(2);
+    transport.send(0, 1, Message::Halt).unwrap();
+    let mut rank = fx.rank1(&transport, mode, timeout, failure);
+    for t in [0.0, 5.0, 10.0, 15.0, 19.999] {
+        assert_pending(rank.poll(ms(t)), ms(20.0));
+    }
+    match rank.poll(ms(20.0)) {
+        Poll::Ready(Ok(run)) => assert!(!run.converged && run.reshape.is_none()),
+        other => panic!("expected a halt, got {other:?}"),
+    }
+}
+
+#[test]
+fn lockstep_times_out_exactly_at_the_peer_deadline() {
+    // Rank 0 never sends: the wait that starts with the step at 7 ms fails
+    // with the typed timeout when `now` reaches 7 + 50 ms.
+    let mut fx = PollFixture::new();
+    let transport = InProcTransport::new(2);
+    let mode = ExecutionMode::Synchronous;
+    let mut rank = fx.rank1(&transport, mode, ms(50.0), FailurePolicy::default());
+    assert_pending(rank.poll(ms(7.0)), ms(57.0));
+    assert_eq!(rank.engine.iterations(), 1);
+    assert_pending(rank.poll(ms(30.0)), ms(57.0));
+    assert_pending(rank.poll(ms(56.999)), ms(57.0));
+    match rank.poll(ms(57.0)) {
+        Poll::Ready(Err(CoreError::Distributed(msg))) => assert!(
+            msg.contains("timed out waiting for lockstep traffic of iteration 1"),
+            "unexpected message: {msg}"
+        ),
+        other => panic!("expected the lockstep timeout, got {other:?}"),
+    }
+}
+
+#[test]
+fn lockstep_probes_when_the_interval_passes_while_traffic_flows() {
+    // A 10 ms heartbeat whose clock restarts at every wait.  Each iteration
+    // rank 1 steps, then rank 0's slice and decision arrive and release the
+    // wait in one poll — the inbox is never found empty — and a heartbeat
+    // goes out exactly when that poll comes 10 ms or more after the wait
+    // began.
+    let mut fx = PollFixture::new();
+    let slices: Vec<Message> = (1..=4).map(|k| fx.slice(k)).collect();
+    let transport = InProcTransport::new(2);
+    let failure = FailurePolicy::HaltOnDeath {
+        heartbeat: ms(10.0),
+    };
+    let mode = ExecutionMode::Synchronous;
+    let mut rank = fx.rank1(&transport, mode, Duration::from_secs(60), failure);
+    let mut t = 0.0;
+    let schedule = [(12.0, 1), (5.0, 0), (10.0, 1), (9.999, 0)];
+    for (slice, (delay, probes)) in slices.into_iter().zip(schedule) {
+        assert_pending(rank.poll(ms(t)), ms(t + 10.0));
+        let iteration = rank.engine.iterations();
+        assert_eq!(heartbeats_at_rank0(&transport), 0, "iteration {iteration}");
+        transport.send(0, 1, slice).unwrap();
+        let decision = Message::ConvergenceVote {
+            from: 0,
+            iteration,
+            converged: false,
+        };
+        transport.send(0, 1, decision).unwrap();
+        t += delay;
+        assert!(matches!(
+            rank.poll(ms(t)),
+            Poll::Pending {
+                on_message: false,
+                ..
+            }
+        ));
+        assert_eq!(
+            heartbeats_at_rank0(&transport),
+            probes,
+            "iteration {iteration}"
+        );
+    }
+}
+
+#[test]
+fn free_running_backoff_is_timed_from_after_the_step() {
+    // Rank 1 hears nothing from rank 0, so its third sweep is its second
+    // with unchanged inputs and its vote turns stable: it backs off.  The
+    // poll that took that step read `now` before the step, so it yields at
+    // once, and the 100 us backoff runs from the next poll's reading.
+    let mut fx = PollFixture::new();
+    let transport = InProcTransport::new(2);
+    let mode = ExecutionMode::Asynchronous;
+    let mut rank = fx.rank1(
+        &transport,
+        mode,
+        Duration::from_secs(60),
+        FailurePolicy::default(),
+    );
+    let yielded = |poll: Poll<Result<drive::RankRun, CoreError>>, at: Duration| matches!(poll, Poll::Pending { wake_at, on_message: false } if wake_at == at);
+    for _ in 0..3 {
+        assert!(yielded(rank.poll(ms(0.0)), ms(0.0)));
+    }
+    assert_eq!(rank.engine.iterations(), 3);
+    let until = ms(7.0) + Duration::from_micros(100);
+    assert!(yielded(rank.poll(ms(7.0)), until));
+    assert!(yielded(rank.poll(ms(7.05)), until));
+    assert_eq!(rank.engine.iterations(), 3);
+    assert!(yielded(rank.poll(until), until));
+    assert!(yielded(rank.poll(until), until));
+    assert_eq!(rank.engine.iterations(), 4);
+}
+
 #[test]
 fn single_part_engine_matches_direct_solve() {
     // One band, no dependencies: the engine's first step is the direct

@@ -2,7 +2,7 @@
 //! one right-hand side (either execution mode) or a lockstep batch.
 
 use super::drive::{
-    drive_with_hooks, mode_policies, receive_sources, ColumnBoard, ColumnTracker, DriveHooks,
+    drive, mode_policies, receive_sources, ColumnBoard, ColumnTracker, DriveHooks, RankLoop,
     RankRun,
 };
 use super::engine::RankEngine;
@@ -161,7 +161,7 @@ fn rank_worker(
     let (blk, factor) = (&system.blocks[part], system.factors[part].as_ref());
     let targets = &system.send_targets[part];
     let range = system.partition.extended_range(part);
-    let (mut engine, mut hooks, mode, ncols) = match rhs {
+    let (engine, hooks, mode, ncols) = match rhs {
         Rhs::Single(b) => (
             RankEngine::single(
                 &system.partition,
@@ -194,8 +194,8 @@ fn rank_worker(
             )
         }
     };
-    let mut link = RankLink::new(transport, part, targets, senders_to_me);
-    let (mut vote, mut conv, mut progress) = mode_policies(
+    let link = RankLink::new(transport, part, targets, senders_to_me);
+    let policies = mode_policies(
         mode,
         config,
         part,
@@ -203,27 +203,20 @@ fn rank_worker(
         THREADED_PEER_TIMEOUT,
         FailurePolicy::default(),
     );
-    let run = drive_with_hooks(
-        &mut engine,
-        &mut link,
-        vote.as_mut(),
-        conv.as_mut(),
-        progress.as_mut(),
-        config.max_iterations,
-        &mut hooks,
-    )?;
+    let mut rank = RankLoop::new(engine, link, policies, config.max_iterations, hooks);
+    let run = drive(&mut rank)?;
     let report = part_report(
         blk,
         factor,
-        &engine,
+        &rank.engine,
         &run,
         targets,
         ncols,
         t0.elapsed().as_secs_f64(),
     );
-    let (x_columns, column_converged_at) = match hooks.columns.take() {
-        Some(tracker) => tracker.into_columns(engine.x_columns()),
-        None => (vec![engine.x_local().to_vec()], Vec::new()),
+    let (x_columns, column_converged_at) = match rank.hooks.columns.take() {
+        Some(tracker) => tracker.into_columns(rank.engine.x_columns()),
+        None => (vec![rank.engine.x_local().to_vec()], Vec::new()),
     };
     Ok(WorkerOutput {
         part,

@@ -2,35 +2,37 @@
 //!
 //! The paper's grid premise is hundreds of distant processors, but a real
 //! 1000-rank deployment is not something CI can spawn.  This module runs the
-//! *actual* per-rank runtime — the same [`RankEngine`], [`LocalVote`] chains
-//! and [`ConvergencePolicy`] state machines every driver uses — for hundreds
-//! of ranks inside one process on one thread, with a deterministic
-//! pseudo-random rank schedule, so protocol behavior at P ∈ {256, 512, 1024}
-//! can be asserted in tests and gated in CI (the `scale-sim` lane).
+//! *production* per-rank loop — the same `RankLoop` state machine, with the
+//! same [`RankEngine`], [`LocalVote`](crate::runtime::LocalVote) chains,
+//! [`ConvergencePolicy`](crate::runtime::ConvergencePolicy) and
+//! progress policies that the threaded adapter and the distributed runtime
+//! drive over real transports — for hundreds of ranks inside one process on
+//! one thread, with a deterministic pseudo-random rank schedule, so protocol
+//! behavior at P ∈ {256, 512, 1024} can be asserted in tests and gated in CI
+//! (the `scale-sim` lane).
 //!
-//! The simulator replaces only the *transport and scheduler*: a
-//! [`SimTransport`] with per-rank in-memory inboxes that additionally counts
-//! control/data traffic and records the coordinator's peak inbox depth — the
-//! quantities the perf-report `convergence` table gates on.  Everything a
-//! protocol does (who votes to whom, when aggregates go up the tree, when
-//! the coordinator latches a wave) is the production policy code, driven
-//! through the same `submit`/`observe`/`waiting`/`resolve` sequence as the
-//! blocking drive loop, just non-blockingly:
+//! The simulator replaces only the *transport, the scheduler and the clock*:
 //!
-//! * **Lockstep** ([`Protocol::Tree`]): each visit performs at most one
-//!   engine step and then replays the barrier-equivalent wait of
-//!   [`Lockstep`](crate::runtime::Lockstep) as a resumable state machine
-//!   (pending dependency slices, deferred future-iteration frames, policy
-//!   wait + resolve).  Because the barrier makes lockstep iterates
-//!   schedule-independent, every seed produces the same bitwise solution —
-//!   which is exactly what lets tests pin [`TreeVotes`] bitwise across
-//!   fan-ins at scale.  The fan-in is explicit *here only* (the drivers
-//!   always run [`VOTE_TREE_ARITY`]), so flat voting — fan-in `ranks − 1`,
-//!   the root collects every vote — can be compared against the tree.
-//! * **Free-running** ([`Protocol::Waves`]): each visit drains the inbox
-//!   (data to the engine, control to the policy) and performs one step,
-//!   mirroring [`FreeRunning`](crate::runtime::FreeRunning) without the idle
-//!   backoff and heartbeat machinery (no clock, no thread can die).
+//! * a [`SimTransport`] with per-rank in-memory inboxes that additionally
+//!   counts control/data traffic and records the coordinator's peak inbox
+//!   depth — the quantities the perf-report `convergence` table gates on;
+//! * a sweep scheduler: each sweep visits the ranks in a seeded random
+//!   order, and each visit is one `poll` of the rank's loop — at most one
+//!   engine step, then as much of the exchange as the queued messages allow.
+//!   A rank that asked to wake up later is skipped until then, unless it
+//!   waits on messages and one is queued;
+//! * a virtual clock: it stands still while any rank steps or any message
+//!   moves, and when a whole sweep did neither, it jumps to the earliest
+//!   wake-up a rank asked for (a free-running rank's idle backoff, a grace
+//!   drain, a heartbeat probe or a lockstep peer deadline).
+//!
+//! Lockstep ([`Protocol::Tree`]) runs the barrier-equivalent wait, so every
+//! seed produces the same bitwise solution — which is exactly what lets
+//! tests pin [`TreeVotes`] bitwise across fan-ins at scale.  The fan-in is
+//! explicit *here only* (the drivers always run [`VOTE_TREE_ARITY`]), so flat
+//! voting — fan-in `ranks − 1`, the root collects every vote — can be
+//! compared against the tree.  Free-running ([`Protocol::Waves`]) runs the
+//! production drain-step-backoff loop with its confirmation waves.
 //!
 //! Entry point: [`simulate_ranks`] (also re-exported as
 //! `runtime::simulate_ranks`), returning a [`ScaleReport`] with the solution,
@@ -38,11 +40,10 @@
 
 use crate::decomposition::Decomposition;
 use crate::runtime::{
-    data_meta, factorize_blocks, fresh_workspaces, mark_slice, receive_sources, ConfirmationWaves,
-    ConvergencePolicy, EventLog, FailurePolicy, Flow, IncrementVote, LocalVote, RankEngine,
-    RankLink, StaleSweepGuard, TreeVotes, VOTE_TREE_ARITY,
+    factorize_blocks, fresh_workspaces, mode_policies, receive_sources, DriveHooks, EventLog,
+    FailurePolicy, Poll, RankEngine, RankLink, RankLoop, TreeVotes, VOTE_TREE_ARITY,
 };
-use crate::solver::MultisplittingConfig;
+use crate::solver::{ExecutionMode, MultisplittingConfig};
 use crate::CoreError;
 use msplit_comm::message::Message;
 use msplit_comm::transport::Transport;
@@ -53,6 +54,10 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::Duration;
 
+/// Lockstep peer deadline of a simulated rank, in virtual time: the clock
+/// only gets there if the protocol deadlocks.
+const SIM_PEER_TIMEOUT: Duration = Duration::from_secs(60);
+
 /// Which convergence-detection protocol the simulated ranks run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Protocol {
@@ -62,7 +67,8 @@ pub enum Protocol {
         /// is what every driver runs, `ranks − 1` is [`Protocol::flat`].
         arity: usize,
     },
-    /// Free-running confirmation waves through rank 0 ([`ConfirmationWaves`]).
+    /// Free-running confirmation waves through rank 0
+    /// ([`ConfirmationWaves`](crate::runtime::ConfirmationWaves)).
     Waves {
         /// Complete confirmation waves required to latch global convergence.
         confirmations: u64,
@@ -74,11 +80,6 @@ impl Protocol {
     /// every other rank as a child, i.e. collects every vote itself.
     pub fn flat(ranks: usize) -> Self {
         Protocol::Tree { arity: ranks - 1 }
-    }
-
-    /// Whether this protocol runs under the barrier-equivalent lockstep wait.
-    pub fn is_lockstep(self) -> bool {
-        matches!(self, Protocol::Tree { .. })
     }
 }
 
@@ -270,6 +271,22 @@ impl SimTransport {
     pub fn data_out(&self, rank: usize) -> u64 {
         self.data_out[rank].load(Ordering::Relaxed)
     }
+
+    /// Messages (control and data) sent by all ranks so far.
+    fn sent_total(&self) -> u64 {
+        (0..self.inboxes.len())
+            .map(|r| self.control_out(r) + self.data_out(r))
+            .sum()
+    }
+
+    /// Whether `rank` has a message queued.
+    fn has_mail(&self, rank: usize) -> bool {
+        !self.inboxes[rank]
+            .lock()
+            .expect("sim inbox poisoned")
+            .queue
+            .is_empty()
+    }
 }
 
 impl Transport for SimTransport {
@@ -341,226 +358,6 @@ impl Xorshift64 {
 }
 
 // ---------------------------------------------------------------------------
-// The cooperative per-rank state machine
-// ---------------------------------------------------------------------------
-
-/// Resumable per-rank progress state of the non-blocking drive loop.
-struct RankState {
-    /// Lockstep family: inside the post-step barrier wait.
-    waiting: bool,
-    /// Iteration currently being waited on / most recently stepped.
-    iteration: u64,
-    /// Lockstep family: dependency slices still missing this iteration
-    /// (slot order = `senders_to_me`).
-    pending: Vec<bool>,
-    /// Lockstep family: data frames stamped with a future iteration.
-    deferred: Vec<Message>,
-    /// Terminal outcome (`Some(converged)`).
-    done: Option<bool>,
-}
-
-impl RankState {
-    fn new() -> Self {
-        RankState {
-            waiting: false,
-            iteration: 0,
-            pending: Vec::new(),
-            deferred: Vec::new(),
-            done: None,
-        }
-    }
-}
-
-/// One cooperative visit of a lockstep-family rank: at most one engine step,
-/// then the barrier wait replayed non-blockingly (mirrors
-/// [`Lockstep::exchange`](crate::runtime::Lockstep) without clocks).
-fn visit_lockstep(
-    engine: &mut RankEngine,
-    link: &mut RankLink,
-    vote: &mut dyn LocalVote,
-    conv: &mut dyn ConvergencePolicy,
-    st: &mut RankState,
-    max_iterations: u64,
-) -> Result<(), CoreError> {
-    if st.done.is_some() {
-        return Ok(());
-    }
-    if !st.waiting {
-        if engine.iterations() >= max_iterations {
-            // Budget exhausted: the lockstep budget is synchronized (every
-            // rank runs out at the same iteration), so mirror the drive
-            // loop's final drain-then-abandon.
-            while let Some(msg) = link.try_recv().map_err(CoreError::Comm)? {
-                if data_meta(&msg).is_none() {
-                    if let Flow::Converged = conv.observe(&msg, link)? {
-                        st.done = Some(true);
-                        return Ok(());
-                    }
-                }
-            }
-            conv.abandon(link);
-            st.done = Some(false);
-            return Ok(());
-        }
-        let obs = engine.step()?;
-        link.fan_out(engine.outgoing(), conv.death_rule())?;
-        let local = vote.vote(&obs);
-        match conv.submit(obs.iteration, local, link)? {
-            Flow::Continue => {}
-            Flow::Converged => {
-                st.done = Some(true);
-                return Ok(());
-            }
-            Flow::Halted | Flow::Reshape(_) => {
-                st.done = Some(false);
-                return Ok(());
-            }
-        }
-        st.iteration = obs.iteration;
-        st.pending = vec![true; link.senders_to_me().len()];
-        st.waiting = true;
-        // Replay slices a fast peer delivered early for this iteration.
-        let deferred = std::mem::take(&mut st.deferred);
-        for msg in deferred {
-            if let Some((from, iter)) = data_meta(&msg) {
-                if iter > st.iteration {
-                    st.deferred.push(msg);
-                    continue;
-                }
-                mark_slice(
-                    link.senders_to_me(),
-                    &mut st.pending,
-                    from,
-                    iter,
-                    st.iteration,
-                );
-                engine.ingest(msg);
-            }
-        }
-    }
-    // The barrier wait, resumable: drain until released or the inbox is dry.
-    loop {
-        let waiting_conv = conv.waiting(st.iteration);
-        let waiting_slices = st.pending.iter().any(|&p| p) && !conv.skip_pending_data();
-        if !waiting_conv && !waiting_slices {
-            match conv.resolve(st.iteration, link)? {
-                Flow::Continue => st.waiting = false,
-                Flow::Converged => st.done = Some(true),
-                Flow::Halted | Flow::Reshape(_) => st.done = Some(false),
-            }
-            return Ok(());
-        }
-        let Some(msg) = link.try_recv().map_err(CoreError::Comm)? else {
-            // Nothing queued: yield to the other ranks.
-            return Ok(());
-        };
-        match data_meta(&msg) {
-            Some((from, iter)) => {
-                if iter > st.iteration {
-                    st.deferred.push(msg);
-                } else {
-                    mark_slice(
-                        link.senders_to_me(),
-                        &mut st.pending,
-                        from,
-                        iter,
-                        st.iteration,
-                    );
-                    engine.ingest(msg);
-                }
-            }
-            None => match msg {
-                Message::Heartbeat { .. } => {}
-                Message::Reshape { .. } => {
-                    st.done = Some(false);
-                    return Ok(());
-                }
-                msg => match conv.observe(&msg, link)? {
-                    Flow::Continue => {}
-                    Flow::Converged => {
-                        st.done = Some(true);
-                        return Ok(());
-                    }
-                    Flow::Halted | Flow::Reshape(_) => {
-                        st.done = Some(false);
-                        return Ok(());
-                    }
-                },
-            },
-        }
-    }
-}
-
-/// One cooperative visit of a free-running rank: drain the inbox, then one
-/// engine step (mirrors [`FreeRunning`](crate::runtime::FreeRunning) without
-/// the idle backoff and heartbeat machinery — no clock in the simulator).
-fn visit_free_running(
-    engine: &mut RankEngine,
-    link: &mut RankLink,
-    vote: &mut dyn LocalVote,
-    conv: &mut dyn ConvergencePolicy,
-    st: &mut RankState,
-    max_iterations: u64,
-) -> Result<(), CoreError> {
-    if st.done.is_some() {
-        return Ok(());
-    }
-    while let Some(msg) = link.try_recv().map_err(CoreError::Comm)? {
-        if data_meta(&msg).is_some() {
-            engine.ingest(msg);
-            continue;
-        }
-        match msg {
-            Message::Heartbeat { .. } => {}
-            Message::Reshape { .. } => {
-                st.done = Some(false);
-                return Ok(());
-            }
-            msg => match conv.observe(&msg, link)? {
-                Flow::Continue => {}
-                Flow::Converged => {
-                    st.done = Some(true);
-                    return Ok(());
-                }
-                Flow::Halted => {
-                    // Halt racing a convergence broadcast: a queued
-                    // `GlobalConverged` wins (the grace drain of the real
-                    // free-running loop, here over the remaining queue).
-                    let mut converged = false;
-                    while let Some(m) = link.try_recv().map_err(CoreError::Comm)? {
-                        if matches!(m, Message::GlobalConverged { .. }) {
-                            converged = true;
-                            break;
-                        }
-                    }
-                    st.done = Some(converged);
-                    return Ok(());
-                }
-                Flow::Reshape(_) => {
-                    st.done = Some(false);
-                    return Ok(());
-                }
-            },
-        }
-    }
-    if engine.iterations() >= max_iterations {
-        conv.abandon(link);
-        st.done = Some(false);
-        return Ok(());
-    }
-    let obs = engine.step()?;
-    link.fan_out(engine.outgoing(), conv.death_rule())?;
-    let local = vote.vote(&obs);
-    st.iteration = obs.iteration;
-    match conv.submit(obs.iteration, local, link)? {
-        Flow::Continue => {}
-        Flow::Converged => st.done = Some(true),
-        Flow::Halted | Flow::Reshape(_) => st.done = Some(false),
-    }
-    Ok(())
-}
-
-// ---------------------------------------------------------------------------
 // Entry point
 // ---------------------------------------------------------------------------
 
@@ -572,6 +369,11 @@ fn visit_free_running(
 /// known solution `x[i] = (i % 7)` — decomposed into one band per rank, so
 /// convergence and the assembled solution can be asserted exactly.
 pub fn simulate_ranks(config: &ScaleConfig) -> Result<ScaleReport, CoreError> {
+    simulate(config).map(|(report, _)| report)
+}
+
+/// [`simulate_ranks`], plus the virtual time the run ended at.
+fn simulate(config: &ScaleConfig) -> Result<(ScaleReport, Duration), CoreError> {
     if config.ranks < 2 {
         return Err(CoreError::Decomposition(
             "scale simulation needs at least 2 ranks".into(),
@@ -586,11 +388,18 @@ pub fn simulate_ranks(config: &ScaleConfig) -> Result<ScaleReport, CoreError> {
     let n = world * config.rows_per_rank;
     let a = generators::tridiagonal(n, 4.0, -1.0);
     let (_x_true, b) = generators::rhs_for_solution(&a, |i| (i % 7) as f64);
-    let ms_config = MultisplittingConfig {
+    let mut ms_config = MultisplittingConfig {
         parts: world,
         tolerance: config.tolerance,
         max_iterations: config.max_iterations,
         ..Default::default()
+    };
+    let mode = match config.protocol {
+        Protocol::Tree { .. } => ExecutionMode::Synchronous,
+        Protocol::Waves { confirmations } => {
+            ms_config.async_confirmations = confirmations;
+            ExecutionMode::Asynchronous
+        }
     };
     let decomp = Decomposition::uniform(&a, &b, world, 0)?;
     let send_targets = decomp.send_targets();
@@ -600,98 +409,96 @@ pub fn simulate_ranks(config: &ScaleConfig) -> Result<ScaleReport, CoreError> {
     let mut workspaces = fresh_workspaces(world);
     let transport = SimTransport::new(world);
 
-    let mut engines: Vec<RankEngine> = blocks
+    // Sends never fail over `SimTransport`, so the failure policy only sets
+    // the heartbeat interval of the probes.
+    let failure = FailurePolicy::default();
+    let mut ranks: Vec<RankLoop> = blocks
         .iter()
-        .zip(factors.iter())
+        .zip(&factors)
         .zip(workspaces.iter_mut())
-        .map(|((blk, factor), ws)| {
-            RankEngine::single(
+        .enumerate()
+        .map(|(r, ((blk, factor), ws))| {
+            let mut engine = RankEngine::single(
                 &partition,
                 blk,
                 &blk.b_sub,
                 factor.as_ref(),
                 ms_config.weighting,
                 ws,
+            );
+            if r == 0 && config.record_events {
+                engine.record_events();
+            }
+            let link = RankLink::new(&transport, r, &send_targets[r], &senders[r]);
+            let (vote, mut conv, progress) =
+                mode_policies(mode, &ms_config, r, world, SIM_PEER_TIMEOUT, failure);
+            if let Protocol::Tree { arity } = config.protocol {
+                conv = Box::new(TreeVotes::with_arity(r, world, arity, failure));
+            }
+            let hooks = DriveHooks::default();
+            RankLoop::new(
+                engine,
+                link,
+                (vote, conv, progress),
+                config.max_iterations,
+                hooks,
             )
         })
         .collect();
-    if config.record_events {
-        engines[0].record_events();
-    }
-    let mut links: Vec<RankLink> = (0..world)
-        .map(|r| RankLink::new(&transport, r, &send_targets[r], &senders[r]))
-        .collect();
-    // `TreeVotes` reads only the policy's death rule, and sends never fail
-    // over `SimTransport`, so the policy has no observable effect here; the
-    // cooperative visits never run a heartbeat probe.
-    let failure = FailurePolicy::default();
-    let mut votes: Vec<Box<dyn LocalVote>> = (0..world)
-        .map(|_| -> Box<dyn LocalVote> {
-            if config.protocol.is_lockstep() {
-                Box::new(StaleSweepGuard::new(
-                    IncrementVote::lockstep(config.tolerance),
-                    config.tolerance,
-                ))
-            } else {
-                Box::new(IncrementVote::free_running(config.tolerance))
-            }
-        })
-        .collect();
-    let mut convs: Vec<Box<dyn ConvergencePolicy>> = (0..world)
-        .map(|r| -> Box<dyn ConvergencePolicy> {
-            match config.protocol {
-                Protocol::Tree { arity } => {
-                    Box::new(TreeVotes::with_arity(r, world, arity, failure))
-                }
-                Protocol::Waves { confirmations } => {
-                    Box::new(ConfirmationWaves::new(r, world, confirmations))
-                }
-            }
-        })
-        .collect();
-    let mut states: Vec<RankState> = (0..world).map(|_| RankState::new()).collect();
 
     let mut rng = Xorshift64::new(config.seed);
     let mut order: Vec<usize> = (0..world).collect();
+    // Per rank: the outcome once its loop finished (`Some(converged)`), and
+    // the wake-up its last poll asked for (never, once finished).
+    let mut done: Vec<Option<bool>> = vec![None; world];
+    let mut wakes: Vec<(Duration, bool)> = vec![(Duration::ZERO, false); world];
+    let mut now = Duration::ZERO;
     let mut sweeps = 0u64;
     // Generous runaway backstop: a healthy rank makes progress every sweep,
     // so a run that is going to converge does so in far fewer sweeps.
     let sweep_cap = config.max_iterations.saturating_mul(64).max(10_000);
-    while states.iter().any(|s| s.done.is_none()) && sweeps < sweep_cap {
+    while done.iter().any(Option::is_none) && sweeps < sweep_cap {
         sweeps += 1;
         rng.shuffle(&mut order);
+        let sent_before = transport.sent_total();
+        let mut busy = false;
         for &r in &order {
-            if config.protocol.is_lockstep() {
-                visit_lockstep(
-                    &mut engines[r],
-                    &mut links[r],
-                    votes[r].as_mut(),
-                    convs[r].as_mut(),
-                    &mut states[r],
-                    config.max_iterations,
-                )?;
-            } else {
-                visit_free_running(
-                    &mut engines[r],
-                    &mut links[r],
-                    votes[r].as_mut(),
-                    convs[r].as_mut(),
-                    &mut states[r],
-                    config.max_iterations,
-                )?;
+            let (wake_at, on_message) = wakes[r];
+            if wake_at > now && !(on_message && transport.has_mail(r)) {
+                continue;
             }
+            wakes[r] = match ranks[r].poll(now) {
+                Poll::Ready(run) => {
+                    done[r] = Some(run?.converged);
+                    (Duration::MAX, false)
+                }
+                Poll::Pending {
+                    wake_at,
+                    on_message,
+                } => (wake_at, on_message),
+            };
+            busy |= wakes[r].0 <= now || done[r].is_some();
+        }
+        if !busy && transport.sent_total() == sent_before {
+            // Nothing stepped, finished or moved a message: only time can
+            // make progress now.
+            now = wakes
+                .iter()
+                .map(|&(wake_at, _)| wake_at)
+                .min()
+                .unwrap_or(now);
         }
     }
 
-    let converged = states.iter().all(|s| s.done == Some(true));
-    let iterations_per_rank: Vec<u64> = engines.iter().map(|e| e.iterations()).collect();
+    let converged = done.iter().all(|d| *d == Some(true));
+    let iterations_per_rank: Vec<u64> = ranks.iter().map(|r| r.engine.iterations()).collect();
     let iterations = iterations_per_rank.iter().copied().max().unwrap_or(0);
-    let locals: Vec<Vec<f64>> = engines.iter().map(|e| e.x_local().to_vec()).collect();
-    let event_log = engines[0].take_event_log();
+    let locals: Vec<Vec<f64>> = ranks.iter().map(|r| r.engine.x_local().to_vec()).collect();
+    let event_log = ranks[0].engine.take_event_log();
     let x = ms_config.weighting.assemble(&partition, &locals);
     let control_messages_total: u64 = (0..world).map(|r| transport.control_out(r)).sum();
     let data_messages_total: u64 = (0..world).map(|r| transport.data_out(r)).sum();
-    Ok(ScaleReport {
+    let report = ScaleReport {
         world,
         protocol: config.protocol,
         converged,
@@ -705,7 +512,8 @@ pub fn simulate_ranks(config: &ScaleConfig) -> Result<ScaleReport, CoreError> {
         control_messages_total,
         data_messages_total,
         event_log,
-    })
+    };
+    Ok((report, now))
 }
 
 #[cfg(test)]
@@ -775,6 +583,27 @@ mod tests {
         let waves = simulate_ranks(&config(64, Protocol::Waves { confirmations: 3 })).unwrap();
         assert!(waves.converged);
         assert!(max_err(&waves.x) < 1e-6);
+    }
+
+    #[test]
+    fn free_running_ranks_park_in_the_idle_backoff() {
+        // The virtual clock moves only when every unfinished rank waits for
+        // a future wake-up.  Lockstep ranks always have traffic to wait
+        // for, so a converged lockstep run ends at virtual time zero; stable
+        // free-running ranks park in the production idle backoff, and the
+        // waves run cannot finish before the clock has jumped over at least
+        // one backoff.
+        let (lockstep, lockstep_clock) = simulate(&config(16, Protocol::flat(16))).unwrap();
+        assert!(lockstep.converged);
+        assert_eq!(lockstep_clock, Duration::ZERO);
+        let (waves, waves_clock) =
+            simulate(&config(16, Protocol::Waves { confirmations: 3 })).unwrap();
+        assert!(waves.converged);
+        assert!(max_err(&waves.x) < 1e-6);
+        assert!(
+            waves_clock >= Duration::from_micros(100),
+            "no free-running rank ever parked: the clock ended at {waves_clock:?}"
+        );
     }
 
     #[test]

@@ -275,6 +275,14 @@ fn scaling_docs_cover_the_convergence_surface() {
             "docs/scaling.md no longer mentions {required}"
         );
     }
+    // The simulator drives the production rank loop, so the page must not
+    // describe a separate copy of the lockstep or free-running loop.
+    for removed in ["mirror", "visit_lockstep", "visit_free_running"] {
+        assert!(
+            !doc.contains(removed),
+            "docs/scaling.md mentions {removed}, but the simulator runs no copy of the rank loop"
+        );
+    }
     // The README must keep pointing at the page.
     let readme = std::fs::read_to_string(repo_root().join("README.md")).unwrap();
     assert!(
