@@ -37,7 +37,7 @@ fn bench_engine_throughput(c: &mut Criterion) {
     let solver = MultisplittingSolver::new(config());
     let started = Instant::now();
     for b in rhs.iter() {
-        assert!(solver.solve(&a, b).expect("cold solve").converged);
+        assert!(solver.solve(&a, b).expect("cold solve").stop.converged());
     }
     let cold_rps = BATCH as f64 / started.elapsed().as_secs_f64();
 

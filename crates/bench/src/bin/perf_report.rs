@@ -195,8 +195,8 @@ fn convergence_table() -> (Vec<ConvergenceRecord>, f64) {
             rows.push(ConvergenceRecord {
                 protocol: label,
                 world,
-                converged: report.converged,
-                iterations: report.iterations,
+                converged: report.stop.converged(),
+                iterations: report.stop.iterations,
                 coordinator_inbox_peak: report.coordinator_inbox_peak,
                 coordinator_msgs_per_decision: report.coordinator_msgs_per_decision(),
                 messages_per_iteration: report.messages_per_iteration(),
@@ -374,8 +374,8 @@ fn krylov_table(check_mode: bool) -> (Vec<KrylovRecord>, f64) {
         let mut converged = false;
         let wall_ms = time_ms(2, || {
             let out = prepared.solve(b).expect("krylov-table solve");
-            iterations = out.iterations;
-            converged = out.converged;
+            iterations = out.stop.iterations;
+            converged = out.stop.converged();
             out
         });
         rows.push(KrylovRecord {
@@ -633,7 +633,7 @@ fn sync_bytes_per_iteration(
     let out = MultisplittingSolver::new(config)
         .solve_with_transport(a, b, transport)
         .expect("sync solve");
-    stats_bytes() as f64 / out.iterations.max(1) as f64
+    stats_bytes() as f64 / out.stop.iterations.max(1) as f64
 }
 
 /// Best-of-`rounds` milliseconds of `serial` and of `pooled`, measured in
@@ -995,7 +995,7 @@ fn main() {
                 sync_solver.solve_with_transport(&a, &b, InProcTransport::new(4))
             };
             let out = out.expect("sync solve");
-            e2e_iters = out.iterations.max(1);
+            e2e_iters = out.stop.iterations.max(1);
             out
         });
         DriverRecord {

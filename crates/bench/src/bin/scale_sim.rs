@@ -49,8 +49,8 @@ fn run(label: &str, ranks: usize, protocol: Protocol, out: &mut impl Write) -> S
     .unwrap_or_else(|e| panic!("{label} simulation failed: {e}"));
     println!(
         "{label:>6}: converged={} iterations={} sweeps={} coordinator msgs/decision={:.2} inbox peak={}",
-        report.converged,
-        report.iterations,
+        report.stop.converged(),
+        report.stop.iterations,
         report.sweeps,
         report.coordinator_msgs_per_decision(),
         report.coordinator_inbox_peak
@@ -90,10 +90,10 @@ fn main() {
     );
 
     // (1) lockstep: both fan-ins converge, bitwise identical.
-    assert!(flat.converged, "flat lockstep did not converge");
-    assert!(tree.converged, "tree lockstep did not converge");
+    assert!(flat.stop.converged(), "flat lockstep did not converge");
+    assert!(tree.stop.converged(), "tree lockstep did not converge");
     assert_eq!(
-        flat.iterations, tree.iterations,
+        flat.stop.iterations, tree.stop.iterations,
         "the fan-in changed the lockstep iteration count"
     );
     assert_eq!(
@@ -118,7 +118,7 @@ fn main() {
     );
 
     // (3)+(4) free-running: converges; every row lands on the known solution.
-    assert!(waves.converged, "confirmation waves did not converge");
+    assert!(waves.stop.converged(), "waves did not converge");
     assert!(
         max_err(&flat.x) < MAX_SOLUTION_ERR,
         "flat err {}",

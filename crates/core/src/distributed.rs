@@ -40,6 +40,7 @@ use crate::runtime::{
     RankLink, RankLoop,
 };
 use crate::solver::MultisplittingConfig;
+use crate::stop::Stop;
 use crate::CoreError;
 #[allow(unused_imports)] // doc links
 use msplit_comm::message::Message;
@@ -58,18 +59,13 @@ pub struct RankOutcome {
     pub rank: usize,
     /// The rank's solution over its *extended* range.
     pub x_local: Vec<f64>,
-    /// Outer iterations performed by this rank.
-    pub iterations: u64,
-    /// Last observed increment norm.
-    pub last_increment: f64,
-    /// Whether global convergence was reached.
-    pub converged: bool,
+    /// Why and when this rank stopped; a reshape names the dead rank so the
+    /// launcher can re-partition the bands over the survivors
+    /// ([`FailurePolicy::Redistribute`]).
+    pub stop: Stop,
     /// Wall-clock seconds spent in the iteration loop (factorization
     /// included).
     pub wall_seconds: f64,
-    /// The dead rank, when the run stopped so the launcher can re-partition
-    /// the bands over the survivors ([`FailurePolicy::Redistribute`]).
-    pub reshape: Option<usize>,
     /// Recorded engine transitions, when [`RankOptions::record_events`] was
     /// set — replayable with [`crate::runtime::RankEngine::replay`].
     pub event_log: Option<EventLog>,
@@ -220,15 +216,12 @@ pub fn run_rank(
         config.max_iterations,
         hooks,
     );
-    let run = drive(&mut rank_loop)?;
+    let stop = drive(&mut rank_loop)?;
     Ok(RankOutcome {
         rank,
         x_local: rank_loop.engine.x_local().to_vec(),
-        iterations: run.iterations,
-        last_increment: run.last_increment,
-        converged: run.converged,
+        stop,
         wall_seconds: start.elapsed().as_secs_f64(),
-        reshape: run.reshape,
         event_log: rank_loop.engine.take_event_log(),
     })
 }
@@ -238,6 +231,7 @@ mod tests {
     use super::*;
     use crate::decomposition::Decomposition;
     use crate::solver::{ExecutionMode, MultisplittingConfig};
+    use crate::stop::StopReason;
     use crate::weighting::WeightingScheme;
     use msplit_comm::InProcTransport;
     use msplit_direct::SolverKind;
@@ -333,7 +327,7 @@ mod tests {
                     assert!(msg.contains("rank 1 "), "unexpected message: {msg}");
                     death_errors += 1;
                 }
-                Ok(outcome) => assert!(!outcome.converged),
+                Ok(outcome) => assert_eq!(outcome.stop.reason, StopReason::Halted),
                 Err(other) => panic!("unexpected error kind: {other:?}"),
             }
         }
@@ -350,18 +344,18 @@ mod tests {
         let (x_true, b) = generators::rhs_for_solution(&a, |i| ((i % 9) as f64) - 4.0);
         let cfg = config(3, ExecutionMode::Synchronous);
         let (x, outcomes) = run_all_ranks(&a, &b, &cfg, &RankOptions::default());
-        assert!(outcomes.iter().all(|o| o.converged));
+        assert!(outcomes.iter().all(|o| o.stop.converged()));
         // Lockstep: every rank performs the same number of iterations.
-        let iters: Vec<u64> = outcomes.iter().map(|o| o.iterations).collect();
+        let iters: Vec<u64> = outcomes.iter().map(|o| o.stop.iterations).collect();
         assert!(iters.iter().all(|&i| i == iters[0]), "iters {iters:?}");
         assert!(max_err(&x, &x_true) < 1e-7);
 
         let threaded = crate::solver::MultisplittingSolver::new(cfg)
             .solve(&a, &b)
             .unwrap();
-        assert!(threaded.converged);
+        assert!(threaded.stop.converged());
         // Same engine, same policies: identical iterates and counts.
-        assert_eq!(threaded.iterations, iters[0]);
+        assert_eq!(threaded.stop.iterations, iters[0]);
         assert_eq!(x, threaded.x);
     }
 
@@ -375,7 +369,7 @@ mod tests {
         let (x_true, b) = generators::rhs_for_solution(&a, |i| (i % 7) as f64);
         let cfg = config(4, ExecutionMode::Asynchronous);
         let (x, outcomes) = run_all_ranks(&a, &b, &cfg, &RankOptions::default());
-        assert!(outcomes.iter().all(|o| o.converged));
+        assert!(outcomes.iter().all(|o| o.stop.converged()));
         assert!(max_err(&x, &x_true) < 1e-6);
     }
 
@@ -393,7 +387,7 @@ mod tests {
         let (_, b) = generators::rhs_for_solution(&a, |i| (i % 7) as f64);
         let cfg = config(world, ExecutionMode::Synchronous);
         let (x_tree, tree) = run_all_ranks(&a, &b, &cfg, &RankOptions::default());
-        assert!(tree.iter().all(|o| o.converged));
+        assert!(tree.iter().all(|o| o.stop.converged()));
         let flat = simulate_ranks(&ScaleConfig {
             ranks: world,
             rows_per_rank,
@@ -403,8 +397,10 @@ mod tests {
             ..Default::default()
         })
         .unwrap();
-        assert!(flat.converged);
-        assert!(tree.iter().all(|o| o.iterations == flat.iterations));
+        assert!(flat.stop.converged());
+        assert!(tree
+            .iter()
+            .all(|o| o.stop.iterations == flat.stop.iterations));
         assert_eq!(x_tree, flat.x, "tree votes must not perturb the iterates");
     }
 
@@ -415,8 +411,38 @@ mod tests {
         let mut cfg = config(3, ExecutionMode::Asynchronous);
         cfg.max_iterations = 5;
         let (_, outcomes) = run_all_ranks(&a, &b, &cfg, &RankOptions::default());
-        assert!(outcomes.iter().all(|o| !o.converged));
-        assert!(outcomes.iter().all(|o| o.iterations <= 5));
+        // Free-running: a rank either spends its own budget or is halted by
+        // a peer that spent its budget first.
+        assert!(outcomes.iter().all(|o| matches!(
+            o.stop.reason,
+            StopReason::BudgetExhausted | StopReason::Halted
+        )));
+        assert!(outcomes.iter().all(|o| o.stop.iterations <= 5));
+        let merged = Stop::merge(outcomes.iter().map(|o| o.stop));
+        assert_eq!(merged.reason, StopReason::BudgetExhausted);
+    }
+
+    #[test]
+    fn lockstep_budget_exhaustion_is_reported_by_every_rank() {
+        // Lockstep ranks all run out at the same iteration, so every rank,
+        // and the merged stop, says the budget ran out — never "halted".
+        let a = generators::spectral_radius_targeted(120, 0.995);
+        let (_, b) = generators::rhs_for_solution(&a, |i| i as f64);
+        let mut cfg = config(3, ExecutionMode::Synchronous);
+        cfg.max_iterations = 3;
+        let (_, outcomes) = run_all_ranks(&a, &b, &cfg, &RankOptions::default());
+        for o in &outcomes {
+            assert_eq!(
+                o.stop.reason,
+                StopReason::BudgetExhausted,
+                "rank {}",
+                o.rank
+            );
+            assert_eq!(o.stop.iterations, 3);
+        }
+        let merged = Stop::merge(outcomes.iter().map(|o| o.stop));
+        assert_eq!(merged.reason, StopReason::BudgetExhausted);
+        assert_eq!(merged.iterations, 3);
     }
 
     #[test]
@@ -487,7 +513,7 @@ mod tests {
                 &mut ws,
             );
             twin.replay(log).unwrap();
-            assert_eq!(twin.iterations(), outcome.iterations);
+            assert_eq!(twin.iterations(), outcome.stop.iterations);
             assert_eq!(twin.x_local(), outcome.x_local.as_slice());
         }
     }
@@ -595,7 +621,11 @@ mod tests {
             &RankOptions::default(),
         )
         .unwrap();
-        assert!(outcome.converged, "GlobalConverged must win over Halt");
+        assert_eq!(
+            outcome.stop.reason,
+            StopReason::Converged,
+            "GlobalConverged must win over Halt"
+        );
 
         // And a lone Halt (no convergence notice racing it) still halts.
         let transport2 = InProcTransport::new(2);
@@ -610,7 +640,7 @@ mod tests {
             &RankOptions::default(),
         )
         .unwrap();
-        assert!(!halted.converged);
+        assert_eq!(halted.stop.reason, StopReason::Halted);
     }
 
     #[test]
@@ -644,7 +674,7 @@ mod tests {
             &RankOptions::default(),
         )
         .unwrap();
-        assert!(outcome.converged);
+        assert!(outcome.stop.converged());
 
         // Rank 0 exited with nothing queued: no convergence notice can ever
         // arrive, so the death must surface as a prompt error under the
@@ -703,8 +733,7 @@ mod tests {
         )
         .unwrap();
         assert!(started.elapsed() < Duration::from_secs(10), "hung too long");
-        assert!(!outcome.converged);
-        assert_eq!(outcome.reshape, Some(0));
+        assert_eq!(outcome.stop.reason, StopReason::Reshape(0));
     }
 
     #[test]
@@ -721,8 +750,8 @@ mod tests {
         let (_, b) = generators::rhs_for_solution(&a, |i| ((i % 11) as f64) - 5.0);
         let cfg = config(3, ExecutionMode::Synchronous);
         let (x_full, full) = run_all_ranks(&a, &b, &cfg, &RankOptions::default());
-        assert!(full.iter().all(|o| o.converged));
-        let full_iters = full[0].iterations;
+        assert!(full.iter().all(|o| o.stop.converged()));
+        let full_iters = full[0].stop.iterations;
         assert!(full_iters > 8, "need room to interrupt: {full_iters}");
 
         let dir = std::env::temp_dir().join(format!(
@@ -746,7 +775,9 @@ mod tests {
             ..Default::default()
         };
         let (_, partial) = run_all_ranks(&a, &b, &cut, &options);
-        assert!(partial.iter().all(|o| !o.converged));
+        assert!(partial
+            .iter()
+            .all(|o| o.stop.reason == StopReason::BudgetExhausted));
 
         let resume_at = checkpoint::max_common_iteration(&dir, 3)
             .unwrap()
@@ -759,10 +790,10 @@ mod tests {
             ..Default::default()
         };
         let (x_resumed, resumed) = run_all_ranks(&a, &b, &cfg, &resumed_options);
-        assert!(resumed.iter().all(|o| o.converged));
+        assert!(resumed.iter().all(|o| o.stop.converged()));
         // Same lockstep trajectory: the resumed ranks pick up at the
         // snapshot iteration and land on the very same bits.
-        assert_eq!(resumed[0].iterations, full_iters);
+        assert_eq!(resumed[0].stop.iterations, full_iters);
         assert_eq!(x_resumed, x_full);
 
         std::fs::remove_dir_all(&dir).ok();

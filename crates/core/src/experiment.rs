@@ -266,14 +266,14 @@ fn run_multisplitting_on_grid(
     let sync = replay_sync(
         &outcome.part_reports,
         &send_targets,
-        outcome.iterations,
+        outcome.stop.iterations,
         &model,
         scaling,
     )?;
     let r#async = replay_async(
         &outcome.part_reports,
         &send_targets,
-        outcome.iterations,
+        outcome.stop.iterations,
         &model,
         scaling,
     )?;
@@ -332,7 +332,7 @@ fn scalability_table(
             sync_multisplitting: replay_to_option(&run.sync),
             async_multisplitting: replay_to_option(&run.r#async),
             factorization: Some(run.sync.factor_seconds),
-            sync_iterations: run.outcome.iterations,
+            sync_iterations: run.outcome.stop.iterations,
         });
     }
     Ok(rows)
@@ -484,7 +484,7 @@ pub fn figure3(cfg: &ExperimentConfig) -> Result<Vec<OverlapRow>, CoreError> {
             sync_seconds: run.sync.total_seconds,
             async_seconds: run.r#async.total_seconds,
             factorization_seconds: run.sync.factor_seconds,
-            sync_iterations: run.outcome.iterations,
+            sync_iterations: run.outcome.stop.iterations,
         });
     }
     Ok(rows)

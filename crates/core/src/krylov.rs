@@ -31,6 +31,7 @@
 //! See `docs/krylov.md` for the method-selection guide and measured
 //! iteration counts (the `krylov` table of `BENCH_kernels.json`).
 
+use crate::stop::{Stop, StopReason};
 use crate::weighting::WeightingScheme;
 use crate::CoreError;
 use msplit_direct::api::Factorization;
@@ -239,22 +240,6 @@ impl Preconditioner for SerialSweepOracle<'_> {
     }
 }
 
-/// Outcome of a Krylov outer loop (converted into a full
-/// [`crate::solver::SolveOutcome`] by the prepared-system layer).
-#[derive(Debug, Clone, Copy)]
-pub struct KrylovStats {
-    /// Outer iterations performed: Richardson steps, or FGMRES Arnoldi
-    /// steps (each costs one preconditioner apply plus one matvec — the
-    /// same order of work as one stationary sweep when `inner_sweeps = 1`).
-    pub outer_iterations: u64,
-    /// Whether the stopping criterion was met within the budget.
-    pub converged: bool,
-    /// Final value of the stopping quantity: the sup-norm iterate increment
-    /// for Richardson (matching the stationary driver), the residual 2-norm
-    /// for FGMRES.
-    pub last_norm: f64,
-}
-
 /// Preconditioned Richardson iteration.
 ///
 /// `x` starts from zero and is improved in place by one warm preconditioner
@@ -273,31 +258,25 @@ pub fn richardson(
     b: &[f64],
     x: &mut [f64],
     x_prev: &mut [f64],
-) -> Result<KrylovStats, CoreError> {
+) -> Result<Stop, CoreError> {
     debug_assert_eq!(x.len(), precond.order());
     debug_assert_eq!(x_prev.len(), x.len());
     x.fill(0.0);
     let mut iterations = 0u64;
-    let mut last_norm = f64::INFINITY;
-    let mut converged = false;
+    let mut norm = f64::INFINITY;
     while iterations < max_iterations {
         iterations += 1;
         x_prev.copy_from_slice(x);
         precond.apply_warm(b, x)?;
-        last_norm = x
+        norm = x
             .iter()
             .zip(x_prev.iter())
             .fold(0.0f64, |m, (a, p)| m.max((a - p).abs()));
-        if last_norm <= tolerance {
-            converged = true;
-            break;
+        if norm <= tolerance {
+            return Ok(Stop::new(StopReason::Converged, iterations, norm));
         }
     }
-    Ok(KrylovStats {
-        outer_iterations: iterations,
-        converged,
-        last_norm,
-    })
+    Ok(Stop::new(StopReason::BudgetExhausted, iterations, norm))
 }
 
 /// Retained buffers of the FGMRES driver: the Arnoldi basis `V` (m+1
@@ -386,7 +365,7 @@ pub fn fgmres(
     b: &[f64],
     x: &mut [f64],
     ws: &mut FgmresWorkspace,
-) -> Result<KrylovStats, CoreError> {
+) -> Result<Stop, CoreError> {
     let n = precond.order();
     debug_assert_eq!(x.len(), n);
     debug_assert_eq!(b.len(), n);
@@ -407,11 +386,7 @@ pub fn fgmres(
     let mut beta = norm_b;
     let mut iterations = 0u64;
     if beta <= threshold {
-        return Ok(KrylovStats {
-            outer_iterations: 0,
-            converged: true,
-            last_norm: beta,
-        });
+        return Ok(Stop::new(StopReason::Converged, 0, beta));
     }
 
     'cycles: while iterations < max_outer {
@@ -505,19 +480,11 @@ pub fn fgmres(
         }
         beta = norm2(&ws.r);
         if beta <= threshold {
-            return Ok(KrylovStats {
-                outer_iterations: iterations,
-                converged: true,
-                last_norm: beta,
-            });
+            return Ok(Stop::new(StopReason::Converged, iterations, beta));
         }
     }
-
-    Ok(KrylovStats {
-        outer_iterations: iterations,
-        converged: beta <= threshold,
-        last_norm: beta,
-    })
+    // Every cycle that ended at or below the threshold returned above.
+    Ok(Stop::new(StopReason::BudgetExhausted, iterations, beta))
 }
 
 /// The complete per-solve scratch of the Krylov drivers, pooled by
@@ -622,8 +589,8 @@ mod tests {
                 );
                 let mut x = vec![0.0; 120];
                 let mut x_prev = vec![0.0; 120];
-                let stats = richardson(&mut pc, -1.0, depth, &f.b, &mut x, &mut x_prev).unwrap();
-                assert_eq!(stats.outer_iterations, depth);
+                let stop = richardson(&mut pc, -1.0, depth, &f.b, &mut x, &mut x_prev).unwrap();
+                assert_eq!(stop.iterations, depth);
                 for (i, (ours, theirs)) in x.iter().zip(reference.x.iter()).enumerate() {
                     assert_eq!(
                         ours.to_bits(),
@@ -655,8 +622,8 @@ mod tests {
         let mut pc = SweepPreconditioner::new(&partition, &blocks, &factors, &table, 3, &mut bufs);
         let mut x = vec![0.0; 150];
         let mut x_prev = vec![0.0; 150];
-        let stats = richardson(&mut pc, 1e-12, 500, &b, &mut x, &mut x_prev).unwrap();
-        assert!(stats.converged);
+        let stop = richardson(&mut pc, 1e-12, 500, &b, &mut x, &mut x_prev).unwrap();
+        assert!(stop.converged());
         assert!(max_err(&x, &x_true) < 1e-8);
     }
 
@@ -668,8 +635,8 @@ mod tests {
             SweepPreconditioner::new(&f.partition, &f.blocks, &f.factors, &f.table, 1, &mut bufs);
         let mut x = vec![0.0; 200];
         let mut ws = FgmresWorkspace::new();
-        let stats = fgmres(&f.a, &mut pc, 20, 1e-10, 500, &f.b, &mut x, &mut ws).unwrap();
-        assert!(stats.converged, "{stats:?}");
+        let stop = fgmres(&f.a, &mut pc, 20, 1e-10, 500, &f.b, &mut x, &mut ws).unwrap();
+        assert!(stop.converged(), "{stop:?}");
         let ax = f.a.spmv(&x).unwrap();
         let resid =
             f.b.iter()
@@ -679,6 +646,12 @@ mod tests {
                 .sqrt();
         let norm_b = f.b.iter().map(|v| v * v).sum::<f64>().sqrt();
         assert!(resid <= 1e-10 * norm_b * 1.01, "residual {resid}");
+        // The stop's norm is the absolute residual the tolerance was met on.
+        assert!(stop.norm <= 1e-10 * norm_b, "{stop:?}");
+        assert!(
+            (stop.norm - resid).abs() <= 1e-3 * resid,
+            "{stop:?} vs {resid}"
+        );
     }
 
     #[test]
@@ -690,8 +663,8 @@ mod tests {
             SweepPreconditioner::new(&f.partition, &f.blocks, &f.factors, &f.table, 1, &mut bufs);
         let mut x = vec![0.0; 160];
         let mut ws = FgmresWorkspace::new();
-        let stats = fgmres(&f.a, &mut pc, 3, 1e-10, 2000, &f.b, &mut x, &mut ws).unwrap();
-        assert!(stats.converged, "{stats:?}");
+        let stop = fgmres(&f.a, &mut pc, 3, 1e-10, 2000, &f.b, &mut x, &mut ws).unwrap();
+        assert!(stop.converged(), "{stop:?}");
     }
 
     #[test]
@@ -703,9 +676,9 @@ mod tests {
             SweepPreconditioner::new(&f.partition, &f.blocks, &f.factors, &f.table, 1, &mut bufs);
         let mut x = vec![1.0; 60];
         let mut ws = FgmresWorkspace::new();
-        let stats = fgmres(&f.a, &mut pc, 10, 1e-12, 100, &zero, &mut x, &mut ws).unwrap();
-        assert!(stats.converged);
-        assert_eq!(stats.outer_iterations, 0);
+        let stop = fgmres(&f.a, &mut pc, 10, 1e-12, 100, &zero, &mut x, &mut ws).unwrap();
+        assert!(stop.converged());
+        assert_eq!(stop.iterations, 0);
         assert!(x.iter().all(|&v| v == 0.0));
     }
 
@@ -717,9 +690,9 @@ mod tests {
             SweepPreconditioner::new(&f.partition, &f.blocks, &f.factors, &f.table, 1, &mut bufs);
         let mut x = vec![0.0; 120];
         let mut ws = FgmresWorkspace::new();
-        let stats = fgmres(&f.a, &mut pc, 5, 1e-14, 2, &f.b, &mut x, &mut ws).unwrap();
-        assert_eq!(stats.outer_iterations, 2);
-        assert!(!stats.converged);
+        let stop = fgmres(&f.a, &mut pc, 5, 1e-14, 2, &f.b, &mut x, &mut ws).unwrap();
+        assert_eq!(stop.iterations, 2);
+        assert_eq!(stop.reason, StopReason::BudgetExhausted);
     }
 
     #[test]

@@ -16,6 +16,7 @@
 use crate::checkpoint;
 use crate::runtime::FailurePolicy;
 use crate::solver::{ExecutionMode, MultisplittingConfig};
+use crate::stop::{Stop, StopReason};
 use crate::weighting::WeightingScheme;
 use crate::CoreError;
 use msplit_comm::tcp::LinkDelay;
@@ -273,28 +274,30 @@ fn failure_from_str(text: &str) -> Result<FailurePolicy, CoreError> {
     )))
 }
 
-fn reshape_to_str(dead_rank: Option<usize>) -> String {
-    match dead_rank {
-        None => "none".to_string(),
-        Some(rank) => format!("death:{rank}"),
+/// The `stop=` value of a rank result: `converged`, `budget`, `halted` or
+/// `death:N`.
+fn reason_to_str(reason: StopReason) -> String {
+    match reason {
+        StopReason::Converged => "converged".to_string(),
+        StopReason::BudgetExhausted => "budget".to_string(),
+        StopReason::Halted => "halted".to_string(),
+        StopReason::Reshape(rank) => format!("death:{rank}"),
     }
 }
 
-fn reshape_from_str(text: &str) -> Result<Option<usize>, CoreError> {
-    if text == "none" {
-        return Ok(None);
+fn reason_from_str(text: &str) -> Result<StopReason, CoreError> {
+    match (text, text.strip_prefix("death:")) {
+        ("converged", _) => Ok(StopReason::Converged),
+        ("budget", _) => Ok(StopReason::BudgetExhausted),
+        ("halted", _) => Ok(StopReason::Halted),
+        (_, Some(rank)) => Ok(StopReason::Reshape(parse_field(rank, "dead rank")?)),
+        ("drift", _) => Err(CoreError::Distributed(
+            "stop=drift: speed-drift reshapes were removed with online rebalancing".to_string(),
+        )),
+        _ => Err(CoreError::Distributed(format!(
+            "unknown stop reason '{text}'"
+        ))),
     }
-    if text == "drift" {
-        return Err(CoreError::Distributed(
-            "reshape=drift: speed-drift reshapes were removed with online rebalancing".to_string(),
-        ));
-    }
-    if let Some(rank) = text.strip_prefix("death:") {
-        return Ok(Some(parse_field(rank, "dead rank")?));
-    }
-    Err(CoreError::Distributed(format!(
-        "unknown reshape reason '{text}'"
-    )))
 }
 
 fn parse_field<T: std::str::FromStr>(text: &str, what: &str) -> Result<T, CoreError>
@@ -412,17 +415,11 @@ pub mod job_files {
 /// Metadata a worker reports next to its solution slice.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RankMeta {
-    /// Outer iterations performed.
-    pub iterations: u64,
-    /// Whether the rank observed global convergence.
-    pub converged: bool,
-    /// Last increment norm.
-    pub last_increment: f64,
+    /// Why and when the rank stopped; a reshape names a dead peer under
+    /// [`FailurePolicy::Redistribute`].
+    pub stop: Stop,
     /// Wall-clock seconds inside the rank loop.
     pub wall_seconds: f64,
-    /// The dead rank of the reshape request the rank exited with, if any
-    /// (a dead peer under [`FailurePolicy::Redistribute`]).
-    pub reshape: Option<usize>,
 }
 
 /// Writes a rank's result (slice + metadata) into the job directory.  The
@@ -435,12 +432,11 @@ pub fn store_rank_result(
     x_local: &[f64],
 ) -> Result<(), CoreError> {
     let meta_text = format!(
-        "iterations={}\nconverged={}\nlast_increment={:.17e}\nwall_seconds={:.6}\nreshape={}\n",
-        meta.iterations,
-        u8::from(meta.converged),
-        meta.last_increment,
+        "stop={}\niterations={}\nnorm={:.17e}\nwall_seconds={:.6}\n",
+        reason_to_str(meta.stop.reason),
+        meta.stop.iterations,
+        meta.stop.norm,
         meta.wall_seconds,
-        reshape_to_str(meta.reshape)
     );
     std::fs::write(dir.join(job_files::result_meta(rank)), meta_text)
         .map_err(|e| CoreError::Distributed(format!("write rank {rank} meta: {e}")))?;
@@ -459,15 +455,12 @@ pub fn load_rank_result(dir: &Path, rank: usize) -> Result<(RankMeta, Vec<f64>),
     let fields = parse_kv_file(&text, &what)?;
     let get = |key: &str| kv_get(&fields, key, &what);
     let meta = RankMeta {
-        iterations: parse_field(get("iterations")?, "iterations")?,
-        converged: parse_field::<u8>(get("converged")?, "converged")? != 0,
-        last_increment: parse_field(get("last_increment")?, "last_increment")?,
+        stop: Stop::new(
+            reason_from_str(get("stop")?)?,
+            parse_field(get("iterations")?, "iterations")?,
+            parse_field(get("norm")?, "norm")?,
+        ),
         wall_seconds: parse_field(get("wall_seconds")?, "wall_seconds")?,
-        // Lenient: meta files from before the elastic runtime lack the key.
-        reshape: match fields.get("reshape") {
-            None => None,
-            Some(v) => reshape_from_str(v)?,
-        },
     };
     let x = sparse_io::read_vector_file(dir.join(job_files::result_vec(rank)))
         .map_err(CoreError::Sparse)?;
@@ -523,20 +516,31 @@ impl Default for LauncherConfig {
 pub struct DistributedOutcome {
     /// The assembled global solution.
     pub x: Vec<f64>,
-    /// Whether every rank observed global convergence.
+    /// Why and when the solve stopped, merged over the ranks.
+    pub stop: Stop,
+    /// Mirror of `stop.converged()`; deleted once the benchmark reads `stop`.
     pub converged: bool,
     /// Per-rank outer-iteration counts.
     pub iterations_per_rank: Vec<u64>,
-    /// Maximum last-increment norm over the ranks.
-    pub last_increment: f64,
     /// Launcher wall-clock seconds (spawn → gather).
     pub wall_seconds: f64,
 }
 
 impl DistributedOutcome {
+    /// The outcome of a solve that stopped on `stop` (fills the mirror).
+    pub fn new(x: Vec<f64>, stop: Stop, iterations_per_rank: Vec<u64>, wall_seconds: f64) -> Self {
+        DistributedOutcome {
+            x,
+            stop,
+            converged: stop.converged(),
+            iterations_per_rank,
+            wall_seconds,
+        }
+    }
+
     /// Maximum outer-iteration count over the ranks.
     pub fn iterations(&self) -> u64 {
-        self.iterations_per_rank.iter().copied().max().unwrap_or(0)
+        self.stop.iterations
     }
 
     /// Infinity norm of the residual `b − A x`.
@@ -816,9 +820,7 @@ impl Launcher {
     ) -> Result<DistributedOutcome, CoreError> {
         let world = config.parts;
         let mut locals = Vec::with_capacity(world);
-        let mut iterations_per_rank = Vec::with_capacity(world);
-        let mut converged = true;
-        let mut last_increment = 0.0f64;
+        let mut stops = Vec::with_capacity(world);
         for rank in 0..world {
             let (meta, x_local) = load_rank_result(job_dir, rank)?;
             let expected = partition.extended_range(rank).len();
@@ -828,19 +830,16 @@ impl Launcher {
                     x_local.len()
                 )));
             }
-            converged &= meta.converged;
-            last_increment = last_increment.max(meta.last_increment);
-            iterations_per_rank.push(meta.iterations);
+            stops.push(meta.stop);
             locals.push(x_local);
         }
         let x = config.weighting.assemble(partition, &locals);
-        Ok(DistributedOutcome {
+        Ok(DistributedOutcome::new(
             x,
-            converged,
-            iterations_per_rank,
-            last_increment,
-            wall_seconds: start.elapsed().as_secs_f64(),
-        })
+            Stop::merge(stops.iter().copied()),
+            stops.iter().map(|stop| stop.iterations).collect(),
+            start.elapsed().as_secs_f64(),
+        ))
     }
 
     /// Resumes a killed or interrupted job from its snapshots.
@@ -1025,7 +1024,11 @@ impl Launcher {
             .enumerate()
             .filter_map(|(rank, r)| r.is_none().then_some(rank))
             .collect();
-        let reshape = results.iter().flatten().find_map(|(meta, _)| meta.reshape);
+        let reshape = match Stop::merge(results.iter().flatten().map(|(meta, _)| meta.stop)).reason
+        {
+            StopReason::Reshape(dead_rank) => Some(dead_rank),
+            _ => None,
+        };
         if dead.is_empty() && reshape.is_none() {
             return Ok(Attempt::Done(Self::gather_outcome(
                 job_dir, cfg, partition, start,
@@ -1279,21 +1282,18 @@ mod tests {
         }
         // rank_N.meta: a death reshape round-trips, a drift reshape is gone.
         let meta = RankMeta {
-            iterations: 7,
-            converged: false,
-            last_increment: 0.5,
+            stop: Stop::new(StopReason::Reshape(3), 7, 0.5),
             wall_seconds: 0.25,
-            reshape: Some(3),
         };
         store_rank_result(&dir, 0, &meta, &[1.0]).unwrap();
         let meta_path = dir.join(job_files::result_meta(0));
         let text = std::fs::read_to_string(&meta_path).unwrap();
-        assert!(text.contains("reshape=death:3\n"), "{text}");
+        assert!(text.contains("stop=death:3\n"), "{text}");
         assert_eq!(load_rank_result(&dir, 0).unwrap().0, meta);
         std::fs::write(&meta_path, text.replace("death:3", "drift")).unwrap();
         match load_rank_result(&dir, 0) {
             Err(CoreError::Distributed(msg)) => assert!(msg.contains("speed-drift"), "{msg}"),
-            other => panic!("reshape=drift loaded: {other:?}"),
+            other => panic!("stop=drift loaded: {other:?}"),
         }
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -1311,10 +1311,10 @@ mod tests {
             assert_eq!(failure_from_str(&failure_to_str(policy)).unwrap(), policy);
         }
         assert!(failure_from_str("shrug").is_err());
-        for reshape in [None, Some(3)] {
-            assert_eq!(reshape_from_str(&reshape_to_str(reshape)).unwrap(), reshape);
-        }
-        assert!(reshape_from_str("sideways").is_err());
+        let reshape = StopReason::Reshape(3);
+        assert_eq!(reason_from_str(&reason_to_str(reshape)).unwrap(), reshape);
+        assert!(reason_from_str("sideways").is_err());
+        assert!(reason_from_str("death:x").is_err());
     }
 
     #[test]
@@ -1341,18 +1341,23 @@ mod tests {
     #[test]
     fn rank_results_round_trip() {
         let dir = temp_dir("rankres");
-        let meta = RankMeta {
-            iterations: 42,
-            converged: true,
-            last_increment: 3.25e-11,
-            wall_seconds: 0.125,
-            reshape: Some(0),
-        };
         let x = vec![1.0, -2.5, 3.0e-4];
-        store_rank_result(&dir, 1, &meta, &x).unwrap();
-        let (m, v) = load_rank_result(&dir, 1).unwrap();
-        assert_eq!(m, meta);
-        assert_eq!(v, x);
+        for reason in [
+            StopReason::Converged,
+            StopReason::BudgetExhausted,
+            StopReason::Halted,
+            StopReason::Reshape(0),
+        ] {
+            let meta = RankMeta {
+                stop: Stop::new(reason, 42, 3.25e-11),
+                wall_seconds: 0.125,
+            };
+            store_rank_result(&dir, 1, &meta, &x).unwrap();
+            let (m, v) = load_rank_result(&dir, 1).unwrap();
+            assert_eq!(m, meta);
+            assert_eq!(m.stop.norm.to_bits(), meta.stop.norm.to_bits());
+            assert_eq!(v, x);
+        }
         assert!(load_rank_result(&dir, 9).is_err());
         std::fs::remove_dir_all(&dir).ok();
     }

@@ -26,7 +26,7 @@
 //!     .solve(&a, &b)
 //!     .unwrap();
 //!
-//! assert!(result.converged);
+//! assert!(result.stop.converged());
 //! let err: f64 = result
 //!     .x
 //!     .iter()
@@ -101,6 +101,8 @@
 //!   restarted flexible GMRES) with the multisplitting sweep as the
 //!   preconditioner, selected through [`solver::Method`],
 //! * [`solver`] — the user-facing builder tying everything together,
+//! * [`stop`] — the one stop record ([`Stop`]) every outcome embeds: why
+//!   and after how many iterations a solve stopped, at which norm,
 //! * [`theory`] — iteration matrices, spectral radii and the convergence
 //!   predicates of Theorem 1 and Propositions 1–3,
 //! * [`baseline`] — the distributed-direct (SuperLU_DIST stand-in) and
@@ -125,6 +127,7 @@ pub mod runtime;
 pub mod scale;
 pub mod sequential;
 pub mod solver;
+pub mod stop;
 pub mod theory;
 pub mod weighting;
 
@@ -132,8 +135,7 @@ pub use checkpoint::{CheckpointError, Checkpointer, RankCheckpoint};
 pub use decomposition::Decomposition;
 pub use distributed::{run_rank, CheckpointConfig, RankOptions, RankOutcome};
 pub use krylov::{
-    FgmresWorkspace, KrylovStats, KrylovWorkspace, Preconditioner, SweepBuffers,
-    SweepPreconditioner,
+    FgmresWorkspace, KrylovWorkspace, Preconditioner, SweepBuffers, SweepPreconditioner,
 };
 pub use launcher::{DistributedOutcome, ElasticOutcome, Launcher, LauncherConfig};
 pub use prepared::PreparedSystem;
@@ -144,6 +146,7 @@ pub use solver::{
     BatchSolveOutcome, ExecutionMode, Method, MultisplittingConfig, MultisplittingSolver,
     SolveOutcome, SolverBuilder,
 };
+pub use stop::{Stop, StopReason};
 pub use weighting::WeightingScheme;
 
 /// Convenient re-exports for downstream users.
@@ -154,6 +157,7 @@ pub mod prelude {
     pub use crate::solver::{
         BatchSolveOutcome, ExecutionMode, Method, MultisplittingSolver, SolveOutcome,
     };
+    pub use crate::stop::{Stop, StopReason};
     pub use crate::theory::SplittingAnalysis;
     pub use crate::weighting::WeightingScheme;
     pub use msplit_direct::SolverKind;
@@ -172,13 +176,6 @@ pub enum CoreError {
     Comm(msplit_comm::CommError),
     /// The grid model rejected the configuration (e.g. not enough memory).
     Grid(msplit_grid::GridError),
-    /// The iteration hit the maximum count without converging.
-    NotConverged {
-        /// Iterations performed (maximum over processors).
-        iterations: u64,
-        /// Last observed increment norm.
-        last_increment: f64,
-    },
     /// A worker thread panicked.
     WorkerPanic(String),
     /// The distributed runtime failed (worker spawn, job shipping, a peer
@@ -197,13 +194,6 @@ impl std::fmt::Display for CoreError {
             CoreError::Sparse(e) => write!(f, "sparse matrix error: {e}"),
             CoreError::Comm(e) => write!(f, "communication error: {e}"),
             CoreError::Grid(e) => write!(f, "grid model error: {e}"),
-            CoreError::NotConverged {
-                iterations,
-                last_increment,
-            } => write!(
-                f,
-                "iteration did not converge after {iterations} iterations (last increment {last_increment:e})"
-            ),
             CoreError::WorkerPanic(msg) => write!(f, "worker thread panicked: {msg}"),
             CoreError::Distributed(msg) => write!(f, "distributed runtime error: {msg}"),
             CoreError::Checkpoint(e) => write!(f, "checkpoint error: {e}"),

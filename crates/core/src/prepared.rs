@@ -325,18 +325,15 @@ impl PreparedSystem {
                 }
             }
         };
-        let outcome = result.map(|stats| {
+        let outcome = result.map(|stop| {
             let wall_seconds = start.elapsed().as_secs_f64();
-            SolveOutcome {
-                x: ws.x.clone(),
-                converged: stats.converged,
-                iterations: stats.outer_iterations,
-                iterations_per_part: vec![stats.outer_iterations; self.num_parts()],
-                last_increment: stats.last_norm,
-                part_reports: self.krylov_part_reports(stats.outer_iterations, wall_seconds),
+            SolveOutcome::new(
+                ws.x.clone(),
+                stop,
+                self.krylov_part_reports(stop.iterations, wall_seconds),
                 wall_seconds,
-                mode: self.config.mode,
-            }
+                self.config.mode,
+            )
         });
         self.release_krylov(ws);
         outcome
@@ -456,12 +453,12 @@ mod tests {
         let prepared = PreparedSystem::prepare(cfg, &a).unwrap();
         let warm1 = prepared.solve(&b).unwrap();
         let warm2 = prepared.solve(&b).unwrap();
-        assert!(cold.converged && warm1.converged && warm2.converged);
+        assert!(cold.stop.converged() && warm1.stop.converged() && warm2.stop.converged());
         // The synchronous iteration is deterministic and the factorizations
         // are identical, so the results agree bitwise.
         assert_eq!(cold.x, warm1.x);
         assert_eq!(warm1.x, warm2.x);
-        assert_eq!(cold.iterations, warm1.iterations);
+        assert_eq!(cold.stop.iterations, warm1.stop.iterations);
     }
 
     #[test]
@@ -477,7 +474,7 @@ mod tests {
             let (x_true, b) =
                 generators::rhs_for_solution(&a, |i| ((i as u64 + seed) % 7) as f64 - 3.0);
             let out = prepared.solve(&b).unwrap();
-            assert!(out.converged);
+            assert!(out.stop.converged());
             assert!(max_err(&out.x, &x_true) < 1e-7, "seed {seed}");
         }
     }
@@ -494,7 +491,7 @@ mod tests {
         cfg.max_iterations = 50_000;
         let prepared = PreparedSystem::prepare(cfg, &a).unwrap();
         let out = prepared.solve(&b).unwrap();
-        assert!(out.converged);
+        assert!(out.stop.converged());
         assert!(max_err(&out.x, &x_true) < 1e-6);
     }
 
@@ -511,12 +508,12 @@ mod tests {
             .map(|seed| generators::rhs_for_solution(&a, |i| ((i as u64 + seed) % 9) as f64).1)
             .collect();
         let out = prepared.solve_many(&batch).unwrap();
-        assert!(out.converged);
+        assert!(out.stop.converged());
         assert_eq!(out.num_rhs(), 5);
         assert!(out.max_residual(&a, &batch) < 1e-6);
         for (c, (b, x_batch)) in batch.iter().zip(out.columns.iter()).enumerate() {
             let single = prepared.solve(b).unwrap();
-            assert!(single.converged);
+            assert!(single.stop.converged());
             // Each column's lockstep trajectory is independent of its batch
             // mates, and the per-column freeze (runtime::ColumnBoard) returns
             // the iterate of the exact iteration a solo run stops at — so a
@@ -524,7 +521,7 @@ mod tests {
             // tolerance.  This is what lets a serving layer coalesce
             // independent requests without changing any answer.
             assert_eq!(x_batch, &single.x, "column {c}");
-            assert_eq!(out.column_converged_at[c], Some(single.iterations));
+            assert_eq!(out.column_converged_at[c], Some(single.stop.iterations));
         }
     }
 
@@ -533,9 +530,9 @@ mod tests {
         let a = generators::tridiagonal(30, 4.0, -1.0);
         let prepared = PreparedSystem::prepare(config(3, ExecutionMode::Synchronous), &a).unwrap();
         let out = prepared.solve_many(&[]).unwrap();
-        assert!(out.converged);
+        assert!(out.stop.converged());
         assert_eq!(out.num_rhs(), 0);
-        assert_eq!(out.iterations, 0);
+        assert_eq!(out.stop.iterations, 0);
     }
 
     #[test]
@@ -573,7 +570,7 @@ mod tests {
             .collect();
         for h in handles {
             let out = h.join().unwrap();
-            assert!(out.converged);
+            assert!(out.stop.converged());
             assert!(max_err(&out.x, &x_true) < 1e-7);
         }
     }

@@ -1,6 +1,7 @@
 //! Convergence policies: how local votes become a global decision.
 
 use super::failure::{DeathRule, FailurePolicy, Flow, RankLink};
+use crate::stop::StopReason::{Converged, Halted};
 use crate::CoreError;
 use msplit_comm::message::Message;
 
@@ -219,8 +220,8 @@ impl ConvergencePolicy for TreeVotes {
                 self.decision = Some(*converged);
                 Ok(Flow::Continue)
             }
-            Message::GlobalConverged { .. } => Ok(Flow::Converged),
-            Message::Halt => Ok(Flow::Halted),
+            Message::GlobalConverged { .. } => Ok(Flow::Stop(Converged)),
+            Message::Halt => Ok(Flow::Stop(Halted)),
             _ => Ok(Flow::Continue),
         }
     }
@@ -255,7 +256,7 @@ impl ConvergencePolicy for TreeVotes {
         // traffic.
         self.send_down(iteration, decision, link)?;
         Ok(if decision {
-            Flow::Converged
+            Flow::Stop(Converged)
         } else {
             Flow::Continue
         })
@@ -402,7 +403,7 @@ impl ConfirmationWaves {
         for to in 1..self.world {
             link.send_ruled(to, note.clone(), DeathRule::Tolerate)?;
         }
-        Ok(Flow::Converged)
+        Ok(Flow::Stop(Converged))
     }
 }
 
@@ -464,8 +465,8 @@ impl ConvergencePolicy for ConfirmationWaves {
                 }
                 Ok(Flow::Continue)
             }
-            Message::GlobalConverged { .. } => Ok(Flow::Converged),
-            Message::Halt => Ok(Flow::Halted),
+            Message::GlobalConverged { .. } => Ok(Flow::Stop(Converged)),
+            Message::Halt => Ok(Flow::Stop(Halted)),
             _ => Ok(Flow::Continue),
         }
     }

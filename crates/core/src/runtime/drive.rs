@@ -9,6 +9,7 @@ use super::failure::{FailurePolicy, Flow, RankLink};
 use super::progress::{FreeRunning, Lockstep, Poll, ProgressPolicy};
 use super::vote::{IncrementVote, LocalVote, StaleSweepGuard};
 use crate::solver::{ExecutionMode, MultisplittingConfig};
+use crate::stop::{Stop, StopReason};
 use crate::CoreError;
 #[allow(unused_imports)] // doc links
 use msplit_comm::message::Message;
@@ -69,20 +70,6 @@ pub(crate) fn mode_policies(
 /// so the two synchronous drivers cannot vote differently.
 pub(crate) fn lockstep_vote(tolerance: f64) -> StaleSweepGuard<IncrementVote> {
     StaleSweepGuard::new(IncrementVote::lockstep(tolerance), tolerance)
-}
-
-/// Result of driving one rank to completion.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct RankRun {
-    /// Outer iterations performed.
-    pub iterations: u64,
-    /// Last observed increment norm.
-    pub last_increment: f64,
-    /// Whether global convergence was reached.
-    pub converged: bool,
-    /// The dead rank, when the run stopped to let the launcher re-partition
-    /// the bands over the survivors ([`FailurePolicy::Redistribute`]).
-    pub reshape: Option<usize>,
 }
 
 // ---------------------------------------------------------------------------
@@ -315,9 +302,9 @@ impl<'a> RankLoop<'a> {
 
     /// Advances the loop as far as it can go at `now` (time since the rank
     /// started) without crossing an iteration boundary — so with at most one
-    /// engine step — until convergence, halt, budget exhaustion or error.
-    /// Not to be polled again once ready.
-    pub(crate) fn poll(&mut self, now: Duration) -> Poll<Result<RankRun, CoreError>> {
+    /// engine step — until it stops (see [`StopReason`]) or fails.  Not to
+    /// be polled again once ready.
+    pub(crate) fn poll(&mut self, now: Duration) -> Poll<Result<Stop, CoreError>> {
         match self.advance(now) {
             Ok(Poll::Ready(flow)) => Poll::Ready(Ok(self.finish(flow))),
             Ok(Poll::Pending {
@@ -331,6 +318,8 @@ impl<'a> RankLoop<'a> {
         }
     }
 
+    /// The one place a rank's stop reason is decided: the budget here, every
+    /// other reason by the policies' [`Flow::Stop`].  Ready only to stop.
     fn advance(&mut self, now: Duration) -> Result<Poll<Flow>, CoreError> {
         let (engine, link, conv) = (&mut self.engine, &mut self.link, self.conv.as_mut());
         if self.exchanging.is_none() {
@@ -343,10 +332,10 @@ impl<'a> RankLoop<'a> {
             match self.progress.collect(engine, link, conv, now)? {
                 Poll::Ready(Flow::Continue) if engine.iterations() >= self.max_iterations => {
                     conv.abandon(link);
-                    return Ok(Poll::Ready(Flow::Halted));
+                    return Ok(Poll::Ready(Flow::Stop(StopReason::BudgetExhausted)));
                 }
                 Poll::Ready(Flow::Continue) => {}
-                ready_or_pending => return Ok(ready_or_pending),
+                stop_or_pending => return Ok(stop_or_pending),
             }
             // (1)+(2) dependency fill and local solve
             let obs = engine.step()?;
@@ -363,7 +352,7 @@ impl<'a> RankLoop<'a> {
             let local = self.vote.vote(&obs);
             match conv.submit(obs.iteration, local, link)? {
                 Flow::Continue => self.exchanging = Some((obs, local)),
-                flow => return Ok(Poll::Ready(flow)),
+                stop => return Ok(Poll::Ready(stop)),
             }
         }
         let (obs, local) = self.exchanging.expect("this iteration stepped");
@@ -378,7 +367,7 @@ impl<'a> RankLoop<'a> {
         // per-column bits is complete on every rank, so newly all-converged
         // columns freeze at the iterate a solo run would have returned.
         // (Halted/Reshape abort mid-wait with a possibly incomplete row.)
-        if matches!(flow, Flow::Continue | Flow::Converged) {
+        if matches!(flow, Flow::Continue | Flow::Stop(StopReason::Converged)) {
             if let Some(tracker) = self.hooks.columns.as_mut() {
                 tracker.sweep(engine, obs.iteration);
             }
@@ -393,7 +382,7 @@ impl<'a> RankLoop<'a> {
             ck.maybe_save(engine, self.vote.checkpoint_state(), obs.iteration)?;
         }
         if let Some(dead) = link.take_reshape() {
-            return Ok(Poll::Ready(Flow::Reshape(dead)));
+            return Ok(Poll::Ready(Flow::Stop(StopReason::Reshape(dead))));
         }
         // The iteration is complete: yield, so a poll never runs past an
         // iteration boundary.
@@ -404,24 +393,18 @@ impl<'a> RankLoop<'a> {
         })
     }
 
-    /// The run's result once the loop stopped on `flow`.
-    fn finish(&self, flow: Flow) -> RankRun {
-        let reshape = match flow {
-            Flow::Reshape(dead) => Some(dead),
-            _ => None,
+    /// The run's stop record once the loop stopped on `flow`.
+    fn finish(&self, flow: Flow) -> Stop {
+        let Flow::Stop(reason) = flow else {
+            unreachable!("the rank loop is ready only to stop")
         };
-        if let (Some(_), Some(ck)) = (reshape, &self.hooks.checkpoint) {
+        if let (StopReason::Reshape(_), Some(ck)) = (reason, &self.hooks.checkpoint) {
             // Persist the freshest possible state for the post-reshape warm
             // start (best effort — the periodic snapshot remains the
             // fallback).
             let _ = ck.save_now(&self.engine, self.vote.checkpoint_state());
         }
-        RankRun {
-            iterations: self.engine.iterations(),
-            last_increment: self.last_increment,
-            converged: flow == Flow::Converged,
-            reshape,
-        }
+        Stop::new(reason, self.engine.iterations(), self.last_increment)
     }
 }
 
@@ -430,7 +413,7 @@ impl<'a> RankLoop<'a> {
 /// (or sleeps, when only time can make progress) until the wake-up the poll
 /// asked for.  On error, [`Message::Halt`] is broadcast so no peer spins
 /// forever on a rank that will never answer.
-pub(crate) fn drive(rank: &mut RankLoop) -> Result<RankRun, CoreError> {
+pub(crate) fn drive(rank: &mut RankLoop) -> Result<Stop, CoreError> {
     let started = Instant::now();
     loop {
         match rank.poll(started.elapsed()) {

@@ -1,7 +1,8 @@
 //! Failure handling and the per-rank link: what a peer death means
 //! ([`FailurePolicy`], [`DeathRule`]), how a run asks for a new band layout
-//! ([`Flow::Reshape`]), and the [`RankLink`] every policy sends through.
+//! ([`StopReason::Reshape`]), and the [`RankLink`] every policy sends through.
 
+use crate::stop::StopReason;
 use crate::CoreError;
 use msplit_comm::message::Message;
 use msplit_comm::transport::Transport;
@@ -13,14 +14,8 @@ use std::time::Duration;
 pub enum Flow {
     /// Keep iterating.
     Continue,
-    /// Global convergence was decided.
-    Converged,
-    /// A peer halted the run (budget exhaustion or failure elsewhere).
-    Halted,
-    /// The given rank died and the run must stop so the launcher can
-    /// re-partition the bands over the survivors
-    /// ([`FailurePolicy::Redistribute`]).
-    Reshape(usize),
+    /// Stop the run for the given reason.
+    Stop(StopReason),
 }
 
 /// What a send to a disconnected peer means.
@@ -35,7 +30,7 @@ pub enum DeathRule {
     /// or in flight (see [`super::ConfirmationWaves`]).
     Tolerate,
     /// Mark the peer dead, broadcast [`Message::Reshape`] to the survivors
-    /// and surface [`Flow::Reshape`] from the drive loop — the elastic
+    /// and surface [`StopReason::Reshape`] from the drive loop — the elastic
     /// failure response of [`FailurePolicy::Redistribute`].
     Reshape,
 }
@@ -53,7 +48,7 @@ pub enum FailurePolicy {
     },
     /// Probe like [`FailurePolicy::HaltOnDeath`], but treat a detected death
     /// as a request to reshape: the drive loop returns
-    /// [`Flow::Reshape`] naming the dead rank so the launcher can re-derive
+    /// [`StopReason::Reshape`] naming the dead rank so the launcher can re-derive
     /// band ownership over the survivors and resume from the latest
     /// checkpoints instead of failing the job.
     Redistribute {

@@ -52,7 +52,7 @@
 //! free-running sweeps.  Under [`FailurePolicy::HaltOnDeath`] a dead rank
 //! (surfaced as [`msplit_comm::CommError::Disconnected`]) downgrades to a
 //! [`Message::Halt`] broadcast and a prompt error instead of a hang.  Under
-//! [`FailurePolicy::Redistribute`] it surfaces as [`Flow::Reshape`] naming the
+//! [`FailurePolicy::Redistribute`] it surfaces as [`crate::StopReason::Reshape`] naming the
 //! dead rank — the only cause of a reshape — so the launcher can re-partition
 //! the bands over the survivors and resume from the latest checkpoint
 //! ([`crate::checkpoint`]) instead of failing the job.

@@ -20,13 +20,14 @@
 //! previous iteration's slices.  So the stopping iteration and every bit of
 //! `x` are the threaded adapter's, which `tests/driver_equivalence.rs` pins.
 
-use super::drive::{lockstep_vote, RankRun};
+use super::drive::lockstep_vote;
 use super::engine::RankEngine;
 use super::threaded::part_report;
 use super::vote::{IncrementVote, LocalVote, StaleSweepGuard};
 use crate::driver_common::IterationWorkspace;
 use crate::prepared::PreparedSystem;
 use crate::solver::SolveOutcome;
+use crate::stop::{Stop, StopReason};
 use crate::weighting::WeightingScheme;
 use crate::CoreError;
 use rayon::prelude::*;
@@ -92,8 +93,10 @@ pub(crate) fn run_single_pooled(
         })
         .collect();
 
+    // The one place this loop decides why it stopped: the budget, unless
+    // every lane voted converged first.
     let mut iterations = 0u64;
-    let mut converged = false;
+    let mut reason = StopReason::BudgetExhausted;
     while iterations < config.max_iterations {
         lanes.par_iter_mut().for_each(Lane::step);
         iterations += 1;
@@ -102,7 +105,7 @@ pub(crate) fn run_single_pooled(
             all_voted &= std::mem::replace(&mut lane.voted, Ok(false))?;
         }
         if all_voted {
-            converged = true;
+            reason = StopReason::Converged;
             break;
         }
         if iterations == config.max_iterations {
@@ -121,24 +124,18 @@ pub(crate) fn run_single_pooled(
         .iter()
         .enumerate()
         .map(|(part, lane)| {
-            let run = RankRun {
-                iterations,
-                last_increment: lane.last_increment,
-                converged,
-                reshape: None,
-            };
             part_report(
                 &system.blocks[part],
                 system.factors[part].as_ref(),
                 &lane.engine,
-                &run,
+                iterations,
                 &system.send_targets[part],
                 1,
                 wall_seconds,
             )
         })
         .collect();
-    let last_increment = lanes
+    let norm = lanes
         .iter()
         .fold(0.0f64, |m, lane| m.max(lane.last_increment));
     // `assemble_into` over the prepared weight table is bitwise the threaded
@@ -146,14 +143,11 @@ pub(crate) fn run_single_pooled(
     let locals: Vec<&[f64]> = lanes.iter().map(|lane| lane.engine.x_local()).collect();
     let mut x = vec![0.0; system.order()];
     WeightingScheme::assemble_into(&system.partition, &system.weight_table, &locals, &mut x);
-    Ok(SolveOutcome {
+    Ok(SolveOutcome::new(
         x,
-        converged,
-        iterations,
-        iterations_per_part: vec![iterations; lanes.len()],
-        last_increment,
+        Stop::new(reason, iterations, norm),
         part_reports,
-        wall_seconds: start.elapsed().as_secs_f64(),
-        mode: config.mode,
-    })
+        start.elapsed().as_secs_f64(),
+        config.mode,
+    ))
 }

@@ -12,6 +12,7 @@
 use super::convergence::ConvergencePolicy;
 use super::engine::{RankEngine, StepObservation};
 use super::failure::{DeathRule, FailurePolicy, Flow, RankLink};
+use crate::stop::StopReason::{Converged, Halted, Reshape};
 use crate::CoreError;
 use msplit_comm::message::Message;
 use std::time::Duration;
@@ -174,7 +175,7 @@ impl ProgressPolicy for Lockstep {
                 self.wait = Some((deadline, now + self.failure.heartbeat()));
                 link.probe_liveness(self.failure.death_rule())?;
                 if let Some(dead) = link.take_reshape() {
-                    return Ok(Poll::Ready(Flow::Reshape(dead)));
+                    return Ok(Poll::Ready(Flow::Stop(Reshape(dead))));
                 }
             }
             // Whatever is queued counts; the deadline only fails a wait
@@ -197,7 +198,7 @@ impl ProgressPolicy for Lockstep {
                 None => match msg {
                     Message::Heartbeat { .. } => {}
                     Message::Reshape { dead_rank, .. } => {
-                        return Ok(Poll::Ready(Flow::Reshape(dead_rank)));
+                        return Ok(Poll::Ready(Flow::Stop(Reshape(dead_rank))));
                     }
                     msg => match conv.observe(&msg, link)? {
                         Flow::Continue => {}
@@ -291,12 +292,12 @@ impl FreeRunning {
         // and the grace expires once nothing is left to read.
         loop {
             return match link.try_recv() {
-                Ok(Some(Message::GlobalConverged { .. })) => Ok(Poll::Ready(Flow::Converged)),
+                Ok(Some(Message::GlobalConverged { .. })) => Ok(Poll::Ready(Flow::Stop(Converged))),
                 // A peer already adjudicated this death and told us who it
                 // was — its notice beats our own guess, which may name a
                 // survivor that merely exited first while reshaping.
                 Ok(Some(Message::Reshape { dead_rank, .. })) => {
-                    Ok(Poll::Ready(Flow::Reshape(dead_rank)))
+                    Ok(Poll::Ready(Flow::Stop(Reshape(dead_rank))))
                 }
                 Ok(Some(_)) => continue,
                 Ok(None) if now < drain.deadline => Ok(Poll::Pending {
@@ -307,7 +308,7 @@ impl FreeRunning {
             };
         }
         let Some(first) = drain.death else {
-            return Ok(Poll::Ready(Flow::Halted));
+            return Ok(Poll::Ready(Flow::Stop(Halted)));
         };
         match self.failure {
             FailurePolicy::HaltOnDeath { .. } => {
@@ -322,7 +323,7 @@ impl FreeRunning {
                 // Tell the survivors who died before exiting, so they report
                 // the same rank instead of blaming this rank's own exit.
                 link.raise_reshape(first);
-                Ok(Poll::Ready(Flow::Reshape(first)))
+                Ok(Poll::Ready(Flow::Stop(Reshape(first))))
             }
         }
     }
@@ -371,11 +372,11 @@ impl ProgressPolicy for FreeRunning {
             match msg {
                 Message::Heartbeat { .. } => {}
                 Message::Reshape { dead_rank, .. } => {
-                    return Ok(Poll::Ready(Flow::Reshape(dead_rank)));
+                    return Ok(Poll::Ready(Flow::Stop(Reshape(dead_rank))));
                 }
                 msg => match conv.observe(&msg, link)? {
                     Flow::Continue => {}
-                    Flow::Halted => return self.begin_drain(link, HALT_GRACE, None, now),
+                    Flow::Stop(Halted) => return self.begin_drain(link, HALT_GRACE, None, now),
                     flow => return Ok(Poll::Ready(flow)),
                 },
             }

@@ -2,6 +2,7 @@ use super::*;
 use crate::decomposition::Decomposition;
 use crate::distributed::{run_rank, RankOptions};
 use crate::solver::{ExecutionMode, MultisplittingConfig, MultisplittingSolver, SolveOutcome};
+use crate::stop::{Stop, StopReason};
 use crate::weighting::WeightingScheme;
 use crate::CoreError;
 use msplit_comm::message::Message;
@@ -154,8 +155,8 @@ fn reshape_raised_by_a_fan_out_failure_ends_the_iteration_that_raised_it() {
         &options,
     )
     .unwrap();
-    assert_eq!(outcome.reshape, Some(0));
-    assert_eq!(outcome.iterations, 1);
+    assert_eq!(outcome.stop.reason, StopReason::Reshape(0));
+    assert_eq!(outcome.stop.iterations, 1);
 }
 
 // ----- deadlines of the rank loop, driven by hand-fed clock values: no
@@ -233,7 +234,7 @@ fn ms(millis: f64) -> Duration {
     Duration::from_secs_f64(millis / 1e3)
 }
 
-fn assert_pending(poll: Poll<Result<drive::RankRun, CoreError>>, wake_at: Duration) {
+fn assert_pending(poll: Poll<Result<Stop, CoreError>>, wake_at: Duration) {
     match poll {
         Poll::Pending {
             wake_at: at,
@@ -259,7 +260,9 @@ fn halt_grace_lets_global_converged_win_until_20ms() {
         .send(0, 1, Message::GlobalConverged { iteration: 3 })
         .unwrap();
     match rank.poll(ms(19.0)) {
-        Poll::Ready(Ok(run)) => assert!(run.converged && run.iterations == 0),
+        Poll::Ready(Ok(stop)) => {
+            assert_eq!(stop, Stop::new(StopReason::Converged, 0, f64::INFINITY))
+        }
         other => panic!("expected convergence, got {other:?}"),
     }
     // Nothing by 20 ms: halted exactly then, and not one poll earlier.
@@ -271,7 +274,7 @@ fn halt_grace_lets_global_converged_win_until_20ms() {
         assert_pending(rank.poll(ms(t)), ms(20.0));
     }
     match rank.poll(ms(20.0)) {
-        Poll::Ready(Ok(run)) => assert!(!run.converged && run.reshape.is_none()),
+        Poll::Ready(Ok(stop)) => assert_eq!(stop.reason, StopReason::Halted),
         other => panic!("expected a halt, got {other:?}"),
     }
 }
@@ -356,7 +359,7 @@ fn free_running_backoff_is_timed_from_after_the_step() {
         Duration::from_secs(60),
         FailurePolicy::default(),
     );
-    let yielded = |poll: Poll<Result<drive::RankRun, CoreError>>, at: Duration| matches!(poll, Poll::Pending { wake_at, on_message: false } if wake_at == at);
+    let yielded = |poll: Poll<Result<Stop, CoreError>>, at: Duration| matches!(poll, Poll::Pending { wake_at, on_message: false } if wake_at == at);
     for _ in 0..3 {
         assert!(yielded(rank.poll(ms(0.0)), ms(0.0)));
     }
@@ -555,13 +558,16 @@ fn sync_solve_matches_true_solution() {
     let (x_true, b) = generators::rhs_for_solution(&a, |i| ((i % 13) as f64) - 6.0);
     let cfg = adapter_config(4, 0, ExecutionMode::Synchronous);
     let out = solve(&a, &b, &cfg).unwrap();
-    assert!(out.converged);
+    assert!(out.stop.converged());
     assert!(max_err(&out.x, &x_true) < 1e-7, "error too large");
     assert!(out.residual(&a, &b) < 1e-6);
     assert_eq!(out.part_reports.len(), 4);
-    assert!(out.iterations >= 2);
+    assert!(out.stop.iterations >= 2);
     // every part ran the same number of iterations in synchronous mode
-    assert!(out.iterations_per_part.iter().all(|&i| i == out.iterations));
+    assert!(out
+        .part_reports
+        .iter()
+        .all(|r| r.iterations == out.stop.iterations));
 }
 
 #[test]
@@ -581,15 +587,15 @@ fn sync_solve_agrees_with_sequential_reference() {
         2000,
     )
     .unwrap();
-    assert!(threaded.converged && sequential.converged);
+    assert!(threaded.stop.converged() && sequential.stop.converged());
     assert!(max_err(&threaded.x, &sequential.x) < 1e-8);
     // The threaded Jacobi sweep and the sequential Jacobi sweep perform
     // the same iteration, so the counts should be very close.
     assert!(
-        (threaded.iterations as i64 - sequential.iterations as i64).abs() <= 2,
+        (threaded.stop.iterations as i64 - sequential.stop.iterations as i64).abs() <= 2,
         "threaded {} vs sequential {}",
-        threaded.iterations,
-        sequential.iterations
+        threaded.stop.iterations,
+        sequential.stop.iterations
     );
 }
 
@@ -601,7 +607,7 @@ fn sync_solve_with_overlap_and_every_scheme() {
         let mut cfg = adapter_config(3, 8, ExecutionMode::Synchronous);
         cfg.weighting = scheme;
         let out = solve(&a, &b, &cfg).unwrap();
-        assert!(out.converged, "{scheme:?}");
+        assert!(out.stop.converged(), "{scheme:?}");
         assert!(max_err(&out.x, &x_true) < 1e-6, "{scheme:?}");
     }
 }
@@ -613,8 +619,16 @@ fn sync_reports_non_convergence_within_budget() {
     let mut cfg = adapter_config(4, 0, ExecutionMode::Synchronous);
     cfg.max_iterations = 3;
     let out = solve(&a, &b, &cfg).unwrap();
-    assert!(!out.converged);
-    assert_eq!(out.iterations, 3);
+    assert_eq!(out.stop.reason, StopReason::BudgetExhausted);
+    assert_eq!(out.stop.iterations, 3);
+    // The threaded adapter's ranks all run out at iteration 3 too, and its
+    // merged stop is the pooled loop's, norm bits included.
+    let threaded = MultisplittingSolver::new(cfg)
+        .solve_with_transport(&a, &b, InProcTransport::new(4))
+        .unwrap();
+    assert_eq!(threaded.stop, out.stop);
+    assert_eq!(threaded.stop.norm.to_bits(), out.stop.norm.to_bits());
+    assert!(threaded.part_reports.iter().all(|r| r.iterations == 3));
 }
 
 /// A 12×12 system whose row 5 is empty, so the middle of three diagonal
@@ -663,7 +677,7 @@ fn heterogeneous_band_sizes_still_converge() {
     let mut cfg = adapter_config(4, 0, ExecutionMode::Synchronous);
     cfg.relative_speeds = vec![1.0, 1.5, 1.2, 1.0];
     let out = solve(&a, &b, &cfg).unwrap();
-    assert!(out.converged);
+    assert!(out.stop.converged());
     assert!(max_err(&out.x, &x_true) < 1e-7);
 }
 
@@ -677,7 +691,7 @@ fn async_solve_matches_true_solution() {
     let (x_true, b) = generators::rhs_for_solution(&a, |i| ((i % 10) as f64) - 5.0);
     let cfg = adapter_config(4, 0, ExecutionMode::Asynchronous);
     let out = solve(&a, &b, &cfg).unwrap();
-    assert!(out.converged, "async run did not converge");
+    assert!(out.stop.converged(), "async run did not converge");
     assert!(max_err(&out.x, &x_true) < 1e-6);
     assert!(out.residual(&a, &b) < 1e-5);
     assert_eq!(out.mode, ExecutionMode::Asynchronous);
@@ -691,7 +705,7 @@ fn async_agrees_with_sync_result() {
     let async_out = solve(&a, &b, &async_cfg).unwrap();
     let sync_cfg = adapter_config(3, 0, ExecutionMode::Synchronous);
     let sync_out = solve(&a, &b, &sync_cfg).unwrap();
-    assert!(async_out.converged && sync_out.converged);
+    assert!(async_out.stop.converged() && sync_out.stop.converged());
     assert!(max_err(&async_out.x, &sync_out.x) < 1e-6);
 }
 
@@ -711,7 +725,7 @@ fn async_tolerates_modelled_wan_delays() {
     let out = MultisplittingSolver::new(cfg)
         .solve_with_transport(&a, &b, delayed)
         .unwrap();
-    assert!(out.converged);
+    assert!(out.stop.converged());
     assert!(max_err(&out.x, &x_true) < 1e-6);
 }
 
@@ -722,8 +736,8 @@ fn async_respects_iteration_budget() {
     let mut cfg = adapter_config(3, 0, ExecutionMode::Asynchronous);
     cfg.max_iterations = 5;
     let out = solve(&a, &b, &cfg).unwrap();
-    assert!(!out.converged);
-    assert!(out.iterations <= 5);
+    assert_eq!(out.stop.reason, StopReason::BudgetExhausted);
+    assert!(out.stop.iterations <= 5);
 }
 
 #[test]
@@ -733,6 +747,6 @@ fn async_with_overlap_and_averaging_converges() {
     let mut cfg = adapter_config(3, 10, ExecutionMode::Asynchronous);
     cfg.weighting = WeightingScheme::Average;
     let out = solve(&a, &b, &cfg).unwrap();
-    assert!(out.converged);
+    assert!(out.stop.converged());
     assert!(max_err(&out.x, &x_true) < 1e-6);
 }

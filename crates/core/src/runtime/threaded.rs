@@ -3,7 +3,6 @@
 
 use super::drive::{
     drive, mode_policies, receive_sources, ColumnBoard, ColumnTracker, DriveHooks, RankLoop,
-    RankRun,
 };
 use super::engine::RankEngine;
 use super::failure::{FailurePolicy, RankLink};
@@ -12,6 +11,7 @@ use crate::prepared::PreparedSystem;
 use crate::solver::{
     BatchSolveOutcome, ExecutionMode, MultisplittingConfig, PartReport, SolveOutcome,
 };
+use crate::stop::Stop;
 use crate::CoreError;
 use msplit_comm::transport::Transport;
 use msplit_direct::api::Factorization;
@@ -47,9 +47,7 @@ struct WorkerOutput {
     /// [`ColumnTracker`]).  Identical across parts by construction; empty
     /// for [`Rhs::Single`].
     column_converged_at: Vec<Option<u64>>,
-    iterations: u64,
-    last_increment: f64,
-    converged: bool,
+    stop: Stop,
     report: PartReport,
 }
 
@@ -118,7 +116,7 @@ pub(super) fn part_report(
     blk: &LocalBlocks,
     factor: &dyn Factorization,
     engine: &RankEngine,
-    run: &RankRun,
+    iterations: u64,
     targets: &[usize],
     ncols: usize,
     wall_seconds: f64,
@@ -127,7 +125,7 @@ pub(super) fn part_report(
     let dep_flops = 2 * (blk.dep_left.nnz() + blk.dep_right.nnz()) as u64;
     let flops_per_iteration = (dep_flops + factor_stats.solve_flops()) * ncols as u64;
     let memory_bytes = blk.memory_bytes() + factor_stats.factor_memory_bytes();
-    let bytes_sent_per_iteration = if run.iterations > 0 && !targets.is_empty() {
+    let bytes_sent_per_iteration = if iterations > 0 && !targets.is_empty() {
         engine.outgoing_encoded_len() * targets.len()
     } else {
         0
@@ -135,7 +133,7 @@ pub(super) fn part_report(
     PartReport {
         part: blk.part,
         factor_stats,
-        iterations: run.iterations,
+        iterations,
         bytes_sent_per_iteration,
         messages_per_iteration: targets.len(),
         flops_per_iteration,
@@ -204,12 +202,12 @@ fn rank_worker(
         FailurePolicy::default(),
     );
     let mut rank = RankLoop::new(engine, link, policies, config.max_iterations, hooks);
-    let run = drive(&mut rank)?;
+    let stop = drive(&mut rank)?;
     let report = part_report(
         blk,
         factor,
         &rank.engine,
-        &run,
+        stop.iterations,
         targets,
         ncols,
         t0.elapsed().as_secs_f64(),
@@ -222,9 +220,7 @@ fn rank_worker(
         part,
         x_columns,
         column_converged_at,
-        iterations: run.iterations,
-        last_increment: run.last_increment,
-        converged: run.converged,
+        stop,
         report,
     })
 }
@@ -268,15 +264,11 @@ fn run_workers(
 
     let mut per_part_columns: Vec<Vec<Vec<f64>>> = vec![Vec::new(); parts];
     let mut reports = Vec::with_capacity(parts);
-    let mut iterations_per_part = vec![0u64; parts];
-    let mut converged = true;
-    let mut last_increment = 0.0f64;
+    let mut stops = Vec::with_capacity(parts);
     let mut column_converged_at = Vec::new();
     for out in outputs {
         let out = out?;
-        iterations_per_part[out.part] = out.iterations;
-        converged &= out.converged;
-        last_increment = last_increment.max(out.last_increment);
+        stops.push(out.stop);
         per_part_columns[out.part] = out.x_columns;
         if out.part == 0 {
             column_converged_at = out.column_converged_at;
@@ -294,14 +286,10 @@ fn run_workers(
             system.config.weighting.assemble(&system.partition, &locals)
         })
         .collect();
-    let iterations = iterations_per_part.iter().copied().max().unwrap_or(0);
     Ok(BatchSolveOutcome {
         columns,
         column_converged_at,
-        converged,
-        iterations,
-        iterations_per_part,
-        last_increment,
+        stop: Stop::merge(stops),
         part_reports: reports,
         wall_seconds: start.elapsed().as_secs_f64(),
     })
@@ -318,16 +306,13 @@ pub(crate) fn run_single(
 ) -> Result<SolveOutcome, CoreError> {
     check_transport_ranks(system.num_parts(), &transport)?;
     let mut out = run_workers(system, &Rhs::Single(rhs), &transport, workspaces, start)?;
-    Ok(SolveOutcome {
-        x: out.columns.pop().expect("a single solve has one column"),
-        converged: out.converged,
-        iterations: out.iterations,
-        iterations_per_part: out.iterations_per_part,
-        last_increment: out.last_increment,
-        part_reports: out.part_reports,
-        wall_seconds: out.wall_seconds,
-        mode: system.config.mode,
-    })
+    Ok(SolveOutcome::new(
+        out.columns.pop().expect("a single solve has one column"),
+        out.stop,
+        out.part_reports,
+        out.wall_seconds,
+        system.config.mode,
+    ))
 }
 
 /// Synchronous multi-RHS solve over a prepared system: every outer
@@ -347,10 +332,7 @@ pub(crate) fn run_batch(
         return Ok(BatchSolveOutcome {
             columns: Vec::new(),
             column_converged_at: Vec::new(),
-            converged: true,
-            iterations: 0,
-            iterations_per_part: vec![0; parts],
-            last_increment: 0.0,
+            stop: Stop::merge([]),
             part_reports: Vec::new(),
             wall_seconds: start.elapsed().as_secs_f64(),
         });

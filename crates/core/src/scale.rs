@@ -44,6 +44,7 @@ use crate::runtime::{
     FailurePolicy, Poll, RankEngine, RankLink, RankLoop, TreeVotes, VOTE_TREE_ARITY,
 };
 use crate::solver::{ExecutionMode, MultisplittingConfig};
+use crate::stop::{Stop, StopReason};
 use crate::CoreError;
 use msplit_comm::message::Message;
 use msplit_comm::transport::Transport;
@@ -126,10 +127,9 @@ pub struct ScaleReport {
     pub world: usize,
     /// The protocol that ran.
     pub protocol: Protocol,
-    /// Whether the run reached global convergence within budget.
-    pub converged: bool,
-    /// Maximum outer-iteration count over the ranks.
-    pub iterations: u64,
+    /// Why and when the run stopped, merged over the ranks (a rank the
+    /// runaway backstop cut off counts as halted).
+    pub stop: Stop,
     /// Outer iterations per rank.
     pub iterations_per_rank: Vec<u64>,
     /// The assembled solution.
@@ -157,14 +157,14 @@ impl ScaleReport {
     /// happens per outer iteration; for the free-running family this is the
     /// per-iteration control load on rank 0.
     pub fn coordinator_msgs_per_decision(&self) -> f64 {
-        let decisions = self.iterations.max(1) as f64;
+        let decisions = self.stop.iterations.max(1) as f64;
         (self.coordinator_control_in + self.coordinator_control_out) as f64 / decisions
     }
 
     /// Total messages (control + data) sent per outer iteration, summed over
     /// the ranks.
     pub fn messages_per_iteration(&self) -> f64 {
-        let iterations = self.iterations.max(1) as f64;
+        let iterations = self.stop.iterations.max(1) as f64;
         (self.control_messages_total + self.data_messages_total) as f64 / iterations
     }
 
@@ -173,8 +173,8 @@ impl ScaleReport {
     pub fn event_summary(&self) -> String {
         let mut out = String::new();
         out.push_str(&format!(
-            "protocol={:?} world={} converged={} iterations={} sweeps={}\n",
-            self.protocol, self.world, self.converged, self.iterations, self.sweeps
+            "protocol={:?} world={} stop={:?} iterations={} sweeps={}\n",
+            self.protocol, self.world, self.stop.reason, self.stop.iterations, self.sweeps
         ));
         out.push_str(&format!(
             "coordinator: inbox_peak={} control_in={} control_out={} msgs_per_decision={:.2}\n",
@@ -448,9 +448,9 @@ fn simulate(config: &ScaleConfig) -> Result<(ScaleReport, Duration), CoreError> 
 
     let mut rng = Xorshift64::new(config.seed);
     let mut order: Vec<usize> = (0..world).collect();
-    // Per rank: the outcome once its loop finished (`Some(converged)`), and
-    // the wake-up its last poll asked for (never, once finished).
-    let mut done: Vec<Option<bool>> = vec![None; world];
+    // Per rank: its stop once its loop finished, and the wake-up its last
+    // poll asked for (never, once finished).
+    let mut done: Vec<Option<Stop>> = vec![None; world];
     let mut wakes: Vec<(Duration, bool)> = vec![(Duration::ZERO, false); world];
     let mut now = Duration::ZERO;
     let mut sweeps = 0u64;
@@ -469,7 +469,7 @@ fn simulate(config: &ScaleConfig) -> Result<(ScaleReport, Duration), CoreError> 
             }
             wakes[r] = match ranks[r].poll(now) {
                 Poll::Ready(run) => {
-                    done[r] = Some(run?.converged);
+                    done[r] = Some(run?);
                     (Duration::MAX, false)
                 }
                 Poll::Pending {
@@ -490,9 +490,10 @@ fn simulate(config: &ScaleConfig) -> Result<(ScaleReport, Duration), CoreError> 
         }
     }
 
-    let converged = done.iter().all(|d| *d == Some(true));
     let iterations_per_rank: Vec<u64> = ranks.iter().map(|r| r.engine.iterations()).collect();
-    let iterations = iterations_per_rank.iter().copied().max().unwrap_or(0);
+    // A rank the runaway backstop cut off counts as halted.
+    let cut_off = |r: usize| Stop::new(StopReason::Halted, iterations_per_rank[r], f64::INFINITY);
+    let stop = Stop::merge((0..world).map(|r| done[r].unwrap_or_else(|| cut_off(r))));
     let locals: Vec<Vec<f64>> = ranks.iter().map(|r| r.engine.x_local().to_vec()).collect();
     let event_log = ranks[0].engine.take_event_log();
     let x = ms_config.weighting.assemble(&partition, &locals);
@@ -501,8 +502,7 @@ fn simulate(config: &ScaleConfig) -> Result<(ScaleReport, Duration), CoreError> 
     let report = ScaleReport {
         world,
         protocol: config.protocol,
-        converged,
-        iterations,
+        stop,
         iterations_per_rank,
         x,
         sweeps,
@@ -541,7 +541,7 @@ mod tests {
             ..Default::default()
         })
         .unwrap();
-        assert!(report.converged);
+        assert!(report.stop.converged());
         assert!(max_err(&report.x) < 1e-6, "err {}", max_err(&report.x));
     }
 
@@ -549,8 +549,8 @@ mod tests {
     fn tree_matches_lockstep_bitwise_at_64_ranks() {
         let flat = simulate_ranks(&config(64, Protocol::flat(64))).unwrap();
         let tree = simulate_ranks(&config(64, Protocol::Tree { arity: 4 })).unwrap();
-        assert!(tree.converged);
-        assert_eq!(flat.iterations, tree.iterations);
+        assert!(tree.stop.converged());
+        assert_eq!(flat.stop.iterations, tree.stop.iterations);
         assert_eq!(flat.x, tree.x, "tree iterates must be bitwise identical");
     }
 
@@ -581,7 +581,7 @@ mod tests {
     #[test]
     fn waves_converge_at_64_ranks() {
         let waves = simulate_ranks(&config(64, Protocol::Waves { confirmations: 3 })).unwrap();
-        assert!(waves.converged);
+        assert!(waves.stop.converged());
         assert!(max_err(&waves.x) < 1e-6);
     }
 
@@ -594,11 +594,11 @@ mod tests {
         // waves run cannot finish before the clock has jumped over at least
         // one backoff.
         let (lockstep, lockstep_clock) = simulate(&config(16, Protocol::flat(16))).unwrap();
-        assert!(lockstep.converged);
+        assert!(lockstep.stop.converged());
         assert_eq!(lockstep_clock, Duration::ZERO);
         let (waves, waves_clock) =
             simulate(&config(16, Protocol::Waves { confirmations: 3 })).unwrap();
-        assert!(waves.converged);
+        assert!(waves.stop.converged());
         assert!(max_err(&waves.x) < 1e-6);
         assert!(
             waves_clock >= Duration::from_micros(100),
@@ -621,7 +621,7 @@ mod tests {
         })
         .unwrap();
         assert_eq!(a.x, b.x, "the barrier makes lockstep schedule-independent");
-        assert_eq!(a.iterations, b.iterations);
+        assert_eq!(a.stop.iterations, b.stop.iterations);
     }
 
     #[test]

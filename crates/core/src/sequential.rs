@@ -13,6 +13,7 @@
 //!   The theory module uses it to cross-check the spectral-radius analysis.
 
 use crate::decomposition::Decomposition;
+use crate::stop::{Stop, StopReason};
 use crate::weighting::WeightingScheme;
 use crate::CoreError;
 use msplit_direct::{DirectSolver, SolverKind};
@@ -23,12 +24,8 @@ use msplit_sparse::CsrMatrix;
 pub struct SequentialOutcome {
     /// The assembled global solution.
     pub x: Vec<f64>,
-    /// Number of outer iterations performed.
-    pub iterations: u64,
-    /// Whether the tolerance was reached.
-    pub converged: bool,
-    /// Last observed global increment (infinity norm).
-    pub last_increment: f64,
+    /// Why and when the iteration stopped: converged, or out of budget.
+    pub stop: Stop,
 }
 
 /// Solves `A x = b` by the sequential multisplitting-direct iteration.
@@ -84,7 +81,7 @@ pub fn solve_sequential_decomposed(
     let mut scratch = msplit_direct::SolveScratch::new();
     let mut iterations = 0u64;
     let mut last_increment = f64::INFINITY;
-    let mut converged = false;
+    let mut reason = StopReason::BudgetExhausted;
 
     while iterations < max_iterations {
         iterations += 1;
@@ -103,16 +100,14 @@ pub fn solve_sequential_decomposed(
             .fold(0.0f64, |m, (a, b)| m.max((a - b).abs()));
         x = x_new;
         if last_increment <= tolerance {
-            converged = true;
+            reason = StopReason::Converged;
             break;
         }
     }
 
     Ok(SequentialOutcome {
         x,
-        iterations,
-        converged,
-        last_increment,
+        stop: Stop::new(reason, iterations, last_increment),
     })
 }
 
@@ -211,9 +206,9 @@ mod tests {
             500,
         )
         .unwrap();
-        assert!(out.converged, "did not converge: {out:?}");
+        assert!(out.stop.converged(), "did not converge: {out:?}");
         assert!(max_err(&out.x, &x_true) < 1e-7);
-        assert!(out.iterations > 1);
+        assert!(out.stop.iterations > 1);
     }
 
     #[test]
@@ -244,12 +239,12 @@ mod tests {
             5000,
         )
         .unwrap();
-        assert!(no_overlap.converged && with_overlap.converged);
+        assert!(no_overlap.stop.converged() && with_overlap.stop.converged());
         assert!(
-            with_overlap.iterations < no_overlap.iterations,
+            with_overlap.stop.iterations < no_overlap.stop.iterations,
             "overlap {} vs none {}",
-            with_overlap.iterations,
-            no_overlap.iterations
+            with_overlap.stop.iterations,
+            no_overlap.stop.iterations
         );
     }
 
@@ -260,7 +255,7 @@ mod tests {
         for scheme in WeightingScheme::all() {
             let out =
                 solve_sequential(&a, &b, 3, 5, scheme, SolverKind::SparseLu, 1e-10, 1000).unwrap();
-            assert!(out.converged, "{scheme:?} did not converge");
+            assert!(out.stop.converged(), "{scheme:?} did not converge");
             assert!(max_err(&out.x, &x_true) < 1e-6, "{scheme:?} inaccurate");
         }
     }
@@ -276,7 +271,7 @@ mod tests {
         ] {
             let out = solve_sequential(&a, &b, 4, 0, WeightingScheme::OwnerTakes, kind, 1e-10, 500)
                 .unwrap();
-            assert!(out.converged);
+            assert!(out.stop.converged());
             assert!(max_err(&out.x, &x_true) < 1e-7, "{kind:?}");
         }
     }
@@ -309,8 +304,8 @@ mod tests {
             50,
         )
         .unwrap();
-        assert!(!out.converged);
-        assert_eq!(out.iterations, 50);
+        assert_eq!(out.stop.reason, StopReason::BudgetExhausted);
+        assert_eq!(out.stop.iterations, 50);
     }
 
     #[test]
@@ -328,10 +323,10 @@ mod tests {
             10,
         )
         .unwrap();
-        assert!(out.converged);
+        assert!(out.stop.converged());
         // One part means the direct solver solves exactly; the second sweep
         // only confirms the increment is (near) zero.
-        assert!(out.iterations <= 2);
+        assert!(out.stop.iterations <= 2);
         assert!(max_err(&out.x, &x_true) < 1e-8);
     }
 

@@ -10,6 +10,7 @@ use crate::decomposition::Decomposition;
 use crate::prepared::PreparedSystem;
 use crate::runtime;
 use crate::runtime::SolvePathStats;
+use crate::stop::Stop;
 use crate::weighting::WeightingScheme;
 use crate::CoreError;
 use msplit_comm::transport::Transport;
@@ -173,14 +174,13 @@ impl PartReport {
 pub struct SolveOutcome {
     /// The assembled global solution.
     pub x: Vec<f64>,
-    /// Whether global convergence was reached within the iteration budget.
+    /// Why and when the solve stopped (merged over the processors; each
+    /// processor's own count is in its [`PartReport::iterations`]).
+    pub stop: Stop,
+    /// Mirror of `stop.converged()`; deleted once the benchmark reads `stop`.
     pub converged: bool,
-    /// Maximum outer-iteration count over all processors.
+    /// Mirror of `stop.iterations`; deleted once the benchmark reads `stop`.
     pub iterations: u64,
-    /// Per-processor iteration counts (they differ in asynchronous mode).
-    pub iterations_per_part: Vec<u64>,
-    /// Last observed increment norm (maximum over processors).
-    pub last_increment: f64,
     /// Per-processor reports (work profiles for the grid model).
     pub part_reports: Vec<PartReport>,
     /// Host wall-clock seconds for the whole solve.
@@ -190,6 +190,25 @@ pub struct SolveOutcome {
 }
 
 impl SolveOutcome {
+    /// The outcome of a solve that stopped on `stop` (fills the mirrors).
+    pub fn new(
+        x: Vec<f64>,
+        stop: Stop,
+        part_reports: Vec<PartReport>,
+        wall_seconds: f64,
+        mode: ExecutionMode,
+    ) -> Self {
+        SolveOutcome {
+            x,
+            stop,
+            converged: stop.converged(),
+            iterations: stop.iterations,
+            part_reports,
+            wall_seconds,
+            mode,
+        }
+    }
+
     /// Infinity norm of the residual `b - A x` for the returned solution.
     pub fn residual(&self, a: &CsrMatrix, b: &[f64]) -> f64 {
         let ax = a.spmv(&self.x).expect("solution length matches the matrix");
@@ -212,9 +231,8 @@ impl SolveOutcome {
 /// [`crate::prepared::PreparedSystem::solve_many`]).
 ///
 /// All right-hand sides of the batch iterate in lockstep through one outer
-/// iteration loop, so there is a single iteration count and a single
-/// convergence verdict for the whole batch: `converged` means every column
-/// reached the tolerance.
+/// iteration loop, so there is a single stop record for the whole batch:
+/// `stop.converged()` means every column reached the tolerance.
 #[derive(Debug, Clone)]
 pub struct BatchSolveOutcome {
     /// One assembled global solution per right-hand side, in request order.
@@ -227,14 +245,9 @@ pub struct BatchSolveOutcome {
     /// layer coalesce independent requests into one batch without changing
     /// any answer.
     pub column_converged_at: Vec<Option<u64>>,
-    /// Whether every column converged within the iteration budget.
-    pub converged: bool,
-    /// Maximum outer-iteration count over all processors.
-    pub iterations: u64,
-    /// Per-processor iteration counts.
-    pub iterations_per_part: Vec<u64>,
-    /// Last observed increment norm (maximum over processors and columns).
-    pub last_increment: f64,
+    /// Why and when the batch stopped (merged over the processors; the norm
+    /// is the largest increment over the columns too).
+    pub stop: Stop,
     /// Per-processor reports (work profiles for the grid model).
     pub part_reports: Vec<PartReport>,
     /// Host wall-clock seconds for the whole batched solve.

@@ -3,6 +3,7 @@
 use crate::metrics::Metrics;
 use crate::EngineError;
 use msplit_core::solver::{BatchSolveOutcome, MultisplittingConfig, SolveOutcome};
+use msplit_core::Stop;
 use msplit_sparse::CsrMatrix;
 use parking_lot::{Condvar, Mutex};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -130,12 +131,17 @@ pub enum JobOutcome {
 }
 
 impl JobOutcome {
+    /// Why and when the solve stopped (for a batch: the whole batch).
+    pub fn stop(&self) -> &Stop {
+        match self {
+            JobOutcome::Single(o) => &o.stop,
+            JobOutcome::Batch(o) => &o.stop,
+        }
+    }
+
     /// Whether the solve converged (every column, for a batch).
     pub fn converged(&self) -> bool {
-        match self {
-            JobOutcome::Single(o) => o.converged,
-            JobOutcome::Batch(o) => o.converged,
-        }
+        self.stop().converged()
     }
 
     /// Number of right-hand sides served.
@@ -143,14 +149,6 @@ impl JobOutcome {
         match self {
             JobOutcome::Single(_) => 1,
             JobOutcome::Batch(o) => o.num_rhs(),
-        }
-    }
-
-    /// Outer iterations performed (maximum over processors).
-    pub fn iterations(&self) -> u64 {
-        match self {
-            JobOutcome::Single(o) => o.iterations,
-            JobOutcome::Batch(o) => o.iterations,
         }
     }
 

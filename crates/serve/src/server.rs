@@ -3,10 +3,11 @@
 //! A [`SolveServer`] accepts serve-protocol connections (handshakes with
 //! `world_size == 0`), admits [`Message::SubmitSolve`] requests against
 //! per-lane queue limits, and hands them to the embedded
-//! [`msplit_engine::Engine`].  Compatible single-RHS requests — same matrix
-//! fingerprint *and* identical solver configuration, i.e. the same
-//! [`MatrixKey`] — that arrive within one coalescing window are merged into a
-//! single batched sweep.  The batch driver freezes every column at the exact
+//! [`msplit_engine::Engine`].  Compatible single-RHS stationary requests —
+//! same matrix fingerprint *and* identical solver configuration, i.e. the
+//! same [`MatrixKey`] — that arrive within one coalescing window are merged
+//! into a single batched sweep (a Krylov request is dispatched alone at
+//! once).  The batch driver freezes every column at the exact
 //! iteration a solo run of that column would stop (see
 //! `msplit_core::runtime::ColumnBoard`), so a coalesced response is bitwise
 //! identical to the response the request would have received alone; the
@@ -20,6 +21,7 @@ use crate::codec;
 use crate::ServeError;
 use msplit_comm::wire::{read_frame, write_frame, Handshake};
 use msplit_comm::{CommError, Message, RejectCode};
+use msplit_core::solver::Method;
 use msplit_engine::{
     Engine, EngineConfig, EngineError, JobOutcome, MatrixKey, Priority, RhsPayload, SolveRequest,
 };
@@ -577,13 +579,21 @@ fn handle_submit(
         );
         return;
     }
-    let group = pending.groups.entry(key).or_insert_with(|| Group {
+    // A batch runs the stationary lockstep driver whatever the method, so a
+    // Krylov request skips the coalescer and is solved alone, by its method.
+    let group = Group {
         matrix,
         config,
         priority,
         members: Vec::new(),
         opened_at: now,
-    });
+    };
+    if !matches!(group.config.method, Method::Stationary) {
+        drop(pending);
+        let members = vec![member];
+        return dispatch_group(inner, Group { members, ..group });
+    }
+    let group = pending.groups.entry(key).or_insert(group);
     // Requests can only coalesce when every batched column stops exactly
     // where its solo run would (the ColumnBoard guarantee); the group's
     // priority is raised to the most urgent member so merging never delays
@@ -727,8 +737,8 @@ fn dispatch_group(inner: &Arc<Inner>, group: Group) {
                         finish_member(
                             &inner,
                             m,
-                            o.converged,
-                            o.iterations,
+                            o.stop.converged(),
+                            o.stop.iterations,
                             coalesced,
                             o.wall_seconds,
                             &o.x,
@@ -744,7 +754,7 @@ fn dispatch_group(inner: &Arc<Inner>, group: Group) {
                                 .get(c)
                                 .copied()
                                 .flatten()
-                                .unwrap_or(o.iterations);
+                                .unwrap_or(o.stop.iterations);
                             finish_member(
                                 &inner,
                                 m,

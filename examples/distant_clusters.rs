@@ -42,10 +42,11 @@ fn main() {
     let outcome = solver
         .solve_with_transport(&a, &b, transport)
         .expect("solve failed");
+    let per_part: Vec<u64> = outcome.part_reports.iter().map(|r| r.iterations).collect();
     println!(
         "asynchronous run over modelled WAN: converged = {}, iterations per part = {:?}, residual = {:.2e}",
-        outcome.converged,
-        outcome.iterations_per_part,
+        outcome.stop.converged(),
+        per_part,
         outcome.residual(&a, &b)
     );
 
@@ -62,7 +63,7 @@ fn main() {
         let sync = replay_sync(
             &outcome.part_reports,
             &targets,
-            outcome.iterations,
+            outcome.stop.iterations,
             &model,
             scaling,
         )
@@ -70,7 +71,7 @@ fn main() {
         let asynchronous = replay_async(
             &outcome.part_reports,
             &targets,
-            outcome.iterations,
+            outcome.stop.iterations,
             &model,
             scaling,
         )

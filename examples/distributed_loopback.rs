@@ -61,7 +61,8 @@ fn main() -> ExitCode {
     let inproc_residual = inproc.residual(&a, &b);
     println!(
         "in-process async: converged={} iterations={} residual={inproc_residual:.3e}",
-        inproc.converged, inproc.iterations
+        inproc.stop.converged(),
+        inproc.stop.iterations
     );
 
     // Distributed: four worker processes over real sockets, with the
@@ -95,12 +96,14 @@ fn main() -> ExitCode {
     println!(
         "distributed async over TCP ({WORKERS} processes): converged={} iterations/rank={:?} \
          residual={residual:.3e} max|x - x*|={err_vs_truth:.3e} wall={:.2}s",
-        outcome.converged, outcome.iterations_per_rank, outcome.wall_seconds
+        outcome.stop.converged(),
+        outcome.iterations_per_rank,
+        outcome.wall_seconds
     );
 
     // The acceptance bar: the distributed run must converge and land within
     // the same residual budget as the in-process driver.
-    if !outcome.converged {
+    if !outcome.stop.converged() {
         eprintln!("FAIL: distributed run did not converge");
         return ExitCode::FAILURE;
     }

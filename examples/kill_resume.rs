@@ -107,16 +107,17 @@ fn main() -> ExitCode {
     let residual = resumed.residual(&a, &b);
     println!(
         "resumed:  converged={} iterations/rank={:?} residual={residual:.3e}",
-        resumed.converged, resumed.iterations_per_rank
+        resumed.stop.converged(),
+        resumed.iterations_per_rank
     );
     println!(
         "baseline: converged={} iterations/rank={:?} residual={:.3e}",
-        baseline.converged,
+        baseline.stop.converged(),
         baseline.iterations_per_rank,
         baseline.residual(&a, &b)
     );
 
-    if !resumed.converged || !baseline.converged {
+    if !resumed.stop.converged() || !baseline.stop.converged() {
         eprintln!("FAIL: a run did not converge");
         return ExitCode::FAILURE;
     }

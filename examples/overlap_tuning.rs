@@ -38,7 +38,7 @@ fn main() {
         println!(
             "{:>8}  {:>10}  {:>12.4}  {:>12.4}  {:>10.2e}",
             overlap,
-            outcome.iterations,
+            outcome.stop.iterations,
             outcome.max_factor_seconds(),
             outcome.wall_seconds,
             outcome.residual(&a, &b),

@@ -106,8 +106,8 @@ fn main() {
 
     println!(
         "multisplitting-LU: converged = {}, iterations = {}, residual = {:.2e}, wall = {:.2}s",
-        outcome.converged,
-        outcome.iterations,
+        outcome.stop.converged(),
+        outcome.stop.iterations,
         outcome.residual(&a, &b),
         outcome.wall_seconds
     );
@@ -125,7 +125,7 @@ fn main() {
     let replay = replay_sync(
         &outcome.part_reports,
         &decomposition.send_targets(),
-        outcome.iterations,
+        outcome.stop.iterations,
         &model,
         ProblemScaling::identity(n),
     )

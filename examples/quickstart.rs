@@ -44,6 +44,7 @@ fn main() {
             .solve(&a, &b)
             .expect("solve failed");
 
+        let per_part: Vec<u64> = outcome.part_reports.iter().map(|r| r.iterations).collect();
         let err = outcome
             .x
             .iter()
@@ -53,9 +54,9 @@ fn main() {
             "{mode:?}: converged = {}, iterations = {} (per part: {:?}), \
              residual = {:.2e}, error vs exact = {:.2e}, wall = {:.3}s, \
              factorization (max over parts) = {:.4}s",
-            outcome.converged,
-            outcome.iterations,
-            outcome.iterations_per_part,
+            outcome.stop.converged(),
+            outcome.stop.iterations,
+            per_part,
             outcome.residual(&a, &b),
             err,
             outcome.wall_seconds,

@@ -47,7 +47,7 @@ fn main() {
     let cold_started = Instant::now();
     for b in &rhs_batch {
         let outcome = solver.solve(&a, b).expect("cold solve failed");
-        assert!(outcome.converged);
+        assert!(outcome.stop.converged());
     }
     let cold_seconds = cold_started.elapsed().as_secs_f64();
     println!("cold: {batch_size} one-shot solves (refactorizing each time): {cold_seconds:.3}s");

@@ -17,7 +17,7 @@
 use multisplitting::comm::tcp::{BoundTcpTransport, TcpOptions};
 use multisplitting::core::distributed::{receive_sources, run_rank, CheckpointConfig, RankOptions};
 use multisplitting::core::launcher::{self, JobSpec, RankMeta};
-use multisplitting::core::{CoreError, Decomposition, MultisplittingSolver};
+use multisplitting::core::{CoreError, Decomposition, MultisplittingSolver, StopReason};
 use multisplitting::sparse::io as sparse_io;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
@@ -175,27 +175,20 @@ fn run(job_dir: &Path, rank: usize, resume_at: Option<u64>) -> Result<(), CoreEr
         job_dir,
         rank,
         &RankMeta {
-            iterations: outcome.iterations,
-            converged: outcome.converged,
-            last_increment: outcome.last_increment,
+            stop: outcome.stop,
             wall_seconds: outcome.wall_seconds,
-            reshape: outcome.reshape,
         },
         &outcome.x_local,
     )?;
+    let verdict = match outcome.stop.reason {
+        StopReason::Converged => "converged".to_string(),
+        StopReason::BudgetExhausted => "did NOT converge (budget exhausted)".to_string(),
+        StopReason::Halted => "did NOT converge (halted by a peer)".to_string(),
+        StopReason::Reshape(dead) => format!("stopped for reshape, rank {dead} died"),
+    };
     println!(
-        "worker rank {rank}/{world}: {} after {} iterations (last increment {:.3e}, {:.3}s)",
-        if outcome.converged {
-            "converged"
-        } else if let Some(dead) = outcome.reshape {
-            println!("worker rank {rank}/{world}: requesting reshape, rank {dead} died");
-            "stopped for reshape"
-        } else {
-            "did NOT converge"
-        },
-        outcome.iterations,
-        outcome.last_increment,
-        outcome.wall_seconds
+        "worker rank {rank}/{world}: {verdict} after {} iterations (norm {:.3e}, {:.3}s)",
+        outcome.stop.iterations, outcome.stop.norm, outcome.wall_seconds
     );
     Ok(())
 }

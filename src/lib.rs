@@ -45,7 +45,7 @@
 //!     .solve(&a, &b)
 //!     .expect("the system satisfies the convergence hypotheses");
 //!
-//! assert!(outcome.converged);
+//! assert!(outcome.stop.converged());
 //! let err = outcome
 //!     .x
 //!     .iter()
@@ -73,6 +73,7 @@ pub mod prelude {
         BatchSolveOutcome, ExecutionMode, Method, MultisplittingConfig, MultisplittingSolver,
         SolveOutcome,
     };
+    pub use msplit_core::stop::{Stop, StopReason};
     pub use msplit_core::theory::SplittingAnalysis;
     pub use msplit_core::weighting::WeightingScheme;
     pub use msplit_core::{Decomposition, PreparedSystem};

@@ -26,7 +26,7 @@ fn run(ranks: usize, rows_per_rank: usize, protocol: Protocol, seed: u64) -> (Ve
         ..Default::default()
     })
     .expect("simulation must not error");
-    (report.x, report.iterations, report.converged)
+    (report.x, report.stop.iterations, report.stop.converged())
 }
 
 proptest! {
@@ -96,7 +96,7 @@ fn production_tree_is_bitwise_the_sequential_reference() {
         ..Default::default()
     })
     .expect("simulation must not error");
-    assert!(report.converged);
+    assert!(report.stop.converged());
     assert_eq!(
         report.protocol,
         Protocol::Tree {
@@ -114,7 +114,7 @@ fn production_tree_is_bitwise_the_sequential_reference() {
         WeightingScheme::OwnerTakes,
         SolverKind::SparseLu,
         -1.0,
-        report.iterations,
+        report.stop.iterations,
     )
     .unwrap();
     assert_eq!(report.x, seq.x);

@@ -336,7 +336,7 @@ fn krylov_docs_cover_the_method_surface() {
         "Preconditioner",
         "SweepPreconditioner",
         "FgmresWorkspace",
-        "KrylovStats",
+        "StopReason",
         "convection_diffusion",
         "bitwise",
         "MIN_FGMRES_ITERATION_ADVANTAGE",

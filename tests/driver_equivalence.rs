@@ -30,6 +30,11 @@ use multisplitting::prelude::*;
 use multisplitting::sparse::generators::{self, DiagDominantConfig};
 use proptest::prelude::*;
 
+/// A stop record with its norm as bits, so that comparing two is bitwise.
+fn stop_bits(stop: &Stop) -> (StopReason, u64, u64) {
+    (stop.reason, stop.iterations, stop.norm.to_bits())
+}
+
 fn max_err(a: &[f64], b: &[f64]) -> f64 {
     a.iter()
         .zip(b.iter())
@@ -148,7 +153,7 @@ proptest! {
             k,
         )
         .unwrap();
-        prop_assert_eq!(seq.iterations, k);
+        prop_assert_eq!(seq.stop.iterations, k);
         prop_assert_eq!(&engine_x, &seq.x);
     }
 
@@ -407,7 +412,7 @@ proptest! {
             5000,
         )
         .unwrap();
-        prop_assert!(seq.converged);
+        prop_assert!(seq.stop.converged());
 
         // Threaded sync: InProc and TCP-loopback are bitwise identical (the
         // lockstep protocol makes the iterates transport-independent) and
@@ -419,9 +424,9 @@ proptest! {
             .unwrap();
         let mesh = LoopbackMesh::new(parts, TcpOptions::default()).unwrap();
         let sync_tcp = solver.solve_with_transport(&a, &b, mesh).unwrap();
-        prop_assert!(sync_inproc.converged && sync_tcp.converged);
+        prop_assert!(sync_inproc.stop.converged() && sync_tcp.stop.converged());
         prop_assert_eq!(&sync_inproc.x, &sync_tcp.x);
-        prop_assert_eq!(sync_inproc.iterations, sync_tcp.iterations);
+        prop_assert_eq!(stop_bits(&sync_inproc.stop), stop_bits(&sync_tcp.stop));
         prop_assert!(max_err(&sync_inproc.x, &seq.x) < 1e-8);
 
         // Batched sync through a prepared system: same bitwise
@@ -432,7 +437,7 @@ proptest! {
         let batch_inproc = prepared.solve_many(&batch).unwrap();
         let mesh = LoopbackMesh::new(parts, TcpOptions::default()).unwrap();
         let batch_tcp = prepared.solve_many_with_transport(&batch, mesh).unwrap();
-        prop_assert!(batch_inproc.converged && batch_tcp.converged);
+        prop_assert!(batch_inproc.stop.converged() && batch_tcp.stop.converged());
         prop_assert_eq!(&batch_inproc.columns, &batch_tcp.columns);
         prop_assert!(max_err(&batch_inproc.columns[0], &seq.x) < 1e-8);
 
@@ -444,7 +449,7 @@ proptest! {
         let async_inproc = asolver.solve(&a, &b).unwrap();
         let mesh = LoopbackMesh::new(parts, TcpOptions::default()).unwrap();
         let async_tcp = asolver.solve_with_transport(&a, &b, mesh).unwrap();
-        prop_assert!(async_inproc.converged && async_tcp.converged);
+        prop_assert!(async_inproc.stop.converged() && async_tcp.stop.converged());
         prop_assert!(max_err(&async_inproc.x, &seq.x) < 1e-6);
         prop_assert!(max_err(&async_tcp.x, &seq.x) < 1e-6);
     }
@@ -489,11 +494,11 @@ proptest! {
             ..config(parts, ExecutionMode::Synchronous)
         };
         let rich = PreparedSystem::prepare(cfg, &a).unwrap().solve(&b).unwrap();
-        prop_assert_eq!(rich.iterations, k);
+        prop_assert_eq!(rich.stop.iterations, k);
         let d = Decomposition::uniform(&a, &b, parts, overlap).unwrap();
         let seq =
             solve_sequential_decomposed(&d, scheme, SolverKind::SparseLu, -1.0, k).unwrap();
-        prop_assert_eq!(seq.iterations, k);
+        prop_assert_eq!(stop_bits(&rich.stop), stop_bits(&seq.stop));
         prop_assert_eq!(
             rich.x.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
             seq.x.iter().map(|v| v.to_bits()).collect::<Vec<_>>()
@@ -520,15 +525,15 @@ proptest! {
         let threaded = MultisplittingSolver::new(config(parts, ExecutionMode::Synchronous))
             .solve_with_transport(&a, &b, InProcTransport::new(parts))
             .unwrap();
-        prop_assert!(threaded.converged);
+        prop_assert!(threaded.stop.converged());
         let cfg = MultisplittingConfig {
             tolerance: -1.0,
-            max_iterations: threaded.iterations,
+            max_iterations: threaded.stop.iterations,
             method: Method::Richardson { inner_sweeps: 1 },
             ..config(parts, ExecutionMode::Synchronous)
         };
         let rich = PreparedSystem::prepare(cfg, &a).unwrap().solve(&b).unwrap();
-        prop_assert_eq!(rich.iterations, threaded.iterations);
+        prop_assert_eq!(rich.stop.iterations, threaded.stop.iterations);
         prop_assert_eq!(
             rich.x.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
             threaded.x.iter().map(|v| v.to_bits()).collect::<Vec<_>>()
@@ -551,11 +556,11 @@ fn unified_runtime_smoke_fixed_system() {
     let threaded = MultisplittingSolver::new(cfg.clone())
         .solve_with_transport(&a, &b, InProcTransport::new(3))
         .unwrap();
-    assert!(threaded.converged);
+    assert!(threaded.stop.converged());
     assert!(max_err(&threaded.x, &x_true) < 1e-7);
     // Engine simulation at the converged depth reproduces the threaded
     // iterate bitwise.
-    let engine_x = simulate_engines(&a, &b, 3, threaded.iterations);
+    let engine_x = simulate_engines(&a, &b, 3, threaded.stop.iterations);
     assert_eq!(engine_x, threaded.x);
 }
 
@@ -595,40 +600,34 @@ fn two_level_vote_tree_is_bitwise_the_sequential_sweep() {
     let single = prepared
         .solve_with_transport(&rhs[0], InProcTransport::new(parts))
         .unwrap();
-    assert!(single.converged);
+    assert!(single.stop.converged());
     assert!(
-        single.iterations > 2,
+        single.stop.iterations > 2,
         "trivial solve: {}",
-        single.iterations
+        single.stop.iterations
     );
-    assert_eq!(single.x, sequential(&rhs[0], single.iterations));
+    assert_eq!(single.x, sequential(&rhs[0], single.stop.iterations));
 
     let batch = prepared.solve_many(&rhs).unwrap();
-    assert!(batch.converged);
+    assert!(batch.stop.converged());
     for (c, b) in rhs.iter().enumerate() {
         let k = batch.column_converged_at[c].expect("every column converges");
         assert_eq!(batch.columns[c], sequential(b, k), "column {c}");
     }
-    assert_eq!(batch.column_converged_at[0], Some(single.iterations));
+    assert_eq!(batch.column_converged_at[0], Some(single.stop.iterations));
 }
 
 /// Asserts that a pooled and a threaded solve of one system agree: every bit
-/// of `x`, the stopping iteration, the convergence verdict and every per-part
-/// report field except the host wall clock.
+/// of `x`, the whole stop record (reason, iteration, norm bits) and every
+/// per-part report field except the host wall clock.
 fn assert_pooled_is_threaded(pooled: &SolveOutcome, threaded: &SolveOutcome, case: &str) {
     let bits = |x: &[f64]| x.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
     assert_eq!(bits(&pooled.x), bits(&threaded.x), "{case}: x");
-    assert_eq!(pooled.iterations, threaded.iterations, "{case}: iterations");
     assert_eq!(
-        pooled.iterations_per_part, threaded.iterations_per_part,
-        "{case}: iterations per part"
+        stop_bits(&pooled.stop),
+        stop_bits(&threaded.stop),
+        "{case}: stop"
     );
-    assert_eq!(
-        pooled.last_increment.to_bits(),
-        threaded.last_increment.to_bits(),
-        "{case}: last increment"
-    );
-    assert_eq!(pooled.converged, threaded.converged, "{case}: converged");
     assert_eq!(pooled.part_reports.len(), threaded.part_reports.len());
     for (p, t) in pooled.part_reports.iter().zip(&threaded.part_reports) {
         let part = p.part;
@@ -712,12 +711,12 @@ proptest! {
             let case = format!("{label}: P={parts} overlap={overlap} {weighting:?} {solver_kind:?}");
             assert_pooled_is_threaded(&pooled, &threaded, &case);
             match label {
-                "natural" => prop_assert!(pooled.converged, "{}", case),
+                "natural" => prop_assert!(pooled.stop.converged(), "{}", case),
                 "forced" => {
-                    prop_assert_eq!(pooled.iterations, depth);
-                    prop_assert!(!pooled.converged);
+                    prop_assert_eq!(pooled.stop.iterations, depth);
+                    prop_assert!(!pooled.stop.converged());
                 }
-                _ => prop_assert_eq!(pooled.iterations, 0),
+                _ => prop_assert_eq!(pooled.stop.iterations, 0),
             }
         }
     }

@@ -46,7 +46,10 @@ fn every_workload_solves_synchronously_with_every_scheme() {
                 .build()
                 .solve(&a, &b)
                 .unwrap_or_else(|e| panic!("{name}/{scheme:?}: {e}"));
-            assert!(outcome.converged, "{name}/{scheme:?} did not converge");
+            assert!(
+                outcome.stop.converged(),
+                "{name}/{scheme:?} did not converge"
+            );
             assert!(
                 max_err(&outcome.x, &x_true) < 1e-6,
                 "{name}/{scheme:?}: solution inaccurate"
@@ -68,7 +71,10 @@ fn every_workload_solves_asynchronously() {
             .build()
             .solve(&a, &b)
             .unwrap_or_else(|e| panic!("{name}: {e}"));
-        assert!(outcome.converged, "{name} did not converge asynchronously");
+        assert!(
+            outcome.stop.converged(),
+            "{name} did not converge asynchronously"
+        );
         assert!(
             max_err(&outcome.x, &x_true) < 1e-5,
             "{name}: asynchronous solution inaccurate"
@@ -88,7 +94,7 @@ fn every_direct_solver_kind_works_inside_the_multisplitting_wrapper() {
             .build()
             .solve(&a, &b)
             .unwrap();
-        assert!(outcome.converged, "{kind:?}");
+        assert!(outcome.stop.converged(), "{kind:?}");
         assert!(max_err(&outcome.x, &x_true) < 1e-7, "{kind:?}");
     }
 }
@@ -104,7 +110,7 @@ fn processor_count_sweep_preserves_the_solution() {
             .build()
             .solve(&a, &b)
             .unwrap();
-        assert!(outcome.converged, "{parts} parts");
+        assert!(outcome.stop.converged(), "{parts} parts");
         assert!(max_err(&outcome.x, &x_true) < 1e-6, "{parts} parts");
         assert_eq!(outcome.part_reports.len(), parts);
     }
@@ -157,9 +163,9 @@ fn theory_predictions_match_observed_convergence() {
         .build()
         .solve(&a, &b)
         .unwrap();
-    assert!(outcome.converged);
+    assert!(outcome.stop.converged());
     let predicted = analysis.predicted_iterations(1e-8).unwrap();
-    let measured = outcome.iterations;
+    let measured = outcome.stop.iterations;
     assert!(
         measured as f64 <= 4.0 * predicted as f64 + 10.0,
         "measured {measured} far above prediction {predicted}"
@@ -190,6 +196,6 @@ fn async_mode_survives_modelled_wan_transport() {
         .build()
         .solve_with_transport(&a, &b, transport)
         .unwrap();
-    assert!(outcome.converged);
+    assert!(outcome.stop.converged());
     assert!(max_err(&outcome.x, &x_true) < 1e-5);
 }

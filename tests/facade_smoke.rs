@@ -27,7 +27,7 @@ fn prelude_exposes_solver_builder_and_kinds() {
         .solve(&a, &b)
         .expect("prelude-built solver failed on a trivially dominant system");
     assert!(
-        outcome.converged,
+        outcome.stop.converged(),
         "prelude-built solver did not converge on a tridiagonal system"
     );
     let err = outcome

@@ -75,7 +75,7 @@ proptest! {
             ..config(parts, Method::Stationary)
         };
         let out = PreparedSystem::prepare(cfg, &a).unwrap().solve(&b).unwrap();
-        prop_assert!(out.converged, "{kind:?}/{scheme:?} did not converge");
+        prop_assert!(out.stop.converged(), "{kind:?}/{scheme:?} did not converge");
         let norm_b = b.iter().map(|v| v * v).sum::<f64>().sqrt();
         prop_assert!(
             residual_norm(&a, &out.x, &b) <= 1e-10 * norm_b * 1.01,
@@ -111,13 +111,13 @@ proptest! {
         .unwrap()
         .solve(&b)
         .unwrap();
-        prop_assert!(stationary.converged && rich.converged);
+        prop_assert!(stationary.stop.converged() && rich.stop.converged());
         prop_assert!(max_err(&rich.x, &x_true) < 1e-7);
         prop_assert!(
-            rich.iterations <= stationary.iterations,
+            rich.stop.iterations <= stationary.stop.iterations,
             "{inner} inner sweeps took more outer steps ({} > {})",
-            rich.iterations,
-            stationary.iterations
+            rich.stop.iterations,
+            stationary.stop.iterations
         );
     }
 
@@ -173,7 +173,7 @@ proptest! {
                 .unwrap()
                 .solve(&b)
                 .unwrap();
-            prop_assert!(out.converged, "{method:?} did not converge");
+            prop_assert!(out.stop.converged(), "{method:?} did not converge");
             prop_assert!(
                 max_err(&out.x, &x_true) < 1e-6,
                 "{method:?} answer off by {}",
@@ -208,7 +208,7 @@ fn solver_builder_dispatches_every_method() {
             .build()
             .solve(&a, &b)
             .unwrap();
-        assert!(out.converged, "{method:?}");
+        assert!(out.stop.converged(), "{method:?}");
         assert!(max_err(&out.x, &x_true) < 1e-7, "{method:?}");
         assert_eq!(out.part_reports.len(), 3, "{method:?}");
     }
@@ -236,9 +236,13 @@ fn krylov_methods_ignore_the_transport_but_keep_the_answer() {
     let plain = solver.solve(&a, &b).unwrap();
     let mesh = LoopbackMesh::new(3, TcpOptions::default()).unwrap();
     let with_transport = solver.solve_with_transport(&a, &b, mesh).unwrap();
-    assert!(plain.converged && with_transport.converged);
+    assert!(plain.stop.converged() && with_transport.stop.converged());
     assert_eq!(plain.x, with_transport.x);
-    assert_eq!(plain.iterations, with_transport.iterations);
+    assert_eq!(plain.stop, with_transport.stop);
+    assert_eq!(
+        plain.stop.norm.to_bits(),
+        with_transport.stop.norm.to_bits()
+    );
     assert!(max_err(&plain.x, &x_true) < 1e-7);
 }
 
@@ -300,12 +304,12 @@ fn fgmres_outperforms_stationary_on_an_ill_conditioned_system() {
     .unwrap()
     .solve(&b)
     .unwrap();
-    assert!(stationary.converged && fgmres.converged);
+    assert!(stationary.stop.converged() && fgmres.stop.converged());
     assert!(
-        fgmres.iterations * 2 <= stationary.iterations,
+        fgmres.stop.iterations * 2 <= stationary.stop.iterations,
         "FGMRES took {} outer iterations vs stationary {}",
-        fgmres.iterations,
-        stationary.iterations
+        fgmres.stop.iterations,
+        stationary.stop.iterations
     );
 }
 
@@ -332,7 +336,7 @@ fn batch_solves_stay_on_the_stationary_lockstep_path() {
     )
     .unwrap();
     let batch = prepared.solve_many(&[b1, b2]).unwrap();
-    assert!(batch.converged);
+    assert!(batch.stop.converged());
     assert!(max_err(&batch.columns[0], &x1) < 1e-7);
     assert!(max_err(&batch.columns[1], &x2) < 1e-7);
 }
@@ -341,8 +345,8 @@ fn batch_solves_stay_on_the_stationary_lockstep_path() {
 
 mod pooled_sweep {
     use multisplitting::core::krylov::{
-        fgmres, richardson, FgmresWorkspace, KrylovStats, Preconditioner, SerialSweepOracle,
-        SweepBuffers, SweepPreconditioner,
+        fgmres, richardson, FgmresWorkspace, Preconditioner, SerialSweepOracle, SweepBuffers,
+        SweepPreconditioner,
     };
     use multisplitting::core::runtime::factorize_blocks;
     use multisplitting::core::{CoreError, Decomposition};
@@ -403,8 +407,8 @@ mod pooled_sweep {
     fn pooled_and_serial(
         p: &Prepared,
         sweeps: u64,
-        mut solve: impl FnMut(&mut dyn Preconditioner, &mut [f64]) -> Result<KrylovStats, CoreError>,
-    ) -> [(Vec<f64>, Result<KrylovStats, CoreError>); 2] {
+        mut solve: impl FnMut(&mut dyn Preconditioner, &mut [f64]) -> Result<Stop, CoreError>,
+    ) -> [(Vec<f64>, Result<Stop, CoreError>); 2] {
         let n = p.partition.order();
         let (mut pooled_bufs, mut serial_bufs) = (SweepBuffers::new(), SweepBuffers::new());
         let bind = |bufs| {
@@ -419,16 +423,12 @@ mod pooled_sweep {
         [(x_pooled, pooled), (x_serial, serial)]
     }
 
-    fn assert_same(what: &str, [pooled, serial]: [(Vec<f64>, Result<KrylovStats, CoreError>); 2]) {
-        let (pooled_stats, serial_stats) = (pooled.1.unwrap(), serial.1.unwrap());
+    fn assert_same(what: &str, [pooled, serial]: [(Vec<f64>, Result<Stop, CoreError>); 2]) {
+        let (pooled_stop, serial_stop) = (pooled.1.unwrap(), serial.1.unwrap());
+        assert_eq!(pooled_stop, serial_stop, "{what}");
         assert_eq!(
-            pooled_stats.outer_iterations, serial_stats.outer_iterations,
-            "{what}"
-        );
-        assert_eq!(pooled_stats.converged, serial_stats.converged, "{what}");
-        assert_eq!(
-            pooled_stats.last_norm.to_bits(),
-            serial_stats.last_norm.to_bits(),
+            pooled_stop.norm.to_bits(),
+            serial_stop.norm.to_bits(),
             "{what}"
         );
         for (i, (ours, theirs)) in pooled.0.iter().zip(&serial.0).enumerate() {

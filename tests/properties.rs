@@ -96,7 +96,7 @@ proptest! {
             .build()
             .solve(&a, &b)
             .unwrap();
-        prop_assert!(outcome.converged);
+        prop_assert!(outcome.stop.converged());
         for (p, q) in outcome.x.iter().zip(x_true.iter()) {
             prop_assert!((p - q).abs() < 1e-6);
         }

@@ -218,6 +218,59 @@ fn server_stats_reflect_completed_and_coalesced_work() {
     drop(servers);
 }
 
+/// A batch runs the stationary lockstep driver, so Krylov requests must never
+/// be coalesced: two FGMRES requests that arrive inside one (long) window are
+/// each served alone, by FGMRES, bitwise the direct solve.
+#[test]
+fn concurrent_krylov_requests_are_never_coalesced() {
+    let server = SolveServer::start(
+        "127.0.0.1:0",
+        ServeConfig {
+            coalesce_window: Duration::from_millis(400),
+            ..serve_config(0)
+        },
+    )
+    .expect("start shard");
+    let addrs = vec![server.local_addr().to_string()];
+    let a = generators::diag_dominant(&DiagDominantConfig {
+        n: 100,
+        seed: 3,
+        ..Default::default()
+    });
+    let config = MultisplittingConfig {
+        method: Method::Fgmres {
+            restart: 30,
+            inner_sweeps: 1,
+        },
+        ..solver_config(2)
+    };
+    let prepared = PreparedSystem::prepare(config.clone(), &a).expect("prepare");
+    let rhs: Vec<Vec<f64>> = (0..2usize)
+        .map(|k| generators::rhs_for_solution(&a, move |i| ((i + k) % 5) as f64).1)
+        .collect();
+    let replies: Vec<_> = std::thread::scope(|scope| {
+        let handles: Vec<_> = rhs
+            .iter()
+            .map(|b| {
+                let (addrs, a, config) = (&addrs, &a, &config);
+                scope.spawn(move || {
+                    let client = ServeClient::new(addrs, ClientOptions::default()).expect("client");
+                    client.solve(a, config, b).expect("solve")
+                })
+            })
+            .collect();
+        handles.into_iter().map(|h| h.join().unwrap()).collect()
+    });
+    for (b, reply) in rhs.iter().zip(&replies) {
+        let direct = prepared.solve(b).expect("direct solve");
+        assert_eq!(reply.coalesced, 1, "a Krylov request joined a batch");
+        assert_eq!(reply.iterations, direct.stop.iterations);
+        let bits = |x: &[f64]| x.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&reply.x), bits(&direct.x));
+    }
+    drop(server);
+}
+
 /// A request pinned to a matrix the shard has never seen (empty matrix blob
 /// on a fresh connection) is rejected as non-retryable `Invalid`, telling
 /// the client to resend with the matrix — the recovery path `ServeClient`
@@ -345,11 +398,11 @@ proptest! {
             .map(|k| generators::rhs_for_solution(&a, move |i| ((i * (k + 1)) % 7) as f64).1)
             .collect();
         let out = prepared.solve_many(&batch).expect("batch solve");
-        prop_assert!(out.converged);
+        prop_assert!(out.stop.converged());
         for (c, b) in batch.iter().enumerate() {
             let solo = prepared.solve(b).expect("solo solve");
             prop_assert_eq!(&out.columns[c], &solo.x);
-            prop_assert_eq!(out.column_converged_at[c], Some(solo.iterations));
+            prop_assert_eq!(out.column_converged_at[c], Some(solo.stop.iterations));
         }
     }
 }

@@ -284,8 +284,8 @@ fn main() {
         let mut x_prev = vec![0.0; n];
         assert_zero_alloc("richardson warm outer iterations", 20, || {
             // tolerance < 0 forces exactly 8 outer steps per call.
-            let stats = richardson(&mut pc, -1.0, 8, &b, &mut x, &mut x_prev).expect("richardson");
-            assert_eq!(stats.outer_iterations, 8);
+            let stop = richardson(&mut pc, -1.0, 8, &b, &mut x, &mut x_prev).expect("richardson");
+            assert_eq!(stop.iterations, 8);
         });
 
         let mut ws = FgmresWorkspace::new();
@@ -293,8 +293,8 @@ fn main() {
         assert_zero_alloc("fgmres warm outer iterations", 20, || {
             // A tiny budget over several restart cycles: every Arnoldi step,
             // Givens update and x += Z y reconstruction runs warm.
-            let stats = fgmres(&a, &mut pc, 10, 1e-30, 25, &b, &mut x, &mut ws).expect("fgmres");
-            assert_eq!(stats.outer_iterations, 25);
+            let stop = fgmres(&a, &mut pc, 10, 1e-30, 25, &b, &mut x, &mut ws).expect("fgmres");
+            assert_eq!(stop.iterations, 25);
         });
     }
 
@@ -322,7 +322,7 @@ fn main() {
             let before = ALLOCATIONS.load(Relaxed);
             let out = system.solve(&b).expect("pooled solve");
             let allocated = ALLOCATIONS.load(Relaxed) - before;
-            assert_eq!(out.iterations, iterations);
+            assert_eq!(out.stop.iterations, iterations);
             allocated
         };
         for _ in 0..2 {
