@@ -9,6 +9,9 @@
 //! * [`message::Message`] — the wire messages (solution slices, convergence
 //!   votes, termination), with a compact binary encoding so message sizes can
 //!   be accounted against the grid's bandwidth model,
+//! * [`codec`] — the bounds-checked little-endian [`codec::Reader`] that
+//!   decodes every binary format of the workspace (messages, frames, serve
+//!   blobs, checkpoint files),
 //! * [`wire`] — length-prefixed framing and the connection handshake used by
 //!   the socket transport,
 //! * [`transport`] — the [`transport::Transport`] trait plus the in-process
@@ -32,6 +35,7 @@
 //! vote-window bookkeeping the convergence policies persist across
 //! checkpoints.
 
+pub mod codec;
 pub mod convergence;
 pub mod message;
 pub mod tcp;

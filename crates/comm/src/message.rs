@@ -7,8 +7,8 @@
 //! transport layer can account exact byte counts against the grid bandwidth
 //! model.
 
+use crate::codec::{put_blob, put_f64s, put_u64, Reader};
 use crate::CommError;
-use bytes::{Buf, BufMut, Bytes, BytesMut};
 
 /// A message exchanged between two multisplitting processors.
 #[derive(Debug, Clone, PartialEq)]
@@ -244,42 +244,6 @@ const TAG_VOTE_AGGREGATE: u8 = 14;
 /// rank; a reshape always names its dead rank now, so this is rejected.
 const NO_DEAD_RANK: u64 = u64::MAX;
 
-/// Reads a `u64`-length-prefixed byte blob, rejecting lengths beyond the
-/// remaining buffer so a corrupted header cannot trigger a huge allocation.
-fn get_blob(data: &mut Bytes, what: &str) -> Result<Vec<u8>, CommError> {
-    if data.remaining() < 8 {
-        return Err(CommError::Codec(format!("truncated {what} length")));
-    }
-    let len = data.get_u64_le() as usize;
-    if data.remaining() < len {
-        return Err(CommError::Codec(format!(
-            "truncated {what}: expected {len} bytes"
-        )));
-    }
-    let mut out = vec![0u8; len];
-    data.copy_to_slice(&mut out);
-    Ok(out)
-}
-
-/// Reads a `u64`-length-prefixed vector of little-endian `f64`s.
-fn get_f64s(data: &mut Bytes, what: &str) -> Result<Vec<f64>, CommError> {
-    if data.remaining() < 8 {
-        return Err(CommError::Codec(format!("truncated {what} length")));
-    }
-    let len = data.get_u64_le() as usize;
-    // `remaining / 8` (not `8 * len`) so a corrupted length cannot overflow.
-    if data.remaining() / 8 < len {
-        return Err(CommError::Codec(format!(
-            "truncated {what}: expected {len} values"
-        )));
-    }
-    let mut out = Vec::with_capacity(len);
-    for _ in 0..len {
-        out.push(data.get_f64_le());
-    }
-    Ok(out)
-}
-
 impl Message {
     /// The rank that produced the message, when it carries one.
     pub fn sender(&self) -> Option<usize> {
@@ -322,9 +286,10 @@ impl Message {
         }
     }
 
-    /// Encodes the message into a byte buffer.
-    pub fn encode(&self) -> Bytes {
-        let mut buf = BytesMut::with_capacity(self.encoded_len());
+    /// Appends the message's encoding to `out` ([`Message::encoded_len`]
+    /// bytes; nothing is reallocated when `out` already has the room).
+    pub fn encode_into(&self, out: &mut Vec<u8>) {
+        out.reserve(self.encoded_len());
         match self {
             Message::Solution {
                 from,
@@ -332,14 +297,11 @@ impl Message {
                 offset,
                 values,
             } => {
-                buf.put_u8(TAG_SOLUTION);
-                buf.put_u64_le(*from as u64);
-                buf.put_u64_le(*iteration);
-                buf.put_u64_le(*offset as u64);
-                buf.put_u64_le(values.len() as u64);
-                for v in values {
-                    buf.put_f64_le(*v);
-                }
+                out.push(TAG_SOLUTION);
+                put_u64(out, *from as u64);
+                put_u64(out, *iteration);
+                put_u64(out, *offset as u64);
+                put_f64s(out, values);
             }
             Message::SolutionBatch {
                 from,
@@ -347,16 +309,13 @@ impl Message {
                 offset,
                 columns,
             } => {
-                buf.put_u8(TAG_SOLUTION_BATCH);
-                buf.put_u64_le(*from as u64);
-                buf.put_u64_le(*iteration);
-                buf.put_u64_le(*offset as u64);
-                buf.put_u64_le(columns.len() as u64);
+                out.push(TAG_SOLUTION_BATCH);
+                put_u64(out, *from as u64);
+                put_u64(out, *iteration);
+                put_u64(out, *offset as u64);
+                put_u64(out, columns.len() as u64);
                 for col in columns {
-                    buf.put_u64_le(col.len() as u64);
-                    for v in col {
-                        buf.put_f64_le(*v);
-                    }
+                    put_f64s(out, col);
                 }
             }
             Message::ConvergenceVote {
@@ -364,10 +323,10 @@ impl Message {
                 iteration,
                 converged,
             } => {
-                buf.put_u8(TAG_VOTE);
-                buf.put_u64_le(*from as u64);
-                buf.put_u64_le(*iteration);
-                buf.put_u8(u8::from(*converged));
+                out.push(TAG_VOTE);
+                put_u64(out, *from as u64);
+                put_u64(out, *iteration);
+                out.push(u8::from(*converged));
             }
             Message::VoteAggregate {
                 from,
@@ -375,27 +334,25 @@ impl Message {
                 converged,
                 count,
             } => {
-                buf.put_u8(TAG_VOTE_AGGREGATE);
-                buf.put_u64_le(*from as u64);
-                buf.put_u64_le(*iteration);
-                buf.put_u8(u8::from(*converged));
-                buf.put_u64_le(*count);
+                out.push(TAG_VOTE_AGGREGATE);
+                put_u64(out, *from as u64);
+                put_u64(out, *iteration);
+                out.push(u8::from(*converged));
+                put_u64(out, *count);
             }
             Message::GlobalConverged { iteration } => {
-                buf.put_u8(TAG_GLOBAL);
-                buf.put_u64_le(*iteration);
+                out.push(TAG_GLOBAL);
+                put_u64(out, *iteration);
             }
-            Message::Halt => {
-                buf.put_u8(TAG_HALT);
-            }
+            Message::Halt => out.push(TAG_HALT),
             Message::Heartbeat { from } => {
-                buf.put_u8(TAG_HEARTBEAT);
-                buf.put_u64_le(*from as u64);
+                out.push(TAG_HEARTBEAT);
+                put_u64(out, *from as u64);
             }
             Message::Reshape { from, dead_rank } => {
-                buf.put_u8(TAG_RESHAPE);
-                buf.put_u64_le(*from as u64);
-                buf.put_u64_le(*dead_rank as u64);
+                out.push(TAG_RESHAPE);
+                put_u64(out, *from as u64);
+                put_u64(out, *dead_rank as u64);
             }
             Message::SubmitSolve {
                 request_id,
@@ -406,19 +363,14 @@ impl Message {
                 matrix,
                 rhs,
             } => {
-                buf.put_u8(TAG_SUBMIT_SOLVE);
-                buf.put_u64_le(*request_id);
-                buf.put_u64_le(*fingerprint);
-                buf.put_u8(*priority);
-                buf.put_u64_le(*queue_deadline_micros);
-                buf.put_u64_le(config.len() as u64);
-                buf.put_slice(config);
-                buf.put_u64_le(matrix.len() as u64);
-                buf.put_slice(matrix);
-                buf.put_u64_le(rhs.len() as u64);
-                for v in rhs {
-                    buf.put_f64_le(*v);
-                }
+                out.push(TAG_SUBMIT_SOLVE);
+                put_u64(out, *request_id);
+                put_u64(out, *fingerprint);
+                out.push(*priority);
+                put_u64(out, *queue_deadline_micros);
+                put_blob(out, config);
+                put_blob(out, matrix);
+                put_f64s(out, rhs);
             }
             Message::SolveResult {
                 request_id,
@@ -427,15 +379,12 @@ impl Message {
                 queue_micros,
                 x,
             } => {
-                buf.put_u8(TAG_SOLVE_RESULT);
-                buf.put_u64_le(*request_id);
-                buf.put_u64_le(*iterations);
-                buf.put_u64_le(*coalesced);
-                buf.put_u64_le(*queue_micros);
-                buf.put_u64_le(x.len() as u64);
-                for v in x {
-                    buf.put_f64_le(*v);
-                }
+                out.push(TAG_SOLVE_RESULT);
+                put_u64(out, *request_id);
+                put_u64(out, *iterations);
+                put_u64(out, *coalesced);
+                put_u64(out, *queue_micros);
+                put_f64s(out, x);
             }
             Message::Reject {
                 request_id,
@@ -443,16 +392,13 @@ impl Message {
                 retry_after_micros,
                 detail,
             } => {
-                buf.put_u8(TAG_REJECT);
-                buf.put_u64_le(*request_id);
-                buf.put_u8(code.to_u8());
-                buf.put_u64_le(*retry_after_micros);
-                buf.put_u64_le(detail.len() as u64);
-                buf.put_slice(detail.as_bytes());
+                out.push(TAG_REJECT);
+                put_u64(out, *request_id);
+                out.push(code.to_u8());
+                put_u64(out, *retry_after_micros);
+                put_blob(out, detail.as_bytes());
             }
-            Message::StatsQuery => {
-                buf.put_u8(TAG_STATS_QUERY);
-            }
+            Message::StatsQuery => out.push(TAG_STATS_QUERY),
             Message::ServerStats {
                 shard,
                 completed,
@@ -467,229 +413,135 @@ impl Message {
                 mean_reach_ppm,
                 queue_depths,
             } => {
-                buf.put_u8(TAG_SERVER_STATS);
-                buf.put_u64_le(*shard);
-                buf.put_u64_le(*completed);
-                buf.put_u64_le(*rejected);
-                buf.put_u64_le(*coalesced);
-                buf.put_u64_le(*batches);
-                buf.put_u64_le(*cache_evictions);
-                buf.put_u64_le(*single_flight_waits);
-                buf.put_u64_le(*single_flight_wait_micros);
-                buf.put_u64_le(*sparse_fastpath_hits);
-                buf.put_u64_le(*dense_fallbacks);
-                buf.put_u64_le(*mean_reach_ppm);
-                for d in queue_depths {
-                    buf.put_u64_le(*d);
+                out.push(TAG_SERVER_STATS);
+                for word in [
+                    shard,
+                    completed,
+                    rejected,
+                    coalesced,
+                    batches,
+                    cache_evictions,
+                    single_flight_waits,
+                    single_flight_wait_micros,
+                    sparse_fastpath_hits,
+                    dense_fallbacks,
+                    mean_reach_ppm,
+                ]
+                .into_iter()
+                .chain(queue_depths)
+                {
+                    put_u64(out, *word);
                 }
             }
         }
-        buf.freeze()
     }
 
-    /// Decodes a message produced by [`Message::encode`].
-    pub fn decode(mut data: Bytes) -> Result<Self, CommError> {
-        if data.is_empty() {
-            return Err(CommError::Codec("empty buffer".to_string()));
-        }
-        let tag = data.get_u8();
-        match tag {
-            TAG_SOLUTION => {
-                if data.remaining() < 32 {
-                    return Err(CommError::Codec("truncated solution header".to_string()));
-                }
-                let from = data.get_u64_le() as usize;
-                let iteration = data.get_u64_le();
-                let offset = data.get_u64_le() as usize;
-                let len = data.get_u64_le() as usize;
-                // `remaining / 8` (not `8 * len`) so a corrupted length
-                // cannot overflow the comparison.
-                if data.remaining() / 8 < len {
-                    return Err(CommError::Codec(format!(
-                        "truncated solution payload: expected {len} values"
-                    )));
-                }
-                let mut values = Vec::with_capacity(len);
-                for _ in 0..len {
-                    values.push(data.get_f64_le());
-                }
-                Ok(Message::Solution {
-                    from,
-                    iteration,
-                    offset,
-                    values,
-                })
-            }
-            TAG_SOLUTION_BATCH => {
-                if data.remaining() < 32 {
-                    return Err(CommError::Codec("truncated batch header".to_string()));
-                }
-                let from = data.get_u64_le() as usize;
-                let iteration = data.get_u64_le();
-                let offset = data.get_u64_le() as usize;
-                let ncols = data.get_u64_le() as usize;
-                let mut columns = Vec::with_capacity(ncols.min(1024));
-                for _ in 0..ncols {
-                    if data.remaining() < 8 {
-                        return Err(CommError::Codec("truncated batch column".to_string()));
-                    }
-                    let len = data.get_u64_le() as usize;
-                    if data.remaining() / 8 < len {
-                        return Err(CommError::Codec(format!(
-                            "truncated batch column payload: expected {len} values"
-                        )));
-                    }
-                    let mut col = Vec::with_capacity(len);
-                    for _ in 0..len {
-                        col.push(data.get_f64_le());
-                    }
-                    columns.push(col);
-                }
-                Ok(Message::SolutionBatch {
-                    from,
-                    iteration,
-                    offset,
-                    columns,
-                })
-            }
-            TAG_VOTE => {
-                if data.remaining() < 17 {
-                    return Err(CommError::Codec("truncated vote".to_string()));
-                }
-                let from = data.get_u64_le() as usize;
-                let iteration = data.get_u64_le();
-                let converged = data.get_u8() != 0;
-                Ok(Message::ConvergenceVote {
-                    from,
-                    iteration,
-                    converged,
-                })
-            }
-            TAG_VOTE_AGGREGATE => {
-                if data.remaining() < 25 {
-                    return Err(CommError::Codec("truncated vote aggregate".to_string()));
-                }
-                let from = data.get_u64_le() as usize;
-                let iteration = data.get_u64_le();
-                let converged = data.get_u8() != 0;
-                let count = data.get_u64_le();
-                Ok(Message::VoteAggregate {
-                    from,
-                    iteration,
-                    converged,
-                    count,
-                })
-            }
-            TAG_GLOBAL => {
-                if data.remaining() < 8 {
-                    return Err(CommError::Codec("truncated global notice".to_string()));
-                }
-                Ok(Message::GlobalConverged {
-                    iteration: data.get_u64_le(),
-                })
-            }
-            TAG_HALT => Ok(Message::Halt),
-            TAG_HEARTBEAT => {
-                if data.remaining() < 8 {
-                    return Err(CommError::Codec("truncated heartbeat".to_string()));
-                }
-                Ok(Message::Heartbeat {
-                    from: data.get_u64_le() as usize,
-                })
-            }
+    /// The message's encoding in a buffer of its own.
+    pub fn encode(&self) -> Vec<u8> {
+        let mut out = Vec::with_capacity(self.encoded_len());
+        self.encode_into(&mut out);
+        out
+    }
+
+    /// Decodes exactly one message produced by [`Message::encode`]: a
+    /// truncated body, an unknown tag or trailing bytes are
+    /// [`CommError::Codec`].
+    pub fn decode(data: &[u8]) -> Result<Self, CommError> {
+        let mut r = Reader::new(data, "message", CommError::Codec);
+        let msg = match r.u8()? {
+            TAG_SOLUTION => Message::Solution {
+                from: r.u64()? as usize,
+                iteration: r.u64()?,
+                offset: r.u64()? as usize,
+                values: r.f64s()?,
+            },
+            TAG_SOLUTION_BATCH => Message::SolutionBatch {
+                from: r.u64()? as usize,
+                iteration: r.u64()?,
+                offset: r.u64()? as usize,
+                // Every column carries at least its 8-byte length.
+                columns: (0..r.count(8)?)
+                    .map(|_| r.f64s())
+                    .collect::<Result<_, _>>()?,
+            },
+            TAG_VOTE => Message::ConvergenceVote {
+                from: r.u64()? as usize,
+                iteration: r.u64()?,
+                converged: r.u8()? != 0,
+            },
+            TAG_VOTE_AGGREGATE => Message::VoteAggregate {
+                from: r.u64()? as usize,
+                iteration: r.u64()?,
+                converged: r.u8()? != 0,
+                count: r.u64()?,
+            },
+            TAG_GLOBAL => Message::GlobalConverged {
+                iteration: r.u64()?,
+            },
+            TAG_HALT => Message::Halt,
+            TAG_HEARTBEAT => Message::Heartbeat {
+                from: r.u64()? as usize,
+            },
             TAG_RESHAPE => {
-                if data.remaining() < 16 {
-                    return Err(CommError::Codec("truncated reshape notice".to_string()));
-                }
-                let from = data.get_u64_le() as usize;
-                let dead = data.get_u64_le();
+                let from = r.u64()? as usize;
+                let dead = r.u64()?;
                 if dead == NO_DEAD_RANK {
-                    return Err(CommError::Codec(
-                        "reshape notice names no dead rank".to_string(),
-                    ));
+                    return Err(r.error("reshape notice names no dead rank"));
                 }
-                Ok(Message::Reshape {
+                Message::Reshape {
                     from,
                     dead_rank: dead as usize,
-                })
-            }
-            TAG_SUBMIT_SOLVE => {
-                if data.remaining() < 25 {
-                    return Err(CommError::Codec("truncated submit header".to_string()));
                 }
-                let request_id = data.get_u64_le();
-                let fingerprint = data.get_u64_le();
-                let priority = data.get_u8();
-                let queue_deadline_micros = data.get_u64_le();
-                let config = get_blob(&mut data, "submit config")?;
-                let matrix = get_blob(&mut data, "submit matrix")?;
-                let rhs = get_f64s(&mut data, "submit rhs")?;
-                Ok(Message::SubmitSolve {
-                    request_id,
-                    fingerprint,
-                    priority,
-                    queue_deadline_micros,
-                    config,
-                    matrix,
-                    rhs,
-                })
             }
-            TAG_SOLVE_RESULT => {
-                if data.remaining() < 32 {
-                    return Err(CommError::Codec("truncated result header".to_string()));
-                }
-                let request_id = data.get_u64_le();
-                let iterations = data.get_u64_le();
-                let coalesced = data.get_u64_le();
-                let queue_micros = data.get_u64_le();
-                let x = get_f64s(&mut data, "result solution")?;
-                Ok(Message::SolveResult {
-                    request_id,
-                    iterations,
-                    coalesced,
-                    queue_micros,
-                    x,
-                })
-            }
+            TAG_SUBMIT_SOLVE => Message::SubmitSolve {
+                request_id: r.u64()?,
+                fingerprint: r.u64()?,
+                priority: r.u8()?,
+                queue_deadline_micros: r.u64()?,
+                config: r.blob()?.to_vec(),
+                matrix: r.blob()?.to_vec(),
+                rhs: r.f64s()?,
+            },
+            TAG_SOLVE_RESULT => Message::SolveResult {
+                request_id: r.u64()?,
+                iterations: r.u64()?,
+                coalesced: r.u64()?,
+                queue_micros: r.u64()?,
+                x: r.f64s()?,
+            },
             TAG_REJECT => {
-                if data.remaining() < 17 {
-                    return Err(CommError::Codec("truncated reject header".to_string()));
-                }
-                let request_id = data.get_u64_le();
-                let code = RejectCode::from_u8(data.get_u8())?;
-                let retry_after_micros = data.get_u64_le();
-                let raw = get_blob(&mut data, "reject detail")?;
-                let detail = String::from_utf8(raw)
-                    .map_err(|_| CommError::Codec("reject detail is not UTF-8".to_string()))?;
-                Ok(Message::Reject {
+                let request_id = r.u64()?;
+                let code = RejectCode::from_u8(r.u8()?)?;
+                let retry_after_micros = r.u64()?;
+                let detail = std::str::from_utf8(r.blob()?)
+                    .map_err(|_| r.error("reject detail is not UTF-8"))?
+                    .to_owned();
+                Message::Reject {
                     request_id,
                     code,
                     retry_after_micros,
                     detail,
-                })
-            }
-            TAG_STATS_QUERY => Ok(Message::StatsQuery),
-            TAG_SERVER_STATS => {
-                if data.remaining() < 8 * 11 + 8 * 3 {
-                    return Err(CommError::Codec("truncated server stats".to_string()));
                 }
-                Ok(Message::ServerStats {
-                    shard: data.get_u64_le(),
-                    completed: data.get_u64_le(),
-                    rejected: data.get_u64_le(),
-                    coalesced: data.get_u64_le(),
-                    batches: data.get_u64_le(),
-                    cache_evictions: data.get_u64_le(),
-                    single_flight_waits: data.get_u64_le(),
-                    single_flight_wait_micros: data.get_u64_le(),
-                    sparse_fastpath_hits: data.get_u64_le(),
-                    dense_fallbacks: data.get_u64_le(),
-                    mean_reach_ppm: data.get_u64_le(),
-                    queue_depths: [data.get_u64_le(), data.get_u64_le(), data.get_u64_le()],
-                })
             }
-            other => Err(CommError::Codec(format!("unknown message tag {other}"))),
-        }
+            TAG_STATS_QUERY => Message::StatsQuery,
+            TAG_SERVER_STATS => Message::ServerStats {
+                shard: r.u64()?,
+                completed: r.u64()?,
+                rejected: r.u64()?,
+                coalesced: r.u64()?,
+                batches: r.u64()?,
+                cache_evictions: r.u64()?,
+                single_flight_waits: r.u64()?,
+                single_flight_wait_micros: r.u64()?,
+                sparse_fastpath_hits: r.u64()?,
+                dense_fallbacks: r.u64()?,
+                mean_reach_ppm: r.u64()?,
+                queue_depths: [r.u64()?, r.u64()?, r.u64()?],
+            },
+            other => return Err(r.error(format_args!("unknown message tag {other}"))),
+        };
+        r.finish()?;
+        Ok(msg)
     }
 }
 
@@ -707,7 +559,7 @@ mod tests {
         };
         let encoded = msg.encode();
         assert_eq!(encoded.len(), msg.encoded_len());
-        let decoded = Message::decode(encoded).unwrap();
+        let decoded = Message::decode(&encoded).unwrap();
         assert_eq!(decoded, msg);
         assert_eq!(decoded.sender(), Some(3));
     }
@@ -722,7 +574,7 @@ mod tests {
         };
         let encoded = msg.encode();
         assert_eq!(encoded.len(), msg.encoded_len());
-        let decoded = Message::decode(encoded).unwrap();
+        let decoded = Message::decode(&encoded).unwrap();
         assert_eq!(decoded, msg);
         assert_eq!(decoded.sender(), Some(2));
 
@@ -733,11 +585,11 @@ mod tests {
             offset: 0,
             columns: Vec::new(),
         };
-        assert_eq!(Message::decode(empty.encode()).unwrap(), empty);
+        assert_eq!(Message::decode(&empty.encode()).unwrap(), empty);
 
         // Truncated batch payload is rejected.
         let full = msg.encode();
-        let cut = full.slice(0..full.len() - 8);
+        let cut = &full[..full.len() - 8];
         assert!(matches!(Message::decode(cut), Err(CommError::Codec(_))));
     }
 
@@ -769,7 +621,7 @@ mod tests {
                 count: 1,
             },
         ] {
-            let decoded = Message::decode(msg.encode()).unwrap();
+            let decoded = Message::decode(&msg.encode()).unwrap();
             assert_eq!(decoded, msg);
             assert_eq!(msg.encode().len(), msg.encoded_len());
         }
@@ -797,10 +649,7 @@ mod tests {
         let encoded = msg.encode();
         for cut in 1..encoded.len() {
             assert!(
-                matches!(
-                    Message::decode(encoded.slice(0..cut)),
-                    Err(CommError::Codec(_))
-                ),
+                matches!(Message::decode(&encoded[..cut]), Err(CommError::Codec(_))),
                 "cut at {cut} should fail"
             );
         }
@@ -815,47 +664,35 @@ mod tests {
             values: vec![1.0, 2.0],
         };
         let encoded = msg.encode();
-        let truncated = encoded.slice(0..encoded.len() - 4);
+        let truncated = &encoded[..encoded.len() - 4];
         assert!(matches!(
             Message::decode(truncated),
             Err(CommError::Codec(_))
         ));
-        assert!(matches!(
-            Message::decode(Bytes::new()),
-            Err(CommError::Codec(_))
-        ));
-        assert!(matches!(
-            Message::decode(Bytes::from_static(&[99])),
-            Err(CommError::Codec(_))
-        ));
+        assert!(matches!(Message::decode(&[]), Err(CommError::Codec(_))));
+        assert!(matches!(Message::decode(&[99]), Err(CommError::Codec(_))));
     }
 
     #[test]
     fn corrupted_length_fields_do_not_overflow() {
         // Regression: a corrupted header announcing u64::MAX values used to
         // overflow the `8 * len` size check in debug builds.
-        let mut buf = BytesMut::with_capacity(64);
-        buf.put_u8(TAG_SOLUTION);
-        buf.put_u64_le(0); // from
-        buf.put_u64_le(1); // iteration
-        buf.put_u64_le(0); // offset
-        buf.put_u64_le(u64::MAX); // absurd length
-        assert!(matches!(
-            Message::decode(buf.freeze()),
-            Err(CommError::Codec(_))
-        ));
+        let mut buf = Vec::new();
+        buf.push(TAG_SOLUTION);
+        put_u64(&mut buf, 0); // from
+        put_u64(&mut buf, 1); // iteration
+        put_u64(&mut buf, 0); // offset
+        put_u64(&mut buf, u64::MAX); // absurd length
+        assert!(matches!(Message::decode(&buf), Err(CommError::Codec(_))));
 
-        let mut batch = BytesMut::with_capacity(64);
-        batch.put_u8(TAG_SOLUTION_BATCH);
-        batch.put_u64_le(0);
-        batch.put_u64_le(1);
-        batch.put_u64_le(0);
-        batch.put_u64_le(1); // one column
-        batch.put_u64_le(u64::MAX); // absurd column length
-        assert!(matches!(
-            Message::decode(batch.freeze()),
-            Err(CommError::Codec(_))
-        ));
+        let mut batch = Vec::new();
+        batch.push(TAG_SOLUTION_BATCH);
+        put_u64(&mut batch, 0);
+        put_u64(&mut batch, 1);
+        put_u64(&mut batch, 0);
+        put_u64(&mut batch, 1); // one column
+        put_u64(&mut batch, u64::MAX); // absurd column length
+        assert!(matches!(Message::decode(&batch), Err(CommError::Codec(_))));
     }
 
     #[test]
@@ -937,7 +774,7 @@ mod tests {
         for msg in sample_serve_messages() {
             let encoded = msg.encode();
             assert_eq!(encoded.len(), msg.encoded_len(), "{msg:?}");
-            assert_eq!(Message::decode(encoded).unwrap(), msg);
+            assert_eq!(Message::decode(&encoded).unwrap(), msg);
             assert_eq!(msg.sender(), None, "serve frames carry no mesh rank");
         }
     }
@@ -948,10 +785,7 @@ mod tests {
             let encoded = msg.encode();
             for cut in 1..encoded.len() {
                 assert!(
-                    matches!(
-                        Message::decode(encoded.slice(0..cut)),
-                        Err(CommError::Codec(_))
-                    ),
+                    matches!(Message::decode(&encoded[..cut]), Err(CommError::Codec(_))),
                     "{msg:?} cut at {cut} should fail"
                 );
             }
@@ -961,29 +795,23 @@ mod tests {
     #[test]
     fn corrupted_serve_lengths_do_not_allocate() {
         // A submit whose config length claims u64::MAX must fail cleanly.
-        let mut buf = BytesMut::with_capacity(64);
-        buf.put_u8(TAG_SUBMIT_SOLVE);
-        buf.put_u64_le(1); // request_id
-        buf.put_u64_le(2); // fingerprint
-        buf.put_u8(0); // priority
-        buf.put_u64_le(0); // deadline
-        buf.put_u64_le(u64::MAX); // absurd config length
-        assert!(matches!(
-            Message::decode(buf.freeze()),
-            Err(CommError::Codec(_))
-        ));
+        let mut buf = Vec::new();
+        buf.push(TAG_SUBMIT_SOLVE);
+        put_u64(&mut buf, 1); // request_id
+        put_u64(&mut buf, 2); // fingerprint
+        buf.push(0); // priority
+        put_u64(&mut buf, 0); // deadline
+        put_u64(&mut buf, u64::MAX); // absurd config length
+        assert!(matches!(Message::decode(&buf), Err(CommError::Codec(_))));
 
-        let mut result = BytesMut::with_capacity(64);
-        result.put_u8(TAG_SOLVE_RESULT);
-        result.put_u64_le(1);
-        result.put_u64_le(2);
-        result.put_u64_le(3);
-        result.put_u64_le(4);
-        result.put_u64_le(u64::MAX); // absurd solution length
-        assert!(matches!(
-            Message::decode(result.freeze()),
-            Err(CommError::Codec(_))
-        ));
+        let mut result = Vec::new();
+        result.push(TAG_SOLVE_RESULT);
+        put_u64(&mut result, 1);
+        put_u64(&mut result, 2);
+        put_u64(&mut result, 3);
+        put_u64(&mut result, 4);
+        put_u64(&mut result, u64::MAX); // absurd solution length
+        assert!(matches!(Message::decode(&result), Err(CommError::Codec(_))));
     }
 
     #[test]
@@ -994,12 +822,9 @@ mod tests {
             retry_after_micros: 0,
             detail: "x".to_string(),
         };
-        let mut raw = msg.encode().as_ref().to_vec();
+        let mut raw = msg.encode();
         raw[9] = 99; // the code byte follows tag + request_id
-        assert!(matches!(
-            Message::decode(Bytes::from(raw)),
-            Err(CommError::Codec(_))
-        ));
+        assert!(matches!(Message::decode(&raw), Err(CommError::Codec(_))));
         assert!(RejectCode::QueueFull.is_retryable());
         assert!(!RejectCode::Invalid.is_retryable());
     }
@@ -1013,16 +838,13 @@ mod tests {
         .encode();
         for cut in 1..encoded.len() {
             assert!(matches!(
-                Message::decode(encoded.slice(0..cut)),
+                Message::decode(&encoded[..cut]),
                 Err(CommError::Codec(_))
             ));
         }
         // The removed speed report (tag 8 + three u64 words) no longer decodes.
         let mut report = vec![8u8];
         report.extend([0u8; 24]);
-        assert!(matches!(
-            Message::decode(Bytes::from(report)),
-            Err(CommError::Codec(_))
-        ));
+        assert!(matches!(Message::decode(&report), Err(CommError::Codec(_))));
     }
 }

@@ -27,12 +27,13 @@ use crate::message::Message;
 use crate::transport::{LinkStats, Transport};
 use crate::wire::{encode_frame, read_frame, Handshake};
 use crate::CommError;
-use crossbeam_channel::{bounded, unbounded, Receiver, Sender};
 use msplit_grid::Grid;
-use parking_lot::Mutex;
 use std::io::Write;
 use std::net::{TcpListener, TcpStream};
-use std::sync::Arc;
+use std::sync::mpsc::{
+    channel, sync_channel, Receiver, RecvTimeoutError, Sender, SyncSender, TryRecvError,
+};
+use std::sync::{Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 /// Realizes the grid model's link delays on real socket sends: before each
@@ -152,14 +153,15 @@ impl BoundTcpTransport {
         };
 
         // Dial every peer; retry while their listener is still coming up.
-        let mut outboxes: Vec<Option<Sender<OutFrame>>> = (0..world).map(|_| None).collect();
+        let mut outboxes: Vec<Option<SyncSender<OutFrame>>> = (0..world).map(|_| None).collect();
         let mut writer_handles = Vec::new();
         for (peer, addr) in addrs.iter().enumerate() {
             if peer == local_rank {
                 continue;
             }
             let stream = dial_peer(local_rank, peer, addr, local_hello, deadline)?;
-            let (tx, rx) = bounded::<OutFrame>(opts.outbox_capacity);
+            // At least one slot: a zero-capacity std channel is a rendezvous.
+            let (tx, rx) = sync_channel::<OutFrame>(opts.outbox_capacity.max(1));
             outboxes[peer] = Some(tx);
             writer_handles.push(std::thread::spawn(move || writer_loop(stream, rx)));
         }
@@ -168,7 +170,7 @@ impl BoundTcpTransport {
             .join()
             .unwrap_or_else(|_| Err(CommError::Io("acceptor thread panicked".to_string())))?;
 
-        let (inbox_tx, inbox_rx) = unbounded::<Message>();
+        let (inbox_tx, inbox_rx) = channel::<Message>();
         let live_readers = Arc::new(std::sync::atomic::AtomicUsize::new(accepted.len()));
         for (peer, stream) in accepted {
             let tx = inbox_tx.clone();
@@ -184,7 +186,7 @@ impl BoundTcpTransport {
             world,
             outboxes: Mutex::new(outboxes),
             inbox_tx,
-            inbox_rx,
+            inbox_rx: Mutex::new(inbox_rx),
             live_readers,
             stats: Mutex::new(LinkStats::default()),
             delay: opts.delay,
@@ -393,9 +395,11 @@ fn reader_loop(peer: usize, stream: TcpStream, inbox: Sender<Message>) {
 pub struct TcpTransport {
     local_rank: usize,
     world: usize,
-    outboxes: Mutex<Vec<Option<Sender<OutFrame>>>>,
+    outboxes: Mutex<Vec<Option<SyncSender<OutFrame>>>>,
     inbox_tx: Sender<Message>,
-    inbox_rx: Receiver<Message>,
+    /// Only the local rank receives; the mutex lends the single-consumer
+    /// receiver to `&self`, uncontended.
+    inbox_rx: Mutex<Receiver<Message>>,
     /// Reader threads still attached to live peer streams.  The transport
     /// holds its own `inbox_tx` (for self-sends), so the channel alone can
     /// never observe "every peer is gone" — this counter is what lets the
@@ -415,17 +419,30 @@ impl TcpTransport {
 
     /// A snapshot of the traffic sent by this endpoint.
     pub fn stats(&self) -> LinkStats {
-        self.stats.lock().clone()
+        self.stats
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .clone()
     }
 
     /// Closes the outboxes and waits for the writer threads to drain and
     /// exit, guaranteeing queued frames (e.g. a final `Halt` broadcast) hit
     /// the sockets.  Called automatically on drop.
     pub fn shutdown(&self) {
-        for slot in self.outboxes.lock().iter_mut() {
+        for slot in self
+            .outboxes
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .iter_mut()
+        {
             *slot = None;
         }
-        let handles: Vec<_> = self.writer_handles.lock().drain(..).collect();
+        let handles: Vec<_> = self
+            .writer_handles
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .drain(..)
+            .collect();
         for handle in handles {
             let _ = handle.join();
         }
@@ -460,7 +477,10 @@ impl Transport for TcpTransport {
         // receiver would reject as corrupt must never leave the sender.
         crate::wire::check_frame_size(&msg)?;
         let bytes = msg.encoded_len();
-        self.stats.lock().record(from, to, bytes);
+        self.stats
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .record(from, to, bytes);
         if to == self.local_rank {
             return self
                 .inbox_tx
@@ -475,7 +495,7 @@ impl Transport for TcpTransport {
             bytes: encode_frame(from, &msg),
             delay,
         };
-        let outbox = self.outboxes.lock()[to].clone();
+        let outbox = self.outboxes.lock().unwrap_or_else(PoisonError::into_inner)[to].clone();
         match outbox {
             Some(tx) => tx
                 .send(frame)
@@ -485,32 +505,26 @@ impl Transport for TcpTransport {
     }
 
     fn recv(&self, rank: usize) -> Result<Message, CommError> {
-        self.check_local(rank)?;
+        // Wait in slices so a dead mesh surfaces as a disconnect.
         loop {
-            match self.inbox_rx.recv_timeout(DEAD_MESH_POLL) {
-                Ok(msg) => return Ok(msg),
-                Err(crossbeam_channel::RecvTimeoutError::Timeout) => {
-                    // Queued messages drain before this branch can hit, so a
-                    // dead mesh with an empty inbox is a genuine disconnect.
-                    if self.mesh_dead() {
-                        return Err(CommError::Disconnected { rank });
-                    }
-                }
-                Err(crossbeam_channel::RecvTimeoutError::Disconnected) => {
-                    return Err(CommError::Disconnected { rank })
-                }
+            match self.recv_timeout(rank, DEAD_MESH_POLL) {
+                Err(CommError::Timeout { .. }) => {}
+                other => return other,
             }
         }
     }
 
     fn try_recv(&self, rank: usize) -> Result<Option<Message>, CommError> {
         self.check_local(rank)?;
-        match self.inbox_rx.try_recv() {
+        match self
+            .inbox_rx
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .try_recv()
+        {
             Ok(msg) => Ok(Some(msg)),
-            Err(crossbeam_channel::TryRecvError::Empty) => Ok(None),
-            Err(crossbeam_channel::TryRecvError::Disconnected) => {
-                Err(CommError::Disconnected { rank })
-            }
+            Err(TryRecvError::Empty) => Ok(None),
+            Err(TryRecvError::Disconnected) => Err(CommError::Disconnected { rank }),
         }
     }
 
@@ -524,15 +538,19 @@ impl Transport for TcpTransport {
             }
             match self
                 .inbox_rx
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner)
                 .recv_timeout(DEAD_MESH_POLL.min(deadline - now))
             {
                 Ok(msg) => return Ok(msg),
-                Err(crossbeam_channel::RecvTimeoutError::Timeout) => {
+                Err(RecvTimeoutError::Timeout) => {
+                    // Queued messages drain before this branch can hit, so a
+                    // dead mesh with an empty inbox is a genuine disconnect.
                     if self.mesh_dead() {
                         return Err(CommError::Disconnected { rank });
                     }
                 }
-                Err(crossbeam_channel::RecvTimeoutError::Disconnected) => {
+                Err(RecvTimeoutError::Disconnected) => {
                     return Err(CommError::Disconnected { rank })
                 }
             }

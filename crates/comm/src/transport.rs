@@ -2,7 +2,7 @@
 //! delay-modelling wrapper.
 //!
 //! Every multisplitting "processor" is a thread; an [`InProcTransport`] gives
-//! each rank an unbounded inbox fed by crossbeam channels.  The
+//! each rank an unbounded `std::sync::mpsc` inbox.  The
 //! [`DelayedTransport`] wrapper accounts every message against a
 //! [`msplit_grid::Grid`] link model — and can optionally *realize* a scaled
 //! fraction of the modelled delay with a real sleep, which is how the tests
@@ -11,10 +11,9 @@
 
 use crate::message::Message;
 use crate::CommError;
-use crossbeam_channel::{unbounded, Receiver, Sender};
 use msplit_grid::Grid;
-use parking_lot::Mutex;
-use std::sync::Arc;
+use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender, TryRecvError};
+use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Duration;
 
 /// A message transport connecting `num_ranks` endpoints.
@@ -90,7 +89,9 @@ const CLOSED_RANK_POLL: Duration = Duration::from_millis(50);
 /// dies, keeping error handling transport-generic.
 pub struct InProcTransport {
     senders: Vec<Sender<Message>>,
-    receivers: Vec<Receiver<Message>>,
+    /// Only rank `r` receives on `receivers[r]`; the mutex lends the
+    /// single-consumer receiver to `&self`, uncontended.
+    receivers: Vec<Mutex<Receiver<Message>>>,
     /// Ranks explicitly marked dead via [`InProcTransport::close_rank`].
     closed: Vec<std::sync::atomic::AtomicBool>,
     stats: Mutex<LinkStats>,
@@ -102,9 +103,9 @@ impl InProcTransport {
         let mut senders = Vec::with_capacity(num_ranks);
         let mut receivers = Vec::with_capacity(num_ranks);
         for _ in 0..num_ranks {
-            let (s, r) = unbounded();
+            let (s, r) = channel();
             senders.push(s);
-            receivers.push(r);
+            receivers.push(Mutex::new(r));
         }
         Arc::new(InProcTransport {
             senders,
@@ -118,7 +119,10 @@ impl InProcTransport {
 
     /// A snapshot of the per-link traffic statistics.
     pub fn stats(&self) -> LinkStats {
-        self.stats.lock().clone()
+        self.stats
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .clone()
     }
 
     /// Marks `rank` as dead: subsequent sends to it and receives on it
@@ -126,7 +130,10 @@ impl InProcTransport {
     pub fn close_rank(&self, rank: usize) -> Result<(), CommError> {
         self.check_rank(rank)?;
         self.closed[rank].store(true, std::sync::atomic::Ordering::SeqCst);
-        while self.receivers[rank].try_recv().is_ok() {}
+        let inbox = self.receivers[rank]
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
+        while inbox.try_recv().is_ok() {}
         Ok(())
     }
 
@@ -157,36 +164,37 @@ impl Transport for InProcTransport {
     fn send(&self, from: usize, to: usize, msg: Message) -> Result<(), CommError> {
         self.check_rank(from)?;
         self.check_open(to)?;
-        self.stats.lock().record(from, to, msg.encoded_len());
+        self.stats
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .record(from, to, msg.encoded_len());
         self.senders[to]
             .send(msg)
             .map_err(|_| CommError::Disconnected { rank: to })
     }
 
     fn recv(&self, rank: usize) -> Result<Message, CommError> {
-        // Poll in slices so a concurrent `close_rank` wakes this thread up:
+        // Wait in slices so a concurrent `close_rank` wakes this thread up:
         // the transport holds both channel halves, so the channel itself can
         // never signal the disconnect.
         loop {
-            self.check_open(rank)?;
-            match self.receivers[rank].recv_timeout(CLOSED_RANK_POLL) {
-                Ok(msg) => return Ok(msg),
-                Err(crossbeam_channel::RecvTimeoutError::Timeout) => continue,
-                Err(crossbeam_channel::RecvTimeoutError::Disconnected) => {
-                    return Err(CommError::Disconnected { rank })
-                }
+            match self.recv_timeout(rank, CLOSED_RANK_POLL) {
+                Err(CommError::Timeout { .. }) => {}
+                other => return other,
             }
         }
     }
 
     fn try_recv(&self, rank: usize) -> Result<Option<Message>, CommError> {
         self.check_open(rank)?;
-        match self.receivers[rank].try_recv() {
+        match self.receivers[rank]
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .try_recv()
+        {
             Ok(msg) => Ok(Some(msg)),
-            Err(crossbeam_channel::TryRecvError::Empty) => Ok(None),
-            Err(crossbeam_channel::TryRecvError::Disconnected) => {
-                Err(CommError::Disconnected { rank })
-            }
+            Err(TryRecvError::Empty) => Ok(None),
+            Err(TryRecvError::Disconnected) => Err(CommError::Disconnected { rank }),
         }
     }
 
@@ -198,10 +206,13 @@ impl Transport for InProcTransport {
             if now >= deadline {
                 return Err(CommError::Timeout { rank });
             }
-            match self.receivers[rank].recv_timeout(CLOSED_RANK_POLL.min(deadline - now)) {
+            let inbox = self.receivers[rank]
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner);
+            match inbox.recv_timeout(CLOSED_RANK_POLL.min(deadline - now)) {
                 Ok(msg) => return Ok(msg),
-                Err(crossbeam_channel::RecvTimeoutError::Timeout) => continue,
-                Err(crossbeam_channel::RecvTimeoutError::Disconnected) => {
+                Err(RecvTimeoutError::Timeout) => continue,
+                Err(RecvTimeoutError::Disconnected) => {
                     return Err(CommError::Disconnected { rank })
                 }
             }
@@ -246,7 +257,10 @@ impl DelayedTransport {
     /// Total modelled network delay charged to each rank so far (seconds of
     /// modelled time, regardless of `time_scale`).
     pub fn modelled_delays(&self) -> Vec<f64> {
-        self.modelled_delay.lock().clone()
+        self.modelled_delay
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .clone()
     }
 
     /// Traffic statistics of the underlying transport.
@@ -274,7 +288,9 @@ impl Transport for DelayedTransport {
                     rank: from.max(to),
                     total: self.num_ranks(),
                 })?;
-        self.modelled_delay.lock()[to] += delay;
+        self.modelled_delay
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)[to] += delay;
         if self.time_scale > 0.0 {
             std::thread::sleep(Duration::from_secs_f64(delay * self.time_scale));
         }

@@ -22,9 +22,9 @@
 //! mismatched partitions fail deterministically at connect time instead of
 //! corrupting a solve.
 
+use crate::codec::Reader;
 use crate::message::Message;
 use crate::CommError;
-use bytes::Bytes;
 use std::io::{Read, Write};
 
 /// Version byte of the frame layout; bump on any incompatible change.
@@ -88,31 +88,38 @@ pub fn check_frame_size(msg: &Message) -> Result<(), CommError> {
     Ok(())
 }
 
-/// Encodes `msg` as one self-contained frame.
+/// Encodes `msg` as one self-contained frame, header and body written into
+/// one buffer.
 pub fn encode_frame(from: usize, msg: &Message) -> Vec<u8> {
-    let payload = msg.encode();
-    let mut out = Vec::with_capacity(FRAME_HEADER_LEN + payload.len());
+    let len = msg.encoded_len();
+    let mut out = Vec::with_capacity(FRAME_HEADER_LEN + len);
     out.push(WIRE_VERSION);
     out.extend_from_slice(&(from as u32).to_le_bytes());
     out.extend_from_slice(&message_iteration(msg).to_le_bytes());
-    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    out.extend_from_slice(payload.as_ref());
+    out.extend_from_slice(&(len as u32).to_le_bytes());
+    msg.encode_into(&mut out);
+    debug_assert_eq!(out.len(), FRAME_HEADER_LEN + len, "encoded_len is exact");
     out
 }
 
-fn parse_header(raw: &[u8; FRAME_HEADER_LEN]) -> Result<FrameHeader, CommError> {
-    let version = raw[0];
+fn frame_reader(buf: &[u8]) -> Reader<'_, CommError> {
+    Reader::new(buf, "frame", CommError::Codec)
+}
+
+/// Reads and validates the [`FRAME_HEADER_LEN`]-byte envelope.
+fn parse_header(r: &mut Reader<'_, CommError>) -> Result<FrameHeader, CommError> {
+    let version = r.u8()?;
     if version != WIRE_VERSION {
-        return Err(CommError::Codec(format!(
+        return Err(r.error(format_args!(
             "unsupported wire version {version} (expected {WIRE_VERSION})"
         )));
     }
-    let from = u32::from_le_bytes(raw[1..5].try_into().expect("4 bytes"));
-    let iteration = u64::from_le_bytes(raw[5..13].try_into().expect("8 bytes"));
-    let payload_len = u32::from_le_bytes(raw[13..17].try_into().expect("4 bytes"));
+    let from = r.u32()?;
+    let iteration = r.u64()?;
+    let payload_len = r.u32()?;
     if payload_len as usize > MAX_FRAME_PAYLOAD {
-        return Err(CommError::Codec(format!(
-            "frame payload of {payload_len} bytes exceeds the {MAX_FRAME_PAYLOAD}-byte cap"
+        return Err(r.error(format_args!(
+            "payload of {payload_len} bytes exceeds the {MAX_FRAME_PAYLOAD}-byte cap"
         )));
     }
     Ok(FrameHeader {
@@ -127,23 +134,11 @@ fn parse_header(raw: &[u8; FRAME_HEADER_LEN]) -> Result<FrameHeader, CommError> 
 /// tests; sockets use [`read_frame`]).  Trailing bytes after the frame are an
 /// error: a frame is self-delimiting, so leftovers mean the caller lost sync.
 pub fn decode_frame(buf: &[u8]) -> Result<(FrameHeader, Message), CommError> {
-    if buf.len() < FRAME_HEADER_LEN {
-        return Err(CommError::Codec(format!(
-            "torn frame: {} bytes, header needs {FRAME_HEADER_LEN}",
-            buf.len()
-        )));
-    }
-    let header = parse_header(buf[..FRAME_HEADER_LEN].try_into().expect("header"))?;
-    let body = &buf[FRAME_HEADER_LEN..];
-    if body.len() != header.payload_len as usize {
-        return Err(CommError::Codec(format!(
-            "torn frame: header announced {} payload bytes, found {}",
-            header.payload_len,
-            body.len()
-        )));
-    }
-    let msg = Message::decode(Bytes::from(body.to_vec()))?;
-    Ok((header, msg))
+    let mut r = frame_reader(buf);
+    let header = parse_header(&mut r)?;
+    let body = r.bytes(header.payload_len as usize)?;
+    r.finish()?;
+    Ok((header, Message::decode(body)?))
 }
 
 /// Writes one frame to a stream (no flush; callers batch then flush).
@@ -180,7 +175,7 @@ pub fn read_frame<R: Read>(reader: &mut R) -> Result<(FrameHeader, Message), Com
             Err(e) => return Err(CommError::Io(format!("frame header read failed: {e}"))),
         }
     }
-    let header = parse_header(&raw)?;
+    let header = parse_header(&mut frame_reader(&raw))?;
     let mut payload = vec![0u8; header.payload_len as usize];
     reader.read_exact(&mut payload).map_err(|e| {
         if e.kind() == std::io::ErrorKind::UnexpectedEof {
@@ -189,7 +184,7 @@ pub fn read_frame<R: Read>(reader: &mut R) -> Result<(FrameHeader, Message), Com
             CommError::Io(format!("frame payload read failed: {e}"))
         }
     })?;
-    let msg = Message::decode(Bytes::from(payload))?;
+    let msg = Message::decode(&payload)?;
     Ok((header, msg))
 }
 

@@ -28,6 +28,7 @@
 
 use crate::runtime::{EngineSnapshot, RankEngine, VoteState};
 use crate::CoreError;
+use msplit_comm::codec::{put_f64s, put_u64, Reader};
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 
@@ -134,60 +135,6 @@ fn fnv1a(bytes: &[u8]) -> u64 {
     })
 }
 
-/// Little-endian cursor over a snapshot buffer; every read is bounds-checked
-/// so truncated input surfaces as [`CheckpointError::Corrupt`].
-struct Reader<'a> {
-    data: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Reader<'a> {
-    fn take(&mut self, n: usize, what: &str) -> Result<&'a [u8], CheckpointError> {
-        if self.data.len() - self.pos < n {
-            return Err(CheckpointError::Corrupt(format!(
-                "truncated while reading {what} (need {n} bytes at offset {})",
-                self.pos
-            )));
-        }
-        let out = &self.data[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(out)
-    }
-
-    fn u8(&mut self, what: &str) -> Result<u8, CheckpointError> {
-        Ok(self.take(1, what)?[0])
-    }
-
-    fn u32(&mut self, what: &str) -> Result<u32, CheckpointError> {
-        Ok(u32::from_le_bytes(self.take(4, what)?.try_into().unwrap()))
-    }
-
-    fn u64(&mut self, what: &str) -> Result<u64, CheckpointError> {
-        Ok(u64::from_le_bytes(self.take(8, what)?.try_into().unwrap()))
-    }
-
-    fn f64(&mut self, what: &str) -> Result<f64, CheckpointError> {
-        Ok(f64::from_bits(self.u64(what)?))
-    }
-
-    /// Reads a length-prefixed f64 vector.  The length is validated against
-    /// the remaining bytes *before* allocating, so a corrupted length field
-    /// cannot trigger a huge allocation or an overflow.
-    fn f64_vec(&mut self, what: &str) -> Result<Vec<f64>, CheckpointError> {
-        let len = self.u64(what)? as usize;
-        if (self.data.len() - self.pos) / 8 < len {
-            return Err(CheckpointError::Corrupt(format!(
-                "truncated {what}: header announces {len} values"
-            )));
-        }
-        let mut out = Vec::with_capacity(len);
-        for _ in 0..len {
-            out.push(self.f64(what)?);
-        }
-        Ok(out)
-    }
-}
-
 impl RankCheckpoint {
     /// Serializes the snapshot into the versioned on-disk byte layout
     /// (see `docs/checkpoint-format.md`).
@@ -203,24 +150,28 @@ impl RankCheckpoint {
         buf.extend_from_slice(MAGIC);
         buf.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
         buf.extend_from_slice(&0u32.to_le_bytes()); // flags, reserved
-        buf.extend_from_slice(&self.fingerprint.to_le_bytes());
-        buf.extend_from_slice(&(self.world as u64).to_le_bytes());
-        buf.extend_from_slice(&(self.rank as u64).to_le_bytes());
-        buf.extend_from_slice(&self.iteration.to_le_bytes());
-        buf.extend_from_slice(&self.last_increment.to_bits().to_le_bytes());
-        buf.extend_from_slice(&self.vote_consecutive.to_le_bytes());
+        for word in [
+            self.fingerprint,
+            self.world as u64,
+            self.rank as u64,
+            self.iteration,
+            self.last_increment.to_bits(),
+            self.vote_consecutive,
+        ] {
+            put_u64(&mut buf, word);
+        }
         buf.push(u8::from(self.fresh_since_step));
-        push_f64_vec(&mut buf, &self.x_sub);
-        push_f64_vec(&mut buf, &self.prev_deps);
-        buf.extend_from_slice(&(self.halo.len() as u64).to_le_bytes());
+        put_f64s(&mut buf, &self.x_sub);
+        put_f64s(&mut buf, &self.prev_deps);
+        put_u64(&mut buf, self.halo.len() as u64);
         for peer in &self.halo {
-            buf.extend_from_slice(&peer.stamp.to_le_bytes());
+            put_u64(&mut buf, peer.stamp);
             match &peer.slice {
                 None => buf.push(0),
                 Some((offset, values)) => {
                     buf.push(1);
-                    buf.extend_from_slice(&(*offset as u64).to_le_bytes());
-                    push_f64_vec(&mut buf, values);
+                    put_u64(&mut buf, *offset as u64);
+                    put_f64s(&mut buf, values);
                 }
             }
         }
@@ -251,57 +202,46 @@ impl RankCheckpoint {
                 "checksum mismatch (torn or corrupted snapshot)".to_string(),
             ));
         }
-        let mut r = Reader {
-            data: body,
-            pos: MAGIC.len(),
-        };
-        let version = r.u32("version")?;
+        let mut r = Reader::new(body, "snapshot", CheckpointError::Corrupt);
+        r.bytes(MAGIC.len())?;
+        let version = r.u32()?;
         if version != FORMAT_VERSION {
             return Err(CheckpointError::VersionMismatch {
                 found: version,
                 expected: FORMAT_VERSION,
             });
         }
-        let _flags = r.u32("flags")?;
-        let fingerprint = r.u64("fingerprint")?;
-        let world = r.u64("world")? as usize;
-        let rank = r.u64("rank")? as usize;
+        let _flags = r.u32()?;
+        let fingerprint = r.u64()?;
+        let world = r.u64()? as usize;
+        let rank = r.u64()? as usize;
         if rank >= world {
-            return Err(CheckpointError::Corrupt(format!(
-                "rank {rank} out of range for world {world}"
-            )));
+            return Err(r.error(format_args!("rank {rank} out of range for world {world}")));
         }
-        let iteration = r.u64("iteration")?;
-        let last_increment = r.f64("last_increment")?;
-        let vote_consecutive = r.u64("vote_consecutive")?;
-        let fresh_since_step = r.u8("fresh_since_step")? != 0;
-        let x_sub = r.f64_vec("x_sub")?;
-        let prev_deps = r.f64_vec("prev_deps")?;
-        let peers = r.u64("halo count")? as usize;
+        let iteration = r.u64()?;
+        let last_increment = r.f64()?;
+        let vote_consecutive = r.u64()?;
+        let fresh_since_step = r.u8()? != 0;
+        let x_sub = r.f64s()?;
+        let prev_deps = r.f64s()?;
+        // Every halo entry holds at least its stamp and presence flag.
+        let peers = r.count(9)?;
         if peers != world {
-            return Err(CheckpointError::Corrupt(format!(
+            return Err(r.error(format_args!(
                 "halo has {peers} entries for a world of {world}"
             )));
         }
         let mut halo = Vec::with_capacity(peers);
-        for p in 0..peers {
-            let stamp = r.u64("halo stamp")?;
-            let slice = if r.u8("halo presence flag")? != 0 {
-                let offset = r.u64("halo offset")? as usize;
-                let values = r.f64_vec("halo values")?;
-                Some((offset, values))
+        for _ in 0..peers {
+            let stamp = r.u64()?;
+            let slice = if r.u8()? != 0 {
+                Some((r.u64()? as usize, r.f64s()?))
             } else {
                 None
             };
-            let _ = p;
             halo.push(HaloPeer { stamp, slice });
         }
-        if r.pos != body.len() {
-            return Err(CheckpointError::Corrupt(format!(
-                "{} trailing bytes after the halo section",
-                body.len() - r.pos
-            )));
-        }
+        r.finish()?;
         Ok(RankCheckpoint {
             fingerprint,
             world,
@@ -362,13 +302,6 @@ impl RankCheckpoint {
             consecutive: self.vote_consecutive,
             last_increment: self.last_increment,
         })
-    }
-}
-
-fn push_f64_vec(buf: &mut Vec<u8>, values: &[f64]) {
-    buf.extend_from_slice(&(values.len() as u64).to_le_bytes());
-    for v in values {
-        buf.extend_from_slice(&v.to_bits().to_le_bytes());
     }
 }
 
@@ -565,6 +498,30 @@ mod tests {
                 "bit flip at {pos} went undetected"
             );
         }
+    }
+
+    #[test]
+    fn hostile_halo_counts_are_corrupt_not_an_allocation() {
+        // A world of 2^40 ranks whose halo count agrees, behind a valid
+        // checksum: the count must be checked against the bytes that
+        // remain before the halo vector is sized from it.
+        let mut ckpt = sample();
+        ckpt.world = 1 << 40;
+        ckpt.x_sub.clear();
+        ckpt.prev_deps.clear();
+        ckpt.halo.clear();
+        let mut bytes = ckpt.encode();
+        // magic + version + flags + six u64 words + fresh flag + two empty
+        // vector lengths precede the halo count.
+        let at = 8 + 4 + 4 + 6 * 8 + 1 + 2 * 8;
+        bytes[at..at + 8].copy_from_slice(&(1u64 << 40).to_le_bytes());
+        let body_len = bytes.len() - 8;
+        let sum = fnv1a(&bytes[..body_len]);
+        bytes[body_len..].copy_from_slice(&sum.to_le_bytes());
+        assert!(matches!(
+            RankCheckpoint::decode(&bytes),
+            Err(CheckpointError::Corrupt(_))
+        ));
     }
 
     #[test]

@@ -659,7 +659,9 @@ impl Launcher {
         let partition = decomposition.partition().clone();
 
         let job_dir = self.create_job_dir()?;
-        let result = self.run_job(a, b, config, &worker_bin, &job_dir, &partition, start);
+        let result = self.prepare_job(a, b, config, &job_dir).and_then(|_| {
+            self.run_to_completion(&worker_bin, &job_dir, config, &partition, None, start)
+        });
         if !self.config.keep_job_dir {
             let _ = std::fs::remove_dir_all(&job_dir);
         } else {
@@ -783,20 +785,19 @@ impl Launcher {
         (children, Ok(()))
     }
 
-    #[allow(clippy::too_many_arguments)]
-    fn run_job(
+    /// Spawns every worker of the job in `job_dir`, waits for all of them to
+    /// succeed, and gathers their published results.
+    fn run_to_completion(
         &self,
-        a: &CsrMatrix,
-        b: &[f64],
-        config: &MultisplittingConfig,
         worker_bin: &Path,
         job_dir: &Path,
+        config: &MultisplittingConfig,
         partition: &BandPartition,
+        resume_at: Option<u64>,
         start: Instant,
     ) -> Result<DistributedOutcome, CoreError> {
         let world = config.parts;
-        self.prepare_job(a, b, config, job_dir)?;
-        let (mut children, spawn_result) = self.spawn_all(worker_bin, job_dir, world, None);
+        let (mut children, spawn_result) = self.spawn_all(worker_bin, job_dir, world, resume_at);
         let wait_result = spawn_result.and_then(|()| {
             let deadline = Instant::now() + self.config.timeout;
             Self::wait_for_workers(&mut children, deadline, job_dir)
@@ -808,12 +809,15 @@ impl Launcher {
             let _ = child.wait();
         }
         wait_result?;
-        Self::gather_outcome(job_dir, config, partition, start)
+        let results = (0..world)
+            .map(|rank| load_rank_result(job_dir, rank))
+            .collect::<Result<Vec<_>, _>>()?;
+        Self::gather_outcome(results, config, partition, start)
     }
 
     /// Assembles the global solution from every rank's published result.
     fn gather_outcome(
-        job_dir: &Path,
+        results: Vec<(RankMeta, Vec<f64>)>,
         config: &MultisplittingConfig,
         partition: &BandPartition,
         start: Instant,
@@ -821,8 +825,7 @@ impl Launcher {
         let world = config.parts;
         let mut locals = Vec::with_capacity(world);
         let mut stops = Vec::with_capacity(world);
-        for rank in 0..world {
-            let (meta, x_local) = load_rank_result(job_dir, rank)?;
+        for (rank, (meta, x_local)) in results.into_iter().enumerate() {
             let expected = partition.extended_range(rank).len();
             if x_local.len() != expected {
                 return Err(CoreError::Distributed(format!(
@@ -877,18 +880,14 @@ impl Launcher {
         let partition = solver.decompose(&a, &b)?.partition().clone();
 
         let worker_bin = self.worker_binary()?;
-        let (mut children, spawn_result) =
-            self.spawn_all(&worker_bin, job_dir, world, Some(resume_at));
-        let wait_result = spawn_result.and_then(|()| {
-            let deadline = Instant::now() + self.config.timeout;
-            Self::wait_for_workers(&mut children, deadline, job_dir)
-        });
-        for child in children.iter_mut().flatten() {
-            let _ = child.kill();
-            let _ = child.wait();
-        }
-        wait_result?;
-        Self::gather_outcome(job_dir, &spec.config, &partition, start)
+        self.run_to_completion(
+            &worker_bin,
+            job_dir,
+            &spec.config,
+            &partition,
+            Some(resume_at),
+            start,
+        )
     }
 
     /// Solves `A x = b` elastically: on a reshape request (a worker killed
@@ -1030,8 +1029,9 @@ impl Launcher {
             _ => None,
         };
         if dead.is_empty() && reshape.is_none() {
+            let results = results.into_iter().flatten().collect();
             return Ok(Attempt::Done(Self::gather_outcome(
-                job_dir, cfg, partition, start,
+                results, cfg, partition, start,
             )?));
         }
         let dead_rank = reshape.unwrap_or(dead[0]);

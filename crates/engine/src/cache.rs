@@ -3,10 +3,9 @@
 use crate::key::MatrixKey;
 use crate::EngineError;
 use msplit_core::PreparedSystem;
-use parking_lot::{Condvar, Mutex};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::Instant;
 
 enum Entry {
@@ -105,6 +104,7 @@ impl FactorizationCache {
     pub fn len(&self) -> usize {
         self.state
             .lock()
+            .unwrap_or_else(PoisonError::into_inner)
             .entries
             .values()
             .filter(|e| matches!(e, Entry::Ready { .. }))
@@ -153,7 +153,7 @@ impl FactorizationCache {
             Claimed,
         }
         {
-            let mut guard = self.state.lock();
+            let mut guard = self.state.lock().unwrap_or_else(PoisonError::into_inner);
             // Set once the request first blocks behind an in-flight
             // preparation; the total blocked time is recorded when the
             // request resolves (hit or claim).
@@ -196,7 +196,10 @@ impl FactorizationCache {
                             wait_started = Some(Instant::now());
                             self.single_flight_waits.fetch_add(1, Ordering::Relaxed);
                         }
-                        self.flight_done.wait(&mut guard)
+                        guard = self
+                            .flight_done
+                            .wait(guard)
+                            .unwrap_or_else(PoisonError::into_inner)
                     }
                     Action::Claimed => {
                         self.misses.fetch_add(1, Ordering::Relaxed);
@@ -221,7 +224,7 @@ impl FactorizationCache {
         };
         let elapsed_micros = started.elapsed().as_micros() as u64;
 
-        let mut state = self.state.lock();
+        let mut state = self.state.lock().unwrap_or_else(PoisonError::into_inner);
         let out = match result {
             Ok(prepared) => {
                 self.factorizations.fetch_add(1, Ordering::Relaxed);

@@ -5,9 +5,8 @@ use crate::EngineError;
 use msplit_core::solver::{BatchSolveOutcome, MultisplittingConfig, SolveOutcome};
 use msplit_core::Stop;
 use msplit_sparse::CsrMatrix;
-use parking_lot::{Condvar, Mutex};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::Duration;
 
 /// Scheduling priority of a job.  Within one priority level jobs run in
@@ -213,7 +212,7 @@ impl JobShared {
         result: Result<Arc<JobOutcome>, EngineError>,
         kind: FinishKind,
     ) -> bool {
-        let mut state = self.state.lock();
+        let mut state = self.state.lock().unwrap_or_else(PoisonError::into_inner);
         if matches!(*state, JobState::Finished(_)) {
             return false;
         }
@@ -235,7 +234,7 @@ impl JobShared {
     /// Cancels the job iff it is still queued, atomically with the state
     /// check (a running job is left alone: the solve is not interrupted).
     pub(crate) fn cancel_queued(&self) -> bool {
-        let mut state = self.state.lock();
+        let mut state = self.state.lock().unwrap_or_else(PoisonError::into_inner);
         if !matches!(*state, JobState::Queued) {
             return false;
         }
@@ -249,7 +248,7 @@ impl JobShared {
     /// Marks the job as running unless it was already finished (e.g.
     /// cancelled while queued).  Returns false if the job must be skipped.
     pub(crate) fn start(&self) -> bool {
-        let mut state = self.state.lock();
+        let mut state = self.state.lock().unwrap_or_else(PoisonError::into_inner);
         if matches!(*state, JobState::Finished(_)) {
             return false;
         }
@@ -284,12 +283,24 @@ impl JobHandle {
 
     /// Whether the job has reached a terminal state.
     pub fn is_finished(&self) -> bool {
-        matches!(*self.shared.state.lock(), JobState::Finished(_))
+        matches!(
+            *self
+                .shared
+                .state
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner),
+            JobState::Finished(_)
+        )
     }
 
     /// Returns the result if the job already finished, without blocking.
     pub fn try_result(&self) -> Option<Result<Arc<JobOutcome>, EngineError>> {
-        match &*self.shared.state.lock() {
+        match &*self
+            .shared
+            .state
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+        {
             JobState::Finished(r) => Some(r.clone()),
             _ => None,
         }
@@ -297,12 +308,20 @@ impl JobHandle {
 
     /// Blocks until the job finishes and returns its result.
     pub fn wait(&self) -> Result<Arc<JobOutcome>, EngineError> {
-        let mut state = self.shared.state.lock();
+        let mut state = self
+            .shared
+            .state
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
         loop {
             if let JobState::Finished(r) = &*state {
                 return r.clone();
             }
-            self.shared.done.wait(&mut state);
+            state = self
+                .shared
+                .done
+                .wait(state)
+                .unwrap_or_else(PoisonError::into_inner);
         }
     }
 }

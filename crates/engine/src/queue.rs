@@ -2,9 +2,8 @@
 
 use crate::job::{JobShared, Priority, SolveRequest};
 use crate::EngineError;
-use parking_lot::{Condvar, Mutex};
 use std::collections::VecDeque;
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::Instant;
 
 /// One enqueued job: the request plus the shared completion state.
@@ -51,18 +50,21 @@ impl JobQueue {
     }
 
     pub(crate) fn len(&self) -> usize {
-        self.state.lock().len
+        self.state
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .len
     }
 
     /// Jobs waiting per priority lane, highest priority first.
     pub(crate) fn lane_depths(&self) -> [usize; Priority::COUNT] {
-        let state = self.state.lock();
+        let state = self.state.lock().unwrap_or_else(PoisonError::into_inner);
         std::array::from_fn(|i| state.lanes[i].len())
     }
 
     /// Enqueues, blocking while the queue is at capacity.
     pub(crate) fn push_blocking(&self, job: Job) -> Result<(), EngineError> {
-        let mut state = self.state.lock();
+        let mut state = self.state.lock().unwrap_or_else(PoisonError::into_inner);
         loop {
             if state.closed {
                 return Err(EngineError::ShuttingDown);
@@ -75,13 +77,16 @@ impl JobQueue {
                 self.not_empty.notify_one();
                 return Ok(());
             }
-            self.not_full.wait(&mut state);
+            state = self
+                .not_full
+                .wait(state)
+                .unwrap_or_else(PoisonError::into_inner);
         }
     }
 
     /// Enqueues without blocking.
     pub(crate) fn try_push(&self, job: Job) -> Result<(), EngineError> {
-        let mut state = self.state.lock();
+        let mut state = self.state.lock().unwrap_or_else(PoisonError::into_inner);
         if state.closed {
             return Err(EngineError::ShuttingDown);
         }
@@ -100,7 +105,7 @@ impl JobQueue {
     /// blocking while the queue is empty.  Returns `None` only after the
     /// queue was closed *and* fully drained.
     pub(crate) fn pop(&self) -> Option<Job> {
-        let mut state = self.state.lock();
+        let mut state = self.state.lock().unwrap_or_else(PoisonError::into_inner);
         loop {
             if state.len > 0 {
                 for lane in state.lanes.iter_mut() {
@@ -116,13 +121,19 @@ impl JobQueue {
             if state.closed {
                 return None;
             }
-            self.not_empty.wait(&mut state);
+            state = self
+                .not_empty
+                .wait(state)
+                .unwrap_or_else(PoisonError::into_inner);
         }
     }
 
     /// Closes the queue: no new submissions; queued jobs still drain.
     pub(crate) fn close(&self) {
-        self.state.lock().closed = true;
+        self.state
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .closed = true;
         self.not_empty.notify_all();
         self.not_full.notify_all();
     }

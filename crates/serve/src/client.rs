@@ -16,11 +16,10 @@ use msplit_comm::{CommError, Message, RejectCode};
 use msplit_core::solver::MultisplittingConfig;
 use msplit_sparse::fingerprint::Fnv64;
 use msplit_sparse::CsrMatrix;
-use parking_lot::Mutex;
 use std::collections::{HashMap, HashSet};
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{mpsc, Arc, Mutex, PoisonError};
 use std::time::Duration;
 
 /// Virtual points each shard contributes to the ring: enough that removing
@@ -71,7 +70,7 @@ impl Default for ClientOptions {
 /// exactly the traffic shape the server's coalescer merges.
 struct NodeConn {
     writer: Mutex<TcpStream>,
-    waiters: Arc<Mutex<HashMap<u64, crossbeam_channel::Sender<Message>>>>,
+    waiters: Arc<Mutex<HashMap<u64, mpsc::SyncSender<Message>>>>,
     alive: Arc<AtomicBool>,
     shard: usize,
 }
@@ -98,7 +97,7 @@ impl NodeConn {
         let echo = Handshake::read_from(&mut stream).map_err(ServeError::Comm)?;
         let shard = echo.rank;
 
-        let waiters: Arc<Mutex<HashMap<u64, crossbeam_channel::Sender<Message>>>> =
+        let waiters: Arc<Mutex<HashMap<u64, mpsc::SyncSender<Message>>>> =
             Arc::new(Mutex::new(HashMap::new()));
         let alive = Arc::new(AtomicBool::new(true));
         let mut reader = stream
@@ -112,27 +111,29 @@ impl NodeConn {
                 .spawn(move || loop {
                     match read_frame(&mut reader) {
                         Ok((_, msg)) => {
-                            let request_id = match &msg {
+                            let slot = match &msg {
                                 Message::SolveResult { request_id, .. }
-                                | Message::Reject { request_id, .. } => Some(*request_id),
-                                _ => None,
-                            };
-                            if let Some(id) = request_id {
-                                if let Some(tx) = waiters.lock().remove(&id) {
-                                    let _ = tx.send(msg);
-                                }
-                            } else if let Message::ServerStats { .. } = msg {
+                                | Message::Reject { request_id, .. } => *request_id,
                                 // Stats replies use the reserved id 0 slot.
-                                if let Some(tx) = waiters.lock().remove(&0) {
-                                    let _ = tx.send(msg);
-                                }
+                                Message::ServerStats { .. } => 0,
+                                _ => continue,
+                            };
+                            let waiter = waiters
+                                .lock()
+                                .unwrap_or_else(PoisonError::into_inner)
+                                .remove(&slot);
+                            if let Some(tx) = waiter {
+                                let _ = tx.send(msg);
                             }
                         }
                         Err(_) => {
                             alive.store(false, Ordering::SeqCst);
                             // Fail every outstanding waiter so ring-retry can
                             // move on instead of hanging.
-                            waiters.lock().clear();
+                            waiters
+                                .lock()
+                                .unwrap_or_else(PoisonError::into_inner)
+                                .clear();
                             return;
                         }
                     }
@@ -149,11 +150,14 @@ impl NodeConn {
 
     /// Sends `msg` and waits for the response routed to `wait_id`.
     fn round_trip(&self, wait_id: u64, msg: &Message) -> Result<Message, ServeError> {
-        let (tx, rx) = crossbeam_channel::bounded(1);
-        self.waiters.lock().insert(wait_id, tx);
+        let (tx, rx) = mpsc::sync_channel(1);
+        self.waiters
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .insert(wait_id, tx);
         let send_result = {
             use std::io::Write;
-            let mut writer = self.writer.lock();
+            let mut writer = self.writer.lock().unwrap_or_else(PoisonError::into_inner);
             write_frame(&mut *writer, 0, msg).and_then(|()| {
                 writer
                     .flush()
@@ -161,7 +165,10 @@ impl NodeConn {
             })
         };
         if let Err(e) = send_result {
-            self.waiters.lock().remove(&wait_id);
+            self.waiters
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner)
+                .remove(&wait_id);
             self.alive.store(false, Ordering::SeqCst);
             return Err(ServeError::Comm(e));
         }
@@ -243,7 +250,7 @@ impl ServeClient {
     }
 
     fn connection(&self, node: usize) -> Result<Arc<NodeConn>, ServeError> {
-        let mut conns = self.conns.lock();
+        let mut conns = self.conns.lock().unwrap_or_else(PoisonError::into_inner);
         if let Some(conn) = conns.get(&node) {
             if conn.alive.load(Ordering::SeqCst) {
                 return Ok(Arc::clone(conn));
@@ -251,7 +258,10 @@ impl ServeClient {
             conns.remove(&node);
             // The connection died; anything the shard learned may be gone
             // with it (process death), so forget what we sent it.
-            self.sent_matrices.lock().retain(|(n, _)| *n != node);
+            self.sent_matrices
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner)
+                .retain(|(n, _)| *n != node);
         }
         let conn = Arc::new(NodeConn::open(
             &self.addrs[node],
@@ -262,8 +272,14 @@ impl ServeClient {
     }
 
     fn drop_connection(&self, node: usize) {
-        self.conns.lock().remove(&node);
-        self.sent_matrices.lock().retain(|(n, _)| *n != node);
+        self.conns
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .remove(&node);
+        self.sent_matrices
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .retain(|(n, _)| *n != node);
     }
 
     fn submit_message(
@@ -304,7 +320,11 @@ impl ServeClient {
     ) -> Result<ServeSolution, ServeError> {
         let conn = self.connection(node)?;
         let request_id = self.next_request.fetch_add(1, Ordering::Relaxed);
-        let already_sent = self.sent_matrices.lock().contains(&(node, fingerprint));
+        let already_sent = self
+            .sent_matrices
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .contains(&(node, fingerprint));
         let msg = self.submit_message(request_id, a, fingerprint, config, rhs, !already_sent);
         let mut reply = conn.round_trip(request_id, &msg)?;
         if let Message::Reject {
@@ -315,7 +335,10 @@ impl ServeClient {
         {
             // The shard restarted and lost the matrix: resend it once.
             if already_sent && detail.contains("unknown matrix") {
-                self.sent_matrices.lock().remove(&(node, fingerprint));
+                self.sent_matrices
+                    .lock()
+                    .unwrap_or_else(PoisonError::into_inner)
+                    .remove(&(node, fingerprint));
                 let retry_id = self.next_request.fetch_add(1, Ordering::Relaxed);
                 let msg = self.submit_message(retry_id, a, fingerprint, config, rhs, true);
                 reply = conn.round_trip(retry_id, &msg)?;
@@ -329,7 +352,10 @@ impl ServeClient {
                 x,
                 ..
             } => {
-                self.sent_matrices.lock().insert((node, fingerprint));
+                self.sent_matrices
+                    .lock()
+                    .unwrap_or_else(PoisonError::into_inner)
+                    .insert((node, fingerprint));
                 Ok(ServeSolution {
                     x,
                     iterations,

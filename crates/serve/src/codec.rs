@@ -8,6 +8,7 @@
 //! fleet fails with a typed error instead of a garbage solve.
 
 use crate::ServeError;
+use msplit_comm::codec::{put_f64s, put_u64, Reader};
 use msplit_core::solver::{ExecutionMode, Method, MultisplittingConfig};
 use msplit_core::weighting::WeightingScheme;
 use msplit_direct::SolverKind;
@@ -25,70 +26,6 @@ const CONFIG_VERSION: u8 = 2;
 const CONFIG_VERSION_MIN: u8 = 1;
 /// Version byte of the matrix encoding.
 const MATRIX_VERSION: u8 = 1;
-
-struct Reader<'a> {
-    data: &'a [u8],
-    pos: usize,
-    what: &'static str,
-}
-
-impl<'a> Reader<'a> {
-    fn new(data: &'a [u8], what: &'static str) -> Self {
-        Reader { data, pos: 0, what }
-    }
-
-    fn u8(&mut self) -> Result<u8, ServeError> {
-        let b = *self
-            .data
-            .get(self.pos)
-            .ok_or_else(|| ServeError::Protocol(format!("truncated {} blob", self.what)))?;
-        self.pos += 1;
-        Ok(b)
-    }
-
-    fn u64(&mut self) -> Result<u64, ServeError> {
-        let end = self.pos + 8;
-        let raw = self
-            .data
-            .get(self.pos..end)
-            .ok_or_else(|| ServeError::Protocol(format!("truncated {} blob", self.what)))?;
-        self.pos = end;
-        Ok(u64::from_le_bytes(raw.try_into().expect("8 bytes")))
-    }
-
-    fn f64(&mut self) -> Result<f64, ServeError> {
-        Ok(f64::from_bits(self.u64()?))
-    }
-
-    /// A `u64` that must fit in `usize` and stay below `cap` (an upper bound
-    /// derived from the blob length, so a corrupted count cannot drive a
-    /// huge allocation).
-    fn count(&mut self, cap: usize) -> Result<usize, ServeError> {
-        let n = self.u64()?;
-        if n > cap as u64 {
-            return Err(ServeError::Protocol(format!(
-                "{} blob announces {n} elements but only {cap} could fit",
-                self.what
-            )));
-        }
-        Ok(n as usize)
-    }
-
-    fn finish(self) -> Result<(), ServeError> {
-        if self.pos != self.data.len() {
-            return Err(ServeError::Protocol(format!(
-                "{} blob has {} trailing bytes",
-                self.what,
-                self.data.len() - self.pos
-            )));
-        }
-        Ok(())
-    }
-}
-
-fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
 
 /// Serializes a solver configuration for [`Message::SubmitSolve`](msplit_comm::Message).
 pub fn encode_config(config: &MultisplittingConfig) -> Vec<u8> {
@@ -113,10 +50,7 @@ pub fn encode_config(config: &MultisplittingConfig) -> Vec<u8> {
     put_u64(&mut out, config.tolerance.to_bits());
     put_u64(&mut out, config.max_iterations);
     put_u64(&mut out, config.async_confirmations);
-    put_u64(&mut out, config.relative_speeds.len() as u64);
-    for s in &config.relative_speeds {
-        put_u64(&mut out, s.to_bits());
-    }
+    put_f64s(&mut out, &config.relative_speeds);
     // v2 suffix: the method selector.  Unused knobs encode as zero so every
     // method occupies the same number of bytes (simpler truncation fuzzing).
     let (tag, restart, inner_sweeps) = match config.method {
@@ -135,7 +69,7 @@ pub fn encode_config(config: &MultisplittingConfig) -> Vec<u8> {
 
 /// Parses a configuration blob produced by [`encode_config`].
 pub fn decode_config(blob: &[u8]) -> Result<MultisplittingConfig, ServeError> {
-    let mut r = Reader::new(blob, "config");
+    let mut r = Reader::new(blob, "config blob", ServeError::Protocol);
     let version = r.u8()?;
     if !(CONFIG_VERSION_MIN..=CONFIG_VERSION).contains(&version) {
         return Err(ServeError::Protocol(format!(
@@ -172,11 +106,7 @@ pub fn decode_config(blob: &[u8]) -> Result<MultisplittingConfig, ServeError> {
     let tolerance = r.f64()?;
     let max_iterations = r.u64()?;
     let async_confirmations = r.u64()?;
-    let nspeeds = r.count(blob.len() / 8)?;
-    let mut relative_speeds = Vec::with_capacity(nspeeds);
-    for _ in 0..nspeeds {
-        relative_speeds.push(r.f64()?);
-    }
+    let relative_speeds = r.f64s()?;
     // v1 blobs end here; every v1 sender ran the stationary method.
     let method = if version >= 2 {
         let tag = r.u8()?;
@@ -246,22 +176,18 @@ pub fn encode_matrix(a: &CsrMatrix) -> Vec<u8> {
 /// Parses a matrix blob produced by [`encode_matrix`], re-validating the CSR
 /// invariants (the blob crossed a network).
 pub fn decode_matrix(blob: &[u8]) -> Result<CsrMatrix, ServeError> {
-    let mut r = Reader::new(blob, "matrix");
+    let mut r = Reader::new(blob, "matrix blob", ServeError::Protocol);
     let version = r.u8()?;
     if version != MATRIX_VERSION {
         return Err(ServeError::Protocol(format!(
             "matrix blob version {version}, this build speaks {MATRIX_VERSION}"
         )));
     }
-    let rows = r.u64()? as usize;
+    // Each row needs a row-pointer word and each stored entry a column
+    // index and a value, so both counts are bounded by the remaining bytes.
+    let rows = r.count(8)?;
     let cols = r.u64()? as usize;
-    let cap = blob.len() / 8;
-    let nnz = r.count(cap)?;
-    if rows + 1 > cap {
-        return Err(ServeError::Protocol(format!(
-            "matrix blob announces {rows} rows but only {cap} words follow"
-        )));
-    }
+    let nnz = r.count(16)?;
     let mut row_ptr = Vec::with_capacity(rows + 1);
     for _ in 0..rows + 1 {
         row_ptr.push(r.u64()? as usize);
@@ -394,5 +320,77 @@ mod tests {
         // nnz field sits after version + rows + cols.
         m[17..25].copy_from_slice(&u64::MAX.to_le_bytes());
         assert!(decode_matrix(&m).is_err());
+    }
+
+    #[test]
+    fn hostile_row_counts_are_protocol_errors() {
+        let m = encode_matrix(&generators::tridiagonal(10, 4.0, -1.0));
+        // rows sits after the version byte; `u64::MAX` used to overflow
+        // `rows + 1`, and a count equal to the words that follow is one
+        // row pointer short.
+        let words_after_rows = (m.len() - 9) as u64 / 8;
+        for rows in [u64::MAX, words_after_rows] {
+            let mut bad = m.clone();
+            bad[1..9].copy_from_slice(&rows.to_le_bytes());
+            assert!(
+                matches!(decode_matrix(&bad), Err(ServeError::Protocol(_))),
+                "rows = {rows}"
+            );
+        }
+    }
+
+    fn hex(bytes: &[u8]) -> String {
+        bytes.iter().map(|b| format!("{b:02x}")).collect()
+    }
+
+    /// The exact bytes both blobs have always had, pinned independently of
+    /// the decoder (a round trip cannot see a change made to both sides).
+    #[test]
+    fn blob_bytes_are_stable() {
+        let config = MultisplittingConfig {
+            parts: 3,
+            overlap: 1,
+            weighting: WeightingScheme::Average,
+            solver_kind: SolverKind::BandLu,
+            tolerance: 1e-8,
+            max_iterations: 500,
+            mode: ExecutionMode::Synchronous,
+            async_confirmations: 2,
+            relative_speeds: vec![1.0, 2.0],
+            method: Method::Fgmres {
+                restart: 30,
+                inner_sweeps: 2,
+            },
+        };
+        let blob = encode_config(&config);
+        assert_eq!(
+            hex(&blob),
+            "02030000000000000001000000000000000102003a8c30e28e79453ef4010000\
+             0000000002000000000000000200000000000000000000000000f03f00000000\
+             00000040021e000000000000000200000000000000"
+        );
+        assert_eq!(
+            format!("{:?}", decode_config(&blob).unwrap()),
+            format!("{config:?}")
+        );
+        // The same config as a v1 sender wrote it decodes as stationary.
+        let v1 = decode_config(&encode_config_v1(&config)).unwrap();
+        assert_eq!(v1.method, Method::Stationary);
+        assert_eq!(v1.relative_speeds, config.relative_speeds);
+
+        let a = generators::tridiagonal(4, 4.0, -1.0);
+        let blob = encode_matrix(&a);
+        assert_eq!(
+            hex(&blob),
+            "01040000000000000004000000000000000a0000000000000000000000000000\
+             000200000000000000050000000000000008000000000000000a000000000000\
+             0000000000000000000100000000000000000000000000000001000000000000\
+             0002000000000000000100000000000000020000000000000003000000000000\
+             00020000000000000003000000000000000000000000001040000000000000f0\
+             bf000000000000f0bf0000000000001040000000000000f0bf000000000000f0\
+             bf0000000000001040000000000000f0bf000000000000f0bf00000000000010\
+             40"
+        );
+        assert_eq!(decode_matrix(&blob).unwrap().fingerprint(), a.fingerprint());
     }
 }

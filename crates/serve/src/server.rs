@@ -26,11 +26,10 @@ use msplit_engine::{
     Engine, EngineConfig, EngineError, JobOutcome, MatrixKey, Priority, RhsPayload, SolveRequest,
 };
 use msplit_sparse::CsrMatrix;
-use parking_lot::{Condvar, Mutex};
 use std::collections::HashMap;
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 /// Sizing and policy of one serve shard.
@@ -129,7 +128,7 @@ struct ConnHandle {
 impl ConnHandle {
     fn send(&self, msg: &Message) -> Result<(), CommError> {
         use std::io::Write;
-        let mut stream = self.stream.lock();
+        let mut stream = self.stream.lock().unwrap_or_else(PoisonError::into_inner);
         write_frame(&mut *stream, self.shard, msg)?;
         stream
             .flush()
@@ -364,7 +363,7 @@ fn server_stats(inner: &Inner) -> Message {
         dense_fallbacks: report.dense_fallbacks,
         mean_reach_ppm: 0,
         queue_depths: {
-            let pending = inner.pending.lock();
+            let pending = inner.pending.lock().unwrap_or_else(PoisonError::into_inner);
             [
                 (depths[0] + pending.lane_count(0)) as u64,
                 (depths[1] + pending.lane_count(1)) as u64,
@@ -423,7 +422,12 @@ fn handle_submit(
     // fingerprint before"; a non-empty blob is decoded, checked against the
     // announced fingerprint and remembered.
     let matrix: Arc<CsrMatrix> = if matrix_blob.is_empty() {
-        match inner.known.lock().get(&fingerprint) {
+        match inner
+            .known
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .get(&fingerprint)
+        {
             Some(a) => Arc::clone(a),
             None => {
                 reject(
@@ -470,6 +474,7 @@ fn handle_submit(
         inner
             .known
             .lock()
+            .unwrap_or_else(PoisonError::into_inner)
             .entry(fingerprint)
             .or_insert_with(|| Arc::clone(&a));
         a
@@ -542,7 +547,7 @@ fn handle_submit(
     };
 
     let lane = priority.lane();
-    let mut pending = inner.pending.lock();
+    let mut pending = inner.pending.lock().unwrap_or_else(PoisonError::into_inner);
     // Re-check shutdown *under the pending lock*: the coalescer's exit
     // decision (`shutdown && groups.is_empty()`) runs under this same lock,
     // so a group inserted here is guaranteed to still have a live coalescer
@@ -626,7 +631,7 @@ fn map_engine_error(e: &EngineError, window_micros: u64) -> (RejectCode, u64) {
 fn coalescer_loop(inner: &Arc<Inner>) {
     loop {
         {
-            let mut pending = inner.pending.lock();
+            let pending = inner.pending.lock().unwrap_or_else(PoisonError::into_inner);
             if inner.shutdown.load(Ordering::SeqCst) && pending.groups.is_empty() {
                 return;
             }
@@ -636,13 +641,15 @@ fn coalescer_loop(inner: &Arc<Inner>) {
                 Some(due) => {
                     let now = Instant::now();
                     if due > now {
-                        inner.pending_changed.wait_for(&mut pending, due - now);
+                        drop(inner.pending_changed.wait_timeout(pending, due - now));
                     }
                 }
                 None => {
-                    inner
-                        .pending_changed
-                        .wait_for(&mut pending, Duration::from_millis(50));
+                    drop(
+                        inner
+                            .pending_changed
+                            .wait_timeout(pending, Duration::from_millis(50)),
+                    );
                 }
             }
         }
@@ -656,7 +663,7 @@ fn flush_due_groups(inner: &Arc<Inner>, force: bool) {
     let window = inner.config.coalesce_window;
     let max_batch = inner.config.max_batch;
     let due: Vec<Group> = {
-        let mut pending = inner.pending.lock();
+        let mut pending = inner.pending.lock().unwrap_or_else(PoisonError::into_inner);
         let force = force || inner.shutdown.load(Ordering::SeqCst);
         let keys: Vec<MatrixKey> = pending
             .groups

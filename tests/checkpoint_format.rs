@@ -4,7 +4,7 @@
 //! truncation or corruption of a snapshot file can panic the decoder —
 //! fuzzed the same way the torn-frame wire tests fuzz the codec.
 
-use multisplitting::core::checkpoint::{CheckpointError, RankCheckpoint};
+use multisplitting::core::checkpoint::{CheckpointError, HaloPeer, RankCheckpoint};
 use multisplitting::core::runtime::{IterationWorkspace, RankEngine, VoteState};
 use multisplitting::prelude::*;
 use multisplitting::sparse::generators::{self, DiagDominantConfig};
@@ -169,4 +169,44 @@ proptest! {
             Ok(())
         })?;
     }
+}
+
+/// The exact bytes of one snapshot — a halo entry with a slice and one
+/// without — pinned independently of the decoder: a round trip cannot see a
+/// change made to the encoder and the decoder alike.
+#[test]
+fn snapshot_bytes_are_stable() {
+    let ckpt = RankCheckpoint {
+        fingerprint: 0x0123_4567_89AB_CDEF,
+        world: 2,
+        rank: 1,
+        iteration: 12,
+        last_increment: 0.5,
+        vote_consecutive: 3,
+        fresh_since_step: true,
+        x_sub: vec![1.0, -2.0],
+        prev_deps: vec![0.25],
+        halo: vec![
+            HaloPeer {
+                stamp: 12,
+                slice: Some((4, vec![3.0])),
+            },
+            HaloPeer {
+                stamp: 0,
+                slice: None,
+            },
+        ],
+    };
+    let bytes = ckpt.encode();
+    let hex: String = bytes.iter().map(|b| format!("{b:02x}")).collect();
+    assert_eq!(
+        hex,
+        "4d53504c54434b500100000000000000efcdab89674523010200000000000000\
+         01000000000000000c00000000000000000000000000e03f0300000000000000\
+         010200000000000000000000000000f03f00000000000000c001000000000000\
+         00000000000000d03f02000000000000000c0000000000000001040000000000\
+         000001000000000000000000000000000840000000000000000000d13b20cef5\
+         014584"
+    );
+    assert_eq!(RankCheckpoint::decode(&bytes).unwrap(), ckpt);
 }

@@ -141,7 +141,7 @@ proptest! {
         let msg = build_message(variant, from, len, seed);
         let encoded = msg.encode();
         prop_assert_eq!(encoded.len(), msg.encoded_len());
-        let decoded = Message::decode(encoded).expect("round trip");
+        let decoded = Message::decode(&encoded).expect("round trip");
         prop_assert_eq!(decoded, msg);
     }
 
@@ -201,16 +201,9 @@ proptest! {
 
 /// The wire-tag edge table, spelled out because the proptest stand-in has no
 /// shrinking: one fixed message per live tag (1–7, 9–14) with the exact bytes
-/// the codec has always produced for it, and the tags that must never decode —
-/// 0 (never assigned), 8 and 15 (reserved: they carried the speed report of
-/// the removed online rebalancer and the stability summary of a removed
-/// detection protocol, and an old peer may still send either).
-#[test]
-fn wire_tags_are_byte_stable_and_tag_15_stays_reserved() {
-    fn hex(bytes: &[u8]) -> String {
-        bytes.iter().map(|b| format!("{b:02x}")).collect()
-    }
-    let table: [(u8, Message, &str); 13] = [
+/// the codec has always produced for it.
+fn wire_golden_table() -> [(u8, Message, &'static str); 13] {
+    [
         (
             1,
             Message::Solution {
@@ -325,12 +318,23 @@ fn wire_tags_are_byte_stable_and_tag_15_stays_reserved() {
             },
             "0e06000000000000002100000000000000018000000000000000",
         ),
-    ];
-    for (tag, msg, golden) in table {
+    ]
+}
+
+/// The golden table's bytes, and the tags that must never decode —
+/// 0 (never assigned), 8 and 15 (reserved: they carried the speed report of
+/// the removed online rebalancer and the stability summary of a removed
+/// detection protocol, and an old peer may still send either).
+#[test]
+fn wire_tags_are_byte_stable_and_tag_15_stays_reserved() {
+    fn hex(bytes: &[u8]) -> String {
+        bytes.iter().map(|b| format!("{b:02x}")).collect()
+    }
+    for (tag, msg, golden) in wire_golden_table() {
         let encoded = msg.encode();
-        assert_eq!(encoded.as_ref()[0], tag, "{msg:?}");
-        assert_eq!(hex(encoded.as_ref()), golden, "tag {tag} changed its bytes");
-        assert_eq!(Message::decode(encoded).unwrap(), msg);
+        assert_eq!(encoded[0], tag, "{msg:?}");
+        assert_eq!(hex(&encoded), golden, "tag {tag} changed its bytes");
+        assert_eq!(Message::decode(&encoded).unwrap(), msg);
     }
 
     // The old tag-8 body (from, iteration, step time) and the old tag-15 body
@@ -353,10 +357,7 @@ fn wire_tags_are_byte_stable_and_tag_15_stays_reserved() {
             matches!(decode_frame(&frame_of(&body)), Err(CommError::Codec(_))),
             "a tag-{dead_tag} frame decoded"
         );
-        assert!(matches!(
-            Message::decode(body.into()),
-            Err(CommError::Codec(_))
-        ));
+        assert!(matches!(Message::decode(&body), Err(CommError::Codec(_))));
     }
 
     // A reshape always names its dead rank: the `u64::MAX` sentinel the
@@ -368,6 +369,28 @@ fn wire_tags_are_byte_stable_and_tag_15_stays_reserved() {
         decode_frame(&frame_of(&reshape)),
         Err(CommError::Codec(_))
     ));
+}
+
+/// A message is self-delimiting: one byte past its end is a codec error,
+/// bare and inside a frame whose header announces the padded length.
+#[test]
+fn trailing_bytes_after_a_message_are_codec_errors() {
+    for (tag, msg, _) in wire_golden_table() {
+        let mut padded = msg.encode();
+        padded.push(0);
+        assert!(
+            matches!(Message::decode(&padded), Err(CommError::Codec(_))),
+            "tag {tag} accepted a trailing byte"
+        );
+        let mut frame = encode_frame(2, &msg);
+        frame.push(0);
+        let len = (frame.len() - FRAME_HEADER_LEN) as u32;
+        frame[FRAME_HEADER_LEN - 4..FRAME_HEADER_LEN].copy_from_slice(&len.to_le_bytes());
+        assert!(
+            matches!(decode_frame(&frame), Err(CommError::Codec(_))),
+            "tag {tag} accepted a trailing byte inside a frame"
+        );
+    }
 }
 
 #[test]
@@ -385,7 +408,7 @@ fn special_float_values_survive_the_wire() {
             1e308,
         ],
     };
-    let decoded = Message::decode(msg.encode()).unwrap();
+    let decoded = Message::decode(&msg.encode()).unwrap();
     assert_eq!(decoded, msg);
     // NaN payloads round-trip bit-exactly even though NaN != NaN.
     let nan_msg = Message::Solution {
@@ -394,7 +417,7 @@ fn special_float_values_survive_the_wire() {
         offset: 0,
         values: vec![f64::NAN],
     };
-    match Message::decode(nan_msg.encode()).unwrap() {
+    match Message::decode(&nan_msg.encode()).unwrap() {
         Message::Solution { values, .. } => {
             assert_eq!(values.len(), 1);
             assert_eq!(values[0].to_bits(), f64::NAN.to_bits());

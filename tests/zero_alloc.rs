@@ -336,6 +336,33 @@ fn main() {
         );
     }
 
+    // --- Frame codec: one buffer out, one payload vector in. ---
+    // A halo frame is encoded straight into the buffer that goes on the
+    // socket, and decoded from the borrowed bytes into the message's own
+    // values vector: exactly one allocation each way.
+    {
+        use multisplitting::comm::wire::{decode_frame, encode_frame};
+        use multisplitting::comm::Message;
+        let halo = Message::Solution {
+            from: 1,
+            iteration: 9,
+            offset: 64,
+            values: (0..64).map(|i| i as f64 * 0.25).collect(),
+        };
+        let count = |f: &mut dyn FnMut()| {
+            let before = ALLOCATIONS.load(Relaxed);
+            f();
+            ALLOCATIONS.load(Relaxed) - before
+        };
+        let mut frame = Vec::new();
+        let encoded = count(&mut || frame = encode_frame(1, &halo));
+        assert_eq!(encoded, 1, "encode_frame: {encoded} allocations");
+        let mut decoded = None;
+        let decodes = count(&mut || decoded = Some(decode_frame(&frame).expect("decode")));
+        assert_eq!(decodes, 1, "decode_frame: {decodes} allocations");
+        assert_eq!(decoded.map(|(_, msg)| msg), Some(halo));
+    }
+
     // Sanity: the counter itself works (an obvious allocation is seen).
     let before = ALLOCATIONS.load(Relaxed);
     let v: Vec<u8> = Vec::with_capacity(1024);
