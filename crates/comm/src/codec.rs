@@ -1,7 +1,7 @@
 //! The little-endian byte codec shared by every binary format of the
 //! workspace: the wire messages and frame headers ([`crate::message`],
-//! [`crate::wire`]), the serve blobs (`msplit_serve::codec`) and the
-//! checkpoint files (`msplit_core::checkpoint`).
+//! [`crate::wire`]), and the config and matrix blobs, job-directory files
+//! and checkpoints of `msplit_core::codec`.
 //!
 //! Encoders append to a plain `Vec<u8>`.  Decoders read untrusted bytes
 //! through one [`Reader`], which owns the rule every format needs: a read
@@ -25,7 +25,7 @@ pub fn put_f64s(out: &mut Vec<u8>, values: &[f64]) {
 
 /// Appends a `u64` length followed by the bytes — the layout
 /// [`Reader::blob`] reads back.
-pub(crate) fn put_blob(out: &mut Vec<u8>, bytes: &[u8]) {
+pub fn put_blob(out: &mut Vec<u8>, bytes: &[u8]) {
     put_u64(out, bytes.len() as u64);
     out.extend_from_slice(bytes);
 }
@@ -127,7 +127,7 @@ impl<'a, E> Reader<'a, E> {
     }
 
     /// A length-prefixed byte blob, borrowed (see [`put_blob`]).
-    pub(crate) fn blob(&mut self) -> Result<&'a [u8], E> {
+    pub fn blob(&mut self) -> Result<&'a [u8], E> {
         let n = self.count(1)?;
         self.bytes(n)
     }

@@ -20,15 +20,17 @@
 //! truncated or corrupted input — every failure is a typed
 //! [`CheckpointError`], fuzzed like the torn-frame wire tests.
 //!
-//! Snapshot files are written atomically (tmp + rename) as
+//! Snapshot files are written atomically (tmp + rename, in the envelope of
+//! [`crate::codec`]) as
 //! `ckpt_r<rank>_i<iteration>.bin`; the last [`KEEP_CHECKPOINTS`] per rank
 //! are retained.  Lockstep ranks can be at most one iteration apart when a
 //! job dies, so keeping two boundaries guarantees a common restart iteration
 //! exists across every rank — [`max_common_iteration`] finds it.
 
+use crate::codec::{write_atomic, Envelope};
 use crate::runtime::{EngineSnapshot, RankEngine, VoteState};
 use crate::CoreError;
-use msplit_comm::codec::{put_f64s, put_u64, Reader};
+use msplit_comm::codec::{put_f64s, put_u64};
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 
@@ -126,29 +128,21 @@ pub struct RankCheckpoint {
     pub halo: Vec<HaloPeer>,
 }
 
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-fn fnv1a(bytes: &[u8]) -> u64 {
-    bytes.iter().fold(FNV_OFFSET, |h, &b| {
-        (h ^ u64::from(b)).wrapping_mul(FNV_PRIME)
-    })
-}
+/// The snapshot file format in the shared envelope (see [`crate::codec`]).
+const ENVELOPE: Envelope = Envelope::new(MAGIC, FORMAT_VERSION);
 
 impl RankCheckpoint {
     /// Serializes the snapshot into the versioned on-disk byte layout
     /// (see `docs/checkpoint-format.md`).
     pub fn encode(&self) -> Vec<u8> {
-        let mut buf = Vec::with_capacity(
-            96 + 8 * (self.x_sub.len() + self.prev_deps.len())
+        let mut buf = ENVELOPE.start(
+            84 + 8 * (self.x_sub.len() + self.prev_deps.len())
                 + self
                     .halo
                     .iter()
                     .map(|h| 25 + h.slice.as_ref().map_or(0, |(_, v)| 8 * v.len()))
                     .sum::<usize>(),
         );
-        buf.extend_from_slice(MAGIC);
-        buf.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
         buf.extend_from_slice(&0u32.to_le_bytes()); // flags, reserved
         for word in [
             self.fingerprint,
@@ -175,42 +169,19 @@ impl RankCheckpoint {
                 }
             }
         }
-        let checksum = fnv1a(&buf);
-        buf.extend_from_slice(&checksum.to_le_bytes());
-        buf
+        Envelope::seal(buf)
     }
 
     /// Parses a snapshot produced by [`RankCheckpoint::encode`].  Magic,
     /// version and checksum are validated; any truncation or inconsistency
     /// is a typed error, never a panic.
     pub fn decode(data: &[u8]) -> Result<Self, CheckpointError> {
-        if data.len() < MAGIC.len() + 8 {
-            return Err(CheckpointError::Corrupt(format!(
-                "file of {} bytes is smaller than the fixed envelope",
-                data.len()
-            )));
-        }
-        if &data[..MAGIC.len()] != MAGIC {
-            return Err(CheckpointError::Corrupt(
-                "bad magic number (not a snapshot file)".to_string(),
-            ));
-        }
-        let (body, trailer) = data.split_at(data.len() - 8);
-        let stored = u64::from_le_bytes(trailer.try_into().unwrap());
-        if fnv1a(body) != stored {
-            return Err(CheckpointError::Corrupt(
-                "checksum mismatch (torn or corrupted snapshot)".to_string(),
-            ));
-        }
-        let mut r = Reader::new(body, "snapshot", CheckpointError::Corrupt);
-        r.bytes(MAGIC.len())?;
-        let version = r.u32()?;
-        if version != FORMAT_VERSION {
-            return Err(CheckpointError::VersionMismatch {
-                found: version,
-                expected: FORMAT_VERSION,
-            });
-        }
+        let mut r = ENVELOPE.open(
+            data,
+            "snapshot",
+            CheckpointError::Corrupt,
+            |found, expected| CheckpointError::VersionMismatch { found, expected },
+        )?;
         let _flags = r.u32()?;
         let fingerprint = r.u64()?;
         let world = r.u64()? as usize;
@@ -320,11 +291,8 @@ fn parse_checkpoint_name(name: &str) -> Option<(usize, u64)> {
 /// older snapshots down to [`KEEP_CHECKPOINTS`].
 pub fn save(dir: &Path, ckpt: &RankCheckpoint) -> Result<PathBuf, CoreError> {
     let path = dir.join(checkpoint_file(ckpt.rank, ckpt.iteration));
-    let tmp = dir.join(format!("ckpt_r{}.tmp", ckpt.rank));
-    std::fs::write(&tmp, ckpt.encode())
-        .map_err(|e| CheckpointError::Io(format!("write {}: {e}", tmp.display())))?;
-    std::fs::rename(&tmp, &path)
-        .map_err(|e| CheckpointError::Io(format!("publish {}: {e}", path.display())))?;
+    write_atomic(&path, &ckpt.encode())
+        .map_err(|e| CheckpointError::Io(format!("write {}: {e}", path.display())))?;
     let mut iters: Vec<u64> = scan(dir)?.remove(&ckpt.rank).unwrap_or_default();
     iters.sort_unstable();
     while iters.len() > KEEP_CHECKPOINTS {
@@ -515,9 +483,8 @@ mod tests {
         // vector lengths precede the halo count.
         let at = 8 + 4 + 4 + 6 * 8 + 1 + 2 * 8;
         bytes[at..at + 8].copy_from_slice(&(1u64 << 40).to_le_bytes());
-        let body_len = bytes.len() - 8;
-        let sum = fnv1a(&bytes[..body_len]);
-        bytes[body_len..].copy_from_slice(&sum.to_le_bytes());
+        bytes.truncate(bytes.len() - 8);
+        let bytes = Envelope::seal(bytes);
         assert!(matches!(
             RankCheckpoint::decode(&bytes),
             Err(CheckpointError::Corrupt(_))
@@ -537,12 +504,11 @@ mod tests {
                 ..
             })
         ));
-        // Patch the version field (offset 8) and re-checksum.
+        // Patch the version field (offset 8) and re-seal.
         let mut bytes = ckpt.encode();
         bytes[8] = 99;
-        let body_len = bytes.len() - 8;
-        let sum = fnv1a(&bytes[..body_len]);
-        bytes[body_len..].copy_from_slice(&sum.to_le_bytes());
+        bytes.truncate(bytes.len() - 8);
+        let bytes = Envelope::seal(bytes);
         assert!(matches!(
             RankCheckpoint::decode(&bytes),
             Err(CheckpointError::VersionMismatch {

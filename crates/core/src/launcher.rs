@@ -1,29 +1,38 @@
 //! Multi-process launcher: spawns `msplit-worker` processes and gathers the
 //! assembled solution.
 //!
-//! The launcher turns one in-memory system into an on-disk *job*: the matrix
-//! shipped as MatrixMarket ([`msplit_sparse::io`]), the right-hand side as a
-//! vector file, and a `job.cfg` describing the world (addresses, solver
-//! configuration, fingerprint, optional modelled link delays).  It then
-//! spawns one `msplit-worker` process per band; each worker rebuilds the
-//! same deterministic decomposition, extracts only its own
-//! [`msplit_sparse::LocalBlocks`], joins the TCP mesh (the handshake pins
-//! the matrix fingerprint) and runs [`crate::distributed::run_rank`].
-//! Workers write their extended-range solution slice back into the job
-//! directory; the launcher assembles them with the configured weighting
-//! scheme — the same gather the threaded drivers perform in memory.
+//! The launcher turns one in-memory system into an on-disk *job* and ships
+//! each worker only its own part of it, as Algorithm 1 gives each processor
+//! only `ASub`, `DepLeft`, `DepRight` and `BSub`.  It decomposes the system
+//! once and writes, in the envelope of [`crate::codec`]:
+//!
+//! * the **job file** ([`job_files::JOB`], [`JobSpec`]): the solver
+//!   configuration blob, the matrix fingerprint, the band sizes, the
+//!   modelled link delays, the timeouts, the snapshot period, the failure
+//!   policy and an optional global initial guess;
+//! * one **band file** per rank ([`job_files::band`], [`RankBand`]): the
+//!   rank's [`msplit_sparse::LocalBlocks`] and its halo peers;
+//!
+//! plus the plain-text [`job_files::ADDRS`] file, one listen address per
+//! rank and line (a deployment setting: edit it to run ranks on other
+//! hosts).  Each worker checks its band against the job, joins the TCP mesh
+//! (the handshake pins the matrix fingerprint), runs
+//! [`crate::distributed::run_rank`] and publishes one **result file**
+//! ([`job_files::result`]): its stop record and its extended-range
+//! solution slice.  The launcher assembles the slices with the configured
+//! weighting scheme — the same gather the threaded drivers perform in
+//! memory.
 
 use crate::checkpoint;
-use crate::runtime::FailurePolicy;
-use crate::solver::{ExecutionMode, MultisplittingConfig};
+use crate::codec::{self, write_atomic, Envelope};
+use crate::runtime::{receive_sources, FailurePolicy};
+use crate::solver::{Method, MultisplittingConfig};
 use crate::stop::{Stop, StopReason};
-use crate::weighting::WeightingScheme;
 use crate::CoreError;
+use msplit_comm::codec::{put_blob, put_f64s, put_u64, Reader};
 use msplit_comm::tcp::LinkDelay;
-use msplit_direct::SolverKind;
 use msplit_grid::cluster;
-use msplit_sparse::{io as sparse_io, BandPartition, CsrMatrix};
-use std::collections::BTreeMap;
+use msplit_sparse::{BandPartition, CsrMatrix, LocalBlocks};
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
@@ -43,28 +52,6 @@ pub enum GridSpec {
 }
 
 impl GridSpec {
-    fn encode(&self) -> String {
-        match self {
-            GridSpec::TwoSite { site_a, site_b } => format!("two_site:{site_a}:{site_b}"),
-            GridSpec::Cluster3 => "cluster3".to_string(),
-        }
-    }
-
-    fn parse(text: &str) -> Result<Self, CoreError> {
-        if text == "cluster3" {
-            return Ok(GridSpec::Cluster3);
-        }
-        if let Some(rest) = text.strip_prefix("two_site:") {
-            let mut it = rest.split(':');
-            let site_a = parse_field::<usize>(it.next().unwrap_or(""), "two_site site_a")?;
-            let site_b = parse_field::<usize>(it.next().unwrap_or(""), "two_site site_b")?;
-            return Ok(GridSpec::TwoSite { site_a, site_b });
-        }
-        Err(CoreError::Distributed(format!(
-            "unknown grid spec '{text}'"
-        )))
-    }
-
     fn build(&self) -> Result<msplit_grid::Grid, CoreError> {
         match self {
             GridSpec::TwoSite { site_a, site_b } => {
@@ -84,16 +71,88 @@ pub struct LinkDelaySpec {
     pub time_scale: f64,
 }
 
-/// Everything a worker process needs to join a job, serialized as
-/// `job.cfg` in the job directory.
+/// File names inside a job directory.
+pub mod job_files {
+    /// The job file ([`super::JobSpec`]).
+    pub const JOB: &str = "job.bin";
+    /// Listen address of every rank, one per line in rank order.
+    pub const ADDRS: &str = "addrs";
+    /// Rank `r`'s band file ([`super::RankBand`]).
+    pub fn band(rank: usize) -> String {
+        format!("band_{rank}.bin")
+    }
+    /// Rank `r`'s result file: stop record and solution slice.
+    pub fn result(rank: usize) -> String {
+        format!("result_{rank}.bin")
+    }
+    /// Rank `r`'s captured stdout/stderr.
+    pub fn worker_log(rank: usize) -> String {
+        format!("worker_{rank}.log")
+    }
+}
+
+const JOB_FILE: Envelope = Envelope::new(b"MSPLTJOB", 1);
+const BAND_FILE: Envelope = Envelope::new(b"MSPLTBND", 1);
+const RESULT_FILE: Envelope = Envelope::new(b"MSPLTRES", 1);
+
+/// The error of a job-directory file written in another format version.
+fn wrong_version(found: u32, expected: u32) -> CoreError {
+    CoreError::Codec(format!(
+        "job-directory file of format version {found}, this build reads version {expected}"
+    ))
+}
+
+fn read_file(path: &Path) -> Result<Vec<u8>, CoreError> {
+    std::fs::read(path).map_err(|e| CoreError::Distributed(format!("read {}: {e}", path.display())))
+}
+
+fn publish(path: &Path, bytes: &[u8]) -> Result<(), CoreError> {
+    write_atomic(path, bytes)
+        .map_err(|e| CoreError::Distributed(format!("write {}: {e}", path.display())))
+}
+
+/// A duration as whole nanoseconds, saturating at `u64::MAX` (584 years).
+fn nanos(d: Duration) -> u64 {
+    u64::try_from(d.as_nanos()).unwrap_or(u64::MAX)
+}
+
+/// Appends a count-prefixed list of indices (band sizes, peer ranks).
+fn put_usizes(buf: &mut Vec<u8>, values: &[usize]) {
+    put_u64(buf, values.len() as u64);
+    for &v in values {
+        put_u64(buf, v as u64);
+    }
+}
+
+fn read_usizes(r: &mut Reader<'_, CoreError>) -> Result<Vec<usize>, CoreError> {
+    let n = r.count(8)?;
+    (0..n).map(|_| r.u64().map(|v| v as usize)).collect()
+}
+
+/// The one method worker processes run.  The multi-process runtime is the
+/// stationary rank loop; the Krylov outer loops run in process
+/// ([`crate::krylov`]).  `Launcher::solve`, `Launcher::solve_elastic` and a
+/// worker reading its job file all refuse anything else with this check.
+fn check_method(config: &MultisplittingConfig) -> Result<(), CoreError> {
+    match config.method {
+        Method::Stationary => Ok(()),
+        other => Err(CoreError::Distributed(format!(
+            "worker processes run Method::Stationary only, not {other:?}; \
+             solve in process (MultisplittingSolver or PreparedSystem) for a Krylov method"
+        ))),
+    }
+}
+
+/// Everything a worker process needs to join a job except its band and the
+/// listen addresses: the job file of a job directory.
 #[derive(Debug, Clone)]
 pub struct JobSpec {
-    /// Listen address of every rank, indexed by rank.
-    pub addrs: Vec<String>,
-    /// Fingerprint of the shipped matrix (handshake + integrity check).
-    pub fingerprint: u64,
-    /// The numerical configuration (parts must equal `addrs.len()`).
+    /// The numerical configuration; its method is always stationary.
     pub config: MultisplittingConfig,
+    /// Fingerprint of the whole matrix (handshake + snapshot pin).
+    pub fingerprint: u64,
+    /// The band partition every rank agrees on; one worker per band.
+    pub partition: BandPartition,
     /// Optional modelled link delays.
     pub delay: Option<LinkDelaySpec>,
     /// Stall budget for lockstep waits and mesh formation.
@@ -103,12 +162,15 @@ pub struct JobSpec {
     pub checkpoint_every: u64,
     /// How workers react to a rank death observed mid-solve.
     pub failure: FailurePolicy,
+    /// Global initial guess the workers warm-start from — how a
+    /// redistributed job carries over pre-reshape progress.
+    pub initial_guess: Option<Vec<f64>>,
 }
 
 impl JobSpec {
     /// World size (number of worker processes = bands).
     pub fn world_size(&self) -> usize {
-        self.addrs.len()
+        self.partition.num_parts()
     }
 
     /// Builds the comm-layer delay model, if one was requested.
@@ -122,293 +184,234 @@ impl JobSpec {
         }
     }
 
-    /// Serializes the spec into `dir/job.cfg`.
-    pub fn store(&self, dir: &Path) -> Result<(), CoreError> {
-        let c = &self.config;
-        let mut text = String::from("% msplit distributed job\n");
-        let speeds = c
-            .relative_speeds
-            .iter()
-            .map(|s| format!("{s:.17e}"))
-            .collect::<Vec<_>>()
-            .join(",");
-        text.push_str(&format!("addrs={}\n", self.addrs.join(",")));
-        text.push_str(&format!("fingerprint={:#x}\n", self.fingerprint));
-        text.push_str(&format!("parts={}\n", c.parts));
-        text.push_str(&format!("overlap={}\n", c.overlap));
-        text.push_str(&format!("weighting={}\n", weighting_to_str(c.weighting)));
-        text.push_str(&format!("solver={}\n", solver_to_str(c.solver_kind)));
-        text.push_str(&format!("tolerance={:.17e}\n", c.tolerance));
-        text.push_str(&format!("max_iterations={}\n", c.max_iterations));
-        text.push_str(&format!("mode={}\n", mode_to_str(c.mode)));
-        text.push_str(&format!("async_confirmations={}\n", c.async_confirmations));
-        text.push_str(&format!("relative_speeds={speeds}\n"));
-        match &self.delay {
-            None => text.push_str("delay_grid=none\ndelay_scale=0\n"),
-            Some(d) => {
-                text.push_str(&format!("delay_grid={}\n", d.grid.encode()));
-                text.push_str(&format!("delay_scale={:.17e}\n", d.time_scale));
-            }
-        }
-        text.push_str(&format!(
-            "peer_timeout_secs={:.17e}\n",
-            self.peer_timeout.as_secs_f64()
-        ));
-        text.push_str(&format!("checkpoint_every={}\n", self.checkpoint_every));
-        text.push_str(&format!("failure={}\n", failure_to_str(self.failure)));
-        std::fs::write(dir.join("job.cfg"), text)
-            .map_err(|e| CoreError::Distributed(format!("write job.cfg: {e}")))
+    /// The job file's bytes.
+    pub fn encode(&self) -> Vec<u8> {
+        let config = codec::encode_config(&self.config);
+        let guess = self.initial_guess.as_ref().map_or(0, Vec::len);
+        let mut buf = JOB_FILE.start(config.len() + 8 * (self.world_size() + guess + 12));
+        put_blob(&mut buf, &config);
+        put_u64(&mut buf, self.fingerprint);
+        let sizes: Vec<usize> = (0..self.world_size())
+            .map(|band| self.partition.owned_range(band).len())
+            .collect();
+        put_usizes(&mut buf, &sizes);
+        // No delay and the cluster3 grid encode their unused fields as zero.
+        let (tag, site_a, site_b) = match self.delay.as_ref().map(|d| &d.grid) {
+            None => (0, 0, 0),
+            Some(GridSpec::TwoSite { site_a, site_b }) => (1, *site_a, *site_b),
+            Some(GridSpec::Cluster3) => (2, 0, 0),
+        };
+        buf.push(tag);
+        put_u64(&mut buf, site_a as u64);
+        put_u64(&mut buf, site_b as u64);
+        put_u64(
+            &mut buf,
+            self.delay.as_ref().map_or(0, |d| d.time_scale.to_bits()),
+        );
+        put_u64(&mut buf, nanos(self.peer_timeout));
+        put_u64(&mut buf, self.checkpoint_every);
+        let (tag, heartbeat) = match self.failure {
+            FailurePolicy::HaltOnDeath { heartbeat } => (0, heartbeat),
+            FailurePolicy::Redistribute { heartbeat } => (1, heartbeat),
+        };
+        buf.push(tag);
+        put_u64(&mut buf, nanos(heartbeat));
+        // No initial guess is an empty one: a real guess has one value per
+        // unknown.
+        put_f64s(&mut buf, self.initial_guess.as_deref().unwrap_or_default());
+        Envelope::seal(buf)
     }
 
-    /// Loads a spec from `dir/job.cfg`.
-    pub fn load(dir: &Path) -> Result<Self, CoreError> {
-        let path = dir.join("job.cfg");
-        let text = std::fs::read_to_string(&path)
-            .map_err(|e| CoreError::Distributed(format!("read {}: {e}", path.display())))?;
-        let fields = parse_kv_file(&text, "job.cfg")?;
-        let get = |key: &str| kv_get(&fields, key, "job.cfg");
-        let addrs: Vec<String> = get("addrs")?
-            .split(',')
-            .filter(|s| !s.is_empty())
-            .map(str::to_string)
-            .collect();
-        let fingerprint_text = get("fingerprint")?;
-        let fingerprint = u64::from_str_radix(fingerprint_text.trim_start_matches("0x"), 16)
-            .map_err(|e| {
-                CoreError::Distributed(format!("bad fingerprint '{fingerprint_text}': {e}"))
-            })?;
-        let relative_speeds = {
-            let raw = get("relative_speeds")?;
-            if raw.is_empty() {
-                Vec::new()
-            } else {
-                raw.split(',')
-                    .map(|s| parse_field::<f64>(s, "relative_speeds"))
-                    .collect::<Result<Vec<_>, _>>()?
-            }
-        };
-        let config = MultisplittingConfig {
-            parts: parse_field(get("parts")?, "parts")?,
-            overlap: parse_field(get("overlap")?, "overlap")?,
-            weighting: weighting_from_str(get("weighting")?)?,
-            solver_kind: solver_from_str(get("solver")?)?,
-            tolerance: parse_field(get("tolerance")?, "tolerance")?,
-            max_iterations: parse_field(get("max_iterations")?, "max_iterations")?,
-            mode: mode_from_str(get("mode")?)?,
-            async_confirmations: parse_field(get("async_confirmations")?, "async_confirmations")?,
-            relative_speeds,
-            // Worker processes always run the stationary per-rank runtime;
-            // the Krylov outer loops are in-process drivers (see
-            // `crate::krylov`) and never ship through job.cfg.
-            method: crate::solver::Method::Stationary,
-        };
-        let delay = match get("delay_grid")? {
-            "none" => None,
-            grid_text => Some(LinkDelaySpec {
-                grid: GridSpec::parse(grid_text)?,
-                time_scale: parse_field(get("delay_scale")?, "delay_scale")?,
-            }),
-        };
-        // The fault-tolerance keys are parsed leniently (absent → default)
-        // so job.cfg files from before the elastic runtime still load.
-        let checkpoint_every = match fields.get("checkpoint_every") {
-            None => 0,
-            Some(v) => parse_field(v, "checkpoint_every")?,
-        };
-        let failure = match fields.get("failure") {
-            None => FailurePolicy::default(),
-            Some(v) => failure_from_str(v)?,
-        };
-        // Job directories written before online rebalancing was removed
-        // carry `rebalance=none`; any other value asked for the feature.
-        if let Some(v) = fields.get("rebalance").filter(|v| *v != "none") {
-            return Err(CoreError::Distributed(format!(
-                "job.cfg asks for online speed-drift rebalancing (rebalance={v}), \
-                 which was removed; only rebalance=none is accepted"
+    /// Parses a job file.  The partition is rebuilt from the stored band
+    /// sizes and the configured overlap, which reproduces uniform and
+    /// speed-weighted partitions exactly; a non-stationary method is
+    /// refused.
+    pub fn decode(data: &[u8]) -> Result<Self, CoreError> {
+        let mut r = JOB_FILE.open(data, "job file", CoreError::Codec, wrong_version)?;
+        let config = codec::decode_config(r.blob()?)?;
+        check_method(&config)?;
+        let fingerprint = r.u64()?;
+        let sizes = read_usizes(&mut r)?;
+        if sizes.len() != config.parts {
+            return Err(r.error(format_args!(
+                "{} band sizes for a {}-part configuration",
+                sizes.len(),
+                config.parts
             )));
         }
+        let partition = BandPartition::from_sizes(&sizes, config.overlap)
+            .map_err(|e| r.error(format_args!("band sizes: {e}")))?;
+        let (tag, site_a, site_b) = (r.u8()?, r.u64()? as usize, r.u64()? as usize);
+        let grid = match tag {
+            0 => None,
+            1 => Some(GridSpec::TwoSite { site_a, site_b }),
+            2 => Some(GridSpec::Cluster3),
+            other => return Err(r.error(format_args!("unknown grid tag {other}"))),
+        };
+        let time_scale = r.f64()?;
+        let delay = grid.map(|grid| LinkDelaySpec { grid, time_scale });
+        let peer_timeout = Duration::from_nanos(r.u64()?);
+        let checkpoint_every = r.u64()?;
+        let failure = match (r.u8()?, Duration::from_nanos(r.u64()?)) {
+            (0, heartbeat) => FailurePolicy::HaltOnDeath { heartbeat },
+            (1, heartbeat) => FailurePolicy::Redistribute { heartbeat },
+            (other, _) => return Err(r.error(format_args!("unknown failure policy {other}"))),
+        };
+        let initial_guess = match r.f64s()? {
+            x0 if x0.is_empty() => None,
+            x0 if x0.len() == partition.order() => Some(x0),
+            x0 => {
+                return Err(r.error(format_args!(
+                    "initial guess of {} values for {} unknowns",
+                    x0.len(),
+                    partition.order()
+                )))
+            }
+        };
+        r.finish()?;
         Ok(JobSpec {
-            addrs,
-            fingerprint,
             config,
+            fingerprint,
+            partition,
             delay,
-            peer_timeout: Duration::from_secs_f64(
-                parse_field::<f64>(get("peer_timeout_secs")?, "peer_timeout_secs")?.max(0.0),
-            ),
+            peer_timeout,
             checkpoint_every,
             failure,
+            initial_guess,
         })
     }
+
+    /// Reads the job file of `dir`.
+    pub fn load(dir: &Path) -> Result<Self, CoreError> {
+        Self::decode(&read_file(&dir.join(job_files::JOB))?)
+    }
 }
 
-fn failure_to_str(f: FailurePolicy) -> String {
-    match f {
-        FailurePolicy::HaltOnDeath { heartbeat } => {
-            format!("halt_on_death:{:.17e}", heartbeat.as_secs_f64())
+/// Writes the listen address of every rank, one per line, into `dir`.
+pub fn store_addrs(dir: &Path, addrs: &[String]) -> Result<(), CoreError> {
+    publish(
+        &dir.join(job_files::ADDRS),
+        (addrs.join("\n") + "\n").as_bytes(),
+    )
+}
+
+/// Reads the listen addresses of `dir` (blank lines skipped); there must be
+/// one per rank of a `world`-rank job.
+pub fn load_addrs(dir: &Path, world: usize) -> Result<Vec<String>, CoreError> {
+    let path = dir.join(job_files::ADDRS);
+    let addrs: Vec<String> = String::from_utf8_lossy(&read_file(&path)?)
+        .lines()
+        .map(str::trim)
+        .filter(|line| !line.is_empty())
+        .map(str::to_string)
+        .collect();
+    if addrs.len() != world {
+        return Err(CoreError::Distributed(format!(
+            "{} lists {} addresses for a {world}-rank job",
+            path.display(),
+            addrs.len()
+        )));
+    }
+    Ok(addrs)
+}
+
+/// One worker's share of the system: its blocks and its halo peers, the
+/// band file of a job directory.
+#[derive(Debug, Clone)]
+pub struct RankBand {
+    /// The band's `ASub`, `DepLeft`, `DepRight` and `BSub` (the rank is
+    /// `blocks.part`).
+    pub blocks: LocalBlocks,
+    /// The peers this rank's slice is sent to each iteration.
+    pub send_targets: Vec<usize>,
+    /// The peers whose slices this rank waits for in lockstep.
+    pub senders_to_me: Vec<usize>,
+}
+
+impl RankBand {
+    /// The band file's bytes, pinned to the job's matrix `fingerprint`.
+    pub fn encode(&self, fingerprint: u64) -> Vec<u8> {
+        let blk = &self.blocks;
+        let nnz = blk.a_sub.nnz() + blk.dep_left.nnz() + blk.dep_right.nnz();
+        let peers = self.send_targets.len() + self.senders_to_me.len();
+        let mut buf = BAND_FILE.start(8 * (20 + 4 * blk.size + 2 * nnz + peers));
+        put_u64(&mut buf, fingerprint);
+        put_usizes(&mut buf, &[blk.part, blk.offset, blk.size, blk.total_size]);
+        for block in [&blk.a_sub, &blk.dep_left, &blk.dep_right] {
+            codec::put_matrix(&mut buf, block);
         }
-        FailurePolicy::Redistribute { heartbeat } => {
-            format!("redistribute:{:.17e}", heartbeat.as_secs_f64())
+        put_f64s(&mut buf, &blk.b_sub);
+        put_usizes(&mut buf, &self.send_targets);
+        put_usizes(&mut buf, &self.senders_to_me);
+        Envelope::seal(buf)
+    }
+
+    /// Parses rank `rank`'s band file and checks that it fits `job`: the
+    /// rank, the fingerprint, the extended range of the job's partition,
+    /// the block shapes, the length of `b_sub` and the peer ranks.
+    pub fn decode(data: &[u8], job: &JobSpec, rank: usize) -> Result<Self, CoreError> {
+        let mut r = BAND_FILE.open(data, "band file", CoreError::Codec, wrong_version)?;
+        let fingerprint = r.u64()?;
+        let [part, offset, size, total_size] = <[usize; 4]>::try_from(read_usizes(&mut r)?)
+            .map_err(|header| r.error(format_args!("band header of {} words", header.len())))?;
+        let a_sub = codec::read_matrix(&mut r)?;
+        let dep_left = codec::read_matrix(&mut r)?;
+        let dep_right = codec::read_matrix(&mut r)?;
+        let b_sub = r.f64s()?;
+        let send_targets = read_usizes(&mut r)?;
+        let senders_to_me = read_usizes(&mut r)?;
+        r.finish()?;
+
+        let world = job.world_size();
+        if part != rank || rank >= world {
+            return Err(CoreError::Codec(format!(
+                "band file holds band {part}, expected {rank} of {world}"
+            )));
         }
-    }
-}
-
-fn failure_from_str(text: &str) -> Result<FailurePolicy, CoreError> {
-    if text == "fail_fast" {
-        return Err(CoreError::Distributed(
-            "failure policy fail_fast (FailFast) was removed; use halt_on_death or redistribute"
-                .to_string(),
-        ));
-    }
-    if let Some(secs) = text.strip_prefix("halt_on_death:") {
-        return Ok(FailurePolicy::HaltOnDeath {
-            heartbeat: Duration::from_secs_f64(parse_field::<f64>(secs, "heartbeat")?.max(0.0)),
-        });
-    }
-    if let Some(secs) = text.strip_prefix("redistribute:") {
-        return Ok(FailurePolicy::Redistribute {
-            heartbeat: Duration::from_secs_f64(parse_field::<f64>(secs, "heartbeat")?.max(0.0)),
-        });
-    }
-    Err(CoreError::Distributed(format!(
-        "unknown failure policy '{text}'"
-    )))
-}
-
-/// The `stop=` value of a rank result: `converged`, `budget`, `halted` or
-/// `death:N`.
-fn reason_to_str(reason: StopReason) -> String {
-    match reason {
-        StopReason::Converged => "converged".to_string(),
-        StopReason::BudgetExhausted => "budget".to_string(),
-        StopReason::Halted => "halted".to_string(),
-        StopReason::Reshape(rank) => format!("death:{rank}"),
-    }
-}
-
-fn reason_from_str(text: &str) -> Result<StopReason, CoreError> {
-    match (text, text.strip_prefix("death:")) {
-        ("converged", _) => Ok(StopReason::Converged),
-        ("budget", _) => Ok(StopReason::BudgetExhausted),
-        ("halted", _) => Ok(StopReason::Halted),
-        (_, Some(rank)) => Ok(StopReason::Reshape(parse_field(rank, "dead rank")?)),
-        ("drift", _) => Err(CoreError::Distributed(
-            "stop=drift: speed-drift reshapes were removed with online rebalancing".to_string(),
-        )),
-        _ => Err(CoreError::Distributed(format!(
-            "unknown stop reason '{text}'"
-        ))),
-    }
-}
-
-fn parse_field<T: std::str::FromStr>(text: &str, what: &str) -> Result<T, CoreError>
-where
-    T::Err: std::fmt::Display,
-{
-    text.trim()
-        .parse::<T>()
-        .map_err(|e| CoreError::Distributed(format!("bad {what} '{text}': {e}")))
-}
-
-/// Parses a `%`-commented `key=value` file (the job.cfg / rank-meta format)
-/// into a map; `what` names the file in error messages.
-fn parse_kv_file(text: &str, what: &str) -> Result<BTreeMap<String, String>, CoreError> {
-    let mut fields = BTreeMap::new();
-    for line in text.lines() {
-        let t = line.trim();
-        if t.is_empty() || t.starts_with('%') {
-            continue;
+        let (n, range) = (job.partition.order(), job.partition.extended_range(rank));
+        let found = (
+            fingerprint,
+            (offset, size, total_size),
+            [a_sub.rows(), a_sub.cols(), dep_left.rows(), dep_left.cols()],
+            [dep_right.rows(), dep_right.cols(), b_sub.len()],
+        );
+        let expected = (
+            job.fingerprint,
+            (range.start, range.len(), n),
+            [range.len(), range.len(), range.len(), range.start],
+            [range.len(), n - range.end, range.len()],
+        );
+        let foreign_peer = send_targets
+            .iter()
+            .chain(&senders_to_me)
+            .any(|&peer| peer >= world || peer == rank);
+        if found != expected || foreign_peer {
+            return Err(CoreError::Codec(format!(
+                "band file does not fit rank {rank} of the job: fingerprint, \
+                 (offset, size, order), block shapes and BSub length are {found:?}, \
+                 expected {expected:?}; peers {send_targets:?} / {senders_to_me:?}"
+            )));
         }
-        let (key, value) = t
-            .split_once('=')
-            .ok_or_else(|| CoreError::Distributed(format!("malformed {what} line '{t}'")))?;
-        fields.insert(key.to_string(), value.to_string());
+        Ok(RankBand {
+            blocks: LocalBlocks {
+                part,
+                offset,
+                size,
+                total_size,
+                a_sub,
+                dep_left,
+                dep_right,
+                b_sub,
+            },
+            send_targets,
+            senders_to_me,
+        })
     }
-    Ok(fields)
-}
 
-/// Looks up a required key parsed by [`parse_kv_file`].
-fn kv_get<'a>(
-    fields: &'a BTreeMap<String, String>,
-    key: &str,
-    what: &str,
-) -> Result<&'a str, CoreError> {
-    fields
-        .get(key)
-        .map(String::as_str)
-        .ok_or_else(|| CoreError::Distributed(format!("{what} missing '{key}'")))
-}
-
-fn weighting_to_str(w: WeightingScheme) -> &'static str {
-    match w {
-        WeightingScheme::OwnerTakes => "owner_takes",
-        WeightingScheme::Average => "average",
-        WeightingScheme::FirstCovering => "first_covering",
-    }
-}
-
-fn weighting_from_str(text: &str) -> Result<WeightingScheme, CoreError> {
-    match text {
-        "owner_takes" => Ok(WeightingScheme::OwnerTakes),
-        "average" => Ok(WeightingScheme::Average),
-        "first_covering" => Ok(WeightingScheme::FirstCovering),
-        other => Err(CoreError::Distributed(format!(
-            "unknown weighting '{other}'"
-        ))),
-    }
-}
-
-fn solver_to_str(s: SolverKind) -> &'static str {
-    match s {
-        SolverKind::SparseLu => "sparse_lu",
-        SolverKind::DenseLu => "dense_lu",
-        SolverKind::BandLu => "band_lu",
-    }
-}
-
-fn solver_from_str(text: &str) -> Result<SolverKind, CoreError> {
-    match text {
-        "sparse_lu" => Ok(SolverKind::SparseLu),
-        "dense_lu" => Ok(SolverKind::DenseLu),
-        "band_lu" => Ok(SolverKind::BandLu),
-        other => Err(CoreError::Distributed(format!("unknown solver '{other}'"))),
-    }
-}
-
-fn mode_to_str(m: ExecutionMode) -> &'static str {
-    match m {
-        ExecutionMode::Synchronous => "sync",
-        ExecutionMode::Asynchronous => "async",
-    }
-}
-
-fn mode_from_str(text: &str) -> Result<ExecutionMode, CoreError> {
-    match text {
-        "sync" => Ok(ExecutionMode::Synchronous),
-        "async" => Ok(ExecutionMode::Asynchronous),
-        other => Err(CoreError::Distributed(format!("unknown mode '{other}'"))),
-    }
-}
-
-/// File names inside a job directory.
-pub mod job_files {
-    /// The shipped matrix (MatrixMarket).
-    pub const MATRIX: &str = "system.mtx";
-    /// The shipped right-hand side (vector file).
-    pub const RHS: &str = "rhs.vec";
-    /// Optional global initial guess: workers warm-start from it when
-    /// present (how a redistributed job carries over pre-reshape progress).
-    pub const INITIAL_GUESS: &str = "x0.vec";
-    /// Rank `r`'s solution slice.
-    pub fn result_vec(rank: usize) -> String {
-        format!("x_{rank}.vec")
-    }
-    /// Rank `r`'s run metadata.
-    pub fn result_meta(rank: usize) -> String {
-        format!("rank_{rank}.meta")
-    }
-    /// Rank `r`'s captured stdout/stderr.
-    pub fn worker_log(rank: usize) -> String {
-        format!("worker_{rank}.log")
+    /// Reads and checks rank `rank`'s band file of `dir` (see
+    /// [`RankBand::decode`]).
+    pub fn load(dir: &Path, job: &JobSpec, rank: usize) -> Result<Self, CoreError> {
+        Self::decode(&read_file(&dir.join(job_files::band(rank)))?, job, rank)
     }
 }
 
@@ -422,49 +425,60 @@ pub struct RankMeta {
     pub wall_seconds: f64,
 }
 
-/// Writes a rank's result (slice + metadata) into the job directory.  The
-/// vector is written last and atomically (tmp + rename), so its presence
-/// implies a complete result.
+fn encode_rank_result(meta: &RankMeta, x_local: &[f64]) -> Vec<u8> {
+    let mut buf = RESULT_FILE.start(1 + 8 * (5 + x_local.len()));
+    let (tag, dead) = match meta.stop.reason {
+        StopReason::Converged => (0, 0),
+        StopReason::BudgetExhausted => (1, 0),
+        StopReason::Halted => (2, 0),
+        StopReason::Reshape(dead) => (3, dead as u64),
+    };
+    buf.push(tag);
+    for word in [
+        dead,
+        meta.stop.iterations,
+        meta.stop.norm.to_bits(),
+        meta.wall_seconds.to_bits(),
+    ] {
+        put_u64(&mut buf, word);
+    }
+    put_f64s(&mut buf, x_local);
+    Envelope::seal(buf)
+}
+
+fn decode_rank_result(data: &[u8]) -> Result<(RankMeta, Vec<f64>), CoreError> {
+    let mut r = RESULT_FILE.open(data, "result file", CoreError::Codec, wrong_version)?;
+    let reason = match (r.u8()?, r.u64()?) {
+        (0, _) => StopReason::Converged,
+        (1, _) => StopReason::BudgetExhausted,
+        (2, _) => StopReason::Halted,
+        (3, dead) => StopReason::Reshape(dead as usize),
+        (other, _) => return Err(r.error(format_args!("unknown stop reason {other}"))),
+    };
+    let stop = Stop::new(reason, r.u64()?, r.f64()?);
+    let wall_seconds = r.f64()?;
+    let x = r.f64s()?;
+    r.finish()?;
+    Ok((RankMeta { stop, wall_seconds }, x))
+}
+
+/// Publishes a rank's result file (metadata + solution slice) in the job
+/// directory, atomically: its presence implies a complete result.
 pub fn store_rank_result(
     dir: &Path,
     rank: usize,
     meta: &RankMeta,
     x_local: &[f64],
 ) -> Result<(), CoreError> {
-    let meta_text = format!(
-        "stop={}\niterations={}\nnorm={:.17e}\nwall_seconds={:.6}\n",
-        reason_to_str(meta.stop.reason),
-        meta.stop.iterations,
-        meta.stop.norm,
-        meta.wall_seconds,
-    );
-    std::fs::write(dir.join(job_files::result_meta(rank)), meta_text)
-        .map_err(|e| CoreError::Distributed(format!("write rank {rank} meta: {e}")))?;
-    let tmp = dir.join(format!("x_{rank}.vec.tmp"));
-    sparse_io::write_vector_file(x_local, &tmp).map_err(CoreError::Sparse)?;
-    std::fs::rename(&tmp, dir.join(job_files::result_vec(rank)))
-        .map_err(|e| CoreError::Distributed(format!("publish rank {rank} result: {e}")))
+    publish(
+        &dir.join(job_files::result(rank)),
+        &encode_rank_result(meta, x_local),
+    )
 }
 
-/// Reads a rank's result back (launcher side).
+/// Reads a rank's result file back (launcher side).
 pub fn load_rank_result(dir: &Path, rank: usize) -> Result<(RankMeta, Vec<f64>), CoreError> {
-    let meta_path = dir.join(job_files::result_meta(rank));
-    let text = std::fs::read_to_string(&meta_path)
-        .map_err(|e| CoreError::Distributed(format!("read {}: {e}", meta_path.display())))?;
-    let what = format!("rank {rank} meta");
-    let fields = parse_kv_file(&text, &what)?;
-    let get = |key: &str| kv_get(&fields, key, &what);
-    let meta = RankMeta {
-        stop: Stop::new(
-            reason_from_str(get("stop")?)?,
-            parse_field(get("iterations")?, "iterations")?,
-            parse_field(get("norm")?, "norm")?,
-        ),
-        wall_seconds: parse_field(get("wall_seconds")?, "wall_seconds")?,
-    };
-    let x = sparse_io::read_vector_file(dir.join(job_files::result_vec(rank)))
-        .map_err(CoreError::Sparse)?;
-    Ok((meta, x))
+    decode_rank_result(&read_file(&dir.join(job_files::result(rank)))?)
 }
 
 /// Configuration of a [`Launcher`].
@@ -643,34 +657,17 @@ impl Launcher {
         config: &MultisplittingConfig,
     ) -> Result<DistributedOutcome, CoreError> {
         let start = Instant::now();
-        let world = config.parts;
-        if world == 0 {
-            return Err(CoreError::Distributed(
-                "a distributed solve needs at least one worker".to_string(),
-            ));
-        }
+        check_method(config)?;
         let worker_bin = self.worker_binary()?;
-        // Build the decomposition once on the launcher side: it validates the
-        // configuration and provides the partition used to assemble the
-        // gathered slices (the workers rebuild the identical decomposition
-        // from the shipped files).
-        let solver = crate::solver::MultisplittingSolver::new(config.clone());
-        let decomposition = solver.decompose(a, b)?;
-        let partition = decomposition.partition().clone();
-
-        let job_dir = self.create_job_dir()?;
-        let result = self.prepare_job(a, b, config, &job_dir).and_then(|_| {
-            self.run_to_completion(&worker_bin, &job_dir, config, &partition, None, start)
-        });
-        if !self.config.keep_job_dir {
-            let _ = std::fs::remove_dir_all(&job_dir);
-        } else {
-            eprintln!("launcher: job directory kept at {}", job_dir.display());
-        }
-        result
+        self.in_job_dir(|job_dir| {
+            let spec = self.prepare_job(a, b, config, None, job_dir)?;
+            self.run_to_completion(&worker_bin, job_dir, &spec, None, start)
+        })
     }
 
-    fn create_job_dir(&self) -> Result<PathBuf, CoreError> {
+    /// Runs `f` in a fresh job directory, which is removed afterwards unless
+    /// `keep_job_dir` is set.
+    fn in_job_dir<T>(&self, f: impl FnOnce(&Path) -> Result<T, CoreError>) -> Result<T, CoreError> {
         let root = self
             .config
             .job_root
@@ -685,7 +682,13 @@ impl Launcher {
         let dir = root.join(unique);
         std::fs::create_dir_all(&dir)
             .map_err(|e| CoreError::Distributed(format!("create {}: {e}", dir.display())))?;
-        Ok(dir)
+        let result = f(&dir);
+        if self.config.keep_job_dir {
+            eprintln!("launcher: job directory kept at {}", dir.display());
+        } else {
+            let _ = std::fs::remove_dir_all(&dir);
+        }
+        result
     }
 
     /// Reserves one loopback address per rank by briefly binding ephemeral
@@ -707,31 +710,50 @@ impl Launcher {
         Ok(addrs)
     }
 
-    /// Ships the system into `job_dir` (matrix, RHS, `job.cfg` with freshly
-    /// reserved loopback addresses) so workers can be spawned against it —
-    /// the first half of [`Launcher::solve`], exposed for tests and tools
-    /// that manage worker processes themselves (e.g. kill-and-resume
-    /// drills).
+    /// Ships the system into `job_dir` so workers can be spawned against
+    /// it: decomposes it once, writes one band file per rank (each band's
+    /// blocks are freed as its file is written), the job file, and freshly
+    /// reserved loopback addresses.  The first half of [`Launcher::solve`],
+    /// exposed for tests and tools that manage worker processes themselves
+    /// (e.g. kill-and-resume drills).
     pub fn prepare_job(
         &self,
         a: &CsrMatrix,
         b: &[f64],
         config: &MultisplittingConfig,
+        initial_guess: Option<Vec<f64>>,
         job_dir: &Path,
     ) -> Result<JobSpec, CoreError> {
-        sparse_io::write_matrix_market_file(a, job_dir.join(job_files::MATRIX))
-            .map_err(CoreError::Sparse)?;
-        sparse_io::write_vector_file(b, job_dir.join(job_files::RHS)).map_err(CoreError::Sparse)?;
+        let decomposition = config.decompose(a, b)?;
+        let send_targets = decomposition.send_targets();
+        let senders = receive_sources(&send_targets);
+        let fingerprint = a.fingerprint();
+        let (partition, blocks) = decomposition.into_blocks();
+        for ((blocks, send_targets), senders_to_me) in
+            blocks.into_iter().zip(send_targets).zip(senders)
+        {
+            let band = RankBand {
+                blocks,
+                send_targets,
+                senders_to_me,
+            };
+            publish(
+                &job_dir.join(job_files::band(band.blocks.part)),
+                &band.encode(fingerprint),
+            )?;
+        }
         let spec = JobSpec {
-            addrs: Self::reserve_addrs(config.parts)?,
-            fingerprint: a.fingerprint(),
             config: config.clone(),
+            fingerprint,
+            partition,
             delay: self.config.delay.clone(),
             peer_timeout: self.config.peer_timeout,
             checkpoint_every: self.config.checkpoint_every,
             failure: self.config.failure,
+            initial_guess,
         };
-        spec.store(job_dir)?;
+        publish(&job_dir.join(job_files::JOB), &spec.encode())?;
+        store_addrs(job_dir, &Self::reserve_addrs(spec.world_size())?)?;
         Ok(spec)
     }
 
@@ -768,21 +790,65 @@ impl Launcher {
             .map_err(|e| CoreError::Distributed(format!("spawn {}: {e}", worker_bin.display())))
     }
 
-    fn spawn_all(
+    /// Spawns every worker of the job in `job_dir` and waits for all of them
+    /// to exit.  With `fail_fast` the first worker that exits unsuccessfully
+    /// ends the run with its log tail; without it (elastic runs, which
+    /// expect a killed worker and read the survivors' verdicts instead)
+    /// every exit counts.  No worker outlives the call.
+    fn run_workers(
         &self,
         worker_bin: &Path,
         job_dir: &Path,
         world: usize,
         resume_at: Option<u64>,
-    ) -> (Vec<Option<std::process::Child>>, Result<(), CoreError>) {
-        let mut children: Vec<Option<std::process::Child>> = Vec::with_capacity(world);
-        for rank in 0..world {
-            match self.spawn_worker(worker_bin, job_dir, rank, resume_at) {
-                Ok(child) => children.push(Some(child)),
-                Err(e) => return (children, Err(e)),
+        fail_fast: bool,
+    ) -> Result<(), CoreError> {
+        let mut children = Vec::with_capacity(world);
+        let mut result = (0..world).try_for_each(|rank| {
+            children.push(Some(
+                self.spawn_worker(worker_bin, job_dir, rank, resume_at)?,
+            ));
+            Ok(())
+        });
+        let deadline = Instant::now() + self.config.timeout;
+        while result.is_ok() {
+            let mut alive = Vec::new();
+            for (rank, slot) in children.iter_mut().enumerate() {
+                let Some(child) = slot else { continue };
+                match child.try_wait() {
+                    Ok(Some(status)) if status.success() || !fail_fast => *slot = None,
+                    Ok(Some(status)) => {
+                        result = Err(CoreError::Distributed(format!(
+                            "worker rank {rank} exited with {status}: {}",
+                            log_tail(job_dir, rank)
+                        )));
+                    }
+                    Ok(None) => alive.push(rank),
+                    Err(e) => {
+                        result = Err(CoreError::Distributed(format!(
+                            "wait on worker rank {rank}: {e}"
+                        )));
+                    }
+                }
+            }
+            if alive.is_empty() || result.is_err() {
+                break;
+            }
+            if Instant::now() >= deadline {
+                result = Err(CoreError::Distributed(format!(
+                    "distributed solve timed out; workers still running: {alive:?}"
+                )));
+            } else {
+                std::thread::sleep(Duration::from_millis(20));
             }
         }
-        (children, Ok(()))
+        // Whatever happened — wait error, timeout, or a failure partway
+        // through spawning — no child may outlive the job.
+        for child in children.iter_mut().flatten() {
+            let _ = child.kill();
+            let _ = child.wait();
+        }
+        result
     }
 
     /// Spawns every worker of the job in `job_dir`, waits for all of them to
@@ -791,38 +857,25 @@ impl Launcher {
         &self,
         worker_bin: &Path,
         job_dir: &Path,
-        config: &MultisplittingConfig,
-        partition: &BandPartition,
+        spec: &JobSpec,
         resume_at: Option<u64>,
         start: Instant,
     ) -> Result<DistributedOutcome, CoreError> {
-        let world = config.parts;
-        let (mut children, spawn_result) = self.spawn_all(worker_bin, job_dir, world, resume_at);
-        let wait_result = spawn_result.and_then(|()| {
-            let deadline = Instant::now() + self.config.timeout;
-            Self::wait_for_workers(&mut children, deadline, job_dir)
-        });
-        // Whatever happened — wait error, timeout, or a failure partway
-        // through spawning — no child may outlive the job.
-        for child in children.iter_mut().flatten() {
-            let _ = child.kill();
-            let _ = child.wait();
-        }
-        wait_result?;
+        let world = spec.world_size();
+        self.run_workers(worker_bin, job_dir, world, resume_at, true)?;
         let results = (0..world)
             .map(|rank| load_rank_result(job_dir, rank))
             .collect::<Result<Vec<_>, _>>()?;
-        Self::gather_outcome(results, config, partition, start)
+        Self::gather_outcome(results, spec, start)
     }
 
     /// Assembles the global solution from every rank's published result.
     fn gather_outcome(
         results: Vec<(RankMeta, Vec<f64>)>,
-        config: &MultisplittingConfig,
-        partition: &BandPartition,
+        spec: &JobSpec,
         start: Instant,
     ) -> Result<DistributedOutcome, CoreError> {
-        let world = config.parts;
+        let (world, partition) = (spec.world_size(), &spec.partition);
         let mut locals = Vec::with_capacity(world);
         let mut stops = Vec::with_capacity(world);
         for (rank, (meta, x_local)) in results.into_iter().enumerate() {
@@ -836,7 +889,7 @@ impl Launcher {
             stops.push(meta.stop);
             locals.push(x_local);
         }
-        let x = config.weighting.assemble(partition, &locals);
+        let x = spec.config.weighting.assemble(partition, &locals);
         Ok(DistributedOutcome::new(
             x,
             Stop::merge(stops.iter().copied()),
@@ -847,16 +900,18 @@ impl Launcher {
 
     /// Resumes a killed or interrupted job from its snapshots.
     ///
-    /// `job_dir` must hold a complete job (`job.cfg`, system, RHS) written
+    /// `job_dir` must hold a complete job (job file, band files) written
     /// with `checkpoint_every > 0` whose workers are no longer running.  The
     /// launcher finds the highest iteration *every* rank has a snapshot for,
-    /// refreshes the listen addresses in `job.cfg` (the original ports are
-    /// gone with the original processes), clears stale results and respawns
-    /// every worker with `--resume-at`.  In synchronous mode the resumed
-    /// solution is bitwise-identical to an uninterrupted run's.
+    /// rewrites the addresses file (the original ports are gone with the
+    /// original processes; the job file is never rewritten), clears stale
+    /// results and respawns every worker with `--resume-at`.  In synchronous
+    /// mode the resumed solution is bitwise-identical to an uninterrupted
+    /// run's.  A directory without a job file is an error before any worker
+    /// spawns.
     pub fn resume(&self, job_dir: &Path) -> Result<DistributedOutcome, CoreError> {
         let start = Instant::now();
-        let mut spec = JobSpec::load(job_dir)?;
+        let spec = JobSpec::load(job_dir)?;
         let world = spec.world_size();
         let resume_at = checkpoint::max_common_iteration(job_dir, world)?.ok_or_else(|| {
             CoreError::Distributed(format!(
@@ -864,30 +919,12 @@ impl Launcher {
                 job_dir.display()
             ))
         })?;
-        spec.addrs = Self::reserve_addrs(world)?;
-        spec.store(job_dir)?;
+        store_addrs(job_dir, &Self::reserve_addrs(world)?)?;
         for rank in 0..world {
-            let _ = std::fs::remove_file(job_dir.join(job_files::result_vec(rank)));
-            let _ = std::fs::remove_file(job_dir.join(job_files::result_meta(rank)));
+            let _ = std::fs::remove_file(job_dir.join(job_files::result(rank)));
         }
-
-        // Rebuild the partition the workers will agree on, for the gather.
-        let a = sparse_io::read_matrix_market(job_dir.join(job_files::MATRIX))
-            .map_err(CoreError::Sparse)?;
-        let b =
-            sparse_io::read_vector_file(job_dir.join(job_files::RHS)).map_err(CoreError::Sparse)?;
-        let solver = crate::solver::MultisplittingSolver::new(spec.config.clone());
-        let partition = solver.decompose(&a, &b)?.partition().clone();
-
         let worker_bin = self.worker_binary()?;
-        self.run_to_completion(
-            &worker_bin,
-            job_dir,
-            &spec.config,
-            &partition,
-            Some(resume_at),
-            start,
-        )
+        self.run_to_completion(&worker_bin, job_dir, &spec, Some(resume_at), start)
     }
 
     /// Solves `A x = b` elastically: on a reshape request (a worker killed
@@ -907,6 +944,7 @@ impl Launcher {
         config: &MultisplittingConfig,
         max_reshapes: usize,
     ) -> Result<ElasticOutcome, CoreError> {
+        check_method(config)?;
         if !matches!(self.config.failure, FailurePolicy::Redistribute { .. }) {
             return Err(CoreError::Distributed(
                 "solve_elastic needs FailurePolicy::Redistribute so workers survive a rank death"
@@ -919,23 +957,9 @@ impl Launcher {
         let mut x0: Option<Vec<f64>> = None;
         let mut reshapes: Vec<usize> = Vec::new();
         loop {
-            let solver = crate::solver::MultisplittingSolver::new(cfg.clone());
-            let partition = solver.decompose(a, b)?.partition().clone();
-            let job_dir = self.create_job_dir()?;
-            let attempt = self.run_elastic_attempt(
-                a,
-                b,
-                &cfg,
-                x0.as_deref(),
-                &worker_bin,
-                &job_dir,
-                &partition,
-            );
-            if !self.config.keep_job_dir {
-                let _ = std::fs::remove_dir_all(&job_dir);
-            } else {
-                eprintln!("launcher: job directory kept at {}", job_dir.display());
-            }
+            let attempt = self.in_job_dir(|job_dir| {
+                self.run_elastic_attempt(a, b, &cfg, x0.take(), &worker_bin, job_dir)
+            });
             match attempt? {
                 Attempt::Done(mut outcome) => {
                     outcome.wall_seconds = start.elapsed().as_secs_f64();
@@ -986,34 +1010,19 @@ impl Launcher {
 
     /// One round of [`Launcher::solve_elastic`]: ship, spawn, wait for every
     /// worker to exit (however it exits), then classify the outcome.
-    #[allow(clippy::too_many_arguments)]
     fn run_elastic_attempt(
         &self,
         a: &CsrMatrix,
         b: &[f64],
         cfg: &MultisplittingConfig,
-        x0: Option<&[f64]>,
+        x0: Option<Vec<f64>>,
         worker_bin: &Path,
         job_dir: &Path,
-        partition: &BandPartition,
     ) -> Result<Attempt, CoreError> {
         let world = cfg.parts;
         let start = Instant::now();
-        if let Some(guess) = x0 {
-            sparse_io::write_vector_file(guess, job_dir.join(job_files::INITIAL_GUESS))
-                .map_err(CoreError::Sparse)?;
-        }
-        let spec = self.prepare_job(a, b, cfg, job_dir)?;
-        let (mut children, spawn_result) = self.spawn_all(worker_bin, job_dir, world, None);
-        let wait_result = spawn_result.and_then(|()| {
-            let deadline = Instant::now() + self.config.timeout;
-            Self::wait_until_all_exit(&mut children, deadline)
-        });
-        for child in children.iter_mut().flatten() {
-            let _ = child.kill();
-            let _ = child.wait();
-        }
-        wait_result?;
+        let spec = self.prepare_job(a, b, cfg, x0, job_dir)?;
+        self.run_workers(worker_bin, job_dir, world, None, false)?;
 
         let results: Vec<Option<(RankMeta, Vec<f64>)>> = (0..world)
             .map(|rank| load_rank_result(job_dir, rank).ok())
@@ -1030,12 +1039,10 @@ impl Launcher {
         };
         if dead.is_empty() && reshape.is_none() {
             let results = results.into_iter().flatten().collect();
-            return Ok(Attempt::Done(Self::gather_outcome(
-                results, cfg, partition, start,
-            )?));
+            return Ok(Attempt::Done(Self::gather_outcome(results, &spec, start)?));
         }
         let dead_rank = reshape.unwrap_or(dead[0]);
-        let guess = Self::salvage_guess(job_dir, &spec, cfg, partition, &results)?;
+        let guess = Self::salvage_guess(job_dir, &spec, &results)?;
         Ok(Attempt::Reshape {
             dead_rank,
             dead,
@@ -1049,10 +1056,9 @@ impl Launcher {
     fn salvage_guess(
         job_dir: &Path,
         spec: &JobSpec,
-        cfg: &MultisplittingConfig,
-        partition: &BandPartition,
         results: &[Option<(RankMeta, Vec<f64>)>],
     ) -> Result<Vec<f64>, CoreError> {
+        let partition = &spec.partition;
         let snapshots = checkpoint::scan(job_dir)?;
         let mut locals = Vec::with_capacity(results.len());
         for (rank, result) in results.iter().enumerate() {
@@ -1069,87 +1075,14 @@ impl Launcher {
             };
             locals.push(x_sub);
         }
-        Ok(cfg.weighting.assemble(partition, &locals))
-    }
-
-    /// Waits for every worker to exit, succeeding or not — elastic runs
-    /// expect a killed worker and read the survivors' verdicts instead.
-    fn wait_until_all_exit(
-        children: &mut [Option<std::process::Child>],
-        deadline: Instant,
-    ) -> Result<(), CoreError> {
-        loop {
-            let mut all_done = true;
-            for slot in children.iter_mut() {
-                let Some(child) = slot else { continue };
-                match child.try_wait() {
-                    Ok(Some(_)) => *slot = None,
-                    Ok(None) => all_done = false,
-                    Err(e) => {
-                        return Err(CoreError::Distributed(format!("wait on worker: {e}")));
-                    }
-                }
-            }
-            if all_done {
-                return Ok(());
-            }
-            if Instant::now() >= deadline {
-                return Err(CoreError::Distributed(
-                    "elastic solve timed out waiting for workers to exit".to_string(),
-                ));
-            }
-            std::thread::sleep(Duration::from_millis(20));
-        }
-    }
-
-    fn wait_for_workers(
-        children: &mut [Option<std::process::Child>],
-        deadline: Instant,
-        job_dir: &Path,
-    ) -> Result<(), CoreError> {
-        loop {
-            let mut all_done = true;
-            for (rank, slot) in children.iter_mut().enumerate() {
-                let Some(child) = slot else { continue };
-                match child.try_wait() {
-                    Ok(Some(status)) if status.success() => {
-                        *slot = None;
-                    }
-                    Ok(Some(status)) => {
-                        return Err(CoreError::Distributed(format!(
-                            "worker rank {rank} exited with {status}: {}",
-                            log_tail(job_dir, rank)
-                        )));
-                    }
-                    Ok(None) => all_done = false,
-                    Err(e) => {
-                        return Err(CoreError::Distributed(format!(
-                            "wait on worker rank {rank}: {e}"
-                        )));
-                    }
-                }
-            }
-            if all_done {
-                return Ok(());
-            }
-            if Instant::now() >= deadline {
-                let alive: Vec<usize> = children
-                    .iter()
-                    .enumerate()
-                    .filter_map(|(r, c)| c.as_ref().map(|_| r))
-                    .collect();
-                return Err(CoreError::Distributed(format!(
-                    "distributed solve timed out; workers still running: {alive:?}"
-                )));
-            }
-            std::thread::sleep(Duration::from_millis(20));
-        }
+        Ok(spec.config.weighting.assemble(partition, &locals))
     }
 }
 
 fn log_tail(job_dir: &Path, rank: usize) -> String {
-    match std::fs::read_to_string(job_dir.join(job_files::worker_log(rank))) {
-        Ok(text) => {
+    match std::fs::read(job_dir.join(job_files::worker_log(rank))) {
+        Ok(bytes) => {
+            let text = String::from_utf8_lossy(&bytes);
             let tail: Vec<&str> = text.lines().rev().take(5).collect();
             tail.into_iter().rev().collect::<Vec<_>>().join(" | ")
         }
@@ -1160,31 +1093,29 @@ fn log_tail(job_dir: &Path, rank: usize) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::codec::tests::hex;
+    use crate::ExecutionMode;
+    use msplit_sparse::generators;
 
     fn temp_dir(tag: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!("msplit-launcher-test-{tag}"));
+        let dir =
+            std::env::temp_dir().join(format!("msplit-launcher-test-{tag}-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         dir
     }
 
-    #[test]
-    fn job_spec_round_trips_through_job_cfg() {
-        let dir = temp_dir("jobspec");
-        let spec = JobSpec {
-            addrs: vec!["127.0.0.1:4001".into(), "127.0.0.1:4002".into()],
+    /// A small job exercising every optional field.
+    fn sample_job() -> JobSpec {
+        let config = MultisplittingConfig {
+            parts: 2,
+            mode: ExecutionMode::Asynchronous,
+            relative_speeds: vec![1.0, 1.5],
+            ..Default::default()
+        };
+        JobSpec {
+            partition: BandPartition::from_sizes(&[3, 2], config.overlap).unwrap(),
+            config,
             fingerprint: 0xDEAD_BEEF_0123,
-            config: MultisplittingConfig {
-                parts: 2,
-                overlap: 3,
-                weighting: WeightingScheme::Average,
-                solver_kind: SolverKind::BandLu,
-                tolerance: 2.5e-9,
-                max_iterations: 1234,
-                mode: ExecutionMode::Asynchronous,
-                async_confirmations: 7,
-                relative_speeds: vec![1.0, 1.5],
-                method: crate::solver::Method::Stationary,
-            },
             delay: Some(LinkDelaySpec {
                 grid: GridSpec::TwoSite {
                     site_a: 1,
@@ -1192,150 +1123,148 @@ mod tests {
                 },
                 time_scale: 1e-3,
             }),
-            // Sub-second on purpose: serialization must not truncate to
-            // whole seconds (a 500 ms budget shipped as 0 would make every
-            // worker fail mesh formation instantly).
+            // Sub-second on purpose: a 500 ms budget shipped as 0 would make
+            // every worker fail mesh formation instantly.
             peer_timeout: Duration::from_millis(45_500),
             checkpoint_every: 8,
             failure: FailurePolicy::Redistribute {
                 heartbeat: Duration::from_millis(750),
             },
-        };
-        spec.store(&dir).unwrap();
-        let text = std::fs::read_to_string(dir.join("job.cfg")).unwrap();
-        assert!(!text.contains("rebalance="), "{text}");
-        let back = JobSpec::load(&dir).unwrap();
-        assert_eq!(back.addrs, spec.addrs);
-        assert_eq!(back.fingerprint, spec.fingerprint);
-        assert_eq!(back.config.parts, 2);
-        assert_eq!(back.config.overlap, 3);
-        assert_eq!(back.config.weighting, WeightingScheme::Average);
-        assert_eq!(back.config.solver_kind, SolverKind::BandLu);
-        assert_eq!(back.config.tolerance, 2.5e-9);
-        assert_eq!(back.config.max_iterations, 1234);
-        assert_eq!(back.config.mode, ExecutionMode::Asynchronous);
-        assert_eq!(back.config.async_confirmations, 7);
-        assert_eq!(back.config.relative_speeds, vec![1.0, 1.5]);
-        assert_eq!(back.delay, spec.delay);
-        assert_eq!(back.peer_timeout, spec.peer_timeout);
-        assert_eq!(back.checkpoint_every, 8);
-        assert_eq!(back.failure, spec.failure);
-        std::fs::remove_dir_all(&dir).ok();
+            initial_guess: Some(vec![0.5, -1.0, 0.0, 2.0, 4.0]),
+        }
     }
 
-    /// A pre-elastic job.cfg: no checkpoint/failure/rebalance keys.
-    const PRE_ELASTIC_JOB_CFG: &str = "% msplit distributed job\n\
-                                       addrs=127.0.0.1:4001\n\
-                                       fingerprint=0xabc\n\
-                                       parts=1\n\
-                                       overlap=0\n\
-                                       weighting=owner_takes\n\
-                                       solver=sparse_lu\n\
-                                       tolerance=1e-10\n\
-                                       max_iterations=100\n\
-                                       mode=sync\n\
-                                       async_confirmations=3\n\
-                                       relative_speeds=\n\
-                                       delay_grid=none\n\
-                                       delay_scale=0\n\
-                                       peer_timeout_secs=60\n";
+    /// Rank 1's band (rows 3 and 4) of a 5-unknown tridiagonal system split
+    /// as [`sample_job`] splits it.
+    fn sample_band() -> RankBand {
+        let a = generators::tridiagonal(5, 4.0, -1.0);
+        let b = [1.0, 2.0, 3.0, 4.0, 5.0];
+        RankBand {
+            blocks: LocalBlocks::extract(&a, &b, &sample_job().partition, 1).unwrap(),
+            send_targets: vec![0],
+            senders_to_me: vec![0],
+        }
+    }
 
-    #[test]
-    fn job_cfg_without_fault_tolerance_keys_still_loads() {
-        // Loading must fall back to the defaults, not error.
-        let dir = temp_dir("jobspec-compat");
-        std::fs::write(dir.join("job.cfg"), PRE_ELASTIC_JOB_CFG).unwrap();
-        let spec = JobSpec::load(&dir).unwrap();
-        assert_eq!(spec.checkpoint_every, 0);
-        assert_eq!(spec.failure, FailurePolicy::default());
-        std::fs::remove_dir_all(&dir).ok();
+    fn sample_meta() -> RankMeta {
+        RankMeta {
+            stop: Stop::new(StopReason::Reshape(3), 42, 3.25e-11),
+            wall_seconds: 0.125,
+        }
     }
 
     #[test]
-    fn job_dirs_with_removed_features_load_or_fail_by_name() {
-        // Job directories written before rebalancing and FailFast were
-        // removed: `rebalance=none` and a missing key load; values that ask
-        // for a removed feature are typed errors naming it.
-        let dir = temp_dir("jobspec-removed");
-        let halt = FailurePolicy::HaltOnDeath {
-            heartbeat: Duration::from_millis(250),
+    fn job_file_round_trips_every_field() {
+        // Jobs without a delay or an initial guess round-trip through
+        // `prepare_job` below.
+        let cluster3 = JobSpec {
+            delay: Some(LinkDelaySpec {
+                grid: GridSpec::Cluster3,
+                time_scale: 1.0,
+            }),
+            failure: FailurePolicy::default(),
+            ..sample_job()
         };
-        let cases: [(&str, Result<FailurePolicy, &str>); 4] = [
-            (
-                "checkpoint_every=0\nfailure=halt_on_death:2.50000000000000000e-1\nrebalance=none\n",
-                Ok(halt),
-            ),
-            ("failure=halt_on_death:2.5e-1\n", Ok(halt)),
-            ("rebalance=25:2.5e0\n", Err("rebalancing")),
-            ("failure=fail_fast\n", Err("FailFast")),
-        ];
-        for (keys, expected) in cases {
-            let text = format!("{PRE_ELASTIC_JOB_CFG}{keys}");
-            std::fs::write(dir.join("job.cfg"), text).unwrap();
-            match (JobSpec::load(&dir), expected) {
-                (Ok(spec), Ok(policy)) => assert_eq!(spec.failure, policy, "{keys}"),
-                (Err(CoreError::Distributed(msg)), Err(removed)) => {
-                    assert!(msg.contains(removed), "{keys}: {msg}");
-                }
-                (got, want) => panic!("{keys}: got {got:?}, want {want:?}"),
+        for spec in [sample_job(), cluster3] {
+            let back = JobSpec::decode(&spec.encode()).unwrap();
+            assert_eq!(format!("{back:?}"), format!("{spec:?}"));
+        }
+        // Durations are whole nanoseconds, saturating instead of panicking.
+        let forever = JobSpec {
+            peer_timeout: Duration::MAX,
+            ..sample_job()
+        };
+        let back = JobSpec::decode(&forever.encode()).unwrap();
+        assert_eq!(back.peer_timeout, Duration::from_nanos(u64::MAX));
+    }
+
+    #[test]
+    fn prepared_jobs_rebuild_uniform_and_speed_weighted_partitions_exactly() {
+        let a = generators::tridiagonal(101, 4.0, -1.0);
+        let b = vec![1.0; 101];
+        for speeds in [vec![], vec![1.0, 1.5, 0.7]] {
+            let config = MultisplittingConfig {
+                parts: 3,
+                overlap: 4,
+                relative_speeds: speeds,
+                ..Default::default()
+            };
+            let dir = temp_dir("partition");
+            let spec = Launcher::default().prepare_job(&a, &b, &config, None, &dir);
+            let job = JobSpec::load(&dir).unwrap();
+            assert_eq!(format!("{job:?}"), format!("{:?}", spec.unwrap()));
+            let decomposition = config.decompose(&a, &b).unwrap();
+            assert_eq!(&job.partition, decomposition.partition());
+            assert_eq!(load_addrs(&dir, 3).unwrap().len(), 3);
+            assert!(load_addrs(&dir, 2).is_err());
+            for (rank, targets) in decomposition.send_targets().iter().enumerate() {
+                let band = RankBand::load(&dir, &job, rank).unwrap();
+                let want = decomposition.blocks(rank);
+                assert_eq!(format!("{:?}", band.blocks), format!("{want:?}"));
+                assert_eq!(&band.send_targets, targets);
             }
+            std::fs::remove_dir_all(&dir).ok();
         }
-        // rank_N.meta: a death reshape round-trips, a drift reshape is gone.
-        let meta = RankMeta {
-            stop: Stop::new(StopReason::Reshape(3), 7, 0.5),
-            wall_seconds: 0.25,
-        };
-        store_rank_result(&dir, 0, &meta, &[1.0]).unwrap();
-        let meta_path = dir.join(job_files::result_meta(0));
-        let text = std::fs::read_to_string(&meta_path).unwrap();
-        assert!(text.contains("stop=death:3\n"), "{text}");
-        assert_eq!(load_rank_result(&dir, 0).unwrap().0, meta);
-        std::fs::write(&meta_path, text.replace("death:3", "drift")).unwrap();
-        match load_rank_result(&dir, 0) {
-            Err(CoreError::Distributed(msg)) => assert!(msg.contains("speed-drift"), "{msg}"),
-            other => panic!("stop=drift loaded: {other:?}"),
-        }
-        std::fs::remove_dir_all(&dir).ok();
     }
 
+    /// The multi-process runtime runs the stationary method only: a Krylov
+    /// method is a typed error before any worker spawns, not a stationary
+    /// answer, and a worker refuses a job file that carries one.
     #[test]
-    fn failure_and_reshape_encodings_round_trip() {
-        for policy in [
-            FailurePolicy::HaltOnDeath {
-                heartbeat: Duration::from_millis(250),
+    fn krylov_methods_are_refused_not_downgraded() {
+        let (a, b) = (generators::tridiagonal(5, 4.0, -1.0), [1.0; 5]);
+        let launcher = Launcher::new(LauncherConfig {
+            failure: FailurePolicy::Redistribute {
+                heartbeat: Duration::from_millis(200),
             },
-            FailurePolicy::Redistribute {
-                heartbeat: Duration::from_secs(2),
+            ..Default::default()
+        });
+        let refused =
+            |e: CoreError| matches!(&e, CoreError::Distributed(m) if m.contains("Stationary"));
+        let mut spec = sample_job();
+        for method in [
+            Method::Richardson { inner_sweeps: 1 },
+            Method::Fgmres {
+                restart: 10,
+                inner_sweeps: 1,
             },
         ] {
-            assert_eq!(failure_from_str(&failure_to_str(policy)).unwrap(), policy);
+            spec.config.method = method;
+            assert!(refused(launcher.solve(&a, &b, &spec.config).unwrap_err()));
+            let elastic = launcher.solve_elastic(&a, &b, &spec.config, 1);
+            assert!(refused(elastic.unwrap_err()));
+            assert!(refused(JobSpec::decode(&spec.encode()).unwrap_err()));
         }
-        assert!(failure_from_str("shrug").is_err());
-        let reshape = StopReason::Reshape(3);
-        assert_eq!(reason_from_str(&reason_to_str(reshape)).unwrap(), reshape);
-        assert!(reason_from_str("sideways").is_err());
-        assert!(reason_from_str("death:x").is_err());
     }
 
     #[test]
-    fn grid_spec_parses_and_builds() {
-        assert_eq!(
-            GridSpec::parse("two_site:3:2").unwrap(),
-            GridSpec::TwoSite {
-                site_a: 3,
-                site_b: 2
-            }
-        );
-        assert_eq!(GridSpec::parse("cluster3").unwrap(), GridSpec::Cluster3);
-        assert!(GridSpec::parse("moon_base").is_err());
-        let g = GridSpec::TwoSite {
-            site_a: 2,
-            site_b: 2,
+    fn a_band_that_does_not_fit_the_job_is_refused() {
+        let (job, band) = (sample_job(), sample_band());
+        let bytes = band.encode(job.fingerprint);
+        let refused = |bytes: &[u8], job: &JobSpec, rank: usize| {
+            let got = RankBand::decode(bytes, job, rank);
+            matches!(got, Err(CoreError::Codec(msg)) if msg.contains("band file"))
+        };
+        assert!(!refused(&bytes, &job, 1));
+        // Another rank, another matrix, another partition.
+        assert!(refused(&bytes, &job, 0) && refused(&bytes, &job, 7));
+        assert!(refused(&band.encode(job.fingerprint ^ 1), &job, 1));
+        let other_split = JobSpec {
+            partition: BandPartition::from_sizes(&[2, 3], 0).unwrap(),
+            ..sample_job()
+        };
+        assert!(refused(&bytes, &other_split, 1));
+        // A block of the wrong shape, a short BSub, a peer out of range.
+        let edits: [fn(&mut RankBand); 3] = [
+            |b| b.blocks.dep_left = generators::tridiagonal(2, 1.0, 0.0),
+            |b| b.blocks.b_sub.truncate(1),
+            |b| b.send_targets = vec![2],
+        ];
+        for edit in edits {
+            let mut wrong = band.clone();
+            edit(&mut wrong);
+            assert!(refused(&wrong.encode(job.fingerprint), &job, 1));
         }
-        .build()
-        .unwrap();
-        assert_eq!(g.num_machines(), 4);
-        assert_eq!(GridSpec::Cluster3.build().unwrap().num_machines(), 10);
     }
 
     #[test]
@@ -1347,18 +1276,104 @@ mod tests {
             StopReason::BudgetExhausted,
             StopReason::Halted,
             StopReason::Reshape(0),
+            StopReason::Reshape(3),
         ] {
             let meta = RankMeta {
                 stop: Stop::new(reason, 42, 3.25e-11),
-                wall_seconds: 0.125,
+                ..sample_meta()
             };
             store_rank_result(&dir, 1, &meta, &x).unwrap();
-            let (m, v) = load_rank_result(&dir, 1).unwrap();
-            assert_eq!(m, meta);
-            assert_eq!(m.stop.norm.to_bits(), meta.stop.norm.to_bits());
-            assert_eq!(v, x);
+            assert_eq!(load_rank_result(&dir, 1).unwrap(), (meta, x.clone()));
         }
         assert!(load_rank_result(&dir, 9).is_err());
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// Every file of a job directory, cut short at every length and with
+    /// every single byte flipped: a typed error, never a panic.
+    #[test]
+    fn truncated_and_flipped_job_files_are_typed_errors() {
+        let job = sample_job();
+        type Decode<'a> = &'a dyn Fn(&[u8]) -> Result<(), CoreError>;
+        let decoders: [(Vec<u8>, Decode); 3] = [
+            (job.encode(), &|d| JobSpec::decode(d).map(drop)),
+            (sample_band().encode(job.fingerprint), &|d| {
+                RankBand::decode(d, &job, 1).map(drop)
+            }),
+            (encode_rank_result(&sample_meta(), &[1.0, -2.5]), &|d| {
+                decode_rank_result(d).map(drop)
+            }),
+        ];
+        let typed = |got: Result<(), CoreError>| matches!(got, Err(CoreError::Codec(_)));
+        for (bytes, decode) in decoders {
+            decode(&bytes).unwrap();
+            for cut in 0..bytes.len() {
+                assert!(typed(decode(&bytes[..cut])), "cut {cut}");
+            }
+            for pos in 0..bytes.len() {
+                let mut bad = bytes.clone();
+                bad[pos] ^= 0x20;
+                assert!(typed(decode(&bad)), "flip {pos}");
+            }
+        }
+    }
+
+    /// The exact bytes of each job-directory file, pinned independently of
+    /// the decoders (a round trip cannot see a change made to both sides).
+    #[test]
+    fn job_directory_bytes_are_stable() {
+        let job = sample_job();
+        assert_eq!(
+            hex(&job.encode()),
+            "4d53504c544a4f42010000005500000000000000020200000000000000000000\
+             00000000000000013a8c30e28e79453e10270000000000000300000000000000\
+             0200000000000000000000000000f03f000000000000f83f0000000000000000\
+             0000000000000000002301efbeadde0000020000000000000003000000000000\
+             0002000000000000000101000000000000000100000000000000fca9f1d24d62\
+             503f00e702980a0000000800000000000000018017b42c000000000500000000\
+             000000000000000000e03f000000000000f0bf00000000000000000000000000\
+             00004000000000000010406f360646f4eb3d80"
+        );
+        assert_eq!(
+            hex(&sample_band().encode(job.fingerprint)),
+            "4d53504c54424e44010000002301efbeadde0000040000000000000001000000\
+             0000000003000000000000000200000000000000050000000000000001020000\
+             0000000000020000000000000004000000000000000000000000000000020000\
+             0000000000040000000000000000000000000000000100000000000000000000\
+             000000000001000000000000000000000000001040000000000000f0bf000000\
+             000000f0bf000000000000104001020000000000000003000000000000000100\
+             0000000000000000000000000000010000000000000001000000000000000200\
+             000000000000000000000000f0bf010200000000000000000000000000000000\
+             0000000000000000000000000000000000000000000000000000000000000002\
+             0000000000000000000000000010400000000000001440010000000000000000\
+             00000000000000010000000000000000000000000000008ba827d3c29a5418"
+        );
+        assert_eq!(
+            hex(&encode_rank_result(&sample_meta(), &[1.0, -2.5, 3.0e-4])),
+            "4d53504c54524553010000000303000000000000002a00000000000000b9a132\
+             e7f7ddc13d000000000000c03f0300000000000000000000000000f03f000000\
+             00000004c0613255302aa9333ffb38fd5cb11561ba"
+        );
+    }
+
+    #[test]
+    fn grid_spec_parses_and_builds() {
+        let g = GridSpec::TwoSite {
+            site_a: 2,
+            site_b: 2,
+        };
+        assert_eq!(g.build().unwrap().num_machines(), 4);
+        assert_eq!(GridSpec::Cluster3.build().unwrap().num_machines(), 10);
+    }
+
+    #[test]
+    fn a_directory_without_a_job_file_does_not_resume() {
+        // A job directory of the retired text format has no job file:
+        // resume stops before it looks for snapshots or a worker binary.
+        let dir = temp_dir("oldjob");
+        std::fs::write(dir.join("job.cfg"), "parts=1\n").unwrap();
+        let err = Launcher::default().resume(&dir).unwrap_err();
+        assert!(matches!(&err, CoreError::Distributed(m) if m.contains(job_files::JOB)));
         std::fs::remove_dir_all(&dir).ok();
     }
 

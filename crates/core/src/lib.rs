@@ -94,6 +94,8 @@
 //!   tests at 256–1024 ranks (`docs/scaling.md`),
 //! * [`checkpoint`] — versioned, fingerprint-pinned per-rank snapshots for
 //!   checkpoint/restart and elastic reshaping,
+//! * [`codec`] — the one byte codec of the solver configuration and of a
+//!   matrix, and the checksummed envelope of every job-directory file,
 //! * [`distributed`] / [`launcher`] — the multi-process runtime: one
 //!   [`distributed::run_rank`] per worker process, orchestrated by
 //!   [`launcher::Launcher`],
@@ -115,6 +117,7 @@
 
 pub mod baseline;
 pub mod checkpoint;
+pub mod codec;
 pub mod decomposition;
 pub mod distributed;
 pub(crate) mod driver_common;
@@ -184,6 +187,10 @@ pub enum CoreError {
     /// A checkpoint operation failed (corrupt snapshot, version or
     /// fingerprint mismatch, I/O).
     Checkpoint(checkpoint::CheckpointError),
+    /// Bytes that do not decode ([`codec`]): a truncated, corrupted or
+    /// foreign-version blob or job file, or a band file that does not fit
+    /// its job.
+    Codec(String),
 }
 
 impl std::fmt::Display for CoreError {
@@ -197,6 +204,7 @@ impl std::fmt::Display for CoreError {
             CoreError::WorkerPanic(msg) => write!(f, "worker thread panicked: {msg}"),
             CoreError::Distributed(msg) => write!(f, "distributed runtime error: {msg}"),
             CoreError::Checkpoint(e) => write!(f, "checkpoint error: {e}"),
+            CoreError::Codec(msg) => write!(f, "decode error: {msg}"),
         }
     }
 }

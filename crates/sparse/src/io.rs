@@ -191,48 +191,6 @@ pub fn write_matrix_market_file(
     write_matrix_market(matrix, std::io::BufWriter::new(file))
 }
 
-/// Writes a dense vector as a plain text stream: optional `%` comment lines,
-/// then one full-precision value per line.  This is the companion format the
-/// distributed launcher uses to ship right-hand sides to worker processes
-/// and to gather their solution slices back.
-pub fn write_vector<W: Write>(values: &[f64], mut writer: W) -> Result<(), SparseError> {
-    writeln!(writer, "% msplit vector, {} entries", values.len())?;
-    for v in values {
-        writeln!(writer, "{v:.17e}")?;
-    }
-    Ok(())
-}
-
-/// Writes a dense vector to a file (see [`write_vector`]).
-pub fn write_vector_file(values: &[f64], path: impl AsRef<Path>) -> Result<(), SparseError> {
-    let file = std::fs::File::create(path)?;
-    write_vector(values, std::io::BufWriter::new(file))
-}
-
-/// Parses a vector written by [`write_vector`]; `%`-prefixed and empty lines
-/// are skipped.
-pub fn parse_vector<R: Read>(reader: R) -> Result<Vec<f64>, SparseError> {
-    let mut values = Vec::new();
-    for line in BufReader::new(reader).lines() {
-        let line = line?;
-        let t = line.trim();
-        if t.is_empty() || t.starts_with('%') {
-            continue;
-        }
-        values.push(
-            t.parse::<f64>()
-                .map_err(|e| SparseError::Parse(format!("bad vector entry '{t}': {e}")))?,
-        );
-    }
-    Ok(values)
-}
-
-/// Reads a vector file from disk (see [`write_vector`]).
-pub fn read_vector_file(path: impl AsRef<Path>) -> Result<Vec<f64>, SparseError> {
-    let file = std::fs::File::open(path)?;
-    parse_vector(file)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -317,32 +275,5 @@ mod tests {
     fn missing_file_is_io_error() {
         let err = read_matrix_market("/definitely/not/here.mtx").unwrap_err();
         assert!(matches!(err, SparseError::Io(_)));
-    }
-
-    #[test]
-    fn vector_round_trip_is_exact() {
-        let v: Vec<f64> = (0..50)
-            .map(|i| ((i as f64) * 0.37 - 3.0) * 1e-3 + 1.0 / (i as f64 + 1.0))
-            .collect();
-        let mut buf = Vec::new();
-        write_vector(&v, &mut buf).unwrap();
-        let back = parse_vector(buf.as_slice()).unwrap();
-        assert_eq!(back, v, "17-significant-digit text round-trips f64 exactly");
-
-        let dir = std::env::temp_dir().join("msplit_sparse_vec_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("v.vec");
-        write_vector_file(&v, &path).unwrap();
-        assert_eq!(read_vector_file(&path).unwrap(), v);
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn vector_parse_rejects_garbage() {
-        assert!(parse_vector("1.0\nnot-a-number\n".as_bytes()).is_err());
-        assert_eq!(
-            parse_vector("% only comments\n\n".as_bytes()).unwrap(),
-            Vec::<f64>::new()
-        );
     }
 }

@@ -76,7 +76,10 @@ impl BandPartition {
                 "band sizes must be non-empty and positive".to_string(),
             ));
         }
-        let n: usize = sizes.iter().sum();
+        let n = sizes
+            .iter()
+            .try_fold(0usize, |n, &s| n.checked_add(s))
+            .ok_or_else(|| SparseError::Structure("band sizes overflow the order".to_string()))?;
         let mut owned = Vec::with_capacity(sizes.len());
         let mut start = 0usize;
         for &s in sizes {
@@ -98,7 +101,7 @@ impl BandPartition {
             let ext_end = if l + 1 == parts {
                 e
             } else {
-                (e + overlap).min(n)
+                e.saturating_add(overlap).min(n)
             };
             if ext_start >= ext_end {
                 return Err(SparseError::Structure(format!(

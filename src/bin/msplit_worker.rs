@@ -7,18 +7,19 @@
 //! msplit-worker --job /tmp/msplit-job-1234-0 --rank 2
 //! ```
 //!
-//! The worker loads the shipped system (`system.mtx` + `rhs.vec`), rebuilds
-//! the same deterministic band decomposition every other rank builds,
-//! extracts its own blocks, joins the TCP mesh described by `job.cfg` (the
+//! The worker reads the job file (`job.bin`: configuration, fingerprint,
+//! band partition, timeouts, failure policy, optional initial guess) and
+//! only its own band (`band_<rank>.bin`: `ASub`, `DepLeft`, `DepRight`,
+//! `BSub` and its halo peers), refuses a band that does not fit the job,
+//! joins the TCP mesh at the addresses listed one per line in `addrs` (the
 //! handshake pins the matrix fingerprint) and runs the per-rank distributed
-//! driver.  Its extended-range solution slice and run metadata land back in
-//! the job directory for the launcher to gather.
+//! driver.  Its stop record and extended-range solution slice land back in
+//! the job directory as `result_<rank>.bin` for the launcher to gather.
 
 use multisplitting::comm::tcp::{BoundTcpTransport, TcpOptions};
-use multisplitting::core::distributed::{receive_sources, run_rank, CheckpointConfig, RankOptions};
-use multisplitting::core::launcher::{self, JobSpec, RankMeta};
-use multisplitting::core::{CoreError, Decomposition, MultisplittingSolver, StopReason};
-use multisplitting::sparse::io as sparse_io;
+use multisplitting::core::distributed::{run_rank, CheckpointConfig, RankOptions};
+use multisplitting::core::launcher::{self, JobSpec, RankBand, RankMeta};
+use multisplitting::core::{CoreError, StopReason};
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
@@ -56,8 +57,10 @@ fn parse_args() -> Result<Args, String> {
                 println!(
                     "msplit-worker: one rank of a distributed multisplitting solve\n\
                      usage: msplit-worker --job <job-dir> --rank <rank> [--resume-at <iter>]\n\
-                     The job directory must contain job.cfg, system.mtx and rhs.vec\n\
+                     The job directory must contain job.bin, addrs and band_<rank>.bin\n\
                      (written by the Launcher; see the `distributed_loopback` example).\n\
+                     addrs lists every rank's listen address, one per line: edit it\n\
+                     to place ranks on other hosts.\n\
                      With --resume-at the worker restores its snapshot of that outer\n\
                      iteration (ckpt_r<rank>_i<iter>.bin in the job directory) before\n\
                      iterating — see docs/fault-tolerance.md."
@@ -75,51 +78,20 @@ fn parse_args() -> Result<Args, String> {
 }
 
 fn run(job_dir: &Path, rank: usize, resume_at: Option<u64>) -> Result<(), CoreError> {
-    let spec = JobSpec::load(job_dir)?;
+    // The job file refuses a non-stationary method; the band file is checked
+    // against the job (rank, fingerprint, rows, block shapes) before any
+    // socket opens.
+    let mut spec = JobSpec::load(job_dir)?;
     let world = spec.world_size();
-    if rank >= world {
-        return Err(CoreError::Distributed(format!(
-            "rank {rank} out of range for a {world}-rank job"
-        )));
-    }
-    if spec.config.parts != world {
-        return Err(CoreError::Distributed(format!(
-            "job.cfg declares {} parts but {} addresses",
-            spec.config.parts, world
-        )));
-    }
-
-    // Load and verify the shipped system: the fingerprint guards against a
-    // torn or stale matrix file before any socket opens.
-    let a = sparse_io::read_matrix_market(job_dir.join(launcher::job_files::MATRIX))
-        .map_err(CoreError::Sparse)?;
-    let b = sparse_io::read_vector_file(job_dir.join(launcher::job_files::RHS))
-        .map_err(CoreError::Sparse)?;
-    if a.fingerprint() != spec.fingerprint {
-        return Err(CoreError::Distributed(format!(
-            "matrix fingerprint {:#x} does not match job fingerprint {:#x}",
-            a.fingerprint(),
-            spec.fingerprint
-        )));
-    }
-
-    // Rebuild the deterministic decomposition every rank agrees on, keep
-    // only this rank's blocks.
-    let solver = MultisplittingSolver::new(spec.config.clone());
-    let decomposition: Decomposition = solver.decompose(&a, &b)?;
-    let send_targets = decomposition.send_targets();
-    let sources = receive_sources(&send_targets);
-    let partition = decomposition.partition().clone();
-    let (_, mut blocks) = decomposition.into_blocks();
-    let blk = blocks.swap_remove(rank);
-    drop(blocks);
+    let band = RankBand::load(job_dir, &spec, rank)?;
+    let addrs = launcher::load_addrs(job_dir, world)?;
 
     // Join the mesh: bind this rank's listener, then full-mesh connect with
     // the fingerprint-pinned handshake.
-    let bound = BoundTcpTransport::bind(rank, &spec.addrs[rank]).map_err(CoreError::Comm)?;
+    let bound = BoundTcpTransport::bind(rank, &addrs[rank]).map_err(CoreError::Comm)?;
     let transport = bound
         .connect(
-            &spec.addrs,
+            &addrs,
             TcpOptions {
                 fingerprint: spec.fingerprint,
                 connect_timeout: spec.peer_timeout,
@@ -130,35 +102,29 @@ fn run(job_dir: &Path, rank: usize, resume_at: Option<u64>) -> Result<(), CoreEr
         .map_err(CoreError::Comm)?;
     println!(
         "worker rank {rank}/{world}: joined mesh, band rows {:?}, {} send targets",
-        partition.extended_range(rank),
-        send_targets[rank].len()
+        spec.partition.extended_range(rank),
+        band.send_targets.len()
     );
 
     arm_die_at_drill(job_dir, rank);
 
     // Fault-tolerance wiring from the job spec: periodic snapshots (also
-    // needed to resume), an optional global warm start shipped as x0.vec,
-    // and the configured failure policy.
+    // needed to resume), the optional global warm start and the configured
+    // failure policy.
     let checkpoint = (spec.checkpoint_every > 0 || resume_at.is_some()).then(|| CheckpointConfig {
         dir: job_dir.to_path_buf(),
         every: spec.checkpoint_every,
         fingerprint: spec.fingerprint,
     });
-    let x0_path = job_dir.join(launcher::job_files::INITIAL_GUESS);
-    let initial_guess = if x0_path.exists() {
-        Some(sparse_io::read_vector_file(&x0_path).map_err(CoreError::Sparse)?)
-    } else {
-        None
-    };
     if let Some(iteration) = resume_at {
         println!("worker rank {rank}/{world}: resuming from snapshot of iteration {iteration}");
     }
 
     let outcome = run_rank(
-        &partition,
-        &blk,
-        &send_targets[rank],
-        &sources[rank],
+        &spec.partition,
+        &band.blocks,
+        &band.send_targets,
+        &band.senders_to_me,
         &spec.config,
         transport,
         &RankOptions {
@@ -166,7 +132,7 @@ fn run(job_dir: &Path, rank: usize, resume_at: Option<u64>) -> Result<(), CoreEr
             failure: spec.failure,
             checkpoint,
             resume_at,
-            initial_guess,
+            initial_guess: spec.initial_guess.take(),
             ..Default::default()
         },
     )?;

@@ -323,7 +323,8 @@ fn elastic_solve_redistributes_bands_after_a_rank_death() {
     );
 }
 
-/// Pins an open defect (ROADMAP item 4) so that it cannot be forgotten: over
+/// Pins an open defect — false convergence of the asynchronous detector
+/// under CPU starvation — so that it cannot be forgotten: over
 /// TCP the asynchronous detector declares convergence on a wrong answer when
 /// a rank is starved of CPU.  A free-running rank that steps again before its
 /// peer's next slice has been read recomputes the iterate it already had; two
