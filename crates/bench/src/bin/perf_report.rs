@@ -1,7 +1,6 @@
 //! `perf-report` — regenerates `BENCH_kernels.json` at the repository root.
 //!
-//! Times the numeric hot-path kernels (dense LU factorization blocked vs the
-//! retained pre-optimization reference, sparse LU factorization pruned vs the
+//! Times the numeric hot-path kernels (sparse LU factorization pruned vs the
 //! retained unpruned reference, band triangular solve, CSR SpMV, and
 //! cold-vs-warm `PreparedSystem::solve_many` serving) plus the **transport**
 //! layer (in-process vs TCP-loopback message round-trip latency, and the
@@ -26,14 +25,14 @@
 //! cargo run --release --bin perf-report -- --check # tiny sizes, no file
 //! ```
 
-use msplit_bench::{dense_dd, penta_band};
+use msplit_bench::penta_band;
 use msplit_comm::tcp::{LoopbackMesh, TcpOptions};
 use msplit_comm::{InProcTransport, Message, Transport};
 use msplit_core::krylov::{Preconditioner, SerialSweepOracle, SweepBuffers, SweepPreconditioner};
 use msplit_core::runtime::{factorize_blocks, IterationWorkspace, NeighborData, RankEngine};
 use msplit_core::solver::{ExecutionMode, MultisplittingConfig};
 use msplit_core::{Decomposition, MultisplittingSolver, PreparedSystem, WeightingScheme};
-use msplit_dense::{BandLu, DenseLu};
+use msplit_dense::BandLu;
 use msplit_direct::{SolveScratch, SolverKind, SparseLu, SparseLuConfig};
 use msplit_engine::EngineConfig;
 use msplit_serve::{ClientOptions, ServeClient, ServeConfig, SolveServer};
@@ -675,32 +674,11 @@ fn inline_vs_pooled_ms(rounds: usize, f: impl Fn() + Sync) -> (f64, f64) {
 }
 
 /// One pass over the `rayon` pool rows: every parallel loop of the
-/// workspace, serial (`before_ms`) against pooled (`after_ms`).  The sweep
-/// and the block factorization run at the size of the `krylov_*` workloads of
-/// the end-to-end benchmark (`convection_diffusion`, k = 96, eight bands);
-/// `par_spmv_into` runs where it begins to fork (`PAR_SPMV_MIN_NNZ` stored
-/// entries: poisson_2d(82)) and well above.
+/// workspace, serial (`before_ms`) against pooled (`after_ms`), at the size
+/// of the `krylov_*` workloads of the end-to-end benchmark
+/// (`convection_diffusion`, k = 96, eight bands).
 fn pool_pass() -> Vec<KernelRecord> {
     let mut rows = Vec::new();
-    for grid in [82, 200] {
-        let a = generators::poisson_2d(grid);
-        assert!(a.nnz() >= msplit_sparse::csr::PAR_SPMV_MIN_NNZ);
-        let n = a.rows();
-        let xv: Vec<f64> = (0..n).map(|i| ((i % 17) as f64) * 0.25 - 2.0).collect();
-        let (mut y_seq, mut y_par) = (vec![0.0; n], vec![0.0; n]);
-        let (seq_ms, par_ms) = alternate_ms(
-            40,
-            || a.spmv_into(&xv, &mut y_seq).expect("spmv"),
-            || a.par_spmv_into(&xv, &mut y_par).expect("par_spmv"),
-        );
-        rows.push(KernelRecord {
-            name: "par_spmv_into",
-            n,
-            before_ms: Some(seq_ms),
-            after_ms: par_ms,
-        });
-    }
-
     let a = generators::convection_diffusion(&generators::ConvectionDiffusionConfig {
         k: 96,
         skew: 0.1,
@@ -805,24 +783,6 @@ fn main() {
 
     let mut records: Vec<KernelRecord> = Vec::new();
 
-    // --- Dense LU factorization: blocked production kernel vs the retained
-    // reference (the exact pre-optimization algorithm). ---
-    let dense_sizes: &[usize] = if check_mode { &[64] } else { &[128, 512, 1024] };
-    for &n in dense_sizes {
-        let a = dense_dd(n, 42);
-        let reps = if n >= 1024 { 2 } else { 3 };
-        let after_ms = time_ms(reps, || DenseLu::factorize(&a).expect("factorize"));
-        let before_ms = time_ms(reps, || {
-            DenseLu::factorize_reference(&a).expect("factorize")
-        });
-        records.push(KernelRecord {
-            name: "dense_lu_factorize",
-            n,
-            before_ms: Some(before_ms),
-            after_ms,
-        });
-    }
-
     // --- Sparse LU factorization: pruned production kernel vs the retained
     // unpruned reference.  n = 3000 in --check too: the gate is about the
     // symbolic reach, whose share of the work grows with the fill. ---
@@ -865,7 +825,7 @@ fn main() {
         after_ms,
     });
 
-    // --- CSR SpMV (the row-parallel kernel is a pool row, below). ---
+    // --- CSR SpMV. ---
     let grid = if check_mode { 40 } else { 200 };
     let a = generators::poisson_2d(grid);
     let n = a.rows();
@@ -879,8 +839,8 @@ fn main() {
         after_ms: seq_ms,
     });
 
-    // --- The rayon pool: `par_spmv_into`, one sweep's bands and
-    // `factorize_blocks`, serial vs pooled.  The sizes are the end-to-end
+    // --- The rayon pool: one sweep's bands and `factorize_blocks`, serial
+    // vs pooled.  The sizes are the end-to-end
     // benchmark's in --check too: the gate is about loops of that size. ---
     let (pool_records, pooled_sweep_speedup) = pool_table();
     records.extend(pool_records);
@@ -1027,7 +987,7 @@ fn main() {
     json.push_str("{\n  \"suite\": \"kernel_suite\",\n  \"unit\": \"ms (best of reps)\",\n");
     let _ = writeln!(
         json,
-        "  \"note\": \"before = retained pre-optimization kernel where one exists (dense reference LU; unpruned reference sparse LU; cold prepare for warm serving; the serial loop for the pool rows sweep_apply*, factorize_blocks*, par_spmv_into)\",",
+        "  \"note\": \"before = retained pre-optimization kernel where one exists (unpruned reference sparse LU; cold prepare for warm serving; the serial loop for the pool rows sweep_apply*, factorize_blocks*)\",",
     );
     json.push_str("  \"kernels\": [\n");
     for (i, r) in records.iter().enumerate() {

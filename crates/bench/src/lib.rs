@@ -1,50 +1,22 @@
 //! Shared helpers for the benchmark harness.
 //!
-//! The Criterion benches and the `reproduce` binary both need a common
-//! experiment scale: small enough that `cargo bench` completes in minutes,
-//! large enough that the measured work profiles are not dominated by
-//! fixed overheads.
+//! The `reproduce` binary needs a common experiment scale: small enough that
+//! a run completes in minutes, large enough that the measured work profiles
+//! are not dominated by fixed overheads.
 //!
 //! # Place in the runtime architecture
 //!
 //! In the engine/policy/adapter architecture documented at the top of
 //! [`msplit_core`] (see the diagram in `crates/core/src/lib.rs`), this crate
 //! stands outside the runtime proper: it scales the
-//! [`msplit_core::experiment`] descriptors so the Criterion harnesses and
-//! the `reproduce` binary exercise every adapter at a CI-friendly size.
+//! [`msplit_core::experiment`] descriptors so the `reproduce` binary
+//! exercises every adapter at a CI-friendly size.
 
 use msplit_core::experiment::ExperimentConfig;
-use msplit_dense::{BandMatrix, DenseMatrix};
-
-/// Deterministic pseudo-random dense matrix, diagonally dominant so every
-/// direct solver accepts it.  Shared by the kernel-suite Criterion bench and
-/// the `perf-report` binary so both measure the **same** inputs (the
-/// committed `BENCH_kernels.json` and the interactive bench must not drift).
-pub fn dense_dd(n: usize, seed: u64) -> DenseMatrix {
-    let mut state = seed.wrapping_mul(0x9e3779b97f4a7c15).wrapping_add(1);
-    let mut next = move || {
-        state ^= state << 13;
-        state ^= state >> 7;
-        state ^= state << 17;
-        (state % 2000) as f64 / 1000.0 - 1.0
-    };
-    let mut a = DenseMatrix::zeros(n, n);
-    for i in 0..n {
-        let mut row_sum = 0.0;
-        for j in 0..n {
-            if i != j {
-                let v = next();
-                a.set(i, j, v);
-                row_sum += v.abs();
-            }
-        }
-        a.set(i, i, row_sum + 1.0);
-    }
-    a
-}
+use msplit_dense::BandMatrix;
 
 /// Diagonally dominant pentadiagonal band matrix (kl = ku = 2), the band
-/// kernel workload of the suite.
+/// kernel workload of `perf-report`.
 pub fn penta_band(n: usize) -> BandMatrix {
     let mut b = BandMatrix::zeros(n, 2, 2);
     for i in 0..n {
@@ -59,16 +31,6 @@ pub fn penta_band(n: usize) -> BandMatrix {
         }
     }
     b
-}
-
-/// Experiment configuration used by the Criterion benches (small scale).
-pub fn bench_config() -> ExperimentConfig {
-    ExperimentConfig {
-        scale: 0.02,
-        min_n: 500,
-        tolerance: 1e-8,
-        max_iterations: 50_000,
-    }
 }
 
 /// Experiment configuration used by the `reproduce` binary by default.
@@ -87,13 +49,6 @@ mod tests {
 
     #[test]
     fn kernel_workloads_are_well_formed() {
-        let a = dense_dd(16, 1);
-        for i in 0..16 {
-            let off: f64 = (0..16).filter(|&j| j != i).map(|j| a.get(i, j).abs()).sum();
-            assert!(a.get(i, i) > off, "row {i} not dominant");
-        }
-        // Deterministic across calls.
-        assert_eq!(a, dense_dd(16, 1));
         let b = penta_band(10);
         assert_eq!(b.order(), 10);
         assert_eq!(b.get(0, 0), 8.0);
@@ -102,11 +57,9 @@ mod tests {
 
     #[test]
     fn configs_are_scaled_down_but_not_degenerate() {
-        let bench = bench_config();
-        assert!(bench.scale < 1.0);
-        assert!(bench.min_n >= 100);
         let repro = reproduce_config();
-        assert!(repro.scale >= bench.scale);
+        assert!(repro.scale < 1.0);
+        assert!(repro.min_n >= 100);
         assert_eq!(repro.tolerance, 1e-8);
     }
 }

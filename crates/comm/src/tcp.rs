@@ -361,17 +361,24 @@ fn writer_loop(stream: TcpStream, rx: Receiver<OutFrame>) {
 }
 
 /// Decodes frames from one incoming stream into the shared inbox.  Exits on
-/// EOF or a torn frame; the sender rank of the envelope is trusted only
-/// after the handshake pinned who is on the other end.  A clean disconnect
-/// (peer finished and closed) is silent; anything else — a torn frame, a
-/// version mismatch, a mid-frame crash — is reported on stderr so worker
-/// logs name the cause instead of the rank just timing out later.
+/// EOF, a torn frame, or a frame whose envelope names a sender other than
+/// the peer the handshake pinned to this stream; such a frame never reaches
+/// the inbox.  A clean disconnect (peer finished and closed) is silent;
+/// anything else — a torn frame, a version mismatch, a mid-frame crash, a
+/// forged sender — is reported on stderr so worker logs name the cause
+/// instead of the rank just timing out later.
 fn reader_loop(peer: usize, stream: TcpStream, inbox: Sender<Message>) {
     let mut reader = std::io::BufReader::new(stream);
     loop {
         match read_frame(&mut reader) {
-            Ok((header, msg)) => {
-                debug_assert_eq!(header.from as usize, peer, "envelope rank mismatch");
+            Ok((header, _)) if header.from as usize != peer => {
+                eprintln!(
+                    "msplit-comm: stream from rank {peer} failed: frame envelope names rank {}",
+                    header.from
+                );
+                return;
+            }
+            Ok((_, msg)) => {
                 if inbox.send(msg).is_err() {
                     return;
                 }

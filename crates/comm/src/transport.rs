@@ -3,9 +3,9 @@
 //!
 //! Every multisplitting "processor" is a thread; an [`InProcTransport`] gives
 //! each rank an unbounded `std::sync::mpsc` inbox.  The
-//! [`DelayedTransport`] wrapper accounts every message against a
-//! [`msplit_grid::Grid`] link model — and can optionally *realize* a scaled
-//! fraction of the modelled delay with a real sleep, which is how the tests
+//! [`DelayedTransport`] wrapper prices every message with a
+//! [`msplit_grid::Grid`] link model and *realizes* a scaled fraction of the
+//! modelled delay with a real sleep, which is how the tests
 //! exercise the asynchronous driver's tolerance to slow links without waiting
 //! for actual WAN round-trips.
 
@@ -53,16 +53,6 @@ impl LinkStats {
     /// Total number of bytes.
     pub fn total_bytes(&self) -> usize {
         self.bytes.values().sum()
-    }
-
-    /// Bytes exchanged between different sites of the given grid (the traffic
-    /// that crosses the slow inter-site link).
-    pub fn inter_site_bytes(&self, grid: &Grid) -> usize {
-        self.bytes
-            .iter()
-            .filter(|(&(from, to), _)| grid.site_of(from).ok() != grid.site_of(to).ok())
-            .map(|(_, &b)| b)
-            .sum()
     }
 
     pub(crate) fn record(&mut self, from: usize, to: usize, bytes: usize) {
@@ -226,11 +216,9 @@ pub struct DelayedTransport {
     inner: Arc<InProcTransport>,
     grid: Grid,
     /// Fraction of the modelled delay actually slept before delivery.  `0.0`
-    /// records the delay without slowing the run; `1.0` reproduces it in real
-    /// time; the async-robustness tests use a small scale (e.g. `1e-3`).
+    /// delivers at once; `1.0` reproduces the delay in real time; the
+    /// async-robustness tests use a small scale (e.g. `1e-3`).
     time_scale: f64,
-    /// Accumulated modelled delay per destination rank, in modelled seconds.
-    modelled_delay: Mutex<Vec<f64>>,
 }
 
 impl DelayedTransport {
@@ -245,22 +233,11 @@ impl DelayedTransport {
             grid.num_machines(),
             inner.num_ranks()
         );
-        let ranks = inner.num_ranks();
         Arc::new(DelayedTransport {
             inner,
             grid,
             time_scale,
-            modelled_delay: Mutex::new(vec![0.0; ranks]),
         })
-    }
-
-    /// Total modelled network delay charged to each rank so far (seconds of
-    /// modelled time, regardless of `time_scale`).
-    pub fn modelled_delays(&self) -> Vec<f64> {
-        self.modelled_delay
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .clone()
     }
 
     /// Traffic statistics of the underlying transport.
@@ -288,9 +265,6 @@ impl Transport for DelayedTransport {
                     rank: from.max(to),
                     total: self.num_ranks(),
                 })?;
-        self.modelled_delay
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)[to] += delay;
         if self.time_scale > 0.0 {
             std::thread::sleep(Duration::from_secs_f64(delay * self.time_scale));
         }
@@ -313,7 +287,7 @@ impl Transport for DelayedTransport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use msplit_grid::cluster::{cluster1, cluster3};
+    use msplit_grid::cluster::cluster1;
 
     fn solution_msg(from: usize, n: usize) -> Message {
         Message::Solution {
@@ -377,33 +351,6 @@ mod tests {
         std::thread::sleep(Duration::from_millis(5));
         t.send(0, 1, solution_msg(0, 4)).unwrap();
         assert_eq!(handle.join().unwrap(), solution_msg(0, 4));
-    }
-
-    #[test]
-    fn delayed_transport_records_modelled_delay() {
-        let inner = InProcTransport::new(10);
-        let delayed = DelayedTransport::new(inner, cluster3(), 0.0);
-        // intra-site (0 -> 1) vs inter-site (0 -> 8)
-        delayed.send(0, 1, solution_msg(0, 1000)).unwrap();
-        delayed.send(0, 8, solution_msg(0, 1000)).unwrap();
-        let delays = delayed.modelled_delays();
-        assert!(delays[8] > delays[1]);
-        assert!(delays[1] > 0.0);
-        assert_eq!(delayed.recv(1).unwrap(), solution_msg(0, 1000));
-        assert_eq!(delayed.grid().name, "cluster3");
-    }
-
-    #[test]
-    fn delayed_transport_inter_site_stats() {
-        let inner = InProcTransport::new(10);
-        let grid = cluster3();
-        let delayed = DelayedTransport::new(inner, grid.clone(), 0.0);
-        delayed.send(0, 8, solution_msg(0, 100)).unwrap();
-        delayed.send(0, 1, solution_msg(0, 100)).unwrap();
-        let stats = delayed.stats();
-        let inter = stats.inter_site_bytes(&grid);
-        assert!(inter > 0);
-        assert!(inter < stats.total_bytes());
     }
 
     #[test]

@@ -41,6 +41,12 @@ pub const FRAME_HEADER_LEN: usize = 1 + 4 + 8 + 4;
 /// would be ~512 MB — far beyond what one band exchanges per iteration).
 pub const MAX_FRAME_PAYLOAD: usize = 256 * 1024 * 1024;
 
+/// Payload bytes [`read_frame`] reserves before any of them has arrived.  A
+/// frame up to this size costs one allocation; a larger one grows its buffer
+/// as its bytes arrive, so a header alone cannot make a reader allocate
+/// [`MAX_FRAME_PAYLOAD`] bytes.
+const PAYLOAD_RESERVE: usize = 64 * 1024;
+
 /// Parsed frame header (the envelope preceding every payload).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FrameHeader {
@@ -176,14 +182,17 @@ pub fn read_frame<R: Read>(reader: &mut R) -> Result<(FrameHeader, Message), Com
         }
     }
     let header = parse_header(&mut frame_reader(&raw))?;
-    let mut payload = vec![0u8; header.payload_len as usize];
-    reader.read_exact(&mut payload).map_err(|e| {
-        if e.kind() == std::io::ErrorKind::UnexpectedEof {
-            CommError::Codec("torn frame: stream closed inside the payload".to_string())
-        } else {
-            CommError::Io(format!("frame payload read failed: {e}"))
-        }
-    })?;
+    let len = header.payload_len as usize;
+    let mut payload = Vec::with_capacity(len.min(PAYLOAD_RESERVE));
+    let got = reader
+        .take(len as u64)
+        .read_to_end(&mut payload)
+        .map_err(|e| CommError::Io(format!("frame payload read failed: {e}")))?;
+    if got < len {
+        return Err(CommError::Codec(format!(
+            "torn frame: stream closed after {got} of {len} payload bytes"
+        )));
+    }
     let msg = Message::decode(&payload)?;
     Ok((header, msg))
 }

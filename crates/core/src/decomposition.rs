@@ -145,30 +145,9 @@ impl Decomposition {
         (self.partition, self.blocks)
     }
 
-    /// For every part, the set of parts that *depend on it* — the
-    /// `DependsOnMe` array of Algorithm 1, derived from the sparsity pattern.
-    pub fn depends_on_me(&self) -> Vec<Vec<usize>> {
-        let mut out = vec![Vec::new(); self.num_parts()];
-        for (l, blocks) in self.blocks.iter().enumerate() {
-            for dep in blocks.dependency_parts(&self.partition) {
-                out[dep].push(l);
-            }
-        }
-        for deps in &mut out {
-            deps.sort_unstable();
-            deps.dedup();
-        }
-        out
-    }
-
-    /// Estimated per-part memory footprint in bytes (blocks only, factors not
-    /// included).
-    pub fn memory_per_part(&self) -> Vec<usize> {
-        self.blocks.iter().map(|b| b.memory_bytes()).collect()
-    }
-
     /// For every part, the peers its solution slice must be sent to each
-    /// iteration (including overlap coverage).  This is the structural input
+    /// iteration (including overlap coverage): the `DependsOnMe` array of
+    /// Algorithm 1, derived from the sparsity pattern.  This is the structural input
     /// of the performance replay in [`crate::perf_model`].
     pub fn send_targets(&self) -> Vec<Vec<usize>> {
         crate::driver_common::compute_send_targets(&self.partition, &self.blocks)
@@ -198,7 +177,7 @@ mod tests {
         let a = generators::tridiagonal(20, 4.0, -1.0);
         let b = vec![1.0; 20];
         let d = Decomposition::uniform(&a, &b, 4, 0).unwrap();
-        let dom = d.depends_on_me();
+        let dom = d.send_targets();
         // part 0's solution is needed by part 1 only, etc.
         assert_eq!(dom[0], vec![1]);
         assert_eq!(dom[1], vec![0, 2]);
@@ -244,8 +223,5 @@ mod tests {
         assert_eq!(d.partition().overlap(), 3);
         // interior parts are larger than their owned range
         assert!(d.blocks(1).size > d.partition().owned_range(1).len());
-        let mems = d.memory_per_part();
-        assert_eq!(mems.len(), 4);
-        assert!(mems.iter().all(|&m| m > 0));
     }
 }

@@ -244,7 +244,7 @@ impl Preconditioner for SerialSweepOracle<'_> {
 ///
 /// `x` starts from zero and is improved in place by one warm preconditioner
 /// application per outer step; the loop stops when the sup-norm increment
-/// drops to `tolerance` (the stationary driver's criterion) or the budget
+/// drops to `tolerance` (the stationary driver's stopping rule) or the budget
 /// runs out.  A negative tolerance forces exactly `max_iterations` steps —
 /// the same forced-depth convention as the sequential reference, used by the
 /// bitwise equivalence proptests.

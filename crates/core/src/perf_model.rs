@@ -22,7 +22,6 @@
 use crate::solver::PartReport;
 use crate::CoreError;
 use msplit_grid::perf::{CostModel, WorkProfile};
-use msplit_grid::trace::{Timeline, TraceKind};
 
 /// Scaling between the executed problem size and the paper's problem size.
 ///
@@ -92,8 +91,6 @@ pub struct ReplayOutcome {
     pub effective_iterations: u64,
     /// Whether every processor's working set fits its machine.
     pub feasible: bool,
-    /// Per-processor activity timeline.
-    pub timeline: Timeline,
 }
 
 /// How much link-delay/compute imbalance inflates the asynchronous iteration
@@ -168,14 +165,11 @@ fn replay(
         .enumerate()
         .all(|(r, prof)| model.check_memory(r, prof.memory_bytes).is_ok());
 
-    let mut timeline = Timeline::new();
-
     // Factorization: all processors factor concurrently; the slowest bounds
     // the phase (Remark 4: done once, on the smaller local blocks).
     let mut factor_seconds = 0.0f64;
     for (r, prof) in profiles.iter().enumerate() {
         let t = model.compute_seconds(r, prof.factor_flops)?;
-        timeline.record(r, TraceKind::Factorize, 0.0, t);
         factor_seconds = factor_seconds.max(t);
     }
 
@@ -205,22 +199,6 @@ fn replay(
         // Lockstep: slowest compute + slowest message batch + detection.
         let detection = model.convergence_detection_overhead_s * (p as f64).log2().max(1.0).ceil();
         let per_iter = max_compute + max_comm + detection;
-        for r in 0..p {
-            let base = factor_seconds;
-            timeline.record(r, TraceKind::Compute, base, base + compute[r]);
-            timeline.record(
-                r,
-                TraceKind::Send,
-                base + compute[r],
-                base + compute[r] + comm[r],
-            );
-            timeline.record(
-                r,
-                TraceKind::Wait,
-                base + compute[r] + comm[r],
-                base + per_iter,
-            );
-        }
         (per_iter * iterations as f64, iterations)
     } else {
         // Free running: communication is overlapped; stale data inflates the
@@ -233,11 +211,6 @@ fn replay(
         };
         let inflated = ((iterations as f64) * (1.0 + staleness)).ceil() as u64;
         let per_iter = max_compute + detection;
-        for (r, &comp) in compute.iter().enumerate() {
-            let base = factor_seconds;
-            timeline.record(r, TraceKind::Compute, base, base + comp);
-            timeline.record(r, TraceKind::Detection, base + comp, base + per_iter);
-        }
         (per_iter * inflated as f64, inflated)
     };
 
@@ -247,7 +220,6 @@ fn replay(
         iteration_seconds,
         effective_iterations,
         feasible,
-        timeline,
     })
 }
 
@@ -337,7 +309,6 @@ mod tests {
         assert!(out.iteration_seconds > 0.0);
         assert!((out.total_seconds - out.factor_seconds - out.iteration_seconds).abs() < 1e-12);
         assert_eq!(out.effective_iterations, 30);
-        assert!(!out.timeline.is_empty());
     }
 
     #[test]

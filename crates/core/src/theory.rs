@@ -8,8 +8,9 @@
 //! execution converges when the stronger condition `ρ(|M_l⁻¹ N_l|) < 1`
 //! holds (Theorem 1).  Section 5 gives checkable sufficient conditions:
 //! diagonal dominance (Proposition 1) and the M-matrix property
-//! (Propositions 2–3), which [`SplittingAnalysis::from_matrix_properties`]
-//! evaluates without forming any iteration matrix.
+//! (Propositions 2–3), which
+//! [`msplit_sparse::properties::MatrixProperties::analyze`] evaluates
+//! without forming any iteration matrix.
 //!
 //! Forming `M_l⁻¹ N_l` densely is only feasible for small systems; it is
 //! meant for validation and for the ablation studies, not for production
@@ -17,7 +18,6 @@
 
 use crate::CoreError;
 use msplit_dense::{DenseLu, DenseMatrix};
-use msplit_sparse::properties::MatrixProperties;
 use msplit_sparse::{BandPartition, CsrMatrix};
 
 /// Estimates the spectral radius of a dense matrix by normalized power
@@ -159,18 +159,13 @@ impl SplittingAnalysis {
         }
         Some((target.ln() / rho.ln()).ceil() as u64)
     }
-
-    /// Cheap sufficient-condition check (Propositions 1–3): no iteration
-    /// matrix is formed, only structural properties of `A` are used.
-    pub fn from_matrix_properties(a: &CsrMatrix) -> MatrixProperties {
-        MatrixProperties::analyze(a)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use msplit_sparse::generators::{self, DiagDominantConfig};
+    use msplit_sparse::properties::MatrixProperties;
 
     #[test]
     fn dense_radius_of_diagonal_matrix() {
@@ -221,7 +216,7 @@ mod tests {
         assert!(analysis.synchronous_convergent());
         assert!(analysis.asynchronous_convergent());
         assert!(analysis.max_abs_radius() >= analysis.max_radius() - 1e-9);
-        let props = SplittingAnalysis::from_matrix_properties(&a);
+        let props = MatrixProperties::analyze(&a);
         assert!(props.satisfies_proposition_1());
     }
 

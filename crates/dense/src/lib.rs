@@ -3,10 +3,11 @@
 //!
 //! The multisplitting method of Bahi & Couturier wraps a *direct* solver: each
 //! processor repeatedly solves `ASub * XSub = BLoc` for its own diagonal
-//! block.  For small or nearly-full blocks a dense LU (or a band LU when the
-//! block is banded) is the appropriate direct solver, and the dense kernels
-//! here also serve as the reference implementation that the sparse solver in
-//! `msplit-direct` is validated against.
+//! block.  The solver is whichever `SolverKind` the configuration names: the
+//! sparse LU of `msplit-direct` by default, or the dense or band LU of this
+//! crate when selected.  Nothing switches to them automatically.  The dense
+//! LU also serves as the reference that the sparse solver is validated
+//! against.
 //!
 //! The crate provides:
 //!
@@ -24,7 +25,7 @@
 //!
 //! In the engine/policy/adapter architecture documented at the top of
 //! `msplit-core` (`crates/core/src/lib.rs`), these kernels sit inside the
-//! per-rank step: the `RankEngine` pays one [`lu::DenseLu`] or
+//! per-rank step: when selected, the `RankEngine` pays one [`lu::DenseLu`] or
 //! [`band::BandLu`] factorization per band at preparation time, then the two
 //! triangular sweeps of its `solve_into` per outer iteration — the
 //! factorize-once economics the paper is built on.

@@ -108,13 +108,6 @@ impl DenseMatrix {
         self.data[i * self.cols + j] = value;
     }
 
-    /// Adds `value` to the element at `(i, j)`.
-    #[inline]
-    pub fn add_to(&mut self, i: usize, j: usize, value: f64) {
-        debug_assert!(i < self.rows && j < self.cols);
-        self.data[i * self.cols + j] += value;
-    }
-
     /// Immutable view of row `i`.
     #[inline]
     pub fn row(&self, i: usize) -> &[f64] {
@@ -160,17 +153,6 @@ impl DenseMatrix {
         t
     }
 
-    /// Extracts the rectangular sub-block with rows `r0..r1` and columns `c0..c1`.
-    pub fn sub_block(&self, r0: usize, r1: usize, c0: usize, c1: usize) -> DenseMatrix {
-        assert!(r0 <= r1 && r1 <= self.rows);
-        assert!(c0 <= c1 && c1 <= self.cols);
-        let mut out = DenseMatrix::zeros(r1 - r0, c1 - c0);
-        for (oi, i) in (r0..r1).enumerate() {
-            out.row_mut(oi).copy_from_slice(&self.row(i)[c0..c1]);
-        }
-        out
-    }
-
     /// Matrix-vector product `y = A * x`.
     ///
     /// Returns an error if `x.len() != cols`.
@@ -208,32 +190,6 @@ impl DenseMatrix {
                 acc += a * xj;
             }
             *yi = acc;
-        }
-        Ok(())
-    }
-
-    /// Accumulating matrix-vector product `y -= A * x`, used to form the
-    /// multisplitting local right-hand side `BLoc = BSub - Dep * XDep`.
-    pub fn gemv_sub_into(&self, x: &[f64], y: &mut [f64]) -> Result<(), DenseError> {
-        if x.len() != self.cols {
-            return Err(DenseError::DimensionMismatch {
-                expected: self.cols,
-                found: x.len(),
-            });
-        }
-        if y.len() != self.rows {
-            return Err(DenseError::DimensionMismatch {
-                expected: self.rows,
-                found: y.len(),
-            });
-        }
-        for (i, yi) in y.iter_mut().enumerate() {
-            let row = self.row(i);
-            let mut acc = 0.0;
-            for (a, &xj) in row.iter().zip(x.iter()) {
-                acc += a * xj;
-            }
-            *yi -= acc;
         }
         Ok(())
     }
@@ -323,16 +279,6 @@ impl DenseMatrix {
             data: self.data.iter().map(|v| v.abs()).collect(),
         }
     }
-
-    /// Maximum absolute entry, useful as a cheap convergence diagnostic.
-    pub fn max_abs(&self) -> f64 {
-        self.data.iter().fold(0.0_f64, |m, v| m.max(v.abs()))
-    }
-
-    /// Frobenius norm.
-    pub fn frobenius_norm(&self) -> f64 {
-        self.data.iter().map(|v| v * v).sum::<f64>().sqrt()
-    }
 }
 
 #[cfg(test)]
@@ -360,8 +306,6 @@ mod tests {
         assert_eq!(m.get(0, 1), 2.0);
         m.set(1, 0, -3.0);
         assert_eq!(m.get(1, 0), -3.0);
-        m.add_to(1, 0, 1.0);
-        assert_eq!(m.get(1, 0), -2.0);
     }
 
     #[test]
@@ -391,16 +335,6 @@ mod tests {
     }
 
     #[test]
-    fn sub_block_extracts_expected_entries() {
-        let m = DenseMatrix::from_fn(4, 4, |i, j| (i * 4 + j) as f64);
-        let b = m.sub_block(1, 3, 2, 4);
-        assert_eq!(b.rows(), 2);
-        assert_eq!(b.cols(), 2);
-        assert_eq!(b.get(0, 0), 6.0);
-        assert_eq!(b.get(1, 1), 11.0);
-    }
-
-    #[test]
     fn gemv_matches_manual_computation() {
         let m = DenseMatrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0]]);
         let y = m.gemv(&[1.0, -1.0]).unwrap();
@@ -414,14 +348,6 @@ mod tests {
             m.gemv(&[1.0, 2.0]),
             Err(DenseError::DimensionMismatch { .. })
         ));
-    }
-
-    #[test]
-    fn gemv_sub_into_accumulates() {
-        let m = DenseMatrix::from_rows(&[&[1.0, 0.0], &[0.0, 2.0]]);
-        let mut y = vec![10.0, 10.0];
-        m.gemv_sub_into(&[1.0, 2.0], &mut y).unwrap();
-        assert_eq!(y, vec![9.0, 6.0]);
     }
 
     #[test]
@@ -462,12 +388,5 @@ mod tests {
         s.scale(2.0);
         assert_eq!(s.get(1, 1), -8.0);
         assert_eq!(a.abs().get(0, 1), 2.0);
-        assert_eq!(a.max_abs(), 4.0);
-    }
-
-    #[test]
-    fn frobenius_norm_simple() {
-        let a = DenseMatrix::from_rows(&[&[3.0, 0.0], &[0.0, 4.0]]);
-        assert!((a.frobenius_norm() - 5.0).abs() < 1e-12);
     }
 }

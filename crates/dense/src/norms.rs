@@ -33,12 +33,6 @@ pub fn diff_inf_norm(a: &[f64], b: &[f64]) -> f64 {
         .fold(0.0_f64, |m, (x, y)| m.max((x - y).abs()))
 }
 
-/// Relative infinity-norm difference `||a - b||_inf / max(||b||_inf, eps)`.
-pub fn relative_diff_inf_norm(a: &[f64], b: &[f64]) -> f64 {
-    let denom = inf_norm(b).max(f64::EPSILON);
-    diff_inf_norm(a, b) / denom
-}
-
 /// Infinity norm of the residual `b - A x` for a dense matrix.
 pub fn residual_inf_norm(a: &DenseMatrix, x: &[f64], b: &[f64]) -> f64 {
     let ax = a.gemv(x).expect("dimension mismatch in residual");
@@ -52,25 +46,6 @@ pub fn matrix_inf_norm(a: &DenseMatrix) -> f64 {
     (0..a.rows())
         .map(|i| a.row(i).iter().map(|v| v.abs()).sum::<f64>())
         .fold(0.0_f64, f64::max)
-}
-
-/// Column-sum (1) norm of a dense matrix.
-pub fn matrix_one_norm(a: &DenseMatrix) -> f64 {
-    let mut col_sums = vec![0.0_f64; a.cols()];
-    for i in 0..a.rows() {
-        for (j, v) in a.row(i).iter().enumerate() {
-            col_sums[j] += v.abs();
-        }
-    }
-    col_sums.into_iter().fold(0.0_f64, f64::max)
-}
-
-/// AXPY: `y += alpha * x`.
-pub fn axpy(alpha: f64, x: &[f64], y: &mut [f64]) {
-    assert_eq!(x.len(), y.len(), "vectors must have equal length");
-    for (yi, xi) in y.iter_mut().zip(x.iter()) {
-        *yi += alpha * xi;
-    }
 }
 
 /// Dot product of two vectors.
@@ -89,6 +64,7 @@ mod tests {
         assert_eq!(inf_norm(&v), 4.0);
         assert_eq!(one_norm(&v), 7.0);
         assert!((two_norm(&v) - 5.0).abs() < 1e-12);
+        assert_eq!(dot(&v, &[1.0, 2.0, 9.0]), 3.0 - 8.0);
     }
 
     #[test]
@@ -104,7 +80,6 @@ mod tests {
         let a = [1.0, 2.0, 3.0];
         let b = [1.0, 0.0, 3.5];
         assert_eq!(diff_inf_norm(&a, &b), 2.0);
-        assert!((relative_diff_inf_norm(&a, &b) - 2.0 / 3.5).abs() < 1e-12);
     }
 
     #[test]
@@ -119,16 +94,6 @@ mod tests {
     fn matrix_norms() {
         let a = DenseMatrix::from_rows(&[&[1.0, -2.0], &[3.0, 4.0]]);
         assert_eq!(matrix_inf_norm(&a), 7.0);
-        assert_eq!(matrix_one_norm(&a), 6.0);
-    }
-
-    #[test]
-    fn axpy_and_dot() {
-        let x = [1.0, 2.0];
-        let mut y = [10.0, 20.0];
-        axpy(2.0, &x, &mut y);
-        assert_eq!(y, [12.0, 24.0]);
-        assert_eq!(dot(&x, &y), 12.0 + 48.0);
     }
 
     #[test]

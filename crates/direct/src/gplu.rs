@@ -116,11 +116,6 @@ impl SolveScratch {
         Self::default()
     }
 
-    /// Creates a scratch pre-sized for systems of order `n`.
-    pub fn with_order(n: usize) -> Self {
-        SolveScratch { work: vec![0.0; n] }
-    }
-
     /// The reusable `f64` buffer, grown to at least `n` entries.
     pub fn buffer(&mut self, n: usize) -> &mut [f64] {
         self.work.resize(n, 0.0);
@@ -335,40 +330,6 @@ impl SparseLu {
             b[self.col_perm.old_of(j)] = y[j];
         }
         Ok(())
-    }
-
-    /// Solves `A x = b` and applies `refine_steps` rounds of iterative
-    /// refinement using the original matrix.
-    ///
-    /// Routed through [`SparseLu::solve_into`] with buffers reused across
-    /// refinement steps: one residual buffer and one permutation scratch are
-    /// allocated up front, then every step is allocation-free.
-    pub fn solve_refined(
-        &self,
-        a: &CsrMatrix,
-        b: &[f64],
-        refine_steps: usize,
-    ) -> Result<Vec<f64>, DirectError> {
-        let mut scratch = SolveScratch::new();
-        let mut x = b.to_vec();
-        self.solve_into(&mut x, &mut scratch)?;
-        let mut r = vec![0.0; self.n];
-        for _ in 0..refine_steps {
-            // r = b - A x, computed into the retained residual buffer.
-            a.spmv_into(&x, &mut r)
-                .map_err(|_| DirectError::DimensionMismatch {
-                    expected: self.n,
-                    found: x.len(),
-                })?;
-            for (ri, &bi) in r.iter_mut().zip(b.iter()) {
-                *ri = bi - *ri;
-            }
-            self.solve_into(&mut r, &mut scratch)?;
-            for (xi, di) in x.iter_mut().zip(r.iter()) {
-                *xi += di;
-            }
-        }
-        Ok(x)
     }
 
     /// Number of stored nonzeros in `L` plus `U` (including unit diagonal).
@@ -793,7 +754,7 @@ mod tests {
         let (_, b) = generators::rhs_for_solution(&a, |i| ((i % 7) as f64) - 3.0);
         let lu = SparseLu::factorize(&a).unwrap();
         let expected = lu.solve(&b).unwrap();
-        let mut scratch = SolveScratch::with_order(150);
+        let mut scratch = SolveScratch::new();
         for _ in 0..3 {
             let mut x = b.clone();
             lu.solve_into(&mut x, &mut scratch).unwrap();
@@ -801,21 +762,6 @@ mod tests {
         }
         let mut short = vec![0.0; 10];
         assert!(lu.solve_into(&mut short, &mut scratch).is_err());
-    }
-
-    #[test]
-    fn refinement_improves_or_maintains_accuracy() {
-        let a = generators::cage_like(200, 23);
-        let (x_true, b) = generators::rhs_for_solution(&a, |i| (i as f64 * 0.05).sin());
-        let lu = SparseLu::factorize(&a).unwrap();
-        let x0 = lu.solve(&b).unwrap();
-        let x1 = lu.solve_refined(&a, &b, 2).unwrap();
-        let err = |x: &[f64]| {
-            x.iter()
-                .zip(x_true.iter())
-                .fold(0.0f64, |m, (a, b)| m.max((a - b).abs()))
-        };
-        assert!(err(&x1) <= err(&x0) * 10.0 + 1e-14);
     }
 
     #[test]

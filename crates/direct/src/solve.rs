@@ -1,71 +1,11 @@
-//! Sparse triangular solves and residual helpers.
+//! Residual helpers for sparse systems.
 //!
-//! The factor-specific triangular solves live inside [`crate::gplu::SparseLu`]
-//! (they need the pivot bookkeeping); this module provides the generic
-//! CSR-based triangular kernels used by the theory module (explicit iteration
-//! matrices `M⁻¹ N`), by tests, and by callers that already hold a triangular
-//! matrix in CSR form.
+//! The triangular solves live inside [`crate::gplu::SparseLu`] (they need the
+//! pivot bookkeeping); this module measures how well a solution satisfies
+//! `A x = b`.
 
 use crate::DirectError;
 use msplit_sparse::CsrMatrix;
-
-/// Solves `L x = b` where `L` is lower triangular with an explicit nonzero
-/// diagonal, stored in CSR.
-pub fn sparse_lower_solve(l: &CsrMatrix, b: &[f64]) -> Result<Vec<f64>, DirectError> {
-    check_square(l)?;
-    check_len(l.rows(), b.len())?;
-    let n = l.rows();
-    let mut x = b.to_vec();
-    for i in 0..n {
-        let mut acc = x[i];
-        let mut diag = 0.0;
-        for (j, v) in l.row(i) {
-            if j < i {
-                acc -= v * x[j];
-            } else if j == i {
-                diag = v;
-            } else {
-                return Err(DirectError::Unsupported(format!(
-                    "matrix is not lower triangular: entry ({i},{j})"
-                )));
-            }
-        }
-        if diag == 0.0 {
-            return Err(DirectError::Singular { column: i });
-        }
-        x[i] = acc / diag;
-    }
-    Ok(x)
-}
-
-/// Solves `U x = b` where `U` is upper triangular with an explicit nonzero
-/// diagonal, stored in CSR.
-pub fn sparse_upper_solve(u: &CsrMatrix, b: &[f64]) -> Result<Vec<f64>, DirectError> {
-    check_square(u)?;
-    check_len(u.rows(), b.len())?;
-    let n = u.rows();
-    let mut x = b.to_vec();
-    for i in (0..n).rev() {
-        let mut acc = x[i];
-        let mut diag = 0.0;
-        for (j, v) in u.row(i) {
-            if j > i {
-                acc -= v * x[j];
-            } else if j == i {
-                diag = v;
-            } else {
-                return Err(DirectError::Unsupported(format!(
-                    "matrix is not upper triangular: entry ({i},{j})"
-                )));
-            }
-        }
-        if diag == 0.0 {
-            return Err(DirectError::Singular { column: i });
-        }
-        x[i] = acc / diag;
-    }
-    Ok(x)
-}
 
 /// Infinity norm of the residual `b - A x`.
 pub fn residual_inf_norm(a: &CsrMatrix, x: &[f64], b: &[f64]) -> Result<f64, DirectError> {
@@ -88,16 +28,6 @@ pub fn relative_residual(a: &CsrMatrix, x: &[f64], b: &[f64]) -> Result<f64, Dir
         .fold(0.0f64, |m, v| m.max(v.abs()))
         .max(f64::MIN_POSITIVE);
     Ok(r / bn)
-}
-
-fn check_square(m: &CsrMatrix) -> Result<(), DirectError> {
-    if !m.is_square() {
-        return Err(DirectError::NotSquare {
-            rows: m.rows(),
-            cols: m.cols(),
-        });
-    }
-    Ok(())
 }
 
 fn check_len(expected: usize, found: usize) -> Result<(), DirectError> {
@@ -123,55 +53,6 @@ mod tests {
     }
 
     #[test]
-    fn lower_solve_matches_manual() {
-        let l = lower_example();
-        // L x = [2, 5, 4] -> x = [1, 1, 1]
-        let x = sparse_lower_solve(&l, &[2.0, 5.0, 4.0]).unwrap();
-        for xi in &x {
-            assert!((xi - 1.0).abs() < 1e-12);
-        }
-    }
-
-    #[test]
-    fn upper_solve_matches_manual() {
-        let u = lower_example().transpose();
-        let b = u.spmv(&[1.0, 2.0, 3.0]).unwrap();
-        let x = sparse_upper_solve(&u, &b).unwrap();
-        assert!((x[0] - 1.0).abs() < 1e-12);
-        assert!((x[1] - 2.0).abs() < 1e-12);
-        assert!((x[2] - 3.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn non_triangular_input_is_rejected() {
-        let mut b = TripletBuilder::square(2);
-        b.push(0, 0, 1.0).unwrap();
-        b.push(0, 1, 1.0).unwrap();
-        b.push(1, 1, 1.0).unwrap();
-        let a = b.build_csr();
-        assert!(matches!(
-            sparse_lower_solve(&a, &[1.0, 1.0]),
-            Err(DirectError::Unsupported(_))
-        ));
-        assert!(matches!(
-            sparse_upper_solve(&a.transpose(), &[1.0, 1.0]),
-            Err(DirectError::Unsupported(_))
-        ));
-    }
-
-    #[test]
-    fn zero_diagonal_reported_as_singular() {
-        let mut b = TripletBuilder::square(2);
-        b.push(1, 0, 1.0).unwrap();
-        b.push(1, 1, 1.0).unwrap();
-        let l = b.build_csr();
-        assert!(matches!(
-            sparse_lower_solve(&l, &[1.0, 1.0]),
-            Err(DirectError::Singular { column: 0 })
-        ));
-    }
-
-    #[test]
     fn residual_of_exact_solution_is_zero() {
         let l = lower_example();
         let x = [1.0, -2.0, 0.5];
@@ -183,7 +64,6 @@ mod tests {
     #[test]
     fn dimension_errors_reported() {
         let l = lower_example();
-        assert!(sparse_lower_solve(&l, &[1.0]).is_err());
         assert!(residual_inf_norm(&l, &[1.0], &[1.0, 1.0, 1.0]).is_err());
     }
 }

@@ -293,19 +293,6 @@ impl JobHandle {
         )
     }
 
-    /// Returns the result if the job already finished, without blocking.
-    pub fn try_result(&self) -> Option<Result<Arc<JobOutcome>, EngineError>> {
-        match &*self
-            .shared
-            .state
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-        {
-            JobState::Finished(r) => Some(r.clone()),
-            _ => None,
-        }
-    }
-
     /// Blocks until the job finishes and returns its result.
     pub fn wait(&self) -> Result<Arc<JobOutcome>, EngineError> {
         let mut state = self

@@ -15,7 +15,7 @@
 //!
 //! This crate describes those environments as data ([`cluster`]), models link
 //! and CPU costs ([`network`], [`perf`]) for the performance replay in
-//! `msplit-core`, and records per-processor timelines ([`trace`]).
+//! `msplit-core`.
 //!
 //! # Place in the runtime architecture
 //!
@@ -30,13 +30,11 @@ pub mod cluster;
 pub mod machine;
 pub mod network;
 pub mod perf;
-pub mod trace;
 
 pub use cluster::{Grid, Site};
 pub use machine::Machine;
 pub use network::{LinkSpec, NetworkModel, PerturbationModel};
 pub use perf::CostModel;
-pub use trace::{Timeline, TraceEvent, TraceKind};
 
 /// Errors produced by the grid model.
 #[derive(Debug, Clone, PartialEq)]

@@ -59,12 +59,6 @@ impl Machine {
     pub fn fits(&self, bytes: usize) -> bool {
         bytes <= self.usable_memory_bytes()
     }
-
-    /// Relative speed of this machine compared to another (used for
-    /// heterogeneity-aware load balancing: faster machines get larger bands).
-    pub fn relative_speed(&self, other: &Machine) -> f64 {
-        self.sparse_gflops / other.sparse_gflops
-    }
 }
 
 #[cfg(test)]
@@ -76,7 +70,6 @@ mod tests {
         let fast = Machine::pentium4("fast", 2.6, 256);
         let slow = Machine::pentium4("slow", 1.7, 512);
         assert!(fast.sparse_gflops > slow.sparse_gflops);
-        assert!((fast.relative_speed(&slow) - 2.6 / 1.7).abs() < 1e-12);
     }
 
     #[test]

@@ -37,12 +37,6 @@ impl LinkSpec {
         self.latency_s + (bytes as f64 * 8.0) / (self.bandwidth_mbps * 1e6)
     }
 
-    /// [`LinkSpec::transfer_seconds`] as a `Duration`, the form a socket
-    /// transport sleeps before a send to realize the modelled link cost.
-    pub fn transfer_duration(&self, bytes: usize) -> std::time::Duration {
-        std::time::Duration::from_secs_f64(self.transfer_seconds(bytes).max(0.0))
-    }
-
     /// A copy of this link with its bandwidth scaled by `factor` (0 < factor ≤ 1).
     pub fn with_bandwidth_factor(&self, factor: f64) -> LinkSpec {
         LinkSpec {
@@ -81,14 +75,6 @@ impl PerturbationModel {
             flows: 0,
             contention: 0.6,
             added_latency_per_flow_s: 2e-3,
-        }
-    }
-
-    /// `flows` background flows with the default contention parameters.
-    pub fn with_flows(flows: usize) -> Self {
-        PerturbationModel {
-            flows,
-            ..Self::none()
         }
     }
 
@@ -185,10 +171,14 @@ mod tests {
     #[test]
     fn perturbation_reduces_effective_bandwidth_nonlinearly() {
         let wan = LinkSpec::wan_20mb();
-        let t0 = PerturbationModel::with_flows(0).apply(&wan);
-        let t1 = PerturbationModel::with_flows(1).apply(&wan);
-        let t5 = PerturbationModel::with_flows(5).apply(&wan);
-        let t10 = PerturbationModel::with_flows(10).apply(&wan);
+        let with_flows = |flows| PerturbationModel {
+            flows,
+            ..PerturbationModel::none()
+        };
+        let t0 = with_flows(0).apply(&wan);
+        let t1 = with_flows(1).apply(&wan);
+        let t5 = with_flows(5).apply(&wan);
+        let t10 = with_flows(10).apply(&wan);
         assert_eq!(t0.bandwidth_mbps, wan.bandwidth_mbps);
         assert!(t1.bandwidth_mbps < t0.bandwidth_mbps);
         assert!(t5.bandwidth_mbps < t1.bandwidth_mbps);

@@ -71,20 +71,6 @@ impl CostModel {
     pub fn num_machines(&self) -> usize {
         self.grid.num_machines()
     }
-
-    /// The slowest machine's computation time for `flops` — the critical path
-    /// of a perfectly synchronized step in which every processor executes
-    /// `flops` operations.
-    pub fn slowest_compute_seconds(&self, flops: u64) -> f64 {
-        (0..self.num_machines())
-            .map(|r| {
-                self.grid
-                    .machine(r)
-                    .expect("rank in range")
-                    .seconds_for_flops(flops)
-            })
-            .fold(0.0, f64::max)
-    }
 }
 
 /// Work profile of one processor's share of a solver execution, produced by
@@ -128,7 +114,6 @@ mod tests {
         let slow = model.compute_seconds(0, 1_000_000_000).unwrap();
         let fast = model.compute_seconds(5, 1_000_000_000).unwrap();
         assert!(slow > fast);
-        assert!(model.slowest_compute_seconds(1_000_000_000) >= slow);
     }
 
     #[test]

@@ -453,11 +453,6 @@ impl ServeClient {
         }
         out
     }
-
-    /// The shard index the ring currently routes `fingerprint` to.
-    pub fn primary_shard(&self, fingerprint: u64) -> usize {
-        self.route(fingerprint)[0]
-    }
 }
 
 #[cfg(test)]
@@ -491,7 +486,7 @@ mod tests {
             // small integers.
             let mut h = Fnv64::new();
             h.mix(i);
-            counts[c.primary_shard(h.finish())] += 1;
+            counts[c.route(h.finish())[0]] += 1;
         }
         for (i, &n) in counts.iter().enumerate() {
             assert!(
@@ -511,12 +506,12 @@ mod tests {
             let mut h = Fnv64::new();
             h.mix(i);
             let fp = h.finish();
-            let before = three.primary_shard(fp);
+            let before = three.route(fp)[0];
             if before == 2 {
                 continue; // owned by the removed shard; must remap
             }
             total += 1;
-            if two.primary_shard(fp) != before {
+            if two.route(fp)[0] != before {
                 moved += 1;
             }
         }

@@ -180,11 +180,6 @@ impl CscMatrix {
             .zip(self.values[lo..hi].iter().copied())
     }
 
-    /// Number of stored entries in column `j`.
-    pub fn col_nnz(&self, j: usize) -> usize {
-        self.col_ptr[j + 1] - self.col_ptr[j]
-    }
-
     /// Entry lookup by binary search within the column.
     pub fn get(&self, i: usize, j: usize) -> f64 {
         assert!(i < self.rows && j < self.cols, "index out of bounds");
@@ -278,7 +273,6 @@ mod tests {
         let csc = sample_csr().to_csc();
         let col0: Vec<_> = csc.col(0).collect();
         assert_eq!(col0, vec![(0, 2.0), (2, 4.0)]);
-        assert_eq!(csc.col_nnz(1), 1);
     }
 
     #[test]

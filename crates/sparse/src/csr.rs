@@ -26,14 +26,10 @@ pub struct CsrMatrix {
     values: Vec<f64>,
 }
 
-/// Stored-entry threshold above which [`CsrMatrix::par_spmv_into`]
-/// distributes rows across rayon worker threads.
-pub const PAR_SPMV_MIN_NNZ: usize = 1 << 15;
-
 /// Inner dot product of one CSR row against a dense vector.
 ///
-/// Kept as a free function with `#[inline(always)]` so every SpMV variant
-/// (sequential, subtracting, parallel) compiles down to the same tight
+/// Kept as a free function with `#[inline(always)]` so both SpMV variants
+/// (assigning and subtracting) compile down to the same tight
 /// gather-multiply-accumulate loop.
 #[inline(always)]
 fn sparse_dot(cols: &[usize], vals: &[f64], x: &[f64]) -> f64 {
@@ -42,43 +38,6 @@ fn sparse_dot(cols: &[usize], vals: &[f64], x: &[f64]) -> f64 {
         acc += v * x[c];
     }
     acc
-}
-
-/// A reusable workspace for repeated sparse matrix-vector products.
-///
-/// Holds the output buffer across calls so steady-state products perform no
-/// heap allocation: the buffer is grown once to the largest row count seen
-/// and reused afterwards.
-#[derive(Debug, Default, Clone)]
-pub struct SpmvWorkspace {
-    y: Vec<f64>,
-}
-
-impl SpmvWorkspace {
-    /// Creates an empty workspace (buffers grow on first use).
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Creates a workspace pre-sized for matrices with `rows` rows.
-    pub fn with_rows(rows: usize) -> Self {
-        SpmvWorkspace { y: vec![0.0; rows] }
-    }
-
-    /// Computes `A x` into the workspace buffer and returns it as a slice.
-    pub fn spmv<'a>(&'a mut self, a: &CsrMatrix, x: &[f64]) -> Result<&'a [f64], SparseError> {
-        self.y.resize(a.rows(), 0.0);
-        a.spmv_into(x, &mut self.y)?;
-        Ok(&self.y)
-    }
-
-    /// Like [`SpmvWorkspace::spmv`] but using the row-parallel kernel for
-    /// large matrices.
-    pub fn par_spmv<'a>(&'a mut self, a: &CsrMatrix, x: &[f64]) -> Result<&'a [f64], SparseError> {
-        self.y.resize(a.rows(), 0.0);
-        a.par_spmv_into(x, &mut self.y)?;
-        Ok(&self.y)
-    }
 }
 
 impl CsrMatrix {
@@ -385,35 +344,6 @@ impl CsrMatrix {
         Ok(())
     }
 
-    /// Row-parallel sparse matrix-vector product into a caller-provided
-    /// buffer.
-    ///
-    /// Rows are distributed in contiguous chunks with rayon once the matrix
-    /// carries at least [`PAR_SPMV_MIN_NNZ`] stored entries; smaller products
-    /// fall back to the sequential [`CsrMatrix::spmv_into`].  Every row is
-    /// still accumulated by the same inlined dot product in the same order,
-    /// so the result is **bitwise identical** to the sequential kernel.
-    pub fn par_spmv_into(&self, x: &[f64], y: &mut [f64]) -> Result<(), SparseError> {
-        self.check_spmv_shapes(x, y)?;
-        if self.nnz() < PAR_SPMV_MIN_NNZ {
-            return self.spmv_into(x, y);
-        }
-        use rayon::prelude::*;
-        let rows_per_chunk = (self.rows / 64).max(64);
-        y.par_chunks_mut(rows_per_chunk)
-            .enumerate()
-            .for_each(|(chunk, ys)| {
-                let base = chunk * rows_per_chunk;
-                for (off, yi) in ys.iter_mut().enumerate() {
-                    let i = base + off;
-                    let lo = self.row_ptr[i];
-                    let hi = self.row_ptr[i + 1];
-                    *yi = sparse_dot(&self.col_indices[lo..hi], &self.values[lo..hi], x);
-                }
-            });
-        Ok(())
-    }
-
     /// Transpose of the matrix (also serves as CSR→CSC conversion kernel).
     pub fn transpose(&self) -> CsrMatrix {
         let mut counts = vec![0usize; self.cols];
@@ -671,35 +601,7 @@ mod tests {
         let m = sample();
         assert!(m.spmv(&[1.0, 2.0]).is_err());
         let mut y = vec![0.0; 3];
-        assert!(m.par_spmv_into(&[1.0, 2.0], &mut y).is_err());
-    }
-
-    #[test]
-    fn par_spmv_is_bitwise_identical_to_spmv() {
-        // Below and above the parallel threshold.
-        for n in [50usize, 600] {
-            let m = crate::generators::cage_like(n, 9);
-            let x: Vec<f64> = (0..n)
-                .map(|i| ((i * 13) % 17) as f64 * 0.37 - 2.0)
-                .collect();
-            let mut y_seq = vec![0.0; n];
-            let mut y_par = vec![1.0; n];
-            m.spmv_into(&x, &mut y_seq).unwrap();
-            m.par_spmv_into(&x, &mut y_par).unwrap();
-            assert_eq!(y_seq, y_par, "n={n}");
-        }
-    }
-
-    #[test]
-    fn spmv_workspace_reuses_buffer() {
-        let m = sample();
-        let mut ws = SpmvWorkspace::with_rows(3);
-        let x = [1.0, 2.0, 3.0];
-        let expected = m.spmv(&x).unwrap();
-        assert_eq!(ws.spmv(&m, &x).unwrap(), &expected[..]);
-        assert_eq!(ws.par_spmv(&m, &x).unwrap(), &expected[..]);
-        let fresh = SpmvWorkspace::new().spmv(&m, &x).unwrap().to_vec();
-        assert_eq!(fresh, expected);
+        assert!(m.spmv_into(&[1.0, 2.0], &mut y).is_err());
     }
 
     #[test]

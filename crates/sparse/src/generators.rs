@@ -66,43 +66,6 @@ pub fn poisson_2d(k: usize) -> CsrMatrix {
     b.build_csr()
 }
 
-/// Standard 7-point 3-D Poisson operator on a `k x k x k` grid (order `k³`).
-///
-/// This is the discretization underlying the 3-D pollutant-transport
-/// application mentioned in the paper's introduction (reference \[5\]).
-pub fn poisson_3d(k: usize) -> CsrMatrix {
-    let n = k * k * k;
-    let mut b = TripletBuilder::square(n);
-    let idx = |i: usize, j: usize, l: usize| (i * k + j) * k + l;
-    for i in 0..k {
-        for j in 0..k {
-            for l in 0..k {
-                let row = idx(i, j, l);
-                b.push(row, row, 6.0).unwrap();
-                if i > 0 {
-                    b.push(row, idx(i - 1, j, l), -1.0).unwrap();
-                }
-                if i + 1 < k {
-                    b.push(row, idx(i + 1, j, l), -1.0).unwrap();
-                }
-                if j > 0 {
-                    b.push(row, idx(i, j - 1, l), -1.0).unwrap();
-                }
-                if j + 1 < k {
-                    b.push(row, idx(i, j + 1, l), -1.0).unwrap();
-                }
-                if l > 0 {
-                    b.push(row, idx(i, j, l - 1), -1.0).unwrap();
-                }
-                if l + 1 < k {
-                    b.push(row, idx(i, j, l + 1), -1.0).unwrap();
-                }
-            }
-        }
-    }
-    b.build_csr()
-}
-
 /// Parameters for the random diagonally dominant generator.
 #[derive(Debug, Clone)]
 pub struct DiagDominantConfig {
@@ -363,27 +326,6 @@ pub fn spectral_radius_targeted(n: usize, rho: f64) -> CsrMatrix {
     tridiagonal(n, d, -1.0)
 }
 
-/// Random banded nonsymmetric matrix with the given half-bandwidth and
-/// per-row fill probability.  Rows are *not* made diagonally dominant; this
-/// generator exists to exercise pivoting and the non-convergent paths of the
-/// theory module.
-pub fn random_banded(n: usize, half_bandwidth: usize, fill: f64, seed: u64) -> CsrMatrix {
-    let mut rng = SmallRng::seed_from_u64(seed);
-    let mut b = TripletBuilder::square(n);
-    for i in 0..n {
-        let lo = i.saturating_sub(half_bandwidth);
-        let hi = (i + half_bandwidth).min(n - 1);
-        for j in lo..=hi {
-            if i == j {
-                b.push(i, j, rng.gen_range(0.5..2.0)).unwrap();
-            } else if rng.gen_bool(fill) {
-                b.push(i, j, rng.gen_range(-1.0..1.0)).unwrap();
-            }
-        }
-    }
-    b.build_csr()
-}
-
 /// Builds a right-hand side `b = A x*` for the prescribed exact solution
 /// `x*[i] = f(i)`, so tests can verify the solver reproduces `x*`.
 pub fn rhs_for_solution(a: &CsrMatrix, f: impl Fn(usize) -> f64) -> (Vec<f64>, Vec<f64>) {
@@ -413,16 +355,6 @@ mod tests {
         assert!(properties::is_z_matrix(&a));
         assert!(properties::is_weakly_diagonally_dominant(&a));
         assert!(properties::is_irreducibly_diagonally_dominant(&a));
-    }
-
-    #[test]
-    fn poisson_3d_row_counts() {
-        let a = poisson_3d(3);
-        assert_eq!(a.rows(), 27);
-        // interior node (i = j = l = 1 on the 3x3x3 grid) has 7 entries
-        let center = (3 + 1) * 3 + 1;
-        assert_eq!(a.row_nnz(center), 7);
-        assert!(properties::is_z_matrix(&a));
     }
 
     #[test]
@@ -534,14 +466,6 @@ mod tests {
             (est - rho).abs() < 0.01,
             "estimated rho {est} differs from target {rho}"
         );
-    }
-
-    #[test]
-    fn random_banded_respects_bandwidth() {
-        let a = random_banded(80, 3, 0.5, 9);
-        for (i, j, _) in a.iter() {
-            assert!(i.abs_diff(j) <= 3);
-        }
     }
 
     #[test]

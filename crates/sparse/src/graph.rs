@@ -3,9 +3,8 @@
 //! The adjacency graph of `A` (vertices = unknowns, edges = nonzero
 //! off-diagonal couplings) drives:
 //!
-//! * the fill-reducing orderings in [`crate::ordering`] (BFS levels and
-//!   pseudo-peripheral start vertices for RCM, degree tracking for minimum
-//!   degree),
+//! * the fill-reducing orderings in [`crate::ordering`] (neighbour lists
+//!   and degrees for RCM and minimum degree),
 //! * the irreducibility test needed by Proposition 1 of the paper
 //!   ("irreducibly diagonally dominant"): `A` is irreducible iff its directed
 //!   adjacency graph is strongly connected.
@@ -90,60 +89,6 @@ impl AdjacencyGraph {
             current = next;
         }
         (levels, level_of)
-    }
-
-    /// Finds a pseudo-peripheral vertex starting from `start` by repeatedly
-    /// moving to a minimum-degree vertex of the last BFS level (the classic
-    /// George–Liu heuristic used to seed RCM).
-    pub fn pseudo_peripheral(&self, start: usize) -> usize {
-        let (mut levels, _) = self.bfs_levels(start);
-        let mut ecc = levels.len();
-        loop {
-            let last = levels.last().expect("BFS from a vertex has >= 1 level");
-            let candidate = *last
-                .iter()
-                .min_by_key(|&&w| self.degree(w))
-                .expect("last level is non-empty");
-            let (new_levels, _) = self.bfs_levels(candidate);
-            if new_levels.len() > ecc {
-                ecc = new_levels.len();
-                levels = new_levels;
-            } else {
-                return candidate;
-            }
-        }
-    }
-
-    /// Connected components of the undirected graph.  Returns the component id
-    /// of each vertex and the number of components.
-    pub fn connected_components(&self) -> (Vec<usize>, usize) {
-        let mut comp = vec![usize::MAX; self.n];
-        let mut count = 0;
-        for s in 0..self.n {
-            if comp[s] != usize::MAX {
-                continue;
-            }
-            let mut stack = vec![s];
-            comp[s] = count;
-            while let Some(v) = stack.pop() {
-                for &w in self.neighbours(v) {
-                    if comp[w] == usize::MAX {
-                        comp[w] = count;
-                        stack.push(w);
-                    }
-                }
-            }
-            count += 1;
-        }
-        (comp, count)
-    }
-
-    /// Whether the undirected graph is connected (every vertex reachable).
-    pub fn is_connected(&self) -> bool {
-        if self.n == 0 {
-            return true;
-        }
-        self.connected_components().1 == 1
     }
 }
 
@@ -267,36 +212,6 @@ mod tests {
     }
 
     #[test]
-    fn pseudo_peripheral_finds_path_end() {
-        let g = AdjacencyGraph::from_matrix(&path_matrix(9));
-        let p = g.pseudo_peripheral(4);
-        assert!(p == 0 || p == 8, "expected an endpoint, got {p}");
-    }
-
-    #[test]
-    fn connected_components_detects_blocks() {
-        // Block diagonal with two decoupled blocks.
-        let mut b = TripletBuilder::square(4);
-        b.push(0, 0, 1.0).unwrap();
-        b.push(0, 1, 1.0).unwrap();
-        b.push(1, 0, 1.0).unwrap();
-        b.push(1, 1, 1.0).unwrap();
-        b.push(2, 2, 1.0).unwrap();
-        b.push(2, 3, 1.0).unwrap();
-        b.push(3, 2, 1.0).unwrap();
-        b.push(3, 3, 1.0).unwrap();
-        let m = b.build_csr();
-        let g = AdjacencyGraph::from_matrix(&m);
-        let (comp, count) = g.connected_components();
-        assert_eq!(count, 2);
-        assert_eq!(comp[0], comp[1]);
-        assert_eq!(comp[2], comp[3]);
-        assert_ne!(comp[0], comp[2]);
-        assert!(!g.is_connected());
-        assert!(!is_irreducible(&m));
-    }
-
-    #[test]
     fn path_is_irreducible() {
         assert!(is_irreducible(&path_matrix(6)));
     }
@@ -310,8 +225,8 @@ mod tests {
         b.push(1, 1, 1.0).unwrap();
         let m = b.build_csr();
         assert!(!is_irreducible(&m));
-        // But the undirected (symmetrized) graph is connected.
-        assert!(AdjacencyGraph::from_matrix(&m).is_connected());
+        // But the undirected (symmetrized) graph links both vertices.
+        assert_eq!(AdjacencyGraph::from_matrix(&m).neighbours(0), &[1]);
     }
 
     #[test]

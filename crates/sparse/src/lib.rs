@@ -50,7 +50,7 @@ pub mod properties;
 pub use builder::TripletBuilder;
 pub use coo::CooMatrix;
 pub use csc::CscMatrix;
-pub use csr::{CsrMatrix, SpmvWorkspace};
+pub use csr::CsrMatrix;
 pub use partition::{BandPartition, LocalBlocks};
 pub use permutation::Permutation;
 

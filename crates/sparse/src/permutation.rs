@@ -67,15 +67,6 @@ impl Permutation {
         self.perm[new]
     }
 
-    /// Inverse permutation (old-to-new).
-    pub fn inverse(&self) -> Permutation {
-        let mut inv = vec![0usize; self.perm.len()];
-        for (new, &old) in self.perm.iter().enumerate() {
-            inv[old] = new;
-        }
-        Permutation { perm: inv }
-    }
-
     /// Applies the permutation to a vector: `out[new] = v[perm[new]]`.
     pub fn apply(&self, v: &[f64]) -> Result<Vec<f64>, SparseError> {
         if v.len() != self.perm.len() {
@@ -102,48 +93,11 @@ impl Permutation {
         }
         Ok(out)
     }
-
-    /// Composes two permutations: `(self ∘ other)[i] = other[self[i]]`, i.e.
-    /// applying the result is the same as applying `other` first and then
-    /// `self` on a new-to-old basis.
-    pub fn compose(&self, other: &Permutation) -> Result<Permutation, SparseError> {
-        if self.len() != other.len() {
-            return Err(SparseError::ShapeMismatch {
-                expected: (self.len(), 1),
-                found: (other.len(), 1),
-            });
-        }
-        Ok(Permutation {
-            perm: self.perm.iter().map(|&i| other.perm[i]).collect(),
-        })
-    }
-
-    /// Whether this is the identity permutation.
-    pub fn is_identity(&self) -> bool {
-        self.perm.iter().enumerate().all(|(i, &p)| i == p)
-    }
-
-    /// The permutation that reverses the index order (used by *reverse*
-    /// Cuthill–McKee).
-    pub fn reversal(n: usize) -> Self {
-        Permutation {
-            perm: (0..n).rev().collect(),
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn identity_and_reversal() {
-        let id = Permutation::identity(4);
-        assert!(id.is_identity());
-        let rev = Permutation::reversal(4);
-        assert_eq!(rev.as_slice(), &[3, 2, 1, 0]);
-        assert!(!rev.is_identity());
-    }
 
     #[test]
     fn from_vec_validates_bijection() {
@@ -163,13 +117,6 @@ mod tests {
     }
 
     #[test]
-    fn inverse_composes_to_identity() {
-        let p = Permutation::from_vec(vec![1, 3, 0, 2]).unwrap();
-        let inv = p.inverse();
-        assert!(p.compose(&inv).unwrap().is_identity() || inv.compose(&p).unwrap().is_identity());
-    }
-
-    #[test]
     fn apply_length_mismatch() {
         let p = Permutation::identity(3);
         assert!(p.apply(&[1.0, 2.0]).is_err());
@@ -178,6 +125,7 @@ mod tests {
 
     #[test]
     fn old_of_accessor() {
+        assert_eq!(Permutation::identity(3).as_slice(), &[0, 1, 2]);
         let p = Permutation::from_vec(vec![2, 0, 1]).unwrap();
         assert_eq!(p.old_of(0), 2);
         assert_eq!(p.len(), 3);

@@ -135,7 +135,7 @@ fn four_process_async_solve_converges_over_delayed_links() {
     // the gathered solution just above the old `1e-6` bound even though the
     // run legitimately converged at tolerance `1e-10`.  Three layers keep
     // the coverage without the flake: the error bound reflects what the
-    // async criterion actually guarantees (stale-band slack on top of the
+    // async stopping rule actually guarantees (stale-band slack on top of the
     // tracked residual), one retry absorbs pathological OS scheduling, and
     // — if both attempts miss — the verdict is gated on *measured* scheduler
     // jitter.  Two consecutive failures on a host that demonstrably

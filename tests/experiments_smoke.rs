@@ -1,8 +1,7 @@
 //! Smoke tests of the experiment harness: every table and figure generator
 //! runs end to end at a tiny scale and produces rows with the expected
-//! structure.  The full-size reproduction lives in the `msplit-bench` crate
-//! (`cargo bench` / the `reproduce` binary); these tests only guard the
-//! plumbing.
+//! structure.  The full-size reproduction is the `reproduce` binary of the
+//! `msplit-bench` crate; these tests only guard the plumbing.
 
 use multisplitting::core::experiment::{
     figure3, render_distant, render_overlap, render_perturbation, render_scalability, table2,

@@ -1,11 +1,10 @@
 //! Differential property tests for the optimized numeric kernels.
 //!
-//! The blocked, allocation-free dense LU must be **bitwise identical** to the
-//! retained naive reference kernel (same per-element operation order), the
-//! pruned, allocation-free sparse LU to the retained unpruned one, and the
-//! row-parallel SpMV to the sequential one.  These are the contracts that let
-//! the hot paths be rewritten freely without perturbing a single bit of any
-//! solver result.
+//! The pruned, allocation-free sparse LU must be **bitwise identical** to the
+//! retained unpruned one, and the dense LU must reproduce the golden bits
+//! recorded from the blocked kernel it replaced.  These are the contracts
+//! that let the hot paths be rewritten freely without perturbing a single
+//! bit of any solver result.
 
 use multisplitting::dense::{DenseLu, DenseMatrix};
 use multisplitting::direct::gplu::{ColumnOrdering, SparseLuConfig};
@@ -117,65 +116,6 @@ fn assert_sparse_lu_matches_reference(
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
-
-    // The blocked production kernel and the retained naive reference perform
-    // the same floating-point operations in the same per-element order, so
-    // factors, permutation, flop count, determinant and solutions must agree
-    // bit for bit across random sizes and seeds.  Sizes straddle the panel
-    // width (64) so partial panels, exactly-full panels and multi-panel
-    // factorizations are all exercised.
-    #[test]
-    fn blocked_dense_lu_is_bitwise_identical_to_reference(
-        n in 1usize..160,
-        seed in 0u64..1000,
-        rhs_seed in 0u64..50,
-    ) {
-        let a = generators::diag_dominant(&DiagDominantConfig {
-            n,
-            seed,
-            ..Default::default()
-        })
-        .to_dense();
-        let blocked = DenseLu::factorize(&a).unwrap();
-        let reference = DenseLu::factorize_reference(&a).unwrap();
-
-        prop_assert_eq!(blocked.packed_factors(), reference.packed_factors());
-        prop_assert_eq!(blocked.permutation(), reference.permutation());
-        prop_assert_eq!(blocked.flops(), reference.flops());
-        prop_assert_eq!(
-            blocked.determinant().to_bits(),
-            reference.determinant().to_bits()
-        );
-
-        let b: Vec<f64> = (0..n)
-            .map(|i| (((i as u64 + rhs_seed) % 13) as f64) - 6.0)
-            .collect();
-        let xb = blocked.solve(&b).unwrap();
-        let xr = reference.solve(&b).unwrap();
-        prop_assert_eq!(xb, xr);
-    }
-
-    // The row-parallel SpMV chunks rows but accumulates every row with the
-    // same inlined dot product in the same order: bitwise equality with the
-    // sequential kernel, below and above the parallel-dispatch threshold.
-    #[test]
-    fn par_spmv_matches_spmv_bitwise(
-        k in 4usize..64,
-        x_seed in 0u64..100,
-    ) {
-        // poisson_2d(k) has k^2 rows and ~5 k^2 stored entries, crossing
-        // PAR_SPMV_MIN_NNZ for the larger k.
-        let a = generators::poisson_2d(k);
-        let n = a.rows();
-        let x: Vec<f64> = (0..n)
-            .map(|i| (((i as u64).wrapping_mul(31) + x_seed) % 17) as f64 * 0.37 - 2.0)
-            .collect();
-        let mut y_seq = vec![0.0; n];
-        let mut y_par = vec![f64::NAN; n];
-        a.spmv_into(&x, &mut y_seq).unwrap();
-        a.par_spmv_into(&x, &mut y_par).unwrap();
-        prop_assert_eq!(y_seq, y_par);
-    }
 
     // In-place solves through the Factorization trait must equal the
     // allocating entry points for every solver kind (this is the path the
@@ -478,5 +418,74 @@ fn factorize_blocks_reports_the_lowest_singular_block() {
             "expected the error of block 2, got {:?}",
             other.map(|f| f.len())
         ),
+    }
+}
+
+/// 64-bit FNV-1a over the little-endian bytes of `words`.
+fn fnv1a_words(words: impl IntoIterator<Item = u64>) -> u64 {
+    words.into_iter().fold(0xcbf2_9ce4_8422_2325, |h, w| {
+        w.to_le_bytes().iter().fold(h, |h, &b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+    })
+}
+
+/// One hash of everything a dense factorization produces: the packed
+/// factors, the permutation, the flop count, the determinant and the
+/// solution of `a x = b` for a fixed `b`, all as bits.
+fn dense_lu_digest(a: &DenseMatrix) -> u64 {
+    let lu = DenseLu::factorize(a).unwrap();
+    let n = a.rows();
+    let b: Vec<f64> = (0..n).map(|i| ((i * 5) % 11) as f64 - 5.0).collect();
+    let x = lu.solve(&b).unwrap();
+    let factors = lu.packed_factors().as_slice().iter().map(|v| v.to_bits());
+    let perm = lu.permutation().iter().map(|&p| p as u64);
+    fnv1a_words(
+        factors
+            .chain(perm)
+            .chain([lu.flops(), lu.determinant().to_bits()])
+            .chain(x.iter().map(|v| v.to_bits())),
+    )
+}
+
+const GOLDEN_150: u64 = 0x356a_3125_9a93_51e4;
+const GOLDEN_BANDED: u64 = 0xf879_a09b_6551_096f;
+const GOLDEN_PIVOTED: u64 = 0xfe61_334e_cd01_13df;
+
+/// The dense LU's output pinned bit for bit, recorded from the 64-column
+/// blocked kernel it replaced: an order-150 matrix that crosses two panel
+/// boundaries, a banded one whose factors are mostly zero multipliers, and
+/// one whose large entries all sit off the diagonal so every column pivots.
+#[test]
+fn dense_lu_reproduces_its_golden_bits() {
+    let dense_150 = generators::diag_dominant(&DiagDominantConfig {
+        n: 150,
+        offdiag_per_row: 40,
+        half_bandwidth: 150,
+        seed: 42,
+        ..Default::default()
+    })
+    .to_dense();
+    let banded = generators::poisson_2d(11).to_dense();
+    let base = generators::diag_dominant(&DiagDominantConfig {
+        n: 90,
+        offdiag_per_row: 12,
+        half_bandwidth: 20,
+        seed: 7,
+        ..Default::default()
+    });
+    let n = base.rows();
+    let mut shifted = DenseMatrix::zeros(n, n);
+    for (i, j, v) in base.iter() {
+        shifted.set((i + 37) % n, j, v);
+    }
+    let cases = [
+        ("order 150", dense_150, GOLDEN_150),
+        ("zero multipliers", banded, GOLDEN_BANDED),
+        ("off-diagonal pivots", shifted, GOLDEN_PIVOTED),
+    ];
+    for (name, a, golden) in cases {
+        let digest = dense_lu_digest(&a);
+        assert_eq!(digest, golden, "{name}: {digest:#018x}");
     }
 }

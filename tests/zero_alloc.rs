@@ -18,7 +18,7 @@ use multisplitting::core::{Decomposition, WeightingScheme};
 use multisplitting::dense::{BandLu, BandMatrix, DenseLu};
 use multisplitting::direct::{SolveScratch, SolverKind};
 use multisplitting::sparse::generators::{self, DiagDominantConfig};
-use multisplitting::sparse::{BandPartition, LocalBlocks, SpmvWorkspace};
+use multisplitting::sparse::{BandPartition, LocalBlocks};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
 
@@ -26,9 +26,13 @@ struct CountingAllocator;
 
 static ALLOCATIONS: AtomicUsize = AtomicUsize::new(0);
 
+/// The largest single request (bytes) seen since it was last reset.
+static LARGEST: AtomicUsize = AtomicUsize::new(0);
+
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         ALLOCATIONS.fetch_add(1, Relaxed);
+        LARGEST.fetch_max(layout.size(), Relaxed);
         System.alloc(layout)
     }
 
@@ -38,11 +42,13 @@ unsafe impl GlobalAlloc for CountingAllocator {
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         ALLOCATIONS.fetch_add(1, Relaxed);
+        LARGEST.fetch_max(new_size, Relaxed);
         System.realloc(ptr, layout, new_size)
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
         ALLOCATIONS.fetch_add(1, Relaxed);
+        LARGEST.fetch_max(layout.size(), Relaxed);
         System.alloc_zeroed(layout)
     }
 }
@@ -106,20 +112,6 @@ fn main() {
     });
     assert_zero_alloc("spmv_sub_into", 100, || {
         a.spmv_sub_into(&x, &mut y).expect("spmv_sub_into");
-    });
-    // Above the parallel threshold (poisson_2d(90) has ~40k stored entries):
-    // the warm-up call starts the rayon pool (thread spawns allocate), every
-    // later loop publishes a descriptor on the caller's stack.  The counter
-    // is process-wide, so the helper threads' allocations would show here.
-    let big = generators::poisson_2d(90);
-    let bx: Vec<f64> = (0..big.rows()).map(|i| ((i % 7) as f64) - 3.0).collect();
-    let mut by = vec![0.0; big.rows()];
-    assert_zero_alloc("par_spmv_into (large)", 10, || {
-        big.par_spmv_into(&bx, &mut by).expect("par_spmv_into");
-    });
-    let mut ws = SpmvWorkspace::new();
-    assert_zero_alloc("SpmvWorkspace::spmv", 50, || {
-        ws.spmv(&a, &x).expect("workspace spmv");
     });
 
     // --- BLoc assembly (the per-iteration driver kernel). ---
@@ -361,6 +353,41 @@ fn main() {
         let decodes = count(&mut || decoded = Some(decode_frame(&frame).expect("decode")));
         assert_eq!(decodes, 1, "decode_frame: {decodes} allocations");
         assert_eq!(decoded.map(|(_, msg)| msg), Some(halo));
+    }
+
+    // --- Frame reader: the payload buffer grows as bytes arrive. ---
+    // A halo frame read from a stream costs one payload buffer and one values
+    // vector.  A header that announces the largest payload the wire allows
+    // and is then followed by end of stream is a torn frame, and the header
+    // alone must not make the reader ask for anything near that size.
+    {
+        use multisplitting::comm::wire::{
+            encode_frame, read_frame, FRAME_HEADER_LEN, MAX_FRAME_PAYLOAD,
+        };
+        use multisplitting::comm::{CommError, Message};
+        let halo = Message::Solution {
+            from: 1,
+            iteration: 9,
+            offset: 64,
+            values: (0..64).map(|i| i as f64 * 0.25).collect(),
+        };
+        let frame = encode_frame(1, &halo);
+        let before = ALLOCATIONS.load(Relaxed);
+        let read = read_frame(&mut frame.as_slice()).expect("read_frame");
+        let allocated = ALLOCATIONS.load(Relaxed) - before;
+        assert_eq!(allocated, 2, "read_frame: {allocated} allocations");
+        assert_eq!(read.1, halo);
+
+        let mut hostile = frame[..FRAME_HEADER_LEN].to_vec();
+        hostile[FRAME_HEADER_LEN - 4..].copy_from_slice(&(MAX_FRAME_PAYLOAD as u32).to_le_bytes());
+        LARGEST.store(0, Relaxed);
+        let torn = read_frame(&mut hostile.as_slice());
+        let largest = LARGEST.load(Relaxed);
+        assert!(matches!(torn, Err(CommError::Codec(_))), "{torn:?}");
+        assert!(
+            largest < 1 << 20,
+            "a bare header made read_frame request {largest} bytes"
+        );
     }
 
     // Sanity: the counter itself works (an obvious allocation is seen).
