@@ -469,7 +469,6 @@ fn serving_table(check_mode: bool) -> (Vec<ServingRecord>, f64, f64) {
     let server = SolveServer::start(
         "127.0.0.1:0",
         ServeConfig {
-            coalesce_window: std::time::Duration::from_millis(2),
             engine: EngineConfig {
                 workers: 2,
                 ..EngineConfig::default()
@@ -496,7 +495,8 @@ fn serving_table(check_mode: bool) -> (Vec<ServingRecord>, f64, f64) {
     let cold_rps = cold_matrices as f64 / t0.elapsed().as_secs_f64();
 
     // Warm solo: one matrix, strictly sequential requests — the cache is hot
-    // but each request still waits out its own coalescing window.
+    // and each request finds a worker idle, so it is dispatched at once,
+    // alone.
     let a = generators::diag_dominant(&generators::DiagDominantConfig {
         n,
         seed: 2000,
@@ -510,8 +510,9 @@ fn serving_table(check_mode: bool) -> (Vec<ServingRecord>, f64, f64) {
     }
     let warm_solo_rps = warm_reqs as f64 / t0.elapsed().as_secs_f64();
 
-    // Warm coalesced: concurrent clients hammering the same matrix, so
-    // requests landing in the same window share one multi-RHS sweep.
+    // Warm coalesced: more concurrent clients on the same matrix than the
+    // shard has workers, so requests that find both workers busy share one
+    // multi-RHS sweep.
     let a = std::sync::Arc::new(a);
     let config = std::sync::Arc::new(config);
     let addrs = std::sync::Arc::new(addrs);

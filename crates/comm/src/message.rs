@@ -258,6 +258,19 @@ impl Message {
         }
     }
 
+    /// Names `rank` as the producer of a message that carries a sender.
+    pub fn set_sender(&mut self, rank: usize) {
+        if let Message::Solution { from, .. }
+        | Message::SolutionBatch { from, .. }
+        | Message::ConvergenceVote { from, .. }
+        | Message::Heartbeat { from }
+        | Message::Reshape { from, .. }
+        | Message::VoteAggregate { from, .. } = self
+        {
+            *from = rank;
+        }
+    }
+
     /// Size of the encoded message in bytes — the number charged against the
     /// link bandwidth by the grid model.
     pub fn encoded_len(&self) -> usize {

@@ -363,10 +363,11 @@ fn writer_loop(stream: TcpStream, rx: Receiver<OutFrame>) {
 /// Decodes frames from one incoming stream into the shared inbox.  Exits on
 /// EOF, a torn frame, or a frame whose envelope names a sender other than
 /// the peer the handshake pinned to this stream; such a frame never reaches
-/// the inbox.  A clean disconnect (peer finished and closed) is silent;
-/// anything else — a torn frame, a version mismatch, a mid-frame crash, a
-/// forged sender — is reported on stderr so worker logs name the cause
-/// instead of the rank just timing out later.
+/// the inbox.  Every delivered message names that peer as its sender.  A
+/// clean disconnect (peer finished and closed) is silent; anything else — a
+/// torn frame, a version mismatch, a mid-frame crash, a forged envelope —
+/// is reported on stderr so worker logs name the cause instead of the rank
+/// just timing out later.
 fn reader_loop(peer: usize, stream: TcpStream, inbox: Sender<Message>) {
     let mut reader = std::io::BufReader::new(stream);
     loop {
@@ -378,7 +379,13 @@ fn reader_loop(peer: usize, stream: TcpStream, inbox: Sender<Message>) {
                 );
                 return;
             }
-            Ok((_, msg)) => {
+            Ok((_, mut msg)) => {
+                // The runtime files a halo or a vote under the body's
+                // sender, and this stream speaks only for `peer`.  A body
+                // naming another rank is stamped rather than refused: no
+                // rank relays another's frame, but an echo that sends a
+                // received halo straight back (a round-trip probe) would.
+                msg.set_sender(peer);
                 if inbox.send(msg).is_err() {
                     return;
                 }

@@ -43,12 +43,6 @@ fn parse_args() -> Result<Args, String> {
                     .parse()
                     .map_err(|e| format!("bad cache capacity: {e}"))?
             }
-            "--window-ms" => {
-                let ms: u64 = value(&mut it, "--window-ms")?
-                    .parse()
-                    .map_err(|e| format!("bad window: {e}"))?;
-                config.coalesce_window = Duration::from_millis(ms);
-            }
             "--max-batch" => {
                 config.max_batch = value(&mut it, "--max-batch")?
                     .parse()
@@ -72,7 +66,7 @@ fn parse_args() -> Result<Args, String> {
                 println!(
                     "msplit-server: one shard of a multisplitting solve fleet\n\
                      usage: msplit-server [--addr host:port] [--shard N] [--workers N]\n\
-                     \x20                    [--cache N] [--window-ms N] [--max-batch N]\n\
+                     \x20                    [--cache N] [--max-batch N]\n\
                      \x20                    [--lane-limits high,normal,low]\n\
                      Prints 'LISTENING <addr>' once bound; serves until killed.\n\
                      See docs/serving.md."

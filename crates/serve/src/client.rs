@@ -67,7 +67,7 @@ impl Default for ClientOptions {
 /// One multiplexed connection to a shard: requests are written under a lock
 /// and a reader thread routes responses back to waiters by request id, so
 /// many threads can have solves in flight on the same socket — which is
-/// exactly the traffic shape the server's coalescer merges.
+/// exactly the traffic a busy shard merges into batches.
 struct NodeConn {
     writer: Mutex<TcpStream>,
     waiters: Arc<Mutex<HashMap<u64, mpsc::SyncSender<Message>>>>,

@@ -7,9 +7,11 @@
 //! * **[`SolveServer`]** — one shard: a TCP listener speaking the
 //!   `msplit-comm` frame protocol (serve connections are handshakes with
 //!   `world_size == 0`), per-lane admission control over the engine's
-//!   3-lane priority queue, and a **cross-request coalescer** that merges
+//!   3-lane priority queue, and **cross-request coalescing while busy**: a
+//!   request that finds an engine worker idle is dispatched at once, and
 //!   compatible single-RHS requests for the same
-//!   [`MatrixKey`](msplit_engine::MatrixKey) into one batched sweep.
+//!   [`MatrixKey`](msplit_engine::MatrixKey) that arrive while every worker
+//!   is busy are merged into one batched sweep when a worker frees up.
 //!   Coalescing is bitwise-safe: the batch driver freezes every column at
 //!   the iteration its solo run would stop (`msplit_core::runtime::ColumnBoard`),
 //!   so merged requests receive exactly the bytes a dedicated solve would

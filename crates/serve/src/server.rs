@@ -1,14 +1,17 @@
-//! One shard of the solve fleet: listener, admission control, coalescer.
+//! One shard of the solve fleet: listener, admission control, coalescing.
 //!
 //! A [`SolveServer`] accepts serve-protocol connections (handshakes with
 //! `world_size == 0`), admits [`Message::SubmitSolve`] requests against
 //! per-lane queue limits, and hands them to the embedded
-//! [`msplit_engine::Engine`].  Compatible single-RHS stationary requests —
-//! same matrix fingerprint *and* identical solver configuration, i.e. the
-//! same [`MatrixKey`] — that arrive within one coalescing window are merged
-//! into a single batched sweep (a Krylov request is dispatched alone at
-//! once).  The batch driver freezes every column at the exact
-//! iteration a solo run of that column would stop (see
+//! [`msplit_engine::Engine`].  The shard batches only while it is busy: a
+//! stationary single-RHS request that finds fewer of the shard's jobs in
+//! flight than engine workers is dispatched at once, alone; one that finds
+//! every worker busy joins the pending group of compatible requests — same
+//! matrix fingerprint *and* identical solver configuration, i.e. the same
+//! [`MatrixKey`] — and each completing job hands its slot to the most urgent,
+//! then oldest, group, which runs as one batched sweep (a Krylov request is
+//! dispatched alone at once).  The batch driver freezes every column at the
+//! exact iteration a solo run of that column would stop (see
 //! `msplit_core::runtime::ColumnBoard`), so a coalesced response is bitwise
 //! identical to the response the request would have received alone; the
 //! merge changes latency, never bits.
@@ -23,13 +26,14 @@ use msplit_comm::wire::{read_frame, write_frame, Handshake};
 use msplit_comm::{CommError, Message, RejectCode};
 use msplit_core::solver::Method;
 use msplit_engine::{
-    Engine, EngineConfig, EngineError, JobOutcome, MatrixKey, Priority, RhsPayload, SolveRequest,
+    Engine, EngineConfig, EngineError, JobHandle, JobOutcome, MatrixKey, Priority, RhsPayload,
+    SolveRequest,
 };
 use msplit_sparse::CsrMatrix;
 use std::collections::HashMap;
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, PoisonError};
+use std::sync::{Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 /// Sizing and policy of one serve shard.
@@ -42,13 +46,12 @@ pub struct ServeConfig {
     /// submit whose lane already holds this many queued-or-pending requests
     /// is rejected with [`RejectCode::QueueFull`] instead of blocking.
     pub lane_limits: [usize; Priority::COUNT],
-    /// How long the coalescer holds the first request of a [`MatrixKey`]
-    /// group open for compatible requests to join it.
-    pub coalesce_window: Duration,
     /// Maximum requests merged into one sweep; a group at this size flushes
-    /// immediately.
+    /// immediately, busy workers or not.
     pub max_batch: usize,
-    /// Sizing of the embedded engine (workers, queue, cache).
+    /// Sizing of the embedded engine (workers, queue, cache).  Its worker
+    /// count is also the number of jobs the shard keeps in flight before
+    /// requests start to gather into batches.
     pub engine: EngineConfig,
 }
 
@@ -57,14 +60,13 @@ impl Default for ServeConfig {
         ServeConfig {
             shard: 0,
             lane_limits: [16, 32, 64],
-            coalesce_window: Duration::from_millis(5),
             max_batch: 32,
             engine: EngineConfig::default(),
         }
     }
 }
 
-/// One queued request waiting in a coalescing group.
+/// One admitted request.  A warm request carries an empty right-hand side.
 struct Member {
     request_id: u64,
     conn: Arc<ConnHandle>,
@@ -73,7 +75,7 @@ struct Member {
     deadline: Option<Instant>,
 }
 
-/// Requests for one [`MatrixKey`] collected during a coalescing window.
+/// Requests for one [`MatrixKey`], dispatched as one engine job.
 struct Group {
     matrix: Arc<CsrMatrix>,
     config: msplit_core::solver::MultisplittingConfig,
@@ -84,7 +86,12 @@ struct Group {
 
 #[derive(Default)]
 struct PendingState {
+    /// Stationary requests gathered while every worker was busy.
     groups: HashMap<MatrixKey, Group>,
+    /// The shard's jobs whose outcome is not in yet, one per live [`Slot`]
+    /// (the engine's queue depth would race its workers' pops).  While
+    /// `groups` is non-empty this is at least the worker count.
+    in_flight: usize,
 }
 
 impl PendingState {
@@ -110,11 +117,12 @@ struct Inner {
     config: ServeConfig,
     engine: Engine,
     pending: Mutex<PendingState>,
-    pending_changed: Condvar,
     /// Matrices this shard has decoded before, keyed by fingerprint, so a
     /// warmed client can submit with an empty matrix blob.
     known: Mutex<HashMap<u64, Arc<CsrMatrix>>>,
     counters: Counters,
+    /// Set under the `pending` lock, so no request joins a group after the
+    /// shutdown flush.
     shutdown: AtomicBool,
 }
 
@@ -137,12 +145,12 @@ impl ConnHandle {
 }
 
 /// A running serve shard.  Dropping it (or calling [`SolveServer::shutdown`])
-/// closes the listener, drains in-flight work and joins every thread.
+/// closes the listener, dispatches every pending group and joins the accept
+/// thread.
 pub struct SolveServer {
     inner: Arc<Inner>,
     local_addr: std::net::SocketAddr,
     accept_thread: Option<std::thread::JoinHandle<()>>,
-    coalescer_thread: Option<std::thread::JoinHandle<()>>,
 }
 
 impl SolveServer {
@@ -158,7 +166,6 @@ impl SolveServer {
             config,
             engine,
             pending: Mutex::new(PendingState::default()),
-            pending_changed: Condvar::new(),
             known: Mutex::new(HashMap::new()),
             counters: Counters::default(),
             shutdown: AtomicBool::new(false),
@@ -168,16 +175,10 @@ impl SolveServer {
             .name(format!("msplit-serve-accept-{}", inner.config.shard))
             .spawn(move || accept_loop(&listener, &accept_inner))
             .map_err(|e| ServeError::Io(format!("spawning accept thread: {e}")))?;
-        let coalescer_inner = Arc::clone(&inner);
-        let coalescer_thread = std::thread::Builder::new()
-            .name(format!("msplit-serve-coalescer-{}", inner.config.shard))
-            .spawn(move || coalescer_loop(&coalescer_inner))
-            .map_err(|e| ServeError::Io(format!("spawning coalescer thread: {e}")))?;
         Ok(SolveServer {
             inner,
             local_addr,
             accept_thread: Some(accept_thread),
-            coalescer_thread: Some(coalescer_thread),
         })
     }
 
@@ -186,22 +187,32 @@ impl SolveServer {
         self.local_addr
     }
 
-    /// Stops accepting, flushes pending groups and joins the threads.
+    /// Stops accepting, dispatches pending groups and joins the accept thread.
     pub fn shutdown(mut self) {
         self.shutdown_in_place();
     }
 
     fn shutdown_in_place(&mut self) {
-        self.inner.shutdown.store(true, Ordering::SeqCst);
-        self.inner.pending_changed.notify_all();
+        let groups: Vec<Group> = {
+            let mut pending = self.inner.lock_pending();
+            self.inner.shutdown.store(true, Ordering::SeqCst);
+            pending.in_flight += pending.groups.len();
+            pending.groups.drain().map(|(_, g)| g).collect()
+        };
+        for group in groups {
+            dispatch(Slot(Arc::clone(&self.inner)), group);
+        }
         // Unblock the accept loop with a throwaway connection.
         let _ = TcpStream::connect(self.local_addr);
         if let Some(t) = self.accept_thread.take() {
             let _ = t.join();
         }
-        if let Some(t) = self.coalescer_thread.take() {
-            let _ = t.join();
-        }
+    }
+}
+
+impl Inner {
+    fn lock_pending(&self) -> std::sync::MutexGuard<'_, PendingState> {
+        self.pending.lock().unwrap_or_else(PoisonError::into_inner)
     }
 }
 
@@ -363,7 +374,7 @@ fn server_stats(inner: &Inner) -> Message {
         dense_fallbacks: report.dense_fallbacks,
         mean_reach_ppm: 0,
         queue_depths: {
-            let pending = inner.pending.lock().unwrap_or_else(PoisonError::into_inner);
+            let pending = inner.lock_pending();
             [
                 (depths[0] + pending.lane_count(0)) as u64,
                 (depths[1] + pending.lane_count(1)) as u64,
@@ -386,7 +397,6 @@ fn handle_submit(
     matrix_blob: Vec<u8>,
     rhs: Vec<f64>,
 ) {
-    let window_micros = inner.config.coalesce_window.as_micros() as u64;
     let config = match codec::decode_config(config_blob) {
         Ok(c) => c,
         Err(e) => {
@@ -480,45 +490,8 @@ fn handle_submit(
         a
     };
 
-    // A warm request prepares the factorization and returns immediately;
-    // it bypasses the coalescer (there is nothing to merge).
-    if rhs.is_empty() {
-        let request = SolveRequest::new(Arc::clone(&matrix), RhsPayload::Batch(Vec::new()))
-            .with_config(config)
-            .with_priority(priority);
-        match inner.engine.try_submit(request) {
-            Ok(handle) => {
-                let inner = Arc::clone(inner);
-                let conn = Arc::clone(conn);
-                let started = Instant::now();
-                let _ = std::thread::Builder::new()
-                    .name("msplit-serve-warm".to_string())
-                    .spawn(move || match handle.wait() {
-                        Ok(_) => {
-                            inner.counters.completed.fetch_add(1, Ordering::Relaxed);
-                            let _ = conn.send(&Message::SolveResult {
-                                request_id,
-                                iterations: 0,
-                                coalesced: 1,
-                                queue_micros: started.elapsed().as_micros() as u64,
-                                x: Vec::new(),
-                            });
-                        }
-                        Err(e) => {
-                            let (code, retry) = map_engine_error(&e, window_micros);
-                            reject(&inner, &conn, request_id, code, retry, &format!("{e}"));
-                        }
-                    });
-            }
-            Err(e) => {
-                let (code, retry) = map_engine_error(&e, window_micros);
-                reject(inner, conn, request_id, code, retry, &format!("{e}"));
-            }
-        }
-        return;
-    }
-
-    if rhs.len() != matrix.rows() {
+    let warm = rhs.is_empty();
+    if !warm && rhs.len() != matrix.rows() {
         reject(
             inner,
             conn,
@@ -534,10 +507,9 @@ fn handle_submit(
         return;
     }
 
-    let key = MatrixKey::new(&matrix, &config);
     let now = Instant::now();
-    let deadline =
-        (queue_deadline_micros > 0).then(|| now + Duration::from_micros(queue_deadline_micros));
+    let deadline = (!warm && queue_deadline_micros > 0)
+        .then(|| now + Duration::from_micros(queue_deadline_micros));
     let member = Member {
         request_id,
         conn: Arc::clone(conn),
@@ -547,13 +519,10 @@ fn handle_submit(
     };
 
     let lane = priority.lane();
-    let mut pending = inner.pending.lock().unwrap_or_else(PoisonError::into_inner);
-    // Re-check shutdown *under the pending lock*: the coalescer's exit
-    // decision (`shutdown && groups.is_empty()`) runs under this same lock,
-    // so a group inserted here is guaranteed to still have a live coalescer
-    // to flush it.  Without this, a submit racing `shutdown()` could park a
-    // member in a group nobody will ever dispatch, and its client would
-    // block forever waiting for a reply.
+    let mut pending = inner.lock_pending();
+    // Re-check shutdown under the pending lock: the shutdown flush takes
+    // the groups under this same lock, so a request admitted here is either
+    // dispatched by that flush or by a job completion, never stranded.
     if inner.shutdown.load(Ordering::SeqCst) {
         drop(pending);
         reject(
@@ -567,16 +536,17 @@ fn handle_submit(
         return;
     }
     // Admission control: the lane budget covers both the engine's queued
-    // jobs and the requests still sitting in coalescing groups.
+    // jobs and the requests still waiting in groups.  A warm request is
+    // not counted against it.
     let occupied = inner.engine.lane_depths()[lane] + pending.lane_count(lane);
-    if occupied >= inner.config.lane_limits[lane] {
+    if !warm && occupied >= inner.config.lane_limits[lane] {
         drop(pending);
         reject(
             inner,
             conn,
             request_id,
             RejectCode::QueueFull,
-            window_micros.max(1),
+            retry_after_micros(inner),
             &format!(
                 "lane {lane} is at its {} request limit",
                 inner.config.lane_limits[lane]
@@ -584,111 +554,131 @@ fn handle_submit(
         );
         return;
     }
-    // A batch runs the stationary lockstep driver whatever the method, so a
-    // Krylov request skips the coalescer and is solved alone, by its method.
-    let group = Group {
-        matrix,
-        config,
-        priority,
-        members: Vec::new(),
-        opened_at: now,
+    // A warm request has nothing to merge, and a batch runs the stationary
+    // lockstep driver whatever the method, so a Krylov request is solved
+    // alone, by its method: both are dispatched at once.
+    let due = if warm || !matches!(config.method, Method::Stationary) {
+        Some(Group {
+            matrix,
+            config,
+            priority,
+            members: vec![member],
+            opened_at: now,
+        })
+    } else {
+        let key = MatrixKey::new(&matrix, &config);
+        let group = pending.groups.entry(key).or_insert_with(|| Group {
+            matrix,
+            config,
+            priority,
+            members: Vec::new(),
+            opened_at: now,
+        });
+        // The group runs at its most urgent member's priority, so merging
+        // never delays a high-priority request behind a low lane.
+        group.priority = group.priority.max(priority);
+        group.members.push(member);
+        let full = group.members.len() >= inner.config.max_batch;
+        // An idle worker takes the request now (the group then holds only
+        // it); otherwise it waits for a job of this shard to complete.
+        if full || pending.in_flight < inner.config.engine.workers {
+            pending.groups.remove(&key)
+        } else {
+            None
+        }
     };
-    if !matches!(group.config.method, Method::Stationary) {
+    if let Some(group) = due {
+        pending.in_flight += 1;
         drop(pending);
-        let members = vec![member];
-        return dispatch_group(inner, Group { members, ..group });
-    }
-    let group = pending.groups.entry(key).or_insert(group);
-    // Requests can only coalesce when every batched column stops exactly
-    // where its solo run would (the ColumnBoard guarantee); the group's
-    // priority is raised to the most urgent member so merging never delays
-    // a high-priority request behind a low lane.
-    if priority > group.priority {
-        group.priority = priority;
-    }
-    group.members.push(member);
-    let full = group.members.len() >= inner.config.max_batch;
-    drop(pending);
-    inner.pending_changed.notify_all();
-    if full {
-        flush_due_groups(inner, true);
+        dispatch(Slot(Arc::clone(inner)), group);
     }
 }
 
-fn map_engine_error(e: &EngineError, window_micros: u64) -> (RejectCode, u64) {
+fn map_engine_error(inner: &Inner, e: &EngineError) -> (RejectCode, u64) {
     match e {
-        EngineError::QueueFull => (RejectCode::QueueFull, window_micros.max(1)),
+        EngineError::QueueFull => (RejectCode::QueueFull, retry_after_micros(inner)),
         EngineError::ShuttingDown => (RejectCode::ShuttingDown, 0),
-        EngineError::TimedOut => (RejectCode::DeadlineExpired, window_micros.max(1)),
+        EngineError::TimedOut => (RejectCode::DeadlineExpired, retry_after_micros(inner)),
         EngineError::Cancelled | EngineError::InvalidRequest(_) | EngineError::Solver(_) => {
             (RejectCode::Invalid, 0)
         }
     }
 }
 
-/// The coalescer: wakes when a group opens (or the window elapses), flushes
-/// every group whose window closed or that reached the batch cap.
-fn coalescer_loop(inner: &Arc<Inner>) {
-    loop {
-        {
-            let pending = inner.pending.lock().unwrap_or_else(PoisonError::into_inner);
-            if inner.shutdown.load(Ordering::SeqCst) && pending.groups.is_empty() {
+/// The retry-after hint of a load-shedding reject: the engine's mean time
+/// per completed job (solve plus factorization), at least 1 µs.
+fn retry_after_micros(inner: &Inner) -> u64 {
+    let report = inner.engine.report();
+    let busy_seconds = report.solve_seconds + report.factorize_seconds;
+    let per_job = busy_seconds * 1e6 / report.jobs_completed.max(1) as f64;
+    (per_job as u64).max(1)
+}
+
+/// One of the shard's `in_flight` jobs, counted by whoever makes it.  Once
+/// the outcome is in, or the job never ran or its thread failed, dropping it
+/// hands the slot to the most urgent, then oldest, due group, if any.
+struct Slot(Arc<Inner>);
+
+impl Drop for Slot {
+    fn drop(&mut self) {
+        // A group that cannot run passes the slot on in turn.
+        while let Some(group) = next_group(&self.0) {
+            if let Some(job) = submit(&self.0, group) {
+                run(job, Slot(Arc::clone(&self.0)));
                 return;
             }
-            let window = inner.config.coalesce_window;
-            let next_due = pending.groups.values().map(|g| g.opened_at + window).min();
-            match next_due {
-                Some(due) => {
-                    let now = Instant::now();
-                    if due > now {
-                        drop(inner.pending_changed.wait_timeout(pending, due - now));
-                    }
-                }
-                None => {
-                    drop(
-                        inner
-                            .pending_changed
-                            .wait_timeout(pending, Duration::from_millis(50)),
-                    );
-                }
-            }
         }
-        flush_due_groups(inner, false);
     }
 }
 
-/// Removes and dispatches every group that is due (window elapsed or batch
-/// cap reached); with `force` every group flushes regardless of age.
-fn flush_due_groups(inner: &Arc<Inner>, force: bool) {
-    let window = inner.config.coalesce_window;
-    let max_batch = inner.config.max_batch;
-    let due: Vec<Group> = {
-        let mut pending = inner.pending.lock().unwrap_or_else(PoisonError::into_inner);
-        let force = force || inner.shutdown.load(Ordering::SeqCst);
-        let keys: Vec<MatrixKey> = pending
-            .groups
-            .iter()
-            .filter(|(_, g)| {
-                force || g.opened_at.elapsed() >= window || g.members.len() >= max_batch
-            })
-            .map(|(k, _)| *k)
-            .collect();
-        keys.into_iter()
-            .filter_map(|k| pending.groups.remove(&k))
-            .collect()
-    };
-    for group in due {
-        dispatch_group(inner, group);
+/// Frees one slot and, if that leaves a worker for it, takes the slot back
+/// for the most urgent, then oldest, pending group.
+fn next_group(inner: &Inner) -> Option<Group> {
+    let mut pending = inner.lock_pending();
+    pending.in_flight -= 1;
+    if pending.in_flight >= inner.config.engine.workers {
+        return None;
+    }
+    let key = pending
+        .groups
+        .iter()
+        .max_by_key(|(_, g)| (g.priority, std::cmp::Reverse(g.opened_at)))
+        .map(|(k, _)| *k)?;
+    pending.in_flight += 1;
+    pending.groups.remove(&key)
+}
+
+/// Runs `group` on `slot`; a group that cannot run drops the slot.
+fn dispatch(slot: Slot, group: Group) {
+    if let Some(job) = submit(&slot.0, group) {
+        run(job, slot);
     }
 }
 
-/// Submits one flushed group to the engine and demultiplexes the answer.
-fn dispatch_group(inner: &Arc<Inner>, group: Group) {
-    let window_micros = inner.config.coalesce_window.as_micros() as u64;
+/// Gives `job` a thread that waits for it and releases the slot before it
+/// writes the replies: a client that stops reading stalls only its answers.
+fn run(job: Job, slot: Slot) {
+    let _ = std::thread::Builder::new()
+        .name("msplit-serve-dispatch".to_string())
+        .spawn(move || {
+            let outcome = job.handle.wait();
+            let inner = Arc::clone(&slot.0);
+            drop(slot);
+            reply(&inner, &job.members, outcome);
+        });
+}
+
+/// An engine job and the requests its outcome answers.
+struct Job {
+    handle: JobHandle,
+    members: Vec<Member>,
+}
+
+fn submit(inner: &Inner, group: Group) -> Option<Job> {
     let now = Instant::now();
-    // Queue-deadline rejection: members whose budget elapsed while the group
-    // was open are shed here, before any solve work is spent on them.
-    let (live, expired): (Vec<Member>, Vec<Member>) = group
+    // Queue-deadline rejection: members whose budget elapsed while they
+    // waited are shed here, before any solve work is spent on them.
+    let (mut live, expired): (Vec<Member>, Vec<Member>) = group
         .members
         .into_iter()
         .partition(|m| m.deadline.is_none_or(|d| d > now));
@@ -698,90 +688,104 @@ fn dispatch_group(inner: &Arc<Inner>, group: Group) {
             &m.conn,
             m.request_id,
             RejectCode::DeadlineExpired,
-            window_micros.max(1),
+            retry_after_micros(inner),
             "queue deadline expired before the solve started",
         );
     }
     if live.is_empty() {
-        return;
+        return None;
     }
 
-    let payload = if live.len() == 1 {
-        RhsPayload::Single(live[0].rhs.clone())
+    // A warm request contributes no column: its job only prepares the
+    // factorization.
+    let mut columns: Vec<Vec<f64>> = live
+        .iter_mut()
+        .map(|m| std::mem::take(&mut m.rhs))
+        .filter(|b| !b.is_empty())
+        .collect();
+    let solves = !columns.is_empty();
+    let payload = if columns.len() == 1 {
+        RhsPayload::Single(columns.swap_remove(0))
     } else {
-        RhsPayload::Batch(live.iter().map(|m| m.rhs.clone()).collect())
+        RhsPayload::Batch(columns)
     };
-    let request = SolveRequest::new(Arc::clone(&group.matrix), payload)
-        .with_config(group.config.clone())
+    let request = SolveRequest::new(group.matrix, payload)
+        .with_config(group.config)
         .with_priority(group.priority);
     let handle = match inner.engine.try_submit(request) {
         Ok(h) => h,
         Err(e) => {
-            let (code, retry) = map_engine_error(&e, window_micros);
+            let (code, retry) = map_engine_error(inner, &e);
             for m in &live {
                 reject(inner, &m.conn, m.request_id, code, retry, &format!("{e}"));
             }
-            return;
+            return None;
         }
     };
-    inner.counters.batches.fetch_add(1, Ordering::Relaxed);
+    if solves {
+        inner.counters.batches.fetch_add(1, Ordering::Relaxed);
+    }
     if live.len() > 1 {
         inner
             .counters
             .coalesced
             .fetch_add(live.len() as u64, Ordering::Relaxed);
     }
+    Some(Job {
+        handle,
+        members: live,
+    })
+}
 
-    let inner = Arc::clone(inner);
-    let _ = std::thread::Builder::new()
-        .name("msplit-serve-dispatch".to_string())
-        .spawn(move || {
-            let coalesced = live.len() as u64;
-            match handle.wait() {
-                Ok(outcome) => match &*outcome {
-                    JobOutcome::Single(o) => {
-                        let m = &live[0];
-                        finish_member(
-                            &inner,
-                            m,
-                            o.stop.converged(),
-                            o.stop.iterations,
-                            coalesced,
-                            o.wall_seconds,
-                            &o.x,
-                        );
-                    }
-                    JobOutcome::Batch(o) => {
-                        for (c, m) in live.iter().enumerate() {
-                            // Report the iteration the column froze at — the
-                            // count a solo run would have reported — rather
-                            // than the sweep count of the whole batch.
-                            let iterations = o
-                                .column_converged_at
-                                .get(c)
-                                .copied()
-                                .flatten()
-                                .unwrap_or(o.stop.iterations);
-                            finish_member(
-                                &inner,
-                                m,
-                                o.column_converged(c),
-                                iterations,
-                                coalesced,
-                                o.wall_seconds,
-                                &o.columns[c],
-                            );
-                        }
-                    }
-                },
-                Err(e) => {
-                    let (code, retry) = map_engine_error(&e, window_micros);
-                    for m in &live {
-                        reject(&inner, &m.conn, m.request_id, code, retry, &format!("{e}"));
-                    }
+/// Answers every member of a job on its own connection.
+fn reply(inner: &Inner, members: &[Member], outcome: Result<Arc<JobOutcome>, EngineError>) {
+    let coalesced = members.len() as u64;
+    match outcome {
+        Ok(outcome) => match &*outcome {
+            JobOutcome::Single(o) => finish_member(
+                inner,
+                &members[0],
+                o.stop.converged(),
+                o.stop.iterations,
+                coalesced,
+                o.wall_seconds,
+                &o.x,
+            ),
+            JobOutcome::Batch(o) if o.columns.is_empty() => {
+                for m in members {
+                    finish_member(inner, m, true, 0, coalesced, 0.0, &[]);
                 }
             }
-        });
+            JobOutcome::Batch(o) => {
+                for (c, m) in members.iter().enumerate() {
+                    // Report the iteration the column froze at — the
+                    // count a solo run would have reported — rather
+                    // than the sweep count of the whole batch.
+                    let iterations = o
+                        .column_converged_at
+                        .get(c)
+                        .copied()
+                        .flatten()
+                        .unwrap_or(o.stop.iterations);
+                    finish_member(
+                        inner,
+                        m,
+                        o.column_converged(c),
+                        iterations,
+                        coalesced,
+                        o.wall_seconds,
+                        &o.columns[c],
+                    );
+                }
+            }
+        },
+        Err(e) => {
+            let (code, retry) = map_engine_error(inner, &e);
+            for m in members {
+                reject(inner, &m.conn, m.request_id, code, retry, &format!("{e}"));
+            }
+        }
+    }
 }
 
 fn finish_member(
@@ -805,7 +809,7 @@ fn finish_member(
         return;
     }
     // Queue latency = admission to completion minus the solve itself; the
-    // coalescing hold and the engine queue wait both count against it.
+    // wait in a group and the engine queue wait both count against it.
     let total_micros = m.admitted_at.elapsed().as_micros() as u64;
     let solve_micros = (solve_seconds * 1e6) as u64;
     inner.counters.completed.fetch_add(1, Ordering::Relaxed);

@@ -33,7 +33,6 @@ const N: usize = 160;
 fn fleet_config(shard: usize) -> ServeConfig {
     ServeConfig {
         shard,
-        coalesce_window: Duration::from_millis(8),
         engine: EngineConfig {
             workers: 2,
             ..EngineConfig::default()

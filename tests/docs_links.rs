@@ -366,7 +366,7 @@ fn serving_docs_cover_the_fleet_surface() {
         "RejectCode",
         "world_size == 0",
         "lane_limits",
-        "coalesce_window",
+        "fewer of its jobs in flight than engine workers",
         "max_batch",
         "bitwise",
         "--lane-limits",
@@ -375,6 +375,14 @@ fn serving_docs_cover_the_fleet_surface() {
         assert!(
             doc.contains(required),
             "docs/serving.md no longer mentions {required}"
+        );
+    }
+    // The fixed coalescing window and its flag are gone; the page must not
+    // describe them.
+    for removed in ["coalesce_window", "--window-ms"] {
+        assert!(
+            !doc.contains(removed),
+            "docs/serving.md still mentions the removed {removed}"
         );
     }
 }

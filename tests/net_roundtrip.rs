@@ -657,10 +657,12 @@ fn loopback_mesh_reports_unknown_ranks() {
     assert!(mesh.try_recv(9).is_err());
 }
 
-/// A peer that completed the handshake as rank 1 and then sends a frame
-/// whose envelope names rank 0 is a protocol error: the frame never reaches
-/// the inbox, and the link closes, so a genuine frame sent after it is not
-/// delivered either.
+/// A peer that completed the handshake as rank 1 can never get a message
+/// into the inbox as rank 0's.  A frame whose envelope names rank 0 is a
+/// protocol error: it never reaches the inbox, and the link closes, so a
+/// genuine frame sent after it is not delivered either.  A frame whose
+/// envelope is honest but whose body names rank 0 — the `from` the
+/// receiving rank files a halo under — is delivered as rank 1's.
 #[test]
 fn a_frame_naming_another_sender_never_reaches_the_inbox() {
     use multisplitting::comm::tcp::BoundTcpTransport;
@@ -669,51 +671,72 @@ fn a_frame_naming_another_sender_never_reaches_the_inbox() {
     use std::net::{TcpListener, TcpStream};
     use std::time::Duration;
 
-    let fingerprint = 0x5eed;
-    let hello = Handshake {
-        rank: 1,
-        world_size: 2,
-        fingerprint,
-    };
-    let real = BoundTcpTransport::bind(0, "127.0.0.1:0").unwrap();
-    let raw = TcpListener::bind("127.0.0.1:0").unwrap();
-    let addrs = vec![
-        real.local_addr().unwrap(),
-        raw.local_addr().unwrap().to_string(),
-    ];
-    let real_addr = addrs[0].clone();
-    let mesh = std::thread::spawn(move || {
-        real.connect(
-            &addrs,
-            TcpOptions {
-                fingerprint,
-                connect_timeout: Duration::from_secs(10),
-                ..Default::default()
-            },
-        )
-    });
-    // Rank 0 dials the raw peer: answer its handshake as rank 1.
-    let (mut accepted, _) = raw.accept().unwrap();
-    assert_eq!(Handshake::read_from(&mut accepted).unwrap().rank, 0);
-    hello.write_to(&mut accepted).unwrap();
-    // The raw peer dials rank 0 as rank 1: this is the stream rank 0 reads.
-    let mut dialed = TcpStream::connect(&real_addr).unwrap();
-    hello.write_to(&mut dialed).unwrap();
-    assert_eq!(Handshake::read_from(&mut dialed).unwrap().rank, 0);
-    let transport = mesh.join().unwrap().unwrap();
-
     let halo = |from| Message::Solution {
         from,
         iteration: 1,
         offset: 0,
         values: vec![1.0, 2.0],
     };
-    dialed.write_all(&encode_frame(0, &halo(0))).unwrap();
-    dialed.write_all(&encode_frame(1, &halo(1))).unwrap();
-    dialed.flush().unwrap();
-    match transport.recv_timeout(0, Duration::from_millis(500)) {
-        Err(CommError::Disconnected { .. } | CommError::Timeout { .. }) => {}
-        other => panic!("a forged or later frame reached the inbox: {other:?}"),
+    let forged_batch = Message::SolutionBatch {
+        from: 0,
+        iteration: 1,
+        offset: 0,
+        columns: vec![vec![1.0, 2.0]],
+    };
+    // (envelope sender, message) of the forged frame.
+    for (envelope, forged) in [(0, halo(0)), (1, halo(0)), (1, forged_batch)] {
+        let fingerprint = 0x5eed;
+        let hello = Handshake {
+            rank: 1,
+            world_size: 2,
+            fingerprint,
+        };
+        let real = BoundTcpTransport::bind(0, "127.0.0.1:0").unwrap();
+        let raw = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addrs = vec![
+            real.local_addr().unwrap(),
+            raw.local_addr().unwrap().to_string(),
+        ];
+        let real_addr = addrs[0].clone();
+        let mesh = std::thread::spawn(move || {
+            real.connect(
+                &addrs,
+                TcpOptions {
+                    fingerprint,
+                    connect_timeout: Duration::from_secs(10),
+                    ..Default::default()
+                },
+            )
+        });
+        // Rank 0 dials the raw peer: answer its handshake as rank 1.
+        let (mut accepted, _) = raw.accept().unwrap();
+        assert_eq!(Handshake::read_from(&mut accepted).unwrap().rank, 0);
+        hello.write_to(&mut accepted).unwrap();
+        // The raw peer dials rank 0 as rank 1: this is the stream rank 0 reads.
+        let mut dialed = TcpStream::connect(&real_addr).unwrap();
+        hello.write_to(&mut dialed).unwrap();
+        assert_eq!(Handshake::read_from(&mut dialed).unwrap().rank, 0);
+        let transport = mesh.join().unwrap().unwrap();
+
+        dialed.write_all(&encode_frame(envelope, &forged)).unwrap();
+        dialed.write_all(&encode_frame(1, &halo(1))).unwrap();
+        dialed.flush().unwrap();
+        let delivered: Vec<Message> =
+            std::iter::from_fn(|| transport.recv_timeout(0, Duration::from_millis(500)).ok())
+                .collect();
+        let expected = if envelope == 0 { 0 } else { 2 };
+        assert_eq!(
+            delivered.len(),
+            expected,
+            "forged frame (envelope {envelope}, {forged:?}): delivered {delivered:?}"
+        );
+        for msg in &delivered {
+            assert_eq!(
+                msg.sender(),
+                Some(1),
+                "{msg:?} reached the inbox as another rank's"
+            );
+        }
+        drop(accepted);
     }
-    drop(accepted);
 }

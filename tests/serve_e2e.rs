@@ -5,7 +5,7 @@
 //! proptest that batch coalescing can never change an answer.
 
 use multisplitting::prelude::*;
-use multisplitting::serve::{ClientOptions, ServeError};
+use multisplitting::serve::{ClientOptions, ServeError, ServeSolution};
 use multisplitting::sparse::generators::{self, DiagDominantConfig};
 use multisplitting::sparse::CsrMatrix;
 use proptest::prelude::*;
@@ -24,7 +24,6 @@ fn solver_config(parts: usize) -> MultisplittingConfig {
 fn serve_config(shard: usize) -> ServeConfig {
     ServeConfig {
         shard,
-        coalesce_window: Duration::from_millis(6),
         engine: EngineConfig {
             workers: 2,
             ..EngineConfig::default()
@@ -128,8 +127,8 @@ fn sharded_fleet_serves_bitwise_answers_through_a_shard_kill() {
     for t in tenants {
         t.join().expect("tenant thread");
     }
-    // Shared matrices + a coalescing window mean at least some requests must
-    // have shared a sweep under 16 concurrent tenants.
+    // Shared matrices and 16 tenants on two workers per shard: some requests
+    // must have found the workers busy and shared a sweep.
     assert!(
         coalesced_hits.load(Ordering::Relaxed) > 0,
         "no request was ever coalesced under 16 concurrent tenants"
@@ -139,7 +138,7 @@ fn sharded_fleet_serves_bitwise_answers_through_a_shard_kill() {
 
 /// Admission control is load-shedding, not blocking: with a zero-depth lane
 /// budget every submit is rejected immediately with a typed, retryable code
-/// and a retry-after hint equal to the coalescing window.
+/// and a nonzero retry-after hint (the engine's mean job time, at least 1 µs).
 #[test]
 fn zero_lane_budget_sheds_load_with_typed_retryable_rejections() {
     let mut cfg = serve_config(0);
@@ -219,55 +218,98 @@ fn server_stats_reflect_completed_and_coalesced_work() {
 }
 
 /// A batch runs the stationary lockstep driver, so Krylov requests must never
-/// be coalesced: two FGMRES requests that arrive inside one (long) window are
-/// each served alone, by FGMRES, bitwise the direct solve.
+/// be coalesced.  Four FGMRES clients and four stationary clients share one
+/// matrix on a one-worker shard, so requests keep arriving while the worker
+/// is busy: the stationary control arm must share sweeps (the setup can
+/// coalesce), while every FGMRES request is served alone, by FGMRES, bitwise
+/// the direct solve.
 #[test]
 fn concurrent_krylov_requests_are_never_coalesced() {
+    const CLIENTS: usize = 4;
+    const ROUNDS: usize = 4;
+
     let server = SolveServer::start(
         "127.0.0.1:0",
         ServeConfig {
-            coalesce_window: Duration::from_millis(400),
+            engine: EngineConfig {
+                workers: 1,
+                ..EngineConfig::default()
+            },
             ..serve_config(0)
         },
     )
     .expect("start shard");
     let addrs = vec![server.local_addr().to_string()];
     let a = generators::diag_dominant(&DiagDominantConfig {
-        n: 100,
+        n: 300,
         seed: 3,
         ..Default::default()
     });
-    let config = MultisplittingConfig {
+    let krylov = MultisplittingConfig {
         method: Method::Fgmres {
             restart: 30,
             inner_sweeps: 1,
         },
         ..solver_config(2)
     };
-    let prepared = PreparedSystem::prepare(config.clone(), &a).expect("prepare");
-    let rhs: Vec<Vec<f64>> = (0..2usize)
+    let stationary = solver_config(2);
+    let rhs: Vec<Vec<f64>> = (0..ROUNDS)
         .map(|k| generators::rhs_for_solution(&a, move |i| ((i + k) % 5) as f64).1)
         .collect();
-    let replies: Vec<_> = std::thread::scope(|scope| {
-        let handles: Vec<_> = rhs
-            .iter()
-            .map(|b| {
-                let (addrs, a, config) = (&addrs, &a, &config);
+    let warm = ServeClient::new(&addrs, ClientOptions::default()).expect("client");
+    // (config, direct solve of every right-hand side) per arm.
+    let arms: Vec<(MultisplittingConfig, Vec<SolveOutcome>)> = [krylov, stationary]
+        .into_iter()
+        .map(|config| {
+            warm.warm(&a, &config).expect("warm");
+            let prepared = PreparedSystem::prepare(config.clone(), &a).expect("prepare");
+            let direct = rhs
+                .iter()
+                .map(|b| prepared.solve(b).expect("direct"))
+                .collect();
+            (config, direct)
+        })
+        .collect();
+
+    let barrier = std::sync::Barrier::new(2 * CLIENTS);
+    // (arm, round, reply) for every request of every client.
+    let replies: Vec<(usize, usize, ServeSolution)> = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..2 * CLIENTS)
+            .map(|c| {
+                let (addrs, a, arms, rhs, barrier) = (&addrs, &a, &arms, &rhs, &barrier);
                 scope.spawn(move || {
+                    let arm = c % 2;
                     let client = ServeClient::new(addrs, ClientOptions::default()).expect("client");
-                    client.solve(a, config, b).expect("solve")
+                    barrier.wait();
+                    (0..ROUNDS)
+                        .map(|k| {
+                            let reply = client.solve(a, &arms[arm].0, &rhs[k]).expect("solve");
+                            (arm, k, reply)
+                        })
+                        .collect::<Vec<_>>()
                 })
             })
             .collect();
-        handles.into_iter().map(|h| h.join().unwrap()).collect()
+        handles
+            .into_iter()
+            .flat_map(|h| h.join().unwrap())
+            .collect()
     });
-    for (b, reply) in rhs.iter().zip(&replies) {
-        let direct = prepared.solve(b).expect("direct solve");
-        assert_eq!(reply.coalesced, 1, "a Krylov request joined a batch");
+    let bits = |x: &[f64]| x.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+    for (arm, k, reply) in &replies {
+        let direct = &arms[*arm].1[*k];
+        if *arm == 0 {
+            assert_eq!(reply.coalesced, 1, "a Krylov request joined a batch");
+        }
         assert_eq!(reply.iterations, direct.stop.iterations);
-        let bits = |x: &[f64]| x.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
         assert_eq!(bits(&reply.x), bits(&direct.x));
     }
+    assert!(
+        replies
+            .iter()
+            .any(|(arm, _, r)| *arm == 1 && r.coalesced > 1),
+        "no stationary request shared a sweep on the busy shard, so the Krylov arm proves nothing"
+    );
     drop(server);
 }
 
