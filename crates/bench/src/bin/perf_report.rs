@@ -2,7 +2,7 @@
 //!
 //! Times the numeric hot-path kernels (sparse LU factorization pruned vs the
 //! retained unpruned reference, band triangular solve, CSR SpMV, and
-//! cold-vs-warm `PreparedSystem::solve_many` serving) plus the **transport**
+//! cold-vs-warm `PreparedSystem::solve_many`, one solve per column) plus the **transport**
 //! layer (in-process vs TCP-loopback message round-trip latency, and the
 //! bytes each synchronous outer iteration puts on the links, from
 //! `LinkStats`), the driver-dispatch overhead, and the **serving** fleet
@@ -453,7 +453,7 @@ struct ServingRecord {
 /// requests (distinct matrices, each paying a factorization), warm solo
 /// requests (same matrix, strictly sequential, so nothing coalesces), and
 /// warm coalesced requests (concurrent clients on the same matrix sharing
-/// multi-RHS sweeps).  Queue-latency percentiles come from the
+/// engine jobs).  Queue-latency percentiles come from the
 /// `queue_micros` every `SolveResult` carries.
 fn serving_table(check_mode: bool) -> (Vec<ServingRecord>, f64, f64) {
     let n = if check_mode { 200 } else { 600 };
@@ -512,7 +512,7 @@ fn serving_table(check_mode: bool) -> (Vec<ServingRecord>, f64, f64) {
 
     // Warm coalesced: more concurrent clients on the same matrix than the
     // shard has workers, so requests that find both workers busy share one
-    // multi-RHS sweep.
+    // engine job.
     let a = std::sync::Arc::new(a);
     let config = std::sync::Arc::new(config);
     let addrs = std::sync::Arc::new(addrs);
@@ -590,12 +590,15 @@ fn serving_table(check_mode: bool) -> (Vec<ServingRecord>, f64, f64) {
 }
 
 /// Mean microseconds per message round trip between ranks 0 and 1 of
-/// `transport`: rank 1 echoes every solution slice back.
+/// `transport`: rank 1 echoes every solution slice back as its own.
 fn roundtrip_us(transport: Arc<dyn Transport>, rounds: usize, payload: usize) -> f64 {
     let echo_side = Arc::clone(&transport);
     let echo = std::thread::spawn(move || {
         for _ in 0..rounds {
-            let msg = echo_side.recv(1).expect("echo recv");
+            // Echo the payload back as rank 1's own slice, not as a relay
+            // of rank 0's.
+            let mut msg = echo_side.recv(1).expect("echo recv");
+            msg.set_sender(1);
             echo_side.send(1, 0, msg).expect("echo send");
         }
     });
@@ -846,7 +849,7 @@ fn main() {
     let (pool_records, pooled_sweep_speedup) = pool_table();
     records.extend(pool_records);
 
-    // --- Cold vs warm batched serving through a prepared system. ---
+    // --- Cold vs warm multi-RHS serving through a prepared system. ---
     let serve_n = if check_mode { 300 } else { 1_200 };
     let batch = 8usize;
     let a = generators::cage_like(serve_n, 10);

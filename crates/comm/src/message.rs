@@ -25,21 +25,6 @@ pub enum Message {
         /// The solution values.
         values: Vec<f64>,
     },
-    /// A batch of solution slices produced by a multi-RHS solve: one slice
-    /// per right-hand side of the batch, all sharing the sender, iteration
-    /// stamp and offset.  Batching the columns into one message keeps the
-    /// per-iteration message count of Algorithm 1 unchanged when a prepared
-    /// system serves many right-hand sides at once.
-    SolutionBatch {
-        /// Sender rank.
-        from: usize,
-        /// Sender's outer-iteration counter when the slices were produced.
-        iteration: u64,
-        /// Global index of the first entry of every column.
-        offset: usize,
-        /// One solution slice per right-hand side, all the same length.
-        columns: Vec<Vec<f64>>,
-    },
     /// A local convergence vote used by the centralized detection scheme.
     ConvergenceVote {
         /// Sender rank.
@@ -126,8 +111,8 @@ pub enum Message {
         request_id: u64,
         /// Outer iterations the solve took (0 for a warm-only request).
         iterations: u64,
-        /// Number of requests served by the sweep that produced this answer
-        /// (1 = solo, >1 = coalesced batch).
+        /// Number of requests served by the job that produced this answer
+        /// (1 = solo, >1 = coalesced group).
         coalesced: u64,
         /// Microseconds the request waited before its solve started.
         queue_micros: u64,
@@ -157,10 +142,10 @@ pub enum Message {
         completed: u64,
         /// Requests answered with a [`Message::Reject`].
         rejected: u64,
-        /// Requests that shared a coalesced sweep with at least one other
+        /// Requests that shared a coalesced job with at least one other
         /// request.
         coalesced: u64,
-        /// Coalesced sweeps executed.
+        /// Solve jobs dispatched (solo or coalesced).
         batches: u64,
         /// Prepared systems evicted from the factorization cache.
         cache_evictions: u64,
@@ -227,7 +212,6 @@ const TAG_SOLUTION: u8 = 1;
 const TAG_VOTE: u8 = 2;
 const TAG_GLOBAL: u8 = 3;
 const TAG_HALT: u8 = 4;
-const TAG_SOLUTION_BATCH: u8 = 5;
 const TAG_HEARTBEAT: u8 = 6;
 const TAG_RESHAPE: u8 = 7;
 const TAG_SUBMIT_SOLVE: u8 = 9;
@@ -236,9 +220,10 @@ const TAG_REJECT: u8 = 11;
 const TAG_STATS_QUERY: u8 = 12;
 const TAG_SERVER_STATS: u8 = 13;
 const TAG_VOTE_AGGREGATE: u8 = 14;
-// Tags 8 and 15 are reserved: they carried the speed report of the removed
-// online rebalancer and the stability summary of a removed detection
-// protocol, and must not be reused for a different frame.
+// Tags 5, 8 and 15 are reserved: they carried the column batch of the
+// removed lockstep multi-RHS solve, the speed report of the removed online
+// rebalancer and the stability summary of a removed detection protocol, and
+// must not be reused for a different frame.
 
 /// The `dead_rank` value the removed speed-drift reshape sent in place of a
 /// rank; a reshape always names its dead rank now, so this is rejected.
@@ -249,7 +234,6 @@ impl Message {
     pub fn sender(&self) -> Option<usize> {
         match self {
             Message::Solution { from, .. }
-            | Message::SolutionBatch { from, .. }
             | Message::ConvergenceVote { from, .. }
             | Message::Heartbeat { from }
             | Message::Reshape { from, .. }
@@ -261,7 +245,6 @@ impl Message {
     /// Names `rank` as the producer of a message that carries a sender.
     pub fn set_sender(&mut self, rank: usize) {
         if let Message::Solution { from, .. }
-        | Message::SolutionBatch { from, .. }
         | Message::ConvergenceVote { from, .. }
         | Message::Heartbeat { from }
         | Message::Reshape { from, .. }
@@ -276,10 +259,6 @@ impl Message {
     pub fn encoded_len(&self) -> usize {
         match self {
             Message::Solution { values, .. } => 1 + 8 + 8 + 8 + 8 + 8 * values.len(),
-            Message::SolutionBatch { columns, .. } => {
-                let payload: usize = columns.iter().map(|c| 8 + 8 * c.len()).sum();
-                1 + 8 + 8 + 8 + 8 + payload
-            }
             Message::ConvergenceVote { .. } => 1 + 8 + 8 + 1,
             Message::VoteAggregate { .. } => 1 + 8 + 8 + 1 + 8,
             Message::GlobalConverged { .. } => 1 + 8,
@@ -315,21 +294,6 @@ impl Message {
                 put_u64(out, *iteration);
                 put_u64(out, *offset as u64);
                 put_f64s(out, values);
-            }
-            Message::SolutionBatch {
-                from,
-                iteration,
-                offset,
-                columns,
-            } => {
-                out.push(TAG_SOLUTION_BATCH);
-                put_u64(out, *from as u64);
-                put_u64(out, *iteration);
-                put_u64(out, *offset as u64);
-                put_u64(out, columns.len() as u64);
-                for col in columns {
-                    put_f64s(out, col);
-                }
             }
             Message::ConvergenceVote {
                 from,
@@ -468,15 +432,6 @@ impl Message {
                 offset: r.u64()? as usize,
                 values: r.f64s()?,
             },
-            TAG_SOLUTION_BATCH => Message::SolutionBatch {
-                from: r.u64()? as usize,
-                iteration: r.u64()?,
-                offset: r.u64()? as usize,
-                // Every column carries at least its 8-byte length.
-                columns: (0..r.count(8)?)
-                    .map(|_| r.f64s())
-                    .collect::<Result<_, _>>()?,
-            },
             TAG_VOTE => Message::ConvergenceVote {
                 from: r.u64()? as usize,
                 iteration: r.u64()?,
@@ -578,32 +533,20 @@ mod tests {
     }
 
     #[test]
-    fn solution_batch_round_trip() {
-        let msg = Message::SolutionBatch {
-            from: 2,
-            iteration: 11,
-            offset: 64,
-            columns: vec![vec![1.0, 2.0, 3.0], vec![-4.5, 0.0, 1e-12]],
-        };
-        let encoded = msg.encode();
-        assert_eq!(encoded.len(), msg.encoded_len());
-        let decoded = Message::decode(&encoded).unwrap();
-        assert_eq!(decoded, msg);
-        assert_eq!(decoded.sender(), Some(2));
-
-        // Empty batch is legal and round-trips too.
-        let empty = Message::SolutionBatch {
-            from: 0,
-            iteration: 1,
-            offset: 0,
-            columns: Vec::new(),
-        };
-        assert_eq!(Message::decode(&empty.encode()).unwrap(), empty);
-
-        // Truncated batch payload is rejected.
-        let full = msg.encode();
-        let cut = &full[..full.len() - 8];
-        assert!(matches!(Message::decode(cut), Err(CommError::Codec(_))));
+    fn retired_solution_batch_tag_is_a_codec_error() {
+        // A body the removed column batch encoded: tag 5, sender 2,
+        // iteration 11, offset 64, then one column of two values.
+        let mut body = vec![5u8];
+        for word in [2u64, 11, 64, 1, 2] {
+            put_u64(&mut body, word);
+        }
+        put_u64(&mut body, 1.0f64.to_bits());
+        put_u64(&mut body, (-4.5f64).to_bits());
+        assert!(matches!(Message::decode(&body), Err(CommError::Codec(_))));
+        // An empty batch (a column count of zero) is refused as well.
+        let mut empty = body[..1 + 3 * 8].to_vec();
+        put_u64(&mut empty, 0);
+        assert!(matches!(Message::decode(&empty), Err(CommError::Codec(_))));
     }
 
     #[test]
@@ -697,15 +640,6 @@ mod tests {
         put_u64(&mut buf, 0); // offset
         put_u64(&mut buf, u64::MAX); // absurd length
         assert!(matches!(Message::decode(&buf), Err(CommError::Codec(_))));
-
-        let mut batch = Vec::new();
-        batch.push(TAG_SOLUTION_BATCH);
-        put_u64(&mut batch, 0);
-        put_u64(&mut batch, 1);
-        put_u64(&mut batch, 0);
-        put_u64(&mut batch, 1); // one column
-        put_u64(&mut batch, u64::MAX); // absurd column length
-        assert!(matches!(Message::decode(&batch), Err(CommError::Codec(_))));
     }
 
     #[test]

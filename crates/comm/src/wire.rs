@@ -63,7 +63,6 @@ pub struct FrameHeader {
 fn message_iteration(msg: &Message) -> u64 {
     match msg {
         Message::Solution { iteration, .. }
-        | Message::SolutionBatch { iteration, .. }
         | Message::ConvergenceVote { iteration, .. }
         | Message::GlobalConverged { iteration }
         | Message::VoteAggregate { iteration, .. } => *iteration,
@@ -274,12 +273,6 @@ mod tests {
                 iteration: 9,
                 offset: 40,
                 values: vec![1.0, -2.5, 3.25],
-            },
-            Message::SolutionBatch {
-                from: 1,
-                iteration: 4,
-                offset: 8,
-                columns: vec![vec![0.5, 0.25], vec![-1.0, 2.0]],
             },
             Message::ConvergenceVote {
                 from: 3,

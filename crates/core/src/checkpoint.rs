@@ -234,7 +234,7 @@ impl RankCheckpoint {
         fingerprint: u64,
         world: usize,
     ) -> Result<Self, CoreError> {
-        let snap: EngineSnapshot = engine.snapshot()?;
+        let snap: EngineSnapshot = engine.snapshot();
         Ok(RankCheckpoint {
             fingerprint,
             world,

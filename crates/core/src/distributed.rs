@@ -36,8 +36,8 @@
 
 use crate::checkpoint::{self, Checkpointer};
 use crate::runtime::{
-    drive, mode_policies, DriveHooks, EventLog, FailurePolicy, IterationWorkspace, RankEngine,
-    RankLink, RankLoop,
+    drive, mode_policies, EventLog, FailurePolicy, IterationWorkspace, RankEngine, RankLink,
+    RankLoop,
 };
 use crate::solver::MultisplittingConfig;
 use crate::stop::Stop;
@@ -188,15 +188,12 @@ pub fn run_rank(
     if options.record_events {
         engine.record_events();
     }
-    let hooks = DriveHooks {
-        checkpoint: options.checkpoint.as_ref().map(|ck| Checkpointer {
-            dir: ck.dir.clone(),
-            every: ck.every,
-            fingerprint: ck.fingerprint,
-            world,
-        }),
-        columns: None,
-    };
+    let checkpointer = options.checkpoint.as_ref().map(|ck| Checkpointer {
+        dir: ck.dir.clone(),
+        every: ck.every,
+        fingerprint: ck.fingerprint,
+        world,
+    });
     let link = RankLink::new(transport.as_ref(), rank, send_targets, senders_to_me);
     let (mut vote, conv, progress) = mode_policies(
         config.mode,
@@ -214,7 +211,7 @@ pub fn run_rank(
         link,
         (vote, conv, progress),
         config.max_iterations,
-        hooks,
+        checkpointer,
     );
     let stop = drive(&mut rank_loop)?;
     Ok(RankOutcome {

@@ -194,10 +194,6 @@ pub struct IterationWorkspace {
     pub(crate) x_sub: Vec<f64>,
     /// Permutation scratch of the direct solver's in-place solve.
     pub(crate) scratch: SolveScratch,
-    /// Batched counterparts (only sized when the batch driver runs).
-    pub(crate) x_globals: Vec<Vec<f64>>,
-    pub(crate) rhs_cols: Vec<Vec<f64>>,
-    pub(crate) x_cols: Vec<Vec<f64>>,
 }
 
 impl IterationWorkspace {
@@ -207,29 +203,14 @@ impl IterationWorkspace {
         Self::default()
     }
 
-    /// Sizes and zeroes the single-RHS buffers for a solve over `blk`.
-    pub(crate) fn prepare_single(&mut self, blk: &LocalBlocks) {
+    /// Sizes and zeroes the buffers for a solve over `blk`.
+    pub(crate) fn prepare(&mut self, blk: &LocalBlocks) {
         self.x_global.resize(blk.total_size, 0.0);
         self.x_global.fill(0.0);
         self.x_sub.resize(blk.size, 0.0);
         self.x_sub.fill(0.0);
         // `rhs` is overwritten by `local_rhs_into` each iteration; only its
         // capacity matters.
-    }
-
-    /// Sizes and zeroes the batched buffers for an `ncols`-wide solve.
-    pub(crate) fn prepare_batch(&mut self, blk: &LocalBlocks, ncols: usize) {
-        self.x_globals.resize_with(ncols, Vec::new);
-        self.rhs_cols.resize_with(ncols, Vec::new);
-        self.x_cols.resize_with(ncols, Vec::new);
-        for xg in &mut self.x_globals {
-            xg.resize(blk.total_size, 0.0);
-            xg.fill(0.0);
-        }
-        for xc in &mut self.x_cols {
-            xc.resize(blk.size, 0.0);
-            xc.fill(0.0);
-        }
     }
 }
 
@@ -355,21 +336,15 @@ mod tests {
         let partition = BandPartition::uniform(12, 3).unwrap();
         let blk = LocalBlocks::extract(&a, &b, &partition, 1).unwrap();
         let mut ws = IterationWorkspace::new();
-        ws.prepare_single(&blk);
+        ws.prepare(&blk);
         assert_eq!(ws.x_global.len(), 12);
         assert_eq!(ws.x_sub.len(), 4);
         // Dirty the buffers, re-prepare, and check they are zeroed again.
         ws.x_global.fill(7.0);
         ws.x_sub.fill(7.0);
-        ws.prepare_single(&blk);
+        ws.prepare(&blk);
         assert!(ws.x_global.iter().all(|&v| v == 0.0));
         assert!(ws.x_sub.iter().all(|&v| v == 0.0));
-        ws.prepare_batch(&blk, 3);
-        assert_eq!(ws.x_globals.len(), 3);
-        assert_eq!(ws.x_cols.len(), 3);
-        assert!(ws.x_globals.iter().all(|xg| xg.len() == 12));
-        ws.prepare_batch(&blk, 1);
-        assert_eq!(ws.rhs_cols.len(), 1);
     }
 
     #[test]

@@ -44,7 +44,7 @@
 //!                  ┌────────────────────────────────────────────────┐
 //!                  │      rank loop: poll(now), never blocks        │
 //!                  │  collect → step → fan_out → vote → exchange    │
-//!                  │        (+ checkpoint / column-batch hooks)     │
+//!                  │             (+ optional checkpointer)          │
 //!                  └──────┬─────────────┬──────────────┬────────────┘
 //!                         │             │              │
 //!              ┌──────────▼───┐  ┌──────▼───────┐  ┌───▼──────────┐
@@ -62,7 +62,7 @@
 //!
 //!   executors of the rank loop: a blocking one — the threaded
 //!             adapter behind PreparedSystem (one right-hand side in
-//!             either mode, or a lockstep batch) and the multi-process
+//!             either mode) and the multi-process
 //!             distributed runtime (distributed::run_rank, spawned by
 //!             launcher::Launcher + the msplit-worker binary) — and the
 //!             scale simulator's virtual clock
@@ -146,8 +146,7 @@ pub use runtime::{
     EngineEvent, EventLog, FailurePolicy, IterationWorkspace, RankEngine, SolvePathStats,
 };
 pub use solver::{
-    BatchSolveOutcome, ExecutionMode, Method, MultisplittingConfig, MultisplittingSolver,
-    SolveOutcome, SolverBuilder,
+    ExecutionMode, Method, MultisplittingConfig, MultisplittingSolver, SolveOutcome, SolverBuilder,
 };
 pub use stop::{Stop, StopReason};
 pub use weighting::WeightingScheme;
@@ -157,9 +156,7 @@ pub mod prelude {
     pub use crate::baseline::{DistributedDirectBaseline, SequentialDirectBaseline};
     pub use crate::decomposition::Decomposition;
     pub use crate::prepared::PreparedSystem;
-    pub use crate::solver::{
-        BatchSolveOutcome, ExecutionMode, Method, MultisplittingSolver, SolveOutcome,
-    };
+    pub use crate::solver::{ExecutionMode, Method, MultisplittingSolver, SolveOutcome};
     pub use crate::stop::{Stop, StopReason};
     pub use crate::theory::SplittingAnalysis;
     pub use crate::weighting::WeightingScheme;

@@ -9,17 +9,15 @@
 //! one of several parallel workers (see [`crate::runtime::factorize_blocks`])
 //! — and pre-computes the send-target maps of Algorithm 1; the resulting value
 //! can then serve any number of right-hand sides — one at a time with
-//! [`PreparedSystem::solve`], or as a batch marching in lockstep with
-//! [`PreparedSystem::solve_many`] — without ever touching the factorizations
-//! again.  This is the unit cached by the `msplit-engine` service crate: for
+//! [`PreparedSystem::solve`], or a batch of them, each column its own solve,
+//! with [`PreparedSystem::solve_many`] — without ever touching the
+//! factorizations again.  This is the unit cached by the `msplit-engine` service crate: for
 //! families of systems sharing one operator, every solve after the first is
 //! pure iteration.
 
 use crate::driver_common::{compute_send_targets, IterationWorkspace};
 use crate::krylov::{self, KrylovWorkspace, SweepPreconditioner};
-use crate::solver::{
-    BatchSolveOutcome, ExecutionMode, Method, MultisplittingConfig, PartReport, SolveOutcome,
-};
+use crate::solver::{ExecutionMode, Method, MultisplittingConfig, PartReport, SolveOutcome};
 use crate::{runtime, CoreError};
 use msplit_comm::transport::Transport;
 use msplit_direct::api::Factorization;
@@ -367,34 +365,16 @@ impl PreparedSystem {
             .collect()
     }
 
-    /// Solves `A X = B` for a batch of right-hand sides in a single pass of
-    /// the synchronous driver: every outer iteration performs one batched
-    /// triangular-solve sweep ([`Factorization::solve_many`]) and one message
-    /// exchange for all columns.
-    ///
-    /// Batches always run the synchronous (lockstep) **stationary** driver —
-    /// a batch needs a single convergence verdict, which is what the
-    /// synchronous all-reduce provides — regardless of the prepared
-    /// configuration's execution mode or [`Method`] (the per-column
-    /// solo-equivalence guarantee below is a stationary-lockstep property).
-    pub fn solve_many(&self, rhs: &[Vec<f64>]) -> Result<BatchSolveOutcome, CoreError> {
-        let transport = msplit_comm::InProcTransport::new(self.num_parts());
-        self.solve_many_with_transport(rhs, transport)
-    }
-
-    /// Batched solve over an explicit transport.
-    pub fn solve_many_with_transport(
-        &self,
-        rhs: &[Vec<f64>],
-        transport: Arc<dyn Transport>,
-    ) -> Result<BatchSolveOutcome, CoreError> {
+    /// Solves `A X = B` for a batch of right-hand sides: each column runs
+    /// through [`PreparedSystem::solve`], in order, so column `c` of the
+    /// result is bitwise the solo solve of `rhs[c]` — same `x`, same
+    /// [`crate::Stop`], same configured method and execution mode.  Every
+    /// column's length is checked before any is solved.
+    pub fn solve_many(&self, rhs: &[Vec<f64>]) -> Result<Vec<SolveOutcome>, CoreError> {
         for b in rhs {
             self.check_rhs(b)?;
         }
-        let mut workspaces = self.acquire_workspaces();
-        let result = runtime::run_batch(self, rhs, transport, &mut workspaces, Instant::now());
-        self.release_workspaces(workspaces);
-        result
+        rhs.iter().map(|b| self.solve_on(b, None)).collect()
     }
 }
 
@@ -508,20 +488,17 @@ mod tests {
             .map(|seed| generators::rhs_for_solution(&a, |i| ((i as u64 + seed) % 9) as f64).1)
             .collect();
         let out = prepared.solve_many(&batch).unwrap();
-        assert!(out.stop.converged());
-        assert_eq!(out.num_rhs(), 5);
-        assert!(out.max_residual(&a, &batch) < 1e-6);
-        for (c, (b, x_batch)) in batch.iter().zip(out.columns.iter()).enumerate() {
+        assert_eq!(out.len(), 5);
+        for (c, (b, col)) in batch.iter().zip(out.iter()).enumerate() {
             let single = prepared.solve(b).unwrap();
-            assert!(single.stop.converged());
-            // Each column's lockstep trajectory is independent of its batch
-            // mates, and the per-column freeze (runtime::ColumnBoard) returns
-            // the iterate of the exact iteration a solo run stops at — so a
-            // batch column equals the lone solve bitwise, not just to
-            // tolerance.  This is what lets a serving layer coalesce
-            // independent requests without changing any answer.
-            assert_eq!(x_batch, &single.x, "column {c}");
-            assert_eq!(out.column_converged_at[c], Some(single.stop.iterations));
+            assert!(col.stop.converged());
+            assert!(col.residual(&a, b) < 1e-6);
+            // Each column is its own solve, so it equals the lone solve
+            // bitwise, stop record included.  This is what lets a serving
+            // layer coalesce independent requests without changing any
+            // answer.
+            assert_eq!(col.x, single.x, "column {c}");
+            assert_eq!(col.stop, single.stop, "column {c}");
         }
     }
 
@@ -529,10 +506,7 @@ mod tests {
     fn solve_many_empty_batch_is_trivially_converged() {
         let a = generators::tridiagonal(30, 4.0, -1.0);
         let prepared = PreparedSystem::prepare(config(3, ExecutionMode::Synchronous), &a).unwrap();
-        let out = prepared.solve_many(&[]).unwrap();
-        assert!(out.stop.converged());
-        assert_eq!(out.num_rhs(), 0);
-        assert_eq!(out.stop.iterations, 0);
+        assert!(prepared.solve_many(&[]).unwrap().is_empty());
     }
 
     #[test]

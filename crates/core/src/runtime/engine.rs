@@ -45,12 +45,6 @@ pub struct EventLog {
     pub events: Vec<EngineEvent>,
 }
 
-/// Data layout of the engine: one right-hand side or a lockstep batch.
-enum EngineShape {
-    Single,
-    Batch(usize),
-}
-
 /// Which solve paths a [`RankEngine`]'s steps took — the skip/dense counters
 /// surfaced through [`crate::solver::PartReport`], the engine metrics and the
 /// serve `ServerStats` frame.
@@ -58,8 +52,7 @@ enum EngineShape {
 /// Every step ends in exactly one bucket: `sparse_fastpath_hits` (no
 /// dependency value changed bitwise since the last completed step, so the
 /// step was skipped with an increment of exactly `0.0`) or `dense_fallbacks`
-/// (`BLoc` assembly + triangular solve ran — including the first iteration
-/// and every batch step).
+/// (`BLoc` assembly + triangular solve ran — including the first iteration).
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct SolvePathStats {
     /// Steps skipped because their dependency values were bitwise unchanged.
@@ -94,28 +87,19 @@ pub struct RankEngine<'a> {
     blk: &'a LocalBlocks,
     factor: &'a dyn Factorization,
     ws: &'a mut IterationWorkspace,
-    shape: EngineShape,
-    b_single: &'a [f64],
-    b_cols: Vec<&'a [f64]>,
-    /// One halo tracker per solution column.
-    neighbors: Vec<NeighborData>,
-    /// Previous dependency values, `ncols × dep_cols` in column-major blocks.
+    b_sub: &'a [f64],
+    /// The halo: the latest slice received from every peer.
+    neighbor: NeighborData,
+    /// Previous dependency values, one per dependency column.
     prev_deps: Vec<f64>,
     /// Whether the local iterate is the completed solve of `prev_deps` —
     /// the precondition of the unchanged-halo skip.  False until the first
     /// step, after `restore` and `warm_start`, and after a failed step.
     skip_ready: bool,
-    dep_cols_per_neighbor: usize,
     needs_fresh_data: bool,
     fresh_since_step: bool,
     iterations: u64,
     last_increment: f64,
-    /// Per-column increment norms of the most recent batch step (empty in
-    /// single shape) — what a solo run of that column would have observed.
-    col_increments: Vec<f64>,
-    /// Per-column dependency movement of the most recent batch step (empty
-    /// in single shape).
-    col_dep_changes: Vec<f64>,
     /// Whether a step with bitwise-unchanged dependency values may be skipped.
     /// Results are bitwise identical either way; disabling forces every step
     /// dense (benchmarks, equivalence tests).
@@ -134,7 +118,7 @@ impl<'a> RankEngine<'a> {
         scheme: WeightingScheme,
         ws: &'a mut IterationWorkspace,
     ) -> Self {
-        ws.prepare_single(blk);
+        ws.prepare(blk);
         let neighbor = NeighborData::new(partition, scheme, blk);
         let dep_cols = neighbor.dependency_columns().len();
         RankEngine {
@@ -142,63 +126,15 @@ impl<'a> RankEngine<'a> {
             blk,
             factor,
             ws,
-            shape: EngineShape::Single,
-            b_single: b_sub,
-            b_cols: Vec::new(),
+            b_sub,
             needs_fresh_data: dep_cols > 0,
             prev_deps: vec![0.0; dep_cols],
             skip_ready: false,
-            dep_cols_per_neighbor: dep_cols,
-            neighbors: vec![neighbor],
+            neighbor,
             fresh_since_step: false,
             iterations: 0,
             last_increment: f64::INFINITY,
-            col_increments: Vec::new(),
-            col_dep_changes: Vec::new(),
             incremental: true,
-            path_stats: SolvePathStats::default(),
-            recorder: None,
-        }
-    }
-
-    /// Engine for a batch of right-hand sides marching in lockstep (one
-    /// band-local slice per column).
-    pub fn batch(
-        partition: &BandPartition,
-        blk: &'a LocalBlocks,
-        b_cols: Vec<&'a [f64]>,
-        factor: &'a dyn Factorization,
-        scheme: WeightingScheme,
-        ws: &'a mut IterationWorkspace,
-    ) -> Self {
-        let ncols = b_cols.len();
-        ws.prepare_batch(blk, ncols);
-        let neighbors: Vec<NeighborData> = (0..ncols)
-            .map(|_| NeighborData::new(partition, scheme, blk))
-            .collect();
-        let dep_cols = neighbors
-            .first()
-            .map_or(0, |n| n.dependency_columns().len());
-        RankEngine {
-            rank: blk.part,
-            blk,
-            factor,
-            ws,
-            shape: EngineShape::Batch(ncols),
-            b_single: &[],
-            b_cols,
-            needs_fresh_data: dep_cols > 0,
-            prev_deps: vec![0.0; ncols * dep_cols],
-            skip_ready: false,
-            dep_cols_per_neighbor: dep_cols,
-            neighbors,
-            fresh_since_step: false,
-            iterations: 0,
-            last_increment: f64::INFINITY,
-            col_increments: vec![f64::INFINITY; ncols],
-            col_dep_changes: vec![0.0; ncols],
-            // The batch driver always assembles and solves.
-            incremental: false,
             path_stats: SolvePathStats::default(),
             recorder: None,
         }
@@ -257,21 +193,7 @@ impl<'a> RankEngine<'a> {
                 iteration,
                 offset,
                 values,
-            } => self.neighbors[0].update(from, iteration, offset, values),
-            Message::SolutionBatch {
-                from,
-                iteration,
-                offset,
-                columns,
-            } => {
-                let mut fresh = false;
-                for (c, col) in columns.into_iter().enumerate() {
-                    if let Some(neighbor) = self.neighbors.get_mut(c) {
-                        fresh |= neighbor.update(from, iteration, offset, col);
-                    }
-                }
-                fresh
-            }
+            } => self.neighbor.update(from, iteration, offset, values),
             _ => false,
         };
         self.fresh_since_step |= fresh;
@@ -280,14 +202,13 @@ impl<'a> RankEngine<'a> {
 
     /// Ingests `peer`'s current slice straight from its iterate: the same
     /// halo update as [`RankEngine::ingest`] of `peer.outgoing()`, stamped
-    /// with the same iteration, without building the message (single-RHS
-    /// shape only).  Allocation-free once `peer` has been ingested before.
+    /// with the same iteration, without building the message.
+    /// Allocation-free once `peer` has been ingested before.
     pub(crate) fn ingest_peer(&mut self, peer: &RankEngine) -> bool {
-        debug_assert!(matches!(self.shape, EngineShape::Single));
         if let Some(log) = &mut self.recorder {
             log.events.push(EngineEvent::Ingest(peer.outgoing()));
         }
-        let fresh = self.neighbors[0].update_from_slice(
+        let fresh = self.neighbor.update_from_slice(
             peer.rank,
             peer.iterations,
             peer.blk.offset,
@@ -308,87 +229,38 @@ impl<'a> RankEngine<'a> {
         self.iterations += 1;
         let fresh_data = std::mem::take(&mut self.fresh_since_step);
         let mut dep_change = 0.0f64;
-        match self.shape {
-            EngineShape::Single => {
-                let IterationWorkspace {
-                    x_global,
-                    rhs,
-                    x_sub,
-                    scratch,
-                    ..
-                } = &mut *self.ws;
-                let neighbor = &self.neighbors[0];
-                neighbor.fill_dependencies(x_global);
-                let mut moved = false;
-                for (slot, &g) in neighbor.dependency_columns().iter().enumerate() {
-                    let v = x_global[g];
-                    dep_change = dep_change.max((v - self.prev_deps[slot]).abs());
-                    moved |= v.to_bits() != self.prev_deps[slot].to_bits();
-                    self.prev_deps[slot] = v;
-                }
-                // No dependency bit moved since a completed step: `BLoc` and
-                // therefore the solve output are unchanged, so the increment
-                // is exactly zero for any deterministic kernel.  The flag is
-                // cleared up front and re-set only by a completed step, so an
-                // `?`-error leaves the next step dense.
-                let skip = self.incremental && self.skip_ready && !moved;
-                self.skip_ready = false;
-                if skip {
-                    self.last_increment = 0.0;
-                    self.path_stats.sparse_fastpath_hits += 1;
-                } else {
-                    self.blk.local_rhs_into(self.b_single, x_global, rhs)?;
-                    self.factor.solve_into(rhs, scratch)?;
-                    self.last_increment = increment_norm(rhs, x_sub);
-                    x_sub.copy_from_slice(rhs);
-                    self.path_stats.dense_fallbacks += 1;
-                }
-                self.skip_ready = true;
-            }
-            EngineShape::Batch(ncols) => {
-                let IterationWorkspace {
-                    x_globals,
-                    rhs_cols,
-                    x_cols,
-                    scratch,
-                    ..
-                } = &mut *self.ws;
-                for ((c, neighbor), x_global) in
-                    self.neighbors.iter().enumerate().zip(x_globals.iter_mut())
-                {
-                    neighbor.fill_dependencies(x_global);
-                    // Track dependency movement per column as well as the
-                    // batch-wide maximum: a solo run of column `c` observes
-                    // only its own dependency values, and the per-column
-                    // convergence bits ([`ColumnTracker`]) must reproduce
-                    // that observation exactly.
-                    let mut col_dep = 0.0f64;
-                    for (slot, &g) in neighbor.dependency_columns().iter().enumerate() {
-                        let prev = &mut self.prev_deps[c * self.dep_cols_per_neighbor + slot];
-                        col_dep = col_dep.max((x_global[g] - *prev).abs());
-                        *prev = x_global[g];
-                    }
-                    self.col_dep_changes[c] = col_dep;
-                    dep_change = dep_change.max(col_dep);
-                }
-                for (x_global, (rhs, b_col)) in x_globals
-                    .iter()
-                    .zip(rhs_cols.iter_mut().zip(self.b_cols.iter()))
-                {
-                    self.blk.local_rhs_into(b_col, x_global, rhs)?;
-                }
-                self.factor.solve_many_into(rhs_cols, scratch)?;
-                for (c, (n, o)) in rhs_cols.iter().zip(x_cols.iter()).enumerate() {
-                    self.col_increments[c] = increment_norm(n, o);
-                }
-                self.last_increment = self.col_increments.iter().copied().fold(0.0f64, f64::max);
-                for (xc, rc) in x_cols.iter_mut().zip(rhs_cols.iter()) {
-                    xc.copy_from_slice(rc);
-                }
-                self.path_stats.dense_fallbacks += 1;
-                debug_assert_eq!(ncols, x_cols.len());
-            }
+        let IterationWorkspace {
+            x_global,
+            rhs,
+            x_sub,
+            scratch,
+        } = &mut *self.ws;
+        self.neighbor.fill_dependencies(x_global);
+        let mut moved = false;
+        for (slot, &g) in self.neighbor.dependency_columns().iter().enumerate() {
+            let v = x_global[g];
+            dep_change = dep_change.max((v - self.prev_deps[slot]).abs());
+            moved |= v.to_bits() != self.prev_deps[slot].to_bits();
+            self.prev_deps[slot] = v;
         }
+        // No dependency bit moved since a completed step: `BLoc` and
+        // therefore the solve output are unchanged, so the increment is
+        // exactly zero for any deterministic kernel.  The flag is cleared up
+        // front and re-set only by a completed step, so an `?`-error leaves
+        // the next step dense.
+        let skip = self.incremental && self.skip_ready && !moved;
+        self.skip_ready = false;
+        if skip {
+            self.last_increment = 0.0;
+            self.path_stats.sparse_fastpath_hits += 1;
+        } else {
+            self.blk.local_rhs_into(self.b_sub, x_global, rhs)?;
+            self.factor.solve_into(rhs, scratch)?;
+            self.last_increment = increment_norm(rhs, x_sub);
+            x_sub.copy_from_slice(rhs);
+            self.path_stats.dense_fallbacks += 1;
+        }
+        self.skip_ready = true;
         Ok(StepObservation {
             iteration: self.iterations,
             increment: self.last_increment,
@@ -401,19 +273,11 @@ impl<'a> RankEngine<'a> {
     /// Builds the outbound solution message of the current iterate (the
     /// payload clone is the communication cost, not part of the solve path).
     pub fn outgoing(&self) -> Message {
-        match self.shape {
-            EngineShape::Single => Message::Solution {
-                from: self.rank,
-                iteration: self.iterations,
-                offset: self.blk.offset,
-                values: self.ws.x_sub.clone(),
-            },
-            EngineShape::Batch(_) => Message::SolutionBatch {
-                from: self.rank,
-                iteration: self.iterations,
-                offset: self.blk.offset,
-                columns: self.ws.x_cols.clone(),
-            },
+        Message::Solution {
+            from: self.rank,
+            iteration: self.iterations,
+            offset: self.blk.offset,
+            values: self.ws.x_sub.clone(),
         }
     }
 
@@ -421,38 +285,12 @@ impl<'a> RankEngine<'a> {
     /// the message (mirrors [`Message::encoded_len`]; the unit tests pin the
     /// two against each other).
     pub fn outgoing_encoded_len(&self) -> usize {
-        match self.shape {
-            EngineShape::Single => 1 + 8 + 8 + 8 + 8 + 8 * self.ws.x_sub.len(),
-            EngineShape::Batch(_) => {
-                let payload: usize = self.ws.x_cols.iter().map(|c| 8 + 8 * c.len()).sum();
-                1 + 8 + 8 + 8 + 8 + payload
-            }
-        }
+        1 + 8 + 8 + 8 + 8 + 8 * self.ws.x_sub.len()
     }
 
-    /// The current local iterate (single-RHS shape).
+    /// The current local iterate.
     pub fn x_local(&self) -> &[f64] {
         &self.ws.x_sub
-    }
-
-    /// The current local iterate columns (batch shape).
-    pub fn x_columns(&self) -> &[Vec<f64>] {
-        &self.ws.x_cols
-    }
-
-    /// Per-column increment norms of the most recent batch step — entry `c`
-    /// is exactly what a solo [`RankEngine::single`] run of column `c` would
-    /// have reported as [`StepObservation::increment`].  Empty in single
-    /// shape.
-    pub fn column_increments(&self) -> &[f64] {
-        &self.col_increments
-    }
-
-    /// Per-column dependency movement of the most recent batch step — entry
-    /// `c` is exactly what a solo run of column `c` would have reported as
-    /// [`StepObservation::dep_change`].  Empty in single shape.
-    pub fn column_dep_changes(&self) -> &[f64] {
-        &self.col_dep_changes
     }
 
     /// Replays a recorded transition sequence onto this (freshly prepared)
@@ -472,28 +310,20 @@ impl<'a> RankEngine<'a> {
         Ok(())
     }
 
-    /// Captures the complete mutable state of this (single-RHS) engine for a
-    /// checkpoint.  Because [`RankEngine::step`] reads nothing but the halo,
-    /// `x_sub` and `prev_deps` (the dependency columns of `x_global` are
-    /// refilled from the halo every sweep), restoring this snapshot into a
-    /// freshly prepared engine and continuing is bitwise-identical to never
-    /// having stopped.
-    pub fn snapshot(&self) -> Result<EngineSnapshot, CoreError> {
-        match self.shape {
-            EngineShape::Single => Ok(EngineSnapshot {
-                iterations: self.iterations,
-                last_increment: self.last_increment,
-                fresh_since_step: self.fresh_since_step,
-                x_sub: self.ws.x_sub.clone(),
-                prev_deps: self.prev_deps.clone(),
-                halo: self.neighbors[0].export_state(),
-            }),
-            EngineShape::Batch(_) => Err(CoreError::Checkpoint(
-                crate::checkpoint::CheckpointError::ShapeMismatch(
-                    "checkpointing supports the single right-hand-side engine shape only"
-                        .to_string(),
-                ),
-            )),
+    /// Captures the complete mutable state of this engine for a checkpoint.
+    /// Because [`RankEngine::step`] reads nothing but the halo, `x_sub` and
+    /// `prev_deps` (the dependency columns of `x_global` are refilled from
+    /// the halo every sweep), restoring this snapshot into a freshly
+    /// prepared engine and continuing is bitwise-identical to never having
+    /// stopped.
+    pub fn snapshot(&self) -> EngineSnapshot {
+        EngineSnapshot {
+            iterations: self.iterations,
+            last_increment: self.last_increment,
+            fresh_since_step: self.fresh_since_step,
+            x_sub: self.ws.x_sub.clone(),
+            prev_deps: self.prev_deps.clone(),
+            halo: self.neighbor.export_state(),
         }
     }
 
@@ -506,11 +336,6 @@ impl<'a> RankEngine<'a> {
         let shape_err = |msg: String| {
             CoreError::Checkpoint(crate::checkpoint::CheckpointError::ShapeMismatch(msg))
         };
-        if !matches!(self.shape, EngineShape::Single) {
-            return Err(shape_err(
-                "checkpointing supports the single right-hand-side engine shape only".to_string(),
-            ));
-        }
         if snap.x_sub.len() != self.ws.x_sub.len() {
             return Err(shape_err(format!(
                 "snapshot iterate has {} entries, band expects {}",
@@ -525,7 +350,7 @@ impl<'a> RankEngine<'a> {
                 self.prev_deps.len()
             )));
         }
-        if !self.neighbors[0].restore_state(&snap.halo) {
+        if !self.neighbor.restore_state(&snap.halo) {
             return Err(shape_err(format!(
                 "snapshot halo covers {} peers, transport has a different world",
                 snap.halo.len()
@@ -542,13 +367,13 @@ impl<'a> RankEngine<'a> {
         Ok(())
     }
 
-    /// Seeds a freshly prepared (single-RHS) engine with a global initial
+    /// Seeds a freshly prepared engine with a global initial
     /// guess instead of the all-zero default — the warm start of a
     /// redistributed solve, assembled from the pre-reshape checkpoints.
     /// Dependency columns with halo data are overwritten at the next sweep;
     /// columns whose sender has not spoken yet keep the warm-start value.
     pub fn warm_start(&mut self, x0: &[f64]) -> Result<(), CoreError> {
-        if !matches!(self.shape, EngineShape::Single) || x0.len() != self.ws.x_global.len() {
+        if x0.len() != self.ws.x_global.len() {
             return Err(CoreError::Checkpoint(
                 crate::checkpoint::CheckpointError::ShapeMismatch(format!(
                     "warm start of {} entries does not fit a system of order {}",
@@ -566,7 +391,7 @@ impl<'a> RankEngine<'a> {
     }
 }
 
-/// The complete mutable state of a single-RHS [`RankEngine`], as captured by
+/// The complete mutable state of a [`RankEngine`], as captured by
 /// [`RankEngine::snapshot`] and persisted by [`crate::checkpoint`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct EngineSnapshot {

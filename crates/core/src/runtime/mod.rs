@@ -44,8 +44,8 @@
 //! messages: the pooled loop steps the same engines with the same local vote
 //! as one fork-join per iteration on the `rayon` pool, copying halos in
 //! memory, and stops on the threaded adapter's iteration with its bits.
-//! Asynchronous solves and batches still run the threaded adapter over an
-//! in-process transport.
+//! Asynchronous solves still run the threaded adapter over an in-process
+//! transport.
 //!
 //! Failure handling is a policy too, with exactly two choices; both probe
 //! silent peers with [`Message::Heartbeat`] during lockstep waits and between
@@ -60,8 +60,8 @@
 //! Layout: `engine` (state machine), `vote` (local votes), `failure` (death
 //! rules and the [`RankLink`]), `convergence`, `progress` (the two progress
 //! policies as resumable phases), `drive` (the rank loop, its blocking
-//! executor, policy stacks and hooks), `threaded` (the thread-per-rank
-//! adapter), `pooled` (the in-process lockstep loop on the pool).
+//! executor and policy stacks), `threaded` (the thread-per-rank adapter),
+//! `pooled` (the in-process lockstep loop on the pool).
 
 #[allow(unused_imports)] // doc links
 use msplit_comm::message::Message;
@@ -83,8 +83,8 @@ pub use crate::scale::{simulate_ranks, Protocol, ScaleConfig, ScaleReport};
 pub use convergence::{
     ConfirmationWaves, ConvergencePolicy, TreeVotes, VoteBoard, VOTE_TREE_ARITY,
 };
-pub(crate) use drive::{drive, mode_policies, DriveHooks, RankLoop};
-pub use drive::{receive_sources, ColumnBoard};
+pub use drive::receive_sources;
+pub(crate) use drive::{drive, mode_policies, RankLoop};
 pub use engine::{
     EngineEvent, EngineSnapshot, EventLog, HaloEntry, RankEngine, SolvePathStats, StepObservation,
 };
@@ -92,5 +92,5 @@ pub use failure::{DeathRule, FailurePolicy, Flow, RankLink};
 pub(crate) use pooled::run_single_pooled;
 pub(crate) use progress::Poll;
 pub use threaded::factorize_blocks;
-pub(crate) use threaded::{check_transport_ranks, fresh_workspaces, run_batch, run_single};
+pub(crate) use threaded::{check_transport_ranks, fresh_workspaces, run_single};
 pub use vote::{IncrementVote, LocalVote, StaleSweepGuard, VoteState};

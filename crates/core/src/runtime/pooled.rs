@@ -130,7 +130,6 @@ pub(crate) fn run_single_pooled(
                 &lane.engine,
                 iterations,
                 &system.send_targets[part],
-                1,
                 wall_seconds,
             )
         })

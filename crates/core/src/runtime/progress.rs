@@ -99,9 +99,6 @@ fn data_meta(msg: &Message) -> Option<(usize, u64)> {
     match msg {
         Message::Solution {
             from, iteration, ..
-        }
-        | Message::SolutionBatch {
-            from, iteration, ..
         } => Some((*from, *iteration)),
         _ => None,
     }

@@ -209,7 +209,7 @@ impl PollFixture {
         );
         let link = RankLink::new(transport, 1, &[0], &[0]);
         let policies = mode_policies(mode, &cfg, 1, 2, peer_timeout, failure);
-        RankLoop::new(engine, link, policies, 1_000, DriveHooks::default())
+        RankLoop::new(engine, link, policies, 1_000, None)
     }
 
     /// Rank 0's slice for `iteration`, as rank 1 receives it.
@@ -471,17 +471,6 @@ fn outgoing_encoded_len_matches_the_codec() {
         engine.outgoing_encoded_len(),
         engine.outgoing().encoded_len()
     );
-    let mut ws2 = IterationWorkspace::new();
-    let cols: Vec<&[f64]> = vec![&blk.b_sub, &blk.b_sub];
-    let batch = RankEngine::batch(
-        &partition,
-        blk,
-        cols,
-        factor.as_ref(),
-        WeightingScheme::OwnerTakes,
-        &mut ws2,
-    );
-    assert_eq!(batch.outgoing_encoded_len(), batch.outgoing().encoded_len());
 }
 
 #[test]

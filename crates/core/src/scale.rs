@@ -40,8 +40,8 @@
 
 use crate::decomposition::Decomposition;
 use crate::runtime::{
-    factorize_blocks, fresh_workspaces, mode_policies, receive_sources, DriveHooks, EventLog,
-    FailurePolicy, Poll, RankEngine, RankLink, RankLoop, TreeVotes, VOTE_TREE_ARITY,
+    factorize_blocks, fresh_workspaces, mode_policies, receive_sources, EventLog, FailurePolicy,
+    Poll, RankEngine, RankLink, RankLoop, TreeVotes, VOTE_TREE_ARITY,
 };
 use crate::solver::{ExecutionMode, MultisplittingConfig};
 use crate::stop::{Stop, StopReason};
@@ -243,10 +243,7 @@ impl SimTransport {
     }
 
     fn is_control(msg: &Message) -> bool {
-        !matches!(
-            msg,
-            Message::Solution { .. } | Message::SolutionBatch { .. }
-        )
+        !matches!(msg, Message::Solution { .. })
     }
 
     /// Peak queued depth of `rank`'s inbox so far.
@@ -435,13 +432,12 @@ fn simulate(config: &ScaleConfig) -> Result<(ScaleReport, Duration), CoreError> 
             if let Protocol::Tree { arity } = config.protocol {
                 conv = Box::new(TreeVotes::with_arity(r, world, arity, failure));
             }
-            let hooks = DriveHooks::default();
             RankLoop::new(
                 engine,
                 link,
                 (vote, conv, progress),
                 config.max_iterations,
-                hooks,
+                None,
             )
         })
         .collect();

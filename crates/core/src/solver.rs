@@ -227,61 +227,6 @@ impl SolveOutcome {
     }
 }
 
-/// Result of a batched multi-RHS multisplitting solve (see
-/// [`crate::prepared::PreparedSystem::solve_many`]).
-///
-/// All right-hand sides of the batch iterate in lockstep through one outer
-/// iteration loop, so there is a single stop record for the whole batch:
-/// `stop.converged()` means every column reached the tolerance.
-#[derive(Debug, Clone)]
-pub struct BatchSolveOutcome {
-    /// One assembled global solution per right-hand side, in request order.
-    pub columns: Vec<Vec<f64>>,
-    /// Per column: the outer iteration at which a **solo** lockstep solve of
-    /// that right-hand side would have stopped, or `None` when the column
-    /// never converged on its own within the budget.  Columns with
-    /// `Some(k)` are bitwise-identical to the solo solve (see
-    /// `msplit_core::runtime::ColumnBoard`), which is what lets a serving
-    /// layer coalesce independent requests into one batch without changing
-    /// any answer.
-    pub column_converged_at: Vec<Option<u64>>,
-    /// Why and when the batch stopped (merged over the processors; the norm
-    /// is the largest increment over the columns too).
-    pub stop: Stop,
-    /// Per-processor reports (work profiles for the grid model).
-    pub part_reports: Vec<PartReport>,
-    /// Host wall-clock seconds for the whole batched solve.
-    pub wall_seconds: f64,
-}
-
-impl BatchSolveOutcome {
-    /// Number of right-hand sides served.
-    pub fn num_rhs(&self) -> usize {
-        self.columns.len()
-    }
-
-    /// Whether column `c` converged on its own (its solo-equivalent stopping
-    /// iteration is known), as opposed to merely riding along in a batch
-    /// that exhausted its budget.
-    pub fn column_converged(&self, c: usize) -> bool {
-        self.column_converged_at.get(c).is_some_and(|k| k.is_some())
-    }
-
-    /// Maximum residual infinity norm over all columns of the batch.
-    pub fn max_residual(&self, a: &CsrMatrix, rhs: &[Vec<f64>]) -> f64 {
-        self.columns
-            .iter()
-            .zip(rhs.iter())
-            .map(|(x, b)| {
-                let ax = a.spmv(x).expect("solution length matches the matrix");
-                b.iter()
-                    .zip(ax.iter())
-                    .fold(0.0f64, |m, (bi, axi)| m.max((bi - axi).abs()))
-            })
-            .fold(0.0f64, f64::max)
-    }
-}
-
 /// Builder for [`MultisplittingSolver`].
 #[derive(Debug, Clone, Default)]
 pub struct SolverBuilder {

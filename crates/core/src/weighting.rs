@@ -120,23 +120,6 @@ impl WeightingScheme {
             *xi = acc;
         }
     }
-
-    /// Blends a received value into a running estimate for index `i`,
-    /// returning the updated estimate.  `sender` is the part the value came
-    /// from, `current` the receiver's current estimate for that index.
-    ///
-    /// Used by the drivers when a dependency index is covered by several
-    /// overlapping senders: under [`WeightingScheme::OwnerTakes`] and
-    /// [`WeightingScheme::FirstCovering`] only the designated sender's value
-    /// is accepted; under [`WeightingScheme::Average`] a received value
-    /// replaces the previous contribution of that sender (the driver stores
-    /// contributions per sender, so here we simply accept the value weighted
-    /// against the other covering parts).
-    pub fn accepts(&self, partition: &BandPartition, i: usize, sender: usize) -> bool {
-        self.weights_for(partition, i)
-            .iter()
-            .any(|&(p, w)| p == sender && w > 0.0)
-    }
 }
 
 #[cfg(test)]
@@ -224,17 +207,6 @@ mod tests {
         let first = WeightingScheme::FirstCovering.assemble(&p, &local);
         // part 0 covers index 5 -> 1
         assert!((first[5] - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn accepts_matches_weights() {
-        let p = overlapped_partition();
-        assert!(WeightingScheme::Average.accepts(&p, 5, 0));
-        assert!(WeightingScheme::Average.accepts(&p, 5, 1));
-        assert!(!WeightingScheme::OwnerTakes.accepts(&p, 5, 0));
-        assert!(WeightingScheme::OwnerTakes.accepts(&p, 5, 1));
-        assert!(WeightingScheme::FirstCovering.accepts(&p, 5, 0));
-        assert!(!WeightingScheme::FirstCovering.accepts(&p, 5, 1));
     }
 
     #[test]

@@ -12,8 +12,8 @@
 //! column `j`.  The diagonal rows live in **one contiguous buffer**
 //! (`data[d * n + j]`) so the factorization and substitution kernels index it
 //! directly — the hot loops perform no bounds assertions, no `in_band`
-//! branches and no heap allocation, and [`BandLu::solve_into`] /
-//! [`BandLu::solve_many_into`] work entirely in the caller's buffers.
+//! branches and no heap allocation, and [`BandLu::solve_into`] works
+//! entirely in the caller's buffers.
 
 use crate::matrix::DenseMatrix;
 use crate::DenseError;
@@ -294,66 +294,6 @@ impl BandLu {
         }
         Ok(())
     }
-
-    /// Solves `A X = B` for a batch of right-hand sides in a single pass.
-    ///
-    /// The band factors (and the implicit no-pivot elimination order) are
-    /// traversed once per sweep with the inner loop running over the batch,
-    /// instead of once per right-hand side as repeated [`BandLu::solve`]
-    /// calls would.
-    pub fn solve_many(&self, rhs: &[Vec<f64>]) -> Result<Vec<Vec<f64>>, DenseError> {
-        let mut xs: Vec<Vec<f64>> = rhs.to_vec();
-        self.solve_many_into(&mut xs)?;
-        Ok(xs)
-    }
-
-    /// Batched fully in-place solve: every column of `cols` holds a
-    /// right-hand side on entry and the matching solution on exit, with no
-    /// heap allocation (see [`BandLu::solve_into`]).
-    pub fn solve_many_into(&self, cols: &mut [Vec<f64>]) -> Result<(), DenseError> {
-        let n = self.order();
-        for b in cols.iter() {
-            if b.len() != n {
-                return Err(DenseError::DimensionMismatch {
-                    expected: n,
-                    found: b.len(),
-                });
-            }
-        }
-        let kl = self.factors.kl;
-        let ku = self.factors.ku;
-        let data = &self.factors.data[..];
-        // Forward substitution with the unit lower factor.
-        for i in 0..n {
-            let lo = i.saturating_sub(kl);
-            for x in cols.iter_mut() {
-                let mut acc = x[i];
-                for j in lo..i {
-                    acc -= data[(ku + i - j) * n + j] * x[j];
-                }
-                x[i] = acc;
-            }
-        }
-        // Backward substitution with the upper factor.
-        for i in (0..n).rev() {
-            let hi = (i + ku).min(n - 1);
-            let diag = data[ku * n + i];
-            if diag == 0.0 {
-                return Err(DenseError::SingularPivot {
-                    column: i,
-                    value: diag,
-                });
-            }
-            for x in cols.iter_mut() {
-                let mut acc = x[i];
-                for j in (i + 1)..=hi {
-                    acc -= data[(ku + i - j) * n + j] * x[j];
-                }
-                x[i] = acc / diag;
-            }
-        }
-        Ok(())
-    }
 }
 
 #[cfg(test)]
@@ -509,22 +449,6 @@ mod tests {
         lu.solve_into(&mut x).unwrap();
         assert_eq!(x, expected);
         assert!(lu.solve_into(&mut [1.0; 3]).is_err());
-    }
-
-    #[test]
-    fn solve_many_matches_one_at_a_time() {
-        let n = 40;
-        let b = tridiagonal(n);
-        let lu = BandLu::factorize(&b).unwrap();
-        let rhs: Vec<Vec<f64>> = (0..5)
-            .map(|k| (0..n).map(|i| ((i * 3 + k) % 7) as f64 - 3.0).collect())
-            .collect();
-        let batch = lu.solve_many(&rhs).unwrap();
-        for (rhs_col, x_batch) in rhs.iter().zip(batch.iter()) {
-            let x_single = lu.solve(rhs_col).unwrap();
-            assert_eq!(x_batch, &x_single);
-        }
-        assert!(lu.solve_many(&[vec![0.0; n - 1]]).is_err());
     }
 
     #[test]

@@ -185,78 +185,6 @@ impl DenseLu {
         Ok(())
     }
 
-    /// Solves `A X = B` for a batch of right-hand sides in a single pass.
-    ///
-    /// Unlike calling [`DenseLu::solve`] per column, this applies the stored
-    /// pivot sequence once and then streams every factor row across all
-    /// columns during the forward and backward substitutions, so each packed
-    /// factor row is read exactly once per sweep regardless of batch width.
-    pub fn solve_many(&self, rhs: &[Vec<f64>]) -> Result<Vec<Vec<f64>>, DenseError> {
-        let mut xs: Vec<Vec<f64>> = rhs.to_vec();
-        let mut work = Vec::new();
-        self.solve_many_into(&mut xs, &mut work)?;
-        Ok(xs)
-    }
-
-    /// Batched in-place solve: every column of `cols` holds a right-hand side
-    /// on entry and the matching solution on exit.  Like
-    /// [`DenseLu::solve_into`] this reuses the caller's scratch buffer, so
-    /// repeated batched solves allocate nothing.
-    pub fn solve_many_into(
-        &self,
-        cols: &mut [Vec<f64>],
-        work: &mut Vec<f64>,
-    ) -> Result<(), DenseError> {
-        let n = self.order();
-        for b in cols.iter() {
-            if b.len() != n {
-                return Err(DenseError::DimensionMismatch {
-                    expected: n,
-                    found: b.len(),
-                });
-            }
-        }
-        work.resize(n, 0.0);
-        // Apply the pivot permutation to every column up front.
-        for col in cols.iter_mut() {
-            let w = &mut work[..n];
-            for (wi, &p) in w.iter_mut().zip(self.perm.iter()) {
-                *wi = col[p];
-            }
-            col.copy_from_slice(w);
-        }
-        // Forward substitution with unit lower triangular L, one row pass.
-        for i in 0..n {
-            let row = self.lu.row(i);
-            for x in cols.iter_mut() {
-                let mut acc = x[i];
-                for (j, &lij) in row.iter().enumerate().take(i) {
-                    acc -= lij * x[j];
-                }
-                x[i] = acc;
-            }
-        }
-        // Backward substitution with U, one row pass.
-        for i in (0..n).rev() {
-            let row = self.lu.row(i);
-            let diag = row[i];
-            if diag == 0.0 {
-                return Err(DenseError::SingularPivot {
-                    column: i,
-                    value: diag,
-                });
-            }
-            for x in cols.iter_mut() {
-                let mut acc = x[i];
-                for (j, &uij) in row.iter().enumerate().skip(i + 1) {
-                    acc -= uij * x[j];
-                }
-                x[i] = acc / diag;
-            }
-        }
-        Ok(())
-    }
-
     /// Determinant of the original matrix, computed from the pivots.
     pub fn determinant(&self) -> f64 {
         let mut det = self.perm_sign;
@@ -394,29 +322,6 @@ mod tests {
         let b = DenseMatrix::from_rows(&[&[0.0, 1.0], &[1.0, 0.0]]);
         let lub = DenseLu::factorize(&b).unwrap();
         assert!((lub.determinant() + 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn solve_many_matches_one_at_a_time() {
-        let a = random_dd_matrix(25, 9);
-        let lu = DenseLu::factorize(&a).unwrap();
-        let rhs: Vec<Vec<f64>> = (0..6)
-            .map(|k| (0..25).map(|i| ((i + k) as f64 * 0.7).sin()).collect())
-            .collect();
-        let batch = lu.solve_many(&rhs).unwrap();
-        for (b, x_batch) in rhs.iter().zip(batch.iter()) {
-            let x_single = lu.solve(b).unwrap();
-            // Same arithmetic order per column => bitwise identical results.
-            assert_eq!(x_batch, &x_single);
-        }
-    }
-
-    #[test]
-    fn solve_many_rejects_bad_lengths_and_handles_empty_batch() {
-        let a = random_dd_matrix(5, 2);
-        let lu = DenseLu::factorize(&a).unwrap();
-        assert!(lu.solve_many(&[vec![1.0; 4]]).is_err());
-        assert!(lu.solve_many(&[]).unwrap().is_empty());
     }
 
     #[test]

@@ -22,30 +22,12 @@ pub fn two_norm(v: &[f64]) -> f64 {
     v.iter().map(|x| x * x).sum::<f64>().sqrt()
 }
 
-/// Infinity norm of the difference of two vectors, `||a - b||_inf`.
-///
-/// This is the per-iteration convergence measure of Algorithm 1: each
-/// processor compares its new `XSub` against the previous one.
-pub fn diff_inf_norm(a: &[f64], b: &[f64]) -> f64 {
-    assert_eq!(a.len(), b.len(), "vectors must have equal length");
-    a.iter()
-        .zip(b.iter())
-        .fold(0.0_f64, |m, (x, y)| m.max((x - y).abs()))
-}
-
 /// Infinity norm of the residual `b - A x` for a dense matrix.
 pub fn residual_inf_norm(a: &DenseMatrix, x: &[f64], b: &[f64]) -> f64 {
     let ax = a.gemv(x).expect("dimension mismatch in residual");
     b.iter()
         .zip(ax.iter())
         .fold(0.0_f64, |m, (bi, axi)| m.max((bi - axi).abs()))
-}
-
-/// Row-sum (infinity) norm of a dense matrix.
-pub fn matrix_inf_norm(a: &DenseMatrix) -> f64 {
-    (0..a.rows())
-        .map(|i| a.row(i).iter().map(|v| v.abs()).sum::<f64>())
-        .fold(0.0_f64, f64::max)
 }
 
 /// Dot product of two vectors.
@@ -76,29 +58,10 @@ mod tests {
     }
 
     #[test]
-    fn diff_norms() {
-        let a = [1.0, 2.0, 3.0];
-        let b = [1.0, 0.0, 3.5];
-        assert_eq!(diff_inf_norm(&a, &b), 2.0);
-    }
-
-    #[test]
     fn residual_of_exact_solution_is_zero() {
         let a = DenseMatrix::from_rows(&[&[2.0, 1.0], &[1.0, 3.0]]);
         let x = [1.0, 2.0];
         let b = [4.0, 7.0];
         assert!(residual_inf_norm(&a, &x, &b) < 1e-12);
-    }
-
-    #[test]
-    fn matrix_norms() {
-        let a = DenseMatrix::from_rows(&[&[1.0, -2.0], &[3.0, 4.0]]);
-        assert_eq!(matrix_inf_norm(&a), 7.0);
-    }
-
-    #[test]
-    #[should_panic]
-    fn diff_inf_norm_length_mismatch_panics() {
-        let _ = diff_inf_norm(&[1.0], &[1.0, 2.0]);
     }
 }

@@ -45,33 +45,6 @@ pub trait Factorization: Send + Sync {
         Ok(())
     }
 
-    /// Solves `A X = B` for a batch of right-hand sides.
-    ///
-    /// The default implementation loops over [`Factorization::solve`]; the
-    /// dense and band factorizations override it with single-pass kernels
-    /// that reuse the pivot sequence across all columns.  Column `k` of the
-    /// result always equals `self.solve(&rhs[k])` bitwise, so batched and
-    /// one-at-a-time serving are interchangeable.
-    fn solve_many(&self, rhs: &[Vec<f64>]) -> Result<Vec<Vec<f64>>, DirectError> {
-        rhs.iter().map(|b| self.solve(b)).collect()
-    }
-
-    /// Batched in-place counterpart of [`Factorization::solve_many`]: every
-    /// column of `cols` holds a right-hand side on entry and the matching
-    /// solution on exit, with `scratch` reused across columns and calls.
-    /// This is what the batched multisplitting driver runs once per outer
-    /// iteration; with warm buffers it allocates nothing.
-    fn solve_many_into(
-        &self,
-        cols: &mut [Vec<f64>],
-        scratch: &mut SolveScratch,
-    ) -> Result<(), DirectError> {
-        for b in cols.iter_mut() {
-            self.solve_into(b, scratch)?;
-        }
-        Ok(())
-    }
-
     /// The underlying [`SparseLu`], when this factorization is the sparse
     /// kind — the test hook `tests/kernel_equivalence.rs` uses to compare
     /// pooled and serial factors entry by entry.  `None` for dense and band
@@ -238,18 +211,6 @@ impl Factorization for DenseLuFactorization {
         Ok(self.lu.solve_into(b, scratch.raw())?)
     }
 
-    fn solve_many(&self, rhs: &[Vec<f64>]) -> Result<Vec<Vec<f64>>, DirectError> {
-        Ok(self.lu.solve_many(rhs)?)
-    }
-
-    fn solve_many_into(
-        &self,
-        cols: &mut [Vec<f64>],
-        scratch: &mut SolveScratch,
-    ) -> Result<(), DirectError> {
-        Ok(self.lu.solve_many_into(cols, scratch.raw())?)
-    }
-
     fn stats(&self) -> &FactorStats {
         &self.stats
     }
@@ -335,18 +296,6 @@ impl Factorization for BandLuFactorization {
         Ok(self.lu.solve_into(b)?)
     }
 
-    fn solve_many(&self, rhs: &[Vec<f64>]) -> Result<Vec<Vec<f64>>, DirectError> {
-        Ok(self.lu.solve_many(rhs)?)
-    }
-
-    fn solve_many_into(
-        &self,
-        cols: &mut [Vec<f64>],
-        _scratch: &mut SolveScratch,
-    ) -> Result<(), DirectError> {
-        Ok(self.lu.solve_many_into(cols)?)
-    }
-
     fn stats(&self) -> &FactorStats {
         &self.stats
     }
@@ -429,24 +378,7 @@ mod tests {
     }
 
     #[test]
-    fn solve_many_matches_per_column_solve_for_all_kinds() {
-        let a = generators::tridiagonal(60, 4.0, -1.0);
-        let rhs: Vec<Vec<f64>> = (0..4)
-            .map(|k| (0..60).map(|i| ((i + 2 * k) % 9) as f64 - 4.0).collect())
-            .collect();
-        for kind in SolverKind::all() {
-            let factor = kind.build().factorize(&a).unwrap();
-            let batch = factor.solve_many(&rhs).unwrap();
-            assert_eq!(batch.len(), rhs.len());
-            for (b, x_batch) in rhs.iter().zip(batch.iter()) {
-                let x_single = factor.solve(b).unwrap();
-                assert_eq!(x_batch, &x_single, "{kind:?} batched != single");
-            }
-        }
-    }
-
-    #[test]
-    fn solve_into_and_solve_many_into_match_solve_for_all_kinds() {
+    fn solve_into_matches_solve_for_all_kinds() {
         let a = generators::tridiagonal(60, 4.0, -1.0);
         let rhs: Vec<Vec<f64>> = (0..4)
             .map(|k| (0..60).map(|i| ((i + 2 * k) % 9) as f64 - 4.0).collect())
@@ -461,11 +393,6 @@ mod tests {
                 factor.solve_into(&mut x, &mut scratch).unwrap();
                 assert_eq!(x, expected, "{kind:?} solve_into != solve");
             }
-            // Batched in-place solve.
-            let expected = factor.solve_many(&rhs).unwrap();
-            let mut cols = rhs.clone();
-            factor.solve_many_into(&mut cols, &mut scratch).unwrap();
-            assert_eq!(cols, expected, "{kind:?} solve_many_into != solve_many");
         }
     }
 

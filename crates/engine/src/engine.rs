@@ -15,9 +15,9 @@ use std::time::Instant;
 #[derive(Debug, Clone)]
 pub struct EngineConfig {
     /// Worker threads executing jobs.  Each worker runs one job at a time.
-    /// A synchronous single-RHS solve runs inline on its worker; batches and
-    /// asynchronous solves spawn one thread per band, so a few workers
-    /// saturate a host.
+    /// A synchronous solve runs inline on its worker, and a batch is its
+    /// columns' solves one after another; asynchronous solves spawn one
+    /// thread per band, so a few workers saturate a host.
     pub workers: usize,
     /// Bound of the job queue; submissions beyond it block
     /// ([`Engine::submit`]) or fail fast ([`Engine::try_submit`]).
@@ -42,8 +42,8 @@ impl Default for EngineConfig {
 /// returns a [`JobHandle`].  Workers pop jobs, fetch (or single-flight
 /// prepare) the [`PreparedSystem`] for the request's matrix + configuration
 /// from the [`FactorizationCache`], and dispatch onto the synchronous or
-/// asynchronous driver — batched in a single pass when the request carries
-/// multiple right-hand sides.  Dropping the engine closes the queue, drains
+/// asynchronous driver — once per right-hand side when the request carries
+/// several.  Dropping the engine closes the queue, drains
 /// the remaining jobs and joins the workers.
 pub struct Engine {
     cache: Arc<FactorizationCache>,
@@ -319,7 +319,9 @@ fn execute_started_job(job: &Job, cache: &FactorizationCache, metrics: &Metrics)
     match outcome {
         Ok(outcome) => {
             let rhs = outcome.rhs_count() as u64;
-            record_solve_paths(outcome.part_reports(), metrics);
+            for solved in outcome.outcomes() {
+                record_solve_paths(&solved.part_reports, metrics);
+            }
             job.shared
                 .finish(Ok(Arc::new(outcome)), FinishKind::Completed(rhs));
         }
@@ -401,7 +403,11 @@ mod tests {
         assert!(outcome.converged());
         assert_eq!(outcome.rhs_count(), 6);
         match &*outcome {
-            JobOutcome::Batch(o) => assert!(o.max_residual(&a, &batch) < 1e-6),
+            JobOutcome::Batch(cols) => {
+                for (o, b) in cols.iter().zip(&batch) {
+                    assert!(o.residual(&a, b) < 1e-6);
+                }
+            }
             JobOutcome::Single(_) => panic!("expected a batch outcome"),
         }
         assert_eq!(engine.report().rhs_served, 6);

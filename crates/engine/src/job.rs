@@ -2,8 +2,7 @@
 
 use crate::metrics::Metrics;
 use crate::EngineError;
-use msplit_core::solver::{BatchSolveOutcome, MultisplittingConfig, SolveOutcome};
-use msplit_core::Stop;
+use msplit_core::solver::{MultisplittingConfig, SolveOutcome};
 use msplit_sparse::CsrMatrix;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
@@ -44,8 +43,9 @@ impl Priority {
 pub enum RhsPayload {
     /// One right-hand side; served by the prepared system's single solve.
     Single(Vec<f64>),
-    /// A batch of right-hand sides, served in a single pass of the batched
-    /// synchronous driver (one `solve_many` sweep per outer iteration).
+    /// A batch of right-hand sides, served by the prepared system's
+    /// `solve_many`: each column is its own solve, in order, on the job's
+    /// worker.
     Batch(Vec<Vec<f64>>),
 }
 
@@ -125,47 +125,28 @@ impl SolveRequest {
 pub enum JobOutcome {
     /// Outcome of a [`RhsPayload::Single`] request.
     Single(SolveOutcome),
-    /// Outcome of a [`RhsPayload::Batch`] request.
-    Batch(BatchSolveOutcome),
+    /// Outcome of a [`RhsPayload::Batch`] request: one solo solve per
+    /// column, in request order.
+    Batch(Vec<SolveOutcome>),
 }
 
 impl JobOutcome {
-    /// Why and when the solve stopped (for a batch: the whole batch).
-    pub fn stop(&self) -> &Stop {
+    /// One outcome per right-hand side, in request order.
+    pub fn outcomes(&self) -> &[SolveOutcome] {
         match self {
-            JobOutcome::Single(o) => &o.stop,
-            JobOutcome::Batch(o) => &o.stop,
+            JobOutcome::Single(o) => std::slice::from_ref(o),
+            JobOutcome::Batch(cols) => cols,
         }
     }
 
-    /// Whether the solve converged (every column, for a batch).
+    /// Whether every right-hand side converged.
     pub fn converged(&self) -> bool {
-        self.stop().converged()
+        self.outcomes().iter().all(|o| o.stop.converged())
     }
 
     /// Number of right-hand sides served.
     pub fn rhs_count(&self) -> usize {
-        match self {
-            JobOutcome::Single(_) => 1,
-            JobOutcome::Batch(o) => o.num_rhs(),
-        }
-    }
-
-    /// Per-processor reports of the underlying solve.
-    pub fn part_reports(&self) -> &[msplit_core::solver::PartReport] {
-        match self {
-            JobOutcome::Single(o) => &o.part_reports,
-            JobOutcome::Batch(o) => &o.part_reports,
-        }
-    }
-
-    /// The solution columns: one vector for a single solve, the batch
-    /// columns otherwise.
-    pub fn solutions(&self) -> Vec<&Vec<f64>> {
-        match self {
-            JobOutcome::Single(o) => vec![&o.x],
-            JobOutcome::Batch(o) => o.columns.iter().collect(),
-        }
+        self.outcomes().len()
     }
 }
 

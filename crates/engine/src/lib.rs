@@ -19,10 +19,11 @@
 //!   [`Engine::submit`] enqueues a [`SolveRequest`] (with priority,
 //!   cancellation and per-job timeout) and returns a [`JobHandle`] to await;
 //!   workers dispatch onto the existing synchronous/asynchronous drivers;
-//! * batched multi-RHS serving — a [`RhsPayload::Batch`] request answers all
-//!   right-hand sides in a single pass of the synchronous driver
-//!   ([`msplit_core::PreparedSystem::solve_many`]), one batched
-//!   triangular-solve sweep and one message exchange per outer iteration;
+//! * multi-RHS requests — a [`RhsPayload::Batch`] request answers all its
+//!   right-hand sides in one job
+//!   ([`msplit_core::PreparedSystem::solve_many`]): each column is its own
+//!   solve, run one after another on the job's worker, so each answer is
+//!   bitwise the single-RHS answer;
 //! * [`EngineReport`] — service metrics: cache hit rate, queue depth,
 //!   factorize-vs-solve seconds, jobs and right-hand sides served.
 //!

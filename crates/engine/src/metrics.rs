@@ -82,16 +82,6 @@ impl EngineReport {
             self.cache_hits as f64 / total as f64
         }
     }
-
-    /// Completed right-hand sides per second of solve time (zero before any
-    /// work was done).
-    pub fn rhs_per_solve_second(&self) -> f64 {
-        if self.solve_seconds <= 0.0 {
-            0.0
-        } else {
-            self.rhs_served as f64 / self.solve_seconds
-        }
-    }
 }
 
 impl std::fmt::Display for EngineReport {
@@ -164,16 +154,12 @@ mod tests {
     fn hit_rate_and_throughput() {
         let r = report();
         assert!((r.cache_hit_rate() - 0.75).abs() < 1e-12);
-        assert!((r.rhs_per_solve_second() - 80.0).abs() < 1e-12);
         let empty = EngineReport {
             cache_hits: 0,
             cache_misses: 0,
-            rhs_served: 0,
-            solve_seconds: 0.0,
             ..report()
         };
         assert_eq!(empty.cache_hit_rate(), 0.0);
-        assert_eq!(empty.rhs_per_solve_second(), 0.0);
     }
 
     #[test]

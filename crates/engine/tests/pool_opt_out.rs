@@ -46,8 +46,8 @@ fn a_cold_submit_forks_no_loop_while_a_direct_prepare_does() {
         .solve(&b)
         .unwrap();
     assert_eq!(
-        served.solutions()[0],
-        &direct.x,
+        served.outcomes()[0].x,
+        direct.x,
         "inline and pooled answers differ"
     );
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());

@@ -36,14 +36,6 @@ impl LinkSpec {
     pub fn transfer_seconds(&self, bytes: usize) -> f64 {
         self.latency_s + (bytes as f64 * 8.0) / (self.bandwidth_mbps * 1e6)
     }
-
-    /// A copy of this link with its bandwidth scaled by `factor` (0 < factor ≤ 1).
-    pub fn with_bandwidth_factor(&self, factor: f64) -> LinkSpec {
-        LinkSpec {
-            bandwidth_mbps: self.bandwidth_mbps * factor.max(f64::MIN_POSITIVE),
-            latency_s: self.latency_s,
-        }
-    }
 }
 
 /// Model of the "perturbing communications" of Table 4: background flows that
@@ -199,11 +191,5 @@ mod tests {
         assert_eq!(intra.bandwidth_mbps, 100.0);
         assert!(inter.bandwidth_mbps < 20.0);
         assert!(net.transfer_seconds(0, 1, 10_000) > net.transfer_seconds(0, 0, 10_000));
-    }
-
-    #[test]
-    fn bandwidth_factor_never_reaches_zero() {
-        let l = LinkSpec::lan_100mb().with_bandwidth_factor(0.0);
-        assert!(l.bandwidth_mbps > 0.0);
     }
 }

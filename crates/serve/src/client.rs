@@ -31,11 +31,10 @@ const RING_REPLICAS: usize = 17;
 pub struct ServeSolution {
     /// The solution vector.
     pub x: Vec<f64>,
-    /// Outer iterations the solve took.  For a coalesced response this is
-    /// the iteration the request's column froze at — identical to what a
-    /// solo solve would report.
+    /// Outer iterations the solve took.  A coalesced request is solved by
+    /// its own solve, so this is what a solo request would report.
     pub iterations: u64,
-    /// Requests served by the sweep that produced this answer (1 = solo).
+    /// Requests served by the job that produced this answer (1 = solo).
     pub coalesced: u64,
     /// Microseconds spent queued (admission to solve, excluding the solve).
     pub queue_micros: u64,

@@ -11,11 +11,10 @@
 //!   request that finds an engine worker idle is dispatched at once, and
 //!   compatible single-RHS requests for the same
 //!   [`MatrixKey`](msplit_engine::MatrixKey) that arrive while every worker
-//!   is busy are merged into one batched sweep when a worker frees up.
-//!   Coalescing is bitwise-safe: the batch driver freezes every column at
-//!   the iteration its solo run would stop (`msplit_core::runtime::ColumnBoard`),
-//!   so merged requests receive exactly the bytes a dedicated solve would
-//!   have produced.
+//!   is busy are merged into one engine job when a worker frees up.
+//!   Coalescing is bitwise-safe by construction: the job solves each
+//!   member's right-hand side with its own solve, so merged requests
+//!   receive exactly the bytes a dedicated solve would have produced.
 //! * **[`ServeClient`]** — routes requests over a consistent-hash ring of
 //!   shards by matrix fingerprint, walks the ring on shard death or load
 //!   shedding, and speculatively warms the ring successor's cache so a

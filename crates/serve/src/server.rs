@@ -9,12 +9,12 @@
 //! every worker busy joins the pending group of compatible requests — same
 //! matrix fingerprint *and* identical solver configuration, i.e. the same
 //! [`MatrixKey`] — and each completing job hands its slot to the most urgent,
-//! then oldest, group, which runs as one batched sweep (a Krylov request is
-//! dispatched alone at once).  The batch driver freezes every column at the
-//! exact iteration a solo run of that column would stop (see
-//! `msplit_core::runtime::ColumnBoard`), so a coalesced response is bitwise
-//! identical to the response the request would have received alone; the
-//! merge changes latency, never bits.
+//! then oldest, group, which runs as one engine job (a Krylov request is
+//! dispatched alone at once).  The job solves each member's right-hand side
+//! with its own `PreparedSystem::solve`, one after another, so a coalesced
+//! response is the response the request would have received alone, bit for
+//! bit and with the same iteration count; the merge changes latency, never
+//! bits.
 //!
 //! Everything here load-sheds instead of blocking: a full lane, an expired
 //! queue deadline or a full engine queue produce a typed [`Message::Reject`]
@@ -46,7 +46,7 @@ pub struct ServeConfig {
     /// submit whose lane already holds this many queued-or-pending requests
     /// is rejected with [`RejectCode::QueueFull`] instead of blocking.
     pub lane_limits: [usize; Priority::COUNT],
-    /// Maximum requests merged into one sweep; a group at this size flushes
+    /// Maximum requests merged into one job; a group at this size flushes
     /// immediately, busy workers or not.
     pub max_batch: usize,
     /// Sizing of the embedded engine (workers, queue, cache).  Its worker
@@ -554,9 +554,10 @@ fn handle_submit(
         );
         return;
     }
-    // A warm request has nothing to merge, and a batch runs the stationary
-    // lockstep driver whatever the method, so a Krylov request is solved
-    // alone, by its method: both are dispatched at once.
+    // A warm request has nothing to merge: it is dispatched at once.  So is
+    // a Krylov request, alone.  A batch would solve it by its own method
+    // too, each column its own solve; the rule only keeps Krylov requests
+    // off the group path.
     let due = if warm || !matches!(config.method, Method::Stationary) {
         Some(Group {
             matrix,
@@ -741,44 +742,27 @@ fn submit(inner: &Inner, group: Group) -> Option<Job> {
 fn reply(inner: &Inner, members: &[Member], outcome: Result<Arc<JobOutcome>, EngineError>) {
     let coalesced = members.len() as u64;
     match outcome {
-        Ok(outcome) => match &*outcome {
-            JobOutcome::Single(o) => finish_member(
-                inner,
-                &members[0],
-                o.stop.converged(),
-                o.stop.iterations,
-                coalesced,
-                o.wall_seconds,
-                &o.x,
-            ),
-            JobOutcome::Batch(o) if o.columns.is_empty() => {
+        Ok(outcome) => {
+            let solved = outcome.outcomes();
+            if solved.is_empty() {
+                // A warm request: its job only prepared the factorization.
                 for m in members {
                     finish_member(inner, m, true, 0, coalesced, 0.0, &[]);
                 }
             }
-            JobOutcome::Batch(o) => {
-                for (c, m) in members.iter().enumerate() {
-                    // Report the iteration the column froze at — the
-                    // count a solo run would have reported — rather
-                    // than the sweep count of the whole batch.
-                    let iterations = o
-                        .column_converged_at
-                        .get(c)
-                        .copied()
-                        .flatten()
-                        .unwrap_or(o.stop.iterations);
-                    finish_member(
-                        inner,
-                        m,
-                        o.column_converged(c),
-                        iterations,
-                        coalesced,
-                        o.wall_seconds,
-                        &o.columns[c],
-                    );
-                }
+            // Each member is answered from its own column's solve.
+            for (m, o) in members.iter().zip(solved) {
+                finish_member(
+                    inner,
+                    m,
+                    o.stop.converged(),
+                    o.stop.iterations,
+                    coalesced,
+                    o.wall_seconds,
+                    &o.x,
+                );
             }
-        },
+        }
         Err(e) => {
             let (code, retry) = map_engine_error(inner, &e);
             for m in members {
@@ -808,8 +792,9 @@ fn finish_member(
         );
         return;
     }
-    // Queue latency = admission to completion minus the solve itself; the
-    // wait in a group and the engine queue wait both count against it.
+    // Queue latency = admission to completion minus the request's own
+    // solve; the wait in a group, the engine queue wait and the solves of
+    // the other members of its job all count against it.
     let total_micros = m.admitted_at.elapsed().as_micros() as u64;
     let solve_micros = (solve_seconds * 1e6) as u64;
     inner.counters.completed.fetch_add(1, Ordering::Relaxed);

@@ -6,14 +6,15 @@
 //! They run one at a time: the idle-shard test times its requests, and a
 //! saturating test beside it on a small host would slow them for nothing.
 
-use msplit_comm::wire::{write_frame, Handshake};
-use msplit_comm::Message;
+use msplit_comm::wire::{read_frame, write_frame, Handshake};
+use msplit_comm::{Message, RejectCode};
 use msplit_core::solver::MultisplittingConfig;
 use msplit_core::PreparedSystem;
 use msplit_engine::EngineConfig;
 use msplit_serve::{codec, ClientOptions, ServeClient, ServeConfig, SolveServer};
 use msplit_sparse::generators::{self, DiagDominantConfig};
 use msplit_sparse::CsrMatrix;
+use std::collections::HashMap;
 use std::net::TcpStream;
 use std::sync::mpsc::{self, RecvTimeoutError};
 use std::sync::{Arc, Barrier, Mutex, MutexGuard, PoisonError};
@@ -56,10 +57,49 @@ fn bits(x: &[f64]) -> Vec<u64> {
     x.iter().map(|v| v.to_bits()).collect()
 }
 
+/// A tridiagonal-band matrix of order `n`: cheap per row, and at the orders
+/// used here slow enough to factorize that a shard stays busy with it.
+fn banded(n: usize, seed: u64) -> CsrMatrix {
+    generators::diag_dominant(&DiagDominantConfig {
+        n,
+        offdiag_per_row: 2,
+        half_bandwidth: 2,
+        dominance_margin: 1.0,
+        seed,
+    })
+}
+
+/// Opens a raw serve connection (handshake with `world_size == 0`).
+fn raw_connection(server: &SolveServer) -> TcpStream {
+    let mut stream = TcpStream::connect(server.local_addr()).expect("connect");
+    Handshake {
+        rank: 0,
+        world_size: 0,
+        fingerprint: 0,
+    }
+    .write_to(&mut stream)
+    .expect("handshake");
+    Handshake::read_from(&mut stream).expect("handshake echo");
+    stream
+}
+
+/// A submit that ships its matrix along.
+fn submit(request_id: u64, a: &CsrMatrix, config: &MultisplittingConfig, rhs: &[f64]) -> Message {
+    Message::SubmitSolve {
+        request_id,
+        fingerprint: a.fingerprint(),
+        priority: 1,
+        queue_deadline_micros: 0,
+        config: codec::encode_config(config),
+        matrix: codec::encode_matrix(a),
+        rhs: rhs.to_vec(),
+    }
+}
+
 /// One worker, eight concurrent clients, eight requests each on one matrix:
 /// the worker is busy nearly all the time, so requests gather into groups
 /// that only a completing job can flush.  Every request must come back
-/// bitwise the direct solve, some must have shared a sweep, and nothing may
+/// bitwise the direct solve, some must have shared a job, and nothing may
 /// be left waiting in a group or the engine queue afterwards.
 #[test]
 fn a_saturated_shard_strands_no_request() {
@@ -126,7 +166,7 @@ fn a_saturated_shard_strands_no_request() {
             assert_eq!(*completed, (CLIENTS * REQUESTS) as u64);
             assert!(
                 *coalesced > 0,
-                "{CLIENTS} clients on one busy worker never shared a sweep"
+                "{CLIENTS} clients on one busy worker never shared a job"
             );
             assert_eq!(*queue_depths, [0, 0, 0], "requests left waiting");
         }
@@ -180,42 +220,17 @@ fn a_client_that_stops_reading_holds_up_no_one_else() {
     let server = shard(1);
     let addrs = vec![server.local_addr().to_string()];
     let config = solver_config();
-    let banded = |seed| {
-        generators::diag_dominant(&DiagDominantConfig {
-            n: N,
-            offdiag_per_row: 2,
-            half_bandwidth: 2,
-            dominance_margin: 1.0,
-            seed,
-        })
-    };
-
-    let stalled_matrix = banded(31);
+    let stalled_matrix = banded(N, 31);
     let (_, b) = generators::rhs_for_solution(&stalled_matrix, |i| (i % 3) as f64);
-    let mut stalled = TcpStream::connect(server.local_addr()).expect("connect");
-    Handshake {
-        rank: 0,
-        world_size: 0,
-        fingerprint: 0,
-    }
-    .write_to(&mut stalled)
-    .expect("handshake");
-    Handshake::read_from(&mut stalled).expect("handshake echo");
+    let mut stalled = raw_connection(&server);
     for request_id in 0..STALLED {
-        let submit = Message::SubmitSolve {
-            request_id,
-            fingerprint: stalled_matrix.fingerprint(),
-            priority: 1,
-            queue_deadline_micros: 0,
-            config: codec::encode_config(&config),
-            matrix: if request_id == 0 {
-                codec::encode_matrix(&stalled_matrix)
-            } else {
-                Vec::new()
-            },
-            rhs: b.clone(),
-        };
-        write_frame(&mut stalled, 0, &submit).expect("pipelined submit");
+        let mut frame = submit(request_id, &stalled_matrix, &config, &b);
+        if let Message::SubmitSolve { matrix, .. } = &mut frame {
+            if request_id > 0 {
+                matrix.clear();
+            }
+        }
+        write_frame(&mut stalled, 0, &frame).expect("pipelined submit");
     }
 
     // Wait until every pipelined request has left the shard's queues: the
@@ -234,7 +249,7 @@ fn a_client_that_stops_reading_holds_up_no_one_else() {
         }
     }
 
-    let other = banded(32);
+    let other = banded(N, 32);
     let prepared = PreparedSystem::prepare(config.clone(), &other).expect("prepare");
     let (_, c) = generators::rhs_for_solution(&other, |i| (i % 5) as f64);
     let reference = prepared.solve(&c).expect("direct solve").x;
@@ -255,5 +270,76 @@ fn a_client_that_stops_reading_holds_up_no_one_else() {
     // Closing the stalled socket fails the blocked writes, so the shard's
     // threads wind down.
     drop(stalled);
+    server.shutdown();
+}
+
+/// A group whose members stop for different reasons.  On a one-worker
+/// shard held busy by a large cold request, a zero right-hand side and one
+/// scaled by 1e12 — same matrix, same five-iteration budget — gather into
+/// one group and run as one job.  Each member is answered from its own
+/// column: the zero one gets its solo `SolveResult` (bitwise `x`, the solo
+/// iteration count, coalesced 2), the other a `Reject`.
+#[test]
+fn a_mixed_group_answers_each_member_by_its_own_solve() {
+    let _serial = serial();
+    let server = shard(1);
+    let config = MultisplittingConfig {
+        max_iterations: 5,
+        ..solver_config()
+    };
+    let a = matrix(200, 9);
+    let zero = vec![0.0; a.rows()];
+    let (_, b) = generators::rhs_for_solution(&a, |i| (i % 5) as f64 + 1.0);
+    let scaled: Vec<f64> = b.iter().map(|v| v * 1e12).collect();
+    let prepared = PreparedSystem::prepare(config.clone(), &a).expect("prepare");
+    let solo = prepared.solve(&zero).expect("solo solve");
+    assert!(solo.stop.converged());
+    assert!(!prepared
+        .solve(&scaled)
+        .expect("solo solve")
+        .stop
+        .converged());
+
+    // Pipelined on one connection, so the shard admits them in order: the
+    // cold blocker finds the worker idle and is dispatched; the other two
+    // find it busy and join one group, which its completion flushes.
+    let blocker = banded(40_000, 41);
+    let (_, blocker_rhs) = generators::rhs_for_solution(&blocker, |i| (i % 3) as f64);
+    let mut stream = raw_connection(&server);
+    for frame in [
+        submit(0, &blocker, &solver_config(), &blocker_rhs),
+        submit(1, &a, &config, &zero),
+        submit(2, &a, &config, &scaled),
+    ] {
+        write_frame(&mut stream, 0, &frame).expect("pipelined submit");
+    }
+    let mut replies = HashMap::new();
+    for _ in 0..3 {
+        let (_, reply) = read_frame(&mut stream).expect("reply");
+        let id = match &reply {
+            Message::SolveResult { request_id, .. } | Message::Reject { request_id, .. } => {
+                *request_id
+            }
+            other => panic!("unexpected reply {other:?}"),
+        };
+        replies.insert(id, reply);
+    }
+    match &replies[&1] {
+        Message::SolveResult {
+            iterations,
+            coalesced,
+            x,
+            ..
+        } => {
+            assert_eq!(*coalesced, 2, "the two requests did not share a job");
+            assert_eq!(*iterations, solo.stop.iterations);
+            assert_eq!(bits(x), bits(&solo.x));
+        }
+        other => panic!("the converging member got {other:?}"),
+    }
+    match &replies[&2] {
+        Message::Reject { code, .. } => assert_eq!(*code, RejectCode::Invalid),
+        other => panic!("the diverging member got {other:?}"),
+    }
     server.shutdown();
 }

@@ -1,41 +1,29 @@
-//! Incremental triplet builder with duplicate policies.
+//! Incremental triplet builder.
 //!
 //! Generators and finite-difference assembly loops want to push entries
 //! without worrying about ordering or duplicates.  `TripletBuilder` wraps a
-//! [`CooMatrix`] and adds a configurable duplicate policy plus convenience
-//! helpers (diagonal insertion, whole-row insertion, symmetry mirroring).
+//! [`CooMatrix`]: duplicate `(row, col)` entries are summed
+//! (finite-element style), and whole rows and mirrored pairs can be pushed
+//! at once.
 
 use crate::coo::CooMatrix;
 use crate::csr::CsrMatrix;
 use crate::SparseError;
-
-/// How duplicate `(row, col)` entries pushed into the builder are combined.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum DuplicatePolicy {
-    /// Sum all values pushed for the same position (finite-element style).
-    #[default]
-    Sum,
-    /// Keep only the last value pushed for a position.
-    Overwrite,
-}
 
 /// Incremental sparse matrix builder.
 #[derive(Debug, Clone)]
 pub struct TripletBuilder {
     rows: usize,
     cols: usize,
-    policy: DuplicatePolicy,
     entries: Vec<(usize, usize, f64)>,
 }
 
 impl TripletBuilder {
-    /// Creates a builder for a matrix of the given shape with the default
-    /// (summing) duplicate policy.
+    /// Creates a builder for a matrix of the given shape.
     pub fn new(rows: usize, cols: usize) -> Self {
         TripletBuilder {
             rows,
             cols,
-            policy: DuplicatePolicy::Sum,
             entries: Vec::new(),
         }
     }
@@ -43,12 +31,6 @@ impl TripletBuilder {
     /// Creates a square builder of order `n`.
     pub fn square(n: usize) -> Self {
         Self::new(n, n)
-    }
-
-    /// Sets the duplicate policy.
-    pub fn with_policy(mut self, policy: DuplicatePolicy) -> Self {
-        self.policy = policy;
-        self
     }
 
     /// Number of entries pushed so far (before duplicate resolution).
@@ -102,47 +84,12 @@ impl TripletBuilder {
         Ok(())
     }
 
-    /// Adds `value` to every diagonal position (square matrices only).
-    pub fn add_diagonal(&mut self, value: f64) -> Result<(), SparseError> {
-        if self.rows != self.cols {
-            return Err(SparseError::NotSquare {
-                rows: self.rows,
-                cols: self.cols,
-            });
-        }
-        for i in 0..self.rows {
-            self.entries.push((i, i, value));
-        }
-        Ok(())
-    }
-
-    /// Finalizes the builder into a COO matrix, applying the duplicate policy.
-    pub fn build_coo(mut self) -> CooMatrix {
+    /// Finalizes the builder into a COO matrix; duplicates stay separate
+    /// entries until [`CooMatrix::to_csr`] sums them.
+    pub fn build_coo(self) -> CooMatrix {
         let mut coo = CooMatrix::with_capacity(self.rows, self.cols, self.entries.len());
-        match self.policy {
-            DuplicatePolicy::Sum => {
-                for (r, c, v) in self.entries {
-                    coo.push(r, c, v).expect("validated on push");
-                }
-            }
-            DuplicatePolicy::Overwrite => {
-                // Stable sort keeps insertion order among equal keys; keep the
-                // last pushed entry for each position.
-                self.entries.sort_by_key(|&(r, c, _)| (r, c));
-                let mut i = 0;
-                while i < self.entries.len() {
-                    let (r, c, _) = self.entries[i];
-                    let mut last = self.entries[i].2;
-                    let mut j = i + 1;
-                    while j < self.entries.len() && self.entries[j].0 == r && self.entries[j].1 == c
-                    {
-                        last = self.entries[j].2;
-                        j += 1;
-                    }
-                    coo.push(r, c, last).expect("validated on push");
-                    i = j;
-                }
-            }
+        for (r, c, v) in self.entries {
+            coo.push(r, c, v).expect("validated on push");
         }
         coo
     }
@@ -169,18 +116,6 @@ mod tests {
     }
 
     #[test]
-    fn overwrite_policy_keeps_last() {
-        let mut b = TripletBuilder::square(2).with_policy(DuplicatePolicy::Overwrite);
-        b.push(0, 0, 1.0).unwrap();
-        b.push(0, 0, 7.0).unwrap();
-        b.push(1, 0, 2.0).unwrap();
-        let m = b.build_csr();
-        assert_eq!(m.get(0, 0), 7.0);
-        assert_eq!(m.get(1, 0), 2.0);
-        assert_eq!(m.nnz(), 2);
-    }
-
-    #[test]
     fn push_row_and_symmetric() {
         let mut b = TripletBuilder::square(3);
         b.push_row(0, [(0, 2.0), (1, -1.0)]).unwrap();
@@ -189,18 +124,6 @@ mod tests {
         assert_eq!(m.get(0, 1), -1.0);
         assert_eq!(m.get(1, 2), -0.5);
         assert_eq!(m.get(2, 1), -0.5);
-    }
-
-    #[test]
-    fn add_diagonal_requires_square() {
-        let mut rect = TripletBuilder::new(2, 3);
-        assert!(rect.add_diagonal(1.0).is_err());
-        let mut sq = TripletBuilder::square(3);
-        sq.add_diagonal(4.0).unwrap();
-        let m = sq.build_csr();
-        for i in 0..3 {
-            assert_eq!(m.get(i, i), 4.0);
-        }
     }
 
     #[test]

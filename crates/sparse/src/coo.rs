@@ -42,41 +42,6 @@ impl CooMatrix {
         }
     }
 
-    /// Builds a COO matrix directly from parallel triplet vectors.
-    pub fn from_triplets(
-        rows: usize,
-        cols: usize,
-        row_indices: Vec<usize>,
-        col_indices: Vec<usize>,
-        values: Vec<f64>,
-    ) -> Result<Self, SparseError> {
-        if row_indices.len() != col_indices.len() || row_indices.len() != values.len() {
-            return Err(SparseError::Structure(format!(
-                "triplet vectors have inconsistent lengths: {} / {} / {}",
-                row_indices.len(),
-                col_indices.len(),
-                values.len()
-            )));
-        }
-        for (&r, &c) in row_indices.iter().zip(col_indices.iter()) {
-            if r >= rows || c >= cols {
-                return Err(SparseError::IndexOutOfBounds {
-                    row: r,
-                    col: c,
-                    rows,
-                    cols,
-                });
-            }
-        }
-        Ok(CooMatrix {
-            rows,
-            cols,
-            row_indices,
-            col_indices,
-            values,
-        })
-    }
-
     /// Number of rows.
     pub fn rows(&self) -> usize {
         self.rows
@@ -168,16 +133,10 @@ mod tests {
     }
 
     #[test]
-    fn from_triplets_validates() {
-        assert!(CooMatrix::from_triplets(2, 2, vec![0], vec![0, 1], vec![1.0]).is_err());
-        assert!(CooMatrix::from_triplets(2, 2, vec![3], vec![0], vec![1.0]).is_err());
-        let m = CooMatrix::from_triplets(2, 2, vec![0, 1], vec![1, 0], vec![2.0, 3.0]).unwrap();
-        assert_eq!(m.nnz(), 2);
-    }
-
-    #[test]
     fn transpose_swaps_shape_and_indices() {
-        let m = CooMatrix::from_triplets(2, 3, vec![0, 1], vec![2, 0], vec![5.0, 6.0]).unwrap();
+        let mut m = CooMatrix::new(2, 3);
+        m.push(0, 2, 5.0).unwrap();
+        m.push(1, 0, 6.0).unwrap();
         let t = m.transpose();
         assert_eq!(t.rows(), 3);
         assert_eq!(t.cols(), 2);

@@ -64,32 +64,6 @@ impl AdjacencyGraph {
     pub fn degree(&self, v: usize) -> usize {
         self.adj_ptr[v + 1] - self.adj_ptr[v]
     }
-
-    /// Breadth-first level structure rooted at `start`.
-    ///
-    /// Returns `(levels, level_of)` where `levels[k]` lists the vertices at
-    /// distance `k` from `start` and `level_of[v]` is the distance of `v`
-    /// (or `usize::MAX` if unreachable).
-    pub fn bfs_levels(&self, start: usize) -> (Vec<Vec<usize>>, Vec<usize>) {
-        let mut level_of = vec![usize::MAX; self.n];
-        let mut levels: Vec<Vec<usize>> = Vec::new();
-        let mut current = vec![start];
-        level_of[start] = 0;
-        while !current.is_empty() {
-            let mut next = Vec::new();
-            for &v in &current {
-                for &w in self.neighbours(v) {
-                    if level_of[w] == usize::MAX {
-                        level_of[w] = levels.len() + 1;
-                        next.push(w);
-                    }
-                }
-            }
-            levels.push(current);
-            current = next;
-        }
-        (levels, level_of)
-    }
 }
 
 /// Whether a square matrix is irreducible, i.e. its *directed* adjacency
@@ -199,16 +173,6 @@ mod tests {
         assert_eq!(g.neighbours(0), &[1]);
         assert_eq!(g.neighbours(2), &[1, 3]);
         assert_eq!(g.degree(4), 1);
-    }
-
-    #[test]
-    fn bfs_levels_of_path() {
-        let g = AdjacencyGraph::from_matrix(&path_matrix(5));
-        let (levels, level_of) = g.bfs_levels(0);
-        assert_eq!(levels.len(), 5);
-        assert_eq!(level_of[4], 4);
-        let (levels_mid, _) = g.bfs_levels(2);
-        assert_eq!(levels_mid.len(), 3);
     }
 
     #[test]

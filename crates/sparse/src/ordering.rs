@@ -129,22 +129,6 @@ pub fn minimum_degree(a: &CsrMatrix) -> Permutation {
     Permutation::from_vec(order).expect("each vertex eliminated exactly once")
 }
 
-/// Profile (sum over rows of the distance from the first nonzero to the
-/// diagonal) of the symmetrized pattern — the quantity RCM tries to reduce.
-pub fn envelope_profile(a: &CsrMatrix) -> usize {
-    let n = a.rows();
-    let mut profile = 0usize;
-    for i in 0..n {
-        let mut first = i;
-        for (j, _) in a.row(i) {
-            first = first.min(j);
-        }
-        // also consider the column pattern (symmetrized envelope)
-        profile += i - first;
-    }
-    profile
-}
-
 /// Bandwidth of the matrix: maximum `|i - j|` over stored entries.
 pub fn bandwidth(a: &CsrMatrix) -> usize {
     let mut bw = 0usize;
@@ -259,6 +243,5 @@ mod tests {
     fn profile_and_bandwidth_of_tridiagonal() {
         let a = generators::tridiagonal(10, 4.0, -1.0);
         assert_eq!(bandwidth(&a), 1);
-        assert_eq!(envelope_profile(&a), 9);
     }
 }

@@ -177,12 +177,7 @@ impl BandPartition {
             .collect()
     }
 
-    /// Whether band `k`'s solution is needed by band `l` (i.e. band `k`'s
-    /// extended range intersects the column dependencies of band `l`).  With
-    /// contiguous bands, every band depends on every *other* band whose owned
-    /// range intersects the complement of `J_l`; in practice only structural
-    /// neighbours matter, which [`LocalBlocks::dependency_parts`] reports
-    /// exactly from the sparsity pattern.
+    /// The extended range of every band, in band order.
     pub fn ranges(&self) -> impl Iterator<Item = std::ops::Range<usize>> + '_ {
         (0..self.num_parts()).map(move |l| self.extended_range(l))
     }
@@ -309,36 +304,6 @@ impl LocalBlocks {
         Ok(())
     }
 
-    /// Computes `BLoc` from separately supplied left and right dependency
-    /// vectors (the form in which the drivers hold them).
-    pub fn local_rhs_from_parts(
-        &self,
-        x_left: &[f64],
-        x_right: &[f64],
-    ) -> Result<Vec<f64>, SparseError> {
-        if x_left.len() != self.offset {
-            return Err(SparseError::ShapeMismatch {
-                expected: (self.offset, 1),
-                found: (x_left.len(), 1),
-            });
-        }
-        let right_len = self.total_size - self.offset - self.size;
-        if x_right.len() != right_len {
-            return Err(SparseError::ShapeMismatch {
-                expected: (right_len, 1),
-                found: (x_right.len(), 1),
-            });
-        }
-        let mut rhs = self.b_sub.clone();
-        if self.offset > 0 {
-            self.dep_left.spmv_sub_into(x_left, &mut rhs)?;
-        }
-        if right_len > 0 {
-            self.dep_right.spmv_sub_into(x_right, &mut rhs)?;
-        }
-        Ok(rhs)
-    }
-
     /// The global column indices on which this band actually depends
     /// (nonzero columns of `DepLeft` and `DepRight`).
     pub fn dependency_columns(&self) -> Vec<usize> {
@@ -351,18 +316,6 @@ impl LocalBlocks {
             cols.insert(right_base + j);
         }
         cols.into_iter().collect()
-    }
-
-    /// The set of bands this band depends on, according to the sparsity
-    /// pattern and the given partition (this is the structural counterpart of
-    /// the `DependsOnMe` array of Algorithm 1, seen from the receiving side).
-    pub fn dependency_parts(&self, partition: &BandPartition) -> Vec<usize> {
-        let mut parts = std::collections::BTreeSet::new();
-        for col in self.dependency_columns() {
-            parts.insert(partition.owner_of(col));
-        }
-        parts.remove(&self.part);
-        parts.into_iter().collect()
     }
 
     /// Estimated memory footprint of the stored blocks, in bytes.
@@ -474,22 +427,6 @@ mod tests {
     }
 
     #[test]
-    fn local_rhs_from_parts_agrees_with_global_form() {
-        let a = generators::cage_like(30, 9);
-        let b: Vec<f64> = (0..30).map(|i| i as f64).collect();
-        let x: Vec<f64> = (0..30).map(|i| (i as f64).sin()).collect();
-        let p = BandPartition::uniform_with_overlap(30, 3, 2).unwrap();
-        for l in 0..3 {
-            let blocks = LocalBlocks::extract(&a, &b, &p, l).unwrap();
-            let full = blocks.local_rhs(&x).unwrap();
-            let left = &x[..blocks.offset];
-            let right = &x[blocks.offset + blocks.size..];
-            let parts = blocks.local_rhs_from_parts(left, right).unwrap();
-            assert_eq!(full, parts);
-        }
-    }
-
-    #[test]
     fn local_rhs_into_matches_local_rhs_with_and_reuses_buffer() {
         let a = generators::cage_like(40, 7);
         let b: Vec<f64> = (0..40).map(|i| (i as f64) * 0.25).collect();
@@ -506,17 +443,6 @@ mod tests {
             // shape validation
             assert!(blocks.local_rhs_into(&[1.0], &x, &mut out).is_err());
         }
-    }
-
-    #[test]
-    fn dependency_parts_of_tridiagonal_are_neighbours() {
-        let a = generators::tridiagonal(20, 4.0, -1.0);
-        let b = vec![1.0; 20];
-        let p = BandPartition::uniform(20, 4).unwrap();
-        let b0 = LocalBlocks::extract(&a, &b, &p, 0).unwrap();
-        assert_eq!(b0.dependency_parts(&p), vec![1]);
-        let b2 = LocalBlocks::extract(&a, &b, &p, 2).unwrap();
-        assert_eq!(b2.dependency_parts(&p), vec![1, 3]);
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //! 1. 32 independent cold `MultisplittingSolver::solve` calls (the one-shot
 //!    API: decompose + factorize + solve, every time),
 //! 2. one warm engine batch of the same 32 right-hand sides served by a
-//!    cached prepared system in a single pass.
+//!    cached prepared system, one solve per right-hand side.
 //!
 //! Run with:
 //! ```text

@@ -18,10 +18,11 @@
 //!   experiment runners),
 //! * [`engine`] — the persistent solve service: factorization caching with
 //!   single-flight deduplication, a prioritized job queue with backpressure,
-//!   and batched multi-RHS serving over prepared systems,
+//!   and multi-RHS requests over prepared systems,
 //! * [`serve`] — the engine on the network: a sharded solve fleet with
-//!   admission control, cross-request batch coalescing (bitwise-identical
-//!   to solo solves) and a consistent-hash routing client.
+//!   admission control, cross-request coalescing (each member solved by its
+//!   own solve, so bitwise-identical to a solo request) and a
+//!   consistent-hash routing client.
 //!
 //! # Quickstart
 //!
@@ -70,8 +71,7 @@ pub mod prelude {
     pub use msplit_core::launcher::{DistributedOutcome, Launcher, LauncherConfig};
     pub use msplit_core::perf_model::{replay_async, replay_sync, ProblemScaling};
     pub use msplit_core::solver::{
-        BatchSolveOutcome, ExecutionMode, Method, MultisplittingConfig, MultisplittingSolver,
-        SolveOutcome,
+        ExecutionMode, Method, MultisplittingConfig, MultisplittingSolver, SolveOutcome,
     };
     pub use msplit_core::stop::{Stop, StopReason};
     pub use msplit_core::theory::SplittingAnalysis;

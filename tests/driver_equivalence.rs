@@ -390,7 +390,8 @@ fn skip_engages_when_a_round_delivers_nothing() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(4))]
 
-    // Layer 2: the adapter matrix {sync, async, batch} x {InProc, TCP}.
+    // Layer 2: the adapter matrix {sync, async} x {InProc, TCP}, plus a
+    // batch, whose columns are in-process solves.
     #[test]
     fn adapter_matrix_agrees_across_modes_and_transports(
         n in 60usize..120,
@@ -429,17 +430,15 @@ proptest! {
         prop_assert_eq!(stop_bits(&sync_inproc.stop), stop_bits(&sync_tcp.stop));
         prop_assert!(max_err(&sync_inproc.x, &seq.x) < 1e-8);
 
-        // Batched sync through a prepared system: same bitwise
-        // transport-independence, column by column.
+        // A batch through a prepared system: each column is its own
+        // in-process solve, so the column of `b` is bitwise both threaded
+        // runs above.
         let prepared = PreparedSystem::prepare(sync_cfg, &a).unwrap();
         let (_, b2) = generators::rhs_for_solution(&a, |i| (i % 4) as f64);
-        let batch = vec![b.clone(), b2];
-        let batch_inproc = prepared.solve_many(&batch).unwrap();
-        let mesh = LoopbackMesh::new(parts, TcpOptions::default()).unwrap();
-        let batch_tcp = prepared.solve_many_with_transport(&batch, mesh).unwrap();
-        prop_assert!(batch_inproc.stop.converged() && batch_tcp.stop.converged());
-        prop_assert_eq!(&batch_inproc.columns, &batch_tcp.columns);
-        prop_assert!(max_err(&batch_inproc.columns[0], &seq.x) < 1e-8);
+        let batch = prepared.solve_many(&[b.clone(), b2]).unwrap();
+        prop_assert!(batch.iter().all(|col| col.stop.converged()));
+        prop_assert_eq!(&batch[0].x, &sync_tcp.x);
+        prop_assert_eq!(stop_bits(&batch[0].stop), stop_bits(&sync_tcp.stop));
 
         // Free-running async over both transports: timing-dependent iterate
         // mixing, so equivalence is to solver tolerance.
@@ -568,8 +567,8 @@ fn unified_runtime_smoke_fixed_system() {
 /// root can parent makes the vote tree two levels deep (rank 1 aggregates
 /// rank 17), which no solve at the paper's world sizes exercises.  The
 /// threaded adapter must still stop on exactly the bits of the sequential
-/// sweep, for one right-hand side and — column by column, each at its own
-/// solo stopping iteration — for a batch.
+/// sweep, and a batch returns each column's solo solve, which stops on the
+/// sequential sweep's bits too.
 #[test]
 fn two_level_vote_tree_is_bitwise_the_sequential_sweep() {
     use multisplitting::core::runtime::VOTE_TREE_ARITY;
@@ -609,12 +608,12 @@ fn two_level_vote_tree_is_bitwise_the_sequential_sweep() {
     assert_eq!(single.x, sequential(&rhs[0], single.stop.iterations));
 
     let batch = prepared.solve_many(&rhs).unwrap();
-    assert!(batch.stop.converged());
-    for (c, b) in rhs.iter().enumerate() {
-        let k = batch.column_converged_at[c].expect("every column converges");
-        assert_eq!(batch.columns[c], sequential(b, k), "column {c}");
+    for (c, (b, col)) in rhs.iter().zip(&batch).enumerate() {
+        assert!(col.stop.converged(), "column {c}");
+        assert_eq!(col.x, sequential(b, col.stop.iterations), "column {c}");
     }
-    assert_eq!(batch.column_converged_at[0], Some(single.stop.iterations));
+    assert_eq!(batch[0].x, single.x);
+    assert_eq!(stop_bits(&batch[0].stop), stop_bits(&single.stop));
 }
 
 /// Asserts that a pooled and a threaded solve of one system agree: every bit

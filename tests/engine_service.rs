@@ -1,7 +1,7 @@
 //! Integration tests of the persistent solve service through the facade:
 //! cache correctness (a cached prepared system must be indistinguishable
 //! from cold solves), single-flight factorization under concurrent
-//! submission, and batched serving.
+//! submission, and batched serving (a batch is its columns' solo solves).
 
 use multisplitting::prelude::*;
 use multisplitting::sparse::generators::{self, DiagDominantConfig};
@@ -15,6 +15,10 @@ fn service_config(parts: usize) -> MultisplittingConfig {
         tolerance: 1e-9,
         ..Default::default()
     }
+}
+
+fn bits(x: &[f64]) -> Vec<u64> {
+    x.iter().map(|v| v.to_bits()).collect()
 }
 
 fn arb_system() -> impl Strategy<Value = (CsrMatrix, usize)> {
@@ -58,7 +62,8 @@ proptest! {
         prop_assert_eq!(cold.stop.norm.to_bits(), warm_first.stop.norm.to_bits());
     }
 
-    // Batched serving must agree with per-column serving to solver accuracy.
+    // Batched serving is per-column serving: every column returns the bits
+    // and the stop record of its solo solve.
     #[test]
     fn batched_serving_matches_column_by_column(
         sys in arb_system(),
@@ -71,13 +76,13 @@ proptest! {
             .map(|s| generators::rhs_for_solution(&a, move |i| ((i as u64 + s) % 7) as f64).1)
             .collect();
         let out = prepared.solve_many(&batch).unwrap();
-        prop_assert!(out.stop.converged());
-        prop_assert_eq!(out.num_rhs(), ncols);
-        for (b, x_batch) in batch.iter().zip(out.columns.iter()) {
+        prop_assert_eq!(out.len(), ncols);
+        for (b, col) in batch.iter().zip(out.iter()) {
             let single = prepared.solve(b).unwrap();
-            for (p, q) in x_batch.iter().zip(single.x.iter()) {
-                prop_assert!((p - q).abs() < 1e-8);
-            }
+            prop_assert!(col.stop.converged());
+            prop_assert_eq!(bits(&col.x), bits(&single.x));
+            prop_assert_eq!(col.stop, single.stop);
+            prop_assert_eq!(col.stop.norm.to_bits(), single.stop.norm.to_bits());
         }
     }
 }
@@ -151,8 +156,9 @@ fn engine_batch_answers_match_the_true_solution() {
     assert!(outcome.converged());
     match &*outcome {
         JobOutcome::Batch(out) => {
-            for ((x_true, _), x) in solutions.iter().zip(out.columns.iter()) {
-                let err = x
+            for ((x_true, _), col) in solutions.iter().zip(out.iter()) {
+                let err = col
+                    .x
                     .iter()
                     .zip(x_true.iter())
                     .fold(0.0f64, |m, (p, q)| m.max((p - q).abs()));
@@ -164,4 +170,58 @@ fn engine_batch_answers_match_the_true_solution() {
     let report = engine.report();
     assert_eq!(report.rhs_served, 8);
     assert!(report.solve_seconds > 0.0);
+}
+
+/// An engine batch whose columns stop for different reasons: the zero
+/// right-hand side converges at once, the one scaled by 1e12 cannot within
+/// a small budget.  Each column is still exactly its solo solve — `x` bits
+/// and the whole stop record — with and without halos.
+#[test]
+fn a_mixed_batch_answers_each_column_as_its_solo_solve() {
+    let a = Arc::new(generators::diag_dominant(&DiagDominantConfig {
+        n: 120,
+        seed: 11,
+        ..Default::default()
+    }));
+    let (_, b) = generators::rhs_for_solution(&a, |i| (i % 5) as f64 + 1.0);
+    let batch = vec![vec![0.0; a.rows()], b.iter().map(|v| v * 1e12).collect()];
+    let engine = Engine::new(EngineConfig::default());
+    for method in [Method::Stationary, Method::Richardson { inner_sweeps: 1 }] {
+        for parts in [1, 3] {
+            // One band is a direct solve: its second sweep repeats the
+            // first bit for bit and converges, so it gets a single sweep.
+            let config = MultisplittingConfig {
+                max_iterations: if parts == 1 { 1 } else { 5 },
+                method,
+                ..service_config(parts)
+            };
+            let outcome = engine
+                .submit(
+                    SolveRequest::new(Arc::clone(&a), RhsPayload::Batch(batch.clone()))
+                        .with_config(config.clone()),
+                )
+                .unwrap()
+                .wait()
+                .unwrap();
+            let JobOutcome::Batch(cols) = &*outcome else {
+                panic!("expected a batch outcome");
+            };
+            let prepared = PreparedSystem::prepare(config, &a).unwrap();
+            for (c, (col, b)) in cols.iter().zip(&batch).enumerate() {
+                let solo = prepared.solve(b).unwrap();
+                let what = format!("{method:?}, P = {parts}, column {c}");
+                assert_eq!(col.stop.reason, solo.stop.reason, "{what}");
+                assert_eq!(col.stop.iterations, solo.stop.iterations, "{what}");
+                assert_eq!(col.stop.norm.to_bits(), solo.stop.norm.to_bits(), "{what}");
+                assert_eq!(bits(&col.x), bits(&solo.x), "{what}");
+            }
+            assert!(cols[0].stop.converged(), "{method:?}, P = {parts}");
+            assert_eq!(
+                cols[1].stop.reason,
+                StopReason::BudgetExhausted,
+                "{method:?}, P = {parts}"
+            );
+            assert!(!outcome.converged());
+        }
+    }
 }

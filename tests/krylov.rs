@@ -314,9 +314,10 @@ fn fgmres_outperforms_stationary_on_an_ill_conditioned_system() {
 }
 
 #[test]
-fn batch_solves_stay_on_the_stationary_lockstep_path() {
-    // solve_many is the batched lockstep driver regardless of the configured
-    // method — documented behavior; the batch must still be correct.
+fn batch_columns_are_solo_solves_of_the_configured_method() {
+    // A batch is its columns' own solves: an FGMRES(10) or Richardson
+    // system's `solve_many` runs that method, and each column returns the
+    // `x` bits and the full stop record of `solve` on that column.
     let a = generators::diag_dominant(&DiagDominantConfig {
         n: 100,
         seed: 3,
@@ -324,21 +325,33 @@ fn batch_solves_stay_on_the_stationary_lockstep_path() {
     });
     let (x1, b1) = generators::rhs_for_solution(&a, |i| (i % 3) as f64);
     let (x2, b2) = generators::rhs_for_solution(&a, |i| ((i % 5) as f64) - 2.0);
-    let prepared = PreparedSystem::prepare(
-        config(
-            2,
-            Method::Fgmres {
-                restart: 10,
-                inner_sweeps: 1,
-            },
-        ),
-        &a,
-    )
-    .unwrap();
-    let batch = prepared.solve_many(&[b1, b2]).unwrap();
-    assert!(batch.stop.converged());
-    assert!(max_err(&batch.columns[0], &x1) < 1e-7);
-    assert!(max_err(&batch.columns[1], &x2) < 1e-7);
+    let batch = [b1, b2];
+    let methods = [
+        Method::Fgmres {
+            restart: 10,
+            inner_sweeps: 1,
+        },
+        Method::Richardson { inner_sweeps: 2 },
+    ];
+    for method in methods {
+        for parts in [1, 3] {
+            let prepared = PreparedSystem::prepare(config(parts, method), &a).unwrap();
+            let out = prepared.solve_many(&batch).unwrap();
+            assert_eq!(out.len(), 2);
+            for (c, (col, b)) in out.iter().zip(&batch).enumerate() {
+                let solo = prepared.solve(b).unwrap();
+                let what = format!("{method:?}, P = {parts}, column {c}");
+                assert_eq!(col.stop.reason, solo.stop.reason, "{what}");
+                assert_eq!(col.stop.iterations, solo.stop.iterations, "{what}");
+                assert_eq!(col.stop.norm.to_bits(), solo.stop.norm.to_bits(), "{what}");
+                let bits = |x: &[f64]| x.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&col.x), bits(&solo.x), "{what}");
+                assert!(col.stop.converged(), "{what}");
+            }
+            assert!(max_err(&out[0].x, &x1) < 1e-7);
+            assert!(max_err(&out[1].x, &x2) < 1e-7);
+        }
+    }
 }
 
 // --- The pooled sweep against its serial oracle, bit for bit. ---

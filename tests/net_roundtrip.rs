@@ -43,7 +43,7 @@ fn bytes_from_seed(seed: u64, len: usize) -> Vec<u8> {
         .collect()
 }
 
-/// Builds one of the thirteen message variants from proptest-drawn integers.
+/// Builds one of the twelve message variants from proptest-drawn integers.
 fn build_message(variant: usize, from: usize, len: usize, seed: u64) -> Message {
     match variant {
         0 => Message::Solution {
@@ -52,27 +52,16 @@ fn build_message(variant: usize, from: usize, len: usize, seed: u64) -> Message 
             offset: (seed % 4096) as usize,
             values: values_from_seed(seed, len),
         },
-        1 => {
-            let ncols = (seed % 4) as usize + 1;
-            Message::SolutionBatch {
-                from,
-                iteration: seed % 100_000,
-                offset: (seed % 4096) as usize,
-                columns: (0..ncols)
-                    .map(|c| values_from_seed(seed.wrapping_add(c as u64), len))
-                    .collect(),
-            }
-        }
-        2 => Message::ConvergenceVote {
+        1 => Message::ConvergenceVote {
             from,
             iteration: seed % 100_000,
             converged: seed.is_multiple_of(2),
         },
-        3 => Message::GlobalConverged {
+        2 => Message::GlobalConverged {
             iteration: seed % 100_000,
         },
-        4 => Message::Halt,
-        5 => Message::SubmitSolve {
+        3 => Message::Halt,
+        4 => Message::SubmitSolve {
             request_id: seed,
             fingerprint: seed.rotate_left(17),
             priority: (seed % 4) as u8,
@@ -81,14 +70,14 @@ fn build_message(variant: usize, from: usize, len: usize, seed: u64) -> Message 
             matrix: bytes_from_seed(seed.wrapping_add(1), len * 3),
             rhs: values_from_seed(seed.wrapping_add(2), len),
         },
-        6 => Message::SolveResult {
+        5 => Message::SolveResult {
             request_id: seed,
             iterations: seed % 100_000,
             coalesced: seed % 33,
             queue_micros: seed % 1_000_000,
             x: values_from_seed(seed, len),
         },
-        7 => Message::Reject {
+        6 => Message::Reject {
             request_id: seed,
             code: match seed % 4 {
                 0 => RejectCode::QueueFull,
@@ -99,13 +88,13 @@ fn build_message(variant: usize, from: usize, len: usize, seed: u64) -> Message 
             retry_after_micros: seed % 1_000_000,
             detail: String::from_utf8_lossy(&bytes_from_seed(seed, len)).into_owned(),
         },
-        8 => Message::StatsQuery,
-        9 => Message::Heartbeat { from },
-        10 => Message::Reshape {
+        7 => Message::StatsQuery,
+        8 => Message::Heartbeat { from },
+        9 => Message::Reshape {
             from,
             dead_rank: (seed % 1024) as usize,
         },
-        11 => Message::ServerStats {
+        10 => Message::ServerStats {
             shard: seed % 64,
             completed: seed,
             rejected: seed % 1000,
@@ -133,7 +122,7 @@ proptest! {
 
     #[test]
     fn message_codec_round_trips_every_variant(
-        variant in 0usize..13,
+        variant in 0usize..12,
         from in 0usize..64,
         len in 0usize..48,
         seed in 0u64..u64::MAX,
@@ -147,7 +136,7 @@ proptest! {
 
     #[test]
     fn frame_codec_round_trips_every_variant(
-        variant in 0usize..13,
+        variant in 0usize..12,
         from in 0usize..64,
         len in 0usize..48,
         seed in 0u64..u64::MAX,
@@ -163,7 +152,7 @@ proptest! {
 
     #[test]
     fn torn_frames_error_instead_of_panicking(
-        variant in 0usize..13,
+        variant in 0usize..12,
         len in 0usize..32,
         seed in 0u64..u64::MAX,
         cut_permille in 0usize..1000,
@@ -182,7 +171,7 @@ proptest! {
 
     #[test]
     fn corrupted_payload_bytes_never_panic_the_decoder(
-        variant in 0usize..13,
+        variant in 0usize..12,
         len in 1usize..24,
         seed in 0u64..u64::MAX,
         flip in 0usize..10_000,
@@ -200,9 +189,9 @@ proptest! {
 }
 
 /// The wire-tag edge table, spelled out because the proptest stand-in has no
-/// shrinking: one fixed message per live tag (1–7, 9–14) with the exact bytes
-/// the codec has always produced for it.
-fn wire_golden_table() -> [(u8, Message, &'static str); 13] {
+/// shrinking: one fixed message per live tag (1–4, 6, 7, 9–14) with the exact
+/// bytes the codec has always produced for it.
+fn wire_golden_table() -> [(u8, Message, &'static str); 12] {
     [
         (
             1,
@@ -230,17 +219,6 @@ fn wire_golden_table() -> [(u8, Message, &'static str); 13] {
             "030b00000000000000",
         ),
         (4, Message::Halt, "04"),
-        (
-            5,
-            Message::SolutionBatch {
-                from: 1,
-                iteration: 4,
-                offset: 8,
-                columns: vec![vec![0.5], vec![-0.25]],
-            },
-            "050100000000000000040000000000000008000000000000000200000000000000\
-             0100000000000000000000000000e03f0100000000000000000000000000d0bf",
-        ),
         (6, Message::Heartbeat { from: 5 }, "060500000000000000"),
         (
             7,
@@ -322,9 +300,14 @@ fn wire_golden_table() -> [(u8, Message, &'static str); 13] {
 }
 
 /// The golden table's bytes, and the tags that must never decode —
-/// 0 (never assigned), 8 and 15 (reserved: they carried the speed report of
-/// the removed online rebalancer and the stability summary of a removed
-/// detection protocol, and an old peer may still send either).
+/// 0 (never assigned), 5, 8 and 15 (reserved: they carried the column batch
+/// of the removed lockstep multi-RHS solve, the speed report of the removed
+/// online rebalancer and the stability summary of a removed detection
+/// protocol, and an old peer may still send any of them).
+/// A tag-5 body as the removed column batch encoded it.
+const OLD_TAG_5_BATCH: &str = "050100000000000000040000000000000008000000000000000200000000000000\
+     0100000000000000000000000000e03f0100000000000000000000000000d0bf";
+
 #[test]
 fn wire_tags_are_byte_stable_and_tag_15_stays_reserved() {
     fn hex(bytes: &[u8]) -> String {
@@ -348,7 +331,7 @@ fn wire_tags_are_byte_stable_and_tag_15_stays_reserved() {
         frame.extend_from_slice(body);
         frame
     };
-    for dead_tag in [0u8, 8, 15] {
+    for dead_tag in [0u8, 5, 8, 15] {
         let mut body = vec![dead_tag];
         for word in [9u64, 77, 4] {
             body.extend_from_slice(&word.to_le_bytes());
@@ -359,6 +342,21 @@ fn wire_tags_are_byte_stable_and_tag_15_stays_reserved() {
         );
         assert!(matches!(Message::decode(&body), Err(CommError::Codec(_))));
     }
+
+    // The exact bytes the codec produced for a two-column tag-5 batch
+    // (sender 1, iteration 4, offset 8, columns [0.5] and [-0.25]).
+    let old_batch: Vec<u8> = (0..OLD_TAG_5_BATCH.len())
+        .step_by(2)
+        .map(|i| u8::from_str_radix(&OLD_TAG_5_BATCH[i..i + 2], 16).unwrap())
+        .collect();
+    assert!(matches!(
+        decode_frame(&frame_of(&old_batch)),
+        Err(CommError::Codec(_))
+    ));
+    assert!(matches!(
+        Message::decode(&old_batch),
+        Err(CommError::Codec(_))
+    ));
 
     // A reshape always names its dead rank: the `u64::MAX` sentinel the
     // removed speed-drift reshape sent is a codec error.
@@ -662,7 +660,9 @@ fn loopback_mesh_reports_unknown_ranks() {
 /// protocol error: it never reaches the inbox, and the link closes, so a
 /// genuine frame sent after it is not delivered either.  A frame whose
 /// envelope is honest but whose body names rank 0 — the `from` the
-/// receiving rank files a halo under — is delivered as rank 1's.
+/// receiving rank files a halo under — is delivered as rank 1's.  A tag-5
+/// frame (the retired column batch, body naming rank 0) is a codec error:
+/// it never reaches the inbox, and the link closes.
 #[test]
 fn a_frame_naming_another_sender_never_reaches_the_inbox() {
     use multisplitting::comm::tcp::BoundTcpTransport;
@@ -677,14 +677,23 @@ fn a_frame_naming_another_sender_never_reaches_the_inbox() {
         offset: 0,
         values: vec![1.0, 2.0],
     };
-    let forged_batch = Message::SolutionBatch {
-        from: 0,
-        iteration: 1,
-        offset: 0,
-        columns: vec![vec![1.0, 2.0]],
-    };
-    // (envelope sender, message) of the forged frame.
-    for (envelope, forged) in [(0, halo(0)), (1, halo(0)), (1, forged_batch)] {
+    // The retired tag-5 body: sender 0, iteration 1, offset 0, one column
+    // of two values.
+    let mut batch_body = vec![5u8];
+    for word in [0u64, 1, 0, 1, 2, 1.0f64.to_bits(), 2.0f64.to_bits()] {
+        batch_body.extend_from_slice(&word.to_le_bytes());
+    }
+    let mut tag_5_frame = encode_frame(1, &Message::Halt);
+    tag_5_frame.truncate(FRAME_HEADER_LEN);
+    tag_5_frame[FRAME_HEADER_LEN - 4..].copy_from_slice(&(batch_body.len() as u32).to_le_bytes());
+    tag_5_frame.extend_from_slice(&batch_body);
+    // (envelope sender, forged frame, frames that reach the inbox).
+    let cases = [
+        (0, encode_frame(0, &halo(0)), 0),
+        (1, encode_frame(1, &halo(0)), 2),
+        (1, tag_5_frame, 0),
+    ];
+    for (envelope, forged, expected) in cases {
         let fingerprint = 0x5eed;
         let hello = Handshake {
             rank: 1,
@@ -718,17 +727,16 @@ fn a_frame_naming_another_sender_never_reaches_the_inbox() {
         assert_eq!(Handshake::read_from(&mut dialed).unwrap().rank, 0);
         let transport = mesh.join().unwrap().unwrap();
 
-        dialed.write_all(&encode_frame(envelope, &forged)).unwrap();
+        dialed.write_all(&forged).unwrap();
         dialed.write_all(&encode_frame(1, &halo(1))).unwrap();
         dialed.flush().unwrap();
         let delivered: Vec<Message> =
             std::iter::from_fn(|| transport.recv_timeout(0, Duration::from_millis(500)).ok())
                 .collect();
-        let expected = if envelope == 0 { 0 } else { 2 };
         assert_eq!(
             delivered.len(),
             expected,
-            "forged frame (envelope {envelope}, {forged:?}): delivered {delivered:?}"
+            "forged frame (envelope {envelope}, {forged:02x?}): delivered {delivered:?}"
         );
         for msg in &delivered {
             assert_eq!(

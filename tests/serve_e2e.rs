@@ -128,7 +128,7 @@ fn sharded_fleet_serves_bitwise_answers_through_a_shard_kill() {
         t.join().expect("tenant thread");
     }
     // Shared matrices and 16 tenants on two workers per shard: some requests
-    // must have found the workers busy and shared a sweep.
+    // must have found the workers busy and shared a job.
     assert!(
         coalesced_hits.load(Ordering::Relaxed) > 0,
         "no request was ever coalesced under 16 concurrent tenants"
@@ -220,7 +220,7 @@ fn server_stats_reflect_completed_and_coalesced_work() {
 /// A batch runs the stationary lockstep driver, so Krylov requests must never
 /// be coalesced.  Four FGMRES clients and four stationary clients share one
 /// matrix on a one-worker shard, so requests keep arriving while the worker
-/// is busy: the stationary control arm must share sweeps (the setup can
+/// is busy: the stationary control arm must share jobs (the setup can
 /// coalesce), while every FGMRES request is served alone, by FGMRES, bitwise
 /// the direct solve.
 #[test]
@@ -308,7 +308,7 @@ fn concurrent_krylov_requests_are_never_coalesced() {
         replies
             .iter()
             .any(|(arm, _, r)| *arm == 1 && r.coalesced > 1),
-        "no stationary request shared a sweep on the busy shard, so the Krylov arm proves nothing"
+        "no stationary request shared a job on the busy shard, so the Krylov arm proves nothing"
     );
     drop(server);
 }
@@ -421,8 +421,8 @@ proptest! {
 
     // The coalescing-equivalence property the whole serving design leans
     // on: for any batch of right-hand sides, every column of `solve_many`
-    // is **bitwise** the solo `solve` of that column, and its frozen-column
-    // iteration equals the solo iteration count.
+    // is **bitwise** the solo `solve` of that column, and its iteration
+    // count equals the solo iteration count.
     #[test]
     fn coalesced_batches_are_bitwise_identical_to_solo_solves(
         n in 40usize..120,
@@ -440,11 +440,11 @@ proptest! {
             .map(|k| generators::rhs_for_solution(&a, move |i| ((i * (k + 1)) % 7) as f64).1)
             .collect();
         let out = prepared.solve_many(&batch).expect("batch solve");
-        prop_assert!(out.stop.converged());
+        prop_assert!(out.iter().all(|col| col.stop.converged()));
         for (c, b) in batch.iter().enumerate() {
             let solo = prepared.solve(b).expect("solo solve");
-            prop_assert_eq!(&out.columns[c], &solo.x);
-            prop_assert_eq!(out.column_converged_at[c], Some(solo.stop.iterations));
+            prop_assert_eq!(&out[c].x, &solo.x);
+            prop_assert_eq!(out[c].stop.iterations, solo.stop.iterations);
         }
     }
 }

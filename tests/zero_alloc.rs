@@ -91,17 +91,6 @@ fn main() {
             x.copy_from_slice(&b);
             factor.solve_into(&mut x, &mut scratch).expect("solve_into");
         });
-        // Batched in-place solve with retained columns.
-        let mut cols: Vec<Vec<f64>> = (0..4).map(|_| b.clone()).collect();
-        let template = b.clone();
-        assert_zero_alloc(&format!("{kind:?} solve_many_into"), 20, || {
-            for c in cols.iter_mut() {
-                c.copy_from_slice(&template);
-            }
-            factor
-                .solve_many_into(&mut cols, &mut scratch)
-                .expect("solve_many_into");
-        });
     }
 
     // --- Sparse matrix-vector kernels. ---
