@@ -6,7 +6,7 @@
 //! layer (in-process vs TCP-loopback message round-trip latency, and the
 //! bytes each synchronous outer iteration puts on the links, from
 //! `LinkStats`), the driver-dispatch overhead, and the **serving** fleet
-//! (cold vs warm vs coalesced request throughput through a live
+//! (cold vs warm solo vs warm concurrent request throughput through a live
 //! `msplit-serve` shard, with queue-latency percentiles), and the **krylov**
 //! outer loops (stationary sweep vs FGMRES over the same sweep as a
 //! preconditioner, on well- and ill-conditioned systems), and the **rayon
@@ -47,11 +47,12 @@ use std::time::Instant;
 const MAX_DISPATCH_OVERHEAD_PCT: f64 = 2.0;
 const DISPATCH_SLACK_US: f64 = 0.5;
 
-/// Serving acceptance gate: warm coalesced throughput must beat cold
+/// Serving acceptance gate: warm concurrent throughput must beat cold
 /// (factorize-per-request) throughput by at least this factor.  Cold pays a
-/// factorization per request; warm coalesced pays one cached triangular
-/// sweep per *batch*, so well below 3x means coalescing or the cache broke.
-const MIN_COALESCED_OVER_COLD: f64 = 3.0;
+/// factorization per request; warm concurrent requests pay only their cached
+/// solves, spread over the engine's workers, so well below 3x means the
+/// cache or the dispatch broke.
+const MIN_CONCURRENT_OVER_COLD: f64 = 3.0;
 
 /// Sparse-factorization acceptance gate: on `cage_like(3000, 1)` (the shape
 /// of one `grid_factor` band) the pruned, allocation-free Gilbert–Peierls
@@ -451,10 +452,10 @@ struct ServingRecord {
 
 /// Measures the solve fleet three ways against one in-process shard: cold
 /// requests (distinct matrices, each paying a factorization), warm solo
-/// requests (same matrix, strictly sequential, so nothing coalesces), and
-/// warm coalesced requests (concurrent clients on the same matrix sharing
-/// engine jobs).  Queue-latency percentiles come from the
-/// `queue_micros` every `SolveResult` carries.
+/// requests (same matrix, strictly sequential), and warm concurrent
+/// requests (more clients on the same matrix than the shard has workers,
+/// each request its own engine job).  Queue-latency percentiles come from
+/// the `queue_micros` every `SolveResult` carries.
 fn serving_table(check_mode: bool) -> (Vec<ServingRecord>, f64, f64) {
     let n = if check_mode { 200 } else { 600 };
     let cold_matrices = if check_mode { 3u64 } else { 6 };
@@ -510,9 +511,8 @@ fn serving_table(check_mode: bool) -> (Vec<ServingRecord>, f64, f64) {
     }
     let warm_solo_rps = warm_reqs as f64 / t0.elapsed().as_secs_f64();
 
-    // Warm coalesced: more concurrent clients on the same matrix than the
-    // shard has workers, so requests that find both workers busy share one
-    // engine job.
+    // Warm concurrent: more clients on the same matrix than the shard has
+    // workers, so requests wait in the engine queue for a worker.
     let a = std::sync::Arc::new(a);
     let config = std::sync::Arc::new(config);
     let addrs = std::sync::Arc::new(addrs);
@@ -526,30 +526,23 @@ fn serving_table(check_mode: bool) -> (Vec<ServingRecord>, f64, f64) {
                 let client =
                     ServeClient::new(&addrs, ClientOptions::default()).expect("tenant client");
                 let mut queue_us = Vec::with_capacity(solves_per_thread);
-                let mut coalesced = 0u64;
                 for k in 0..solves_per_thread {
                     let (_, b) = generators::rhs_for_solution(&a, move |i| {
                         ((i + t * solves_per_thread + k) % 6) as f64
                     });
-                    let sol = client.solve(&a, &config, &b).expect("coalesced solve");
+                    let sol = client.solve(&a, &config, &b).expect("concurrent solve");
                     queue_us.push(sol.queue_micros);
-                    if sol.coalesced > 1 {
-                        coalesced += 1;
-                    }
                 }
-                (queue_us, coalesced)
+                queue_us
             })
         })
         .collect();
     let mut queue_us: Vec<u64> = Vec::new();
-    let mut coalesced_requests = 0u64;
     for w in workers {
-        let (q, c) = w.join().expect("tenant thread");
-        queue_us.extend(q);
-        coalesced_requests += c;
+        queue_us.extend(w.join().expect("tenant thread"));
     }
     let total = (threads * solves_per_thread) as f64;
-    let warm_coalesced_rps = total / t0.elapsed().as_secs_f64();
+    let warm_concurrent_rps = total / t0.elapsed().as_secs_f64();
     server.shutdown();
 
     queue_us.sort_unstable();
@@ -566,14 +559,9 @@ fn serving_table(check_mode: bool) -> (Vec<ServingRecord>, f64, f64) {
             unit: "req/s",
         },
         ServingRecord {
-            name: "warm_coalesced_requests_per_s",
-            value: warm_coalesced_rps,
+            name: "warm_concurrent_requests_per_s",
+            value: warm_concurrent_rps,
             unit: "req/s",
-        },
-        ServingRecord {
-            name: "coalesced_request_share",
-            value: coalesced_requests as f64 / total,
-            unit: "fraction",
         },
         ServingRecord {
             name: "queue_latency_p50",
@@ -586,7 +574,7 @@ fn serving_table(check_mode: bool) -> (Vec<ServingRecord>, f64, f64) {
             unit: "us",
         },
     ];
-    (records, cold_rps, warm_coalesced_rps)
+    (records, cold_rps, warm_concurrent_rps)
 }
 
 /// Mean microseconds per message round trip between ranks 0 and 1 of
@@ -974,8 +962,8 @@ fn main() {
         e2e_record("pooled_sync_end_to_end", true),
     ];
 
-    // --- Serving: the networked fleet, cold vs warm vs coalesced. ---
-    let (serving_records, cold_rps, coalesced_rps) = serving_table(check_mode);
+    // --- Serving: the networked fleet, cold vs warm solo vs warm concurrent. ---
+    let (serving_records, cold_rps, concurrent_rps) = serving_table(check_mode);
 
     // --- Convergence protocols at scale (in-process simulation; the full
     // P = 1024 sweep runs in --check too — the gate is the point). ---
@@ -1130,9 +1118,9 @@ fn main() {
         );
     }
     println!(
-        "# serving: cold {cold_rps:.1} req/s, coalesced {coalesced_rps:.1} req/s \
+        "# serving: cold {cold_rps:.1} req/s, concurrent {concurrent_rps:.1} req/s \
          ({:.1}x); queue p50/p99 in the serving table",
-        coalesced_rps / cold_rps
+        concurrent_rps / cold_rps
     );
     // The sparse-factorization acceptance gate, with the exact symbolic work
     // counts behind it (entries of L the reach examined).
@@ -1169,18 +1157,18 @@ fn main() {
     }
 
     // The serving acceptance gate: a multi-tenant fleet only earns its keep
-    // if coalesced warm traffic beats factorize-per-request cold traffic by
+    // if concurrent warm traffic beats factorize-per-request cold traffic by
     // a wide margin.
-    if coalesced_rps < MIN_COALESCED_OVER_COLD * cold_rps {
+    if concurrent_rps < MIN_CONCURRENT_OVER_COLD * cold_rps {
         gate_failures.push(format!(
-            "serving: measured warm coalesced {coalesced_rps:.1} req/s, \
-             required {MIN_COALESCED_OVER_COLD}x cold ({:.1} req/s)",
-            MIN_COALESCED_OVER_COLD * cold_rps
+            "serving: measured warm concurrent {concurrent_rps:.1} req/s, \
+             required {MIN_CONCURRENT_OVER_COLD}x cold ({:.1} req/s)",
+            MIN_CONCURRENT_OVER_COLD * cold_rps
         ));
     } else {
         println!(
-            "# serving within budget: {coalesced_rps:.1} >= {:.1} req/s",
-            MIN_COALESCED_OVER_COLD * cold_rps
+            "# serving within budget: {concurrent_rps:.1} >= {:.1} req/s",
+            MIN_CONCURRENT_OVER_COLD * cold_rps
         );
     }
 

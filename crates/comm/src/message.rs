@@ -111,8 +111,9 @@ pub enum Message {
         request_id: u64,
         /// Outer iterations the solve took (0 for a warm-only request).
         iterations: u64,
-        /// Number of requests served by the job that produced this answer
-        /// (1 = solo, >1 = coalesced group).
+        /// Number of requests served by the job that produced this answer.
+        /// Every request is its own job, so servers write `1`; a reader
+        /// must accept any value.
         coalesced: u64,
         /// Microseconds the request waited before its solve started.
         queue_micros: u64,
@@ -142,10 +143,12 @@ pub enum Message {
         completed: u64,
         /// Requests answered with a [`Message::Reject`].
         rejected: u64,
-        /// Requests that shared a coalesced job with at least one other
-        /// request.
+        /// Reserved: once the requests that shared a coalesced job; every
+        /// request is its own job now, so servers write `0`.  Kept so the
+        /// frame layout does not change.
         coalesced: u64,
-        /// Solve jobs dispatched (solo or coalesced).
+        /// Solve jobs dispatched (one per solved request; warm requests
+        /// are not counted).
         batches: u64,
         /// Prepared systems evicted from the factorization cache.
         cache_evictions: u64,

@@ -494,9 +494,7 @@ mod tests {
             assert!(col.stop.converged());
             assert!(col.residual(&a, b) < 1e-6);
             // Each column is its own solve, so it equals the lone solve
-            // bitwise, stop record included.  This is what lets a serving
-            // layer coalesce independent requests without changing any
-            // answer.
+            // bitwise, stop record included.
             assert_eq!(col.x, single.x, "column {c}");
             assert_eq!(col.stop, single.stop, "column {c}");
         }

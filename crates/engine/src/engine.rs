@@ -14,10 +14,10 @@ use std::time::Instant;
 /// Sizing of an [`Engine`].
 #[derive(Debug, Clone)]
 pub struct EngineConfig {
-    /// Worker threads executing jobs.  Each worker runs one job at a time.
-    /// A synchronous solve runs inline on its worker, and a batch is its
-    /// columns' solves one after another; asynchronous solves spawn one
-    /// thread per band, so a few workers saturate a host.
+    /// Worker threads executing jobs.  Each worker runs one job — one
+    /// right-hand side — at a time.  A synchronous solve runs inline on its
+    /// worker; asynchronous solves spawn one thread per band, so a few
+    /// workers saturate a host.
     pub workers: usize,
     /// Bound of the job queue; submissions beyond it block
     /// ([`Engine::submit`]) or fail fast ([`Engine::try_submit`]).
@@ -42,9 +42,8 @@ impl Default for EngineConfig {
 /// returns a [`JobHandle`].  Workers pop jobs, fetch (or single-flight
 /// prepare) the [`PreparedSystem`] for the request's matrix + configuration
 /// from the [`FactorizationCache`], and dispatch onto the synchronous or
-/// asynchronous driver — once per right-hand side when the request carries
-/// several.  Dropping the engine closes the queue, drains
-/// the remaining jobs and joins the workers.
+/// asynchronous driver.  Dropping the engine closes the queue, drains the
+/// remaining jobs and joins the workers.
 pub struct Engine {
     cache: Arc<FactorizationCache>,
     queue: Arc<JobQueue>,
@@ -104,14 +103,13 @@ impl Engine {
                 request.config.parts
             )));
         }
-        for (k, col) in request.rhs.columns().enumerate() {
-            if col.len() != a.rows() {
-                return Err(EngineError::InvalidRequest(format!(
-                    "right-hand side {k} has length {} but the matrix order is {}",
-                    col.len(),
-                    a.rows()
-                )));
-            }
+        let RhsPayload::Single(b) = &request.rhs;
+        if b.len() != a.rows() {
+            return Err(EngineError::InvalidRequest(format!(
+                "right-hand side has length {} but the matrix order is {}",
+                b.len(),
+                a.rows()
+            )));
         }
         Ok(())
     }
@@ -308,22 +306,19 @@ fn execute_started_job(job: &Job, cache: &FactorizationCache, metrics: &Metrics)
     };
 
     let solve_started = Instant::now();
-    let outcome = match &request.rhs {
-        RhsPayload::Single(b) => prepared.solve(b).map(JobOutcome::Single),
-        RhsPayload::Batch(cols) => prepared.solve_many(cols).map(JobOutcome::Batch),
-    };
+    let RhsPayload::Single(b) = &request.rhs;
+    let outcome = prepared.solve(b);
     Metrics::add(
         &metrics.solve_micros,
         solve_started.elapsed().as_micros() as u64,
     );
     match outcome {
         Ok(outcome) => {
-            let rhs = outcome.rhs_count() as u64;
-            for solved in outcome.outcomes() {
-                record_solve_paths(&solved.part_reports, metrics);
-            }
-            job.shared
-                .finish(Ok(Arc::new(outcome)), FinishKind::Completed(rhs));
+            record_solve_paths(&outcome.part_reports, metrics);
+            job.shared.finish(
+                Ok(Arc::new(JobOutcome::Single(outcome))),
+                FinishKind::Completed,
+            );
         }
         Err(e) => {
             job.shared
@@ -376,16 +371,15 @@ mod tests {
             .unwrap();
         let outcome = handle.wait().unwrap();
         assert!(outcome.converged());
-        match &*outcome {
-            JobOutcome::Single(o) => assert!(max_err(&o.x, &x_true) < 1e-6),
-            JobOutcome::Batch(_) => panic!("expected a single outcome"),
-        }
+        let JobOutcome::Single(o) = &*outcome;
+        assert!(max_err(&o.x, &x_true) < 1e-6);
         let report = engine.report();
         assert_eq!(report.jobs_completed, 1);
         assert_eq!(report.rhs_served, 1);
         assert_eq!(report.factorizations, 1);
     }
 
+    /// A batch is k single jobs: each is bitwise its solo solve.
     #[test]
     fn batch_job_serves_every_rhs() {
         let a = matrix(120, 8);
@@ -393,22 +387,31 @@ mod tests {
             .map(|s| generators::rhs_for_solution(&a, |i| ((i as u64 + s) % 5) as f64).1)
             .collect();
         let engine = Engine::new(EngineConfig::default());
-        let handle = engine
-            .submit(
-                SolveRequest::new(Arc::clone(&a), RhsPayload::Batch(batch.clone()))
-                    .with_config(small_config()),
-            )
-            .unwrap();
-        let outcome = handle.wait().unwrap();
-        assert!(outcome.converged());
-        assert_eq!(outcome.rhs_count(), 6);
-        match &*outcome {
-            JobOutcome::Batch(cols) => {
-                for (o, b) in cols.iter().zip(&batch) {
-                    assert!(o.residual(&a, b) < 1e-6);
-                }
-            }
-            JobOutcome::Single(_) => panic!("expected a batch outcome"),
+        let handles: Vec<JobHandle> = batch
+            .iter()
+            .map(|b| {
+                engine
+                    .submit(
+                        SolveRequest::new(Arc::clone(&a), RhsPayload::Single(b.clone()))
+                            .with_config(small_config()),
+                    )
+                    .unwrap()
+            })
+            .collect();
+        let prepared = PreparedSystem::prepare(small_config(), &a).unwrap();
+        for (handle, b) in handles.iter().zip(&batch) {
+            let outcome = handle.wait().unwrap();
+            let JobOutcome::Single(o) = &*outcome;
+            let solo = prepared.solve(b).unwrap();
+            assert!(o.stop.converged());
+            assert_eq!(o.stop.reason, solo.stop.reason);
+            assert_eq!(o.stop.iterations, solo.stop.iterations);
+            assert_eq!(o.stop.norm.to_bits(), solo.stop.norm.to_bits());
+            assert!(o
+                .x
+                .iter()
+                .zip(&solo.x)
+                .all(|(p, q)| p.to_bits() == q.to_bits()));
         }
         assert_eq!(engine.report().rhs_served, 6);
     }
@@ -501,19 +504,18 @@ mod tests {
         assert!(ok.wait().unwrap().converged());
     }
 
-    /// Submits a job big enough to keep the single worker busy for a while.
-    fn occupy_worker(engine: &Engine) -> crate::JobHandle {
+    /// Submits a cold job big enough to keep the single worker busy for a
+    /// while.
+    fn occupy_worker(engine: &Engine) -> JobHandle {
         let a = matrix(1500, 99);
-        let batch: Vec<Vec<f64>> = (0..4u64)
-            .map(|s| generators::rhs_for_solution(&a, move |i| ((i as u64 + s) % 9) as f64).1)
-            .collect();
+        let (_, b) = generators::rhs_for_solution(&a, |i| (i % 9) as f64);
         engine
-            .submit(SolveRequest::new(a, RhsPayload::Batch(batch)).with_config(
-                MultisplittingConfig {
+            .submit(
+                SolveRequest::new(a, RhsPayload::Single(b)).with_config(MultisplittingConfig {
                     parts: 4,
                     ..Default::default()
-                },
-            ))
+                }),
+            )
             .unwrap()
     }
 

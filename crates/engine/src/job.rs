@@ -38,37 +38,15 @@ impl Priority {
     }
 }
 
-/// The right-hand side(s) a request wants solved against its matrix.
+/// The right-hand side a request wants solved against its matrix.
+///
+/// One variant: a batch of k right-hand sides is k requests, which spread
+/// over every worker.  It stays an enum so that callers naming
+/// `RhsPayload::Single` keep compiling.
 #[derive(Debug, Clone)]
 pub enum RhsPayload {
-    /// One right-hand side; served by the prepared system's single solve.
+    /// One right-hand side; served by the prepared system's solve.
     Single(Vec<f64>),
-    /// A batch of right-hand sides, served by the prepared system's
-    /// `solve_many`: each column is its own solve, in order, on the job's
-    /// worker.
-    Batch(Vec<Vec<f64>>),
-}
-
-impl RhsPayload {
-    /// Number of right-hand sides carried.
-    pub fn len(&self) -> usize {
-        match self {
-            RhsPayload::Single(_) => 1,
-            RhsPayload::Batch(cols) => cols.len(),
-        }
-    }
-
-    /// Whether the payload carries no right-hand side at all.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    pub(crate) fn columns(&self) -> Box<dyn Iterator<Item = &Vec<f64>> + '_> {
-        match self {
-            RhsPayload::Single(b) => Box::new(std::iter::once(b)),
-            RhsPayload::Batch(cols) => Box::new(cols.iter()),
-        }
-    }
 }
 
 /// A solve request submitted to the [`crate::Engine`].
@@ -77,7 +55,7 @@ pub struct SolveRequest {
     /// The system matrix.  Shared ownership lets many requests reference the
     /// same operator without copying it through the queue.
     pub matrix: Arc<CsrMatrix>,
-    /// Right-hand side(s) to solve for.
+    /// Right-hand side to solve for.
     pub rhs: RhsPayload,
     /// Multisplitting configuration; part of the cache key, so requests that
     /// share matrix *and* configuration share one prepared system.
@@ -121,32 +99,20 @@ impl SolveRequest {
 }
 
 /// What a completed job produced.
+///
+/// One variant, the request's own solve; it stays an enum so that callers
+/// naming `JobOutcome::Single` keep compiling.
 #[derive(Debug, Clone)]
 pub enum JobOutcome {
-    /// Outcome of a [`RhsPayload::Single`] request.
+    /// Outcome of the request's solve.
     Single(SolveOutcome),
-    /// Outcome of a [`RhsPayload::Batch`] request: one solo solve per
-    /// column, in request order.
-    Batch(Vec<SolveOutcome>),
 }
 
 impl JobOutcome {
-    /// One outcome per right-hand side, in request order.
-    pub fn outcomes(&self) -> &[SolveOutcome] {
-        match self {
-            JobOutcome::Single(o) => std::slice::from_ref(o),
-            JobOutcome::Batch(cols) => cols,
-        }
-    }
-
-    /// Whether every right-hand side converged.
+    /// Whether the solve converged.
     pub fn converged(&self) -> bool {
-        self.outcomes().iter().all(|o| o.stop.converged())
-    }
-
-    /// Number of right-hand sides served.
-    pub fn rhs_count(&self) -> usize {
-        self.outcomes().len()
+        let JobOutcome::Single(o) = self;
+        o.stop.converged()
     }
 }
 
@@ -161,8 +127,7 @@ pub(crate) enum JobState {
 /// atomically with the state transition, so a waiter woken by `finish`
 /// always observes consistent metrics.
 pub(crate) enum FinishKind {
-    /// Solved; carries the number of right-hand sides served.
-    Completed(u64),
+    Completed,
     Failed,
     Cancelled,
     TimedOut,
@@ -198,9 +163,9 @@ impl JobShared {
             return false;
         }
         match kind {
-            FinishKind::Completed(rhs) => {
+            FinishKind::Completed => {
                 Metrics::add(&self.metrics.jobs_completed, 1);
-                Metrics::add(&self.metrics.rhs_served, rhs);
+                Metrics::add(&self.metrics.rhs_served, 1);
             }
             FinishKind::Failed => Metrics::add(&self.metrics.jobs_failed, 1),
             FinishKind::Cancelled => Metrics::add(&self.metrics.jobs_cancelled, 1),

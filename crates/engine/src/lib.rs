@@ -19,11 +19,10 @@
 //!   [`Engine::submit`] enqueues a [`SolveRequest`] (with priority,
 //!   cancellation and per-job timeout) and returns a [`JobHandle`] to await;
 //!   workers dispatch onto the existing synchronous/asynchronous drivers;
-//! * multi-RHS requests — a [`RhsPayload::Batch`] request answers all its
-//!   right-hand sides in one job
-//!   ([`msplit_core::PreparedSystem::solve_many`]): each column is its own
-//!   solve, run one after another on the job's worker, so each answer is
-//!   bitwise the single-RHS answer;
+//! * one right-hand side per job — a batch of k right-hand sides is k
+//!   requests, which run side by side on every worker and share one
+//!   prepared system through the cache, each answer bitwise its solo
+//!   solve;
 //! * [`EngineReport`] — service metrics: cache hit rate, queue depth,
 //!   factorize-vs-solve seconds, jobs and right-hand sides served.
 //!

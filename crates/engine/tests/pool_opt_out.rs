@@ -4,7 +4,7 @@
 
 use msplit_core::solver::{Method, MultisplittingConfig};
 use msplit_core::PreparedSystem;
-use msplit_engine::{Engine, EngineConfig, RhsPayload, SolveRequest};
+use msplit_engine::{Engine, EngineConfig, JobOutcome, RhsPayload, SolveRequest};
 use msplit_sparse::generators::{self, DiagDominantConfig};
 use rayon::pool;
 use std::sync::Arc;
@@ -45,11 +45,8 @@ fn a_cold_submit_forks_no_loop_while_a_direct_prepare_does() {
         .unwrap()
         .solve(&b)
         .unwrap();
-    assert_eq!(
-        served.outcomes()[0].x,
-        direct.x,
-        "inline and pooled answers differ"
-    );
+    let JobOutcome::Single(served) = &*served;
+    assert_eq!(served.x, direct.x, "inline and pooled answers differ");
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     if cores > 1 {
         assert!(

@@ -43,11 +43,6 @@ fn parse_args() -> Result<Args, String> {
                     .parse()
                     .map_err(|e| format!("bad cache capacity: {e}"))?
             }
-            "--max-batch" => {
-                config.max_batch = value(&mut it, "--max-batch")?
-                    .parse()
-                    .map_err(|e| format!("bad batch cap: {e}"))?
-            }
             "--lane-limits" => {
                 let raw = value(&mut it, "--lane-limits")?;
                 let parts: Vec<usize> = raw
@@ -66,8 +61,7 @@ fn parse_args() -> Result<Args, String> {
                 println!(
                     "msplit-server: one shard of a multisplitting solve fleet\n\
                      usage: msplit-server [--addr host:port] [--shard N] [--workers N]\n\
-                     \x20                    [--cache N] [--max-batch N]\n\
-                     \x20                    [--lane-limits high,normal,low]\n\
+                     \x20                    [--cache N] [--lane-limits high,normal,low]\n\
                      Prints 'LISTENING <addr>' once bound; serves until killed.\n\
                      See docs/serving.md."
                 );

@@ -4,7 +4,7 @@
 //! route by the matrix fingerprint on a consistent-hash ring, so every
 //! client sends a given matrix to the same shard — which is what makes the
 //! server-side [`FactorizationCache`](msplit_engine::FactorizationCache)
-//! sharding and the cross-request coalescing effective.  When a shard dies
+//! sharding effective.  When a shard dies
 //! or sheds load, the client walks the ring to the next distinct shard and
 //! retries; because the routing is a ring (not a modulo), the death of one
 //! shard only remaps the fingerprints that shard owned.
@@ -31,10 +31,10 @@ const RING_REPLICAS: usize = 17;
 pub struct ServeSolution {
     /// The solution vector.
     pub x: Vec<f64>,
-    /// Outer iterations the solve took.  A coalesced request is solved by
-    /// its own solve, so this is what a solo request would report.
+    /// Outer iterations the solve took.
     pub iterations: u64,
-    /// Requests served by the job that produced this answer (1 = solo).
+    /// Requests served by the job that produced this answer: always 1,
+    /// since every request is its own engine job.
     pub coalesced: u64,
     /// Microseconds spent queued (admission to solve, excluding the solve).
     pub queue_micros: u64,
@@ -65,8 +65,7 @@ impl Default for ClientOptions {
 
 /// One multiplexed connection to a shard: requests are written under a lock
 /// and a reader thread routes responses back to waiters by request id, so
-/// many threads can have solves in flight on the same socket — which is
-/// exactly the traffic a busy shard merges into batches.
+/// many threads can have solves in flight on the same socket.
 struct NodeConn {
     writer: Mutex<TcpStream>,
     waiters: Arc<Mutex<HashMap<u64, mpsc::SyncSender<Message>>>>,
@@ -382,7 +381,7 @@ impl ServeClient {
     /// Solves `a x = rhs`, routing by fingerprint and walking the ring on
     /// shard death or load shedding.  The answer is bitwise identical to a
     /// direct [`PreparedSystem::solve`](msplit_core::PreparedSystem) with the
-    /// same configuration, whether or not the fleet coalesced it.
+    /// same configuration.
     pub fn solve(
         &self,
         a: &CsrMatrix,

@@ -7,14 +7,12 @@
 //! * **[`SolveServer`]** — one shard: a TCP listener speaking the
 //!   `msplit-comm` frame protocol (serve connections are handshakes with
 //!   `world_size == 0`), per-lane admission control over the engine's
-//!   3-lane priority queue, and **cross-request coalescing while busy**: a
-//!   request that finds an engine worker idle is dispatched at once, and
-//!   compatible single-RHS requests for the same
-//!   [`MatrixKey`](msplit_engine::MatrixKey) that arrive while every worker
-//!   is busy are merged into one engine job when a worker frees up.
-//!   Coalescing is bitwise-safe by construction: the job solves each
-//!   member's right-hand side with its own solve, so merged requests
-//!   receive exactly the bytes a dedicated solve would have produced.
+//!   3-lane priority queue, and **one request, one engine job**: every
+//!   admitted request is submitted at once as its own job, and the engine's
+//!   single-flight factorization cache gives requests for the same
+//!   [`MatrixKey`](msplit_engine::MatrixKey) the factorize-once reuse.  Each
+//!   answer is the request's own solve, so it is exactly the bytes a
+//!   dedicated solve would have produced.
 //! * **[`ServeClient`]** — routes requests over a consistent-hash ring of
 //!   shards by matrix fingerprint, walks the ring on shard death or load
 //!   shedding, and speculatively warms the ring successor's cache so a

@@ -1,20 +1,14 @@
-//! One shard of the solve fleet: listener, admission control, coalescing.
+//! One shard of the solve fleet: listener, admission control, dispatch.
 //!
 //! A [`SolveServer`] accepts serve-protocol connections (handshakes with
 //! `world_size == 0`), admits [`Message::SubmitSolve`] requests against
-//! per-lane queue limits, and hands them to the embedded
-//! [`msplit_engine::Engine`].  The shard batches only while it is busy: a
-//! stationary single-RHS request that finds fewer of the shard's jobs in
-//! flight than engine workers is dispatched at once, alone; one that finds
-//! every worker busy joins the pending group of compatible requests — same
-//! matrix fingerprint *and* identical solver configuration, i.e. the same
-//! [`MatrixKey`] — and each completing job hands its slot to the most urgent,
-//! then oldest, group, which runs as one engine job (a Krylov request is
-//! dispatched alone at once).  The job solves each member's right-hand side
-//! with its own `PreparedSystem::solve`, one after another, so a coalesced
-//! response is the response the request would have received alone, bit for
-//! bit and with the same iteration count; the merge changes latency, never
-//! bits.
+//! per-lane queue limits, and submits every admitted request to the
+//! embedded [`msplit_engine::Engine`] as its own job, at once.  Queueing,
+//! priority order and the queue deadline are the engine's: its bounded
+//! FIFO-within-priority queue and [`SolveRequest::with_timeout`].  The
+//! factorize-once reuse across requests is the engine's single-flight
+//! factorization cache, so each answer is the request's own
+//! `PreparedSystem::solve`, bit for bit.
 //!
 //! Everything here load-sheds instead of blocking: a full lane, an expired
 //! queue deadline or a full engine queue produce a typed [`Message::Reject`]
@@ -24,10 +18,8 @@ use crate::codec;
 use crate::ServeError;
 use msplit_comm::wire::{read_frame, write_frame, Handshake};
 use msplit_comm::{CommError, Message, RejectCode};
-use msplit_core::solver::Method;
 use msplit_engine::{
-    Engine, EngineConfig, EngineError, JobHandle, JobOutcome, MatrixKey, Priority, RhsPayload,
-    SolveRequest,
+    Engine, EngineConfig, EngineError, JobOutcome, Priority, RhsPayload, SolveRequest,
 };
 use msplit_sparse::CsrMatrix;
 use std::collections::HashMap;
@@ -43,15 +35,12 @@ pub struct ServeConfig {
     /// `from` rank of response frames.
     pub shard: usize,
     /// Admission limit per priority lane (highest priority first): a
-    /// submit whose lane already holds this many queued-or-pending requests
-    /// is rejected with [`RejectCode::QueueFull`] instead of blocking.
+    /// submit whose lane already holds this many queued requests is
+    /// rejected with [`RejectCode::QueueFull`] instead of blocking.
     pub lane_limits: [usize; Priority::COUNT],
-    /// Maximum requests merged into one job; a group at this size flushes
-    /// immediately, busy workers or not.
-    pub max_batch: usize,
-    /// Sizing of the embedded engine (workers, queue, cache).  Its worker
-    /// count is also the number of jobs the shard keeps in flight before
-    /// requests start to gather into batches.
+    /// Sizing of the embedded engine (workers, queue, cache).  Every
+    /// admitted request is one engine job; the workers run them side by
+    /// side, most urgent lane first.
     pub engine: EngineConfig,
 }
 
@@ -60,47 +49,8 @@ impl Default for ServeConfig {
         ServeConfig {
             shard: 0,
             lane_limits: [16, 32, 64],
-            max_batch: 32,
             engine: EngineConfig::default(),
         }
-    }
-}
-
-/// One admitted request.  A warm request carries an empty right-hand side.
-struct Member {
-    request_id: u64,
-    conn: Arc<ConnHandle>,
-    rhs: Vec<f64>,
-    admitted_at: Instant,
-    deadline: Option<Instant>,
-}
-
-/// Requests for one [`MatrixKey`], dispatched as one engine job.
-struct Group {
-    matrix: Arc<CsrMatrix>,
-    config: msplit_core::solver::MultisplittingConfig,
-    priority: Priority,
-    members: Vec<Member>,
-    opened_at: Instant,
-}
-
-#[derive(Default)]
-struct PendingState {
-    /// Stationary requests gathered while every worker was busy.
-    groups: HashMap<MatrixKey, Group>,
-    /// The shard's jobs whose outcome is not in yet, one per live [`Slot`]
-    /// (the engine's queue depth would race its workers' pops).  While
-    /// `groups` is non-empty this is at least the worker count.
-    in_flight: usize,
-}
-
-impl PendingState {
-    fn lane_count(&self, lane: usize) -> usize {
-        self.groups
-            .values()
-            .filter(|g| g.priority.lane() == lane)
-            .map(|g| g.members.len())
-            .sum()
     }
 }
 
@@ -109,20 +59,19 @@ impl PendingState {
 struct Counters {
     completed: AtomicU64,
     rejected: AtomicU64,
-    coalesced: AtomicU64,
     batches: AtomicU64,
 }
 
 struct Inner {
     config: ServeConfig,
     engine: Engine,
-    pending: Mutex<PendingState>,
+    /// Held across the lane-depth check and the submit, so a lane never
+    /// holds more requests than its limit.
+    admission: Mutex<()>,
     /// Matrices this shard has decoded before, keyed by fingerprint, so a
     /// warmed client can submit with an empty matrix blob.
     known: Mutex<HashMap<u64, Arc<CsrMatrix>>>,
     counters: Counters,
-    /// Set under the `pending` lock, so no request joins a group after the
-    /// shutdown flush.
     shutdown: AtomicBool,
 }
 
@@ -145,8 +94,8 @@ impl ConnHandle {
 }
 
 /// A running serve shard.  Dropping it (or calling [`SolveServer::shutdown`])
-/// closes the listener, dispatches every pending group and joins the accept
-/// thread.
+/// closes the listener and joins the accept thread; jobs already submitted
+/// still run and are answered.
 pub struct SolveServer {
     inner: Arc<Inner>,
     local_addr: std::net::SocketAddr,
@@ -165,7 +114,7 @@ impl SolveServer {
         let inner = Arc::new(Inner {
             config,
             engine,
-            pending: Mutex::new(PendingState::default()),
+            admission: Mutex::new(()),
             known: Mutex::new(HashMap::new()),
             counters: Counters::default(),
             shutdown: AtomicBool::new(false),
@@ -187,32 +136,18 @@ impl SolveServer {
         self.local_addr
     }
 
-    /// Stops accepting, dispatches pending groups and joins the accept thread.
+    /// Stops accepting and joins the accept thread.
     pub fn shutdown(mut self) {
         self.shutdown_in_place();
     }
 
     fn shutdown_in_place(&mut self) {
-        let groups: Vec<Group> = {
-            let mut pending = self.inner.lock_pending();
-            self.inner.shutdown.store(true, Ordering::SeqCst);
-            pending.in_flight += pending.groups.len();
-            pending.groups.drain().map(|(_, g)| g).collect()
-        };
-        for group in groups {
-            dispatch(Slot(Arc::clone(&self.inner)), group);
-        }
+        self.inner.shutdown.store(true, Ordering::SeqCst);
         // Unblock the accept loop with a throwaway connection.
         let _ = TcpStream::connect(self.local_addr);
         if let Some(t) = self.accept_thread.take() {
             let _ = t.join();
         }
-    }
-}
-
-impl Inner {
-    fn lock_pending(&self) -> std::sync::MutexGuard<'_, PendingState> {
-        self.pending.lock().unwrap_or_else(PoisonError::into_inner)
     }
 }
 
@@ -365,7 +300,7 @@ fn server_stats(inner: &Inner) -> Message {
         shard: inner.config.shard as u64,
         completed: inner.counters.completed.load(Ordering::Relaxed),
         rejected: inner.counters.rejected.load(Ordering::Relaxed),
-        coalesced: inner.counters.coalesced.load(Ordering::Relaxed),
+        coalesced: 0,
         batches: inner.counters.batches.load(Ordering::Relaxed),
         cache_evictions: report.cache_evictions,
         single_flight_waits: report.single_flight_waits,
@@ -373,18 +308,11 @@ fn server_stats(inner: &Inner) -> Message {
         sparse_fastpath_hits: report.sparse_fastpath_hits,
         dense_fallbacks: report.dense_fallbacks,
         mean_reach_ppm: 0,
-        queue_depths: {
-            let pending = inner.lock_pending();
-            [
-                (depths[0] + pending.lane_count(0)) as u64,
-                (depths[1] + pending.lane_count(1)) as u64,
-                (depths[2] + pending.lane_count(2)) as u64,
-            ]
-        },
+        queue_depths: depths.map(|d| d as u64),
     }
 }
 
-/// Admission + coalescing for one submit.
+/// Admission and dispatch of one submit.
 #[allow(clippy::too_many_arguments)]
 fn handle_submit(
     inner: &Arc<Inner>,
@@ -507,92 +435,64 @@ fn handle_submit(
         return;
     }
 
-    let now = Instant::now();
-    let deadline = (!warm && queue_deadline_micros > 0)
-        .then(|| now + Duration::from_micros(queue_deadline_micros));
-    let member = Member {
-        request_id,
-        conn: Arc::clone(conn),
-        rhs,
-        admitted_at: now,
-        deadline,
-    };
-
+    // A warm request solves a zero right-hand side: its job's work is the
+    // factorization, and its answer is not sent.
+    let b = if warm { vec![0.0; matrix.rows()] } else { rhs };
+    let mut request = SolveRequest::new(matrix, RhsPayload::Single(b))
+        .with_config(config)
+        .with_priority(priority);
+    if !warm && queue_deadline_micros > 0 {
+        request = request.with_timeout(Duration::from_micros(queue_deadline_micros));
+    }
+    let admitted_at = Instant::now();
     let lane = priority.lane();
-    let mut pending = inner.lock_pending();
-    // Re-check shutdown under the pending lock: the shutdown flush takes
-    // the groups under this same lock, so a request admitted here is either
-    // dispatched by that flush or by a job completion, never stranded.
-    if inner.shutdown.load(Ordering::SeqCst) {
-        drop(pending);
-        reject(
-            inner,
-            conn,
-            request_id,
-            RejectCode::ShuttingDown,
-            0,
-            "shard is shutting down",
-        );
-        return;
-    }
-    // Admission control: the lane budget covers both the engine's queued
-    // jobs and the requests still waiting in groups.  A warm request is
-    // not counted against it.
-    let occupied = inner.engine.lane_depths()[lane] + pending.lane_count(lane);
-    if !warm && occupied >= inner.config.lane_limits[lane] {
-        drop(pending);
-        reject(
-            inner,
-            conn,
-            request_id,
-            RejectCode::QueueFull,
-            retry_after_micros(inner),
-            &format!(
-                "lane {lane} is at its {} request limit",
-                inner.config.lane_limits[lane]
-            ),
-        );
-        return;
-    }
-    // A warm request has nothing to merge: it is dispatched at once.  So is
-    // a Krylov request, alone.  A batch would solve it by its own method
-    // too, each column its own solve; the rule only keeps Krylov requests
-    // off the group path.
-    let due = if warm || !matches!(config.method, Method::Stationary) {
-        Some(Group {
-            matrix,
-            config,
-            priority,
-            members: vec![member],
-            opened_at: now,
-        })
-    } else {
-        let key = MatrixKey::new(&matrix, &config);
-        let group = pending.groups.entry(key).or_insert_with(|| Group {
-            matrix,
-            config,
-            priority,
-            members: Vec::new(),
-            opened_at: now,
-        });
-        // The group runs at its most urgent member's priority, so merging
-        // never delays a high-priority request behind a low lane.
-        group.priority = group.priority.max(priority);
-        group.members.push(member);
-        let full = group.members.len() >= inner.config.max_batch;
-        // An idle worker takes the request now (the group then holds only
-        // it); otherwise it waits for a job of this shard to complete.
-        if full || pending.in_flight < inner.config.engine.workers {
-            pending.groups.remove(&key)
-        } else {
+    // Admission control: the lane budget covers the engine's queued jobs.
+    // A warm request is not counted against it.
+    let submitted = {
+        let _admission = inner
+            .admission
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
+        if !warm && inner.engine.lane_depths()[lane] >= inner.config.lane_limits[lane] {
             None
+        } else {
+            Some(inner.engine.try_submit(request))
         }
     };
-    if let Some(group) = due {
-        pending.in_flight += 1;
-        drop(pending);
-        dispatch(Slot(Arc::clone(inner)), group);
+    let handle = match submitted {
+        Some(Ok(handle)) => handle,
+        Some(Err(e)) => {
+            let (code, retry) = map_engine_error(inner, &e);
+            reject(inner, conn, request_id, code, retry, &format!("{e}"));
+            return;
+        }
+        None => {
+            reject(
+                inner,
+                conn,
+                request_id,
+                RejectCode::QueueFull,
+                retry_after_micros(inner),
+                &format!(
+                    "lane {lane} is at its {} request limit",
+                    inner.config.lane_limits[lane]
+                ),
+            );
+            return;
+        }
+    };
+    if !warm {
+        inner.counters.batches.fetch_add(1, Ordering::Relaxed);
     }
+    // A thread per job waits for it and writes the reply: a client that
+    // stops reading stalls only its own answers.
+    let (inner, conn) = (Arc::clone(inner), Arc::clone(conn));
+    let _ = std::thread::Builder::new()
+        .name("msplit-serve-dispatch".to_string())
+        .spawn(move || {
+            let outcome = handle.wait();
+            reply(&inner, &conn, request_id, warm, admitted_at, outcome);
+        });
 }
 
 fn map_engine_error(inner: &Inner, e: &EngineError) -> (RejectCode, u64) {
@@ -615,177 +515,34 @@ fn retry_after_micros(inner: &Inner) -> u64 {
     (per_job as u64).max(1)
 }
 
-/// One of the shard's `in_flight` jobs, counted by whoever makes it.  Once
-/// the outcome is in, or the job never ran or its thread failed, dropping it
-/// hands the slot to the most urgent, then oldest, due group, if any.
-struct Slot(Arc<Inner>);
-
-impl Drop for Slot {
-    fn drop(&mut self) {
-        // A group that cannot run passes the slot on in turn.
-        while let Some(group) = next_group(&self.0) {
-            if let Some(job) = submit(&self.0, group) {
-                run(job, Slot(Arc::clone(&self.0)));
-                return;
-            }
-        }
-    }
-}
-
-/// Frees one slot and, if that leaves a worker for it, takes the slot back
-/// for the most urgent, then oldest, pending group.
-fn next_group(inner: &Inner) -> Option<Group> {
-    let mut pending = inner.lock_pending();
-    pending.in_flight -= 1;
-    if pending.in_flight >= inner.config.engine.workers {
-        return None;
-    }
-    let key = pending
-        .groups
-        .iter()
-        .max_by_key(|(_, g)| (g.priority, std::cmp::Reverse(g.opened_at)))
-        .map(|(k, _)| *k)?;
-    pending.in_flight += 1;
-    pending.groups.remove(&key)
-}
-
-/// Runs `group` on `slot`; a group that cannot run drops the slot.
-fn dispatch(slot: Slot, group: Group) {
-    if let Some(job) = submit(&slot.0, group) {
-        run(job, slot);
-    }
-}
-
-/// Gives `job` a thread that waits for it and releases the slot before it
-/// writes the replies: a client that stops reading stalls only its answers.
-fn run(job: Job, slot: Slot) {
-    let _ = std::thread::Builder::new()
-        .name("msplit-serve-dispatch".to_string())
-        .spawn(move || {
-            let outcome = job.handle.wait();
-            let inner = Arc::clone(&slot.0);
-            drop(slot);
-            reply(&inner, &job.members, outcome);
-        });
-}
-
-/// An engine job and the requests its outcome answers.
-struct Job {
-    handle: JobHandle,
-    members: Vec<Member>,
-}
-
-fn submit(inner: &Inner, group: Group) -> Option<Job> {
-    let now = Instant::now();
-    // Queue-deadline rejection: members whose budget elapsed while they
-    // waited are shed here, before any solve work is spent on them.
-    let (mut live, expired): (Vec<Member>, Vec<Member>) = group
-        .members
-        .into_iter()
-        .partition(|m| m.deadline.is_none_or(|d| d > now));
-    for m in expired {
-        reject(
-            inner,
-            &m.conn,
-            m.request_id,
-            RejectCode::DeadlineExpired,
-            retry_after_micros(inner),
-            "queue deadline expired before the solve started",
-        );
-    }
-    if live.is_empty() {
-        return None;
-    }
-
-    // A warm request contributes no column: its job only prepares the
-    // factorization.
-    let mut columns: Vec<Vec<f64>> = live
-        .iter_mut()
-        .map(|m| std::mem::take(&mut m.rhs))
-        .filter(|b| !b.is_empty())
-        .collect();
-    let solves = !columns.is_empty();
-    let payload = if columns.len() == 1 {
-        RhsPayload::Single(columns.swap_remove(0))
-    } else {
-        RhsPayload::Batch(columns)
-    };
-    let request = SolveRequest::new(group.matrix, payload)
-        .with_config(group.config)
-        .with_priority(group.priority);
-    let handle = match inner.engine.try_submit(request) {
-        Ok(h) => h,
-        Err(e) => {
-            let (code, retry) = map_engine_error(inner, &e);
-            for m in &live {
-                reject(inner, &m.conn, m.request_id, code, retry, &format!("{e}"));
-            }
-            return None;
-        }
-    };
-    if solves {
-        inner.counters.batches.fetch_add(1, Ordering::Relaxed);
-    }
-    if live.len() > 1 {
-        inner
-            .counters
-            .coalesced
-            .fetch_add(live.len() as u64, Ordering::Relaxed);
-    }
-    Some(Job {
-        handle,
-        members: live,
-    })
-}
-
-/// Answers every member of a job on its own connection.
-fn reply(inner: &Inner, members: &[Member], outcome: Result<Arc<JobOutcome>, EngineError>) {
-    let coalesced = members.len() as u64;
-    match outcome {
-        Ok(outcome) => {
-            let solved = outcome.outcomes();
-            if solved.is_empty() {
-                // A warm request: its job only prepared the factorization.
-                for m in members {
-                    finish_member(inner, m, true, 0, coalesced, 0.0, &[]);
-                }
-            }
-            // Each member is answered from its own column's solve.
-            for (m, o) in members.iter().zip(solved) {
-                finish_member(
-                    inner,
-                    m,
-                    o.stop.converged(),
-                    o.stop.iterations,
-                    coalesced,
-                    o.wall_seconds,
-                    &o.x,
-                );
-            }
-        }
-        Err(e) => {
-            let (code, retry) = map_engine_error(inner, &e);
-            for m in members {
-                reject(inner, &m.conn, m.request_id, code, retry, &format!("{e}"));
-            }
-        }
-    }
-}
-
-fn finish_member(
+/// Answers one request from its job's outcome.
+fn reply(
     inner: &Inner,
-    m: &Member,
-    converged: bool,
-    iterations: u64,
-    coalesced: u64,
-    solve_seconds: f64,
-    x: &[f64],
+    conn: &ConnHandle,
+    request_id: u64,
+    warm: bool,
+    admitted_at: Instant,
+    outcome: Result<Arc<JobOutcome>, EngineError>,
 ) {
-    if !converged {
+    let solved = match outcome {
+        Ok(outcome) => outcome,
+        Err(e) => {
+            let (code, retry) = map_engine_error(inner, &e);
+            reject(inner, conn, request_id, code, retry, &format!("{e}"));
+            return;
+        }
+    };
+    let JobOutcome::Single(o) = &*solved;
+    let (iterations, x, solve_seconds) = if warm {
+        (0, &[][..], 0.0)
+    } else {
+        (o.stop.iterations, &o.x[..], o.wall_seconds)
+    };
+    if !warm && !o.stop.converged() {
         reject(
             inner,
-            &m.conn,
-            m.request_id,
+            conn,
+            request_id,
             RejectCode::Invalid,
             0,
             &format!("did not converge within {iterations} iterations"),
@@ -793,15 +550,14 @@ fn finish_member(
         return;
     }
     // Queue latency = admission to completion minus the request's own
-    // solve; the wait in a group, the engine queue wait and the solves of
-    // the other members of its job all count against it.
-    let total_micros = m.admitted_at.elapsed().as_micros() as u64;
+    // solve: the engine queue wait and any factorization count against it.
+    let total_micros = admitted_at.elapsed().as_micros() as u64;
     let solve_micros = (solve_seconds * 1e6) as u64;
     inner.counters.completed.fetch_add(1, Ordering::Relaxed);
-    let _ = m.conn.send(&Message::SolveResult {
-        request_id: m.request_id,
+    let _ = conn.send(&Message::SolveResult {
+        request_id,
         iterations,
-        coalesced,
+        coalesced: 1,
         queue_micros: total_micros.saturating_sub(solve_micros),
         x: x.to_vec(),
     });

@@ -1,9 +1,9 @@
-//! The shard's coalescing rule: a request that finds a worker idle is
-//! dispatched at once, and requests that find every worker busy gather into
-//! batches that a completing job flushes.  These tests drive a real
-//! `SolveServer` over loopback TCP; the CI serve-smoke lane also runs them
-//! in release mode, where a race in the in-flight accounting would show.
-//! They run one at a time: the idle-shard test times its requests, and a
+//! A shard submits every admitted request to its engine as its own job, at
+//! once: queueing, priority order and the queue deadline are the engine's,
+//! and admission bounds each lane by the engine's queue depth.  These tests
+//! drive a real `SolveServer` over loopback TCP; the CI serve-smoke lane also
+//! runs them in release mode, where a race in admission would show.  They
+//! run one at a time: the idle-shard test times its requests, and a
 //! saturating test beside it on a small host would slow them for nothing.
 
 use msplit_comm::wire::{read_frame, write_frame, Handshake};
@@ -35,7 +35,12 @@ fn solver_config() -> MultisplittingConfig {
 }
 
 fn shard(workers: usize) -> SolveServer {
+    shard_with_limits(workers, ServeConfig::default().lane_limits)
+}
+
+fn shard_with_limits(workers: usize, lane_limits: [usize; 3]) -> SolveServer {
     let config = ServeConfig {
+        lane_limits,
         engine: EngineConfig {
             workers,
             ..EngineConfig::default()
@@ -96,11 +101,54 @@ fn submit(request_id: u64, a: &CsrMatrix, config: &MultisplittingConfig, rhs: &[
     }
 }
 
+/// Reads `count` replies off `stream`, keyed by request id.
+fn read_replies(stream: &mut TcpStream, count: usize) -> HashMap<u64, Message> {
+    (0..count)
+        .map(|_| {
+            let (_, reply) = read_frame(stream).expect("reply");
+            match &reply {
+                Message::SolveResult { request_id, .. } | Message::Reject { request_id, .. } => {
+                    (*request_id, reply)
+                }
+                other => panic!("unexpected reply {other:?}"),
+            }
+        })
+        .collect()
+}
+
+/// A one-worker shard with the given lane limits, held busy by a large cold
+/// request (id 0) on the returned connection.  Returns once the shard's
+/// stats show the blocker dispatched and popped off the engine queue, so
+/// the next request on any lane waits behind it.
+fn blocked_shard(lane_limits: [usize; 3]) -> (SolveServer, TcpStream) {
+    let server = shard_with_limits(1, lane_limits);
+    let blocker = banded(40_000, 41);
+    let (_, blocker_rhs) = generators::rhs_for_solution(&blocker, |i| (i % 3) as f64);
+    let mut stream = raw_connection(&server);
+    let frame = submit(0, &blocker, &solver_config(), &blocker_rhs);
+    write_frame(&mut stream, 0, &frame).expect("blocker submit");
+    let probe = ServeClient::new(&[server.local_addr().to_string()], ClientOptions::default())
+        .expect("client");
+    let settle = Instant::now() + Duration::from_secs(20);
+    loop {
+        match probe.stats().as_slice() {
+            [Message::ServerStats {
+                batches: 1,
+                completed: 0,
+                queue_depths: [0, 0, 0],
+                ..
+            }] => break,
+            _ if Instant::now() < settle => std::thread::sleep(Duration::from_millis(1)),
+            other => panic!("the blocker never started: {other:?}"),
+        }
+    }
+    (server, stream)
+}
+
 /// One worker, eight concurrent clients, eight requests each on one matrix:
-/// the worker is busy nearly all the time, so requests gather into groups
-/// that only a completing job can flush.  Every request must come back
-/// bitwise the direct solve, some must have shared a job, and nothing may
-/// be left waiting in a group or the engine queue afterwards.
+/// the worker is busy nearly all the time, so requests wait in the engine
+/// queue.  Every request must come back bitwise the direct solve, as its
+/// own job, and nothing may be left waiting in the engine queue afterwards.
 #[test]
 fn a_saturated_shard_strands_no_request() {
     const CLIENTS: usize = 8;
@@ -135,6 +183,7 @@ fn a_saturated_shard_strands_no_request() {
             for k in 0..REQUESTS {
                 let k = (k + c) % REQUESTS;
                 let reply = client.solve(a, config, &rhs[k]).expect("solve");
+                assert_eq!(reply.coalesced, 1, "client {c} request {k} shared a job");
                 assert_eq!(
                     bits(&reply.x),
                     bits(&references[k]),
@@ -164,10 +213,7 @@ fn a_saturated_shard_strands_no_request() {
             ..
         }] => {
             assert_eq!(*completed, (CLIENTS * REQUESTS) as u64);
-            assert!(
-                *coalesced > 0,
-                "{CLIENTS} clients on one busy worker never shared a job"
-            );
+            assert_eq!(*coalesced, 0, "the coalesced counter is reserved");
             assert_eq!(*queue_depths, [0, 0, 0], "requests left waiting");
         }
         other => panic!("expected one ServerStats, got {other:?}"),
@@ -176,8 +222,8 @@ fn a_saturated_shard_strands_no_request() {
 }
 
 /// An idle shard holds nothing back: each request of a strictly sequential
-/// client finds both workers idle and is dispatched at once, so its queue
-/// time is the hand-off to the engine, not a coalescing wait.
+/// client is dispatched at once and finds a worker idle, so its queue time
+/// is the hand-off to the engine.
 #[test]
 fn an_idle_shard_dispatches_at_once() {
     let _serial = serial();
@@ -208,8 +254,8 @@ fn an_idle_shard_dispatches_at_once() {
 /// A client that pipelines requests and never reads its replies fills its
 /// socket, and the shard's writes to it block.  That must hold up only its
 /// own answers: a second client on the same one-worker shard, solving
-/// another matrix, is still answered, because a job gives its worker slot
-/// back when its outcome is in, before its replies are written.
+/// another matrix, is still answered, because each job's reply is written
+/// by its own waiter thread, not by the engine worker.
 #[test]
 fn a_client_that_stops_reading_holds_up_no_one_else() {
     // 24 replies of 320 kB each: far more than a loopback socket buffers.
@@ -233,7 +279,7 @@ fn a_client_that_stops_reading_holds_up_no_one_else() {
         write_frame(&mut stalled, 0, &frame).expect("pipelined submit");
     }
 
-    // Wait until every pipelined request has left the shard's queues: the
+    // Wait until every pipelined request has left the engine queue: the
     // solves are then running or done, and their replies sit in, or wait to
     // enter, the full socket.
     let probe = ServeClient::new(&addrs, ClientOptions::default()).expect("client");
@@ -273,14 +319,13 @@ fn a_client_that_stops_reading_holds_up_no_one_else() {
     server.shutdown();
 }
 
-/// A group whose members stop for different reasons.  On a one-worker
-/// shard held busy by a large cold request, a zero right-hand side and one
-/// scaled by 1e12 — same matrix, same five-iteration budget — gather into
-/// one group and run as one job.  Each member is answered from its own
-/// column: the zero one gets its solo `SolveResult` (bitwise `x`, the solo
-/// iteration count, coalesced 2), the other a `Reject`.
+/// Each request stops for its own reason.  A zero right-hand side and one
+/// scaled by 1e12 — same matrix, same five-iteration budget — are pipelined
+/// on one connection: the zero one gets its solo `SolveResult` (bitwise `x`,
+/// the solo iteration count, coalesced 1), the lone non-converging one a
+/// `Reject{Invalid}`.
 #[test]
-fn a_mixed_group_answers_each_member_by_its_own_solve() {
+fn a_lone_non_converging_request_is_rejected_as_invalid() {
     let _serial = serial();
     let server = shard(1);
     let config = MultisplittingConfig {
@@ -300,30 +345,14 @@ fn a_mixed_group_answers_each_member_by_its_own_solve() {
         .stop
         .converged());
 
-    // Pipelined on one connection, so the shard admits them in order: the
-    // cold blocker finds the worker idle and is dispatched; the other two
-    // find it busy and join one group, which its completion flushes.
-    let blocker = banded(40_000, 41);
-    let (_, blocker_rhs) = generators::rhs_for_solution(&blocker, |i| (i % 3) as f64);
     let mut stream = raw_connection(&server);
     for frame in [
-        submit(0, &blocker, &solver_config(), &blocker_rhs),
         submit(1, &a, &config, &zero),
         submit(2, &a, &config, &scaled),
     ] {
         write_frame(&mut stream, 0, &frame).expect("pipelined submit");
     }
-    let mut replies = HashMap::new();
-    for _ in 0..3 {
-        let (_, reply) = read_frame(&mut stream).expect("reply");
-        let id = match &reply {
-            Message::SolveResult { request_id, .. } | Message::Reject { request_id, .. } => {
-                *request_id
-            }
-            other => panic!("unexpected reply {other:?}"),
-        };
-        replies.insert(id, reply);
-    }
+    let replies = read_replies(&mut stream, 2);
     match &replies[&1] {
         Message::SolveResult {
             iterations,
@@ -331,15 +360,107 @@ fn a_mixed_group_answers_each_member_by_its_own_solve() {
             x,
             ..
         } => {
-            assert_eq!(*coalesced, 2, "the two requests did not share a job");
+            assert_eq!(*coalesced, 1);
             assert_eq!(*iterations, solo.stop.iterations);
             assert_eq!(bits(x), bits(&solo.x));
         }
-        other => panic!("the converging member got {other:?}"),
+        other => panic!("the converging request got {other:?}"),
     }
     match &replies[&2] {
         Message::Reject { code, .. } => assert_eq!(*code, RejectCode::Invalid),
-        other => panic!("the diverging member got {other:?}"),
+        other => panic!("the non-converging request got {other:?}"),
+    }
+    server.shutdown();
+}
+
+/// A lane holds at most its limit.  Behind a running blocker on a one-worker
+/// shard whose normal lane admits 2, five pipelined normal requests: the
+/// first two queue and are answered, exactly three are shed with
+/// `QueueFull` and a retry-after hint.
+#[test]
+fn a_lane_at_its_limit_sheds_exactly_the_overflow() {
+    let _serial = serial();
+    let (server, mut stream) = blocked_shard([16, 2, 64]);
+    let config = solver_config();
+    let a = matrix(200, 13);
+    let (_, b) = generators::rhs_for_solution(&a, |i| (i % 4) as f64);
+    let reference = PreparedSystem::prepare(config.clone(), &a)
+        .expect("prepare")
+        .solve(&b)
+        .expect("direct solve")
+        .x;
+    for request_id in 1..=5 {
+        let frame = submit(request_id, &a, &config, &b);
+        write_frame(&mut stream, 0, &frame).expect("pipelined submit");
+    }
+    let replies = read_replies(&mut stream, 6);
+    let mut shed = Vec::new();
+    for request_id in 1..=5 {
+        match &replies[&request_id] {
+            Message::SolveResult { x, .. } => assert_eq!(bits(x), bits(&reference)),
+            Message::Reject {
+                code: RejectCode::QueueFull,
+                retry_after_micros,
+                ..
+            } => {
+                assert!(*retry_after_micros > 0, "QueueFull without a retry hint");
+                shed.push(request_id);
+            }
+            other => panic!("request {request_id} got {other:?}"),
+        }
+    }
+    assert_eq!(
+        shed,
+        [3, 4, 5],
+        "the lane limit of 2 shed the wrong requests"
+    );
+    server.shutdown();
+}
+
+/// The queue deadline is the engine's job timeout: a request with a 1 ms
+/// deadline waiting behind a running blocker is rejected with
+/// `DeadlineExpired` and a retry-after hint, and the next request on the
+/// same connection is answered.
+#[test]
+fn a_queue_deadline_expires_through_the_engine_timeout() {
+    let _serial = serial();
+    let (server, mut stream) = blocked_shard(ServeConfig::default().lane_limits);
+    let config = solver_config();
+    let a = matrix(200, 21);
+    let (_, b) = generators::rhs_for_solution(&a, |i| (i % 6) as f64);
+    let reference = PreparedSystem::prepare(config.clone(), &a)
+        .expect("prepare")
+        .solve(&b)
+        .expect("direct solve")
+        .x;
+    let mut doomed = submit(1, &a, &config, &b);
+    if let Message::SubmitSolve {
+        queue_deadline_micros,
+        ..
+    } = &mut doomed
+    {
+        *queue_deadline_micros = 1_000;
+    }
+    write_frame(&mut stream, 0, &doomed).expect("submit");
+    write_frame(&mut stream, 0, &submit(2, &a, &config, &b)).expect("submit");
+    let replies = read_replies(&mut stream, 3);
+    match &replies[&1] {
+        Message::Reject {
+            code,
+            retry_after_micros,
+            ..
+        } => {
+            assert_eq!(*code, RejectCode::DeadlineExpired);
+            assert!(
+                *retry_after_micros > 0,
+                "DeadlineExpired without a retry hint"
+            );
+        }
+        other => panic!("the expired request got {other:?}"),
+    }
+    match &replies[&2] {
+        Message::SolveResult { x, .. } => assert_eq!(bits(x), bits(&reference)),
+        other => panic!("the request after it got {other:?}"),
     }
     server.shutdown();
 }

@@ -17,12 +17,11 @@
 //!   weighting schemes, synchronous/asynchronous drivers, theory, baselines,
 //!   experiment runners),
 //! * [`engine`] — the persistent solve service: factorization caching with
-//!   single-flight deduplication, a prioritized job queue with backpressure,
-//!   and multi-RHS requests over prepared systems,
+//!   single-flight deduplication, and a prioritized job queue with
+//!   backpressure over prepared systems,
 //! * [`serve`] — the engine on the network: a sharded solve fleet with
-//!   admission control, cross-request coalescing (each member solved by its
-//!   own solve, so bitwise-identical to a solo request) and a
-//!   consistent-hash routing client.
+//!   admission control, one engine job per request (so every answer is
+//!   bitwise its solo solve) and a consistent-hash routing client.
 //!
 //! # Quickstart
 //!

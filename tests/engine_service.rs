@@ -1,7 +1,8 @@
 //! Integration tests of the persistent solve service through the facade:
 //! cache correctness (a cached prepared system must be indistinguishable
 //! from cold solves), single-flight factorization under concurrent
-//! submission, and batched serving (a batch is its columns' solo solves).
+//! submission, and batched serving (a batch is its columns' solo solves,
+//! and in the engine a batch of k right-hand sides is k jobs).
 
 use multisplitting::prelude::*;
 use multisplitting::sparse::generators::{self, DiagDominantConfig};
@@ -134,6 +135,38 @@ fn engine_single_flights_concurrent_submissions() {
     assert_eq!(report.jobs_failed, 0);
 }
 
+/// Submits every right-hand side of `batch` as its own job and waits for
+/// all of them, in order.
+fn submit_all(
+    engine: &Engine,
+    a: &Arc<CsrMatrix>,
+    config: &MultisplittingConfig,
+    batch: &[Vec<f64>],
+) -> Vec<Arc<JobOutcome>> {
+    let handles: Vec<JobHandle> = batch
+        .iter()
+        .map(|b| {
+            engine
+                .submit(
+                    SolveRequest::new(Arc::clone(a), RhsPayload::Single(b.clone()))
+                        .with_config(config.clone()),
+                )
+                .unwrap()
+        })
+        .collect();
+    handles.iter().map(|h| h.wait().unwrap()).collect()
+}
+
+/// Asserts that `outcome` is bitwise `solo`: `x`, stop reason, iteration
+/// count and norm.
+fn assert_is_solo(outcome: &JobOutcome, solo: &SolveOutcome, what: &str) {
+    let JobOutcome::Single(o) = outcome;
+    assert_eq!(o.stop.reason, solo.stop.reason, "{what}");
+    assert_eq!(o.stop.iterations, solo.stop.iterations, "{what}");
+    assert_eq!(o.stop.norm.to_bits(), solo.stop.norm.to_bits(), "{what}");
+    assert_eq!(bits(&o.x), bits(&solo.x), "{what}");
+}
+
 #[test]
 fn engine_batch_answers_match_the_true_solution() {
     let a = Arc::new(generators::diag_dominant(&DiagDominantConfig {
@@ -146,36 +179,28 @@ fn engine_batch_answers_match_the_true_solution() {
         .collect();
     let batch: Vec<Vec<f64>> = solutions.iter().map(|(_, b)| b.clone()).collect();
     let engine = Engine::new(EngineConfig::default());
-    let handle = engine
-        .submit(
-            SolveRequest::new(Arc::clone(&a), RhsPayload::Batch(batch))
-                .with_config(service_config(4)),
-        )
-        .unwrap();
-    let outcome = handle.wait().unwrap();
-    assert!(outcome.converged());
-    match &*outcome {
-        JobOutcome::Batch(out) => {
-            for ((x_true, _), col) in solutions.iter().zip(out.iter()) {
-                let err = col
-                    .x
-                    .iter()
-                    .zip(x_true.iter())
-                    .fold(0.0f64, |m, (p, q)| m.max((p - q).abs()));
-                assert!(err < 1e-6, "batch column error {err}");
-            }
-        }
-        JobOutcome::Single(_) => panic!("expected batch outcome"),
+    let config = service_config(4);
+    let outcomes = submit_all(&engine, &a, &config, &batch);
+    let prepared = PreparedSystem::prepare(config, &a).unwrap();
+    for (c, (outcome, (x_true, b))) in outcomes.iter().zip(&solutions).enumerate() {
+        assert!(outcome.converged());
+        assert_is_solo(outcome, &prepared.solve(b).unwrap(), &format!("job {c}"));
+        let JobOutcome::Single(o) = &**outcome;
+        let err =
+            o.x.iter()
+                .zip(x_true.iter())
+                .fold(0.0f64, |m, (p, q)| m.max((p - q).abs()));
+        assert!(err < 1e-6, "job {c} error {err}");
     }
     let report = engine.report();
     assert_eq!(report.rhs_served, 8);
     assert!(report.solve_seconds > 0.0);
 }
 
-/// An engine batch whose columns stop for different reasons: the zero
-/// right-hand side converges at once, the one scaled by 1e12 cannot within
-/// a small budget.  Each column is still exactly its solo solve — `x` bits
-/// and the whole stop record — with and without halos.
+/// Right-hand sides that stop for different reasons: the zero one converges
+/// at once, the one scaled by 1e12 cannot within a small budget.  Each job
+/// is still exactly its solo solve — `x` bits and the whole stop record —
+/// with and without halos.
 #[test]
 fn a_mixed_batch_answers_each_column_as_its_solo_solve() {
     let a = Arc::new(generators::diag_dominant(&DiagDominantConfig {
@@ -195,33 +220,20 @@ fn a_mixed_batch_answers_each_column_as_its_solo_solve() {
                 method,
                 ..service_config(parts)
             };
-            let outcome = engine
-                .submit(
-                    SolveRequest::new(Arc::clone(&a), RhsPayload::Batch(batch.clone()))
-                        .with_config(config.clone()),
-                )
-                .unwrap()
-                .wait()
-                .unwrap();
-            let JobOutcome::Batch(cols) = &*outcome else {
-                panic!("expected a batch outcome");
-            };
+            let outcomes = submit_all(&engine, &a, &config, &batch);
             let prepared = PreparedSystem::prepare(config, &a).unwrap();
-            for (c, (col, b)) in cols.iter().zip(&batch).enumerate() {
+            for (c, (outcome, b)) in outcomes.iter().zip(&batch).enumerate() {
                 let solo = prepared.solve(b).unwrap();
-                let what = format!("{method:?}, P = {parts}, column {c}");
-                assert_eq!(col.stop.reason, solo.stop.reason, "{what}");
-                assert_eq!(col.stop.iterations, solo.stop.iterations, "{what}");
-                assert_eq!(col.stop.norm.to_bits(), solo.stop.norm.to_bits(), "{what}");
-                assert_eq!(bits(&col.x), bits(&solo.x), "{what}");
+                assert_is_solo(outcome, &solo, &format!("{method:?}, P = {parts}, job {c}"));
             }
-            assert!(cols[0].stop.converged(), "{method:?}, P = {parts}");
+            assert!(outcomes[0].converged(), "{method:?}, P = {parts}");
+            let JobOutcome::Single(scaled) = &*outcomes[1];
             assert_eq!(
-                cols[1].stop.reason,
+                scaled.stop.reason,
                 StopReason::BudgetExhausted,
                 "{method:?}, P = {parts}"
             );
-            assert!(!outcome.converged());
+            assert!(!outcomes[1].converged());
         }
     }
 }

@@ -2,14 +2,13 @@
 //! [`SolveServer`] fleet under 16 concurrent tenants, every response checked
 //! bitwise against a direct [`PreparedSystem`] solve, a mid-run shard kill
 //! absorbed by ring-retry, deterministic admission-control rejections, and a
-//! proptest that batch coalescing can never change an answer.
+//! proptest that a batch of right-hand sides is its columns' solo solves.
 
 use multisplitting::prelude::*;
 use multisplitting::serve::{ClientOptions, ServeError, ServeSolution};
 use multisplitting::sparse::generators::{self, DiagDominantConfig};
 use multisplitting::sparse::CsrMatrix;
 use proptest::prelude::*;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -30,6 +29,10 @@ fn serve_config(shard: usize) -> ServeConfig {
         },
         ..ServeConfig::default()
     }
+}
+
+fn bits(x: &[f64]) -> Vec<u64> {
+    x.iter().map(|v| v.to_bits()).collect()
 }
 
 fn start_fleet(shards: usize) -> (Vec<SolveServer>, Vec<String>) {
@@ -82,7 +85,6 @@ fn sharded_fleet_serves_bitwise_answers_through_a_shard_kill() {
         assert!(warm_client.warm(a, &config).expect("warm") >= 1);
     }
 
-    let coalesced_hits = Arc::new(AtomicU64::new(0));
     let addrs = Arc::new(addrs);
     let matrices = Arc::new(matrices);
     let references = Arc::new(references);
@@ -94,7 +96,6 @@ fn sharded_fleet_serves_bitwise_answers_through_a_shard_kill() {
             let matrices = Arc::clone(&matrices);
             let references = Arc::clone(&references);
             let config = Arc::clone(&config);
-            let coalesced_hits = Arc::clone(&coalesced_hits);
             std::thread::spawn(move || {
                 let client =
                     ServeClient::new(&addrs, ClientOptions::default()).expect("tenant client");
@@ -106,12 +107,14 @@ fn sharded_fleet_serves_bitwise_answers_through_a_shard_kill() {
                         .solve(&matrices[m], &config, &b)
                         .expect("fleet solve");
                     assert_eq!(
-                        solution.x, references[m][k],
+                        bits(&solution.x),
+                        bits(&references[m][k]),
                         "tenant {t} solve {k}: fleet answer differs from direct solve"
                     );
-                    if solution.coalesced > 1 {
-                        coalesced_hits.fetch_add(1, Ordering::Relaxed);
-                    }
+                    assert_eq!(
+                        solution.coalesced, 1,
+                        "tenant {t} solve {k}: a request shared a job"
+                    );
                 }
             })
         })
@@ -127,12 +130,6 @@ fn sharded_fleet_serves_bitwise_answers_through_a_shard_kill() {
     for t in tenants {
         t.join().expect("tenant thread");
     }
-    // Shared matrices and 16 tenants on two workers per shard: some requests
-    // must have found the workers busy and shared a job.
-    assert!(
-        coalesced_hits.load(Ordering::Relaxed) > 0,
-        "no request was ever coalesced under 16 concurrent tenants"
-    );
     drop(servers);
 }
 
@@ -171,8 +168,9 @@ fn zero_lane_budget_sheds_load_with_typed_retryable_rejections() {
     server.shutdown();
 }
 
-/// `ServerStats` reports the work a shard actually did: completions, batch
-/// counts, and the engine's cache/single-flight counters.
+/// `ServerStats` reports the work a shard actually did: completions, solve
+/// jobs dispatched, the reserved coalesced counter at 0, and the engine's
+/// cache/single-flight counters.
 #[test]
 fn server_stats_reflect_completed_and_coalesced_work() {
     let (servers, addrs) = start_fleet(1);
@@ -195,6 +193,7 @@ fn server_stats_reflect_completed_and_coalesced_work() {
         multisplitting::comm::Message::ServerStats {
             shard,
             completed,
+            coalesced,
             batches,
             sparse_fastpath_hits,
             dense_fallbacks,
@@ -204,7 +203,8 @@ fn server_stats_reflect_completed_and_coalesced_work() {
         } => {
             assert_eq!(*shard, 0);
             assert!(*completed >= 3, "3 solves completed, stats say {completed}");
-            assert!(*batches >= 1, "every solve runs inside a dispatched batch");
+            assert_eq!(*coalesced, 0, "the coalesced counter is reserved");
+            assert_eq!(*batches, 3, "each solve is its own dispatched job");
             assert!(
                 *sparse_fastpath_hits + *dense_fallbacks > 0,
                 "completed solves must account for their solve paths"
@@ -217,12 +217,11 @@ fn server_stats_reflect_completed_and_coalesced_work() {
     drop(servers);
 }
 
-/// A batch runs the stationary lockstep driver, so Krylov requests must never
-/// be coalesced.  Four FGMRES clients and four stationary clients share one
-/// matrix on a one-worker shard, so requests keep arriving while the worker
-/// is busy: the stationary control arm must share jobs (the setup can
-/// coalesce), while every FGMRES request is served alone, by FGMRES, bitwise
-/// the direct solve.
+/// Every request is its own job, solved by its own method.  Four FGMRES
+/// clients and four stationary clients share one matrix on a one-worker
+/// shard, so requests keep arriving while the worker is busy: every reply is
+/// served alone, FGMRES by FGMRES, bitwise the direct solve with its
+/// iteration count.
 #[test]
 fn concurrent_krylov_requests_are_never_coalesced() {
     const CLIENTS: usize = 4;
@@ -295,21 +294,12 @@ fn concurrent_krylov_requests_are_never_coalesced() {
             .flat_map(|h| h.join().unwrap())
             .collect()
     });
-    let bits = |x: &[f64]| x.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
     for (arm, k, reply) in &replies {
         let direct = &arms[*arm].1[*k];
-        if *arm == 0 {
-            assert_eq!(reply.coalesced, 1, "a Krylov request joined a batch");
-        }
+        assert_eq!(reply.coalesced, 1, "a request shared a job");
         assert_eq!(reply.iterations, direct.stop.iterations);
         assert_eq!(bits(&reply.x), bits(&direct.x));
     }
-    assert!(
-        replies
-            .iter()
-            .any(|(arm, _, r)| *arm == 1 && r.coalesced > 1),
-        "no stationary request shared a job on the busy shard, so the Krylov arm proves nothing"
-    );
     drop(server);
 }
 
@@ -419,10 +409,9 @@ proptest! {
     // seed, partition count, and batch width.
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    // The coalescing-equivalence property the whole serving design leans
-    // on: for any batch of right-hand sides, every column of `solve_many`
-    // is **bitwise** the solo `solve` of that column, and its iteration
-    // count equals the solo iteration count.
+    // For any batch of right-hand sides, every column of `solve_many` is
+    // **bitwise** the solo `solve` of that column, and its iteration count
+    // equals the solo iteration count.
     #[test]
     fn coalesced_batches_are_bitwise_identical_to_solo_solves(
         n in 40usize..120,
