@@ -149,9 +149,21 @@ impl Engine {
     /// Submits a job without blocking; fails with [`EngineError::QueueFull`]
     /// when the queue is at capacity.
     pub fn try_submit(&self, request: SolveRequest) -> Result<JobHandle, EngineError> {
+        self.try_submit_within(request, usize::MAX)
+    }
+
+    /// [`Engine::try_submit`] that also fails with [`EngineError::QueueFull`]
+    /// when the request's priority lane already holds `lane_limit` queued
+    /// jobs.  The check and the push are one step under the queue's lock, so
+    /// an admission layer can bound each lane exactly.
+    pub fn try_submit_within(
+        &self,
+        request: SolveRequest,
+        lane_limit: usize,
+    ) -> Result<JobHandle, EngineError> {
         let (job, handle) = self.make_job(request)?;
         Metrics::add(&self.metrics.jobs_submitted, 1);
-        if let Err(e) = self.queue.try_push(job) {
+        if let Err(e) = self.queue.try_push(job, lane_limit) {
             self.metrics.jobs_submitted.fetch_sub(1, Ordering::Relaxed);
             return Err(e);
         }
@@ -164,8 +176,7 @@ impl Engine {
     }
 
     /// Jobs currently waiting per priority lane, highest priority first
-    /// (index with [`crate::Priority::lane`]).  Admission-control layers use
-    /// this to bound each lane independently of the global capacity.
+    /// (index with [`crate::Priority::lane`]).
     pub fn lane_depths(&self) -> [usize; crate::Priority::COUNT] {
         self.queue.lane_depths()
     }

@@ -83,7 +83,8 @@ pub use metrics::EngineReport;
 /// Errors produced by the solve service.
 #[derive(Debug, Clone, PartialEq)]
 pub enum EngineError {
-    /// The bounded job queue is full (returned by [`Engine::try_submit`]).
+    /// The bounded job queue is full, or under [`Engine::try_submit_within`]
+    /// the request's lane is at its limit (returned by [`Engine::try_submit`]).
     QueueFull,
     /// The engine is shutting down and no longer accepts or runs jobs.
     ShuttingDown,

@@ -24,7 +24,8 @@ struct QueueState {
 ///
 /// * `push_blocking` provides backpressure: it parks the submitter until a
 ///   slot frees up (or the queue closes).
-/// * `try_push` fails fast with [`EngineError::QueueFull`].
+/// * `try_push` fails fast with [`EngineError::QueueFull`], also when the
+///   job's lane already holds the caller's per-lane limit.
 /// * `pop` parks workers until a job or shutdown arrives; once the queue is
 ///   closed, remaining jobs are still drained before `pop` returns `None`.
 pub(crate) struct JobQueue {
@@ -84,16 +85,17 @@ impl JobQueue {
         }
     }
 
-    /// Enqueues without blocking.
-    pub(crate) fn try_push(&self, job: Job) -> Result<(), EngineError> {
+    /// Enqueues without blocking, unless the queue is at capacity or the
+    /// job's lane already holds `lane_limit` jobs.
+    pub(crate) fn try_push(&self, job: Job, lane_limit: usize) -> Result<(), EngineError> {
         let mut state = self.state.lock().unwrap_or_else(PoisonError::into_inner);
         if state.closed {
             return Err(EngineError::ShuttingDown);
         }
-        if state.len >= self.capacity {
+        let lane = job.request.priority.lane();
+        if state.len >= self.capacity || state.lanes[lane].len() >= lane_limit {
             return Err(EngineError::QueueFull);
         }
-        let lane = job.request.priority.lane();
         state.lanes[lane].push_back(job);
         state.len += 1;
         drop(state);
@@ -158,10 +160,10 @@ mod tests {
     #[test]
     fn pop_respects_priority_then_fifo() {
         let q = JobQueue::new(8);
-        q.try_push(job(Priority::Low)).unwrap();
-        q.try_push(job(Priority::Normal)).unwrap();
-        q.try_push(job(Priority::High)).unwrap();
-        q.try_push(job(Priority::High)).unwrap();
+        q.try_push(job(Priority::Low), usize::MAX).unwrap();
+        q.try_push(job(Priority::Normal), usize::MAX).unwrap();
+        q.try_push(job(Priority::High), usize::MAX).unwrap();
+        q.try_push(job(Priority::High), usize::MAX).unwrap();
         let order: Vec<Priority> = (0..4).map(|_| q.pop().unwrap().request.priority).collect();
         assert_eq!(
             order,
@@ -177,16 +179,16 @@ mod tests {
     #[test]
     fn try_push_reports_full_and_close_drains() {
         let q = JobQueue::new(2);
-        q.try_push(job(Priority::Normal)).unwrap();
-        q.try_push(job(Priority::Normal)).unwrap();
+        q.try_push(job(Priority::Normal), usize::MAX).unwrap();
+        q.try_push(job(Priority::Normal), usize::MAX).unwrap();
         assert!(matches!(
-            q.try_push(job(Priority::Normal)),
+            q.try_push(job(Priority::Normal), usize::MAX),
             Err(EngineError::QueueFull)
         ));
         assert_eq!(q.len(), 2);
         q.close();
         assert!(matches!(
-            q.try_push(job(Priority::Normal)),
+            q.try_push(job(Priority::Normal), usize::MAX),
             Err(EngineError::ShuttingDown)
         ));
         // Remaining jobs drain even after close.
@@ -196,9 +198,23 @@ mod tests {
     }
 
     #[test]
+    fn try_push_bounds_each_lane_by_its_limit() {
+        let q = JobQueue::new(8);
+        q.try_push(job(Priority::Low), 2).unwrap();
+        q.try_push(job(Priority::Low), 2).unwrap();
+        assert!(matches!(
+            q.try_push(job(Priority::Low), 2),
+            Err(EngineError::QueueFull)
+        ));
+        // A full lane leaves the other lanes their own budget.
+        q.try_push(job(Priority::High), 2).unwrap();
+        assert_eq!(q.lane_depths(), [1, 0, 2]);
+    }
+
+    #[test]
     fn blocking_push_unblocks_when_a_slot_frees() {
         let q = Arc::new(JobQueue::new(1));
-        q.try_push(job(Priority::Normal)).unwrap();
+        q.try_push(job(Priority::Normal), usize::MAX).unwrap();
         let q2 = Arc::clone(&q);
         let pusher = std::thread::spawn(move || q2.push_blocking(job(Priority::High)));
         // Give the pusher a moment to park, then free the slot.

@@ -35,12 +35,15 @@ pub struct ServeConfig {
     /// `from` rank of response frames.
     pub shard: usize,
     /// Admission limit per priority lane (highest priority first): a
-    /// submit whose lane already holds this many queued requests is
-    /// rejected with [`RejectCode::QueueFull`] instead of blocking.
+    /// submit whose lane already holds this many queued requests (warm ones
+    /// included) is rejected with [`RejectCode::QueueFull`] instead of
+    /// blocking.  Each lane has its own budget: the shard sizes its engine
+    /// queue to hold every lane at its limit at once.
     pub lane_limits: [usize; Priority::COUNT],
     /// Sizing of the embedded engine (workers, queue, cache).  Every
     /// admitted request is one engine job; the workers run them side by
-    /// side, most urgent lane first.
+    /// side, most urgent lane first.  `queue_capacity` is raised to the sum
+    /// of `lane_limits` if it is smaller.
     pub engine: EngineConfig,
 }
 
@@ -65,9 +68,6 @@ struct Counters {
 struct Inner {
     config: ServeConfig,
     engine: Engine,
-    /// Held across the lane-depth check and the submit, so a lane never
-    /// holds more requests than its limit.
-    admission: Mutex<()>,
     /// Matrices this shard has decoded before, keyed by fingerprint, so a
     /// warmed client can submit with an empty matrix blob.
     known: Mutex<HashMap<u64, Arc<CsrMatrix>>>,
@@ -110,11 +110,16 @@ impl SolveServer {
         let local_addr = listener
             .local_addr()
             .map_err(|e| ServeError::Io(format!("local_addr failed: {e}")))?;
-        let engine = Engine::new(config.engine.clone());
+        // Room for every lane at its limit at once: a full low lane must not
+        // take the queue slots a high request is admitted to.
+        let engine = Engine::new(EngineConfig {
+            queue_capacity: (config.engine.queue_capacity)
+                .max(config.lane_limits.iter().sum::<usize>()),
+            ..config.engine.clone()
+        });
         let inner = Arc::new(Inner {
             config,
             engine,
-            admission: Mutex::new(()),
             known: Mutex::new(HashMap::new()),
             counters: Counters::default(),
             shutdown: AtomicBool::new(false),
@@ -445,39 +450,19 @@ fn handle_submit(
         request = request.with_timeout(Duration::from_micros(queue_deadline_micros));
     }
     let admitted_at = Instant::now();
+    // Admission control: the lane budget covers the lane's queued jobs, and
+    // the engine checks it and enqueues in one step.
     let lane = priority.lane();
-    // Admission control: the lane budget covers the engine's queued jobs.
-    // A warm request is not counted against it.
-    let submitted = {
-        let _admission = inner
-            .admission
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
-        if !warm && inner.engine.lane_depths()[lane] >= inner.config.lane_limits[lane] {
-            None
-        } else {
-            Some(inner.engine.try_submit(request))
-        }
-    };
-    let handle = match submitted {
-        Some(Ok(handle)) => handle,
-        Some(Err(e)) => {
+    let limit = inner.config.lane_limits[lane];
+    let handle = match inner.engine.try_submit_within(request, limit) {
+        Ok(handle) => handle,
+        Err(e) => {
             let (code, retry) = map_engine_error(inner, &e);
-            reject(inner, conn, request_id, code, retry, &format!("{e}"));
-            return;
-        }
-        None => {
-            reject(
-                inner,
-                conn,
-                request_id,
-                RejectCode::QueueFull,
-                retry_after_micros(inner),
-                &format!(
-                    "lane {lane} is at its {} request limit",
-                    inner.config.lane_limits[lane]
-                ),
-            );
+            let detail = match e {
+                EngineError::QueueFull => format!("lane {lane} is at its {limit} request limit"),
+                e => format!("{e}"),
+            };
+            reject(inner, conn, request_id, code, retry, &detail);
             return;
         }
     };

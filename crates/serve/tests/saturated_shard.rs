@@ -122,7 +122,9 @@ fn read_replies(stream: &mut TcpStream, count: usize) -> HashMap<u64, Message> {
 /// the next request on any lane waits behind it.
 fn blocked_shard(lane_limits: [usize; 3]) -> (SolveServer, TcpStream) {
     let server = shard_with_limits(1, lane_limits);
-    let blocker = banded(40_000, 41);
+    // About 0.2 s cold in release on one core: far longer than pipelining
+    // the few dozen small requests the tests queue behind it.
+    let blocker = banded(200_000, 41);
     let (_, blocker_rhs) = generators::rhs_for_solution(&blocker, |i| (i % 3) as f64);
     let mut stream = raw_connection(&server);
     let frame = submit(0, &blocker, &solver_config(), &blocker_rhs);
@@ -414,6 +416,54 @@ fn a_lane_at_its_limit_sheds_exactly_the_overflow() {
         [3, 4, 5],
         "the lane limit of 2 shed the wrong requests"
     );
+    server.shutdown();
+}
+
+/// Each lane has its own budget.  Behind a running blocker on a one-worker
+/// shard with the default lane limits, the low lane is filled to its limit
+/// of 64, which is also the default engine queue capacity; one more low
+/// request is shed with `QueueFull`, and a high request after it is still
+/// admitted and answered bitwise.
+#[test]
+fn a_full_low_lane_does_not_shed_a_high_request() {
+    let _serial = serial();
+    let lane_limits = ServeConfig::default().lane_limits;
+    let low_limit = lane_limits[2] as u64;
+    assert_eq!(low_limit as usize, EngineConfig::default().queue_capacity);
+    let (server, mut stream) = blocked_shard(lane_limits);
+    let config = solver_config();
+    let a = matrix(200, 23);
+    let (_, b) = generators::rhs_for_solution(&a, |i| (i % 7) as f64);
+    let reference = PreparedSystem::prepare(config.clone(), &a)
+        .expect("prepare")
+        .solve(&b)
+        .expect("direct solve")
+        .x;
+    let high = low_limit + 2;
+    for request_id in 1..=high {
+        let mut frame = submit(request_id, &a, &config, &b);
+        if let Message::SubmitSolve {
+            priority, matrix, ..
+        } = &mut frame
+        {
+            *priority = if request_id == high { 0 } else { 2 };
+            if request_id > 1 {
+                matrix.clear();
+            }
+        }
+        write_frame(&mut stream, 0, &frame).expect("pipelined submit");
+    }
+    let replies = read_replies(&mut stream, high as usize + 1);
+    for request_id in (1..=low_limit).chain([high]) {
+        match &replies[&request_id] {
+            Message::SolveResult { x, .. } => assert_eq!(bits(x), bits(&reference)),
+            other => panic!("request {request_id} got {other:?}"),
+        }
+    }
+    match &replies[&(low_limit + 1)] {
+        Message::Reject { code, .. } => assert_eq!(*code, RejectCode::QueueFull),
+        other => panic!("the low request over its lane limit got {other:?}"),
+    }
     server.shutdown();
 }
 
