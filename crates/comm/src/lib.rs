@@ -18,31 +18,28 @@
 //!   channel transport and a delay-modelling wrapper,
 //! * [`tcp`] — the [`tcp::TcpTransport`] per-rank socket endpoint, and the
 //!   [`tcp::LoopbackMesh`] that runs the unchanged threaded drivers over
-//!   real sockets,
-//! * [`convergence`] — *local* convergence detection: the per-rank increment
-//!   window behind each local vote (the global decision is a message
-//!   protocol and lives in `msplit_core::runtime`).
+//!   real sockets.
+//!
+//! Convergence detection is not here: the local vote and both global
+//! detection protocols live with the rank loop in `msplit_core::runtime`,
+//! and only their messages are this crate's.
 //!
 //! # Place in the runtime architecture
 //!
-//! In the engine/policy/adapter architecture documented at the top of
+//! In the engine/stack/adapter architecture documented at the top of
 //! `msplit-core` (`crates/core/src/lib.rs`), this crate is the bottom box:
 //! every driver funnels its traffic through a `RankLink` over a
-//! [`transport::Transport`] from here, the [`message::Message`] enum is the
-//! complete protocol vocabulary (data slices, convergence votes, halts,
+//! [`transport::Transport`] from here, and the [`message::Message`] enum is
+//! the complete protocol vocabulary (data slices, convergence votes, halts,
 //! heartbeats and reshape notices for the fault-tolerance layer of
-//! `docs/fault-tolerance.md`), and [`convergence`] supplies the
-//! vote-window bookkeeping the convergence policies persist across
-//! checkpoints.
+//! `docs/fault-tolerance.md`).
 
 pub mod codec;
-pub mod convergence;
 pub mod message;
 pub mod tcp;
 pub mod transport;
 pub mod wire;
 
-pub use convergence::{LocalConvergence, ResidualTracker};
 pub use message::{Message, RejectCode};
 pub use tcp::{BoundTcpTransport, LinkDelay, LoopbackMesh, TcpOptions, TcpTransport};
 pub use transport::{DelayedTransport, InProcTransport, LinkStats, Transport};

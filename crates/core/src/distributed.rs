@@ -5,8 +5,8 @@
 //! adapters use, over any [`Transport`] (the multi-process runtime passes a
 //! [`msplit_comm::TcpTransport`] endpoint):
 //!
-//! * **synchronous** — [`crate::runtime::TreeVotes`] + the lockstep
-//!   progress policy: each iteration every rank's vote
+//! * **synchronous** — the tree vote protocol (`TreeVotes`) + the lockstep
+//!   progress rule: each iteration every rank's vote
 //!   aggregates up the vote tree to rank 0 ([`Message::VoteAggregate`]) and
 //!   the rank then blocks until it has both the decision for that iteration
 //!   ([`Message::ConvergenceVote`], forwarded down the same tree) and the
@@ -14,16 +14,16 @@
 //!   barrier and the decision broadcast *is* the allreduce, so the iterates
 //!   are bitwise-identical to the threaded adapter's (which runs the very
 //!   same code over an in-process transport),
-//! * **asynchronous** — [`crate::runtime::ConfirmationWaves`] + the
-//!   free-running progress policy: ranks free-run and send votes to
-//!   rank 0 on verdict changes; rank 0 runs a confirmation-wave
-//!   [`crate::runtime::VoteBoard`] and broadcasts
+//! * **asynchronous** — confirmation waves (`ConfirmationWaves`) + the
+//!   free-running progress rule: ranks free-run and send votes to
+//!   rank 0 on verdict changes; rank 0 runs a confirmation-wave vote board
+//!   and broadcasts
 //!   [`Message::GlobalConverged`] once every rank has re-confirmed its
 //!   converged vote for the configured number of waves.
 //!
 //! There is one detection protocol per mode and no knob to pick another;
 //! `runtime::mode_policies` is the single place that maps the mode to its
-//! policy stack.  The rank loop over that stack runs on this thread under
+//! stack.  The rank loop over that stack runs on this thread under
 //! the runtime's blocking executor, the same one the threaded adapter
 //! uses.
 //!
@@ -195,7 +195,7 @@ pub fn run_rank(
         world,
     });
     let link = RankLink::new(transport.as_ref(), rank, send_targets, senders_to_me);
-    let (mut vote, conv, progress) = mode_policies(
+    let (mut vote, stack) = mode_policies(
         config.mode,
         config,
         rank,
@@ -204,12 +204,12 @@ pub fn run_rank(
         options.failure,
     );
     if let Some(state) = restored_vote {
-        vote.restore_state(state);
+        vote.restore(state);
     }
     let mut rank_loop = RankLoop::new(
         engine,
         link,
-        (vote, conv, progress),
+        (vote, stack),
         config.max_iterations,
         checkpointer,
     );
@@ -643,7 +643,7 @@ mod tests {
     #[test]
     fn free_running_tolerates_converged_peer_exit() {
         // Satellite regression: the converged-peer-exit rule lives in the
-        // ConfirmationWaves policy (DeathRule::Tolerate) — a slice sent to a
+        // ConfirmationWaves protocol (DeathRule::Tolerate) — a slice sent to a
         // rank that already exited must be skipped, not fatal, because its
         // GlobalConverged is already queued.
         let a = generators::tridiagonal(20, 4.0, -1.0);

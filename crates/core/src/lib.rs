@@ -37,8 +37,8 @@
 //!
 //! # Architecture: engine, policies, adapters
 //!
-//! Every driver in the workspace is an adapter over the same three-part
-//! runtime (see [`runtime`]):
+//! Every driver in the workspace is an adapter over the same runtime (see
+//! [`runtime`]):
 //!
 //! ```text
 //!                  ┌────────────────────────────────────────────────┐
@@ -48,12 +48,12 @@
 //!                  └──────┬─────────────┬──────────────┬────────────┘
 //!                         │             │              │
 //!              ┌──────────▼───┐  ┌──────▼───────┐  ┌───▼──────────┐
-//!              │  RankEngine  │  │ Convergence/ │  │ FailurePolicy│
-//!              │ (pure state  │  │ Progress     │  │ HaltOnDeath /│
-//!              │  machine,    │  │ policies, one│  │ Redistribute │
-//!              │  replayable, │  │ stack a mode:│  │ (heartbeats; │
-//!              │  snapshot-   │  │ lockstep or  │  │ reshape on a │
-//!              │  able)       │  │ free-running │  │ dead rank)   │
+//!              │  RankEngine  │  │ one concrete │  │ FailurePolicy│
+//!              │ (pure state  │  │ stack a mode:│  │ HaltOnDeath /│
+//!              │  machine,    │  │ vote + tree +│  │ Redistribute │
+//!              │  replayable, │  │ lockstep, or │  │ (heartbeats; │
+//!              │  snapshot-   │  │ vote + waves │  │ reshape on a │
+//!              │  able)       │  │ + free-run   │  │ dead rank)   │
 //!              └──────┬───────┘  └──────┬───────┘  └───┬──────────┘
 //!                     │                 │              │
 //!              ┌──────▼─────────────────▼──────────────▼───────────┐
@@ -83,11 +83,10 @@
 //! * [`sequential`] — single-threaded reference iterations (practical form
 //!   and the extended fixed-point mapping of Section 3),
 //! * [`runtime`] — the unified per-rank runtime: the [`runtime::RankEngine`]
-//!   state machine of Algorithm 1 plus convergence
-//!   ([`runtime::ConvergencePolicy`]), progress and failure
-//!   ([`runtime::FailurePolicy`]) policies — one detection protocol per
-//!   execution mode — and the one poll-driven rank loop around them;
-//!   every driver below is an adapter over it,
+//!   state machine of Algorithm 1, one concrete vote/detection/progress
+//!   stack per execution mode, the failure response
+//!   ([`runtime::FailurePolicy`]) and the one poll-driven rank loop around
+//!   them; every driver below is an adapter over it,
 //! * [`scale`] — the in-process scale simulator ([`scale::simulate_ranks`]):
 //!   hundreds of production rank loops polled cooperatively in one process
 //!   under a virtual clock, with message-load accounting, for protocol

@@ -208,7 +208,9 @@ impl PreparedSystem {
     ///
     /// The Krylov methods ([`Method::Richardson`], [`Method::Fgmres`]) run
     /// the outer loop in the calling thread — their parallelism lives inside
-    /// the preconditioner sweep — so they ignore `transport`.
+    /// the preconditioner sweep — and send no message, so they refuse a
+    /// transport with [`CoreError::Decomposition`] rather than ignore it;
+    /// so does a transport whose rank count is not the part count.
     pub fn solve_with_transport(
         &self,
         b: &[f64],
@@ -225,6 +227,9 @@ impl PreparedSystem {
         transport: Option<Arc<dyn Transport>>,
     ) -> Result<SolveOutcome, CoreError> {
         self.check_rhs(b)?;
+        if let Some(transport) = &transport {
+            runtime::check_transport(self.config.method, self.num_parts(), transport)?;
+        }
         let start = Instant::now();
         match self.config.method {
             Method::Stationary => {}

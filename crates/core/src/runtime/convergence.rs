@@ -1,4 +1,6 @@
-//! Convergence policies: how local votes become a global decision.
+//! Convergence protocols: how local votes become a global decision, one per
+//! execution mode — [`TreeVotes`] for lockstep runs, [`ConfirmationWaves`]
+//! for free-running ones.
 
 use super::failure::{DeathRule, FailurePolicy, Flow, RankLink};
 use crate::stop::StopReason::{Converged, Halted};
@@ -10,47 +12,12 @@ use msplit_comm::message::Message;
 /// re-send every iteration because confirmation waves advance on them).
 const VOTE_REFRESH_ITERATIONS: u64 = 25;
 
-/// How local votes become a global convergence decision.
-///
-/// A policy is a message-level protocol state machine: it may emit protocol
-/// traffic through the [`RankLink`] and observes inbound control messages.
-pub trait ConvergencePolicy: Send {
-    /// Submits this rank's local vote for `iteration`.
-    fn submit(
-        &mut self,
-        iteration: u64,
-        vote: bool,
-        link: &mut RankLink,
-    ) -> Result<Flow, CoreError>;
-
-    /// Observes an inbound control message.
-    fn observe(&mut self, msg: &Message, link: &mut RankLink) -> Result<Flow, CoreError>;
-
-    /// Whether the policy still awaits protocol traffic for `iteration`
-    /// (lockstep: until the decision is known; free-running: never).
-    fn waiting(&self, iteration: u64) -> bool;
-
-    /// Whether a known decision makes the remaining dependency slices of the
-    /// current iteration irrelevant (a converged lockstep decision does).
-    fn skip_pending_data(&self) -> bool;
-
-    /// Resolves `iteration` once [`ConvergencePolicy::waiting`] is false;
-    /// the lockstep coordinator broadcasts its decision here.
-    fn resolve(&mut self, iteration: u64, link: &mut RankLink) -> Result<Flow, CoreError>;
-
-    /// Budget exhausted: notify peers so nobody spins forever.
-    fn abandon(&mut self, link: &mut RankLink);
-
-    /// The dead-peer rule of this protocol (see [`DeathRule`]).
-    fn death_rule(&self) -> DeathRule;
-}
-
-/// Fan-in of the production vote tree ([`TreeVotes::new`]).  Fixed rather
-/// than configurable: up to `VOTE_TREE_ARITY + 1` ranks — every world the
-/// paper's clusters use — the root's children are *all* other ranks, which
-/// is the flat two-hop vote/decision exchange; beyond that the root handles
-/// at most `2 · VOTE_TREE_ARITY` control messages per decision at any `P`
-/// instead of `2 · (P − 1)`.
+/// Fan-in of the vote tree of the synchronous detection protocol.  Fixed
+/// rather than configurable: up to `VOTE_TREE_ARITY + 1` ranks — every world
+/// the paper's clusters use — the root's children are *all* other ranks,
+/// which is the flat two-hop vote/decision exchange; beyond that the root
+/// handles at most `2 · VOTE_TREE_ARITY` control messages per decision at
+/// any `P` instead of `2 · (P − 1)`.
 pub const VOTE_TREE_ARITY: usize = 16;
 
 /// Per-iteration vote collection — the message-based equivalent of the
@@ -64,12 +31,12 @@ pub const VOTE_TREE_ARITY: usize = 16;
 /// (fan-in `P − 1`).
 ///
 /// Every rank forwards the decision to its children only in
-/// [`ConvergencePolicy::resolve`] — after its own wait loop fully completed —
+/// [`TreeVotes::resolve`] — after its own wait loop fully completed —
 /// so no iteration-`i+1` traffic can reach a node whose current iteration is
 /// still `i`.  That ordering invariant is what makes the iterates **bitwise
 /// identical** at every fan-in on the same schedule
 /// (`tests/convergence_scale.rs`).
-pub struct TreeVotes {
+pub(crate) struct TreeVotes {
     rank: usize,
     world: usize,
     failure: FailurePolicy,
@@ -94,16 +61,21 @@ pub struct TreeVotes {
 }
 
 impl TreeVotes {
-    /// Builds the policy for `rank` in a `world`-rank run with the
+    /// Builds the protocol for `rank` in a `world`-rank run with the
     /// production fan-in, [`VOTE_TREE_ARITY`].
-    pub fn new(rank: usize, world: usize, failure: FailurePolicy) -> Self {
+    pub(crate) fn new(rank: usize, world: usize, failure: FailurePolicy) -> Self {
         Self::with_arity(rank, world, VOTE_TREE_ARITY, failure)
     }
 
     /// [`TreeVotes::new`] with an explicit fan-in (clamped to at least 2).
     /// Kept only so the scale simulator can compare fan-ins — the bitwise
     /// proptests and the coordinator-load gate; every driver uses `new`.
-    pub fn with_arity(rank: usize, world: usize, arity: usize, failure: FailurePolicy) -> Self {
+    pub(crate) fn with_arity(
+        rank: usize,
+        world: usize,
+        arity: usize,
+        failure: FailurePolicy,
+    ) -> Self {
         let arity = arity.max(2);
         let children: Vec<usize> = (arity * rank + 1..=arity * rank + arity)
             .filter(|&c| c < world)
@@ -135,8 +107,14 @@ impl TreeVotes {
         self.rank == 0
     }
 
+    /// The dead-peer rule of the lockstep failure response (see
+    /// [`DeathRule`]).
+    pub(super) fn death_rule(&self) -> DeathRule {
+        self.failure.death_rule()
+    }
+
     /// Sends this rank's completed subtree aggregate to its parent.
-    fn send_up(&mut self, iteration: u64, link: &mut RankLink) -> Result<(), CoreError> {
+    fn send_up(&self, iteration: u64, link: &mut RankLink) -> Result<(), CoreError> {
         debug_assert_eq!(self.agg_count, self.subtree_count);
         if let Some(parent) = self.parent {
             link.send_ruled(
@@ -155,33 +133,29 @@ impl TreeVotes {
 
     /// Forwards the known decision for `iteration` down to the children.
     fn send_down(
-        &mut self,
+        &self,
         iteration: u64,
         decision: bool,
         link: &mut RankLink,
     ) -> Result<(), CoreError> {
-        let rule = self.death_rule();
         let note = Message::ConvergenceVote {
             from: self.rank,
             iteration,
             converged: decision,
         };
-        // Iterate over a copy so `send_ruled` can borrow the link.
-        for i in 0..self.children.len() {
-            let child = self.children[i];
-            link.send_ruled(child, note.clone(), rule)?;
+        for &child in &self.children {
+            link.send_ruled(child, note.clone(), self.death_rule())?;
         }
         Ok(())
     }
-}
 
-impl ConvergencePolicy for TreeVotes {
-    fn submit(
+    /// Submits this rank's local vote for `iteration`.
+    pub(super) fn submit(
         &mut self,
         iteration: u64,
         vote: bool,
         link: &mut RankLink,
-    ) -> Result<Flow, CoreError> {
+    ) -> Result<(), CoreError> {
         self.current = iteration;
         self.decision = None;
         self.agg = vote;
@@ -191,10 +165,15 @@ impl ConvergencePolicy for TreeVotes {
             // A leaf's subtree is itself: its aggregate goes up immediately.
             self.send_up(iteration, link)?;
         }
-        Ok(Flow::Continue)
+        Ok(())
     }
 
-    fn observe(&mut self, msg: &Message, link: &mut RankLink) -> Result<Flow, CoreError> {
+    /// Observes an inbound control message.
+    pub(super) fn observe(
+        &mut self,
+        msg: &Message,
+        link: &mut RankLink,
+    ) -> Result<Flow, CoreError> {
         match msg {
             Message::VoteAggregate {
                 from,
@@ -226,7 +205,8 @@ impl ConvergencePolicy for TreeVotes {
         }
     }
 
-    fn waiting(&self, iteration: u64) -> bool {
+    /// Whether the decision for `iteration` is still unknown.
+    pub(super) fn waiting(&self, iteration: u64) -> bool {
         debug_assert_eq!(iteration, self.current);
         if self.is_root() {
             self.pending_children > 0
@@ -237,11 +217,19 @@ impl ConvergencePolicy for TreeVotes {
         }
     }
 
-    fn skip_pending_data(&self) -> bool {
+    /// Whether a known decision makes the remaining dependency slices of the
+    /// current iteration irrelevant (a converged decision does).
+    pub(super) fn skip_pending_data(&self) -> bool {
         !self.is_root() && self.decision == Some(true)
     }
 
-    fn resolve(&mut self, iteration: u64, link: &mut RankLink) -> Result<Flow, CoreError> {
+    /// Resolves `iteration` once [`TreeVotes::waiting`] is false: forwards
+    /// the decision to the children and stops on a converged one.
+    pub(super) fn resolve(
+        &mut self,
+        iteration: u64,
+        link: &mut RankLink,
+    ) -> Result<Flow, CoreError> {
         let decision = if self.is_root() {
             // Every subtree reported: the AND over all `world` votes.
             debug_assert_eq!(self.agg_count, self.world as u64);
@@ -261,15 +249,6 @@ impl ConvergencePolicy for TreeVotes {
             Flow::Continue
         })
     }
-
-    fn abandon(&mut self, _link: &mut RankLink) {
-        // Lockstep budget exhaustion is synchronized: every rank runs out at
-        // the same iteration, so no halt broadcast is needed.
-    }
-
-    fn death_rule(&self) -> DeathRule {
-        self.failure.death_rule()
-    }
 }
 
 /// Coordinator-side vote board of the confirmation-wave protocol: global
@@ -278,7 +257,7 @@ impl ConvergencePolicy for TreeVotes {
 /// and any "not converged" vote resets the pending waves (the decentralized
 /// detection scheme the paper cites, with rank 0 as coordinator).
 #[derive(Debug)]
-pub struct VoteBoard {
+pub(crate) struct VoteBoard {
     votes: Vec<bool>,
     /// Count of `true` entries in `votes` — makes `record` O(1) per vote
     /// instead of an O(P) rescan, which is what lets the coordinator
@@ -294,7 +273,7 @@ pub struct VoteBoard {
 
 impl VoteBoard {
     /// Board for `world` ranks requiring `required` confirmation waves.
-    pub fn new(world: usize, required: u64) -> Self {
+    pub(crate) fn new(world: usize, required: u64) -> Self {
         VoteBoard {
             votes: vec![false; world],
             votes_true: 0,
@@ -308,7 +287,7 @@ impl VoteBoard {
     }
 
     /// Records a vote; returns `true` once global convergence is latched.
-    pub fn record(&mut self, from: usize, converged: bool) -> bool {
+    pub(crate) fn record(&mut self, from: usize, converged: bool) -> bool {
         if self.global || from >= self.votes.len() {
             return self.global;
         }
@@ -348,11 +327,6 @@ impl VoteBoard {
         }
         self.global
     }
-
-    /// Whether global convergence has been latched.
-    pub fn is_global(&self) -> bool {
-        self.global
-    }
 }
 
 /// Free-running confirmation-wave convergence: peers send votes to rank 0 on
@@ -360,20 +334,20 @@ impl VoteBoard {
 /// broadcasts [`Message::GlobalConverged`] once the configured number of
 /// waves completes.
 ///
-/// This policy owns the converged-peer-exit rule ([`DeathRule::Tolerate`]):
+/// This protocol owns the converged-peer-exit rule ([`DeathRule::Tolerate`]):
 /// a rank that reached global convergence exits while slower ranks are still
 /// sending to it.  That race is benign — the `GlobalConverged` it flushed on
 /// the way out is already queued or in flight — so a disconnected peer is
 /// skipped rather than fatal, and [`Message::Halt`] handling is idempotent: a
 /// halt racing a convergence broadcast never turns a converged run into a
-/// failed one (see the free-running progress policy's grace drain).
-pub struct ConfirmationWaves {
+/// failed one (see the grace drain of `FreeRunning`).
+pub(crate) struct ConfirmationWaves {
     rank: usize,
     world: usize,
     /// Coordinator state (rank 0 only).
     board: Option<VoteBoard>,
     /// Coordinator: votes observed since the last sweep, folded into the
-    /// board in one batch per [`ConvergencePolicy::submit`].  Observing a
+    /// board in one batch per [`ConfirmationWaves::submit`].  Observing a
     /// vote is then a single push instead of board work per message, so a
     /// coordinator drowning in votes at high rank counts does O(votes)
     /// buffering while it drains its inbox and adjudicates once per sweep.
@@ -382,9 +356,9 @@ pub struct ConfirmationWaves {
 }
 
 impl ConfirmationWaves {
-    /// Builds the policy for `rank`; `confirmations` is the number of
+    /// Builds the protocol for `rank`; `confirmations` is the number of
     /// complete waves required before global convergence is declared.
-    pub fn new(rank: usize, world: usize, confirmations: u64) -> Self {
+    pub(crate) fn new(rank: usize, world: usize, confirmations: u64) -> Self {
         ConfirmationWaves {
             rank,
             world,
@@ -394,21 +368,17 @@ impl ConfirmationWaves {
         }
     }
 
-    fn broadcast_converged(
-        &mut self,
-        iteration: u64,
-        link: &mut RankLink,
-    ) -> Result<Flow, CoreError> {
+    fn broadcast_converged(&self, iteration: u64, link: &mut RankLink) -> Result<Flow, CoreError> {
         let note = Message::GlobalConverged { iteration };
         for to in 1..self.world {
             link.send_ruled(to, note.clone(), DeathRule::Tolerate)?;
         }
         Ok(Flow::Stop(Converged))
     }
-}
 
-impl ConvergencePolicy for ConfirmationWaves {
-    fn submit(
+    /// Submits this rank's local vote for `iteration`; the coordinator
+    /// adjudicates here and stops on a latched board.
+    pub(super) fn submit(
         &mut self,
         iteration: u64,
         vote: bool,
@@ -452,7 +422,8 @@ impl ConvergencePolicy for ConfirmationWaves {
         Ok(Flow::Continue)
     }
 
-    fn observe(&mut self, msg: &Message, _link: &mut RankLink) -> Result<Flow, CoreError> {
+    /// Observes an inbound control message.
+    pub(super) fn observe(&mut self, msg: &Message) -> Flow {
         match msg {
             Message::ConvergenceVote {
                 from, converged, ..
@@ -463,32 +434,11 @@ impl ConvergencePolicy for ConfirmationWaves {
                     // message instead of a board pass per message.
                     self.pending_votes.push((*from, *converged));
                 }
-                Ok(Flow::Continue)
+                Flow::Continue
             }
-            Message::GlobalConverged { .. } => Ok(Flow::Stop(Converged)),
-            Message::Halt => Ok(Flow::Stop(Halted)),
-            _ => Ok(Flow::Continue),
+            Message::GlobalConverged { .. } => Flow::Stop(Converged),
+            Message::Halt => Flow::Stop(Halted),
+            _ => Flow::Continue,
         }
-    }
-
-    fn waiting(&self, _iteration: u64) -> bool {
-        false
-    }
-
-    fn skip_pending_data(&self) -> bool {
-        false
-    }
-
-    fn resolve(&mut self, _iteration: u64, _link: &mut RankLink) -> Result<Flow, CoreError> {
-        Ok(Flow::Continue)
-    }
-
-    fn abandon(&mut self, link: &mut RankLink) {
-        // Budget exhausted: tell the peers so nobody spins forever.
-        link.broadcast_halt();
-    }
-
-    fn death_rule(&self) -> DeathRule {
-        DeathRule::Tolerate
     }
 }

@@ -1,12 +1,12 @@
 //! The unified rank loop — the single Algorithm 1 outer loop behind every
 //! driver, as a poll-driven state machine — with its blocking executor, the
-//! policy stacks it runs and its optional checkpointer.
+//! two mode stacks it runs and its optional checkpointer.
 
-use super::convergence::{ConfirmationWaves, ConvergencePolicy, TreeVotes};
+use super::convergence::{ConfirmationWaves, TreeVotes};
 use super::engine::{RankEngine, StepObservation};
-use super::failure::{FailurePolicy, Flow, RankLink};
-use super::progress::{FreeRunning, Lockstep, Poll, ProgressPolicy};
-use super::vote::{IncrementVote, LocalVote, StaleSweepGuard};
+use super::failure::{DeathRule, FailurePolicy, Flow, RankLink};
+use super::progress::{FreeRunning, Lockstep, Poll};
+use super::vote::Vote;
 use crate::checkpoint::Checkpointer;
 use crate::solver::{ExecutionMode, MultisplittingConfig};
 use crate::stop::{Stop, StopReason};
@@ -15,24 +15,25 @@ use crate::CoreError;
 use msplit_comm::message::Message;
 use std::time::{Duration, Instant};
 
-/// One rank's policy stack behind trait objects: local vote, convergence
-/// protocol, progress rule.
-pub(crate) type PolicyStack = (
-    Box<dyn LocalVote>,
-    Box<dyn ConvergencePolicy>,
-    Box<dyn ProgressPolicy>,
-);
+/// The detection protocol and progress rule of one rank — one pair per
+/// execution mode.
+pub(crate) enum Stack {
+    /// Per-iteration votes up the tree, barrier-equivalent waits.
+    Lockstep(TreeVotes, Lockstep),
+    /// Confirmation waves through rank 0, drain-step-backoff sweeps.
+    FreeRunning(ConfirmationWaves, FreeRunning),
+}
 
-/// The policy stack of an execution mode — there is exactly one per mode,
-/// and this is the one place that builds it, so the threaded, distributed
-/// and simulated paths cannot drift apart (their bitwise
-/// transport-independence depends on running the exact same policies; the
+/// The local vote and stack of an execution mode — there is exactly one per
+/// mode, and this is the one place that builds it, so the threaded,
+/// distributed and simulated paths cannot drift apart (their bitwise
+/// transport-independence depends on running the exact same rules; the
 /// scale simulator only swaps in an explicit vote-tree fan-in):
 ///
-/// * synchronous — guarded increment vote + per-iteration votes up the tree
+/// * synchronous — [`Vote::lockstep`] + per-iteration votes up the tree
 ///   ([`TreeVotes`] at the production fan-in) + barrier-equivalent wait
 ///   bounded by `peer_timeout`,
-/// * asynchronous — windowed increment vote + [`ConfirmationWaves`] (with
+/// * asynchronous — [`Vote::free_running`] + [`ConfirmationWaves`] (with
 ///   `config.async_confirmations` waves) + free-running drains.
 ///
 /// `failure` decides what a heartbeat-detected peer death does: halt the
@@ -44,31 +45,24 @@ pub(crate) fn mode_policies(
     world: usize,
     peer_timeout: Duration,
     failure: FailurePolicy,
-) -> PolicyStack {
+) -> (Vote, Stack) {
     let tolerance = config.tolerance;
     match mode {
         ExecutionMode::Synchronous => (
-            Box::new(lockstep_vote(tolerance)),
-            Box::new(TreeVotes::new(rank, world, failure)),
-            Box::new(Lockstep::new(peer_timeout, failure)),
+            Vote::lockstep(tolerance),
+            Stack::Lockstep(
+                TreeVotes::new(rank, world, failure),
+                Lockstep::new(peer_timeout, failure),
+            ),
         ),
         ExecutionMode::Asynchronous => (
-            Box::new(IncrementVote::free_running(tolerance)),
-            Box::new(ConfirmationWaves::new(
-                rank,
-                world,
-                config.async_confirmations,
-            )),
-            Box::new(FreeRunning::new(failure)),
+            Vote::free_running(tolerance),
+            Stack::FreeRunning(
+                ConfirmationWaves::new(rank, world, config.async_confirmations),
+                FreeRunning::new(failure),
+            ),
         ),
     }
-}
-
-/// The local vote of a synchronous rank: the guarded window-1 increment
-/// vote.  [`mode_policies`] and the pooled lockstep loop both build it here,
-/// so the two synchronous drivers cannot vote differently.
-pub(crate) fn lockstep_vote(tolerance: f64) -> StaleSweepGuard<IncrementVote> {
-    StaleSweepGuard::new(IncrementVote::lockstep(tolerance), tolerance)
 }
 
 /// One rank's outer loop as a resumable state machine — the **single**
@@ -78,9 +72,8 @@ pub(crate) fn lockstep_vote(tolerance: f64) -> StaleSweepGuard<IncrementVote> {
 pub(crate) struct RankLoop<'a> {
     pub(crate) engine: RankEngine<'a>,
     pub(crate) link: RankLink<'a>,
-    vote: Box<dyn LocalVote>,
-    conv: Box<dyn ConvergencePolicy>,
-    progress: Box<dyn ProgressPolicy>,
+    vote: Vote,
+    stack: Stack,
     /// Periodic snapshot writer (see [`crate::checkpoint`]).
     checkpoint: Option<Checkpointer>,
     max_iterations: u64,
@@ -96,7 +89,7 @@ impl<'a> RankLoop<'a> {
     pub(crate) fn new(
         engine: RankEngine<'a>,
         link: RankLink<'a>,
-        (vote, conv, progress): PolicyStack,
+        (vote, stack): (Vote, Stack),
         max_iterations: u64,
         checkpoint: Option<Checkpointer>,
     ) -> Self {
@@ -104,8 +97,7 @@ impl<'a> RankLoop<'a> {
             engine,
             link,
             vote,
-            conv,
-            progress,
+            stack,
             checkpoint,
             max_iterations,
             exchanging: None,
@@ -132,41 +124,71 @@ impl<'a> RankLoop<'a> {
     }
 
     /// The one place a rank's stop reason is decided: the budget here, every
-    /// other reason by the policies' [`Flow::Stop`].  Ready only to stop.
+    /// other reason by the stack's [`Flow::Stop`].  Ready only to stop.
     fn advance(&mut self, now: Duration) -> Result<Poll<Flow>, CoreError> {
-        let (engine, link, conv) = (&mut self.engine, &mut self.link, self.conv.as_mut());
-        if self.exchanging.is_none() {
-            // (0) intake (free-running drains here; lockstep ingested
-            // everything during the previous wait).  With the budget spent
-            // it is the last one: the coordinator can declare global
-            // convergence while this rank finishes its last budgeted
-            // iteration, so drain once more before telling everyone to
-            // halt, and a converged run is never reported as failed.
-            match self.progress.collect(engine, link, conv, now)? {
-                Poll::Ready(Flow::Continue) if engine.iterations() >= self.max_iterations => {
-                    conv.abandon(link);
-                    return Ok(Poll::Ready(Flow::Stop(StopReason::BudgetExhausted)));
-                }
-                Poll::Ready(Flow::Continue) => {}
-                stop_or_pending => return Ok(stop_or_pending),
-            }
-            // (1)+(2) dependency fill and local solve
+        let RankLoop {
+            engine,
+            link,
+            vote,
+            stack,
+            exchanging,
+            last_increment,
+            ..
+        } = self;
+        let spent = engine.iterations() >= self.max_iterations;
+        // (1)+(2) dependency fill and local solve, then the local vote.
+        let mut step = |engine: &mut RankEngine| -> Result<(StepObservation, bool), CoreError> {
             let obs = engine.step()?;
-            self.last_increment = self.vote.effective_increment(&obs);
-            // (3) send the slice to every dependent processor
-            link.fan_out(engine.outgoing(), conv.death_rule())?;
-            // (4) vote and agree on global convergence
-            let local = self.vote.vote(&obs);
-            match conv.submit(obs.iteration, local, link)? {
-                Flow::Continue => self.exchanging = Some((obs, local)),
-                stop => return Ok(Poll::Ready(stop)),
+            *last_increment = vote.effective_increment(&obs);
+            Ok((obs, vote.vote(&obs)))
+        };
+        let exchanged = match stack {
+            Stack::Lockstep(votes, lockstep) => {
+                if exchanging.is_none() {
+                    // Lockstep ingested everything during the previous wait,
+                    // so there is no intake; budget exhaustion is
+                    // synchronized (every rank runs out at the same
+                    // iteration), so no halt broadcast is needed.
+                    if spent {
+                        return Ok(Poll::Ready(Flow::Stop(StopReason::BudgetExhausted)));
+                    }
+                    let (obs, local) = step(engine)?;
+                    // (3) send the slice to every dependent processor
+                    link.fan_out(engine.outgoing(), votes.death_rule())?;
+                    // (4) vote and agree on global convergence
+                    votes.submit(obs.iteration, local, link)?;
+                    *exchanging = Some((obs, local));
+                }
+                let (obs, _) = exchanging.expect("this iteration stepped");
+                lockstep.exchange(engine, link, votes, obs.iteration, now)?
             }
-        }
-        let (obs, local) = self.exchanging.expect("this iteration stepped");
-        let flow = match self
-            .progress
-            .exchange(engine, link, conv, &obs, local, now)?
-        {
+            Stack::FreeRunning(waves, free) => {
+                if exchanging.is_none() {
+                    // (0) intake.  With the budget spent it is the last one:
+                    // the coordinator can declare global convergence while
+                    // this rank finishes its last budgeted iteration, so
+                    // drain once more before telling everyone to halt, and
+                    // a converged run is never reported as failed.
+                    match free.collect(engine, link, waves, now)? {
+                        Poll::Ready(Flow::Continue) if spent => {
+                            link.broadcast_halt();
+                            return Ok(Poll::Ready(Flow::Stop(StopReason::BudgetExhausted)));
+                        }
+                        Poll::Ready(Flow::Continue) => {}
+                        stop_or_pending => return Ok(stop_or_pending),
+                    }
+                    let (obs, local) = step(engine)?;
+                    link.fan_out(engine.outgoing(), DeathRule::Tolerate)?;
+                    match waves.submit(obs.iteration, local, link)? {
+                        Flow::Continue => *exchanging = Some((obs, local)),
+                        stop => return Ok(Poll::Ready(stop)),
+                    }
+                }
+                let (obs, local) = exchanging.expect("this iteration stepped");
+                free.exchange(link, &obs, local, now)?
+            }
+        };
+        let flow = match exchanged {
             Poll::Ready(flow) => flow,
             pending => return Ok(pending),
         };
@@ -176,15 +198,15 @@ impl<'a> RankLoop<'a> {
         // (5) checkpoint at the boundary (the halo now holds every slice of
         // this iteration), then honor any reshape raised by a tolerated send
         // failure.
+        let (obs, _) = exchanging.take().expect("this iteration stepped");
         if let Some(ck) = &self.checkpoint {
-            ck.maybe_save(engine, self.vote.checkpoint_state(), obs.iteration)?;
+            ck.maybe_save(&self.engine, self.vote.state(), obs.iteration)?;
         }
-        if let Some(dead) = link.take_reshape() {
+        if let Some(dead) = self.link.take_reshape() {
             return Ok(Poll::Ready(Flow::Stop(StopReason::Reshape(dead))));
         }
         // The iteration is complete: yield, so a poll never runs past an
         // iteration boundary.
-        self.exchanging = None;
         Ok(Poll::Pending {
             wake_at: now,
             on_message: false,
@@ -200,7 +222,7 @@ impl<'a> RankLoop<'a> {
             // Persist the freshest possible state for the post-reshape warm
             // start (best effort — the periodic snapshot remains the
             // fallback).
-            let _ = ck.save_now(&self.engine, self.vote.checkpoint_state());
+            let _ = ck.save_now(&self.engine, self.vote.state());
         }
         Stop::new(reason, self.engine.iterations(), self.last_increment)
     }

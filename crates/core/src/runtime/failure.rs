@@ -1,6 +1,6 @@
 //! Failure handling and the per-rank link: what a peer death means
 //! ([`FailurePolicy`], [`DeathRule`]), how a run asks for a new band layout
-//! ([`StopReason::Reshape`]), and the [`RankLink`] every policy sends through.
+//! ([`StopReason::Reshape`]), and the [`RankLink`] every rank sends through.
 
 use crate::stop::StopReason;
 use crate::CoreError;
@@ -9,9 +9,9 @@ use msplit_comm::transport::Transport;
 use msplit_comm::CommError;
 use std::time::Duration;
 
-/// Control-flow outcome of a policy interaction.
+/// Control-flow outcome of one step of the rank loop.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Flow {
+pub(crate) enum Flow {
     /// Keep iterating.
     Continue,
     /// Stop the run for the given reason.
@@ -20,7 +20,7 @@ pub enum Flow {
 
 /// What a send to a disconnected peer means.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DeathRule {
+pub(crate) enum DeathRule {
     /// Broadcast [`Message::Halt`] to the surviving peers and abort the run
     /// with a descriptive error — the lockstep failure response.
     Halt,
@@ -82,9 +82,9 @@ impl FailurePolicy {
     }
 }
 
-/// The per-rank communication surface the policies act through: transport
+/// The per-rank communication surface the rank loop acts through: transport
 /// endpoint, fan-out targets, expected senders and the dead-peer set.
-pub struct RankLink<'a> {
+pub(crate) struct RankLink<'a> {
     transport: &'a dyn Transport,
     rank: usize,
     world: usize,

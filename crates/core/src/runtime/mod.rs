@@ -2,7 +2,7 @@
 //! driver.
 //!
 //! Every driver — the threaded adapter, the distributed rank loop, the scale
-//! simulator — is an adapter over three orthogonal pieces:
+//! simulator — is an adapter over the same pieces:
 //!
 //! * [`RankEngine`] — the *pure* numeric state machine of one rank.  Its only
 //!   transitions are `ingest(Message)` (update the halo data) and `step()`
@@ -11,23 +11,24 @@
 //!   which is what makes deterministic record/replay ([`EventLog`]) possible
 //!   and keeps the zero-allocation steady state of the kernels intact (all
 //!   buffers live in a caller-retained [`IterationWorkspace`]).
-//! * [`ConvergencePolicy`] — how local votes become a global decision.  There
-//!   is one protocol per execution mode: [`TreeVotes`] (per-iteration vote
-//!   collection up a reduction tree of fan-in [`VOTE_TREE_ARITY`] — the
-//!   message-based equivalent of barrier + allreduce) for synchronous runs,
-//!   [`ConfirmationWaves`] (free-running confirmation-wave protocol over a
-//!   [`VoteBoard`]) for asynchronous ones; `mode_policies` picks the stack.
-//!   The local voting rule itself is a composable [`LocalVote`] chain
-//!   ([`IncrementVote`], [`StaleSweepGuard`]).
-//! * the progress policy — when messages move: `Lockstep` (the
-//!   barrier-equivalent wait for every dependency slice of the current
-//!   iteration plus the convergence decision) or `FreeRunning`
-//!   (drain-what-arrived, AIAC style).  Crate-internal, picked with the rest
-//!   of the stack by `mode_policies`.
+//! * the local vote — one type with one constructor per mode: the guarded
+//!   window-1 increment vote of a lockstep rank, the window-2 vote over
+//!   `max(increment, dep_change)` of a free-running one.  Its window
+//!   progress is the [`VoteState`] a checkpoint persists.
+//! * one concrete stack per execution mode, built by `mode_policies` and
+//!   nothing else — there is nothing to plug in:
+//!   * synchronous: `TreeVotes` (per-iteration vote collection up a
+//!     reduction tree of fan-in [`VOTE_TREE_ARITY`] — the message-based
+//!     equivalent of barrier + allreduce) with `Lockstep` (the
+//!     barrier-equivalent wait for every dependency slice of the current
+//!     iteration plus the decision; a peer may run at most one iteration
+//!     ahead);
+//!   * asynchronous: `ConfirmationWaves` (rank 0 runs a confirmation-wave
+//!     `VoteBoard`) with `FreeRunning` (drain-what-arrived, AIAC style).
 //!
 //! One rank's outer loop over them is a resumable state machine,
 //! `RankLoop`: its `poll(now)` performs at most one engine step, receives
-//! only through [`RankLink::try_recv`], and never blocks, sleeps or reads a
+//! only through its `RankLink`, and never blocks, sleeps or reads a
 //! clock — the lockstep peer timeout, the heartbeat probes, the halt and
 //! death grace drains and the free-running idle backoff are deadlines
 //! compared against the `now` it is given.  Two executors run that one loop:
@@ -47,7 +48,7 @@
 //! Asynchronous solves still run the threaded adapter over an in-process
 //! transport.
 //!
-//! Failure handling is a policy too, with exactly two choices; both probe
+//! Failure handling has exactly two choices; both probe
 //! silent peers with [`Message::Heartbeat`] during lockstep waits and between
 //! free-running sweeps.  Under [`FailurePolicy::HaltOnDeath`] a dead rank
 //! (surfaced as [`msplit_comm::CommError::Disconnected`]) downgrades to a
@@ -57,11 +58,12 @@
 //! the bands over the survivors and resume from the latest checkpoint
 //! ([`crate::checkpoint`]) instead of failing the job.
 //!
-//! Layout: `engine` (state machine), `vote` (local votes), `failure` (death
-//! rules and the [`RankLink`]), `convergence`, `progress` (the two progress
-//! policies as resumable phases), `drive` (the rank loop, its blocking
-//! executor and policy stacks), `threaded` (the thread-per-rank adapter),
-//! `pooled` (the in-process lockstep loop on the pool).
+//! Layout: `engine` (state machine), `vote` (the local vote), `failure`
+//! (death rules and the `RankLink`), `convergence` (the two detection
+//! protocols), `progress` (the two progress rules as resumable phases),
+//! `drive` (the rank loop, its blocking executor and `mode_policies`),
+//! `threaded` (the thread-per-rank adapter), `pooled` (the in-process
+//! lockstep loop on the pool).
 
 #[allow(unused_imports)] // doc links
 use msplit_comm::message::Message;
@@ -80,17 +82,17 @@ mod tests;
 
 pub use crate::driver_common::{IterationWorkspace, NeighborData};
 pub use crate::scale::{simulate_ranks, Protocol, ScaleConfig, ScaleReport};
-pub use convergence::{
-    ConfirmationWaves, ConvergencePolicy, TreeVotes, VoteBoard, VOTE_TREE_ARITY,
-};
+pub(crate) use convergence::TreeVotes;
+pub use convergence::VOTE_TREE_ARITY;
 pub use drive::receive_sources;
-pub(crate) use drive::{drive, mode_policies, RankLoop};
+pub(crate) use drive::{drive, mode_policies, RankLoop, Stack};
 pub use engine::{
     EngineEvent, EngineSnapshot, EventLog, HaloEntry, RankEngine, SolvePathStats, StepObservation,
 };
-pub use failure::{DeathRule, FailurePolicy, Flow, RankLink};
+pub use failure::FailurePolicy;
+pub(crate) use failure::RankLink;
 pub(crate) use pooled::run_single_pooled;
 pub(crate) use progress::Poll;
 pub use threaded::factorize_blocks;
-pub(crate) use threaded::{check_transport_ranks, fresh_workspaces, run_single};
-pub use vote::{IncrementVote, LocalVote, StaleSweepGuard, VoteState};
+pub(crate) use threaded::{check_transport, fresh_workspaces, run_single};
+pub use vote::VoteState;

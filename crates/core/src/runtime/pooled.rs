@@ -15,15 +15,14 @@
 //!    iteration a [`msplit_comm::message::Message::Solution`] would carry.
 //!
 //! The engines, the pooled workspaces and the local vote
-//! ([`super::drive::lockstep_vote`]) are the threaded adapter's own, and the
+//! ([`Vote::lockstep`]) are the threaded adapter's own, and the
 //! lockstep wait makes every rank of the threaded adapter step on exactly the
 //! previous iteration's slices.  So the stopping iteration and every bit of
 //! `x` are the threaded adapter's, which `tests/driver_equivalence.rs` pins.
 
-use super::drive::lockstep_vote;
 use super::engine::RankEngine;
 use super::threaded::part_report;
-use super::vote::{IncrementVote, LocalVote, StaleSweepGuard};
+use super::vote::Vote;
 use crate::driver_common::IterationWorkspace;
 use crate::prepared::PreparedSystem;
 use crate::solver::SolveOutcome;
@@ -37,7 +36,7 @@ use std::time::Instant;
 /// step produced.
 struct Lane<'a> {
     engine: RankEngine<'a>,
-    vote: StaleSweepGuard<IncrementVote>,
+    vote: Vote,
     /// The local vote of the latest step, or its error.
     voted: Result<bool, CoreError>,
     /// The increment the latest step's vote judged.
@@ -87,7 +86,7 @@ pub(crate) fn run_single_pooled(
                 config.weighting,
                 ws,
             ),
-            vote: lockstep_vote(config.tolerance),
+            vote: Vote::lockstep(config.tolerance),
             voted: Ok(false),
             last_increment: f64::INFINITY,
         })

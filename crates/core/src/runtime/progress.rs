@@ -1,4 +1,4 @@
-//! Progress policies: when messages move between the transport and the
+//! Progress rules: when messages move between the transport and the
 //! engine ([`Lockstep`] barrier-equivalent waits, [`FreeRunning`] drains).
 //!
 //! Both are resumable phases of the rank loop: nothing here blocks, sleeps
@@ -9,7 +9,7 @@
 //! run; the caller — a blocking executor or the scale simulator's virtual
 //! clock — decides how to wait for it.
 
-use super::convergence::ConvergencePolicy;
+use super::convergence::{ConfirmationWaves, TreeVotes};
 use super::engine::{RankEngine, StepObservation};
 use super::failure::{DeathRule, FailurePolicy, Flow, RankLink};
 use crate::stop::StopReason::{Converged, Halted, Reshape};
@@ -43,36 +43,6 @@ pub(crate) enum Poll<T> {
     /// or as soon as a message arrives if `on_message`.  A `wake_at` that
     /// is not in the future asks to be polled again at once.
     Pending { wake_at: Duration, on_message: bool },
-}
-
-/// When messages move between the transport and the engine.  Both phases
-/// are resumable: a phase that returned [`Poll::Pending`] is called again
-/// with the same arguments and a later `now` until it is ready.
-pub(crate) trait ProgressPolicy: Send {
-    /// Pre-step intake: deliver whatever inbound data the policy allows.
-    /// Nothing by default: lockstep takes everything in its post-step wait.
-    fn collect(
-        &mut self,
-        _engine: &mut RankEngine,
-        _link: &mut RankLink,
-        _conv: &mut dyn ConvergencePolicy,
-        _now: Duration,
-    ) -> Result<Poll<Flow>, CoreError> {
-        Ok(Poll::Ready(Flow::Continue))
-    }
-
-    /// Post-step exchange: for lockstep, the barrier-equivalent wait for this
-    /// iteration's dependency slices and the convergence decision; for
-    /// free-running, the idle backoff and the liveness checks.
-    fn exchange(
-        &mut self,
-        engine: &mut RankEngine,
-        link: &mut RankLink,
-        conv: &mut dyn ConvergencePolicy,
-        obs: &StepObservation,
-        vote: bool,
-        now: Duration,
-    ) -> Result<Poll<Flow>, CoreError>;
 }
 
 /// Ingests a data frame of `iteration` or earlier, marking its slice
@@ -117,7 +87,7 @@ pub(crate) struct Lockstep {
     /// Dependency slices still missing in the current wait (slot order =
     /// `senders_to_me`), refilled at the start of every wait.
     pending: Vec<bool>,
-    /// Data frames stamped with a future iteration.
+    /// Data frames stamped with the next iteration, at most one per sender.
     deferred: Vec<Message>,
     /// The wait in progress: its peer deadline and its next heartbeat
     /// probe (the probe clock restarts at every wait).
@@ -125,8 +95,8 @@ pub(crate) struct Lockstep {
 }
 
 impl Lockstep {
-    /// Builds the policy with the given overall wait deadline per iteration
-    /// and failure response.
+    /// Builds the progress rule with the given overall wait deadline per
+    /// iteration and failure response.
     pub(crate) fn new(peer_timeout: Duration, failure: FailurePolicy) -> Self {
         Lockstep {
             peer_timeout,
@@ -136,19 +106,18 @@ impl Lockstep {
             wait: None,
         }
     }
-}
 
-impl ProgressPolicy for Lockstep {
-    fn exchange(
+    /// Post-step exchange: the barrier-equivalent wait for the dependency
+    /// slices of `iteration` and the convergence decision of `votes`.
+    pub(super) fn exchange(
         &mut self,
         engine: &mut RankEngine,
         link: &mut RankLink,
-        conv: &mut dyn ConvergencePolicy,
-        obs: &StepObservation,
-        _vote: bool,
+        votes: &mut TreeVotes,
+        iteration: u64,
         now: Duration,
     ) -> Result<Poll<Flow>, CoreError> {
-        let (iteration, senders) = (obs.iteration, link.senders_to_me());
+        let senders = link.senders_to_me();
         if self.wait.is_none() {
             self.pending.clear();
             self.pending.resize(senders.len(), true);
@@ -162,11 +131,10 @@ impl ProgressPolicy for Lockstep {
         }
         loop {
             let (deadline, probe_at) = self.wait.expect("a wait is in progress");
-            let waiting_conv = conv.waiting(iteration);
-            let waiting_slices = self.pending.iter().any(|&p| p) && !conv.skip_pending_data();
-            if !waiting_conv && !waiting_slices {
+            let waiting_slices = self.pending.iter().any(|&p| p) && !votes.skip_pending_data();
+            if !votes.waiting(iteration) && !waiting_slices {
                 self.wait = None;
-                return conv.resolve(iteration, link).map(Poll::Ready);
+                return votes.resolve(iteration, link).map(Poll::Ready);
             }
             if now >= probe_at {
                 self.wait = Some((deadline, now + self.failure.heartbeat()));
@@ -190,20 +158,50 @@ impl ProgressPolicy for Lockstep {
                 });
             };
             match data_meta(&msg) {
-                Some((_, stamp)) if stamp > iteration => self.deferred.push(msg),
+                Some((from, stamp)) if stamp > iteration => {
+                    self.defer(from, stamp, iteration, msg, link)?
+                }
                 Some(_) => deliver(&mut self.pending, senders, engine, msg, iteration),
                 None => match msg {
                     Message::Heartbeat { .. } => {}
                     Message::Reshape { dead_rank, .. } => {
                         return Ok(Poll::Ready(Flow::Stop(Reshape(dead_rank))));
                     }
-                    msg => match conv.observe(&msg, link)? {
+                    msg => match votes.observe(&msg, link)? {
                         Flow::Continue => {}
                         flow => return Ok(Poll::Ready(flow)),
                     },
                 },
             }
         }
+    }
+
+    /// Parks a data frame from `from` stamped `stamp`, beyond the current
+    /// `iteration`.  A peer sends its next slice only after the decision of
+    /// this iteration, which needs this rank's vote, so it can be at most one
+    /// iteration ahead: one parked frame per sender, stamped `iteration + 1`.
+    /// Anything else is a broken or hostile peer, and halts the solve.
+    fn defer(
+        &mut self,
+        from: usize,
+        stamp: u64,
+        iteration: u64,
+        msg: Message,
+        link: &RankLink,
+    ) -> Result<(), CoreError> {
+        let repeated = self
+            .deferred
+            .iter()
+            .any(|parked| data_meta(parked).is_some_and(|(sender, _)| sender == from));
+        if stamp - iteration > 1 || repeated {
+            return Err(CoreError::Distributed(format!(
+                "rank {}: lockstep data frame from rank {from} stamped {stamp} while waiting on \
+                 iteration {iteration}; at most one frame per peer may run one iteration ahead",
+                link.rank()
+            )));
+        }
+        self.deferred.push(msg);
+        Ok(())
     }
 }
 
@@ -250,8 +248,8 @@ pub(crate) struct FreeRunning {
 }
 
 impl FreeRunning {
-    /// Builds the policy with the given failure response for detected peer
-    /// deaths.
+    /// Builds the progress rule with the given failure response for detected
+    /// peer deaths.
     pub(crate) fn new(failure: FailurePolicy) -> Self {
         FreeRunning {
             failure,
@@ -345,14 +343,14 @@ impl FreeRunning {
         self.reported_dead = dead;
         self.begin_drain(link, DEATH_GRACE, Some(first), now)
     }
-}
 
-impl ProgressPolicy for FreeRunning {
-    fn collect(
+    /// Pre-step intake: deliver whatever has arrived, data to the engine and
+    /// control messages to `waves`.
+    pub(super) fn collect(
         &mut self,
         engine: &mut RankEngine,
         link: &mut RankLink,
-        conv: &mut dyn ConvergencePolicy,
+        waves: &mut ConfirmationWaves,
         now: Duration,
     ) -> Result<Poll<Flow>, CoreError> {
         if self.drain.is_some() {
@@ -371,7 +369,7 @@ impl ProgressPolicy for FreeRunning {
                 Message::Reshape { dead_rank, .. } => {
                     return Ok(Poll::Ready(Flow::Stop(Reshape(dead_rank))));
                 }
-                msg => match conv.observe(&msg, link)? {
+                msg => match waves.observe(&msg) {
                     Flow::Continue => {}
                     Flow::Stop(Halted) => return self.begin_drain(link, HALT_GRACE, None, now),
                     flow => return Ok(Poll::Ready(flow)),
@@ -380,11 +378,12 @@ impl ProgressPolicy for FreeRunning {
         }
     }
 
-    fn exchange(
+    /// Post-step exchange: the idle backoff after a step that left this
+    /// locally stable rank (`vote`) with nothing new, and the liveness
+    /// checks.
+    pub(super) fn exchange(
         &mut self,
-        _engine: &mut RankEngine,
         link: &mut RankLink,
-        _conv: &mut dyn ConvergencePolicy,
         obs: &StepObservation,
         vote: bool,
         now: Duration,

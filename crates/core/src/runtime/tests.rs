@@ -1,3 +1,6 @@
+use super::convergence::VoteBoard;
+use super::failure::DeathRule;
+use super::vote::Vote;
 use super::*;
 use crate::decomposition::Decomposition;
 use crate::distributed::{run_rank, RankOptions};
@@ -20,8 +23,7 @@ fn vote_board_requires_full_confirmation_waves() {
     assert!(!b.record(0, true)); // wave 1 complete
     assert!(!b.record(1, true));
     assert!(b.record(0, true)); // wave 2 complete -> global
-    assert!(b.is_global());
-    // Latched: later dissent is ignored.
+                                // Latched: later dissent is ignored.
     assert!(b.record(1, false));
 }
 
@@ -30,10 +32,8 @@ fn vote_board_resets_on_dissent() {
     let mut b = VoteBoard::new(2, 1);
     b.record(0, true);
     b.record(1, true); // wave started, rank1 confirmed
-    b.record(1, false); // dissent resets everything
-    assert!(!b.is_global());
-    b.record(1, true);
-    assert!(!b.is_global()); // fresh wave: rank1 confirmed, rank0 pending
+    assert!(!b.record(1, false)); // dissent resets everything
+    assert!(!b.record(1, true)); // fresh wave: rank1 confirmed, rank0 pending
     assert!(b.record(0, true));
 }
 
@@ -47,12 +47,19 @@ fn increment_vote_windows() {
         needs_fresh_data: true,
     };
     // Lockstep: one below-tolerance increment suffices; dep_change is
-    // not folded in.
-    let mut lock = IncrementVote::lockstep(1e-8);
+    // not folded in — the stale-sweep guard vetoes on it, but the window
+    // still counts the increment.
+    let mut lock = Vote::lockstep(1e-8);
     assert!(!lock.vote(&obs(1.0, 0.0)));
-    assert!(lock.vote(&obs(1e-9, 5.0)));
+    assert!(lock.vote(&obs(1e-9, 0.0)));
+    assert!(!lock.vote(&obs(1e-9, 5.0)));
+    let counted = VoteState {
+        consecutive: 2,
+        last_increment: 1e-9,
+    };
+    assert_eq!(lock.state(), counted);
     // Free-running: 2-iteration window over max(increment, dep_change).
-    let mut free = IncrementVote::free_running(1e-8);
+    let mut free = Vote::free_running(1e-8);
     assert!(!free.vote(&obs(1e-9, 0.0)));
     assert!(free.vote(&obs(1e-9, 0.0)));
     assert!(!free.vote(&obs(1e-9, 1.0))); // moving inputs reset the window
@@ -62,7 +69,7 @@ fn increment_vote_windows() {
 
 #[test]
 fn stale_sweep_guard_vetoes_without_fresh_data() {
-    let mut guarded = StaleSweepGuard::new(IncrementVote::lockstep(1e-8), 1e-8);
+    let mut guarded = Vote::lockstep(1e-8);
     let mut obs = StepObservation {
         iteration: 1,
         increment: 1e-9,
@@ -82,6 +89,52 @@ fn stale_sweep_guard_vetoes_without_fresh_data() {
     obs.fresh_data = false;
     obs.needs_fresh_data = false;
     assert!(guarded.vote(&obs));
+}
+
+#[test]
+fn vote_window_requires_consecutive_small_increments() {
+    let obs = |increment: f64| StepObservation {
+        iteration: 1,
+        increment,
+        dep_change: 0.0,
+        fresh_data: true,
+        needs_fresh_data: true,
+    };
+    let mut v = Vote::free_running(1e-8);
+    assert!(!v.vote(&obs(1.0)));
+    assert!(!v.vote(&obs(1e-9)));
+    assert!(v.vote(&obs(1e-10)));
+    assert_eq!(v.state().last_increment, 1e-10);
+    // A large increment resets the window.
+    assert!(!v.vote(&obs(0.5)));
+    assert!(!v.vote(&obs(1e-9)));
+    // Restoring an empty window restarts it.
+    v.restore(VoteState {
+        consecutive: 0,
+        last_increment: 1e-9,
+    });
+    assert!(!v.vote(&obs(1e-9)));
+    assert!(v.vote(&obs(1e-9)));
+    // A window restored mid-way decides like the one it was captured from.
+    let mut live = Vote::free_running(1e-8);
+    assert!(!live.vote(&obs(1e-9)));
+    let mut resumed = Vote::free_running(1e-8);
+    resumed.restore(live.state());
+    assert_eq!(resumed.state(), live.state());
+    assert!(live.vote(&obs(1e-9)) && resumed.vote(&obs(1e-9)));
+}
+
+#[test]
+fn single_iteration_window_converges_immediately() {
+    let mut v = Vote::lockstep(1e-6);
+    let obs = StepObservation {
+        iteration: 1,
+        increment: 1e-7,
+        dep_change: 0.0,
+        fresh_data: true,
+        needs_fresh_data: true,
+    };
+    assert!(v.vote(&obs));
 }
 
 #[test]
@@ -208,8 +261,8 @@ impl PollFixture {
             &mut self.ws,
         );
         let link = RankLink::new(transport, 1, &[0], &[0]);
-        let policies = mode_policies(mode, &cfg, 1, 2, peer_timeout, failure);
-        RankLoop::new(engine, link, policies, 1_000, None)
+        let stack = mode_policies(mode, &cfg, 1, 2, peer_timeout, failure);
+        RankLoop::new(engine, link, stack, 1_000, None)
     }
 
     /// Rank 0's slice for `iteration`, as rank 1 receives it.
@@ -297,6 +350,33 @@ fn lockstep_times_out_exactly_at_the_peer_deadline() {
             "unexpected message: {msg}"
         ),
         other => panic!("expected the lockstep timeout, got {other:?}"),
+    }
+}
+
+#[test]
+fn lockstep_refuses_frames_beyond_the_next_iteration() {
+    // Rank 1 steps iteration 1 at 0 ms and waits on rank 0, which is at most
+    // one iteration ahead in an honest run: one parked `i + 1` frame.  A
+    // second one, or any stamp beyond `i + 1`, halts the solve with an error
+    // naming the sender and the stamp — not the peer timeout at 50 ms.
+    for (stamps, bad) in [(vec![2, 2], 2), (vec![3], 3), (vec![u64::MAX], u64::MAX)] {
+        let mut fx = PollFixture::new();
+        let frames: Vec<Message> = stamps.iter().map(|&k| fx.slice(k)).collect();
+        let transport = InProcTransport::new(2);
+        let mode = ExecutionMode::Synchronous;
+        let mut rank = fx.rank1(&transport, mode, ms(50.0), FailurePolicy::default());
+        assert_pending(rank.poll(ms(0.0)), ms(50.0));
+        for frame in frames {
+            transport.send(0, 1, frame).unwrap();
+        }
+        match rank.poll(ms(50.0)) {
+            Poll::Ready(Err(CoreError::Distributed(msg))) => assert!(
+                msg.contains(&format!("data frame from rank 0 stamped {bad} "))
+                    && msg.contains("waiting on iteration 1"),
+                "stamps {stamps:?}: unexpected message: {msg}"
+            ),
+            other => panic!("stamps {stamps:?}: expected the deferral error, got {other:?}"),
+        }
     }
 }
 

@@ -6,7 +6,7 @@ use super::engine::RankEngine;
 use super::failure::{FailurePolicy, RankLink};
 use crate::driver_common::IterationWorkspace;
 use crate::prepared::PreparedSystem;
-use crate::solver::{MultisplittingConfig, PartReport, SolveOutcome};
+use crate::solver::{Method, MultisplittingConfig, PartReport, SolveOutcome};
 use crate::stop::Stop;
 use crate::CoreError;
 use msplit_comm::transport::Transport;
@@ -59,13 +59,22 @@ pub fn factorize_blocks(
         .collect()
 }
 
-/// Validates that the transport's rank count matches the decomposition (the
-/// cold solve checks it before the expensive factorizations, so
-/// misconfiguration fails fast).
-pub(crate) fn check_transport_ranks(
+/// Refuses a transport the solve cannot run over: one handed to a Krylov
+/// method, whose outer loop runs in the calling thread and sends no message,
+/// or one whose rank count does not match the decomposition.  The cold solve
+/// checks it before the expensive factorizations, so misconfiguration fails
+/// fast.
+pub(crate) fn check_transport(
+    method: Method,
     parts: usize,
     transport: &Arc<dyn Transport>,
 ) -> Result<(), CoreError> {
+    if method != Method::Stationary {
+        return Err(CoreError::Decomposition(format!(
+            "a transport carries Method::Stationary only, not {method:?}; the Krylov outer \
+             loop runs in the calling thread, so solve without one"
+        )));
+    }
     if transport.num_ranks() != parts {
         return Err(CoreError::Decomposition(format!(
             "transport has {} ranks but the decomposition has {} parts",
@@ -188,7 +197,6 @@ pub(crate) fn run_single(
     start: Instant,
 ) -> Result<SolveOutcome, CoreError> {
     let parts = system.num_parts();
-    check_transport_ranks(parts, &transport)?;
     debug_assert_eq!(workspaces.len(), parts);
     let senders = receive_sources(&system.send_targets);
     let transport = transport.as_ref();

@@ -3,10 +3,10 @@
 //! The paper's grid premise is hundreds of distant processors, but a real
 //! 1000-rank deployment is not something CI can spawn.  This module runs the
 //! *production* per-rank loop — the same `RankLoop` state machine, with the
-//! same [`RankEngine`], [`LocalVote`](crate::runtime::LocalVote) chains,
-//! [`ConvergencePolicy`](crate::runtime::ConvergencePolicy) and
-//! progress policies that the threaded adapter and the distributed runtime
-//! drive over real transports — for hundreds of ranks inside one process on
+//! same [`RankEngine`], local vote, detection protocol and progress rule
+//! (the stack `mode_policies` builds) that the threaded adapter and the
+//! distributed runtime drive over real transports — for hundreds of ranks
+//! inside one process on
 //! one thread, with a deterministic pseudo-random rank schedule, so protocol
 //! behavior at P ∈ {256, 512, 1024} can be asserted in tests and gated in CI
 //! (the `scale-sim` lane).
@@ -28,10 +28,10 @@
 //!
 //! Lockstep ([`Protocol::Tree`]) runs the barrier-equivalent wait, so every
 //! seed produces the same bitwise solution — which is exactly what lets
-//! tests pin [`TreeVotes`] bitwise across fan-ins at scale.  The fan-in is
-//! explicit *here only* (the drivers always run [`VOTE_TREE_ARITY`]), so flat
-//! voting — fan-in `ranks − 1`, the root collects every vote — can be
-//! compared against the tree.  Free-running ([`Protocol::Waves`]) runs the
+//! tests pin the tree vote protocol bitwise across fan-ins at scale.  The
+//! fan-in is explicit *here only* (the drivers always run
+//! [`VOTE_TREE_ARITY`]), so flat voting — fan-in `ranks − 1`, the root
+//! collects every vote — can be compared against the tree.  Free-running ([`Protocol::Waves`]) runs the
 //! production drain-step-backoff loop with its confirmation waves.
 //!
 //! Entry point: [`simulate_ranks`] (also re-exported as
@@ -41,7 +41,7 @@
 use crate::decomposition::Decomposition;
 use crate::runtime::{
     factorize_blocks, fresh_workspaces, mode_policies, receive_sources, EventLog, FailurePolicy,
-    Poll, RankEngine, RankLink, RankLoop, TreeVotes, VOTE_TREE_ARITY,
+    Poll, RankEngine, RankLink, RankLoop, Stack, TreeVotes, VOTE_TREE_ARITY,
 };
 use crate::solver::{ExecutionMode, MultisplittingConfig};
 use crate::stop::{Stop, StopReason};
@@ -62,14 +62,13 @@ const SIM_PEER_TIMEOUT: Duration = Duration::from_secs(60);
 /// Which convergence-detection protocol the simulated ranks run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Protocol {
-    /// Lockstep votes aggregated up a reduction tree ([`TreeVotes`]).
+    /// Lockstep votes aggregated up a reduction tree (`TreeVotes`).
     Tree {
         /// Fan-in of the tree (clamped to at least 2): [`VOTE_TREE_ARITY`]
         /// is what every driver runs, `ranks − 1` is [`Protocol::flat`].
         arity: usize,
     },
-    /// Free-running confirmation waves through rank 0
-    /// ([`ConfirmationWaves`](crate::runtime::ConfirmationWaves)).
+    /// Free-running confirmation waves through rank 0 (`ConfirmationWaves`).
     Waves {
         /// Complete confirmation waves required to latch global convergence.
         confirmations: u64,
@@ -427,18 +426,14 @@ fn simulate(config: &ScaleConfig) -> Result<(ScaleReport, Duration), CoreError> 
                 engine.record_events();
             }
             let link = RankLink::new(&transport, r, &send_targets[r], &senders[r]);
-            let (vote, mut conv, progress) =
+            let (vote, mut stack) =
                 mode_policies(mode, &ms_config, r, world, SIM_PEER_TIMEOUT, failure);
-            if let Protocol::Tree { arity } = config.protocol {
-                conv = Box::new(TreeVotes::with_arity(r, world, arity, failure));
+            if let (Protocol::Tree { arity }, Stack::Lockstep(votes, _)) =
+                (config.protocol, &mut stack)
+            {
+                *votes = TreeVotes::with_arity(r, world, arity, failure);
             }
-            RankLoop::new(
-                engine,
-                link,
-                (vote, conv, progress),
-                config.max_iterations,
-                None,
-            )
+            RankLoop::new(engine, link, (vote, stack), config.max_iterations, None)
         })
         .collect();
 

@@ -351,8 +351,9 @@ impl MultisplittingSolver {
     /// [`PreparedSystem::solve_with_transport`], so a cold solve is bitwise
     /// the warm one.  The reported `wall_seconds` includes the factorization.
     ///
-    /// The Krylov methods run their outer loop in the calling thread and
-    /// ignore `transport` (see [`PreparedSystem::solve_with_transport`]).
+    /// The Krylov methods run their outer loop in the calling thread, so a
+    /// transport is refused for them with [`CoreError::Decomposition`]
+    /// before any factorization (see [`PreparedSystem::solve_with_transport`]).
     pub fn solve_with_transport(
         &self,
         a: &CsrMatrix,
@@ -369,9 +370,10 @@ impl MultisplittingSolver {
         transport: Option<Arc<dyn Transport>>,
     ) -> Result<SolveOutcome, CoreError> {
         let start = Instant::now();
-        if let (Some(transport), Method::Stationary) = (&transport, self.config.method) {
-            // A mis-sized transport fails before the expensive factorizations.
-            runtime::check_transport_ranks(self.config.parts, transport)?;
+        if let Some(transport) = &transport {
+            // A transport the solve cannot use fails before the expensive
+            // factorizations.
+            runtime::check_transport(self.config.method, self.config.parts, transport)?;
         }
         let prepared = PreparedSystem::prepare(self.config.clone(), a)?;
         let mut outcome = prepared.solve_on(b, transport)?;

@@ -328,7 +328,7 @@ fn elastic_solve_redistributes_bands_after_a_rank_death() {
 /// TCP the asynchronous detector declares convergence on a wrong answer when
 /// a rank is starved of CPU.  A free-running rank that steps again before its
 /// peer's next slice has been read recomputes the iterate it already had; two
-/// such sweeps fill `IncrementVote::free_running`'s window, the rank votes
+/// such sweeps fill the free-running local vote's window, the rank votes
 /// "converged", and while the transport's reader and writer threads wait for
 /// a core those votes complete the coordinator's confirmation waves.  Beside two busy threads
 /// on a two-core host about one run in five of the solve below returns

@@ -215,35 +215,39 @@ fn solver_builder_dispatches_every_method() {
 }
 
 #[test]
-fn krylov_methods_ignore_the_transport_but_keep_the_answer() {
+fn krylov_methods_refuse_a_transport() {
     use multisplitting::comm::tcp::{LoopbackMesh, TcpOptions};
+    use multisplitting::core::CoreError;
     let a = generators::diag_dominant(&DiagDominantConfig {
         n: 120,
         seed: 9,
         ..Default::default()
     });
     let (x_true, b) = generators::rhs_for_solution(&a, |i| (i % 4) as f64);
-    let solver = MultisplittingSolver::new(config(
-        3,
+    // The Krylov outer loops run in the calling thread and send no message:
+    // a transport handed to either solve_with_transport is a typed error,
+    // not silently ignored, and the plain solve still gets the answer.
+    let refused =
+        |e: CoreError| matches!(&e, CoreError::Decomposition(m) if m.contains("Stationary"));
+    for method in [
+        Method::Richardson { inner_sweeps: 1 },
         Method::Fgmres {
             restart: 20,
             inner_sweeps: 1,
         },
-    ));
-    // The Krylov outer loops are in-process drivers; a transport handed to
-    // solve_with_transport is ignored rather than an error, and the answer
-    // matches the plain solve bitwise (the same code path runs).
-    let plain = solver.solve(&a, &b).unwrap();
-    let mesh = LoopbackMesh::new(3, TcpOptions::default()).unwrap();
-    let with_transport = solver.solve_with_transport(&a, &b, mesh).unwrap();
-    assert!(plain.stop.converged() && with_transport.stop.converged());
-    assert_eq!(plain.x, with_transport.x);
-    assert_eq!(plain.stop, with_transport.stop);
-    assert_eq!(
-        plain.stop.norm.to_bits(),
-        with_transport.stop.norm.to_bits()
-    );
-    assert!(max_err(&plain.x, &x_true) < 1e-7);
+    ] {
+        let solver = MultisplittingSolver::new(config(3, method));
+        let mesh = LoopbackMesh::new(3, TcpOptions::default()).unwrap();
+        let cold = solver.solve_with_transport(&a, &b, mesh);
+        assert!(refused(cold.unwrap_err()), "{method:?}");
+        let prepared = solver.prepare(&a).unwrap();
+        let mesh = LoopbackMesh::new(3, TcpOptions::default()).unwrap();
+        let warm = prepared.solve_with_transport(&b, mesh);
+        assert!(refused(warm.unwrap_err()), "{method:?}");
+        let plain = prepared.solve(&b).unwrap();
+        assert!(plain.stop.converged(), "{method:?}");
+        assert!(max_err(&plain.x, &x_true) < 1e-7, "{method:?}");
+    }
 }
 
 #[test]
